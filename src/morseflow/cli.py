@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -44,6 +45,8 @@ STAGE_DEPS = {
 }
 SAFETY = 0.5
 KNOWN_TOLERANCES = {"band", "cond4_eps", "fit_radius", "conv_grad_tol", "grid_density"}
+# grid_density ** n_vars seeds each start a Newton refinement in the critical search
+MAX_GRID_SEEDS = 100_000
 
 
 class ValidationError(ValueError):
@@ -144,10 +147,7 @@ def spec_from_mapping(data) -> ProblemSpec:
     objective = data["objective"]
     if not isinstance(objective, str):
         raise ValidationError("field 'objective' must be a polynomial string")
-    try:
-        parse_polynomial(objective, variables)
-    except ParseError as e:
-        raise ValidationError(f"field 'objective': {e}") from e
+    _check_polynomial("objective", objective, variables)
 
     constraints = data.get("constraints", [])
     if not isinstance(constraints, (list, tuple)):
@@ -155,10 +155,7 @@ def spec_from_mapping(data) -> ProblemSpec:
     for i, text in enumerate(constraints):
         if not isinstance(text, str):
             raise ValidationError(f"field 'constraints[{i}]' must be a string")
-        try:
-            parse_polynomial(text, variables)
-        except ParseError as e:
-            raise ValidationError(f"field 'constraints[{i}]': {e}") from e
+        _check_polynomial(f"constraints[{i}]", text, variables)
 
     box = data["box"]
     if not isinstance(box, (list, tuple)) or len(box) != len(variables):
@@ -179,6 +176,7 @@ def spec_from_mapping(data) -> ProblemSpec:
     bad = set(tolerances) - KNOWN_TOLERANCES
     if bad:
         raise ValidationError(f"field 'tolerances' has unknown key(s) {sorted(bad)}")
+    _check_tolerances(tolerances, len(variables))
 
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -194,6 +192,39 @@ def spec_from_mapping(data) -> ProblemSpec:
         tolerances=dict(tolerances),
         seed=seed,
     )
+
+
+def _check_polynomial(label: str, text: str, variables) -> None:
+    try:
+        p = parse_polynomial(text, variables)
+    except ParseError as e:
+        raise ValidationError(f"field '{label}': {e}") from e
+    bad = [t.coefficient for t in p.terms if not math.isfinite(t.coefficient)]
+    if bad:
+        raise ValidationError(f"field '{label}': coefficient {bad[0]} is not finite")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_tolerances(tol: dict, n_vars: int) -> None:
+    if "band" in tol:
+        band = tol["band"]
+        if (not isinstance(band, (list, tuple)) or len(band) != 2
+                or not all(_is_number(v) for v in band) or not band[0] < band[1]):
+            raise ValidationError(f"tolerance 'band' must be two finite numbers lo < hi, got {band!r}")
+    for key in ("cond4_eps", "fit_radius", "conv_grad_tol"):
+        if key in tol and not (_is_number(tol[key]) and tol[key] > 0):
+            raise ValidationError(f"tolerance '{key}' must be a finite number > 0, got {tol[key]!r}")
+    if "grid_density" in tol:
+        d = tol["grid_density"]
+        if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+            raise ValidationError(f"tolerance 'grid_density' must be an integer >= 2, got {d!r}")
+        if d ** n_vars > MAX_GRID_SEEDS:
+            raise ValidationError(
+                f"tolerance 'grid_density' {d} asks for {d}^{n_vars} seeds, "
+                f"more than the limit of {MAX_GRID_SEEDS}")
 
 
 def load_problem(path) -> ProblemSpec:
@@ -348,7 +379,8 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     if "critical" in stages:
         try:
             cps = find_critical_points(f, Z, grid_density=int(tol.get("grid_density", 7)))
-            cps = [replace(cp, kind=classify(f, Z, cp, seed=spec.seed)) for cp in cps]
+            cps = [replace(cp, kind=_classify_isolated(f, Z, cp, i, spec.seed, report.stage_errors))
+                   for i, cp in enumerate(cps)]
             report.critical_points = [cp.to_payload() for cp in cps]
         except Exception as e:  # noqa: BLE001 - stage isolation is the contract
             log.exception("critical stage failed")
@@ -432,10 +464,22 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     return report
 
 
+def _classify_isolated(f, Z, cp, i, seed, stage_errors) -> str:
+    """classify, with a failure recorded under classify[i] and the point left unresolved."""
+    try:
+        return classify(f, Z, cp, seed=seed)
+    except Exception as e:  # noqa: BLE001 - one point must not abort the stage
+        log.exception("classification failed at point %d", i)
+        stage_errors[f"classify[{i}]"] = repr(e)
+        return "unresolved"
+
+
 def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
     tol = spec.tolerances
     targets = [(i, cp) for i, cp in enumerate(cps) if cp.kind in ("saddle", "maximum")]
-    if not targets:
+    # a point of unknown kind may be a saddle whose landing check never ran
+    unsettled = [i for i, cp in enumerate(cps) if cp.kind in ("unresolved", "degenerate")]
+    if not targets and not unsettled:
         return {
             "condition": 4,
             "verdict": "pass",
@@ -464,11 +508,15 @@ def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
                  "witnesses": {"error": repr(e)}, "modulus_table": None, "point_index": i}
             )
     order = {"fail": 0, "inconclusive": 1, "pass": 2}
-    verdict = min((p["verdict"] for p in per_point), key=lambda v: order[v])
+    verdicts = [p["verdict"] for p in per_point] + (["inconclusive"] if unsettled else [])
+    witnesses = {"per_point": per_point}
+    if unsettled:
+        witnesses["error"] = (f"critical point(s) {unsettled} are unresolved or degenerate, "
+                              "so condition 4 was not checked there")
     return {
         "condition": 4,
-        "verdict": verdict,
-        "witnesses": {"per_point": per_point},
+        "verdict": min(verdicts, key=lambda v: order[v]),
+        "witnesses": witnesses,
         "modulus_table": table,
     }
 

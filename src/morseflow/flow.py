@@ -11,7 +11,8 @@ Stepping uses the Cash-Karp embedded Runge-Kutta 4(5) pair with standard
 proportional step control.  A trajectory terminates on the first stop
 criterion that fires; a time and an arc-length budget are always active so
 every call terminates.  Level crossings are landed exactly (to ``level_tol``
-in f) by bisecting the step length of the crossing step.
+in f) by bisecting the step length of the crossing step; a crossing that no
+bisection point lands ends the trajectory with ``landing_failed``.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ class LeftBox:
 StopCriterion = ReachLevel | Converged | ArcBudget | TimeBudget | LeftBox
 
 # Terminations that decide nothing: the flow neither reached a level nor
-# demonstrably converged nor left the region.
+# demonstrably converged nor left the region.  landing_failed: the flow
+# crossed its ReachLevel target but no bisection point lies within level_tol.
 INCONCLUSIVE_TERMINATIONS = frozenset(
-    {"arc_budget", "time_budget", "step_underflow", "retraction_failed", "step_limit"}
+    {"arc_budget", "time_budget", "step_underflow", "retraction_failed", "step_limit",
+     "landing_failed"}
 )
 
 
@@ -294,11 +297,13 @@ def integrate(
         err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
         return y_new, err
 
-    def _land(y0: np.ndarray, k1: np.ndarray, h_hi: float, c: float) -> tuple[np.ndarray, float]:
-        """Bisect the step length so the endpoint has |f - c| <= level_tol."""
+    def _land(y0: np.ndarray, k1: np.ndarray, h_hi: float, c: float) -> tuple[np.ndarray, float] | None:
+        """Bisect the step length so the endpoint has |f - c| <= level_tol.
+
+        Returns None when no bisection point lands within level_tol.
+        """
         f_lo = fld.value(y0)
         lo, hi = 0.0, h_hi
-        best: tuple[np.ndarray, float] | None = None
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             try:
@@ -307,7 +312,6 @@ def integrate(
                 hi = mid
                 continue
             f_mid = fld.value(y_mid)
-            best = (y_mid, mid)
             if abs(f_mid - c) <= Z.level_tol:
                 return y_mid, mid
             if (f_mid - c > 0) == (f_lo - c > 0):
@@ -316,7 +320,7 @@ def integrate(
                 hi = mid
             if hi - lo <= 1e-16 * h_hi:
                 break
-        return best if best is not None else (y0, 0.0)
+        return None
 
     h = min(ctrl.initial_step, ctrl.max_step)
     t = 0.0
@@ -354,7 +358,10 @@ def integrate(
         f_new = fld.value(y_new)
 
         if reach is not None and (fy - reach.c) * (f_new - reach.c) <= 0.0:
-            y_land, h_land = _land(y, k1, h, reach.c)
+            landed = _land(y, k1, h, reach.c)
+            if landed is None:
+                return _done("landing_failed")
+            y_land, h_land = landed
             if not Z.inside_box(y_land):
                 return _done("left_box")
             g_land = fld.projected_grad(y_land)

@@ -9,6 +9,17 @@ makes equality, printing and parsing stable (``parse(str(p)) == p``).
 
 Differentiation is exact (coefficient times exponent, exponent decremented),
 so gradients and Jacobians of polynomial data carry no truncation error.
+
+Evaluation runs generated code.  On its first evaluation a polynomial, a
+system, or a system's Jacobian is compiled from its canonical monomials into
+one straight-line Python function of positional arguments ``x0 .. x{n-1}``:
+each needed power is computed once as a product of lower powers, and each
+output is a sum of coefficient literals times powers.  The same function
+serves one point, called on the Python floats of ``x.tolist()``, and a batch,
+called on the columns of an ``(N, n)`` array, where numpy broadcasts the same
+arithmetic; row ``i`` of a batch therefore equals the single-point result at
+row ``i`` bit for bit.  ``gradient(f)`` is built once per polynomial and
+shared, so every caller reuses one compiled gradient.
 """
 
 from __future__ import annotations
@@ -62,6 +73,56 @@ def _canonical(variables: tuple[str, ...], terms: Iterable[Monomial]) -> tuple[M
     out = [Monomial(c, e) for e, c in merged.items() if c != 0.0]
     out.sort(key=lambda m: m.exponents, reverse=True)
     return tuple(out)
+
+
+# -- compiled evaluation ------------------------------------------------
+
+
+def _compile(n: int, rows: Sequence[Sequence[Monomial]]):
+    """Straight-line function of ``x0 .. x{n-1}`` returning one value per row.
+
+    The source is built from exponents and ``repr`` of the coefficients only,
+    never from variable names.  Powers are products (``x0_3 = x0 * x0_2``),
+    not ``**``: Python raises on a float ``**`` overflow, multiplication
+    gives ``inf`` like numpy does.  A zero row returns ``0.0``.
+    """
+    powers: dict[str, str] = {}
+
+    def power(i: int, k: int) -> str:
+        if k == 1:
+            return f"x{i}"
+        name = f"x{i}_{k}"
+        if name not in powers:
+            powers[name] = f"{power(i, k // 2)} * {power(i, k - k // 2)}"
+        return name
+
+    values = [
+        " + ".join("*".join([repr(t.coefficient)] + [power(i, k) for i, k in enumerate(t.exponents) if k])
+                   for t in terms) or "0.0"
+        for terms in rows
+    ]
+    lines = [f"def kernel({', '.join(f'x{i}' for i in range(n))}):"]
+    lines += [f"    {name} = {expr}" for name, expr in powers.items()]
+    lines.append(f"    return ({''.join(v + ', ' for v in values)})")
+    namespace = {"__builtins__": {}, "inf": float("inf"), "nan": float("nan")}
+    exec(compile("\n".join(lines), "<polynomial kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _points(point, n: int) -> np.ndarray:
+    x = np.asarray(point, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"point has shape {x.shape}, expected ({n},) or (N, {n})")
+    return x
+
+
+def _batch(kernel, x: np.ndarray) -> np.ndarray:
+    """Kernel values at each row of ``x``, shape ``(N, rows)``."""
+    values = kernel(*x.T)
+    out = np.empty((x.shape[0], len(values)))
+    for j, v in enumerate(values):
+        out[:, j] = v
+    return out
 
 
 @dataclass(frozen=True, init=False)
@@ -141,26 +202,19 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.terms:
-            return np.zeros((0, len(self.variables)), dtype=np.int64), np.zeros(0)
-        emat = np.array([t.exponents for t in self.terms], dtype=np.int64)
-        coef = np.array([t.coefficient for t in self.terms])
-        return emat, coef
+    def _kernel(self):
+        return _compile(len(self.variables), [self.terms])
+
+    @cached_property
+    def _gradient(self) -> "PolynomialSystem":
+        return PolynomialSystem(self.variables, tuple(self.derivative(i) for i in range(len(self.variables))))
 
     def evaluate(self, point: Sequence[float] | np.ndarray) -> float | np.ndarray:
         """Value at a point (shape ``(n,)``) or batch of points (shape ``(N, n)``)."""
-        x = np.asarray(point, dtype=float)
-        emat, coef = self._arrays
+        x = _points(point, len(self.variables))
         if x.ndim == 1:
-            if x.shape[0] != len(self.variables):
-                raise ValueError(f"point has {x.shape[0]} coordinates, expected {len(self.variables)}")
-            if emat.shape[0] == 0:
-                return 0.0
-            return float(np.prod(x ** emat, axis=1) @ coef)
-        if emat.shape[0] == 0:
-            return np.zeros(x.shape[0])
-        return np.prod(x[:, None, :] ** emat[None, :, :], axis=2) @ coef
+            return self._kernel(*x.tolist())[0]
+        return _batch(self._kernel, x)[:, 0]
 
     def derivative(self, var: str | int) -> "Polynomial":
         """Exact partial derivative with respect to one variable."""
@@ -246,53 +300,37 @@ class PolynomialSystem:
         return iter(self.components)
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # All terms of all components in one block, so one numpy pass
-        # evaluates the whole system.  Empty components get a padding zero
-        # term: np.add.reduceat misbehaves on empty segments.
+    def _kernel(self):
+        return _compile(len(self.variables), [p.terms for p in self.components])
+
+    @cached_property
+    def _jacobian_kernel(self):
         n = len(self.variables)
-        emat_rows, coefs, offsets = [], [], []
-        pos = 0
-        for p in self.components:
-            offsets.append(pos)
-            terms = p.terms if p.terms else (Monomial(0.0, (0,) * n),)
-            for t in terms:
-                emat_rows.append(t.exponents)
-                coefs.append(t.coefficient)
-            pos += len(terms)
-        emat = np.array(emat_rows, dtype=np.int64) if emat_rows else np.zeros((0, n), dtype=np.int64)
-        return emat, np.array(coefs), np.array(offsets, dtype=np.intp)
+        return _compile(n, [p.derivative(i).terms for p in self.components for i in range(n)])
 
     def evaluate(self, point: Sequence[float] | np.ndarray) -> np.ndarray:
         """Stacked values, shape ``(m,)`` for one point or ``(N, m)`` for a batch."""
-        x = np.asarray(point, dtype=float)
-        if not self.components:
-            return np.zeros(0) if x.ndim == 1 else np.zeros((x.shape[0], 0))
-        emat, coef, offsets = self._flat
+        x = _points(point, len(self.variables))
         if x.ndim == 1:
-            tv = coef * np.prod(x ** emat, axis=1)
-            return np.add.reduceat(tv, offsets)
-        tv = coef * np.prod(x[:, None, :] ** emat[None, :, :], axis=2)
-        return np.add.reduceat(tv, offsets, axis=1)
-
-    @cached_property
-    def _jacobian_flat(self) -> "PolynomialSystem":
-        entries = []
-        for p in self.components:
-            entries.extend(p.derivative(i) for i in range(len(self.variables)))
-        return PolynomialSystem(self.variables, entries)
+            return np.array(self._kernel(*x.tolist()))
+        return _batch(self._kernel, x)
 
     def jacobian_at(self, point: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Jacobian matrix evaluated at one point, shape ``(m, n)``."""
-        n = len(self.variables)
-        if not self.components:
-            return np.zeros((0, n))
-        return self._jacobian_flat.evaluate(np.asarray(point, dtype=float)).reshape(len(self.components), n)
+        """Jacobian matrix, shape ``(m, n)`` at one point or ``(N, m, n)`` for a batch."""
+        x = _points(point, len(self.variables))
+        shape = (len(self.components), len(self.variables))
+        if x.ndim == 1:
+            return np.array(self._jacobian_kernel(*x.tolist())).reshape(shape)
+        return _batch(self._jacobian_kernel, x).reshape((x.shape[0],) + shape)
 
 
 def gradient(poly: Polynomial) -> PolynomialSystem:
-    """Exact gradient: the system of all first partial derivatives."""
-    return PolynomialSystem(poly.variables, tuple(poly.derivative(i) for i in range(len(poly.variables))))
+    """Exact gradient: the system of all first partial derivatives.
+
+    Built once per polynomial and shared by every caller, so its compiled
+    kernel is too.
+    """
+    return poly._gradient
 
 
 def jacobian(system: PolynomialSystem) -> list[PolynomialSystem]:

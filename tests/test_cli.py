@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +263,74 @@ def test_console_subprocess_smoke(tmp_path):
     usage = subprocess.run([sys.executable, "-m", "morseflow.cli"],
                            capture_output=True, text=True)
     assert usage.returncode == 3
+
+
+PROBLEMS = Path(__file__).resolve().parent / "problems"
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tolerances", [
+        {"band": "ab"},
+        {"band": [1, -1]},
+        {"band": [-1, float("inf")]},
+        {"band": [-1, 0, 1]},
+        {"grid_density": 10**6},
+        {"grid_density": 1},
+        {"grid_density": 7.5},
+        {"cond4_eps": -1},
+        {"fit_radius": 0},
+        {"conv_grad_tol": float("nan")},
+        {"conv_grad_tol": True},
+    ], ids=repr)
+    def test_bad_tolerance_is_a_usage_error(self, tmp_path, tolerances):
+        path = write_problem(tmp_path, tolerances=tolerances)
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("objective", "1e400*x^2 + y"),
+        ("constraints", ["x - 1e400*y"]),
+    ])
+    def test_non_finite_coefficient_is_a_usage_error(self, tmp_path, field, value):
+        path = write_problem(tmp_path, **{field: value})
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+
+    def test_grid_density_at_the_seed_limit_is_accepted(self):
+        doc = dict(BUILTIN["saddle"], tolerances={"grid_density": 316})
+        assert spec_from_mapping(doc).tolerances["grid_density"] == 316
+
+
+class TestUnsettledCriticalPoints:
+    def test_lifted_planes_condition4_is_not_a_vacuous_pass(self, tmp_path):
+        # the lifted origin is classified unresolved (too few on-Z probes);
+        # condition 4 must not pass over a point it never checked
+        rc = main(["run", "--problem", str(PROBLEMS / "planes-lift.json"),
+                   "--stages", "critical,loja,cond4", "--out", str(tmp_path)])
+        report = load_report(tmp_path / "report.json")
+        kinds = [cp["kind"] for cp in report.critical_points]
+        frag = report.condition_reports["cond4"]
+        assert "unresolved" in kinds
+        assert frag["verdict"] == "inconclusive"
+        assert str([kinds.index("unresolved")]) in frag["witnesses"]["error"]
+        assert report.corollary_verdict != "pass"
+        assert rc == 2
+
+    def test_classify_failure_is_isolated_per_point(self, monkeypatch):
+        import morseflow.cli as cli
+
+        real = cli.classify
+
+        def flaky(f, Z, cp, **kw):
+            if abs(cp.location[0]) < 0.5:  # the maximum at 0
+                raise ValueError("probe outside the box")
+            return real(f, Z, cp, **kw)
+
+        monkeypatch.setattr(cli, "classify", flaky)
+        doc = dict(BUILTIN["quartic"], objective="x^4 - 2*x^2")
+        report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
+        # points sorted by value: the wells at -1 and 1, then the maximum at 0
+        assert [cp["kind"] for cp in report.critical_points] == ["minimum", "minimum", "unresolved"]
+        assert sorted(report.stage_errors) == ["classify[2]"]
+        assert "probe outside the box" in report.stage_errors["classify[2]"]
+        frag = report.condition_reports["cond4"]
+        assert frag["verdict"] == "inconclusive"
+        assert "[2]" in frag["witnesses"]["error"]

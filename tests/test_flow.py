@@ -207,3 +207,14 @@ def test_step_control_max_step_is_honoured(saddle):
     ctrl = StepControl(max_step=1e-3)
     traj = integrate(f, Z, [1.0, 0.0], "descend", [ArcBudget(0.1)], control=ctrl)
     assert np.max(np.diff(traj.t)) <= 1e-3 * (1.0 + 1e-12)
+
+
+def test_unlandable_level_is_landing_failed():
+    # no bisection point can lie within 1e-300 of the target, so the
+    # crossing must not be reported as reach_level
+    f = parse_polynomial("x^2 - y^2", ["x", "y"])
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)),
+                      level_tol=1e-300)
+    traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(0.1)])
+    assert traj.termination == "landing_failed"
+    assert traj.final_f > 0.1

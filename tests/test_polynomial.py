@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,3 +180,92 @@ def test_evaluation_is_deterministic():
     p = parse_polynomial("0.3*x^3 - 1.7*x*y + y^2", ["x", "y"])
     pt = [0.123456789, -0.987654321]
     assert p.evaluate(pt) == p.evaluate(pt)
+
+
+# -- compiled kernels -------------------------------------------------
+
+
+def reference_value(p, x):
+    """The defining sum, term by term, with Python floats."""
+    terms = [t.coefficient * math.prod(xi ** e for xi, e in zip(x, t.exponents)) for t in p.terms]
+    scale = sum(abs(t.coefficient) * math.prod(abs(xi) ** e for xi, e in zip(x, t.exponents))
+                for t in p.terms)
+    return sum(terms), scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_single_point_kernels_match_reference_sum(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    p = random_polynomial(rng, n)
+    q = random_polynomial(rng, n)
+    x = rng.uniform(-2, 2, size=n).tolist()
+    system = PolynomialSystem(p.variables, (p, q))
+    got = [p.evaluate(x), *system.evaluate(x), *gradient(p).evaluate(x),
+           *system.jacobian_at(x).ravel()]
+    polys = [p, p, q] + [p.derivative(i) for i in range(n)] + [
+        c.derivative(i) for c in (p, q) for i in range(n)]
+    assert len(got) == len(polys)
+    for value, poly in zip(got, polys):
+        ref, scale = reference_value(poly, x)
+        assert abs(value - ref) <= 1e-12 * max(scale, 1e-300)
+
+
+def test_batch_rows_equal_single_point_results():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        p = random_polynomial(rng, n)
+        system = PolynomialSystem(p.variables, (p, random_polynomial(rng, n), Polynomial.zero(p.variables)))
+        X = rng.uniform(-2, 2, size=(9, n))
+        values, jac, fvals = system.evaluate(X), system.jacobian_at(X), p.evaluate(X)
+        assert values.shape == (9, 3) and jac.shape == (9, 3, n) and fvals.shape == (9,)
+        for i, x in enumerate(X):
+            assert np.array_equal(values[i], system.evaluate(x))
+            assert np.array_equal(jac[i], system.jacobian_at(x))
+            assert fvals[i] == p.evaluate(x)
+
+
+def test_variable_names_that_clash_with_generated_names():
+    # "x1" is the first coordinate and "x0" the second
+    names = ["x1", "x0", "_array", "lambda"]
+    p = parse_polynomial("2*x1 - 3*x0^2*_array + 0.5*lambda^3", names)
+    x = [1.5, -2.0, 0.25, 2.0]
+    assert p.evaluate(x) == 2.0 * 1.5 - 3.0 * 4.0 * 0.25 + 0.5 * 8.0
+    assert gradient(p).evaluate(x).tolist() == [2.0, 3.0, -12.0, 6.0]
+
+
+class TestKernelEdgeCases:
+    def test_zero_polynomial(self):
+        p = Polynomial.zero(["x", "y"])
+        assert p.evaluate([1.0, 2.0]) == 0.0
+        assert p.evaluate(np.ones((4, 2))).tolist() == [0.0] * 4
+        assert gradient(p).evaluate([1.0, 2.0]).tolist() == [0.0, 0.0]
+
+    def test_constant(self):
+        p = Polynomial.constant(["x"], -2.5)
+        assert p.evaluate([3.0]) == -2.5
+        assert p.evaluate(np.zeros((3, 1))).tolist() == [-2.5] * 3
+
+    def test_empty_system(self):
+        s = PolynomialSystem(["x", "y"], ())
+        assert s.evaluate([1.0, 2.0]).shape == (0,)
+        assert s.jacobian_at([1.0, 2.0]).shape == (0, 2)
+        assert s.evaluate(np.ones((5, 2))).shape == (5, 0)
+        assert s.jacobian_at(np.ones((5, 2))).shape == (5, 0, 2)
+
+    def test_system_with_one_zero_component(self):
+        names = ["x", "y"]
+        s = PolynomialSystem(names, (parse_polynomial("x*y", names), Polynomial.zero(names)))
+        assert s.evaluate([2.0, 3.0]).tolist() == [6.0, 0.0]
+        assert s.jacobian_at([2.0, 3.0]).tolist() == [[3.0, 2.0], [0.0, 0.0]]
+        assert s.evaluate(np.array([[2.0, 3.0], [1.0, 1.0]])).tolist() == [[6.0, 0.0], [1.0, 0.0]]
+
+    def test_overflow_gives_inf_not_an_exception(self):
+        p = parse_polynomial("x^7", ["x"])
+        assert p.evaluate([1e200]) == math.inf
+
+    def test_gradient_is_built_once(self):
+        p = parse_polynomial("x^3*y", ["x", "y"])
+        assert gradient(p) is gradient(p)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .critical import (
+    MAX_GRID_SEEDS,
     CriticalPoint,
     check_condition1,
     classify,
@@ -45,8 +46,6 @@ STAGE_DEPS = {
 }
 SAFETY = 0.5
 KNOWN_TOLERANCES = {"band", "cond4_eps", "fit_radius", "conv_grad_tol", "grid_density"}
-# grid_density ** n_vars seeds each start a Newton refinement in the critical search
-MAX_GRID_SEEDS = 100_000
 
 
 class ValidationError(ValueError):
@@ -378,7 +377,7 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     cps: list[CriticalPoint] = []
     if "critical" in stages:
         try:
-            cps = find_critical_points(f, Z, grid_density=int(tol.get("grid_density", 7)))
+            cps = find_critical_points(f, Z, grid_density=tol.get("grid_density"))
             cps = [replace(cp, kind=_classify_isolated(f, Z, cp, i, spec.seed, report.stage_errors))
                    for i, cp in enumerate(cps)]
             report.critical_points = [cp.to_payload() for cp in cps]

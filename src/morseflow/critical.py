@@ -21,7 +21,7 @@ import numpy as np
 from .flow import ArcBudget, Converged, ReachLevel, StepControl, TimeBudget, integrate
 from .polynomial import Polynomial, PolynomialSystem, gradient
 from .sampling import ring_probes, substream
-from .space import RetractionError, SingularSpace
+from .space import SingularSpace
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +29,9 @@ CRIT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 VALUE_MERGE_TOL = 1e-8
 GAP_TOL = 1e-4
+DEFAULT_GRID_DENSITY = 7
+# grid_density ** n_vars seeds each start a Newton refinement in the critical search
+MAX_GRID_SEEDS = 100_000
 
 KINDS = ("minimum", "maximum", "saddle", "degenerate", "unresolved")
 
@@ -85,6 +88,14 @@ class ConditionReport:
             "witnesses": self.witnesses,
             "modulus_table": self.modulus_table,
         }
+
+
+def default_grid_density(n_vars: int) -> int:
+    """The largest density up to DEFAULT_GRID_DENSITY whose grid has at most MAX_GRID_SEEDS seeds."""
+    d = DEFAULT_GRID_DENSITY
+    while d > 2 and d**n_vars > MAX_GRID_SEEDS:
+        d -= 1
+    return d
 
 
 def _grid_seeds(Z: SingularSpace, grid_density: int) -> np.ndarray:
@@ -211,7 +222,7 @@ def _singular_system(Z: SingularSpace) -> PolynomialSystem:
 def find_critical_points(
     f: Polynomial,
     Z: SingularSpace,
-    grid_density: int = 7,
+    grid_density: int | None = None,
     refine_tol: float = 1e-12,
     crit_tol: float = CRIT_TOL,
     cluster_tol: float = CLUSTER_TOL,
@@ -222,8 +233,11 @@ def find_critical_points(
     Newton on {g = 0, projected gradient = 0}.  A second pass hunts points
     where all constraint gradients vanish; those failing the first-order
     test are kept only when probe flows show the point is numerically
-    fixed.  Non-convergent seeds are discarded (count logged).
+    fixed.  Non-convergent seeds are discarded (count logged).  The grid
+    density defaults to :func:`default_grid_density` of the dimension.
     """
+    if grid_density is None:
+        grid_density = default_grid_density(Z.ambient_dim)
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
     grad_sys = gradient(f)
@@ -235,10 +249,9 @@ def find_critical_points(
     seeds = _grid_seeds(Z, grid_density)
     found = []
     discarded = 0
-    for seed_pt in seeds:
-        try:
-            start = Z.retract(seed_pt)
-        except RetractionError:
+    starts, retracted = Z.retract_batch(seeds)
+    for start, ok in zip(starts, retracted):
+        if not ok:
             discarded += 1
             continue
         x = _gauss_newton(resid, start, refine_tol, max_step_len=max_len)
@@ -347,7 +360,10 @@ def classify(
     rng = substream(seed, "classify")
     n_extra = max(0, n_probes - 2 * Z.ambient_dim)
     probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra, require_in_box=False)
-    min_probes = max(2, min(2 * Z.ambient_dim, 6))
+    # a stratum of dimension k offers 2k axis probes; the ambient dimension
+    # would ask a lifted problem for probes its stratum cannot have
+    local_dim = Z.ambient_dim - Z.effective_rank(center)
+    min_probes = max(2, min(2 * local_dim, 6))
     if len(probes) < min_probes:
         log.warning(
             "only %d on-Z probes at radius %g around %s; classification unresolved",

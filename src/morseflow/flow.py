@@ -7,12 +7,25 @@ invariant for the extended vector field and the constraint residual only
 drifts at the integrator-error scale; a retraction after every stage and every
 accepted step keeps it at ``retract_tol``.
 
-Stepping uses the Cash-Karp embedded Runge-Kutta 4(5) pair with standard
-proportional step control.  A trajectory terminates on the first stop
-criterion that fires; a time and an arc-length budget are always active so
-every call terminates.  Level crossings are landed exactly (to ``level_tol``
-in f) by bisecting the step length of the crossing step; a crossing that no
-bisection point lands ends the trajectory with ``landing_failed``.
+One integrator steps an ensemble: :func:`integrate_ensemble` advances N flows
+together as the rows of an ``(N, n)`` array, each with its own direction,
+level target, step size, time, arc length, rank of Dg and counters.  Every
+stage evaluates the field, retracts and projects all live rows in one batched
+call.  Stepping uses the Cash-Karp embedded Runge-Kutta 4(5) pair with
+standard proportional step control, applied to each row on its own: a row
+whose error test or retraction fails retries with a smaller step while the
+others move on.  A member terminates on the first stop criterion that fires
+for it and leaves the ensemble, the others keeping their order; a time and an
+arc-length budget are always active so every member terminates.  Level
+crossings leave the ensemble too, and are landed afterwards (to ``level_tol``
+in f) by one batched bisection of each crossing step's length; a crossing that
+no bisection point lands ends with ``landing_failed``.  Rows never interact,
+so a member's trajectory is the same bit for bit in any ensemble.
+
+:func:`integrate` is the ensemble of one, with every sample kept.  In a larger
+ensemble only the members marked in ``record`` keep every accepted sample;
+the rest keep their start and end samples, which bounds the memory of a
+condition check.  Every trajectory counts its accepted and rejected steps.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomial import Polynomial, gradient
-from .space import RetractionError, SingularSpace
+from .space import RetractionError, SingularSpace, row_sums
 
 __all__ = [
     "ReachLevel",
@@ -37,6 +50,7 @@ __all__ = [
     "FlowTrajectory",
     "FlowLimitResult",
     "integrate",
+    "integrate_ensemble",
     "descend_to_level",
     "ascend_to_level",
     "flow_limit",
@@ -116,6 +130,8 @@ class FlowTrajectory:
     termination: str
     rank_transitions: int = 0
     captured: bool = False
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -141,7 +157,7 @@ class FlowLimitResult:
     trajectory: FlowTrajectory
 
 
-# Cash-Karp 4(5) coefficients.
+# Cash-Karp 4(5) coefficients; zero weights are left out of the sums.
 _CK_A = (
     (),
     (1 / 5,),
@@ -150,39 +166,18 @@ _CK_A = (
     (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
     (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
 )
-_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
-_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
-_CK_A_ROWS = [np.array(row) for row in _CK_A]
+_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-class _Field:
-    """Cached evaluators for f, grad f and the tangent projection along a flow."""
-
-    def __init__(self, f: Polynomial, Z: SingularSpace):
-        self.f = f
-        self.Z = Z
-        self.grad_sys = gradient(f)
-        self.m = len(Z.constraints)
-
-    def value(self, y: np.ndarray) -> float:
-        return self.f.evaluate(y)
-
-    def projected_grad(self, y: np.ndarray) -> np.ndarray:
-        g = self.grad_sys.evaluate(y)
-        if self.m == 0:
-            return g
-        J = self.Z.constraints.jacobian_at(y)
-        if self.m == 1:
-            row = J[0]
-            s2 = float(row @ row)
-            if s2 == 0.0:
-                return g
-            return g - row * (float(row @ g) / s2)
-        U, s, Vt = np.linalg.svd(J)
-        smax = s[0] if s.size else 0.0
-        rank = 0 if smax == 0.0 else int(np.sum(s > self.Z.rank_tol * smax))
-        null_rows = Vt[rank:]
-        return null_rows.T @ (null_rows @ g)
+def _combine(weights, K):
+    """``sum_j weights[j] * K[j]``, added term by term in stage order."""
+    total = None
+    for w, k in zip(weights, K):
+        if w != 0.0:
+            term = w * k
+            total = term if total is None else total + term
+    return total
 
 
 def _resolve_control(Z: SingularSpace, control: StepControl | None) -> StepControl:
@@ -196,6 +191,324 @@ def _resolve_control(Z: SingularSpace, control: StepControl | None) -> StepContr
     return ctrl
 
 
+class _Field:
+    """The projected gradient field of f on Z, and one Cash-Karp step of it, per row."""
+
+    def __init__(self, f: Polynomial, Z: SingularSpace, ctrl: StepControl):
+        self.f = f
+        self.Z = Z
+        self.grad_sys = gradient(f)
+        self.ctrl = ctrl
+        self.constrained = len(Z.constraints) > 0
+        self.lo, self.hi = np.array(Z.box).T
+
+    def inside_box(self, Y: np.ndarray) -> np.ndarray:
+        """``Z.inside_box`` for each row."""
+        return ~((Y < self.lo) | (Y > self.hi)).any(axis=1)
+
+    def projected_grad(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Projected gradient at each row, and the effective rank of Dg there."""
+        return self.Z.tangent_project_batch(Y, self.grad_sys.evaluate(Y))
+
+    def advance(self, Y0, K1, H, sign):
+        """One Cash-Karp step of length H[i] from each row Y0[i].
+
+        Returns the retracted endpoints, the scaled error estimates and a
+        mask of the rows whose retractions all succeeded.  A row whose
+        retraction fails is carried on as NaN, which costs nothing further
+        and yields a NaN endpoint and error.
+        """
+        ok = np.ones(len(Y0), dtype=bool)
+        h = H[:, None]
+        K = [K1]
+        for i in range(1, 6):
+            P = Y0 + h * _combine(_CK_A[i], K)
+            if self.constrained:
+                P, ok_p = self.Z.retract_batch(P)
+                if not ok_p.all():
+                    ok &= ok_p
+                    P[~ok] = np.nan
+            K.append(sign[:, None] * self.projected_grad(P)[0])
+        y5 = Y0 + h * _combine(_CK_B5, K)
+        y4 = Y0 + h * _combine(_CK_B4, K)
+        y_new = y5
+        if self.constrained:
+            y_new, ok_y = self.Z.retract_batch(y5)
+            ok &= ok_y
+            y_new[~ok] = np.nan
+        scale = self.ctrl.atol + self.ctrl.rtol * np.maximum(np.abs(Y0), np.abs(y_new))
+        return y_new, np.sqrt(row_sums(((y5 - y4) / scale) ** 2) / Y0.shape[1]), ok
+
+
+class _Members:
+    """Stepping state of a set of ensemble members, one array row per member.
+
+    ``idx`` is the member's index in the ensemble; ``c`` is its ReachLevel
+    target (NaN when it has none, so every crossing test on it is false);
+    ``k1`` is the first stage of the step being attempted.
+    """
+
+    FIELDS = ("idx", "sign", "c", "record", "y", "fy", "g", "gn", "k1", "h", "t", "arc",
+              "rank", "conv_run", "n_steps", "n_accepted", "n_rejected", "transitions")
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def select(self, rows) -> "_Members":
+        return _Members(**{name: getattr(self, name)[rows] for name in self.FIELDS})
+
+    @staticmethod
+    def concat(parts: list["_Members"]) -> "_Members":
+        return _Members(**{name: np.concatenate([getattr(p, name) for p in parts])
+                           for name in _Members.FIELDS})
+
+
+def _shared_stops(stops, ctrl: StepControl):
+    """(Converged or None, arc budget, time budget) from the shared stop criteria."""
+    conv = None
+    arc_budget = ctrl.default_arc_budget
+    time_budget = ctrl.default_time_budget
+    for s in stops:
+        if isinstance(s, ReachLevel):
+            raise ValueError("ReachLevel targets are per member; pass them as levels")
+        if isinstance(s, Converged):
+            conv = s
+        elif isinstance(s, ArcBudget):
+            arc_budget = s.limit
+        elif isinstance(s, TimeBudget):
+            time_budget = s.limit
+        elif not isinstance(s, LeftBox):
+            raise TypeError(f"unknown stop criterion {s!r}")
+    return conv, arc_budget, time_budget
+
+
+def _per_member(value, n: int, name: str) -> list:
+    items = [value] * n if value is None or isinstance(value, (str, int, float)) else list(value)
+    if len(items) != n:
+        raise ValueError(f"{name} has {len(items)} entries for {n} members")
+    return items
+
+
+def integrate_ensemble(
+    f: Polynomial,
+    Z: SingularSpace,
+    X0: Sequence[Sequence[float]] | np.ndarray,
+    directions: str | Sequence[str] = "descend",
+    levels: float | Sequence[float | None] | None = None,
+    stops: Sequence[StopCriterion] = (),
+    control: StepControl | None = None,
+    record: bool | Sequence[bool] = False,
+) -> list[FlowTrajectory]:
+    """Integrate the projected gradient flow from every row of X0 at once.
+
+    Member i starts at ``X0[i]``, flows in ``directions[i]`` and, when
+    ``levels[i]`` is not None, stops on crossing that level (a per-member
+    :class:`ReachLevel`).  A single direction or level applies to every
+    member.  ``stops`` holds the shared criteria (:class:`Converged`,
+    :class:`ArcBudget`, :class:`TimeBudget`); time and arc budgets default
+    to generous values so every member terminates.  Box containment is
+    always enforced.  Every step-control and stop rule applies to each
+    member on its own, so member i ends exactly as ``integrate`` from
+    ``X0[i]`` does, bit for bit.
+
+    Members in ``record`` (one flag, or one per member) keep every accepted
+    sample; the others keep their start and end samples only.  Invalid
+    input (a direction, a start off Z, a target on the wrong side) raises
+    before any member steps.  Returns one trajectory per member, in order.
+    """
+    X0 = np.array(X0, dtype=float)
+    if X0.ndim != 2 or X0.shape[1] != Z.ambient_dim:
+        raise ValueError(f"start points have shape {X0.shape}, expected (N, {Z.ambient_dim})")
+    N = len(X0)
+    directions = _per_member(directions, N, "directions")
+    for d in directions:
+        if d not in ("descend", "ascend"):
+            raise ValueError(f"direction must be 'descend' or 'ascend', got {d!r}")
+    levels = _per_member(levels, N, "levels")
+    record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
+    ctrl = _resolve_control(Z, control)
+    conv, arc_budget, time_budget = _shared_stops(stops, ctrl)
+    fld = _Field(f, Z, ctrl)
+
+    for x0 in X0:
+        if not Z.is_member(x0):
+            raise ValueError(f"start point {x0.tolist()} is not on Z (residual {Z.residual(x0):.3e} or outside box)")
+    Y = X0.copy()
+    if fld.constrained:
+        off = np.array([Z.residual(x0) > Z.retract_tol for x0 in X0], dtype=bool)
+        if off.any():
+            Y[off], ok = Z.retract_batch(X0[off])
+            if not ok.all():
+                bad = X0[off][np.flatnonzero(~ok)[0]]
+                raise RetractionError(f"start point {bad.tolist()} does not retract onto Z")
+
+    sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
+    c = np.array([np.nan if lv is None else float(lv) for lv in levels])
+    fy = f.evaluate(Y)
+    g, rank = fld.projected_grad(Y)
+    gn = np.sqrt(row_sums(g * g))
+    gap = np.where(sign < 0, fy - c, c - fy)
+    wrong = np.flatnonzero(gap < -Z.level_tol)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
+
+    act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, g=g, gn=gn,
+                   rank=rank, k1=np.zeros_like(Y), h=np.full(N, min(ctrl.initial_step, ctrl.max_step)),
+                   t=np.zeros(N), arc=np.zeros(N),
+                   **{name: np.zeros(N, dtype=int)
+                      for name in ("conv_run", "n_steps", "n_accepted", "n_rejected", "transitions")})
+    history = {int(i): [(0.0, Y[i].copy(), fy[i], gn[i], 0.0)] for i in np.flatnonzero(record)}
+    out: list[FlowTrajectory | None] = [None] * N
+
+    def finish(done: _Members, term: str) -> None:
+        for r in range(len(done)):
+            i = int(done.idx[r])
+            if i in history:
+                samples = history.pop(i)
+            else:
+                samples = [(0.0, Y[i], fy[i], gn[i], 0.0)]
+                if done.n_accepted[r]:
+                    samples.append((done.t[r], done.y[r], done.fy[r], done.gn[r], done.arc[r]))
+            ts, ys, fs, gns, arcs = zip(*samples)
+            out[i] = FlowTrajectory(
+                direction=directions[i], variables=tuple(f.variables),
+                t=np.array(ts), y=np.array(ys), f=np.array(fs), grad_norm=np.array(gns),
+                arc=np.array(arcs), termination=term, rank_transitions=int(done.transitions[r]),
+                n_accepted=int(done.n_accepted[r]), n_rejected=int(done.n_rejected[r]),
+            )
+
+    def keep_samples(ms: _Members, rows: np.ndarray) -> None:
+        for r in rows:
+            history[int(ms.idx[r])].append((ms.t[r], ms.y[r].copy(), ms.fy[r], ms.gn[r], ms.arc[r]))
+
+    # immediate stops at the start point
+    at_level = np.abs(fy - c) <= Z.level_tol
+    finish(act.select(at_level), "reach_level")
+    at_rest = ~at_level & (gn < conv.grad_tol) if conv is not None else np.zeros(N, dtype=bool)
+    finish(act.select(at_rest), "converged")
+    act = act.select(~at_level & ~at_rest)
+
+    TERMS = ("", "land", "retraction_failed", "step_underflow", "left_box",
+             "converged", "arc_budget", "time_budget")
+    crossings: list[_Members] = []
+    while len(act):
+        over = act.n_steps >= ctrl.max_steps
+        if over.any():
+            finish(act.select(over), "step_limit")
+            act = act.select(~over)
+            continue
+        act.n_steps += 1
+        act.k1 = act.sign[:, None] * act.g
+        y_new, err, ok = fld.advance(act.y, act.k1, act.h, act.sign)
+        h = act.h
+        code = np.zeros(len(act), dtype=int)
+
+        rejected = ok & (err > 1.0)
+        g_new, rank_new = fld.projected_grad(y_new)
+        # do not step across a rank transition of Dg at full length;
+        # resolve it with smaller steps
+        halve = ok & ~rejected & (rank_new != act.rank) & (h > 1e-6 * ctrl.max_step)
+        shrink = np.maximum(0.1, ctrl.safety * np.where(rejected, err, 1.0) ** -0.2)
+        h_retry = np.where(rejected, h * shrink, 0.5 * h)
+        code[~ok & (h_retry < ctrl.min_step)] = TERMS.index("retraction_failed")
+        code[rejected & (h_retry < ctrl.min_step)] = TERMS.index("step_underflow")
+        act.n_rejected += ~ok | rejected | halve
+
+        step = ok & ~rejected & ~halve
+        f_new = f.evaluate(y_new)
+        cross = step & ((act.fy - act.c) * (f_new - act.c) <= 0.0)
+        code[cross] = TERMS.index("land")
+        outside = step & ~cross & ~fld.inside_box(y_new)
+        code[outside] = TERMS.index("left_box")
+        step &= ~cross & ~outside
+
+        gn_new = np.sqrt(row_sums(g_new * g_new))
+        act.transitions += step & (rank_new != act.rank)
+        act.rank = np.where(step, rank_new, act.rank)
+        act.t = np.where(step, act.t + h, act.t)
+        act.arc = np.where(step, act.arc + h * 0.5 * (act.gn + gn_new), act.arc)
+        act.y = np.where(step[:, None], y_new, act.y)
+        act.g = np.where(step[:, None], g_new, act.g)
+        act.fy = np.where(step, f_new, act.fy)
+        act.gn = np.where(step, gn_new, act.gn)
+        act.n_accepted += step
+        keep_samples(act, np.flatnonzero(step & act.record))
+        # the first stop that fires wins: set the others first
+        code[step & (act.t >= time_budget)] = TERMS.index("time_budget")
+        code[step & (act.arc >= arc_budget)] = TERMS.index("arc_budget")
+        if conv is not None:
+            act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
+            code[step & (act.conv_run >= ctrl.conv_consecutive)] = TERMS.index("converged")
+        h_next = np.minimum(ctrl.max_step, h * np.minimum(5.0, np.maximum(0.2, ctrl.safety * (err + 1e-300) ** -0.2)))
+        act.h = np.where(step, h_next, np.where(cross, h, h_retry))
+
+        if code.any():
+            for k in np.unique(code[code > 0]):
+                ended = act.select(code == k)
+                if TERMS[k] == "land":
+                    crossings.append(ended)
+                else:
+                    finish(ended, TERMS[k])
+            act = act.select(code == 0)
+
+    if crossings:
+        _land(fld, _Members.concat(crossings), finish, keep_samples)
+    return out
+
+
+def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
+    """Land every crossing member on its level by bisecting its crossing step.
+
+    Member i re-takes its crossing step with lengths bisected in
+    [0, h_i] until the endpoint has |f - c_i| <= level_tol; f at the step's
+    start is taken from the stepping state.  A member that no bisection
+    point lands ends with ``landing_failed``.
+    """
+    Z = fld.Z
+    k = len(cr)
+    lo, hi = np.zeros(k), cr.h.copy()
+    searching = np.ones(k, dtype=bool)
+    landed = np.zeros(k, dtype=bool)
+    y_land, h_land, f_land = np.zeros_like(cr.y), np.zeros(k), np.zeros(k)
+    for _ in range(90):
+        s = np.flatnonzero(searching)
+        if not s.size:
+            break
+        mid = 0.5 * (lo[s] + hi[s])
+        y_mid, _, ok = fld.advance(cr.y[s], cr.k1[s], mid, cr.sign[s])
+        hi[s[~ok]] = mid[~ok]
+        s, mid, y_mid = s[ok], mid[ok], y_mid[ok]
+        f_mid = fld.f.evaluate(y_mid)
+        hit = np.abs(f_mid - cr.c[s]) <= Z.level_tol
+        y_land[s[hit]], h_land[s[hit]], f_land[s[hit]] = y_mid[hit], mid[hit], f_mid[hit]
+        landed[s[hit]] = True
+        searching[s[hit]] = False
+        s, mid, f_mid = s[~hit], mid[~hit], f_mid[~hit]
+        same_side = (f_mid - cr.c[s] > 0) == (cr.fy[s] - cr.c[s] > 0)
+        lo[s[same_side]] = mid[same_side]
+        hi[s[~same_side]] = mid[~same_side]
+        searching[s[hi[s] - lo[s] <= 1e-16 * cr.h[s]]] = False
+
+    finish(cr.select(~landed), "landing_failed")
+    cr = cr.select(landed)
+    y_land, h_land, f_land = y_land[landed], h_land[landed], f_land[landed]
+    inside = fld.inside_box(y_land)
+    finish(cr.select(~inside), "left_box")
+    cr, y_land, h_land, f_land = cr.select(inside), y_land[inside], h_land[inside], f_land[inside]
+    g_land = fld.projected_grad(y_land)[0]
+    gn_land = np.sqrt(row_sums(g_land * g_land))
+    cr.arc = cr.arc + h_land * 0.5 * (cr.gn + gn_land)
+    cr.t = cr.t + h_land
+    cr.y, cr.fy, cr.gn = y_land, f_land, gn_land
+    cr.n_accepted = cr.n_accepted + 1
+    keep_samples(cr, np.flatnonzero(cr.record))
+    finish(cr, "reach_level")
+
+
 def integrate(
     f: Polynomial,
     Z: SingularSpace,
@@ -204,205 +517,33 @@ def integrate(
     stops: Sequence[StopCriterion] = (),
     control: StepControl | None = None,
 ) -> FlowTrajectory:
-    """Integrate the projected gradient flow from a point of Z.
+    """Integrate the projected gradient flow from one point of Z.
 
     ``stops`` may hold at most one :class:`ReachLevel`; a :class:`TimeBudget`
     and an :class:`ArcBudget` are added with generous defaults when absent, so
     the integration always terminates.  Box containment is always enforced:
     a step that would leave the box ends the trajectory at the last interior
     sample with termination ``left_box``.  Every recorded sample lies on Z.
+    This is :func:`integrate_ensemble` on one member, with every sample kept.
     """
     if direction not in ("descend", "ascend"):
         raise ValueError(f"direction must be 'descend' or 'ascend', got {direction!r}")
-    ctrl = _resolve_control(Z, control)
-    fld = _Field(f, Z)
-    sign = -1.0 if direction == "descend" else 1.0
-
+    reach = [s for s in stops if isinstance(s, ReachLevel)]
+    if len(reach) > 1:
+        raise ValueError("at most one reach_level stop is supported")
+    shared = [s for s in stops if not isinstance(s, ReachLevel)]
+    level = reach[0].c if reach else None
     x0 = np.asarray(x0, dtype=float)
-    if not Z.is_member(x0):
-        raise ValueError(f"start point {x0.tolist()} is not on Z (residual {Z.residual(x0):.3e} or outside box)")
-    y = Z.retract(x0) if (len(Z.constraints) and Z.residual(x0) > Z.retract_tol) else x0.copy()
+    return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, control, record=True)[0]
 
-    reach: ReachLevel | None = None
-    conv: Converged | None = None
-    arc_budget = None
-    time_budget = None
-    for s in stops:
-        if isinstance(s, ReachLevel):
-            if reach is not None:
-                raise ValueError("at most one reach_level stop is supported")
-            reach = s
-        elif isinstance(s, Converged):
-            conv = s
-        elif isinstance(s, ArcBudget):
-            arc_budget = s.limit
-        elif isinstance(s, TimeBudget):
-            time_budget = s.limit
-        elif isinstance(s, LeftBox):
-            pass
-        else:
-            raise TypeError(f"unknown stop criterion {s!r}")
-    if arc_budget is None:
-        arc_budget = ctrl.default_arc_budget
-    if time_budget is None:
-        time_budget = ctrl.default_time_budget
 
-    n = Z.ambient_dim
-    constrained = len(Z.constraints) > 0
-
-    fy = fld.value(y)
-    gvec = fld.projected_grad(y)
-    gn = float(np.linalg.norm(gvec))
-
-    if reach is not None:
-        gap = fy - reach.c if direction == "descend" else reach.c - fy
-        if gap < -Z.level_tol:
-            raise ValueError(f"target level {reach.c} is on the wrong side of f(x0) = {fy} for {direction}")
-
-    ts, ys, fs, gns, arcs = [0.0], [y.copy()], [fy], [gn], [0.0]
-    rank_transitions = 0
-
-    def _done(term: str) -> FlowTrajectory:
-        return FlowTrajectory(
-            direction=direction,
-            variables=tuple(f.variables),
-            t=np.array(ts),
-            y=np.array(ys),
-            f=np.array(fs),
-            grad_norm=np.array(gns),
-            arc=np.array(arcs),
-            termination=term,
-            rank_transitions=rank_transitions,
-        )
-
-    # Immediate stops at the start point.
-    if reach is not None and abs(fy - reach.c) <= Z.level_tol:
-        return _done("reach_level")
-    if conv is not None and gn < conv.grad_tol:
-        return _done("converged")
-
-    def _advance(y0: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-        """One Cash-Karp step of length h; returns (retracted endpoint, scaled error)."""
-        K = np.empty((6, n))
-        K[0] = k1
-        for i in range(1, 6):
-            p = y0 + h * (_CK_A_ROWS[i] @ K[:i])
-            if constrained:
-                p = Z.retract(p)
-            K[i] = sign * fld.projected_grad(p)
-        y5 = y0 + h * (_CK_B5 @ K)
-        y4 = y0 + h * (_CK_B4 @ K)
-        y_new = Z.retract(y5) if constrained else y5
-        scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y0), np.abs(y_new))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        return y_new, err
-
-    def _land(y0: np.ndarray, k1: np.ndarray, h_hi: float, c: float) -> tuple[np.ndarray, float] | None:
-        """Bisect the step length so the endpoint has |f - c| <= level_tol.
-
-        Returns None when no bisection point lands within level_tol.
-        """
-        f_lo = fld.value(y0)
-        lo, hi = 0.0, h_hi
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            try:
-                y_mid, _ = _advance(y0, k1, mid)
-            except RetractionError:
-                hi = mid
-                continue
-            f_mid = fld.value(y_mid)
-            if abs(f_mid - c) <= Z.level_tol:
-                return y_mid, mid
-            if (f_mid - c > 0) == (f_lo - c > 0):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * h_hi:
-                break
-        return None
-
-    h = min(ctrl.initial_step, ctrl.max_step)
-    t = 0.0
-    arc = 0.0
-    conv_run = 0
-    rank_cur = Z.effective_rank(y) if constrained else 0
-    n_steps = 0
-
-    while n_steps < ctrl.max_steps:
-        n_steps += 1
-        k1 = sign * gvec
-        try:
-            y_new, err = _advance(y, k1, h)
-        except RetractionError:
-            h *= 0.5
-            if h < ctrl.min_step:
-                return _done("retraction_failed")
-            continue
-        if err > 1.0:
-            h *= max(0.1, ctrl.safety * err ** -0.2)
-            if h < ctrl.min_step:
-                return _done("step_underflow")
-            continue
-
-        if constrained:
-            rank_new = Z.effective_rank(y_new)
-            if rank_new != rank_cur and h > 1e-6 * ctrl.max_step:
-                # Do not step across a rank transition of Dg at full length;
-                # resolve it with smaller steps.
-                h *= 0.5
-                continue
-        else:
-            rank_new = 0
-
-        f_new = fld.value(y_new)
-
-        if reach is not None and (fy - reach.c) * (f_new - reach.c) <= 0.0:
-            landed = _land(y, k1, h, reach.c)
-            if landed is None:
-                return _done("landing_failed")
-            y_land, h_land = landed
-            if not Z.inside_box(y_land):
-                return _done("left_box")
-            g_land = fld.projected_grad(y_land)
-            gn_land = float(np.linalg.norm(g_land))
-            ts.append(t + h_land)
-            ys.append(y_land)
-            fs.append(fld.value(y_land))
-            gns.append(gn_land)
-            arcs.append(arc + h_land * 0.5 * (gn + gn_land))
-            return _done("reach_level")
-
-        if not Z.inside_box(y_new):
-            return _done("left_box")
-
-        if rank_new != rank_cur:
-            rank_transitions += 1
-            rank_cur = rank_new
-
-        g_new = fld.projected_grad(y_new)
-        gn_new = float(np.linalg.norm(g_new))
-        t += h
-        arc += h * 0.5 * (gn + gn_new)
-        y, fy, gvec, gn = y_new, f_new, g_new, gn_new
-        ts.append(t)
-        ys.append(y.copy())
-        fs.append(fy)
-        gns.append(gn)
-        arcs.append(arc)
-
-        if conv is not None:
-            conv_run = conv_run + 1 if gn < conv.grad_tol else 0
-            if conv_run >= ctrl.conv_consecutive:
-                return _done("converged")
-        if arc >= arc_budget:
-            return _done("arc_budget")
-        if t >= time_budget:
-            return _done("time_budget")
-
-        h = min(ctrl.max_step, h * min(5.0, max(0.2, ctrl.safety * (err + 1e-300) ** -0.2)))
-
-    return _done("step_limit")
+def check_level_target(f: Polynomial, x0, c: float, direction: str) -> None:
+    """Raise ValueError unless the level c lies strictly beyond f(x0) in the flow direction."""
+    fx = f.evaluate(np.asarray(x0, dtype=float))
+    if direction == "descend" and not c < fx:
+        raise ValueError(f"descend target {c} is not below f(x0) = {fx}")
+    if direction == "ascend" and not c > fx:
+        raise ValueError(f"ascend target {c} is not above f(x0) = {fx}")
 
 
 def descend_to_level(
@@ -415,9 +556,7 @@ def descend_to_level(
     arc_budget: float | None = None,
 ) -> FlowTrajectory:
     """Descend until f = c; flags ``captured`` if the flow converges first."""
-    fx = f.evaluate(np.asarray(x0, dtype=float))
-    if not c < fx:
-        raise ValueError(f"descend target {c} is not below f(x0) = {fx}")
+    check_level_target(f, x0, c, "descend")
     stops: list[StopCriterion] = [ReachLevel(float(c)), Converged(grad_tol)]
     if arc_budget is not None:
         stops.append(ArcBudget(arc_budget))
@@ -436,9 +575,7 @@ def ascend_to_level(
     arc_budget: float | None = None,
 ) -> FlowTrajectory:
     """Ascend until f = c; flags ``captured`` if the flow converges first."""
-    fx = f.evaluate(np.asarray(x0, dtype=float))
-    if not c > fx:
-        raise ValueError(f"ascend target {c} is not above f(x0) = {fx}")
+    check_level_target(f, x0, c, "ascend")
     stops: list[StopCriterion] = [ReachLevel(float(c)), Converged(grad_tol)]
     if arc_budget is not None:
         stops.append(ArcBudget(arc_budget))

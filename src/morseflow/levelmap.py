@@ -19,10 +19,11 @@ from .flow import (
     ArcBudget,
     Converged,
     INCONCLUSIVE_TERMINATIONS,
-    ReachLevel,
     ascend_to_level,
+    check_level_target,
     descend_to_level,
     integrate,
+    integrate_ensemble,
 )
 from .sampling import ball_probes, band_samples, ring_probes, substream
 from .space import LevelProjectionError, SingularSpace, project_to_level_set
@@ -159,11 +160,10 @@ def unstable_slice(
             "the critical point is a minimum (or the radius is too small)"
         )
 
-    landings = []
     for p in starts:
-        traj = descend_to_level(f, Z, p, level, control=control)
-        if traj.termination == "reach_level":
-            landings.append(traj.endpoint)
+        check_level_target(f, p, level, "descend")
+    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)], control)
+    landings = [traj.endpoint for traj in flows if traj.termination == "reach_level"]
     if not landings:
         raise RuntimeError(f"no probe flow reached level {level}; slice is empty")
 
@@ -237,26 +237,27 @@ def check_condition2(
         log.warning("condition 2 on (%g, %g): no samples found", a, b)
         return ConditionReport(condition=2, verdict="pass", witnesses=witnesses)
 
-    for p in samples:
-        for direction, target in (("descend", a), ("ascend", b)):
-            traj = integrate(
-                f, Z, p, direction=direction,
-                stops=[ReachLevel(target), Converged(conv_grad_tol)],
-                control=control,
-            )
-            term = traj.termination
-            if collect is not None:
-                collect(f"cond2/{direction}/{term}", traj)
-            witnesses["terminations"][term] = witnesses["terminations"].get(term, 0) + 1
-            if term == "reach_level":
-                witnesses["n_reach"] += 1
-            elif term == "converged":
-                witnesses["n_converged"] += 1
-                limit_val = float(traj.final_f)
-                if not (a - Z.level_tol <= limit_val <= b + Z.level_tol):
-                    witnesses["n_violations"] += 1
-            else:
-                witnesses["n_inconclusive"] += 1
+    # each sample flows down to a, then up to b; the first flow of each
+    # direction is recorded in full for collect
+    flows = integrate_ensemble(
+        f, Z, np.repeat(samples, 2, axis=0), ["descend", "ascend"] * len(samples),
+        [a, b] * len(samples), [Converged(conv_grad_tol)], control,
+        record=collect is not None and np.arange(2 * len(samples)) < 2,
+    )
+    for traj in flows:
+        term = traj.termination
+        if collect is not None:
+            collect(f"cond2/{traj.direction}/{term}", traj)
+        witnesses["terminations"][term] = witnesses["terminations"].get(term, 0) + 1
+        if term == "reach_level":
+            witnesses["n_reach"] += 1
+        elif term == "converged":
+            witnesses["n_converged"] += 1
+            limit_val = float(traj.final_f)
+            if not (a - Z.level_tol <= limit_val <= b + Z.level_tol):
+                witnesses["n_violations"] += 1
+        else:
+            witnesses["n_inconclusive"] += 1
 
     if witnesses["n_violations"]:
         verdict = "fail"
@@ -313,7 +314,7 @@ def check_condition4(
         "n_inconclusive": 0,
         "n_projected": 0,
     }
-    degenerate = False
+    kept_by_radius = []
     for idx, r in enumerate(radii):
         rng = substream(seed, f"cond4-radius-{idx}")
         probes = ball_probes(Z, center, r, rng, n_per_radius)
@@ -331,11 +332,22 @@ def check_condition4(
             except LevelProjectionError:
                 pass
             kept.append(np.asarray(p))
+        kept_by_radius.append(kept)
 
+    starts = [p for kept in kept_by_radius for p in kept]
+    for p in starts:
+        check_level_target(f, p, target, "descend")
+    firsts = np.cumsum([0] + [len(kept) for kept in kept_by_radius])
+    # the first flow of each radius is recorded in full for collect
+    flows = integrate_ensemble(
+        f, Z, np.reshape(starts, (-1, Z.ambient_dim)), "descend", target, [Converged(1e-8)], control,
+        record=np.isin(np.arange(len(starts)), firsts) & (collect is not None),
+    )
+    degenerate = False
+    for idx, r in enumerate(radii):
         n_landed = n_captured = 0
         worst = 0.0
-        for p in kept:
-            traj = descend_to_level(f, Z, p, target, control=control)
+        for traj in flows[firsts[idx]:firsts[idx + 1]]:
             if collect is not None:
                 collect(f"cond4/r={r:g}/{traj.termination}", traj)
             if traj.termination == "reach_level":
@@ -351,7 +363,8 @@ def check_condition4(
                 witnesses["n_inconclusive"] += 1
         if n_landed == 0:
             degenerate = True
-            log.warning("radius %g: no probe landed (captured %d of %d)", r, n_captured, len(kept))
+            log.warning("radius %g: no probe landed (captured %d of %d)", r, n_captured,
+                        firsts[idx + 1] - firsts[idx])
         table.append([float(r), float(worst), int(n_landed), int(n_captured)])
 
     if degenerate:

@@ -108,25 +108,19 @@ class SingularSpace:
         return self.constraints.jacobian_at(x)
 
     def effective_rank(self, x: Sequence[float] | np.ndarray) -> int:
-        """Rank of Dg(x) with singular values below rank_tol * sigma_max dropped."""
-        if not len(self.constraints):
-            return 0
-        J = self.constraint_jacobian(np.asarray(x, dtype=float))
-        if len(self.constraints) == 1:
-            sigma = float(np.linalg.norm(J[0]))
-            return 1 if sigma > 0.0 else 0
-        s = np.linalg.svd(J, compute_uv=False)
-        smax = s[0] if s.size else 0.0
-        if smax == 0.0:
-            return 0
-        return int(np.sum(s > self.rank_tol * smax))
+        """Rank of Dg(x) with singular values at or below rank_tol * sigma_max dropped."""
+        x = np.asarray(x, dtype=float)
+        return int(self.tangent_project_batch(x[None, :], np.zeros_like(x)[None, :])[1][0])
 
     def tangent_project(self, x: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto the null space of Dg(x).
 
         At rank-deficient points the null space grows (at a fully degenerate
         Jacobian the projection is the identity).  The projection is
-        idempotent by construction.
+        idempotent by construction.  This single-point form matches
+        :meth:`tangent_project_batch` to rounding and stays separate because
+        the critical search calls it for every Newton residual, where a
+        one-row batch costs about three times as much.
         """
         v = np.asarray(v, dtype=float)
         if not len(self.constraints):
@@ -145,49 +139,135 @@ class SingularSpace:
         null_rows = Vt[rank:]
         return null_rows.T @ (null_rows @ v)
 
+    def tangent_project_batch(self, X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Project each row of V onto the null space of Dg at the same row of X.
+
+        The batched form of :meth:`tangent_project`, with the same rank cut;
+        also returns the effective rank of Dg at each row.  Row i of the
+        result depends on row i of the input only, bit for bit, whatever
+        the batch around it.
+        """
+        X = np.asarray(X, dtype=float)
+        V = np.asarray(V, dtype=float)
+        m = len(self.constraints)
+        if not m:
+            return V.copy(), np.zeros(len(X), dtype=int)
+        J = self.constraints.jacobian_at(X)
+        if m == 1:
+            row = J[:, 0]
+            s2 = row_sums(row * row)
+            coef = np.zeros(len(X))
+            np.divide(row_sums(row * V), s2, out=coef, where=s2 != 0.0)
+            return V - row * coef[:, None], (s2 != 0.0).astype(int)
+        _, _, Vt, kept = _rank_cut_svd(J, self.rank_tol)
+        rank = kept.sum(axis=1)
+        null = np.arange(self.ambient_dim)[None, :] >= rank[:, None]
+        coef = np.where(null, row_sums(Vt * V[:, None, :]), 0.0)
+        return row_sums(Vt.transpose(0, 2, 1) * coef[:, None, :]), rank
+
     # -- retraction ------------------------------------------------------
 
     def retract(self, x: Sequence[float] | np.ndarray, max_iter: int = 50) -> np.ndarray:
-        """Pull x back onto Z by damped Gauss-Newton on g.
+        """Pull x back onto Z: :meth:`retract_batch` on one point.
 
-        Each step is the minimum-norm least-squares solution of
-        ``Dg(x) d = g(x)``, halved until the residual does not increase.
         Raises :class:`RetractionError` when the residual is not below
-        ``retract_tol`` after ``max_iter`` iterations.
+        ``retract_tol``.
         """
         x = np.array(x, dtype=float)
+        points, ok = self.retract_batch(x[None, :], max_iter)
+        if not ok[0]:
+            raise RetractionError(
+                f"residual {self.residual(points[0]):.3e} > {self.retract_tol:.1e} "
+                f"after retracting x = {x.tolist()}")
+        return points[0]
+
+    def retract_batch(self, X: np.ndarray, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
+        """Pull every row of X back onto Z by damped Gauss-Newton on g.
+
+        Each step is the minimum-norm least-squares solution of
+        ``Dg(x) d = g(x)`` (closed form for one constraint, a rank-cut SVD
+        otherwise), halved per row until that row's residual decreases.
+        A row stops when its residual is at most ``retract_tol``, and fails
+        when no halving decreases it or ``max_iter`` steps do not get it
+        there.  Returns the points and a mask of the rows that succeeded;
+        a failed row holds its last iterate.  Rows do not interact.
+        """
+        X = np.array(X, dtype=float)
         if not len(self.constraints):
-            return x
-        g = self.constraints.evaluate(x)
-        res = float(np.linalg.norm(g))
+            return X, np.ones(len(X), dtype=bool)
+        G = self.constraints.evaluate(X)
+        res = np.sqrt(row_sums(G * G))
+        alive = np.ones(len(X), dtype=bool)
         for _ in range(max_iter):
-            if res <= self.retract_tol:
-                return x
-            J = self.constraint_jacobian(x)
-            d = self._min_norm_solve(J, g)
+            rows = (alive & (res > self.retract_tol)).nonzero()[0]
+            if not rows.size:
+                break
+            x, r = X[rows], res[rows]
+            D = self._min_norm_steps(self.constraints.jacobian_at(x), G[rows])
+            # every row still searching has halved equally often, so one
+            # step length serves them all
             lam = 1.0
             for _ in range(25):
-                x_new = x - lam * d
+                x_new = x - lam * D
                 g_new = self.constraints.evaluate(x_new)
-                res_new = float(np.linalg.norm(g_new))
-                if res_new < res:
+                r_new = np.sqrt(row_sums(g_new * g_new))
+                down = r_new < r
+                if down.all():
+                    X[rows], G[rows], res[rows] = x_new, g_new, r_new
+                    rows = rows[:0]
                     break
+                hit = rows[down]
+                X[hit], G[hit], res[hit] = x_new[down], g_new[down], r_new[down]
+                up = ~down
+                rows, x, D, r = rows[up], x[up], D[up], r[up]
                 lam *= 0.5
-            else:
-                raise RetractionError(f"no residual decrease from {res:.3e} at x = {x.tolist()}")
-            x, g, res = x_new, g_new, res_new
-        if res <= self.retract_tol:
-            return x
-        raise RetractionError(f"residual {res:.3e} > {self.retract_tol:.1e} after {max_iter} iterations")
+            alive[rows] = False
+        return X, alive & (res <= self.retract_tol)
 
-    def _min_norm_solve(self, J: np.ndarray, r: np.ndarray) -> np.ndarray:
-        if J.shape[0] == 1:
-            row = J[0]
-            s2 = float(row @ row)
-            if s2 == 0.0:
-                return np.zeros_like(row)
-            return row * (float(r[0]) / s2)
-        return np.linalg.lstsq(J, r, rcond=self.rank_tol)[0]
+    def _min_norm_steps(self, J: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Minimum-norm solutions of ``J[i] d = R[i]`` for stacked J, shape (N, m, n)."""
+        if J.shape[1] == 1:
+            row = J[:, 0]
+            s2 = row_sums(row * row)
+            coef = np.zeros(len(J))
+            np.divide(R[:, 0], s2, out=coef, where=s2 != 0.0)
+            return row * coef[:, None]
+        U, s, Vt, kept = _rank_cut_svd(J, self.rank_tol)
+        k = s.shape[1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+        coef = row_sums(U[:, :, :k].transpose(0, 2, 1) * R[:, None, :]) * inv
+        return row_sums(Vt[:, :k].transpose(0, 2, 1) * coef[:, None, :])
+
+
+def row_sums(A: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, term by term from the first.
+
+    The order of the additions is fixed, so a row's sum does not depend on
+    how many rows are summed with it.
+    """
+    total = A[..., 0].copy()
+    for j in range(1, A.shape[-1]):
+        total += A[..., j]
+    return total
+
+
+def _rank_cut_svd(J: np.ndarray, rank_tol: float):
+    """SVD of each matrix of a stack (N, m, n), with the effective rank cut.
+
+    Returns ``U, s, Vt`` and the mask of the singular values kept: those
+    above ``rank_tol`` times the largest, so the rank is the mask's row sum.
+    A matrix with a non-finite entry gets NaN factors and keeps nothing, so
+    it cannot stop the SVD of the rest of the stack.
+    """
+    try:
+        U, s, Vt = np.linalg.svd(J)
+    except np.linalg.LinAlgError:
+        N, m, n = J.shape
+        finite = np.isfinite(J.reshape(N, m * n)).all(axis=1)
+        U, s, Vt = np.full((N, m, m), np.nan), np.full((N, min(m, n)), np.nan), np.full((N, n, n), np.nan)
+        if finite.any():
+            U[finite], s[finite], Vt[finite] = np.linalg.svd(J[finite])
+    return U, s, Vt, s > rank_tol * s[:, :1]
 
 
 def riemannian_grad(f: Polynomial, Z: SingularSpace, x: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morseflow.cli import (
@@ -17,6 +18,7 @@ from morseflow.cli import (
     run_experiment,
     spec_from_mapping,
 )
+from morseflow.critical import DEFAULT_GRID_DENSITY, MAX_GRID_SEEDS, default_grid_density
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,32 @@ class TestRunExperiment:
         dump = lambda r: json.dumps(r.to_payload(), sort_keys=True)
         assert dump(a) == dump(b)
 
+    def test_determinism_of_all_stages_is_byte_level(self, saddle_full_report, tmp_path):
+        # the flow stages run ensembles; their member order must not vary
+        again = run_experiment(builtin_problem("saddle"))
+        first = emit_report(saddle_full_report, out_dir=tmp_path / "a")[0]
+        second = emit_report(again, out_dir=tmp_path / "b")[0]
+        assert Path(first).read_text() == Path(second).read_text()
+
+    def test_default_grid_density_respects_the_seed_limit(self, monkeypatch):
+        import morseflow.critical as critical
+
+        densities = []
+
+        def no_seeds(Z, grid_density):
+            densities.append(grid_density)
+            return np.zeros((0, Z.ambient_dim))
+
+        monkeypatch.setattr(critical, "_grid_seeds", no_seeds)
+        names = [f"x{i}" for i in range(6)]
+        doc = dict(BUILTIN["saddle"], name="six", variables=names,
+                   objective=" + ".join(f"{v}^2" for v in names), box=[[-1, 1]] * 6)
+        report = run_experiment(spec_from_mapping(doc), stages=("critical",))
+        assert report.stage_errors == {}
+        assert densities == [6]  # 7^6 = 117,649 seeds would exceed the limit
+        assert 6**6 <= MAX_GRID_SEEDS
+        assert [default_grid_density(n) for n in range(1, 6)] == [DEFAULT_GRID_DENSITY] * 5
+
     def test_quartic_cond4_vacuous(self):
         report = run_experiment(builtin_problem("quartic"),
                                 stages=("critical", "loja", "cond4"))
@@ -300,9 +328,18 @@ class TestToleranceValidation:
 
 
 class TestUnsettledCriticalPoints:
-    def test_lifted_planes_condition4_is_not_a_vacuous_pass(self, tmp_path):
-        # the lifted origin is classified unresolved (too few on-Z probes);
-        # condition 4 must not pass over a point it never checked
+    def test_lifted_planes_condition4_is_not_a_vacuous_pass(self, tmp_path, monkeypatch):
+        # condition 4 must not pass over a critical point it never checked
+        import morseflow.cli as cli
+
+        real = cli.classify
+
+        def unsettled_origin(f, Z, cp, **kw):
+            if max(abs(v) for v in cp.location) < 1e-6:
+                return "unresolved"
+            return real(f, Z, cp, **kw)
+
+        monkeypatch.setattr(cli, "classify", unsettled_origin)
         rc = main(["run", "--problem", str(PROBLEMS / "planes-lift.json"),
                    "--stages", "critical,loja,cond4", "--out", str(tmp_path)])
         report = load_report(tmp_path / "report.json")
@@ -313,6 +350,19 @@ class TestUnsettledCriticalPoints:
         assert str([kinds.index("unresolved")]) in frag["witnesses"]["error"]
         assert report.corollary_verdict != "pass"
         assert rc == 2
+
+    def test_lifted_planes_match_planes(self):
+        # pinning a new variable by a linear constraint changes no
+        # critical value, kind or verdict
+        flat = run_experiment(builtin_problem("planes"))
+        lifted = run_experiment(load_problem(PROBLEMS / "planes-lift.json"))
+        assert [cp["kind"] for cp in lifted.critical_points] == \
+            [cp["kind"] for cp in flat.critical_points]
+        assert [cp["value"] for cp in lifted.critical_points] == \
+            pytest.approx([cp["value"] for cp in flat.critical_points], abs=1e-8)
+        assert lifted.verdicts() == flat.verdicts()
+        assert lifted.corollary_verdict == flat.corollary_verdict == "pass"
+        assert lifted.stage_errors == flat.stage_errors == {}
 
     def test_classify_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morseflow.cli import load_problem, problem_objects
 from morseflow.flow import (
     ArcBudget,
     Converged,
@@ -11,6 +16,7 @@ from morseflow.flow import (
     descend_to_level,
     flow_limit,
     integrate,
+    integrate_ensemble,
     trajectory_csv_text,
     write_trajectory_csv,
 )
@@ -218,3 +224,132 @@ def test_unlandable_level_is_landing_failed():
     traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(0.1)])
     assert traj.termination == "landing_failed"
     assert traj.final_f > 0.1
+
+
+# -- the ensemble integrator ---------------------------------------------
+
+PROBLEMS = Path(__file__).resolve().parent / "problems"
+
+
+@pytest.fixture(scope="module")
+def planes_lift():
+    return problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
+
+
+def ensemble_case(name, quartic, cone, planes_lift):
+    """(f, Z, starts, directions, levels): mixed directions, targets and no targets."""
+    if name == "quartic":  # m = 0
+        f, Z = quartic
+        starts = np.array([[0.3], [0.9], [-0.5], [1.2]])
+    elif name == "cone":  # m = 1
+        f, Z = cone
+        starts = np.array([Z.retract(p) for p in
+                           ([0.5, 0.5, 0.7], [0.3, -0.2, 0.4], [-0.4, 0.1, 0.5], [0.2, 0.6, -0.6])])
+    else:  # m = 2
+        f, Z = planes_lift
+        starts = np.array([[0.7, 0.0, 0.0], [0.0, 0.5, 0.0], [-0.4, 0.0, 0.0], [0.0, -1.1, 0.0]])
+    values = [float(f.evaluate(p)) for p in starts]
+    directions = ["descend", "ascend", "descend", "ascend"]
+    levels = [values[0] - 0.1, values[1] + 0.1, None, None]
+    return f, Z, starts, directions, levels
+
+
+@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift"])
+def test_ensemble_member_is_bit_identical_to_integrate(name, quartic, cone, planes_lift):
+    f, Z, starts, directions, levels = ensemble_case(name, quartic, cone, planes_lift)
+    stops = [Converged(1e-3), ArcBudget(5.0)]
+    flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record=True)
+    for x0, direction, level, traj in zip(starts, directions, levels, flows):
+        reach = [] if level is None else [ReachLevel(level)]
+        one = integrate(f, Z, x0, direction, stops + reach)
+        assert traj.termination == one.termination
+        assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
+        assert one.n_accepted == one.n_samples - 1
+        for column in ("t", "y", "f", "grad_norm", "arc"):
+            assert np.array_equal(getattr(traj, column), getattr(one, column))
+    assert {t.termination for t in flows} >= {"reach_level"}
+
+
+def test_unrecorded_member_keeps_start_and_end(saddle):
+    f, Z = saddle
+    starts = np.array([[1.0, 0.3], [0.9, 0.5]])
+    full, bare = integrate_ensemble(f, Z, starts, "descend", -0.5, record=[True, False])
+    again = integrate(f, Z, starts[1], "descend", [ReachLevel(-0.5)])
+    assert full.n_samples == full.n_accepted + 1 > 2
+    assert bare.n_samples == 2
+    assert bare.n_accepted == again.n_accepted
+    assert bare.termination == again.termination == "reach_level"
+    for column in ("t", "y", "f", "grad_norm", "arc"):
+        kept = getattr(again, column)
+        assert np.array_equal(getattr(bare, column), kept[[0, -1]])
+
+
+def test_ensemble_validates_every_member_before_stepping(saddle):
+    f, Z = saddle
+    with pytest.raises(ValueError, match="wrong side"):
+        integrate_ensemble(f, Z, [[1.0, 0.3], [1.0, 0.0]], "descend", [-0.5, 2.0])
+    with pytest.raises(ValueError, match="not on Z"):
+        integrate_ensemble(f, Z, [[1.0, 0.3], [5.0, 0.0]], "descend")
+    with pytest.raises(ValueError, match="direction"):
+        integrate_ensemble(f, Z, [[1.0, 0.3]], ["sideways"])
+    assert integrate_ensemble(f, Z, np.zeros((0, 2))) == []
+
+
+coordinate = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=6))
+def test_batched_retraction_never_increases_a_residual(points):
+    f, Z = problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
+    X = np.array(points)
+    before = [Z.residual(x) for x in X]
+    out, ok = Z.retract_batch(X)
+    for x, r0, good in zip(out, before, ok):
+        assert Z.residual(x) <= r0
+        assert not good or Z.residual(x) <= Z.retract_tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6),
+       st.tuples(coordinate, coordinate, coordinate), st.tuples(coordinate, coordinate, coordinate))
+def test_batched_projection_is_idempotent_and_orthogonal(points, v, w):
+    # on the lifted planes (m = 2) the rank cut matters at the origin
+    f, Z = problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
+    X = np.array([[a, 0.0, 0.0] if i % 2 else [0.0, b, 0.0] for i, (a, b) in enumerate(points)])
+    X[0] = 0.0
+    V, W = np.tile(v, (len(X), 1)), np.tile(w, (len(X), 1))
+    PV, rank = Z.tangent_project_batch(X, V)
+    PW, _ = Z.tangent_project_batch(X, W)
+    PPV, _ = Z.tangent_project_batch(X, PV)
+    assert rank[0] == 1
+    assert np.allclose(PPV, PV, atol=1e-12)
+    assert np.allclose(np.sum(PV * (W - PW), axis=1), 0.0, atol=1e-12)
+    for x, pv in zip(X, PV):
+        assert np.allclose(Z.tangent_project(x, v), pv, atol=1e-15)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.05, 1.5), st.sampled_from(["x", "y"]),
+                          st.sampled_from(["descend", "ascend"])), min_size=1, max_size=4))
+def test_recorded_members_keep_the_flow_invariants(starts):
+    f, Z = problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
+    X0 = np.array([[r, 0.0, 0.0] if axis == "x" else [0.0, r, 0.0] for r, axis, _ in starts])
+    directions = [d for _, _, d in starts]
+    values = [float(f.evaluate(x)) for x in X0]
+    levels = [v - 0.01 if d == "descend" else v + 0.01 for v, d in zip(values, directions)]
+    flows = integrate_ensemble(f, Z, X0, directions, levels, [Converged(1e-8)], record=True)
+    for traj, direction, level in zip(flows, directions, levels):
+        steps = np.diff(traj.f) * (1.0 if direction == "descend" else -1.0)
+        assert np.all(steps <= Z.level_tol)
+        assert all(Z.is_member(y) for y in traj.y)
+        if traj.termination == "reach_level":
+            assert abs(traj.final_f - level) <= Z.level_tol
+
+
+def test_step_limit_ends_each_member_on_its_own_count(saddle):
+    f, Z = saddle
+    flows = integrate_ensemble(f, Z, [[1.0, 0.3], [0.0, 0.0], [0.9, 0.5]], "descend",
+                               stops=[Converged(1e-8)], control=StepControl(max_steps=3))
+    assert [t.termination for t in flows] == ["step_limit", "converged", "step_limit"]
+    assert [t.n_accepted + t.n_rejected for t in flows] == [3, 0, 3]

@@ -21,7 +21,7 @@ import numpy as np
 from .flow import ArcBudget, Converged, ReachLevel, StepControl, TimeBudget, integrate
 from .polynomial import Polynomial, PolynomialSystem, gradient
 from .sampling import ring_probes, substream
-from .space import SingularSpace
+from .space import SingularSpace, min_norm_steps, row_sums
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +32,10 @@ GAP_TOL = 1e-4
 DEFAULT_GRID_DENSITY = 7
 # grid_density ** n_vars seeds each start a Newton refinement in the critical search
 MAX_GRID_SEEDS = 100_000
+# the critical search refines its seeds this many at a time, which bounds its working arrays
+REFINE_BLOCK = 64
+# the 30 step lengths of a line search, taken in rounds of these sizes
+LINE_SEARCH_ROUNDS = (1, 5, 8, 16)
 
 KINDS = ("minimum", "maximum", "saddle", "degenerate", "unresolved")
 
@@ -104,82 +108,112 @@ def _grid_seeds(Z: SingularSpace, grid_density: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _constraint_values(Z: SingularSpace, x: np.ndarray) -> np.ndarray:
-    if not len(Z.constraints):
-        return np.zeros(0)
-    return Z.constraints.evaluate(x)
+def _norms(A: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_sums(A * A))
 
 
-def _fd_jacobian(fn, x: np.ndarray, rel_step: float = 1e-7) -> np.ndarray:
-    r0 = fn(x)
-    J = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return J
+def _lstsq_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    # the singular-value cut of np.linalg.lstsq(rcond=None)
+    return min_norm_steps(J, R, np.finfo(float).eps * max(J.shape[1:]))
 
 
-def _gauss_newton(resid_fn, x0, tol, jac_fn=None, max_iter=80, polish_iter=40, max_step_len=None):
-    """Damped least-squares Newton; returns the refined point or None.
+def _central_differences(resid, X: np.ndarray) -> np.ndarray:
+    """Jacobians of resid at the rows of X, with h = 1e-7 * max(1, |x_j|) per row.
 
-    Phase one drives the residual below tol; phase two keeps stepping at
+    All 2n displaced copies of the block go through one resid call.
+    """
+    N, n = X.shape
+    H = 1e-7 * np.maximum(1.0, np.abs(X))
+    P = np.repeat(X[None], 2 * n, axis=0)
+    for j in range(n):
+        P[2 * j, :, j] += H[:, j]
+        P[2 * j + 1, :, j] -= H[:, j]
+    D = resid(P.reshape(2 * n * N, n)).reshape(n, 2, N, -1)
+    return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
+
+
+def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=None):
+    """Damped least-squares Newton on every row of X0.
+
+    Returns the refined rows, their residuals and a mask of the rows that
+    converged; a failed row holds its last accepted iterate.
+
+    Phase one drives a row's residual below tol; phase two keeps stepping at
     full length until the step itself is negligible, which pins down the
     location even where the residual landscape is extremely flat (x^4
     near 0 reaches residual 1e-12 while still 1e-4 away from the root).
+    resid (and jac, else central differences) map an (N, n) block to its
+    rows' residuals (and Jacobians).  Rows never interact: a row's result
+    does not depend on the rows refined with it, or on the blocks of
+    REFINE_BLOCK rows the seeds are cut into.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = resid_fn(x)
-    rn = float(np.linalg.norm(r))
-    if not np.isfinite(rn):
-        return None
-    stall = 0
+    X = np.array(X0, dtype=float)
+    # no seeds still make one (empty) block, so R has its width
+    blocks = [_refine_block(resid, X[lo:lo + REFINE_BLOCK], tol, jac, max_iter, polish_iter, max_step_len)
+              for lo in range(0, max(len(X), 1), REFINE_BLOCK)]
+    return X, np.concatenate([R for R, _ in blocks]), np.concatenate([ok for _, ok in blocks])
+
+
+def _refine_block(resid, X, tol, jac, max_iter, polish_iter, max_step_len):
+    """:func:`_refine` on one block: refines X in place, returns its residuals and mask."""
+    n = X.shape[1]
+    R = resid(X)
+    rn = _norms(R)
+    ok = np.isfinite(rn)
+    stall = np.zeros(len(X), dtype=int)
+    rows = ok.nonzero()[0]
     for _ in range(max_iter):
-        if rn < tol:
+        rows = rows[rn[rows] >= tol]
+        if not rows.size:
             break
-        J = jac_fn(x) if jac_fn is not None else _fd_jacobian(resid_fn, x)
-        step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            return None
-        t = 1.0
-        sn = float(np.linalg.norm(step))
-        if max_step_len is not None and sn > max_step_len:
-            t = max_step_len / sn
-        accepted = False
-        for _ in range(30):
-            xn = x + t * step
-            r_new = resid_fn(xn)
-            rn_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rn_new) and rn_new < rn:
-                accepted = True
+        x = X[rows]
+        step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[rows])
+        finite = np.isfinite(step).all(axis=1)
+        ok[rows[~finite]] = False
+        rows, x, step = rows[finite], x[finite], step[finite]
+        t = np.ones(len(rows))
+        if max_step_len is not None:
+            sn = _norms(step)
+            long = sn > max_step_len
+            t[long] = max_step_len / sn[long]
+        # each row takes the first of its steps t, t/2, ..., t/2^29 whose
+        # residual is finite and lower; the halvings are tried in rounds of
+        # several at once, which picks the same step in fewer calls
+        todo, tried = np.arange(len(rows)), 0
+        for width in LINE_SEARCH_ROUNDS:
+            T = t[todo, None] * 0.5 ** np.arange(tried, tried + width)
+            xn = x[todo, None, :] + T[:, :, None] * step[todo, None, :]
+            r_new = resid(xn.reshape(-1, n)).reshape(len(todo), width, -1)
+            rn_new = _norms(r_new)
+            down = np.isfinite(rn_new) & (rn_new < rn[rows[todo], None])
+            found, k = down.any(axis=1), down.argmax(axis=1)
+            hit, k = rows[todo[found]], k[found]
+            xn, r_new, rn_new = xn[found, k], r_new[found, k], rn_new[found, k]
+            # a local minimum of the residual above tol is a dead seed, not a root
+            stall[hit] = np.where(rn_new > 0.5 * rn[hit], stall[hit] + 1, 0)
+            X[hit], R[hit], rn[hit] = xn, r_new, rn_new
+            todo, tried = todo[~found], tried + width
+            if not todo.size:
                 break
-            t *= 0.5
-        if not accepted:
-            return None
-        # local minimum of the residual above tol is a dead seed, not a root
-        stall = stall + 1 if rn_new > 0.5 * rn else 0
-        x, r, rn = xn, r_new, rn_new
-        if stall >= 6:
-            return None
-    if rn >= tol:
-        return None
+        ok[rows[todo]] = False
+        ok[rows[stall[rows] >= 6]] = False
+        rows = rows[ok[rows]]
+    ok &= rn < tol
+    rows = ok.nonzero()[0]
     for _ in range(polish_iter):
-        J = jac_fn(x) if jac_fn is not None else _fd_jacobian(resid_fn, x)
-        step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
+        if not rows.size:
             break
-        xn = x + step
-        r_new = resid_fn(xn)
-        rn_new = float(np.linalg.norm(r_new))
-        if not np.isfinite(rn_new) or rn_new > max(rn, tol):
-            break
-        x, r, rn = xn, r_new, rn_new
-        if float(np.linalg.norm(step)) < 1e-14 * (1.0 + float(np.linalg.norm(x))):
-            break
-    return x
+        x = X[rows]
+        step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[rows])
+        finite = np.isfinite(step).all(axis=1)
+        rows, xn, step = rows[finite], x[finite] + step[finite], step[finite]
+        r_new = resid(xn)
+        rn_new = _norms(r_new)
+        kept = np.isfinite(rn_new) & (rn_new <= np.maximum(rn[rows], tol))
+        rows, xn, step = rows[kept], xn[kept], step[kept]
+        X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
+        rows = rows[_norms(step) >= 1e-14 * (1.0 + _norms(xn))]
+    return R, ok
 
 
 def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray, rho: float = 1e-4):
@@ -210,6 +244,17 @@ def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray, rho: floa
     return True, best
 
 
+def _smooth_residual(f: Polynomial, Z: SingularSpace):
+    """The map from an (N, n) block to its rows' {g, projected gradient of f}."""
+    grad_sys = gradient(f)
+
+    def resid(X):
+        P = Z.tangent_project_batch(X, grad_sys.evaluate(X))[0]
+        return np.concatenate([Z.constraints.evaluate(X), P], axis=1)
+
+    return resid
+
+
 def _singular_system(Z: SingularSpace) -> PolynomialSystem:
     # roots of this system are the points where every constraint gradient vanishes
     entries = list(Z.constraints.components)
@@ -233,7 +278,8 @@ def find_critical_points(
     Newton on {g = 0, projected gradient = 0}.  A second pass hunts points
     where all constraint gradients vanish; those failing the first-order
     test are kept only when probe flows show the point is numerically
-    fixed.  Non-convergent seeds are discarded (count logged).  The grid
+    fixed.  Each pass refines all its seeds in one :func:`_refine` call.
+    Non-convergent seeds are discarded (counts logged).  The grid
     density defaults to :func:`default_grid_density` of the dimension.
     """
     if grid_density is None:
@@ -243,40 +289,25 @@ def find_critical_points(
     grad_sys = gradient(f)
     max_len = 2.0 * Z.box_diameter
 
-    def resid(x):
-        return np.concatenate([_constraint_values(Z, x), Z.tangent_project(x, grad_sys.evaluate(x))])
+    def on_z(x):
+        return Z.is_member(x) and Z.inside_box(x, margin=-1e-9)
 
     seeds = _grid_seeds(Z, grid_density)
-    found = []
-    discarded = 0
     starts, retracted = Z.retract_batch(seeds)
-    for start, ok in zip(starts, retracted):
-        if not ok:
-            discarded += 1
-            continue
-        x = _gauss_newton(resid, start, refine_tol, max_step_len=max_len)
-        if x is None:
-            discarded += 1
-            continue
-        gn = float(np.linalg.norm(Z.tangent_project(x, grad_sys.evaluate(x))))
-        if gn >= crit_tol or not Z.is_member(x) or not Z.inside_box(x, margin=-1e-9):
-            discarded += 1
-            continue
-        found.append((x, gn))
+    X, R, ok = _refine(_smooth_residual(f, Z), starts[retracted], refine_tol, max_step_len=max_len)
+    gn = _norms(R[:, len(Z.constraints):])
+    found = [(x, g) for x, g, good in zip(X, gn, ok) if good and g < crit_tol and on_z(x)]
     log.info("smooth pass: %d/%d seeds refined to critical points", len(found), len(seeds))
 
     if len(Z.constraints):
         system = _singular_system(Z)
+        X, _, ok = _refine(system.evaluate, seeds, refine_tol, jac=system.jacobian_at, max_step_len=max_len)
         sing_hits = []
-        for seed_pt in seeds:
-            x = _gauss_newton(system.evaluate, np.asarray(seed_pt, dtype=float), refine_tol,
-                              jac_fn=system.jacobian_at, max_step_len=max_len)
-            if x is None:
-                continue
-            if not Z.is_member(x) or not Z.inside_box(x, margin=-1e-9):
-                continue
-            if all(np.linalg.norm(x - h) > cluster_tol for h in sing_hits):
+        for x in X[ok]:
+            if on_z(x) and all(np.linalg.norm(x - h) > cluster_tol for h in sing_hits):
                 sing_hits.append(x)
+        log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
+                 int(ok.sum()), len(seeds), len(sing_hits))
         for x in sing_hits:
             gn = float(np.linalg.norm(Z.tangent_project(x, grad_sys.evaluate(x))))
             if gn < crit_tol:

@@ -204,7 +204,7 @@ class _Field:
 
     def inside_box(self, Y: np.ndarray) -> np.ndarray:
         """``Z.inside_box`` for each row."""
-        return ~((Y < self.lo) | (Y > self.hi)).any(axis=1)
+        return ((Y >= self.lo) & (Y <= self.hi)).all(axis=1)
 
     def projected_grad(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projected gradient at each row, and the effective rank of Dg there."""
@@ -407,12 +407,12 @@ def integrate_ensemble(
         h = act.h
         code = np.zeros(len(act), dtype=int)
 
-        rejected = ok & (err > 1.0)
+        rejected = ok & ~(err <= 1.0)  # a NaN error is a rejection
         g_new, rank_new = fld.projected_grad(y_new)
         # do not step across a rank transition of Dg at full length;
         # resolve it with smaller steps
         halve = ok & ~rejected & (rank_new != act.rank) & (h > 1e-6 * ctrl.max_step)
-        shrink = np.maximum(0.1, ctrl.safety * np.where(rejected, err, 1.0) ** -0.2)
+        shrink = np.fmax(0.1, ctrl.safety * np.where(rejected, err, 1.0) ** -0.2)  # NaN: 0.1
         h_retry = np.where(rejected, h * shrink, 0.5 * h)
         code[~ok & (h_retry < ctrl.min_step)] = TERMS.index("retraction_failed")
         code[rejected & (h_retry < ctrl.min_step)] = TERMS.index("step_underflow")

@@ -18,7 +18,7 @@ from .critical import CLUSTER_TOL, CriticalPoint
 from .flow import descend_to_level
 from .polynomial import gradient
 from .sampling import gaussian_cloud, substream
-from .space import SingularSpace
+from .space import SingularSpace, row_sums
 
 log = logging.getLogger(__name__)
 
@@ -70,20 +70,12 @@ class LojasiewiczFit:
 
 def _sample_cloud(f, Z, cp, radius, n_samples, rng):
     """On-Z samples in the radius ball with a usable value gap, as (u, v) logs."""
-    pts = gaussian_cloud(Z, cp.point(), radius, rng, n_samples)
-    us, vs = [], []
-    grad_sys = gradient(f)
+    P = np.array(gaussian_cloud(Z, cp.point(), radius, rng, n_samples)).reshape(-1, Z.ambient_dim)
     c = float(f.evaluate(cp.point()))
-    for p in pts:
-        gap = abs(c - float(f.evaluate(p)))
-        if gap <= 1e-14:
-            continue
-        gn = float(np.linalg.norm(Z.tangent_project(p, grad_sys.evaluate(p))))
-        if gn < 1e-300:
-            continue
-        us.append(np.log(gap))
-        vs.append(np.log(gn))
-    return np.array(us), np.array(vs), c
+    gap = np.abs(c - f.evaluate(P))
+    gn = np.sqrt(row_sums(Z.tangent_project_batch(P, gradient(f).evaluate(P))[0] ** 2))
+    keep = (gap > 1e-14) & (gn >= 1e-300)
+    return np.log(gap[keep]), np.log(gn[keep]), c
 
 
 def estimate_fit(

@@ -92,9 +92,10 @@ class SingularSpace:
         return float(np.linalg.norm(self.constraints.evaluate(np.asarray(x, dtype=float))))
 
     def inside_box(self, x: Sequence[float] | np.ndarray, margin: float = 0.0) -> bool:
+        """Whether every coordinate lies in its interval; NaN lies in none."""
         x = np.asarray(x, dtype=float)
         for xi, (lo, hi) in zip(x, self.box):
-            if xi < lo + margin or xi > hi - margin:
+            if not lo + margin <= xi <= hi - margin:
                 return False
         return True
 
@@ -117,32 +118,17 @@ class SingularSpace:
 
         At rank-deficient points the null space grows (at a fully degenerate
         Jacobian the projection is the identity).  The projection is
-        idempotent by construction.  This single-point form matches
-        :meth:`tangent_project_batch` to rounding and stays separate because
-        the critical search calls it for every Newton residual, where a
-        one-row batch costs about three times as much.
+        idempotent by construction.  This is :meth:`tangent_project_batch`
+        on one row.
         """
-        v = np.asarray(v, dtype=float)
-        if not len(self.constraints):
-            return v.copy()
         x = np.asarray(x, dtype=float)
-        J = self.constraint_jacobian(x)
-        if J.shape[0] == 1:
-            row = J[0]
-            s2 = float(row @ row)
-            if s2 == 0.0:
-                return v.copy()
-            return v - row * (float(row @ v) / s2)
-        U, s, Vt = np.linalg.svd(J)
-        smax = s[0] if s.size else 0.0
-        rank = 0 if smax == 0.0 else int(np.sum(s > self.rank_tol * smax))
-        null_rows = Vt[rank:]
-        return null_rows.T @ (null_rows @ v)
+        v = np.asarray(v, dtype=float)
+        return self.tangent_project_batch(x[None, :], v[None, :])[0][0]
 
     def tangent_project_batch(self, X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project each row of V onto the null space of Dg at the same row of X.
 
-        The batched form of :meth:`tangent_project`, with the same rank cut;
+        Singular values at or below ``rank_tol`` times the largest are cut;
         also returns the effective rank of Dg at each row.  Row i of the
         result depends on row i of the input only, bit for bit, whatever
         the batch around it.
@@ -232,11 +218,22 @@ class SingularSpace:
             coef = np.zeros(len(J))
             np.divide(R[:, 0], s2, out=coef, where=s2 != 0.0)
             return row * coef[:, None]
-        U, s, Vt, kept = _rank_cut_svd(J, self.rank_tol)
-        k = s.shape[1]
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-        coef = row_sums(U[:, :, :k].transpose(0, 2, 1) * R[:, None, :]) * inv
-        return row_sums(Vt[:, :k].transpose(0, 2, 1) * coef[:, None, :])
+        return min_norm_steps(J, R, self.rank_tol)
+
+
+def min_norm_steps(J: np.ndarray, R: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Minimum-norm least-squares solutions of ``J[i] d = R[i]`` for a stack J, shape (N, M, n).
+
+    The SVD solution with singular values at or below ``rank_tol`` times the
+    largest cut; ``rank_tol = eps * max(M, n)`` is the cut of
+    ``np.linalg.lstsq(rcond=None)``.  A matrix with a non-finite entry
+    gets a NaN step and leaves the rest of the stack alone.
+    """
+    U, s, Vt, kept = _rank_cut_svd(J, rank_tol)
+    k = s.shape[1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    coef = row_sums(U[:, :, :k].transpose(0, 2, 1) * R[:, None, :]) * inv
+    return row_sums(Vt[:, :k].transpose(0, 2, 1) * coef[:, None, :])
 
 
 def row_sums(A: np.ndarray) -> np.ndarray:

@@ -364,6 +364,19 @@ class TestUnsettledCriticalPoints:
         assert lifted.corollary_verdict == flat.corollary_verdict == "pass"
         assert lifted.stage_errors == flat.stage_errors == {}
 
+    def test_lifted_cone_matches_cone(self):
+        # the same lift on a singular Z: the vertex, now on a stratum of
+        # two constraints, keeps its value, its kind and every verdict
+        flat = run_experiment(builtin_problem("cone"))
+        lifted = run_experiment(load_problem(PROBLEMS / "cone-lift.json"))
+        assert [cp["kind"] for cp in lifted.critical_points] == \
+            [cp["kind"] for cp in flat.critical_points] == ["saddle"]
+        assert [cp["value"] for cp in lifted.critical_points] == \
+            pytest.approx([cp["value"] for cp in flat.critical_points], abs=1e-8)
+        assert lifted.verdicts() == flat.verdicts()
+        assert lifted.corollary_verdict == flat.corollary_verdict == "pass"
+        assert lifted.stage_errors == flat.stage_errors == {}
+
     def test_classify_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli
 

@@ -1,9 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from morseflow import critical
+from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.critical import (
+    CLUSTER_TOL,
     CRIT_TOL,
     CriticalPoint,
     check_condition1,
@@ -165,3 +169,95 @@ def test_critical_point_payload_and_replace(saddle):
     relabelled = dataclasses.replace(cp, kind="saddle")
     assert relabelled.kind == "saddle"
     assert relabelled.location == cp.location
+
+
+PROBLEMS = Path(__file__).parent / "problems"
+
+
+def planes_lift():
+    return problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
+
+
+def line_jacobian(X):
+    return np.ones((len(X), 1, 1))
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("name", ["cone", "planes-lift", "cone-singular"])
+    def test_each_row_matches_refining_it_alone(self, name, cone, monkeypatch):
+        f, Z = planes_lift() if name == "planes-lift" else cone
+        if name == "cone-singular":
+            system = critical._singular_system(Z)
+            resid, jac, X0 = system.evaluate, system.jacobian_at, critical._grid_seeds(Z, 3)
+        else:
+            starts, ok = Z.retract_batch(critical._grid_seeds(Z, 3))
+            resid, jac, X0 = critical._smooth_residual(f, Z), None, starts[ok]
+        kw = dict(jac=jac, max_step_len=2.0 * Z.box_diameter)
+        X, _, good = critical._refine(resid, X0, 1e-12, **kw)
+        assert good.any()
+        for i in range(len(X0)):
+            Xi, _, good_i = critical._refine(resid, X0[i:i + 1], 1e-12, **kw)
+            assert good_i[0] == good[i]
+            np.testing.assert_array_equal(Xi[0], X[i])
+        # and whatever the block boundaries
+        monkeypatch.setattr(critical, "REFINE_BLOCK", 4)
+        X4, _, good4 = critical._refine(resid, X0, 1e-12, **kw)
+        np.testing.assert_array_equal(X4, X)
+        np.testing.assert_array_equal(good4, good)
+
+    def test_non_finite_row_fails_alone(self):
+        # root at x = 0.5; the residual is NaN beyond x = 5
+        def resid(X):
+            return np.where(X > 5.0, np.nan, X * X - 0.25)
+
+        X0 = np.array([[1.0], [10.0], [2.0]])
+        X, _, good = critical._refine(resid, X0, 1e-12)
+        assert good.tolist() == [True, False, True]
+        assert X[[0, 2], 0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        for i in (0, 2):
+            Xi, _, _ = critical._refine(resid, X0[i:i + 1], 1e-12)
+            assert Xi[0, 0] == X[i, 0]
+
+    def test_stalled_seed_fails(self):
+        # x^2 + 1 has no root: from 2 the residual falls 5 -> 1.5625, then
+        # six steps each keep more than half of it, and the seed dies on the
+        # stall rule at step 7, long before max_iter
+        calls = []
+
+        def jac(X):
+            calls.append(len(X))
+            return 2.0 * X[:, :, None]
+
+        _, _, good = critical._refine(lambda X: X * X + 1.0, [[2.0]], 1e-12, jac=jac, max_iter=80)
+        assert not good[0]
+        assert len(calls) == 7
+
+    def test_max_step_len_caps_the_first_step(self):
+        def resid(X):
+            return X - 100.0
+
+        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian,
+                                      max_iter=1, polish_iter=0, max_step_len=1.0)
+        assert X[0, 0] == 1.0 and not good[0]
+        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian,
+                                      max_iter=1, polish_iter=0)
+        assert X[0, 0] == 100.0 and good[0]
+
+    # the critical points the one-seed-at-a-time search found
+    @pytest.mark.parametrize("name, locations, values", [
+        ("saddle", [(0.0, 0.0)], [0.0]),
+        ("quartic", [(0.0,)], [0.0]),
+        ("planes", [(0.0, 0.0)], [0.0]),
+        ("cone", [(0.0, 0.0, 0.0)], [0.0]),
+        ("planes-lift", [(0.0, 0.0, 0.0)], [0.0]),
+    ])
+    def test_search_finds_what_the_scalar_search_found(self, name, locations, values):
+        if name == "planes-lift":
+            f, Z = planes_lift()
+        else:
+            f, Z = problem_objects(builtin_problem(name))
+        cps = find_critical_points(f, Z)
+        assert len(cps) == len(locations)
+        for cp, loc, value in zip(cps, locations, values):
+            assert np.linalg.norm(cp.point() - np.array(loc)) <= CLUSTER_TOL
+            assert abs(cp.value - value) <= 1e-8

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from morseflow.cli import load_problem, problem_objects
 from morseflow.flow import (
+    _Field,
     ArcBudget,
     Converged,
     ReachLevel,
@@ -224,6 +225,28 @@ def test_unlandable_level_is_landing_failed():
     traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(0.1)])
     assert traj.termination == "landing_failed"
     assert traj.final_f > 0.1
+
+
+def test_overflowing_step_is_rejected_not_recorded():
+    # from (1, 1) a step of length 1e100 overflows, and its error is NaN
+    f = parse_polynomial("x^4 + y^4", ["x", "y"])
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
+    ctrl = StepControl(max_step=1e100, initial_step=1e100, min_step=1e90)
+    with np.errstate(all="ignore"):
+        traj = integrate(f, Z, [1.0, 1.0], "descend", [ArcBudget(10.0)], control=ctrl)
+    assert np.isfinite(traj.y).all() and np.isfinite(traj.f).all()
+    assert np.isfinite(traj.grad_norm).all() and np.isfinite(traj.arc).all()
+    assert traj.termination in ("step_underflow", "left_box")
+
+
+def test_nan_coordinate_is_outside_the_box():
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
+    assert not Z.inside_box([np.nan, 0.0])
+    assert not Z.inside_box([0.0, np.inf])
+    assert Z.inside_box([2.0, -2.0])
+    field = _Field(parse_polynomial("x", ["x", "y"]), Z, StepControl())
+    rows = np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, -np.inf], [2.0, -2.0]])
+    assert field.inside_box(rows).tolist() == [True, False, False, True]
 
 
 # -- the ensemble integrator ---------------------------------------------

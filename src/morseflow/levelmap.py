@@ -172,9 +172,11 @@ def unstable_slice(
         if all(np.linalg.norm(q - r) > SLICE_CLUSTER_TOL for r in reps):
             reps.append(q)
 
-    validated = []
     for rep in reps:
-        up = ascend_to_level(f, Z, rep, cp.value, control=control)
+        check_level_target(f, rep, cp.value, "ascend")
+    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)], control)
+    validated = []
+    for rep, up in zip(reps, ups):
         if up.termination not in ("reach_level", "converged"):
             log.warning("slice landing %s failed to flow back (%s)", rep, up.termination)
             continue

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .space import RetractionError, SingularSpace
+from .space import SingularSpace
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -77,25 +77,19 @@ def ring_probes(
     so the survivors genuinely chart the local strata.
     """
     center = np.asarray(center, dtype=float)
+    P, ok = Z.retract_batch(center + radius * unit_directions(center.size, rng, n_random))
+    starts = []
+    for p in P[ok]:
+        dist = np.linalg.norm(p - center)
+        if dist >= 0.25 * radius:
+            starts.append(center + (radius / dist) * (p - center))
     out = []
-    for d in unit_directions(center.size, rng, n_random):
-        try:
-            p = Z.retract(center + radius * d)
-        except RetractionError:
-            continue
-        dist = np.linalg.norm(p - center)
-        if dist < 0.25 * radius:
-            continue
-        try:
-            p = Z.retract(center + (radius / dist) * (p - center))
-        except RetractionError:
-            continue
-        dist = np.linalg.norm(p - center)
-        if dist < 0.5 * radius or dist > 1.5 * radius:
-            continue
-        if require_in_box and not Z.inside_box(p):
-            continue
-        out.append(p)
+    if starts:
+        P, ok = Z.retract_batch(np.array(starts))
+        for p in P[ok]:
+            dist = np.linalg.norm(p - center)
+            if 0.5 * radius <= dist <= 1.5 * radius and (not require_in_box or Z.inside_box(p)):
+                out.append(p)
     return _dedupe(out, 1e-6 * radius)
 
 
@@ -118,19 +112,23 @@ def ball_probes(
     attempts = 0
     budget = oversample * count + 64
     while len(out) < count and attempts < budget:
-        attempts += 1
-        d = rng.normal(size=n)
-        nd = np.linalg.norm(d)
-        if nd < 1e-12:
+        # hits never exceed the block, so the last draw is the one-by-one sampler's
+        block = []
+        for _ in range(min(count - len(out), budget - attempts)):
+            attempts += 1
+            d = rng.normal(size=n)
+            nd = np.linalg.norm(d)
+            if nd < 1e-12:
+                continue
+            r = radius * rng.uniform() ** (1.0 / n)
+            block.append(center + (r / nd) * d)
+        if not block:
             continue
-        r = radius * rng.uniform() ** (1.0 / n)
-        try:
-            p = Z.retract(center + (r / nd) * d)
-        except RetractionError:
-            continue
-        dist = np.linalg.norm(p - center)
-        if 1e-6 * radius < dist <= radius and Z.inside_box(p):
-            out.append(p)
+        P, ok = Z.retract_batch(np.array(block))
+        for p in P[ok]:
+            dist = np.linalg.norm(p - center)
+            if 1e-6 * radius < dist <= radius and Z.inside_box(p):
+                out.append(p)
     return out
 
 
@@ -150,14 +148,13 @@ def gaussian_cloud(
     out = []
     draws = 0
     while len(out) < count and draws < max_draws:
-        draws += 1
-        x = center + (0.5 * radius) * rng.normal(size=n)
-        try:
-            p = Z.retract(x)
-        except RetractionError:
-            continue
-        if np.linalg.norm(p - center) <= radius:
-            out.append(p)
+        # hits never exceed the block, so the last draw is the one-by-one sampler's
+        k = min(count - len(out), max_draws - draws)
+        draws += k
+        P, ok = Z.retract_batch(center + (0.5 * radius) * rng.normal(size=(k, n)))
+        for p in P[ok]:
+            if np.linalg.norm(p - center) <= radius:
+                out.append(p)
     return out
 
 
@@ -177,15 +174,13 @@ def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generat
     out = []
     draws = 0
     while len(out) < count and draws < max_draws:
-        draws += 1
-        x = mid + half * rng.uniform(-1.0, 1.0, size=Z.ambient_dim)
-        try:
-            p = Z.retract(x)
-        except RetractionError:
-            continue
-        if not all(abs(p - mid) <= half + 1e-12):
-            continue
-        val = float(f.evaluate(p))
-        if a < val < b:
-            out.append(p)
+        k = min(count - len(out), max_draws - draws)
+        draws += k
+        P, ok = Z.retract_batch(mid + half * rng.uniform(-1.0, 1.0, size=(k, Z.ambient_dim)))
+        for p in P[ok]:
+            if not all(abs(p - mid) <= half + 1e-12):
+                continue
+            val = float(f.evaluate(p))
+            if a < val < b:
+                out.append(p)
     return out

@@ -8,7 +8,9 @@ the largest singular value.  Where the rank drops the null space simply grows;
 callers that care about rank transitions can ask for the rank directly.
 
 Membership is residual-based (``||g(x)|| <= tol`` and x inside the box), and
-points are put back on Z by Gauss-Newton least-squares steps.
+points are put back on Z by Gauss-Newton least-squares steps.  Projection and
+retraction share one kernel, :func:`orthogonal_rows`, which orthogonalises the
+rows of every Jacobian of a batch by one-sided Jacobi rotations.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ __all__ = [
     "riemannian_grad",
     "project_to_level_set",
 ]
+
+# cap on the one-sided Jacobi sweeps of orthogonal_rows; a few rows
+# converge in a handful
+JACOBI_SWEEPS = 30
+EPS = np.finfo(float).eps
 
 
 class RetractionError(RuntimeError):
@@ -128,28 +135,23 @@ class SingularSpace:
     def tangent_project_batch(self, X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project each row of V onto the null space of Dg at the same row of X.
 
-        Singular values at or below ``rank_tol`` times the largest are cut;
-        also returns the effective rank of Dg at each row.  Row i of the
-        result depends on row i of the input only, bit for bit, whatever
-        the batch around it.
+        The projection removes the components along the orthogonalised rows
+        of Dg (:func:`orthogonal_rows`), so singular values at or below
+        ``rank_tol`` times the largest are cut; also returns the effective
+        rank of Dg at each row.  Row i of the result depends on row i of the
+        input only, bit for bit, whatever the batch around it.
         """
         X = np.asarray(X, dtype=float)
         V = np.asarray(V, dtype=float)
-        m = len(self.constraints)
-        if not m:
+        if not len(self.constraints):
             return V.copy(), np.zeros(len(X), dtype=int)
-        J = self.constraints.jacobian_at(X)
-        if m == 1:
-            row = J[:, 0]
-            s2 = row_sums(row * row)
-            coef = np.zeros(len(X))
-            np.divide(row_sums(row * V), s2, out=coef, where=s2 != 0.0)
-            return V - row * coef[:, None], (s2 != 0.0).astype(int)
-        _, _, Vt, kept = _rank_cut_svd(J, self.rank_tol)
-        rank = kept.sum(axis=1)
-        null = np.arange(self.ambient_dim)[None, :] >= rank[:, None]
-        coef = np.where(null, row_sums(Vt * V[:, None, :]), 0.0)
-        return row_sums(Vt.transpose(0, 2, 1) * coef[:, None, :]), rank
+        B, s2, _ = orthogonal_rows(self.constraints.jacobian_at(X), self.rank_tol)
+        P, rank = V, 0
+        for b, s in zip(B, s2):
+            kept = s != 0.0
+            P = P - b * np.divide(row_sums(b * V), s, out=np.zeros(len(s)), where=kept)[:, None]
+            rank = rank + kept
+        return P, rank
 
     # -- retraction ------------------------------------------------------
 
@@ -171,8 +173,9 @@ class SingularSpace:
         """Pull every row of X back onto Z by damped Gauss-Newton on g.
 
         Each step is the minimum-norm least-squares solution of
-        ``Dg(x) d = g(x)`` (closed form for one constraint, a rank-cut SVD
-        otherwise), halved per row until that row's residual decreases.
+        ``Dg(x) d = g(x)`` with the rank cut at ``rank_tol``, from the
+        orthogonalised rows of :func:`orthogonal_rows`, halved per row until
+        that row's residual decreases.
         A row stops when its residual is at most ``retract_tol``, and fails
         when no halving decreases it or ``max_iter`` steps do not get it
         there.  Returns the points and a mask of the rows that succeeded;
@@ -211,14 +214,16 @@ class SingularSpace:
         return X, alive & (res <= self.retract_tol)
 
     def _min_norm_steps(self, J: np.ndarray, R: np.ndarray) -> np.ndarray:
-        """Minimum-norm solutions of ``J[i] d = R[i]`` for stacked J, shape (N, m, n)."""
-        if J.shape[1] == 1:
-            row = J[:, 0]
-            s2 = row_sums(row * row)
-            coef = np.zeros(len(J))
-            np.divide(R[:, 0], s2, out=coef, where=s2 != 0.0)
-            return row * coef[:, None]
-        return min_norm_steps(J, R, self.rank_tol)
+        """Minimum-norm solutions of ``J[i] d = R[i]`` for stacked J, shape (N, m, n).
+
+        The rank is cut at ``rank_tol``, as in :meth:`tangent_project_batch`.
+        """
+        B, s2, W = orthogonal_rows(J, self.rank_tol, R)
+        D = None
+        for b, s, w in zip(B, s2, W):
+            step = b * np.divide(w, s, out=np.zeros(len(s)), where=s != 0.0)[:, None]
+            D = step if D is None else D + step
+        return D
 
 
 def min_norm_steps(J: np.ndarray, R: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -226,8 +231,9 @@ def min_norm_steps(J: np.ndarray, R: np.ndarray, rank_tol: float) -> np.ndarray:
 
     The SVD solution with singular values at or below ``rank_tol`` times the
     largest cut; ``rank_tol = eps * max(M, n)`` is the cut of
-    ``np.linalg.lstsq(rcond=None)``.  A matrix with a non-finite entry
-    gets a NaN step and leaves the rest of the stack alone.
+    ``np.linalg.lstsq(rcond=None)``, which the critical search uses on its
+    (m + n) x n systems.  A matrix with a non-finite entry gets a NaN step
+    and leaves the rest of the stack alone.
     """
     U, s, Vt, kept = _rank_cut_svd(J, rank_tol)
     k = s.shape[1]
@@ -246,6 +252,78 @@ def row_sums(A: np.ndarray) -> np.ndarray:
     for j in range(1, A.shape[-1]):
         total += A[..., j]
     return total
+
+
+def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None):
+    """Rotate the rows of every matrix of a stack J, shape (N, m, n), until they are orthogonal.
+
+    One-sided (Hestenes) Jacobi: plane rotations, one orthogonal m x m
+    matrix Q per stack entry, turn the rows of J into rows b_i of ``Q J``
+    that are mutually orthogonal, so the b_i span the row space of J and
+    their norms are its singular values.  A pair of rows is rotated only
+    where it is not yet orthogonal (cosine above n * eps) and neither row
+    is rounding noise beside the other (norm ratio at most n * eps); sweeps
+    over the pairs run until no pair turns, at most ``JACOBI_SWEEPS``.  A
+    single row is never rotated.
+
+    Returns three lists of m arrays: the rows b_i, each (N, n); their
+    squared norms, each (N,), set to 0 where ``sigma_i <= rank_tol *
+    sigma_max`` (the row is cut); and, when R (N, m) is given, the entries
+    of ``Q R``, each (N,), else None.  J and R are not written to.  Each
+    stack entry is rotated on its own, bit for bit.  A matrix with a
+    non-finite entry (or squared row norms that overflow) is never
+    rotated, and its squared norms are not finite: with two or more rows
+    all of them are NaN.
+    """
+    m = J.shape[1]
+    if m == 1:
+        # one row is orthogonal already and is its own largest: nothing to turn or cut
+        b = J[:, 0]
+        return [b], [row_sums(b * b)], None if R is None else [R[:, 0]]
+    B = [J[:, i] for i in range(m)]
+    W = None if R is None else [R[:, i] for i in range(m)]
+    s2 = [row_sums(b * b) for b in B]
+    tol = J.shape[2] * EPS
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for _ in range(JACOBI_SWEEPS):
+        turned = False
+        for i, j in pairs:
+            gamma = row_sums(B[i] * B[j])
+            k = (np.abs(gamma) > tol * np.sqrt(s2[i]) * np.sqrt(s2[j])).nonzero()[0]
+            # a row within n * eps of the other's norm is rounding noise,
+            # which the rank cut drops; turning it only stirs the noise
+            si, sj = s2[i][k], s2[j][k]
+            live = np.minimum(si, sj) > (tol * tol) * np.maximum(si, sj)
+            if not live.any():
+                continue
+            k, si, sj = k[live], si[live], sj[live]
+            turned = True
+            # the rotation that zeroes the pair's inner product (Rutishauser's formulas)
+            zeta = (sj - si) / (2.0 * gamma[k])
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            _rotate(B, i, j, k, c[:, None], s[:, None])
+            if W is not None:
+                _rotate(W, i, j, k, c, s)
+            for r in (i, j):
+                s2[r][k] = row_sums(B[r][k] ** 2)
+        if not turned:
+            break
+    s2max = s2[0]
+    for s in s2[1:]:
+        s2max = np.maximum(s2max, s)
+    cut = (rank_tol * rank_tol) * s2max
+    nan = 0.0 * s2max  # 0 where the matrix is finite, NaN where it is not
+    return B, [np.where(s > cut, s, nan) for s in s2], W
+
+
+def _rotate(A: list, i: int, j: int, k: np.ndarray, c, s) -> None:
+    """Rotate entries i and j of the list A at the stack entries k, into new arrays."""
+    ai, aj = A[i][k], A[j][k]
+    A[i], A[j] = A[i].copy(), A[j].copy()
+    A[i][k] = c * ai - s * aj
+    A[j][k] = s * ai + c * aj
 
 
 def _rank_cut_svd(J: np.ndarray, rank_tol: float):

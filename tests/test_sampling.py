@@ -1,12 +1,19 @@
-import numpy as np
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from morseflow.cli import load_problem, problem_objects
 from morseflow.sampling import (
+    _dedupe,
     ball_probes,
     band_samples,
+    gaussian_cloud,
     ring_probes,
     substream,
     unit_directions,
 )
+from morseflow.space import RetractionError
 
 
 class TestSubstream:
@@ -63,3 +70,149 @@ class TestProbes:
         for p in pts:
             assert Z.is_member(p)
             assert -0.8 < f.evaluate(p) < 0.8
+
+
+# One-at-a-time references: each candidate is drawn and retracted on its own.
+
+def ring_probes_reference(Z, center, radius, rng=None, n_random=0, require_in_box=True):
+    center = np.asarray(center, dtype=float)
+    out = []
+    for d in unit_directions(center.size, rng, n_random):
+        try:
+            p = Z.retract(center + radius * d)
+        except RetractionError:
+            continue
+        dist = np.linalg.norm(p - center)
+        if dist < 0.25 * radius:
+            continue
+        try:
+            p = Z.retract(center + (radius / dist) * (p - center))
+        except RetractionError:
+            continue
+        dist = np.linalg.norm(p - center)
+        if dist < 0.5 * radius or dist > 1.5 * radius:
+            continue
+        if require_in_box and not Z.inside_box(p):
+            continue
+        out.append(p)
+    return _dedupe(out, 1e-6 * radius)
+
+
+def ball_probes_reference(Z, center, radius, rng, count, oversample=8):
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    out = []
+    attempts = 0
+    budget = oversample * count + 64
+    while len(out) < count and attempts < budget:
+        attempts += 1
+        d = rng.normal(size=n)
+        nd = np.linalg.norm(d)
+        if nd < 1e-12:
+            continue
+        r = radius * rng.uniform() ** (1.0 / n)
+        try:
+            p = Z.retract(center + (r / nd) * d)
+        except RetractionError:
+            continue
+        dist = np.linalg.norm(p - center)
+        if 1e-6 * radius < dist <= radius and Z.inside_box(p):
+            out.append(p)
+    return out
+
+
+def gaussian_cloud_reference(Z, center, radius, rng, count, max_draws=None):
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    if max_draws is None:
+        max_draws = 40 * count + 200
+    out = []
+    draws = 0
+    while len(out) < count and draws < max_draws:
+        draws += 1
+        x = center + (0.5 * radius) * rng.normal(size=n)
+        try:
+            p = Z.retract(x)
+        except RetractionError:
+            continue
+        if np.linalg.norm(p - center) <= radius:
+            out.append(p)
+    return out
+
+
+def band_samples_reference(f, Z, a, b, rng, count, margin_frac=0.9, max_draws=None):
+    if max_draws is None:
+        max_draws = 200 * count + 500
+    lows = np.array([lo for lo, _ in Z.box])
+    highs = np.array([hi for _, hi in Z.box])
+    mid = 0.5 * (lows + highs)
+    half = 0.5 * (highs - lows) * margin_frac
+    out = []
+    draws = 0
+    while len(out) < count and draws < max_draws:
+        draws += 1
+        x = mid + half * rng.uniform(-1.0, 1.0, size=Z.ambient_dim)
+        try:
+            p = Z.retract(x)
+        except RetractionError:
+            continue
+        if not all(abs(p - mid) <= half + 1e-12):
+            continue
+        val = float(f.evaluate(p))
+        if a < val < b:
+            out.append(p)
+    return out
+
+
+def same_points(got, ref):
+    return len(got) == len(ref) and all(np.array_equal(p, q) for p, q in zip(got, ref))
+
+
+PLANES_LIFT = Path(__file__).resolve().parent / "problems" / "planes-lift.json"
+
+
+@pytest.fixture(scope="module", params=["cone", "planes-lift"])
+def problem(request, cone):
+    if request.param == "cone":
+        return cone
+    return problem_objects(load_problem(PLANES_LIFT))
+
+
+class TestBatchedSamplersMatchOneAtATime:
+    # each case: (kwargs, whether the run must stop on its draw cap)
+    @pytest.mark.parametrize("count, max_draws, capped", [(40, None, False), (400, 150, True)])
+    def test_gaussian_cloud(self, problem, count, max_draws, capped):
+        _, Z = problem
+        center = np.zeros(Z.ambient_dim)
+        got = gaussian_cloud(Z, center, 0.3, substream(3, "g"), count, max_draws)
+        ref = gaussian_cloud_reference(Z, center, 0.3, substream(3, "g"), count, max_draws)
+        assert same_points(got, ref)
+        assert (len(got) < count) == capped
+
+    @pytest.mark.parametrize("band, count, max_draws, capped",
+                             [((-0.8, 0.8), 40, None, False), ((0.3, 0.31), 60, 300, True)])
+    def test_band_samples(self, problem, band, count, max_draws, capped):
+        f, Z = problem
+        got = band_samples(f, Z, *band, substream(4, "b"), count, max_draws=max_draws)
+        ref = band_samples_reference(f, Z, *band, substream(4, "b"), count, max_draws=max_draws)
+        assert same_points(got, ref)
+        assert (len(got) < count) == capped
+
+    @pytest.mark.parametrize("count, oversample, capped", [(30, 8, False), (200, 0, True)])
+    def test_ball_probes(self, problem, count, oversample, capped):
+        _, Z = problem
+        center = np.zeros(Z.ambient_dim)
+        got = ball_probes(Z, center, 0.2, substream(5, "p"), count, oversample)
+        ref = ball_probes_reference(Z, center, 0.2, substream(5, "p"), count, oversample)
+        assert same_points(got, ref)
+        assert (len(got) < count) == capped
+
+    @pytest.mark.parametrize("require_in_box", [True, False])
+    def test_ring_probes(self, problem, require_in_box):
+        _, Z = problem
+        center = np.zeros(Z.ambient_dim)
+        center[0] = 1.99  # the ring pokes out of the box
+        center = Z.retract(center)
+        got = ring_probes(Z, center, 0.05, substream(6, "r"), 12, require_in_box)
+        ref = ring_probes_reference(Z, center, 0.05, substream(6, "r"), 12, require_in_box)
+        assert len(got) > 0 and same_points(got, ref)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from morseflow import space
 from morseflow.polynomial import PolynomialSystem, parse_polynomial
 from morseflow.space import (
     SingularSpace,
+    min_norm_steps,
+    orthogonal_rows,
     project_to_level_set,
     riemannian_grad,
+    row_sums,
 )
 
 
@@ -150,3 +156,173 @@ class TestProjectToLevelSet:
         y = project_to_level_set(f, cone_wide, [1.0, 0.0, 1.001], 1.0)
         assert abs(y[0] - 1.0) < 1e-10
         assert cone_wide.is_member(y)
+
+
+class FixedJacobian:
+    """Stands in for the constraint system: Dg is the given stack at every point."""
+
+    def __init__(self, J):
+        self.J = J
+        self.variables = tuple(f"x{i}" for i in range(J.shape[2]))
+
+    def __len__(self):
+        return self.J.shape[1]
+
+    def jacobian_at(self, X):
+        return self.J
+
+
+def fixed_space(J):
+    return SingularSpace(J.shape[2], FixedJacobian(J), ((-1.0, 1.0),) * J.shape[2])
+
+
+def project(J, V):
+    return fixed_space(J).tangent_project_batch(np.zeros((len(J), J.shape[2])), V)
+
+
+def step(J, R):
+    return fixed_space(J)._min_norm_steps(J, R)
+
+
+def svd_projection(A, v, rank_tol=1e-8):
+    _, s, Vt = np.linalg.svd(A)
+    rank = int(np.sum(s > rank_tol * s[0]))
+    return v - Vt[:rank].T @ (Vt[:rank] @ v), rank
+
+
+# kept singular values stay at least 10x above rank_tol, cut ones 10x below
+KEPT = (1.0, 0.5, 0.1, 1e-2, 1e-7)
+CUT = (1e-9, 1e-12, 0.0)
+
+
+@st.composite
+def jacobian_stacks(draw, m, sigmas=KEPT + CUT, size=(1, 6)):
+    """Stacks of m x n matrices with chosen singular values, zero rows and parallel rows."""
+    n = draw(st.integers(2, 5))
+    N = draw(st.integers(*size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(N):
+        sigma = np.zeros(m)
+        k = min(m, n)
+        sigma[:k] = [1.0] + [draw(st.sampled_from(sigmas)) for _ in range(k - 1)]
+        U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        Vt = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A = 10.0 ** draw(st.integers(-3, 3)) * (U[:, :k] * sigma[:k]) @ Vt[:k]
+        kind = draw(st.sampled_from(["plain", "plain", "zero", "parallel"]))
+        if kind == "zero":
+            A[draw(st.integers(0, m - 1))] = 0.0
+        elif kind == "parallel" and m > 1:
+            A[draw(st.integers(1, m - 1))] = draw(st.sampled_from([2.0, -0.5, 3.0])) * A[0]
+        stack.append(A)
+    return np.array(stack)
+
+
+def separated(A, lo=10 * 1e-8, hi=1e-8 / 10):
+    """Whether every singular value of A is at least lo or at most hi times the largest.
+
+    The defaults keep them 10x away from the rank cut; the accuracy tests
+    also keep the kept ones within a condition number of 100.
+    """
+    s = np.linalg.svd(A, compute_uv=False)
+    return bool(np.all((s >= lo * s[0]) | (s <= hi * s[0])))
+
+
+class TestOrthogonalRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(jacobian_stacks))
+    def test_rank_matches_the_svd(self, J):
+        assume(all(separated(A) for A in J))
+        V = np.ones((len(J), J.shape[2]))
+        _, rank = project(J, V)
+        assert rank.tolist() == [svd_projection(A, V[0])[1] for A in J]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda m: jacobian_stacks(m, sigmas=KEPT[:4] + CUT[1:])),
+           st.integers(0, 2**32 - 1))
+    def test_projection_matches_the_svd(self, J, seed):
+        assume(all(separated(A, 1e-2) for A in J))
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(len(J), J.shape[2]))
+        P, _ = project(J, V)
+        PP, _ = project(J, P)
+        for A, v, p, pp in zip(J, V, P, PP):
+            ref, rank = svd_projection(A, v)
+            scale = np.linalg.norm(v)
+            assert np.linalg.norm(p - ref) <= 1e-12 * scale
+            assert np.linalg.norm(pp - p) <= 1e-12 * scale
+            # orthogonal to the kept rows: the top right singular vectors
+            Vt = np.linalg.svd(A)[2]
+            assert np.all(np.abs(Vt[:rank] @ p) <= 1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda m: jacobian_stacks(m, sigmas=KEPT[:4] + CUT[1:])),
+           st.integers(0, 2**32 - 1))
+    def test_step_matches_min_norm_steps(self, J, seed):
+        assume(all(separated(A, 1e-2) for A in J))
+        R = np.random.default_rng(seed).normal(size=J.shape[:2])
+        D, ref = step(J, R), min_norm_steps(J, R, 1e-8)
+        assert np.all(np.linalg.norm(D - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda m: jacobian_stacks(m, size=(2, 6))),
+           st.integers(0, 2**32 - 1), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_spoils_its_row_only(self, J, seed, bad):
+        rng = np.random.default_rng(seed)
+        V, R = rng.normal(size=(len(J), J.shape[2])), rng.normal(size=J.shape[:2])
+        i = int(rng.integers(len(J)))
+        J[i, rng.integers(J.shape[1]), rng.integers(J.shape[2])] = bad
+        P, D = project(J, V)[0], step(J, R)
+        assert np.all(np.isnan(P[i])) and np.all(np.isnan(D[i]))
+        others = np.arange(len(J)) != i
+        assert np.array_equal(P[others], project(J[others], V[others])[0])
+        assert np.array_equal(D[others], step(J[others], R[others]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda m: jacobian_stacks(m, size=(2, 8))),
+           st.integers(0, 2**32 - 1))
+    def test_rows_are_batch_independent(self, J, seed):
+        rng = np.random.default_rng(seed)
+        V, R = rng.normal(size=(len(J), J.shape[2])), rng.normal(size=J.shape[:2])
+        P, rank = project(J, V)
+        D = step(J, R)
+        subset = rng.permutation(len(J))[: rng.integers(1, len(J) + 1)]
+        P_sub, rank_sub = project(J[subset], V[subset])
+        assert np.array_equal(P_sub, P[subset]) and np.array_equal(rank_sub, rank[subset])
+        assert np.array_equal(step(J[subset], R[subset]), D[subset])
+        for i in range(len(J)):
+            assert np.array_equal(project(J[i:i + 1], V[i:i + 1])[0][0], P[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(jacobian_stacks(3, size=(1, 8)))
+    def test_three_rows_converge_well_inside_the_sweep_cap(self, J):
+        B, s2, _ = orthogonal_rows(J, 1e-8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space, "JACOBI_SWEEPS", space.JACOBI_SWEEPS // 4)
+            B_short, s2_short, _ = orthogonal_rows(J, 1e-8)
+        assert all(np.array_equal(a, b) for a, b in zip(B + s2, B_short + s2_short))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(jacobian_stacks(1, size=(1, 8)), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, np.nan, np.inf]))
+    def test_one_row_gives_the_closed_form_bits(self, J, seed, bad):
+        rng = np.random.default_rng(seed)
+        V, R = rng.normal(size=(len(J), J.shape[2])), rng.normal(size=(len(J), 1))
+        if bad is not None:
+            J[rng.integers(len(J)), 0, rng.integers(J.shape[2])] = bad
+
+        # the rank-1 closed forms the kernel replaced
+        row = J[:, 0]
+        s2 = row_sums(row * row)
+        coef = np.zeros(len(J))
+        np.divide(row_sums(row * V), s2, out=coef, where=s2 != 0.0)
+        ref_p, ref_rank = V - row * coef[:, None], (s2 != 0.0).astype(int)
+        coef = np.zeros(len(J))
+        np.divide(R[:, 0], s2, out=coef, where=s2 != 0.0)
+        ref_d = row * coef[:, None]
+
+        P, rank = project(J, V)
+        assert np.array_equal(P, ref_p, equal_nan=True) and np.array_equal(rank, ref_rank)
+        assert np.array_equal(step(J, R), ref_d, equal_nan=True)

@@ -327,13 +327,6 @@ class _TrajectoryKeeper:
         )
 
 
-def _min_value_gap(values) -> float:
-    vals = sorted(set(float(v) for v in values))
-    if len(vals) < 2:
-        return float("inf")
-    return min(b - a for a, b in zip(vals, vals[1:]))
-
-
 def _stage_skip_report(condition: int, reason: str) -> dict:
     return {
         "condition": condition,
@@ -349,15 +342,18 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     Stage errors are isolated: a failing stage records an inconclusive
     fragment and the remaining stages still run.  The final verdict passes
     only when the three condition checks pass and the problem asserts
-    proper_on_box.
+    proper_on_box.  An unknown stage, a stage without its dependencies or
+    an empty stage list raises :class:`ValidationError`.
     """
     stages = tuple(stages)
     for s in stages:
         if s not in STAGES:
-            raise ValueError(f"unknown stage '{s}'; choose from {STAGES}")
+            raise ValidationError(f"unknown stage '{s}'; choose from {','.join(STAGES)}")
         missing = [d for d in STAGE_DEPS[s] if d not in stages]
         if missing:
-            raise ValueError(f"stage '{s}' requires {missing}")
+            raise ValidationError(f"stage '{s}' requires {','.join(missing)}")
+    if not stages:
+        raise ValidationError("no stages requested")
     ordered = [s for s in STAGES if s in stages]
 
     f, Z = problem_objects(spec)
@@ -485,7 +481,7 @@ def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
             "witnesses": {"warning": "no non-minimal critical points; vacuously satisfied"},
             "modulus_table": None,
         }
-    gap = _min_value_gap(cp.value for cp in cps)
+    gap = check_condition1(cps).witnesses["min_gap"]
     per_point = []
     table = None
     for i, cp in targets:
@@ -639,21 +635,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_stages(text: str):
-    stages = tuple(s.strip() for s in text.split(",") if s.strip())
-    for s in stages:
-        if s not in STAGES:
-            raise ValidationError(f"unknown stage '{s}'; choose from {','.join(STAGES)}")
-        missing = [d for d in STAGE_DEPS[s] if d not in stages]
-        if missing:
-            raise ValidationError(f"stage '{s}' requires {','.join(missing)}")
-    if not stages:
-        raise ValidationError("no stages requested")
-    return stages
-
-
 def _cmd_run(spec: ProblemSpec, args) -> int:
-    stages = _parse_stages(args.stages)
+    stages = [s.strip() for s in args.stages.split(",") if s.strip()]
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     report = run_experiment(spec, stages)

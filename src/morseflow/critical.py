@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,14 +68,6 @@ class CriticalPoint:
         }
 
 
-@dataclass(frozen=True)
-class CriticalLevelSet:
-    """Critical points sharing one value within value_merge_tol."""
-
-    value: float
-    points: tuple[CriticalPoint, ...]
-
-
 @dataclass
 class ConditionReport:
     """Verdict plus witnesses for one numbered condition check."""
@@ -113,7 +105,7 @@ def _norms(A: np.ndarray) -> np.ndarray:
 
 
 def _lstsq_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    # the singular-value cut of np.linalg.lstsq(rcond=None)
+    # eps * max(m, n): the default singular-value cut of numpy's least-squares solver
     return min_norm_steps(J, R, np.finfo(float).eps * max(J.shape[1:]))
 
 
@@ -421,23 +413,6 @@ def classify(
     if has_below:
         return "maximum"
     return "degenerate"
-
-
-def critical_level_sets(
-    cps: Sequence[CriticalPoint],
-    value_merge_tol: float = VALUE_MERGE_TOL,
-) -> list[CriticalLevelSet]:
-    """Group critical points into level sets whose values agree within tol."""
-    groups: list[list[CriticalPoint]] = []
-    for cp in sorted(cps, key=lambda c: (c.value, c.location)):
-        if groups and cp.value - groups[-1][-1].value <= value_merge_tol:
-            groups[-1].append(cp)
-        else:
-            groups.append([cp])
-    return [
-        CriticalLevelSet(value=float(np.mean([c.value for c in g])), points=tuple(g))
-        for g in groups
-    ]
 
 
 def check_condition1(cps, gap_tol: float = GAP_TOL, value_merge_tol: float = VALUE_MERGE_TOL) -> ConditionReport:

@@ -45,17 +45,13 @@ __all__ = [
     "Converged",
     "ArcBudget",
     "TimeBudget",
-    "LeftBox",
     "StepControl",
     "FlowTrajectory",
-    "FlowLimitResult",
     "integrate",
     "integrate_ensemble",
     "descend_to_level",
     "ascend_to_level",
-    "flow_limit",
     "arc_length",
-    "write_trajectory_csv",
     "trajectory_csv_text",
     "INCONCLUSIVE_TERMINATIONS",
 ]
@@ -88,12 +84,7 @@ class TimeBudget:
     limit: float
 
 
-@dataclass(frozen=True)
-class LeftBox:
-    """Stop on leaving the working box (always enforced)."""
-
-
-StopCriterion = ReachLevel | Converged | ArcBudget | TimeBudget | LeftBox
+StopCriterion = ReachLevel | Converged | ArcBudget | TimeBudget
 
 # Terminations that decide nothing: the flow neither reached a level nor
 # demonstrably converged nor left the region.  landing_failed: the flow
@@ -148,13 +139,6 @@ class FlowTrajectory:
     @property
     def total_arc(self) -> float:
         return float(self.arc[-1])
-
-
-@dataclass
-class FlowLimitResult:
-    kind: str  # "converged" | "exited" | "inconclusive"
-    point: np.ndarray
-    trajectory: FlowTrajectory
 
 
 # Cash-Karp 4(5) coefficients; zero weights are left out of the sums.
@@ -280,7 +264,7 @@ def _shared_stops(stops, ctrl: StepControl):
             arc_budget = s.limit
         elif isinstance(s, TimeBudget):
             time_budget = s.limit
-        elif not isinstance(s, LeftBox):
+        else:
             raise TypeError(f"unknown stop criterion {s!r}")
     return conv, arc_budget, time_budget
 
@@ -584,32 +568,6 @@ def ascend_to_level(
     return traj
 
 
-def flow_limit(
-    f: Polynomial,
-    Z: SingularSpace,
-    x0: Sequence[float] | np.ndarray,
-    direction: str = "descend",
-    grad_tol: float = 1e-8,
-    control: StepControl | None = None,
-    arc_budget: float | None = None,
-    time_budget: float | None = None,
-) -> FlowLimitResult:
-    """Run the flow to its limit; never silently treats budget exhaustion as convergence."""
-    stops: list[StopCriterion] = [Converged(grad_tol)]
-    if arc_budget is not None:
-        stops.append(ArcBudget(arc_budget))
-    if time_budget is not None:
-        stops.append(TimeBudget(time_budget))
-    traj = integrate(f, Z, x0, direction, stops, control)
-    if traj.termination == "converged":
-        kind = "converged"
-    elif traj.termination == "left_box":
-        kind = "exited"
-    else:
-        kind = "inconclusive"
-    return FlowLimitResult(kind=kind, point=traj.endpoint.copy(), trajectory=traj)
-
-
 def arc_length(traj: FlowTrajectory, up_to_t: float | None = None) -> float:
     """Cumulative arc length ``∫ ||grad f|| dt`` up to a time (default: total)."""
     if up_to_t is None:
@@ -622,27 +580,13 @@ def arc_length(traj: FlowTrajectory, up_to_t: float | None = None) -> float:
 # -- serialization -----------------------------------------------------
 
 
-def _csv_rows(traj: FlowTrajectory):
-    n = traj.y.shape[1]
-    header = ["t"] + [f"y_{i+1}" for i in range(n)] + ["f", "grad_norm", "arc_len"]
-    yield header
+def trajectory_csv_text(traj: FlowTrajectory) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t"] + [f"y_{i+1}" for i in range(traj.y.shape[1])] + ["f", "grad_norm", "arc_len"])
     for i in range(traj.n_samples):
         row = [repr(float(traj.t[i]))]
         row += [repr(float(v)) for v in traj.y[i]]
         row += [repr(float(traj.f[i])), repr(float(traj.grad_norm[i])), repr(float(traj.arc[i]))]
-        yield row
-
-
-def trajectory_csv_text(traj: FlowTrajectory) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in _csv_rows(traj):
         w.writerow(row)
     return buf.getvalue()
-
-
-def write_trajectory_csv(traj: FlowTrajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row in _csv_rows(traj):
-            w.writerow(row)

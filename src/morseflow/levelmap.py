@@ -26,7 +26,7 @@ from .flow import (
     integrate_ensemble,
 )
 from .sampling import ball_probes, band_samples, ring_probes, substream
-from .space import LevelProjectionError, SingularSpace, project_to_level_set
+from .space import SingularSpace, project_to_level_set
 
 log = logging.getLogger(__name__)
 
@@ -316,33 +316,23 @@ def check_condition4(
         "n_inconclusive": 0,
         "n_projected": 0,
     }
-    kept_by_radius = []
-    for idx, r in enumerate(radii):
-        rng = substream(seed, f"cond4-radius-{idx}")
-        probes = ball_probes(Z, center, r, rng, n_per_radius)
-        kept = []
-        for p in probes:
-            # the proof walks a sequence on the critical level itself;
-            # cover that variant where the level set is nondegenerate
-            try:
-                q = project_to_level_set(f, Z, p, cp.value)
-                qd = float(np.linalg.norm(q - center))
-                if CLUSTER_TOL < qd <= 2.0 * r:
-                    kept.append(q)
-                    witnesses["n_projected"] += 1
-                    continue
-            except LevelProjectionError:
-                pass
-            kept.append(np.asarray(p))
-        kept_by_radius.append(kept)
+    probes = [np.reshape(ball_probes(Z, center, r, substream(seed, f"cond4-radius-{idx}"), n_per_radius),
+                         (-1, Z.ambient_dim)) for idx, r in enumerate(radii)]
+    firsts = np.cumsum([0] + [len(p) for p in probes])
+    starts = np.concatenate(probes)
+    # the proof walks a sequence on the critical level itself; cover that
+    # variant where the level set is nondegenerate, else keep the raw probe
+    Q, ok = project_to_level_set(f, Z, starts, cp.value)
+    qd = np.linalg.norm(Q - center, axis=1)
+    use = ok & (CLUSTER_TOL < qd) & (qd <= 2.0 * np.repeat(radii, np.diff(firsts)))
+    starts[use] = Q[use]
+    witnesses["n_projected"] = int(use.sum())
 
-    starts = [p for kept in kept_by_radius for p in kept]
     for p in starts:
         check_level_target(f, p, target, "descend")
-    firsts = np.cumsum([0] + [len(kept) for kept in kept_by_radius])
     # the first flow of each radius is recorded in full for collect
     flows = integrate_ensemble(
-        f, Z, np.reshape(starts, (-1, Z.ambient_dim)), "descend", target, [Converged(1e-8)], control,
+        f, Z, starts, "descend", target, [Converged(1e-8)], control,
         record=np.isin(np.arange(len(starts)), firsts) & (collect is not None),
     )
     degenerate = False

@@ -241,13 +241,13 @@ class Polynomial:
             return str(int(c))
         return repr(c)
 
-    def _term_str(self, t: Monomial, force_coeff: bool) -> str:
+    def _term_str(self, t: Monomial) -> str:
         c = abs(t.coefficient)
         parts = []
         has_vars = any(e > 0 for e in t.exponents)
         if not has_vars:
             return self._fmt(c)
-        if c != 1.0 or force_coeff:
+        if c != 1.0:
             parts.append(self._fmt(c))
         for name, e in zip(self.variables, t.exponents):
             if e == 1:
@@ -262,17 +262,9 @@ class Polynomial:
         pieces = []
         for i, t in enumerate(self.terms):
             if i == 0:
-                if t.coefficient < 0:
-                    # A leading "-x^2" would re-parse as (-x)^2; keep the
-                    # coefficient explicit whenever the first factor is powered.
-                    first_exp = next((e for e in t.exponents if e > 0), 0)
-                    force = abs(t.coefficient) == 1.0 and first_exp >= 2
-                    pieces.append("-" + self._term_str(t, force))
-                else:
-                    pieces.append(self._term_str(t, False))
+                pieces.append(("-" if t.coefficient < 0 else "") + self._term_str(t))
             else:
-                op = " + " if t.coefficient >= 0 else " - "
-                pieces.append(op + self._term_str(t, False))
+                pieces.append((" + " if t.coefficient >= 0 else " - ") + self._term_str(t))
         return "".join(pieces)
 
     def __repr__(self) -> str:
@@ -344,11 +336,11 @@ def jacobian(system: PolynomialSystem) -> list[PolynomialSystem]:
 #
 # expr   := term (('+'|'-') term)*
 # term   := factor ('*' factor)*
-# factor := base ('^' uint)?
-# base   := number | ident | '(' expr ')' | '-' base
+# factor := '-' factor | base ('^' uint)?
+# base   := number | ident | '(' expr ')'
 #
 # Multiplication is always explicit and '^' takes a nonnegative integer
-# literal.  Note the grammar binds a leading '-' inside base, before '^'.
+# literal.  '^' binds tighter than a unary '-', so -x^2 is -(x^2).
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
@@ -402,6 +394,9 @@ class _Parser:
         return value
 
     def factor(self) -> Polynomial:
+        if self.tok[0] == "op" and self.tok[1] == "-":
+            self._advance()
+            return -self.factor()
         value = self.base()
         if self.tok[0] == "op" and self.tok[1] == "^":
             self._advance()
@@ -427,9 +422,6 @@ class _Parser:
             value = self.expr()
             self.expect_op(")")
             return value
-        if kind == "op" and text == "-":
-            self._advance()
-            return -self.base()
         raise ParseError(f"expected a number, variable, '(' or '-', found {text or 'end of input'!r}", where)
 
 

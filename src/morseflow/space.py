@@ -15,19 +15,17 @@ rows of every Jacobian of a batch by one-sided Jacobi rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .polynomial import Polynomial, PolynomialSystem, gradient
+from .polynomial import Polynomial, PolynomialSystem
 
 __all__ = [
     "SingularSpace",
     "RetractionError",
-    "LevelProjectionError",
-    "riemannian_grad",
     "project_to_level_set",
 ]
 
@@ -39,10 +37,6 @@ EPS = np.finfo(float).eps
 
 class RetractionError(RuntimeError):
     """Gauss-Newton failed to bring the constraint residual below tolerance."""
-
-
-class LevelProjectionError(RuntimeError):
-    """Joint (constraint, level) projection failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,6 @@ class SingularSpace:
         spans = np.array([hi - lo for lo, hi in self.box])
         return float(np.linalg.norm(spans))
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
     # -- membership ----------------------------------------------------
 
     def residual(self, x: Sequence[float] | np.ndarray) -> float:
@@ -111,9 +101,6 @@ class SingularSpace:
         return self.residual(x) <= tol and self.inside_box(x)
 
     # -- tangent structure ----------------------------------------------
-
-    def constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.constraints.jacobian_at(x)
 
     def effective_rank(self, x: Sequence[float] | np.ndarray) -> int:
         """Rank of Dg(x) with singular values at or below rank_tol * sigma_max dropped."""
@@ -230,8 +217,8 @@ def min_norm_steps(J: np.ndarray, R: np.ndarray, rank_tol: float) -> np.ndarray:
     """Minimum-norm least-squares solutions of ``J[i] d = R[i]`` for a stack J, shape (N, M, n).
 
     The SVD solution with singular values at or below ``rank_tol`` times the
-    largest cut; ``rank_tol = eps * max(M, n)`` is the cut of
-    ``np.linalg.lstsq(rcond=None)``, which the critical search uses on its
+    largest cut; ``rank_tol = eps * max(M, n)`` is the default cut of
+    numpy's least-squares solver, which the critical search uses on its
     (m + n) x n systems.  A matrix with a non-finite entry gets a NaN step
     and leaves the rest of the stack alone.
     """
@@ -345,53 +332,23 @@ def _rank_cut_svd(J: np.ndarray, rank_tol: float):
     return U, s, Vt, s > rank_tol * s[:, :1]
 
 
-def riemannian_grad(f: Polynomial, Z: SingularSpace, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Ambient gradient of f projected onto the tangent space of Z at x."""
-    x = np.asarray(x, dtype=float)
-    amb = gradient(f).evaluate(x)
-    return Z.tangent_project(x, amb)
-
-
 def project_to_level_set(
-    f: Polynomial,
-    Z: SingularSpace,
-    x: Sequence[float] | np.ndarray,
-    c: float,
-    max_iter: int = 60,
-) -> np.ndarray:
-    """Newton least-squares projection onto ``Z  ∩ {f = c}``.
+    f: Polynomial, Z: SingularSpace, X: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project every row of X onto ``Z ∩ {f = c}``.
 
-    Solves the joint system ``g(x) = 0, f(x) - c = 0`` from the given start;
-    the result satisfies ``is_member`` and ``|f - c| < level_tol``.  Raises
-    :class:`LevelProjectionError` on non-convergence.
+    This is :meth:`SingularSpace.retract_batch` on the joint system
+    ``g(x) = 0, f(x) - c = 0`` with target residual ``level_tol``.  Returns
+    the points and a mask of the rows that succeeded: each of those reached
+    the joint residual inside the box, so it has ``|f - c| <= level_tol``
+    and, as ``level_tol <= member_tol``, satisfies ``is_member``.  A failed
+    row holds its last iterate.  Rows do not interact.
     """
-    x = np.array(x, dtype=float)
-    c = float(c)
-    grad_f = gradient(f)
-
-    def joint(p: np.ndarray) -> np.ndarray:
-        g = Z.constraints.evaluate(p) if len(Z.constraints) else np.zeros(0)
-        return np.concatenate([g, [f.evaluate(p) - c]])
-
-    r = joint(x)
-    res = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if res <= Z.level_tol:
-            return x
-        J_g = Z.constraint_jacobian(x) if len(Z.constraints) else np.zeros((0, Z.ambient_dim))
-        J = np.vstack([J_g, grad_f.evaluate(x)[None, :]])
-        d = np.linalg.lstsq(J, r, rcond=Z.rank_tol)[0]
-        lam = 1.0
-        for _ in range(25):
-            x_new = x + (-lam) * d
-            r_new = joint(x_new)
-            res_new = float(np.linalg.norm(r_new))
-            if res_new < res:
-                break
-            lam *= 0.5
-        else:
-            raise LevelProjectionError(f"stalled at joint residual {res:.3e}")
-        x, r, res = x_new, r_new, res_new
-    if res <= Z.level_tol:
-        return x
-    raise LevelProjectionError(f"joint residual {res:.3e} > {Z.level_tol:.1e} after {max_iter} iterations")
+    joint = replace(
+        Z,
+        constraints=PolynomialSystem(Z.constraints.variables, (*Z.constraints.components, f - float(c))),
+        retract_tol=Z.level_tol,
+    )
+    points, ok = joint.retract_batch(X, max_iter=60)
+    lo, hi = np.array(Z.box).T
+    return points, ok & ((points >= lo) & (points <= hi)).all(axis=1)

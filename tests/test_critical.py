@@ -12,7 +12,6 @@ from morseflow.critical import (
     CriticalPoint,
     check_condition1,
     classify,
-    critical_level_sets,
     find_critical_points,
 )
 
@@ -155,10 +154,10 @@ class TestLevelSets:
             CriticalPoint(location=(1.0,), value=1e-9, grad_norm=0.0),
             CriticalPoint(location=(2.0,), value=1.0, grad_norm=0.0),
         ]
-        sets = critical_level_sets(cps)
-        assert [len(s.points) for s in sets] == [2, 1]
-        assert sets[0].value == pytest.approx(0.0, abs=1e-9)
-        assert sets[1].value == 1.0
+        w = check_condition1(cps).witnesses
+        assert (w["n_points"], w["n_values"]) == (3, 2)
+        assert w["values"][0] == pytest.approx(0.0, abs=1e-9)
+        assert w["values"][1] == 1.0
 
 
 def test_critical_point_payload_and_replace(saddle):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from morseflow.cli import load_problem, problem_objects
 from morseflow.flow import (
     _Field,
+    INCONCLUSIVE_TERMINATIONS,
     ArcBudget,
     Converged,
     ReachLevel,
@@ -15,11 +16,9 @@ from morseflow.flow import (
     arc_length,
     ascend_to_level,
     descend_to_level,
-    flow_limit,
     integrate,
     integrate_ensemble,
     trajectory_csv_text,
-    write_trajectory_csv,
 )
 from morseflow.polynomial import PolynomialSystem, parse_polynomial
 from morseflow.space import SingularSpace
@@ -155,21 +154,21 @@ class TestLevelTargets:
 class TestFlowLimit:
     def test_descend_to_origin(self, saddle):
         f, Z = saddle
-        res = flow_limit(f, Z, [1.0, 0.0], "descend")
-        assert res.kind == "converged"
-        assert np.linalg.norm(res.point) < 1e-8
+        traj = integrate(f, Z, [1.0, 0.0], "descend", [Converged(1e-8)])
+        assert traj.termination == "converged"
+        assert np.linalg.norm(traj.endpoint) < 1e-8
 
     def test_backward_flow_identifies_downhill_branch(self, saddle):
         f, Z = saddle
-        res = flow_limit(f, Z, [0.0, 1.0], "ascend")
-        assert res.kind == "converged"
-        assert np.linalg.norm(res.point) < 1e-8
+        traj = integrate(f, Z, [0.0, 1.0], "ascend", [Converged(1e-8)])
+        assert traj.termination == "converged"
+        assert np.linalg.norm(traj.endpoint) < 1e-8
 
     def test_tight_arc_budget_is_inconclusive(self, saddle):
         f, Z = saddle
-        res = flow_limit(f, Z, [1.0, 1.0], "descend", arc_budget=1e-3)
-        assert res.kind == "inconclusive"
-        assert res.trajectory.termination == "arc_budget"
+        traj = integrate(f, Z, [1.0, 1.0], "descend", [Converged(1e-8), ArcBudget(1e-3)])
+        assert traj.termination == "arc_budget"
+        assert traj.termination in INCONCLUSIVE_TERMINATIONS
 
 
 class TestArcLength:
@@ -200,13 +199,6 @@ class TestCsv:
         assert len(lines) == traj.n_samples + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 1.0, 0.5, 0.75, pytest.approx(np.sqrt(5.0)), 0.0]
-
-    def test_file_write_round_trip(self, saddle, tmp_path):
-        f, Z = saddle
-        traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(-0.5)])
-        path = tmp_path / "t.csv"
-        write_trajectory_csv(traj, path)
-        assert path.read_text() == trajectory_csv_text(traj)
 
 
 def test_step_control_max_step_is_honoured(saddle):

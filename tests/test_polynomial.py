@@ -37,11 +37,16 @@ class TestParse:
         b = parse_polynomial("(x - y)*(x + y)", ["x", "y"])
         assert a.terms == b.terms
 
-    def test_leading_minus_binds_before_power(self):
-        # grammar: factor := base ('^' uint)?, base := '-' base,
-        # so -x^2 reads as (-x)^2
-        p = parse_polynomial("-x^2", ["x"])
-        assert terms_of(p) == {(1.0, (2,))}
+    def test_power_binds_tighter_than_leading_minus(self):
+        # grammar: factor := '-' factor | base ('^' uint)?, so -x^2 reads
+        # as -(x^2), as in maths and in Python's -x**2
+        assert terms_of(parse_polynomial("-x^2", ["x"])) == {(-1.0, (2,))}
+        assert terms_of(parse_polynomial("(-x)^2", ["x"])) == {(1.0, (2,))}
+
+    def test_negated_squares_are_a_maximum(self):
+        p = parse_polynomial("-x^2 - y^2", ["x", "y"])
+        assert p.evaluate(np.array([1.0, 1.0])) == -2.0
+        assert str(p) == "-x^2 - y^2"
 
     def test_unknown_identifier_reported_with_position(self):
         with pytest.raises(ParseError) as err:

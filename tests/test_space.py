@@ -1,18 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morseflow import space
-from morseflow.polynomial import PolynomialSystem, parse_polynomial
+from morseflow.cli import builtin_problem, load_problem, problem_objects
+from morseflow.polynomial import PolynomialSystem, gradient, parse_polynomial
 from morseflow.space import (
     SingularSpace,
     min_norm_steps,
     orthogonal_rows,
     project_to_level_set,
-    riemannian_grad,
     row_sums,
 )
+
+PROBLEMS = Path(__file__).resolve().parent / "problems"
+LEVEL_PROBLEMS = {
+    "cone": problem_objects(builtin_problem("cone")),
+    "planes": problem_objects(builtin_problem("planes")),
+    "planes-lift": problem_objects(load_problem(PROBLEMS / "planes-lift.json")),
+}
 
 
 def make_space(constraint_texts, variables, box):
@@ -36,6 +45,21 @@ def cone_wide():
 @pytest.fixture
 def free_plane():
     return make_space([], ["x", "y"], [(-2, 2), (-2, 2)])
+
+
+@st.composite
+def level_blocks(draw):
+    """(problem name, starts, level): starts within a radius of the origin,
+    on Z or off it, and a level near or at the critical value 0."""
+    name = draw(st.sampled_from(sorted(LEVEL_PROBLEMS)))
+    _, Z = LEVEL_PROBLEMS[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from([0.003, 0.03, 0.3, 1.5]))
+    X = radius * rng.uniform(-1.0, 1.0, size=(draw(st.integers(1, 8)), Z.ambient_dim))
+    if draw(st.booleans()):
+        X = Z.retract_batch(X)[0]
+    c = draw(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.1])) * radius**2
+    return name, X, c
 
 
 class TestResidualAndMembership:
@@ -124,38 +148,130 @@ class TestRetract:
 class TestRiemannianGrad:
     def test_unconstrained_is_ambient_gradient(self, free_plane):
         f = parse_polynomial("x^2 - y^2", ["x", "y"])
-        g = riemannian_grad(f, free_plane, [1.0, 1.0])
+        g = free_plane.tangent_project([1.0, 1.0], gradient(f).evaluate(np.array([1.0, 1.0])))
         assert np.allclose(g, [2.0, -2.0], atol=1e-15)
 
     def test_planes_y_branch(self, planes2):
         # tangent direction at (0, 0.5) is the y-axis
         f = parse_polynomial("x^2 - y^2", ["x", "y"])
-        g = riemannian_grad(f, planes2, [0.0, 0.5])
+        g = planes2.tangent_project([0.0, 0.5], gradient(f).evaluate(np.array([0.0, 0.5])))
         assert np.allclose(g, [0.0, -1.0], atol=1e-12)
 
     def test_vanishes_at_critical_point(self, free_plane):
         f = parse_polynomial("x^2 - y^2", ["x", "y"])
-        assert np.allclose(riemannian_grad(f, free_plane, [0.0, 0.0]), 0.0, atol=1e-15)
+        g = free_plane.tangent_project([0.0, 0.0], gradient(f).evaluate(np.zeros(2)))
+        assert np.allclose(g, 0.0, atol=1e-15)
+
+
+def project_one(f, Z, x, c):
+    """project_to_level_set on one start; asserts that it succeeded."""
+    points, ok = project_to_level_set(f, Z, np.array([x], dtype=float), c)
+    assert ok.tolist() == [True]
+    return points[0]
+
+
+def scalar_level_projection(f, Z, x, c, max_iter=60):
+    """Reference: the one-point damped Gauss-Newton loop on (g, f - c) that
+    the batched projection replaced, solving each step with lstsq."""
+    x = np.array(x, dtype=float)
+    grad_f = gradient(f)
+
+    def joint(p):
+        return np.concatenate([Z.constraints.evaluate(p), [f.evaluate(p) - c]])
+
+    r = joint(x)
+    res = float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        if res <= Z.level_tol:
+            return x
+        J = np.vstack([Z.constraints.jacobian_at(x), grad_f.evaluate(x)[None, :]])
+        d = np.linalg.lstsq(J, r, rcond=Z.rank_tol)[0]
+        lam = 1.0
+        for _ in range(25):
+            x_new = x + (-lam) * d
+            r_new = joint(x_new)
+            res_new = float(np.linalg.norm(r_new))
+            if res_new < res:
+                break
+            lam *= 0.5
+        else:
+            return None
+        x, r, res = x_new, r_new, res_new
+    return x if res <= Z.level_tol else None
 
 
 class TestProjectToLevelSet:
     def test_plane_level_zero(self, free_plane):
         f = parse_polynomial("x^2 - y^2", ["x", "y"])
-        y = project_to_level_set(f, free_plane, [1.0, 1.01], 0.0)
+        y = project_one(f, free_plane, [1.0, 1.01], 0.0)
         assert abs(f.evaluate(y)) < 1e-10
         assert min(abs(y[0] - y[1]), abs(y[0] + y[1])) < 1e-9
 
     def test_fixed_point(self, planes2):
         f = parse_polynomial("x^2 - y^2", ["x", "y"])
         x = np.array([0.0, 0.5])
-        y = project_to_level_set(f, planes2, x, -0.25)
+        y = project_one(f, planes2, x, -0.25)
         assert np.allclose(y, x, atol=1e-12)
 
     def test_cone_level_one(self, cone_wide):
         f = parse_polynomial("x", ["x", "y", "z"])
-        y = project_to_level_set(f, cone_wide, [1.0, 0.0, 1.001], 1.0)
+        y = project_one(f, cone_wide, [1.0, 0.0, 1.001], 1.0)
         assert abs(y[0] - 1.0) < 1e-10
         assert cone_wide.is_member(y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_blocks())
+    def test_ok_rows_lie_on_z_at_the_level(self, block):
+        name, X, c = block
+        f, Z = LEVEL_PROBLEMS[name]
+        points, ok = project_to_level_set(f, Z, X, c)
+        for q in points[ok]:
+            assert Z.is_member(q)
+            assert abs(f.evaluate(q) - c) <= Z.level_tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_blocks())
+    def test_rows_are_batch_independent(self, block):
+        name, X, c = block
+        f, Z = LEVEL_PROBLEMS[name]
+        points, ok = project_to_level_set(f, Z, X, c)
+        for i, x in enumerate(X):
+            alone, ok_alone = project_to_level_set(f, Z, x[None, :], c)
+            assert np.array_equal(alone[0], points[i], equal_nan=True)
+            assert ok_alone[0] == ok[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_blocks())
+    def test_ok_rows_match_the_scalar_loop(self, block):
+        name, X, c = block
+        f, Z = LEVEL_PROBLEMS[name]
+        points, ok = project_to_level_set(f, Z, X, c)
+        for x, q in zip(X[ok], points[ok]):
+            ref = scalar_level_projection(f, Z, x, c)
+            assert ref is not None
+            assert np.max(np.abs(q - ref)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(LEVEL_PROBLEMS)), st.floats(0.05, 1.0))
+    def test_landing_outside_the_box_is_not_ok(self, name, excess):
+        # planes: the level x^2 = (2 + excess)^2 on the x-axis; cone: x = 2 + excess
+        f, Z = LEVEL_PROBLEMS[name]
+        x = np.zeros(Z.ambient_dim)
+        x[0] = 2.0 - excess / 2.0
+        if name == "cone":
+            x[2], c = x[0], 2.0 + excess
+        else:
+            c = (2.0 + excess) ** 2
+        points, ok = project_to_level_set(f, Z, x[None, :], c)
+        assert not ok[0]
+        assert abs(f.evaluate(points[0]) - c) <= Z.level_tol  # the solve converged, outside the box
+        assert not Z.inside_box(points[0])
+
+    @pytest.mark.parametrize("name", sorted(LEVEL_PROBLEMS))
+    def test_empty_block(self, name):
+        f, Z = LEVEL_PROBLEMS[name]
+        points, ok = project_to_level_set(f, Z, np.zeros((0, Z.ambient_dim)), 0.0)
+        assert points.shape == (0, Z.ambient_dim) and ok.shape == (0,)
 
 
 class FixedJacobian:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import ArcBudget, Converged, ReachLevel, StepControl, TimeBudget, integrate
+from .flow import ArcBudget, Converged, StepControl, TimeBudget, integrate_ensemble
 from .polynomial import Polynomial, PolynomialSystem, gradient
 from .sampling import ring_probes, substream
 from .space import SingularSpace, min_norm_steps, row_sums
@@ -32,8 +32,8 @@ GAP_TOL = 1e-4
 DEFAULT_GRID_DENSITY = 7
 # grid_density ** n_vars seeds each start a Newton refinement in the critical search
 MAX_GRID_SEEDS = 100_000
-# the critical search refines its seeds this many at a time, which bounds its working arrays
-REFINE_BLOCK = 64
+# the critical search steps at most this many seeds at a time, which bounds its working arrays
+REFINE_POOL = 256
 # the 30 step lengths of a line search, taken in rounds of these sizes
 LINE_SEARCH_ROUNDS = (1, 5, 8, 16)
 
@@ -135,37 +135,56 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
     location even where the residual landscape is extremely flat (x^4
     near 0 reaches residual 1e-12 while still 1e-4 away from the root).
     resid (and jac, else central differences) map an (N, n) block to its
-    rows' residuals (and Jacobians).  Rows never interact: a row's result
-    does not depend on the rows refined with it, or on the blocks of
-    REFINE_BLOCK rows the seeds are cut into.
+    rows' residuals (and Jacobians).
+
+    The rows step in a pool of at most REFINE_POOL, which bounds every
+    working array.  Each iteration tops the pool up from the unstarted rows
+    in order, takes one Jacobian and one least-squares solve over the whole
+    pool, then line-searches the phase-one rows and tests the full step of
+    the polishing ones; a row leaves the pool the moment it is done.  Rows
+    never interact: a row's result does not depend on the rows refined with
+    it, or on the pool width.
     """
     X = np.array(X0, dtype=float)
-    # no seeds still make one (empty) block, so R has its width
-    blocks = [_refine_block(resid, X[lo:lo + REFINE_BLOCK], tol, jac, max_iter, polish_iter, max_step_len)
-              for lo in range(0, max(len(X), 1), REFINE_BLOCK)]
-    return X, np.concatenate([R for R, _ in blocks]), np.concatenate([ok for _, ok in blocks])
+    N, n = X.shape
+    R, rn, ok = None, np.zeros(N), np.zeros(N, dtype=bool)
+    # per row: steps taken in its phase, steps that kept over half the residual, in phase two
+    used, stall, polish = np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
 
+    def settle(rows):
+        """The rows still to step; a phase-one row below tol or out of steps polishes or fails."""
+        rows = rows[ok[rows]]
+        done = rows[~polish[rows] & ((rn[rows] < tol) | (used[rows] >= max_iter))]
+        ok[done] = rn[done] < tol
+        polish[done], used[done] = True, 0
+        rows = rows[ok[rows]]
+        return rows[~polish[rows] | (used[rows] < polish_iter)]
 
-def _refine_block(resid, X, tol, jac, max_iter, polish_iter, max_step_len):
-    """:func:`_refine` on one block: refines X in place, returns its residuals and mask."""
-    n = X.shape[1]
-    R = resid(X)
-    rn = _norms(R)
-    ok = np.isfinite(rn)
-    stall = np.zeros(len(X), dtype=int)
-    rows = ok.nonzero()[0]
-    for _ in range(max_iter):
-        rows = rows[rn[rows] >= tol]
-        if not rows.size:
-            break
-        x = X[rows]
-        step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[rows])
-        finite = np.isfinite(step).all(axis=1)
-        ok[rows[~finite]] = False
-        rows, x, step = rows[finite], x[finite], step[finite]
+    pool, queued = np.zeros(0, dtype=int), 0
+    while True:
+        # no rows still make one (empty) residual call, so R has its width
+        while R is None or (queued < N and len(pool) < REFINE_POOL):
+            new = np.arange(queued, min(N, queued + REFINE_POOL - len(pool)))
+            queued += len(new)
+            r = resid(X[new])
+            if R is None:
+                R = np.zeros((N, r.shape[1]))
+            R[new], rn[new] = r, _norms(r)
+            ok[new] = np.isfinite(rn[new])
+            pool = np.concatenate([pool, settle(new)])
+        if not pool.size:
+            return X, R, ok
+        x = X[pool]
+        step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[pool])
+        moving = np.isfinite(step).all(axis=1)
+        # a non-finite step fails a phase-one row and ends a polishing one
+        ok[pool[~moving & ~polish[pool]]] = False
+
+        one = np.flatnonzero(moving & ~polish[pool])
+        rows, x1, s1 = pool[one], x[one], step[one]
         t = np.ones(len(rows))
         if max_step_len is not None:
-            sn = _norms(step)
+            sn = _norms(s1)
             long = sn > max_step_len
             t[long] = max_step_len / sn[long]
         # each row takes the first of its steps t, t/2, ..., t/2^29 whose
@@ -173,8 +192,10 @@ def _refine_block(resid, X, tol, jac, max_iter, polish_iter, max_step_len):
         # several at once, which picks the same step in fewer calls
         todo, tried = np.arange(len(rows)), 0
         for width in LINE_SEARCH_ROUNDS:
+            if not todo.size:
+                break
             T = t[todo, None] * 0.5 ** np.arange(tried, tried + width)
-            xn = x[todo, None, :] + T[:, :, None] * step[todo, None, :]
+            xn = x1[todo, None, :] + T[:, :, None] * s1[todo, None, :]
             r_new = resid(xn.reshape(-1, n)).reshape(len(todo), width, -1)
             rn_new = _norms(r_new)
             down = np.isfinite(rn_new) & (rn_new < rn[rows[todo], None])
@@ -185,27 +206,22 @@ def _refine_block(resid, X, tol, jac, max_iter, polish_iter, max_step_len):
             stall[hit] = np.where(rn_new > 0.5 * rn[hit], stall[hit] + 1, 0)
             X[hit], R[hit], rn[hit] = xn, r_new, rn_new
             todo, tried = todo[~found], tried + width
-            if not todo.size:
-                break
         ok[rows[todo]] = False
         ok[rows[stall[rows] >= 6]] = False
-        rows = rows[ok[rows]]
-    ok &= rn < tol
-    rows = ok.nonzero()[0]
-    for _ in range(polish_iter):
-        if not rows.size:
-            break
-        x = X[rows]
-        step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[rows])
-        finite = np.isfinite(step).all(axis=1)
-        rows, xn, step = rows[finite], x[finite] + step[finite], step[finite]
-        r_new = resid(xn)
-        rn_new = _norms(r_new)
-        kept = np.isfinite(rn_new) & (rn_new <= np.maximum(rn[rows], tol))
-        rows, xn, step = rows[kept], xn[kept], step[kept]
-        X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
-        rows = rows[_norms(step) >= 1e-14 * (1.0 + _norms(xn))]
-    return R, ok
+
+        # polish: the full step, kept unless the residual rises above tol;
+        # a rise or a negligible step ends the polish
+        two = np.flatnonzero(moving & polish[pool])
+        if two.size:
+            rows, xn, s2 = pool[two], x[two] + step[two], step[two]
+            r_new = resid(xn)
+            rn_new = _norms(r_new)
+            kept = np.isfinite(rn_new) & (rn_new <= np.maximum(rn[rows], tol))
+            rows, xn, s2, moving[two] = rows[kept], xn[kept], s2[kept], kept
+            X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
+            moving[two[kept]] = _norms(s2) >= 1e-14 * (1.0 + _norms(xn))
+        used[pool] += 1
+        pool = settle(pool[moving])
 
 
 def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray, rho: float = 1e-4):
@@ -218,22 +234,20 @@ def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray, rho: floa
     ambient gradient does not vanish.
     """
     p = np.asarray(p, dtype=float)
-    best = np.inf
-    control = StepControl(max_step=rho / 4.0)
-    for direction in ("descend", "ascend"):
-        traj = integrate(
-            f,
-            Z,
-            p,
-            direction=direction,
-            stops=[Converged(1e-8), ArcBudget(10.0 * rho), TimeBudget(1e4)],
-            control=control,
-        )
+    probes = integrate_ensemble(
+        f,
+        Z,
+        [p, p],
+        directions=("descend", "ascend"),
+        stops=[Converged(1e-8), ArcBudget(10.0 * rho), TimeBudget(1e4)],
+        control=StepControl(max_step=rho / 4.0),
+        record=True,
+    )
+    for traj in probes:
         disp = float(np.max(np.linalg.norm(traj.y - p[None, :], axis=1)))
         if disp > 2.0 * rho:
             return False, np.inf
-        best = min(best, float(np.min(traj.grad_norm)))
-    return True, best
+    return True, min(float(np.min(traj.grad_norm)) for traj in probes)
 
 
 def _smooth_residual(f: Polynomial, Z: SingularSpace):
@@ -346,19 +360,14 @@ def find_critical_points(
 def _saddle_witnesses(f, Z, cp, below_probe, probe_radius) -> bool:
     """Both saddle witnesses: the down-flow escapes, the back-flow returns."""
     center = cp.point()
-    budget = ArcBudget(max(50.0 * probe_radius, 1.0))
-
-    down = integrate(f, Z, below_probe, direction="descend", stops=[Converged(1e-8), budget])
-    max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))
-    if max_dist <= 2.0 * probe_radius:
-        return False
-
-    up = integrate(
-        f, Z, below_probe, direction="ascend",
-        stops=[ReachLevel(cp.value), Converged(1e-8), budget],
+    down, up = integrate_ensemble(
+        f, Z, [below_probe, below_probe], directions=("descend", "ascend"), levels=(None, cp.value),
+        stops=[Converged(1e-8), ArcBudget(max(50.0 * probe_radius, 1.0))], record=(True, False),
     )
+    max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))
     end_dist = float(np.linalg.norm(up.endpoint - center))
-    return up.termination in ("reach_level", "converged") and end_dist <= probe_radius
+    return (max_dist > 2.0 * probe_radius and up.termination in ("reach_level", "converged")
+            and end_dist <= probe_radius)
 
 
 def classify(
@@ -394,7 +403,7 @@ def classify(
         )
         return "unresolved"
     probes = np.array(probes)
-    values = np.array([float(f.evaluate(p)) for p in probes])
+    values = f.evaluate(probes)
     dv = values - cp.value
     scale = float(np.max(np.abs(dv)))
     if scale <= 1e-12 * (1.0 + abs(cp.value)):

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blocked_refine
 from morseflow import critical
 from morseflow.cli import builtin_problem, load_problem, problem_objects
+from morseflow.sampling import ring_probes, substream
 from morseflow.critical import (
     CLUSTER_TOL,
     CRIT_TOL,
@@ -105,6 +107,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(f, Z, fake)
 
+    @pytest.mark.parametrize("name", ["saddle", "quartic", "planes", "cone"])
+    def test_probe_values_are_the_pointwise_values(self, name):
+        # classify evaluates its probe ring in one batched call
+        f, Z = problem_objects(builtin_problem(name))
+        (cp,) = find_critical_points(f, Z)
+        probes = np.array(ring_probes(Z, cp.point(), 0.01, substream(0, "classify"), n_random=24))
+        assert len(probes) > 1
+        np.testing.assert_array_equal(f.evaluate(probes), [f.evaluate(p) for p in probes])
+
     def test_constant_objective_degenerate(self, saddle):
         from morseflow.polynomial import parse_polynomial
 
@@ -177,6 +188,15 @@ def planes_lift():
     return problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
 
 
+def search_passes(f, Z):
+    """(resid, jac, seeds) of each pass of find_critical_points on the default grid."""
+    seeds = critical._grid_seeds(Z, critical.default_grid_density(Z.ambient_dim))
+    starts, retracted = Z.retract_batch(seeds)
+    system = critical._singular_system(Z)
+    return [(critical._smooth_residual(f, Z), None, starts[retracted]),
+            (system.evaluate, system.jacobian_at, seeds)]
+
+
 def line_jacobian(X):
     return np.ones((len(X), 1, 1))
 
@@ -198,11 +218,56 @@ class TestBatchedRefinement:
             Xi, _, good_i = critical._refine(resid, X0[i:i + 1], 1e-12, **kw)
             assert good_i[0] == good[i]
             np.testing.assert_array_equal(Xi[0], X[i])
-        # and whatever the block boundaries
-        monkeypatch.setattr(critical, "REFINE_BLOCK", 4)
-        X4, _, good4 = critical._refine(resid, X0, 1e-12, **kw)
-        np.testing.assert_array_equal(X4, X)
-        np.testing.assert_array_equal(good4, good)
+        # and whatever the pool width; rows leave phase one at different
+        # steps, so in narrow pools one Jacobian call mixes both phases
+        for width in (1, 3, 4):
+            monkeypatch.setattr(critical, "REFINE_POOL", width)
+            Xw, _, good_w = critical._refine(resid, X0, 1e-12, **kw)
+            np.testing.assert_array_equal(Xw, X)
+            np.testing.assert_array_equal(good_w, good)
+
+    @pytest.mark.parametrize("name", ["cone", "cone-lift", "planes-lift"])
+    def test_pool_matches_the_blocked_refinement(self, name):
+        # both passes of the search on the full default grid, against the
+        # fixed-block loop the pool replaced
+        spec = builtin_problem(name) if name == "cone" else load_problem(PROBLEMS / f"{name}.json")
+        f, Z = problem_objects(spec)
+        for resid, jac, X0 in search_passes(f, Z):
+            kw = dict(jac=jac, max_step_len=2.0 * Z.box_diameter)
+            got = critical._refine(resid, X0, 1e-12, **kw)
+            for a, b in zip(got, blocked_refine.refine(resid, X0, 1e-12, **kw)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("width", [4, critical.REFINE_POOL])
+    def test_pool_bounds_every_batch(self, width, cone, monkeypatch):
+        f, Z = cone
+        monkeypatch.setattr(critical, "REFINE_POOL", width)
+        seen = {"jac": [], "resid": [], "differences": []}
+        differencing = []
+
+        def traced(fn, key):
+            def call(X, *args):
+                seen["differences" if differencing and key == "resid" else key].append(len(X))
+                return fn(X, *args)
+            return call
+
+        def differences(resid, X):
+            differencing.append(True)
+            try:
+                return central_differences(resid, X)
+            finally:
+                differencing.pop()
+
+        central_differences = critical._central_differences
+        monkeypatch.setattr(critical, "_central_differences", differences)
+        n = Z.ambient_dim
+        for resid, jac, X0 in search_passes(f, Z):  # 343 seeds each
+            assert len(X0) > width
+            critical._refine(traced(resid, "resid"), X0, 1e-12,
+                             jac=jac and traced(jac, "jac"), max_step_len=2.0 * Z.box_diameter)
+        assert max(seen["jac"]) == width
+        assert max(seen["resid"]) <= width * max(critical.LINE_SEARCH_ROUNDS)
+        assert max(seen["differences"]) == 2 * n * width
 
     def test_non_finite_row_fails_alone(self):
         # root at x = 0.5; the residual is NaN beyond x = 5

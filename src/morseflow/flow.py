@@ -49,8 +49,6 @@ __all__ = [
     "FlowTrajectory",
     "integrate",
     "integrate_ensemble",
-    "descend_to_level",
-    "ascend_to_level",
     "arc_length",
     "trajectory_csv_text",
     "INCONCLUSIVE_TERMINATIONS",
@@ -76,7 +74,9 @@ class Converged:
 
 @dataclass(frozen=True)
 class ArcBudget:
-    limit: float
+    """Stop when the arc length reaches limit: one value, or one per ensemble member."""
+
+    limit: float | Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,6 @@ class FlowTrajectory:
     arc: np.ndarray
     termination: str
     rank_transitions: int = 0
-    captured: bool = False
     n_accepted: int = 0
     n_rejected: int = 0
 
@@ -184,11 +183,6 @@ class _Field:
         self.grad_sys = gradient(f)
         self.ctrl = ctrl
         self.constrained = len(Z.constraints) > 0
-        self.lo, self.hi = np.array(Z.box).T
-
-    def inside_box(self, Y: np.ndarray) -> np.ndarray:
-        """``Z.inside_box`` for each row."""
-        return ((Y >= self.lo) & (Y <= self.hi)).all(axis=1)
 
     def projected_grad(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projected gradient at each row, and the effective rank of Dg there."""
@@ -293,7 +287,8 @@ def integrate_ensemble(
     :class:`ReachLevel`).  A single direction or level applies to every
     member.  ``stops`` holds the shared criteria (:class:`Converged`,
     :class:`ArcBudget`, :class:`TimeBudget`); time and arc budgets default
-    to generous values so every member terminates.  Box containment is
+    to generous values so every member terminates, and an
+    :class:`ArcBudget` may give one limit per member.  Box containment is
     always enforced.  Every step-control and stop rule applies to each
     member on its own, so member i ends exactly as ``integrate`` from
     ``X0[i]`` does, bit for bit.
@@ -315,19 +310,22 @@ def integrate_ensemble(
     record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
     ctrl = _resolve_control(Z, control)
     conv, arc_budget, time_budget = _shared_stops(stops, ctrl)
+    arc_budget = np.array(_per_member(arc_budget, N, "ArcBudget.limit"), dtype=float)
     fld = _Field(f, Z, ctrl)
 
-    for x0 in X0:
-        if not Z.is_member(x0):
-            raise ValueError(f"start point {x0.tolist()} is not on Z (residual {Z.residual(x0):.3e} or outside box)")
+    G = Z.constraints.evaluate(X0) if fld.constrained else np.zeros((N, 1))
+    res = np.sqrt(row_sums(G * G))
+    bad = np.flatnonzero(~((res <= Z.member_tol) & Z.inside_box(X0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"start point {i} at {X0[i].tolist()} is not on Z (residual {res[i]:.3e} or outside box)")
     Y = X0.copy()
-    if fld.constrained:
-        off = np.array([Z.residual(x0) > Z.retract_tol for x0 in X0], dtype=bool)
-        if off.any():
-            Y[off], ok = Z.retract_batch(X0[off])
-            if not ok.all():
-                bad = X0[off][np.flatnonzero(~ok)[0]]
-                raise RetractionError(f"start point {bad.tolist()} does not retract onto Z")
+    off = res > Z.retract_tol
+    if off.any():
+        Y[off], ok = Z.retract_batch(X0[off])
+        if not ok.all():
+            i = np.flatnonzero(off)[np.flatnonzero(~ok)[0]]
+            raise RetractionError(f"start point {i} at {X0[i].tolist()} does not retract onto Z")
 
     sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
     c = np.array([np.nan if lv is None else float(lv) for lv in levels])
@@ -406,7 +404,7 @@ def integrate_ensemble(
         f_new = f.evaluate(y_new)
         cross = step & ((act.fy - act.c) * (f_new - act.c) <= 0.0)
         code[cross] = TERMS.index("land")
-        outside = step & ~cross & ~fld.inside_box(y_new)
+        outside = step & ~cross & ~Z.inside_box(y_new)
         code[outside] = TERMS.index("left_box")
         step &= ~cross & ~outside
 
@@ -423,7 +421,7 @@ def integrate_ensemble(
         keep_samples(act, np.flatnonzero(step & act.record))
         # the first stop that fires wins: set the others first
         code[step & (act.t >= time_budget)] = TERMS.index("time_budget")
-        code[step & (act.arc >= arc_budget)] = TERMS.index("arc_budget")
+        code[step & (act.arc >= arc_budget[act.idx])] = TERMS.index("arc_budget")
         if conv is not None:
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
             code[step & (act.conv_run >= ctrl.conv_consecutive)] = TERMS.index("converged")
@@ -480,7 +478,7 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
     finish(cr.select(~landed), "landing_failed")
     cr = cr.select(landed)
     y_land, h_land, f_land = y_land[landed], h_land[landed], f_land[landed]
-    inside = fld.inside_box(y_land)
+    inside = Z.inside_box(y_land)
     finish(cr.select(~inside), "left_box")
     cr, y_land, h_land, f_land = cr.select(inside), y_land[inside], h_land[inside], f_land[inside]
     g_land = fld.projected_grad(y_land)[0]
@@ -510,8 +508,6 @@ def integrate(
     sample with termination ``left_box``.  Every recorded sample lies on Z.
     This is :func:`integrate_ensemble` on one member, with every sample kept.
     """
-    if direction not in ("descend", "ascend"):
-        raise ValueError(f"direction must be 'descend' or 'ascend', got {direction!r}")
     reach = [s for s in stops if isinstance(s, ReachLevel)]
     if len(reach) > 1:
         raise ValueError("at most one reach_level stop is supported")
@@ -521,51 +517,18 @@ def integrate(
     return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, control, record=True)[0]
 
 
-def check_level_target(f: Polynomial, x0, c: float, direction: str) -> None:
-    """Raise ValueError unless the level c lies strictly beyond f(x0) in the flow direction."""
-    fx = f.evaluate(np.asarray(x0, dtype=float))
-    if direction == "descend" and not c < fx:
-        raise ValueError(f"descend target {c} is not below f(x0) = {fx}")
-    if direction == "ascend" and not c > fx:
-        raise ValueError(f"ascend target {c} is not above f(x0) = {fx}")
+def check_level_target(f: Polynomial, X, c: float, direction: str) -> None:
+    """Raise ValueError unless the level c lies strictly beyond f in the flow direction at every row of X.
 
-
-def descend_to_level(
-    f: Polynomial,
-    Z: SingularSpace,
-    x0: Sequence[float] | np.ndarray,
-    c: float,
-    grad_tol: float = 1e-8,
-    control: StepControl | None = None,
-    arc_budget: float | None = None,
-) -> FlowTrajectory:
-    """Descend until f = c; flags ``captured`` if the flow converges first."""
-    check_level_target(f, x0, c, "descend")
-    stops: list[StopCriterion] = [ReachLevel(float(c)), Converged(grad_tol)]
-    if arc_budget is not None:
-        stops.append(ArcBudget(arc_budget))
-    traj = integrate(f, Z, x0, "descend", stops, control)
-    traj.captured = traj.termination == "converged"
-    return traj
-
-
-def ascend_to_level(
-    f: Polynomial,
-    Z: SingularSpace,
-    x0: Sequence[float] | np.ndarray,
-    c: float,
-    grad_tol: float = 1e-8,
-    control: StepControl | None = None,
-    arc_budget: float | None = None,
-) -> FlowTrajectory:
-    """Ascend until f = c; flags ``captured`` if the flow converges first."""
-    check_level_target(f, x0, c, "ascend")
-    stops: list[StopCriterion] = [ReachLevel(float(c)), Converged(grad_tol)]
-    if arc_budget is not None:
-        stops.append(ArcBudget(arc_budget))
-    traj = integrate(f, Z, x0, "ascend", stops, control)
-    traj.captured = traj.termination == "converged"
-    return traj
+    X has shape (N, n); f is evaluated once over the block, and the error
+    names the first row on the wrong side.
+    """
+    fx = f.evaluate(np.asarray(X, dtype=float))
+    below = direction == "descend"
+    wrong = np.flatnonzero(~(c < fx) if below else ~(c > fx))
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"{direction} target {c} is not {'below' if below else 'above'} f(x) = {fx[i]} at row {i}")
 
 
 def arc_length(traj: FlowTrajectory, up_to_t: float | None = None) -> float:

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import (
-    ArcBudget,
-    Converged,
-    INCONCLUSIVE_TERMINATIONS,
-    ascend_to_level,
-    check_level_target,
-    descend_to_level,
-    integrate,
-    integrate_ensemble,
-)
+from .flow import ArcBudget, Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, integrate_ensemble
 from .sampling import ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
@@ -78,29 +69,30 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources, control=None) ->
     Direction follows the sign of b - a.  Captured trajectories (converged
     before the target level) are flagged, not errors; their image is the
     numerical limit point.  Budget-terminated pairs keep their termination
-    string so callers can report them.
+    string so callers can report them.  All sources flow as one ensemble.
     """
-    pairs = []
-    for i, s in enumerate(sources):
-        s = np.asarray(s, dtype=float)
+    S = np.reshape(np.asarray(sources, dtype=float), (-1, Z.ambient_dim))
+    for i, s in enumerate(S):
         if not Z.is_member(s):
             raise ValueError(f"source {i} is not on Z (residual {Z.residual(s):.3g})")
         if abs(float(f.evaluate(s)) - a) > Z.level_tol:
             raise ValueError(f"source {i} is not on the starting level {a}")
-        if b == a:
-            pairs.append(LevelPair(tuple(s), tuple(s), 0.0, False, "identity"))
-            continue
-        mover = ascend_to_level if b > a else descend_to_level
-        traj = mover(f, Z, s, b, control=control)
-        pairs.append(
-            LevelPair(
-                source=tuple(float(v) for v in s),
-                image=tuple(float(v) for v in traj.endpoint),
-                arc=float(traj.total_arc),
-                captured=bool(traj.captured),
-                termination=traj.termination,
-            )
+    if b == a:
+        pairs = [LevelPair(tuple(s), tuple(s), 0.0, False, "identity") for s in S]
+        return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
+    direction = "ascend" if b > a else "descend"
+    check_level_target(f, S, b, direction)
+    flows = integrate_ensemble(f, Z, S, direction, b, [Converged(1e-8)], control)
+    pairs = [
+        LevelPair(
+            source=tuple(float(v) for v in s),
+            image=tuple(float(v) for v in traj.endpoint),
+            arc=float(traj.total_arc),
+            captured=traj.termination == "converged",
+            termination=traj.termination,
         )
+        for s, traj in zip(S, flows)
+    ]
     return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
 
 
@@ -160,8 +152,7 @@ def unstable_slice(
             "the critical point is a minimum (or the radius is too small)"
         )
 
-    for p in starts:
-        check_level_target(f, p, level, "descend")
+    check_level_target(f, starts, level, "descend")
     flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)], control)
     landings = [traj.endpoint for traj in flows if traj.termination == "reach_level"]
     if not landings:
@@ -172,24 +163,25 @@ def unstable_slice(
         if all(np.linalg.norm(q - r) > SLICE_CLUSTER_TOL for r in reps):
             reps.append(q)
 
-    for rep in reps:
-        check_level_target(f, rep, cp.value, "ascend")
+    check_level_target(f, reps, cp.value, "ascend")
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)], control)
+    dists = [float(np.linalg.norm(up.endpoint - center)) for up in ups]
+    # ride the flow into the fixed point: the level is reached a touch away
+    # from it whenever the approach is asymptotic
+    rides = [i for i, up in enumerate(ups) if dists[i] > SLICE_CLUSTER_TOL and up.termination == "reach_level"]
+    if rides:
+        polish = integrate_ensemble(
+            f, Z, [ups[i].endpoint for i in rides], "ascend",
+            stops=[Converged(1e-8), ArcBudget([max(10.0 * dists[i], 1e-6) for i in rides])],
+            control=control,
+        )
+        for i, traj in zip(rides, polish):
+            dists[i] = min(dists[i], float(np.linalg.norm(traj.endpoint - center)))
     validated = []
-    for rep, up in zip(reps, ups):
+    for rep, up, dist in zip(reps, ups, dists):
         if up.termination not in ("reach_level", "converged"):
             log.warning("slice landing %s failed to flow back (%s)", rep, up.termination)
             continue
-        dist = float(np.linalg.norm(up.endpoint - center))
-        if dist > SLICE_CLUSTER_TOL and up.termination == "reach_level":
-            # ride the flow into the fixed point: the level is reached a
-            # touch away from it whenever the approach is asymptotic
-            polish = integrate(
-                f, Z, up.endpoint, direction="ascend",
-                stops=[Converged(1e-8), ArcBudget(max(10.0 * dist, 1e-6))],
-                control=control,
-            )
-            dist = min(dist, float(np.linalg.norm(polish.endpoint - center)))
         if dist <= SLICE_CLUSTER_TOL:
             validated.append(tuple(float(v) for v in rep))
         else:
@@ -328,8 +320,7 @@ def check_condition4(
     starts[use] = Q[use]
     witnesses["n_projected"] = int(use.sum())
 
-    for p in starts:
-        check_level_target(f, p, target, "descend")
+    check_level_target(f, starts, target, "descend")
     # the first flow of each radius is recorded in full for collect
     flows = integrate_ensemble(
         f, Z, starts, "descend", target, [Converged(1e-8)], control,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, CriticalPoint
-from .flow import descend_to_level
+from .flow import Converged, check_level_target, integrate_ensemble
 from .polynomial import gradient
 from .sampling import gaussian_cloud, substream
 from .space import SingularSpace, row_sums
@@ -198,7 +198,8 @@ def verify_flow_estimates(
 
     Captured trajectories (converged before the target level) are excluded
     from (ii)/(iii) and counted as stable-set evidence.  Minima are
-    refused: there is no level below to descend to.
+    refused: there is no level below to descend to.  All starts descend as
+    one ensemble, every sample recorded.
     """
     if cp.kind == "minimum":
         raise ValueError("critical point is a minimum; no descending side exists")
@@ -208,7 +209,7 @@ def verify_flow_estimates(
     delta = fit.radius_delta
     center = cp.point()
 
-    starts = [np.asarray(s, dtype=float) for s in starts]
+    starts = np.reshape(np.asarray(starts, dtype=float), (-1, Z.ambient_dim))
     for i, s in enumerate(starts):
         if not Z.is_member(s):
             raise ValueError(f"start {i} is not on Z (residual {Z.residual(s):.3g})")
@@ -230,8 +231,8 @@ def verify_flow_estimates(
     arc_worst = 0.0
     arc_pass = 0
 
-    for s in starts:
-        traj = descend_to_level(f, Z, s, target, control=control)
+    check_level_target(f, starts, target, "descend")
+    for traj in integrate_ensemble(f, Z, starts, "descend", target, [Converged(1e-8)], control, record=True):
         if traj.termination not in ("reach_level", "converged"):
             n_inconclusive += 1
             continue
@@ -249,7 +250,7 @@ def verify_flow_estimates(
             if rhs > 0:
                 i_worst = min(i_worst, lhs / rhs)
 
-        if traj.captured:
+        if traj.termination == "converged":
             n_captured += 1
             continue
 

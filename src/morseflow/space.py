@@ -88,13 +88,15 @@ class SingularSpace:
             return 0.0
         return float(np.linalg.norm(self.constraints.evaluate(np.asarray(x, dtype=float))))
 
-    def inside_box(self, x: Sequence[float] | np.ndarray, margin: float = 0.0) -> bool:
-        """Whether every coordinate lies in its interval; NaN lies in none."""
+    def inside_box(self, x: Sequence[float] | np.ndarray, margin: float = 0.0) -> bool | np.ndarray:
+        """Whether every coordinate lies in its interval, shrunk by margin; NaN lies in none.
+
+        x is one point, giving a bool, or an (N, n) block, giving one flag per row.
+        """
         x = np.asarray(x, dtype=float)
-        for xi, (lo, hi) in zip(x, self.box):
-            if not lo + margin <= xi <= hi - margin:
-                return False
-        return True
+        lo, hi = np.array(self.box).T
+        inside = ((x >= lo + margin) & (x <= hi - margin)).all(axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
     def is_member(self, x: Sequence[float] | np.ndarray, tol: float | None = None) -> bool:
         tol = self.member_tol if tol is None else tol
@@ -350,5 +352,4 @@ def project_to_level_set(
         retract_tol=Z.level_tol,
     )
     points, ok = joint.retract_batch(X, max_iter=60)
-    lo, hi = np.array(Z.box).T
-    return points, ok & ((points >= lo) & (points <= hi)).all(axis=1)
+    return points, ok & Z.inside_box(points)

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from morseflow.cli import builtin_problem, problem_objects
+from morseflow.cli import builtin_problem, load_problem, problem_objects
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +23,8 @@ def planes():
 @pytest.fixture(scope="session")
 def cone():
     return problem_objects(builtin_problem("cone"))
+
+
+@pytest.fixture(scope="session")
+def planes_lift():
+    return problem_objects(load_problem(Path(__file__).resolve().parent / "problems" / "planes-lift.json"))

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from morseflow.cli import load_problem, problem_objects
 from morseflow.flow import (
-    _Field,
     INCONCLUSIVE_TERMINATIONS,
     ArcBudget,
     Converged,
     ReachLevel,
     StepControl,
     arc_length,
-    ascend_to_level,
-    descend_to_level,
+    check_level_target,
     integrate,
     integrate_ensemble,
     trajectory_csv_text,
@@ -114,7 +112,7 @@ class TestIntegrate:
 class TestLevelTargets:
     def test_descend_endpoint_matches_conserved_product_oracle(self, saddle):
         f, Z = saddle
-        traj = descend_to_level(f, Z, [0.01, 0.01], -0.01)
+        traj = integrate(f, Z, [0.01, 0.01], "descend", [ReachLevel(-0.01), Converged(1e-8)])
         assert traj.termination == "reach_level"
         # endpoint solves x*y = 1e-4, y^2 - x^2 = 0.01
         y_sq = (0.01 + np.sqrt(0.01**2 + 4e-8)) / 2.0
@@ -123,8 +121,7 @@ class TestLevelTargets:
 
     def test_descend_below_minimum_is_captured(self):
         f, Z = r1_square()
-        traj = descend_to_level(f, Z, [1.0], -0.5)
-        assert traj.captured
+        traj = integrate(f, Z, [1.0], "descend", [ReachLevel(-0.5), Converged(1e-8)])
         assert traj.termination == "converged"
         assert abs(traj.endpoint[0]) < 1e-6
 
@@ -132,23 +129,23 @@ class TestLevelTargets:
         # the pull toward x = 0 decays like x^3, so a tight gradient
         # tolerance is unreachable within the step limit
         f, Z = r1_quartic()
-        traj = descend_to_level(f, Z, [0.5], -0.5, grad_tol=1e-5)
-        assert traj.captured
+        traj = integrate(f, Z, [0.5], "descend", [ReachLevel(-0.5), Converged(1e-5)])
+        assert traj.termination == "converged"
         assert abs(traj.endpoint[0]) < 0.05
 
     def test_round_trip_between_regular_levels(self, saddle):
         f, Z = saddle
         start = np.array([1e-3, np.sqrt(0.01 + 1e-6)])  # exactly on f = -0.01
-        up = ascend_to_level(f, Z, start, -0.005)
+        up = integrate(f, Z, start, "ascend", [ReachLevel(-0.005), Converged(1e-8)])
         assert up.termination == "reach_level"
-        down = descend_to_level(f, Z, up.endpoint, -0.01)
+        down = integrate(f, Z, up.endpoint, "descend", [ReachLevel(-0.01), Converged(1e-8)])
         assert down.termination == "reach_level"
         assert np.linalg.norm(down.endpoint - start) < 1e-6
 
     def test_wrong_side_target_rejected(self, saddle):
         f, Z = saddle
         with pytest.raises(ValueError):
-            descend_to_level(f, Z, [1.0, 0.0], 2.0)
+            integrate(f, Z, [1.0, 0.0], "descend", [ReachLevel(2.0), Converged(1e-8)])
 
 
 class TestFlowLimit:
@@ -236,19 +233,37 @@ def test_nan_coordinate_is_outside_the_box():
     assert not Z.inside_box([np.nan, 0.0])
     assert not Z.inside_box([0.0, np.inf])
     assert Z.inside_box([2.0, -2.0])
-    field = _Field(parse_polynomial("x", ["x", "y"]), Z, StepControl())
     rows = np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, -np.inf], [2.0, -2.0]])
-    assert field.inside_box(rows).tolist() == [True, False, False, True]
+    assert Z.inside_box(rows).tolist() == [True, False, False, True]
+
+
+def test_box_test_of_a_block_matches_each_point():
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-1.0, 1.0)))
+    rows = np.array([[0.0, 0.0], [1.95, 0.0], [0.0, -1.0], [-2.0 - 1e-10, 0.5], [np.nan, 0.0]])
+    for margin in (0.0, 0.1, -1e-9):
+        block = Z.inside_box(rows, margin=margin)
+        assert block.dtype == bool and block.shape == (5,)
+        assert block.tolist() == [Z.inside_box(x, margin=margin) for x in rows]
+        assert all(type(Z.inside_box(x, margin=margin)) is bool for x in rows)
+    assert Z.inside_box(rows, margin=0.1).tolist() == [True, False, False, False, False]
+    assert Z.inside_box(rows, margin=-1e-9).tolist() == [True, True, True, True, False]
+
+
+def test_level_target_check_names_the_first_wrong_row(saddle):
+    f, _ = saddle
+    rows = np.array([[1.0, 0.0], [1.0, 0.3], [1.0, 0.5], [0.0, 1.0]])  # f = 1, 0.91, 0.75, -1
+    check_level_target(f, rows[:3], 0.5, "descend")
+    with pytest.raises(ValueError, match="at row 2$"):
+        check_level_target(f, rows, 0.8, "descend")
+    with pytest.raises(ValueError, match="at row 0$"):
+        check_level_target(f, rows, 0.8, "ascend")
+    with pytest.raises(ValueError, match="not above .* at row 1$"):
+        check_level_target(f, rows[[3, 0]], 0.95, "ascend")
 
 
 # -- the ensemble integrator ---------------------------------------------
 
 PROBLEMS = Path(__file__).resolve().parent / "problems"
-
-
-@pytest.fixture(scope="module")
-def planes_lift():
-    return problem_objects(load_problem(PROBLEMS / "planes-lift.json"))
 
 
 def ensemble_case(name, quartic, cone, planes_lift):
@@ -297,6 +312,42 @@ def test_unrecorded_member_keeps_start_and_end(saddle):
     for column in ("t", "y", "f", "grad_norm", "arc"):
         kept = getattr(again, column)
         assert np.array_equal(getattr(bare, column), kept[[0, -1]])
+
+
+@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift"])
+def test_per_member_arc_budget_is_bit_identical_to_integrate(name, quartic, cone, planes_lift):
+    f, Z, starts, directions, levels = ensemble_case(name, quartic, cone, planes_lift)
+    limits = [0.01, 0.05, 0.2, 1e-3]
+    flows = integrate_ensemble(f, Z, starts, directions, levels, [Converged(1e-3), ArcBudget(limits)],
+                               record=True)
+    for x0, direction, level, limit, traj in zip(starts, directions, levels, limits, flows):
+        reach = [] if level is None else [ReachLevel(level)]
+        one = integrate(f, Z, x0, direction, [Converged(1e-3), ArcBudget(limit)] + reach)
+        assert traj.termination == one.termination
+        assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
+        for column in ("t", "y", "f", "grad_norm", "arc"):
+            assert np.array_equal(getattr(traj, column), getattr(one, column))
+    assert "arc_budget" in {t.termination for t in flows}
+
+
+def test_arc_budget_of_the_wrong_length_is_rejected(saddle):
+    f, Z = saddle
+    starts = [[1.0, 0.3], [0.9, 0.5]]
+    for limits in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match="ArcBudget.limit"):
+            integrate_ensemble(f, Z, starts, "descend", stops=[ArcBudget(limits)])
+
+
+def test_start_off_z_is_named_by_its_row(cone):
+    f, Z = cone
+    starts = np.array([Z.retract(p) for p in ([0.5, 0.5, 0.7], [0.3, -0.2, 0.4], [0.2, 0.6, -0.6])])
+    starts = np.insert(starts, 2, [0.5, 0.5, 0.5], axis=0)  # residual 0.25
+    starts = np.vstack([starts, [[0.1, 0.0, 0.0]]])  # a second bad row; the first is named
+    with pytest.raises(ValueError, match=r"start point 2 at \[0\.5, 0\.5, 0\.5\] is not on Z"):
+        integrate_ensemble(f, Z, starts, "descend")
+    starts[2] = [0.5, 0.5, 3.0]  # on no cone point, and outside the box
+    with pytest.raises(ValueError, match="start point 2 at"):
+        integrate_ensemble(f, Z, starts, "descend")
 
 
 def test_ensemble_validates_every_member_before_stepping(saddle):

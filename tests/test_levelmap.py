@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import single_flow_loops
+from morseflow import levelmap
 from morseflow.critical import CriticalPoint
 from morseflow.levelmap import (
     SLICE_CLUSTER_TOL,
@@ -10,7 +12,7 @@ from morseflow.levelmap import (
     roundtrip_error,
     unstable_slice,
 )
-from morseflow.flow import ascend_to_level
+from morseflow.flow import Converged, ReachLevel, integrate
 
 
 def on_saddle_level(x, level):
@@ -82,7 +84,7 @@ class TestUnstableSlice:
         f, Z = saddle
         slc = unstable_slice(f, Z, origin_cp(), -0.01, seed=0)
         for p in slc.points:
-            traj = ascend_to_level(f, Z, np.asarray(p), 0.0)
+            traj = integrate(f, Z, np.asarray(p), "ascend", [ReachLevel(0.0), Converged(1e-8)])
             assert np.linalg.norm(traj.endpoint) < SLICE_CLUSTER_TOL
 
     def test_cone_slice_lands_on_the_rays(self, cone):
@@ -104,6 +106,52 @@ class TestUnstableSlice:
         f, Z = saddle
         with pytest.raises(ValueError):
             unstable_slice(f, Z, origin_cp(), 0.5, seed=0)
+
+
+class TestMatchesTheSingleFlowLoops:
+    """The batched slice polish and level map against tests/single_flow_loops.py."""
+
+    @pytest.fixture(scope="class")
+    def problems(self, saddle, cone, planes_lift):
+        return {"saddle": saddle, "cone": cone, "planes-lift": planes_lift}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["saddle", "cone", "planes-lift"])
+    def test_slice_points_are_bit_identical(self, problems, name, seed, monkeypatch):
+        # at level -0.01 the cone's landings flow back a touch away from the
+        # vertex, so the slice rides them on, each with its own arc budget,
+        # as one ensemble; the saddle's and planes-lift's need no ride
+        f, Z = problems[name]
+        cp = origin_cp(dim=Z.ambient_dim)
+        calls = []
+        real = levelmap.integrate_ensemble
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
+        got = unstable_slice(f, Z, cp, -0.01, seed=seed).points
+        monkeypatch.undo()
+        want, polished = single_flow_loops.unstable_slice_points(f, Z, cp, -0.01, seed=seed)
+        assert len(got) == 2
+        assert repr(got) == repr(want)
+        rides = [traj.endpoint for traj in calls[2]] if len(calls) == 3 else []
+        assert len(rides) == len(polished) and (len(rides) > 0) == (name == "cone")
+        for a, b in zip(rides, polished):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["saddle", "cone", "planes-lift"])
+    def test_level_pairs_are_bit_identical(self, problems, name, seed):
+        # the slice points lie on the unstable set, so flowing them up to the
+        # critical level is captured
+        f, Z = problems[name]
+        slice_points = unstable_slice(f, Z, origin_cp(dim=Z.ambient_dim), -0.01, seed=seed).points
+        sources = np.vstack([single_flow_loops.level_points(f, Z, -0.01, seed, count=3), slice_points])
+        for b in (-0.005, 0.0, -0.02, -0.01):  # up, up into the critical level, down, identity
+            got = level_map(f, Z, -0.01, b, sources)
+            assert repr(got) == repr(single_flow_loops.level_map(f, Z, -0.01, b, sources))
 
 
 class TestCondition2:

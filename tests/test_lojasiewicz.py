@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from morseflow.critical import CriticalPoint
+import single_flow_loops
+from morseflow.critical import CLUSTER_TOL, CriticalPoint
+from morseflow.flow import Converged, ReachLevel, integrate
 from morseflow.lojasiewicz import (
     FitError,
     LojasiewiczFit,
@@ -168,11 +170,9 @@ class TestVerifyFlowEstimates:
 
     def test_descent_makes_height_proxy_grow(self, saddle):
         # (c - f)^theta along a descending flow never shrinks
-        from morseflow.flow import descend_to_level
-
         f, Z = saddle
         fit = estimate_fit(f, Z, origin_cp(), radius=0.5, seed=0)
-        traj = descend_to_level(f, Z, [0.02, 0.02], -0.01)
+        traj = integrate(f, Z, [0.02, 0.02], "descend", [ReachLevel(-0.01), Converged(1e-8)])
         w = (0.0 - traj.f) ** fit.theta
         assert np.all(np.diff(w[traj.f < -1e-14]) > -1e-12)
 
@@ -193,6 +193,26 @@ class TestVerifyFlowEstimates:
         fit = make_fit(0.5, 2.0, delta=0.5)
         with pytest.raises(ValueError):
             verify_flow_estimates(f, Z, origin_cp(), fit, 0.01, [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name, level, eps", [
+    ("saddle", 0.0, 0.005),
+    ("cone", 0.0, 0.005),
+    # planes-lift meets its critical level only at the origin, so its starts
+    # lie on the level 0.01 above it
+    ("planes-lift", 0.01, 0.005),
+])
+def test_batched_descents_match_the_single_flow_loop(name, level, eps, seed, saddle, cone, planes_lift):
+    f, Z = {"saddle": saddle, "cone": cone, "planes-lift": planes_lift}[name]
+    cp = CriticalPoint(location=(0.0,) * Z.ambient_dim, value=level, grad_norm=0.0, kind="saddle")
+    fit = make_fit(0.5, 1.0, delta=0.3, value=level)
+    starts = single_flow_loops.level_points(f, Z, level, seed)
+    starts = starts[np.linalg.norm(starts, axis=1) > CLUSTER_TOL]
+    assert len(starts) >= 2
+    got = verify_flow_estimates(f, Z, cp, fit, eps, starts)
+    assert got["check_ii"]["n_trajectories"] > 0
+    assert repr(got) == repr(single_flow_loops.verify_flow_estimates(f, Z, cp, fit, eps, starts))
 
 
 class TestDefaultDelta:

@@ -11,6 +11,7 @@ inconclusive, 3 usage error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -23,6 +24,7 @@ import numpy as np
 
 from .critical import (
     MAX_GRID_SEEDS,
+    ConditionReport,
     CriticalPoint,
     check_condition1,
     classify,
@@ -135,6 +137,11 @@ def spec_from_mapping(data) -> ProblemSpec:
                            "proper_on_box", "tolerances", "seed"}
     if unknown:
         raise ValidationError(f"unknown field(s) {sorted(unknown)}")
+    if not isinstance(data["name"], str):
+        raise ValidationError("field 'name' must be a string")
+    proper = data.get("proper_on_box", False)
+    if not isinstance(proper, bool):
+        raise ValidationError(f"field 'proper_on_box' must be true or false, got {proper!r}")
 
     variables = data["variables"]
     if (not isinstance(variables, (list, tuple)) or not variables
@@ -159,15 +166,9 @@ def spec_from_mapping(data) -> ProblemSpec:
     box = data["box"]
     if not isinstance(box, (list, tuple)) or len(box) != len(variables):
         raise ValidationError("field 'box' must give one [lo, hi] pair per variable")
-    clean_box = []
     for i, pair in enumerate(box):
-        try:
-            lo, hi = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError) as e:
-            raise ValidationError(f"field 'box[{i}]' must be a [lo, hi] pair") from e
-        if not lo < hi:
-            raise ValidationError(f"field 'box[{i}]': lower bound {lo} is not below {hi}")
-        clean_box.append((lo, hi))
+        if not _is_interval(pair):
+            raise ValidationError(f"field 'box[{i}]' must be two finite numbers lo < hi, got {pair!r}")
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -182,12 +183,12 @@ def spec_from_mapping(data) -> ProblemSpec:
         raise ValidationError("field 'seed' must be an integer")
 
     return ProblemSpec(
-        name=str(data["name"]),
+        name=data["name"],
         variables=tuple(variables),
         objective=objective,
         constraints=tuple(constraints),
-        box=tuple(clean_box),
-        proper_on_box=bool(data.get("proper_on_box", False)),
+        box=tuple((float(lo), float(hi)) for lo, hi in box),
+        proper_on_box=proper,
         tolerances=dict(tolerances),
         seed=seed,
     )
@@ -204,15 +205,22 @@ def _check_polynomial(label: str, text: str, variables) -> None:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite JSON number: not a boolean, and an integer only if it fits a float."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_interval(v) -> bool:
+    """A JSON pair [lo, hi] of finite numbers with lo < hi."""
+    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)
+            and float(v[0]) < float(v[1]))
 
 
 def _check_tolerances(tol: dict, n_vars: int) -> None:
-    if "band" in tol:
-        band = tol["band"]
-        if (not isinstance(band, (list, tuple)) or len(band) != 2
-                or not all(_is_number(v) for v in band) or not band[0] < band[1]):
-            raise ValidationError(f"tolerance 'band' must be two finite numbers lo < hi, got {band!r}")
+    if "band" in tol and not _is_interval(tol["band"]):
+        raise ValidationError(f"tolerance 'band' must be two finite numbers lo < hi, got {tol['band']!r}")
     for key in ("cond4_eps", "fit_radius", "conv_grad_tol"):
         if key in tol and not (_is_number(tol[key]) and tol[key] > 0):
             raise ValidationError(f"tolerance '{key}' must be a finite number > 0, got {tol[key]!r}")
@@ -306,15 +314,13 @@ def load_report(path) -> ExperimentReport:
 class _TrajectoryKeeper:
     """Retains the first trajectory seen for each tag family."""
 
-    def __init__(self, per_family: int = 1):
-        self.per_family = per_family
+    def __init__(self):
         self.kept = {}
         self.manifest = []
 
     def __call__(self, tag: str, traj):
         family = tag.rsplit("/", 1)[0] if tag.count("/") >= 2 else tag
-        n_family = sum(1 for k in self.kept if k.startswith(family))
-        if tag in self.kept or n_family >= self.per_family:
+        if any(k.startswith(family) for k in self.kept):
             return
         self.kept[tag] = traj
         self.manifest.append(
@@ -328,12 +334,7 @@ class _TrajectoryKeeper:
 
 
 def _stage_skip_report(condition: int, reason: str) -> dict:
-    return {
-        "condition": condition,
-        "verdict": "inconclusive",
-        "witnesses": {"error": reason},
-        "modulus_table": None,
-    }
+    return ConditionReport(condition, "inconclusive", {"error": reason}).to_payload()
 
 
 def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
@@ -475,12 +476,8 @@ def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
     # a point of unknown kind may be a saddle whose landing check never ran
     unsettled = [i for i, cp in enumerate(cps) if cp.kind in ("unresolved", "degenerate")]
     if not targets and not unsettled:
-        return {
-            "condition": 4,
-            "verdict": "pass",
-            "witnesses": {"warning": "no non-minimal critical points; vacuously satisfied"},
-            "modulus_table": None,
-        }
+        return ConditionReport(
+            4, "pass", {"warning": "no non-minimal critical points; vacuously satisfied"}).to_payload()
     gap = check_condition1(cps).witnesses["min_gap"]
     per_point = []
     table = None
@@ -498,22 +495,14 @@ def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
                 table = frag.modulus_table
         except Exception as e:  # noqa: BLE001
             log.exception("condition 4 failed at point %d", i)
-            per_point.append(
-                {"condition": 4, "verdict": "inconclusive",
-                 "witnesses": {"error": repr(e)}, "modulus_table": None, "point_index": i}
-            )
+            per_point.append({**_stage_skip_report(4, repr(e)), "point_index": i})
     order = {"fail": 0, "inconclusive": 1, "pass": 2}
     verdicts = [p["verdict"] for p in per_point] + (["inconclusive"] if unsettled else [])
     witnesses = {"per_point": per_point}
     if unsettled:
         witnesses["error"] = (f"critical point(s) {unsettled} are unresolved or degenerate, "
                               "so condition 4 was not checked there")
-    return {
-        "condition": 4,
-        "verdict": min(verdicts, key=lambda v: order[v]),
-        "witnesses": witnesses,
-        "modulus_table": table,
-    }
+    return ConditionReport(4, min(verdicts, key=order.get), witnesses, table).to_payload()
 
 
 def _pick_eps(fit, gap, tolerances):
@@ -558,35 +547,28 @@ def emit_report(report: ExperimentReport, format: str = "json", out_dir=".") -> 
         raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv-bundle')")
 
     variables = report.problem["variables"]
-    cp_path = out / "critical_points.csv"
-    with open(cp_path, "w") as fh:
-        fh.write(",".join([f"loc_{v}" for v in variables]
-                          + ["value", "grad_norm", "kind", "cluster_radius"]) + "\n")
-        for cp in report.critical_points:
-            row = [repr(float(x)) for x in cp["location"]]
-            row += [repr(float(cp["value"])), repr(float(cp["grad_norm"])),
-                    cp["kind"], repr(float(cp["cluster_radius"]))]
-            fh.write(",".join(row) + "\n")
-    created.append(str(cp_path))
-
+    tables = [("critical_points.csv",
+               [f"loc_{v}" for v in variables] + ["value", "grad_norm", "kind", "cluster_radius"],
+               [[repr(float(x)) for x in cp["location"]]
+                + [repr(float(cp["value"])), repr(float(cp["grad_norm"])), cp["kind"],
+                   repr(float(cp["cluster_radius"]))]
+                for cp in report.critical_points])]
     if report.lojasiewicz_fits:
-        fit_path = out / "lojasiewicz_fits.csv"
         cols = ["point_index", "theta", "C", "delta", "critical_value",
                 "n_samples", "envelope_slack", "holdout_pass_fraction", "error"]
-        with open(fit_path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for entry in report.lojasiewicz_fits:
-                fh.write(",".join(str(entry.get(c, "")) for c in cols) + "\n")
-        created.append(str(fit_path))
-
+        tables.append(("lojasiewicz_fits.csv", cols,
+                       [[str(entry.get(c, "")) for c in cols] for entry in report.lojasiewicz_fits]))
     cond4 = report.condition_reports.get("cond4")
     if cond4 and cond4.get("modulus_table"):
-        mt_path = out / "modulus_table.csv"
-        with open(mt_path, "w") as fh:
-            fh.write("r,d,n_landed,n_captured\n")
-            for r, d, n_landed, n_captured in cond4["modulus_table"]:
-                fh.write(f"{r!r},{d!r},{int(n_landed)},{int(n_captured)}\n")
-        created.append(str(mt_path))
+        tables.append(("modulus_table.csv", ["r", "d", "n_landed", "n_captured"],
+                       [[repr(r), repr(d), int(n_landed), int(n_captured)]
+                        for r, d, n_landed, n_captured in cond4["modulus_table"]]))
+    for name, header, rows in tables:
+        with open(out / name, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        created.append(str(out / name))
 
     for tag, traj in sorted(report.trajectories.items()):
         traj_path = out / f"traj_{_sanitize(tag)}.csv"

@@ -20,13 +20,20 @@ import numpy as np
 
 from .flow import ArcBudget, Converged, StepControl, TimeBudget, integrate_ensemble
 from .polynomial import Polynomial, PolynomialSystem, gradient
-from .sampling import ring_probes, substream
-from .space import SingularSpace, min_norm_steps, row_sums
+from .sampling import _dedupe, ring_probes, substream
+from .space import SingularSpace, min_norm_steps, row_norms, row_sums
 
 log = logging.getLogger(__name__)
 
 CRIT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
+# the residual each critical-search seed is refined below
+REFINE_TOL = 1e-12
+# a rank-collapse point is fixed when its probe flows stay within
+# 2 * FIXED_RHO over an arc of 10 * FIXED_RHO
+FIXED_RHO = 1e-4
+# classify probes a ring with this many directions (the axes first)
+N_PROBES = 24
 VALUE_MERGE_TOL = 1e-8
 GAP_TOL = 1e-4
 DEFAULT_GRID_DENSITY = 7
@@ -224,13 +231,13 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
         pool = settle(pool[moving])
 
 
-def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray, rho: float = 1e-4):
+def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray):
     """Dynamic criticality test at a rank-collapse point of the constraints.
 
-    Accepted as fixed when flows probed both ways stay inside the 2*rho
-    ball over an arc budget of 10*rho.  Returns (fixed, residual) where
-    residual is the smallest projected-gradient norm seen along the
-    probes; a genuinely fixed point exhibits ~0 there even when the raw
+    Accepted as fixed when flows probed both ways stay inside the
+    2 * FIXED_RHO ball over an arc budget of 10 * FIXED_RHO.  Returns
+    (fixed, residual) where residual is the smallest projected-gradient
+    norm seen along the probes; a genuinely fixed point exhibits ~0 there even when the raw
     ambient gradient does not vanish.
     """
     p = np.asarray(p, dtype=float)
@@ -239,13 +246,13 @@ def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray, rho: floa
         Z,
         [p, p],
         directions=("descend", "ascend"),
-        stops=[Converged(1e-8), ArcBudget(10.0 * rho), TimeBudget(1e4)],
-        control=StepControl(max_step=rho / 4.0),
+        stops=[Converged(1e-8), ArcBudget(10.0 * FIXED_RHO), TimeBudget(1e4)],
+        control=StepControl(max_step=FIXED_RHO / 4.0),
         record=True,
     )
     for traj in probes:
         disp = float(np.max(np.linalg.norm(traj.y - p[None, :], axis=1)))
-        if disp > 2.0 * rho:
+        if disp > 2.0 * FIXED_RHO:
             return False, np.inf
     return True, min(float(np.min(traj.grad_norm)) for traj in probes)
 
@@ -270,23 +277,17 @@ def _singular_system(Z: SingularSpace) -> PolynomialSystem:
     return PolynomialSystem(Z.constraints.variables, entries)
 
 
-def find_critical_points(
-    f: Polynomial,
-    Z: SingularSpace,
-    grid_density: int | None = None,
-    refine_tol: float = 1e-12,
-    crit_tol: float = CRIT_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-) -> list[CriticalPoint]:
+def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | None = None) -> list[CriticalPoint]:
     """Locate and deduplicate the fixed points of the flow inside the box.
 
     Grid seeds are retracted to Z and refined by damped least-squares
-    Newton on {g = 0, projected gradient = 0}.  A second pass hunts points
-    where all constraint gradients vanish; those failing the first-order
-    test are kept only when probe flows show the point is numerically
-    fixed.  Each pass refines all its seeds in one :func:`_refine` call.
-    Non-convergent seeds are discarded (counts logged).  The grid
-    density defaults to :func:`default_grid_density` of the dimension.
+    Newton on {g = 0, projected gradient = 0}, to below REFINE_TOL.  A
+    second pass hunts points where all constraint gradients vanish; those
+    failing the first-order test are kept only when probe flows show the
+    point is numerically fixed.  Each pass refines all its seeds in one
+    :func:`_refine` call.  Non-convergent seeds are discarded (counts
+    logged), and the points found are clustered within CLUSTER_TOL.  The
+    grid density defaults to :func:`default_grid_density` of the dimension.
     """
     if grid_density is None:
         grid_density = default_grid_density(Z.ambient_dim)
@@ -295,64 +296,55 @@ def find_critical_points(
     grad_sys = gradient(f)
     max_len = 2.0 * Z.box_diameter
 
-    def on_z(x):
-        return Z.is_member(x) and Z.inside_box(x, margin=-1e-9)
-
     seeds = _grid_seeds(Z, grid_density)
     starts, retracted = Z.retract_batch(seeds)
-    X, R, ok = _refine(_smooth_residual(f, Z), starts[retracted], refine_tol, max_step_len=max_len)
+    X, R, ok = _refine(_smooth_residual(f, Z), starts[retracted], REFINE_TOL, max_step_len=max_len)
     gn = _norms(R[:, len(Z.constraints):])
-    found = [(x, g) for x, g, good in zip(X, gn, ok) if good and g < crit_tol and on_z(x)]
+    hits = np.flatnonzero(ok & (gn < CRIT_TOL))
+    hits = hits[Z.is_member(X[hits])]
+    found = list(zip(X[hits], gn[hits]))
     log.info("smooth pass: %d/%d seeds refined to critical points", len(found), len(seeds))
 
     if len(Z.constraints):
         system = _singular_system(Z)
-        X, _, ok = _refine(system.evaluate, seeds, refine_tol, jac=system.jacobian_at, max_step_len=max_len)
-        sing_hits = []
-        for x in X[ok]:
-            if on_z(x) and all(np.linalg.norm(x - h) > cluster_tol for h in sing_hits):
-                sing_hits.append(x)
+        X, _, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=max_len)
+        X = X[ok]
+        sing_hits = _dedupe(X[Z.is_member(X)], CLUSTER_TOL)
         log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
                  int(ok.sum()), len(seeds), len(sing_hits))
         for x in sing_hits:
             gn = float(np.linalg.norm(Z.tangent_project(x, grad_sys.evaluate(x))))
-            if gn < crit_tol:
+            if gn < CRIT_TOL:
                 found.append((x, gn))
                 continue
             fixed, gn_dyn = _numerically_fixed(f, Z, x)
-            if fixed and gn_dyn < crit_tol:
+            if fixed and gn_dyn < CRIT_TOL:
                 found.append((x, gn_dyn))
             else:
                 log.info("singular point %s rejected: flow escapes (residual %g)", x, gn_dyn)
+    if not found:
+        return []
 
     # representative = best-converged member; residual breaks grad-norm ties
     # (an off-variety point can carry an exactly zero projected gradient)
-    ranked = sorted(found, key=lambda pg: (pg[1], Z.residual(pg[0]), tuple(pg[0])))
-    clusters = []
-    for loc, gn in ranked:
-        home = None
-        for cl in clusters:
-            if np.linalg.norm(loc - cl["rep"]) <= cluster_tol:
-                home = cl
-                break
-        if home is None:
-            clusters.append({"rep": loc, "gn": gn, "members": [loc]})
-        else:
-            home["members"].append(loc)
-            home["gn"] = min(home["gn"], gn)
-
-    cps = []
-    for cl in clusters:
-        radius = max((float(np.linalg.norm(m - cl["rep"])) for m in cl["members"]), default=0.0)
-        cps.append(
-            CriticalPoint(
-                location=tuple(float(v) for v in cl["rep"]),
-                value=float(f.evaluate(cl["rep"])),
-                grad_norm=float(cl["gn"]),
-                kind="unresolved",
-                cluster_radius=radius,
-            )
+    locs, gns = np.array([x for x, _ in found]), np.array([g for _, g in found])
+    res = Z.residual(locs)
+    order = sorted(range(len(found)), key=lambda i: (gns[i], res[i], tuple(locs[i])))
+    locs, gns = locs[order], gns[order]
+    reps = np.array(_dedupe(locs, CLUSTER_TOL))
+    # each point belongs to the first representative within CLUSTER_TOL
+    dist = row_norms((locs[:, None] - reps[None]).reshape(-1, Z.ambient_dim)).reshape(len(locs), len(reps))
+    home = np.argmax(dist <= CLUSTER_TOL, axis=1)
+    cps = [
+        CriticalPoint(
+            location=tuple(float(v) for v in rep),
+            value=float(f.evaluate(rep)),
+            grad_norm=float(gns[home == k].min()),
+            kind="unresolved",
+            cluster_radius=float(dist[home == k, k].max()),
         )
+        for k, rep in enumerate(reps)
+    ]
     cps.sort(key=lambda c: (c.value, c.location))
     return cps
 
@@ -375,10 +367,9 @@ def classify(
     Z: SingularSpace,
     cp: CriticalPoint,
     probe_radius: float = 0.01,
-    n_probes: int = 24,
     seed: int = 0,
 ) -> str:
-    """Classify a critical point from f-values on a retracted probe ring.
+    """Classify a critical point from f-values on a retracted ring of N_PROBES probes.
 
     minimum / maximum when every probe lies beyond probe_tol on one side,
     saddle when both sides are populated and the two witness flows confirm
@@ -390,7 +381,7 @@ def classify(
         raise ValueError("classify expects a validated critical point")
     center = cp.point()
     rng = substream(seed, "classify")
-    n_extra = max(0, n_probes - 2 * Z.ambient_dim)
+    n_extra = max(0, N_PROBES - 2 * Z.ambient_dim)
     probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra, require_in_box=False)
     # a stratum of dimension k offers 2k axis probes; the ambient dimension
     # would ask a lifted problem for probes its stratum cannot have

@@ -95,18 +95,24 @@ INCONCLUSIVE_TERMINATIONS = frozenset(
 )
 
 
+# the error test of a step scales by ATOL + RTOL * |y|; a new step length is
+# SAFETY times the one the error estimate asks for
+ATOL = 1e-9
+RTOL = 1e-9
+SAFETY = 0.9
+# the time and arc budgets when the stops give none
+TIME_BUDGET = 1e6
+ARC_BUDGET = 1e3
+# Converged fires after this many accepted steps in a row below its grad_tol
+CONV_CONSECUTIVE = 3
+
+
 @dataclass
 class StepControl:
-    atol: float = 1e-9
-    rtol: float = 1e-9
     max_step: float | None = None  # default: 0.1 * box diameter
     initial_step: float | None = None  # default: max_step / 64
     min_step: float | None = None  # default: 1e-12 * max_step
-    safety: float = 0.9
     max_steps: int = 200_000
-    default_time_budget: float = 1e6
-    default_arc_budget: float = 1e3
-    conv_consecutive: int = 3
 
 
 @dataclass
@@ -177,11 +183,10 @@ def _resolve_control(Z: SingularSpace, control: StepControl | None) -> StepContr
 class _Field:
     """The projected gradient field of f on Z, and one Cash-Karp step of it, per row."""
 
-    def __init__(self, f: Polynomial, Z: SingularSpace, ctrl: StepControl):
+    def __init__(self, f: Polynomial, Z: SingularSpace):
         self.f = f
         self.Z = Z
         self.grad_sys = gradient(f)
-        self.ctrl = ctrl
         self.constrained = len(Z.constraints) > 0
 
     def projected_grad(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +219,7 @@ class _Field:
             y_new, ok_y = self.Z.retract_batch(y5)
             ok &= ok_y
             y_new[~ok] = np.nan
-        scale = self.ctrl.atol + self.ctrl.rtol * np.maximum(np.abs(Y0), np.abs(y_new))
+        scale = ATOL + RTOL * np.maximum(np.abs(Y0), np.abs(y_new))
         return y_new, np.sqrt(row_sums(((y5 - y4) / scale) ** 2) / Y0.shape[1]), ok
 
 
@@ -244,11 +249,11 @@ class _Members:
                            for name in _Members.FIELDS})
 
 
-def _shared_stops(stops, ctrl: StepControl):
+def _shared_stops(stops):
     """(Converged or None, arc budget, time budget) from the shared stop criteria."""
     conv = None
-    arc_budget = ctrl.default_arc_budget
-    time_budget = ctrl.default_time_budget
+    arc_budget = ARC_BUDGET
+    time_budget = TIME_BUDGET
     for s in stops:
         if isinstance(s, ReachLevel):
             raise ValueError("ReachLevel targets are per member; pass them as levels")
@@ -309,13 +314,12 @@ def integrate_ensemble(
     levels = _per_member(levels, N, "levels")
     record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
     ctrl = _resolve_control(Z, control)
-    conv, arc_budget, time_budget = _shared_stops(stops, ctrl)
+    conv, arc_budget, time_budget = _shared_stops(stops)
     arc_budget = np.array(_per_member(arc_budget, N, "ArcBudget.limit"), dtype=float)
-    fld = _Field(f, Z, ctrl)
+    fld = _Field(f, Z)
 
-    G = Z.constraints.evaluate(X0) if fld.constrained else np.zeros((N, 1))
-    res = np.sqrt(row_sums(G * G))
-    bad = np.flatnonzero(~((res <= Z.member_tol) & Z.inside_box(X0)))
+    res = Z.residual(X0)
+    bad = np.flatnonzero(~Z.is_member(X0))
     if bad.size:
         i = bad[0]
         raise ValueError(f"start point {i} at {X0[i].tolist()} is not on Z (residual {res[i]:.3e} or outside box)")
@@ -394,7 +398,7 @@ def integrate_ensemble(
         # do not step across a rank transition of Dg at full length;
         # resolve it with smaller steps
         halve = ok & ~rejected & (rank_new != act.rank) & (h > 1e-6 * ctrl.max_step)
-        shrink = np.fmax(0.1, ctrl.safety * np.where(rejected, err, 1.0) ** -0.2)  # NaN: 0.1
+        shrink = np.fmax(0.1, SAFETY * np.where(rejected, err, 1.0) ** -0.2)  # NaN: 0.1
         h_retry = np.where(rejected, h * shrink, 0.5 * h)
         code[~ok & (h_retry < ctrl.min_step)] = TERMS.index("retraction_failed")
         code[rejected & (h_retry < ctrl.min_step)] = TERMS.index("step_underflow")
@@ -424,8 +428,8 @@ def integrate_ensemble(
         code[step & (act.arc >= arc_budget[act.idx])] = TERMS.index("arc_budget")
         if conv is not None:
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
-            code[step & (act.conv_run >= ctrl.conv_consecutive)] = TERMS.index("converged")
-        h_next = np.minimum(ctrl.max_step, h * np.minimum(5.0, np.maximum(0.2, ctrl.safety * (err + 1e-300) ** -0.2)))
+            code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
+        h_next = np.minimum(ctrl.max_step, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
         act.h = np.where(step, h_next, np.where(cross, h, h_retry))
 
         if code.any():
@@ -529,6 +533,20 @@ def check_level_target(f: Polynomial, X, c: float, direction: str) -> None:
     if wrong.size:
         i = wrong[0]
         raise ValueError(f"{direction} target {c} is not {'below' if below else 'above'} f(x) = {fx[i]} at row {i}")
+
+
+def check_on_level(f: Polynomial, Z: SingularSpace, X, c: float, what: str) -> None:
+    """Raise ValueError unless every row of X is on Z with f within level_tol of c.
+
+    X has shape (N, n); the error names the first bad row as ``{what} {i}``.
+    """
+    off_z = ~Z.is_member(X)
+    bad = np.flatnonzero(off_z | (np.abs(f.evaluate(X) - c) > Z.level_tol))
+    if bad.size:
+        i = bad[0]
+        if off_z[i]:
+            raise ValueError(f"{what} {i} is not on Z (residual {Z.residual(X[i]):.3g})")
+        raise ValueError(f"{what} {i} is not on the level {c}")
 
 
 def arc_length(traj: FlowTrajectory, up_to_t: float | None = None) -> float:

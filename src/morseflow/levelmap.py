@@ -15,13 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import ArcBudget, Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, integrate_ensemble
-from .sampling import ball_probes, band_samples, ring_probes, substream
+from .flow import (ArcBudget, Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, check_on_level,
+                   integrate_ensemble)
+from .sampling import _dedupe, ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
 log = logging.getLogger(__name__)
 
 SLICE_CLUSTER_TOL = 10.0 * CLUSTER_TOL
+# condition 4 passes when the smallest radius lands within TUBE_RHO of the
+# slice and each landing distance exceeds the one before by at most MONOTONE_SLACK
+TUBE_RHO = 0.05
+MONOTONE_SLACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,7 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources, control=None) ->
     string so callers can report them.  All sources flow as one ensemble.
     """
     S = np.reshape(np.asarray(sources, dtype=float), (-1, Z.ambient_dim))
-    for i, s in enumerate(S):
-        if not Z.is_member(s):
-            raise ValueError(f"source {i} is not on Z (residual {Z.residual(s):.3g})")
-        if abs(float(f.evaluate(s)) - a) > Z.level_tol:
-            raise ValueError(f"source {i} is not on the starting level {a}")
+    check_on_level(f, Z, S, a, "source")
     if b == a:
         pairs = [LevelPair(tuple(s), tuple(s), 0.0, False, "identity") for s in S]
         return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
@@ -144,9 +145,9 @@ def unstable_slice(
     rng = substream(seed, "unstable-slice")
     n_extra = max(0, n_points - 2 * Z.ambient_dim)
     probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra, require_in_box=False)
-    cutoff = cp.value - curvature_margin * probe_radius**2
-    starts = [p for p in probes if float(f.evaluate(p)) < cutoff]
-    if not starts:
+    probes = np.reshape(probes, (-1, Z.ambient_dim))
+    starts = probes[f.evaluate(probes) < cp.value - curvature_margin * probe_radius**2]
+    if not len(starts):
         raise ValueError(
             f"no descending directions at radius {probe_radius}; "
             "the critical point is a minimum (or the radius is too small)"
@@ -158,11 +159,7 @@ def unstable_slice(
     if not landings:
         raise RuntimeError(f"no probe flow reached level {level}; slice is empty")
 
-    reps: list[np.ndarray] = []
-    for q in landings:
-        if all(np.linalg.norm(q - r) > SLICE_CLUSTER_TOL for r in reps):
-            reps.append(q)
-
+    reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     check_level_target(f, reps, cp.value, "ascend")
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)], control)
     dists = [float(np.linalg.norm(up.endpoint - center)) for up in ups]
@@ -270,9 +267,7 @@ def check_condition4(
     slice_: UnstableSlice,
     radii=(0.1, 0.03, 0.01, 0.003),
     n_per_radius: int = 40,
-    tube_rho: float = 0.05,
     seed: int = 0,
-    monotone_slack: float = 0.1,
     control=None,
     collect=None,
 ) -> ConditionReport:
@@ -283,8 +278,8 @@ def check_condition4(
     landing to the nearest slice point.  Probes captured by the critical
     level itself (converged at value >= cp.value - eps/2) are the
     stable-set exclusion and are counted, not scored.  Verdict passes when
-    d is non-increasing within the slack and the smallest radius lands
-    inside the tube.
+    d is non-increasing within MONOTONE_SLACK and the smallest radius lands
+    inside the tube of radius TUBE_RHO.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
@@ -301,7 +296,7 @@ def check_condition4(
     witnesses = {
         "eps": float(eps),
         "level": float(target),
-        "tube_rho": float(tube_rho),
+        "tube_rho": TUBE_RHO,
         "capture_level": float(capture_level),
         "slice_size": len(slice_.points),
         "n_other_converged": 0,
@@ -356,8 +351,8 @@ def check_condition4(
         ds = [row[1] for row in table]
         # absolute floor: when flows collapse onto the slice exactly, the
         # measured distances are integrator noise and must not order-compare
-        monotone = all(d2 <= d1 * (1.0 + monotone_slack) + 1e-8 for d1, d2 in zip(ds, ds[1:]))
-        verdict = "pass" if monotone and ds[-1] < tube_rho else "fail"
+        monotone = all(d2 <= d1 * (1.0 + MONOTONE_SLACK) + 1e-8 for d1, d2 in zip(ds, ds[1:]))
+        verdict = "pass" if monotone and ds[-1] < TUBE_RHO else "fail"
         witnesses["d_final"] = ds[-1]
         witnesses["monotone_within_slack"] = bool(monotone)
     return ConditionReport(condition=4, verdict=verdict, witnesses=witnesses, modulus_table=table)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, CriticalPoint
-from .flow import Converged, check_level_target, integrate_ensemble
+from .flow import Converged, check_level_target, check_on_level, integrate_ensemble
 from .polynomial import gradient
 from .sampling import gaussian_cloud, substream
-from .space import SingularSpace, row_sums
+from .space import SingularSpace, row_norms, row_sums
 
 log = logging.getLogger(__name__)
 
@@ -210,13 +210,10 @@ def verify_flow_estimates(
     center = cp.point()
 
     starts = np.reshape(np.asarray(starts, dtype=float), (-1, Z.ambient_dim))
-    for i, s in enumerate(starts):
-        if not Z.is_member(s):
-            raise ValueError(f"start {i} is not on Z (residual {Z.residual(s):.3g})")
-        if abs(float(f.evaluate(s)) - c) > Z.level_tol:
-            raise ValueError(f"start {i} is not on the critical level")
-        if float(np.linalg.norm(s - center)) <= CLUSTER_TOL:
-            raise ValueError(f"start {i} coincides with the critical point; zero-length flow")
+    check_on_level(f, Z, starts, c, "start")
+    near = np.flatnonzero(row_norms(starts - center) <= CLUSTER_TOL)
+    if near.size:
+        raise ValueError(f"start {near[0]} coincides with the critical point; zero-length flow")
 
     n_captured = 0
     n_inconclusive = 0

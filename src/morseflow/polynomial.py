@@ -229,10 +229,6 @@ class Polynomial:
                 terms.append(Monomial(t.coefficient * e, new_e))
         return Polynomial(self.variables, terms)
 
-    @property
-    def total_degree(self) -> int:
-        return max((sum(t.exponents) for t in self.terms), default=0)
-
     # -- printing -----------------------------------------------------
 
     @staticmethod

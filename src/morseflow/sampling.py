@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .space import SingularSpace
+from .space import SingularSpace, row_norms
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -54,11 +54,31 @@ def unit_directions(dim: int, rng: np.random.Generator | None = None, n_random: 
 
 
 def _dedupe(points, tol: float):
+    """Greedy clustering: keep each point more than tol from every point kept before it."""
     kept = []
     for p in points:
         if all(np.linalg.norm(p - q) > tol for q in kept):
             kept.append(p)
     return kept
+
+
+def _rejection_sample(Z: SingularSpace, count: int, max_draws: int, draw, keep):
+    """Up to count points of Z, in draw order: retracted candidates that pass keep.
+
+    Each round spends k = count - len(out) draws, capped by the draws left:
+    draw(k) gives a block of at most k candidates, one retract_batch puts
+    them on Z, and keep maps the retracted rows to a mask.  Hits never
+    exceed the block, so the last draw is the one-by-one sampler's.
+    """
+    out = []
+    draws = 0
+    while len(out) < count and draws < max_draws:
+        k = min(count - len(out), max_draws - draws)
+        draws += k
+        P, ok = Z.retract_batch(draw(k))
+        P = P[ok]
+        out.extend(P[keep(P)])
+    return out
 
 
 def ring_probes(
@@ -78,19 +98,14 @@ def ring_probes(
     """
     center = np.asarray(center, dtype=float)
     P, ok = Z.retract_batch(center + radius * unit_directions(center.size, rng, n_random))
-    starts = []
-    for p in P[ok]:
-        dist = np.linalg.norm(p - center)
-        if dist >= 0.25 * radius:
-            starts.append(center + (radius / dist) * (p - center))
-    out = []
-    if starts:
-        P, ok = Z.retract_batch(np.array(starts))
-        for p in P[ok]:
-            dist = np.linalg.norm(p - center)
-            if 0.5 * radius <= dist <= 1.5 * radius and (not require_in_box or Z.inside_box(p)):
-                out.append(p)
-    return _dedupe(out, 1e-6 * radius)
+    P = P[ok]
+    dist = row_norms(P - center)
+    far = dist >= 0.25 * radius
+    P, ok = Z.retract_batch(center + (radius / dist[far])[:, None] * (P[far] - center))
+    P = P[ok]
+    dist = row_norms(P - center)
+    keep = (0.5 * radius <= dist) & (dist <= 1.5 * radius) & (Z.inside_box(P) | (not require_in_box))
+    return _dedupe(P[keep], 1e-6 * radius)
 
 
 def ball_probes(
@@ -108,28 +123,23 @@ def ball_probes(
     """
     center = np.asarray(center, dtype=float)
     n = center.size
-    out = []
-    attempts = 0
-    budget = oversample * count + 64
-    while len(out) < count and attempts < budget:
-        # hits never exceed the block, so the last draw is the one-by-one sampler's
+
+    def draw(k):
         block = []
-        for _ in range(min(count - len(out), budget - attempts)):
-            attempts += 1
+        for _ in range(k):
             d = rng.normal(size=n)
             nd = np.linalg.norm(d)
             if nd < 1e-12:
                 continue
             r = radius * rng.uniform() ** (1.0 / n)
             block.append(center + (r / nd) * d)
-        if not block:
-            continue
-        P, ok = Z.retract_batch(np.array(block))
-        for p in P[ok]:
-            dist = np.linalg.norm(p - center)
-            if 1e-6 * radius < dist <= radius and Z.inside_box(p):
-                out.append(p)
-    return out
+        return np.reshape(block, (-1, n))
+
+    def keep(P):
+        dist = row_norms(P - center)
+        return (1e-6 * radius < dist) & (dist <= radius) & Z.inside_box(P)
+
+    return _rejection_sample(Z, count, oversample * count + 64, draw, keep)
 
 
 def gaussian_cloud(
@@ -145,17 +155,11 @@ def gaussian_cloud(
     n = center.size
     if max_draws is None:
         max_draws = 40 * count + 200
-    out = []
-    draws = 0
-    while len(out) < count and draws < max_draws:
-        # hits never exceed the block, so the last draw is the one-by-one sampler's
-        k = min(count - len(out), max_draws - draws)
-        draws += k
-        P, ok = Z.retract_batch(center + (0.5 * radius) * rng.normal(size=(k, n)))
-        for p in P[ok]:
-            if np.linalg.norm(p - center) <= radius:
-                out.append(p)
-    return out
+    return _rejection_sample(
+        Z, count, max_draws,
+        lambda k: center + (0.5 * radius) * rng.normal(size=(k, n)),
+        lambda P: row_norms(P - center) <= radius,
+    )
 
 
 def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generator,
@@ -171,16 +175,10 @@ def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generat
     highs = np.array([hi for _, hi in Z.box])
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows) * margin_frac
-    out = []
-    draws = 0
-    while len(out) < count and draws < max_draws:
-        k = min(count - len(out), max_draws - draws)
-        draws += k
-        P, ok = Z.retract_batch(mid + half * rng.uniform(-1.0, 1.0, size=(k, Z.ambient_dim)))
-        for p in P[ok]:
-            if not all(abs(p - mid) <= half + 1e-12):
-                continue
-            val = float(f.evaluate(p))
-            if a < val < b:
-                out.append(p)
-    return out
+
+    def keep(P):
+        val = f.evaluate(P)
+        return (np.abs(P - mid) <= half + 1e-12).all(axis=1) & (a < val) & (val < b)
+
+    return _rejection_sample(
+        Z, count, max_draws, lambda k: mid + half * rng.uniform(-1.0, 1.0, size=(k, Z.ambient_dim)), keep)

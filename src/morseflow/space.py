@@ -82,11 +82,16 @@ class SingularSpace:
 
     # -- membership ----------------------------------------------------
 
-    def residual(self, x: Sequence[float] | np.ndarray) -> float:
-        """Euclidean norm of g(x); 0 for an unconstrained space."""
-        if not len(self.constraints):
-            return 0.0
-        return float(np.linalg.norm(self.constraints.evaluate(np.asarray(x, dtype=float))))
+    def residual(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
+        """Euclidean norm of g(x); 0 for an unconstrained space.
+
+        x is one point, giving a float, or an (N, n) block, giving one norm
+        per row, each equal to the one-point result for that row.
+        """
+        x = np.asarray(x, dtype=float)
+        X = np.atleast_2d(x)
+        res = row_norms(self.constraints.evaluate(X)) if len(self.constraints) else np.zeros(len(X))
+        return float(res[0]) if x.ndim == 1 else res
 
     def inside_box(self, x: Sequence[float] | np.ndarray, margin: float = 0.0) -> bool | np.ndarray:
         """Whether every coordinate lies in its interval, shrunk by margin; NaN lies in none.
@@ -98,9 +103,14 @@ class SingularSpace:
         inside = ((x >= lo + margin) & (x <= hi - margin)).all(axis=-1)
         return bool(inside) if x.ndim == 1 else inside
 
-    def is_member(self, x: Sequence[float] | np.ndarray, tol: float | None = None) -> bool:
+    def is_member(self, x: Sequence[float] | np.ndarray, tol: float | None = None) -> bool | np.ndarray:
+        """Whether the residual is at most tol (default member_tol) inside the box; NaN is never a member.
+
+        x is one point, giving a bool, or an (N, n) block, giving one flag per row.
+        """
         tol = self.member_tol if tol is None else tol
-        return self.residual(x) <= tol and self.inside_box(x)
+        member = (self.residual(x) <= tol) & self.inside_box(x)
+        return bool(member) if np.ndim(x) == 1 else member
 
     # -- tangent structure ----------------------------------------------
 
@@ -229,6 +239,15 @@ def min_norm_steps(J: np.ndarray, R: np.ndarray, rank_tol: float) -> np.ndarray:
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     coef = row_sums(U[:, :, :k].transpose(0, 2, 1) * R[:, None, :]) * inv
     return row_sums(Vt[:, :k].transpose(0, 2, 1) * coef[:, None, :])
+
+
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of A, shape (N, k).
+
+    Each entry is bit for bit ``np.linalg.norm`` of its row alone: a
+    row-times-column product runs the same dot kernel as a 1-D norm.
+    """
+    return np.sqrt(np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0])
 
 
 def row_sums(A: np.ndarray) -> np.ndarray:

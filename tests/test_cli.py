@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -217,6 +218,21 @@ class TestEmission:
         header = (tmp_path / "modulus_table.csv").read_text().splitlines()[0]
         assert header == "r,d,n_landed,n_captured"
 
+    def test_every_cone_table_row_has_the_header_length(self, tmp_path):
+        # the cone's fit error names the interval "[0.05, 0.95]", a comma
+        # that an unquoted row would split into an extra field
+        files = emit_report(run_experiment(builtin_problem("cone")), format="csv-bundle", out_dir=tmp_path)
+        tables = [f for f in files if f.endswith(".csv")]
+        assert any(f.endswith("lojasiewicz_fits.csv") for f in tables)
+        errors = []
+        for path in tables:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), path
+            if path.endswith("lojasiewicz_fits.csv"):
+                errors = [row[header.index("error")] for row in rows]
+        assert any("," in e for e in errors)
+
     def test_unknown_format(self, saddle_full_report, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit_report(saddle_full_report, format="xml", out_dir=tmp_path)
@@ -321,6 +337,51 @@ class TestToleranceValidation:
     def test_non_finite_coefficient_is_a_usage_error(self, tmp_path, field, value):
         path = write_problem(tmp_path, **{field: value})
         assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]], ids=repr)
+    def test_proper_on_box_must_be_a_json_boolean(self, tmp_path, value):
+        # "false" is truthy, and read as true it would let the corollary pass
+        path = write_problem(tmp_path, proper_on_box=value)
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_proper_on_box_booleans_load(self, value):
+        assert spec_from_mapping({**BUILTIN["saddle"], "proper_on_box": value}).proper_on_box is value
+
+    @pytest.mark.parametrize("value", [5, None, ["saddle"]], ids=repr)
+    def test_name_must_be_a_string(self, tmp_path, value):
+        path = write_problem(tmp_path, name=value)
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+
+    @pytest.mark.parametrize("pair", [
+        ["-1", 2],
+        [-2, "2"],
+        [False, 2],
+        [-2, True],
+        [-2, 2, 3],
+        [-2],
+        "ab",
+        None,
+        [None, 2],
+        pytest.param([-2, 10**400], id="[-2, 10**400]"),
+        [2, 2],
+        pytest.param([2**53, 2**53 + 1], id="[2**53, 2**53 + 1]"),  # equal as floats
+        # written as the literals -Infinity, Infinity and NaN, which Python's
+        # json module reads; with the infinite box the saddle's origin came
+        # out unresolved, with exit 0
+        [float("-inf"), 2],
+        [-2, float("inf")],
+        [float("nan"), 2],
+    ], ids=repr)
+    def test_bad_box_bound_is_a_usage_error(self, tmp_path, pair):
+        path = write_problem(tmp_path, box=[pair, [-2, 2]])
+        with pytest.raises(ValidationError, match=r"box\[0\]"):
+            load_problem(path)
+        assert main(["run", "--problem", str(path)]) == 3
+
+    def test_float_and_integer_box_bounds_load(self):
+        spec = spec_from_mapping({**BUILTIN["saddle"], "box": [[-2, 2.5], (-1.5, 2)]})
+        assert spec.box == ((-2.0, 2.5), (-1.5, 2.0))
 
     def test_grid_density_at_the_seed_limit_is_accepted(self):
         doc = dict(BUILTIN["saddle"], tolerances={"grid_density": 316})

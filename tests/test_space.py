@@ -86,6 +86,56 @@ class TestResidualAndMembership:
             planes2.residual([1.0, 0.0, 0.0])
 
 
+class TestBlockMembership:
+    """residual and is_member on an (N, n) block: one entry per row, each the one-point result."""
+
+    # a point of Z beyond the box walls
+    OUTSIDE = {"cone": [1.5, 2.0, 2.5], "planes-lift": [3.0, 0.0, 0.0]}
+
+    @pytest.fixture(params=["cone", "planes-lift"])
+    def space_and_block(self, request):
+        """Rows: 6 on Z, 200 off Z, 1 on Z outside the box, 2 with NaN."""
+        _, Z = LEVEL_PROBLEMS[request.param]
+        rng = np.random.default_rng(5)
+        on_z = Z.retract_batch(rng.uniform(-1.0, 1.0, size=(6, Z.ambient_dim)))[0]
+        off_z = rng.uniform(-2.0, 2.0, size=(200, Z.ambient_dim))
+        nan = on_z[:2].copy()
+        nan[0, 0] = np.nan
+        nan[1] = np.nan
+        return Z, np.concatenate([on_z, off_z, [self.OUTSIDE[request.param]], nan])
+
+    def test_block_entries_equal_the_one_point_results(self, space_and_block):
+        Z, X = space_and_block
+        res, member = Z.residual(X), Z.is_member(X)
+        assert res.shape == member.shape == (len(X),)
+        assert member.dtype == bool
+        for x, r, m in zip(X, res, member):
+            one = Z.residual(x)
+            assert type(one) is float and type(Z.is_member(x)) is bool
+            assert np.array_equal(one, r, equal_nan=True)
+            assert Z.is_member(x) == m
+
+    def test_block_flags_follow_the_rows(self, space_and_block):
+        Z, X = space_and_block
+        res, member = Z.residual(X), Z.is_member(X)
+        assert member[:6].all() and not member[6:].any()
+        assert (res[6:206] > Z.member_tol).all()
+        assert res[206] <= Z.member_tol  # on Z, but outside the box
+        assert np.isnan(res[207:]).all() and np.isfinite(res[:207]).all()
+        assert not Z.is_member(X[:6], tol=-1.0).any()
+
+    def test_single_point_keeps_the_norm_of_g(self, space_and_block):
+        Z, X = space_and_block
+        for x in X:
+            assert np.array_equal(Z.residual(x), float(np.linalg.norm(Z.constraints.evaluate(x))), equal_nan=True)
+
+    def test_unconstrained_block_is_zero(self, free_plane):
+        X = np.array([[0.5, 0.5], [3.0, 0.0], [np.nan, 0.0]])
+        assert np.array_equal(free_plane.residual(X), np.zeros(3))
+        assert free_plane.residual(X[0]) == 0.0
+        assert free_plane.is_member(X).tolist() == [True, False, False]
+
+
 class TestTangentProject:
     def test_planes_smooth_point_kills_normal_component(self, planes2):
         v = planes2.tangent_project([1.0, 0.0], [0.7, -1.3])

@@ -32,8 +32,9 @@ REFINE_TOL = 1e-12
 # a rank-collapse point is fixed when its probe flows stay within
 # 2 * FIXED_RHO over an arc of 10 * FIXED_RHO
 FIXED_RHO = 1e-4
-# classify probes a ring with this many directions (the axes first)
+# classify probes a ring of radius PROBE_RADIUS with this many directions (the axes first)
 N_PROBES = 24
+PROBE_RADIUS = 0.01
 VALUE_MERGE_TOL = 1e-8
 GAP_TOL = 1e-4
 DEFAULT_GRID_DENSITY = 7
@@ -349,27 +350,26 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     return cps
 
 
-def _saddle_witnesses(f, Z, cp, below_probe, probe_radius) -> bool:
+def _saddle_witnesses(f, Z, cp, below_probe) -> bool:
     """Both saddle witnesses: the down-flow escapes, the back-flow returns."""
     center = cp.point()
     down, up = integrate_ensemble(
         f, Z, [below_probe, below_probe], directions=("descend", "ascend"), levels=(None, cp.value),
-        stops=[Converged(1e-8), ArcBudget(max(50.0 * probe_radius, 1.0))], record=(True, False),
+        stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0))], record=(True, False),
     )
     max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))
     end_dist = float(np.linalg.norm(up.endpoint - center))
-    return (max_dist > 2.0 * probe_radius and up.termination in ("reach_level", "converged")
-            and end_dist <= probe_radius)
+    return (max_dist > 2.0 * PROBE_RADIUS and up.termination in ("reach_level", "converged")
+            and end_dist <= PROBE_RADIUS)
 
 
 def classify(
     f: Polynomial,
     Z: SingularSpace,
     cp: CriticalPoint,
-    probe_radius: float = 0.01,
     seed: int = 0,
 ) -> str:
-    """Classify a critical point from f-values on a retracted ring of N_PROBES probes.
+    """Classify a critical point from f-values on a retracted ring of N_PROBES probes at PROBE_RADIUS.
 
     minimum / maximum when every probe lies beyond probe_tol on one side,
     saddle when both sides are populated and the two witness flows confirm
@@ -382,7 +382,7 @@ def classify(
     center = cp.point()
     rng = substream(seed, "classify")
     n_extra = max(0, N_PROBES - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra, require_in_box=False)
+    probes = ring_probes(Z, center, PROBE_RADIUS, rng, n_random=n_extra, require_in_box=False)
     # a stratum of dimension k offers 2k axis probes; the ambient dimension
     # would ask a lifted problem for probes its stratum cannot have
     local_dim = Z.ambient_dim - Z.effective_rank(center)
@@ -390,7 +390,7 @@ def classify(
     if len(probes) < min_probes:
         log.warning(
             "only %d on-Z probes at radius %g around %s; classification unresolved",
-            len(probes), probe_radius, cp.location,
+            len(probes), PROBE_RADIUS, cp.location,
         )
         return "unresolved"
     probes = np.array(probes)
@@ -404,7 +404,7 @@ def classify(
     has_below = bool(np.any(dv < -probe_tol))
     if has_above and has_below:
         below = probes[int(np.argmin(dv))]
-        if _saddle_witnesses(f, Z, cp, below, probe_radius):
+        if _saddle_witnesses(f, Z, cp, below):
             return "saddle"
         log.warning("two-sided probes but witness flows failed at %s", cp.location)
         return "unresolved"

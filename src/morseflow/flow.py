@@ -3,24 +3,27 @@
 The flow is ``dy/dt = -grad f(y)`` (descending) or its negative (ascending),
 where the gradient is the ambient one projected onto the tangent space of Z.
 Because the projection annihilates the constraint Jacobian exactly, Z is
-invariant for the extended vector field and the constraint residual only
-drifts at the integrator-error scale; a retraction after every stage and every
-accepted step keeps it at ``retract_tol``.
+invariant for the extended vector field (defined off Z too), so a step is taken
+in the ambient space and only its result is retracted onto Z, to
+``retract_tol``: the projection method of Hairer, Lubich & Wanner, *Geometric
+Numerical Integration*, IV.4.  The stages are not retracted.
 
 One integrator steps an ensemble: :func:`integrate_ensemble` advances N flows
 together as the rows of an ``(N, n)`` array, each with its own direction,
 level target, step size, time, arc length, rank of Dg and counters.  Every
-stage evaluates the field, retracts and projects all live rows in one batched
-call.  Stepping uses the Cash-Karp embedded Runge-Kutta 4(5) pair with
-standard proportional step control, applied to each row on its own: a row
-whose error test or retraction fails retries with a smaller step while the
-others move on.  A member terminates on the first stop criterion that fires
-for it and leaves the ensemble, the others keeping their order; a time and an
-arc-length budget are always active so every member terminates.  Level
-crossings leave the ensemble too, and are landed afterwards (to ``level_tol``
-in f) by one batched bisection of each crossing step's length; a crossing that
-no bisection point lands ends with ``landing_failed``.  Rows never interact,
-so a member's trajectory is the same bit for bit in any ensemble.
+stage evaluates and projects the field at all live rows in one batched call,
+and one more call retracts the endpoints.  Stepping uses the Cash-Karp embedded
+Runge-Kutta 4(5) pair with standard proportional step control, applied to each
+row on its own: a row whose error test or endpoint retraction fails retries
+with a smaller step while the others move on.  A member terminates on the
+first stop criterion that fires for it and leaves the ensemble, the others
+keeping their order; a time and an arc-length budget are always active so
+every member terminates.  Level crossings leave the ensemble too, and are
+landed afterwards (to ``level_tol`` in f) by one batched bisection of each
+crossing step's length, each bisection point a retracted step endpoint; a
+crossing that no bisection point lands ends with ``landing_failed``.  Rows
+never interact, so a member's trajectory is the same bit for bit in any
+ensemble.
 
 :func:`integrate` is the ensemble of one, with every sample kept.  In a larger
 ensemble only the members marked in ``record`` keep every accepted sample;
@@ -196,28 +199,22 @@ class _Field:
     def advance(self, Y0, K1, H, sign):
         """One Cash-Karp step of length H[i] from each row Y0[i].
 
+        The stages are not retracted: stage i evaluates the projected
+        gradient at ``Y0 + h * sum_j a_ij K_j``, which may lie slightly off
+        Z.  Only the endpoint is retracted, in one call over all rows.
         Returns the retracted endpoints, the scaled error estimates and a
-        mask of the rows whose retractions all succeeded.  A row whose
-        retraction fails is carried on as NaN, which costs nothing further
-        and yields a NaN endpoint and error.
+        mask of the rows whose retraction succeeded; a failed row has a NaN
+        endpoint and error.
         """
-        ok = np.ones(len(Y0), dtype=bool)
         h = H[:, None]
         K = [K1]
         for i in range(1, 6):
-            P = Y0 + h * _combine(_CK_A[i], K)
-            if self.constrained:
-                P, ok_p = self.Z.retract_batch(P)
-                if not ok_p.all():
-                    ok &= ok_p
-                    P[~ok] = np.nan
-            K.append(sign[:, None] * self.projected_grad(P)[0])
+            K.append(sign[:, None] * self.projected_grad(Y0 + h * _combine(_CK_A[i], K))[0])
         y5 = Y0 + h * _combine(_CK_B5, K)
         y4 = Y0 + h * _combine(_CK_B4, K)
-        y_new = y5
+        y_new, ok = y5, np.ones(len(Y0), dtype=bool)
         if self.constrained:
-            y_new, ok_y = self.Z.retract_batch(y5)
-            ok &= ok_y
+            y_new, ok = self.Z.retract_batch(y5)
             y_new[~ok] = np.nan
         scale = ATOL + RTOL * np.maximum(np.abs(Y0), np.abs(y_new))
         return y_new, np.sqrt(row_sums(((y5 - y4) / scale) ** 2) / Y0.shape[1]), ok

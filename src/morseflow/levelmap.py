@@ -27,6 +27,11 @@ SLICE_CLUSTER_TOL = 10.0 * CLUSTER_TOL
 # slice and each landing distance exceeds the one before by at most MONOTONE_SLACK
 TUBE_RHO = 0.05
 MONOTONE_SLACK = 0.1
+# the unstable slice descends from SLICE_N_POINTS ring probes of radius
+# SLICE_PROBE_RADIUS that lie CURVATURE_MARGIN * radius**2 below the critical value
+SLICE_N_POINTS = 24
+SLICE_PROBE_RADIUS = 1e-3
+CURVATURE_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -125,10 +130,7 @@ def unstable_slice(
     Z: SingularSpace,
     cp: CriticalPoint,
     level: float,
-    n_points: int = 24,
-    probe_radius: float = 1e-3,
     seed: int = 0,
-    curvature_margin: float = 0.5,
     control=None,
 ) -> UnstableSlice:
     """Sample the downward-leaving flow of a critical point on a lower level.
@@ -143,13 +145,13 @@ def unstable_slice(
         raise ValueError(f"slice level {level} is not below the critical value {cp.value}")
     center = cp.point()
     rng = substream(seed, "unstable-slice")
-    n_extra = max(0, n_points - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra, require_in_box=False)
+    n_extra = max(0, SLICE_N_POINTS - 2 * Z.ambient_dim)
+    probes = ring_probes(Z, center, SLICE_PROBE_RADIUS, rng, n_random=n_extra, require_in_box=False)
     probes = np.reshape(probes, (-1, Z.ambient_dim))
-    starts = probes[f.evaluate(probes) < cp.value - curvature_margin * probe_radius**2]
+    starts = probes[f.evaluate(probes) < cp.value - CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2]
     if not len(starts):
         raise ValueError(
-            f"no descending directions at radius {probe_radius}; "
+            f"no descending directions at radius {SLICE_PROBE_RADIUS}; "
             "the critical point is a minimum (or the radius is too small)"
         )
 
@@ -197,7 +199,6 @@ def check_condition2(
     n_samples: int = 200,
     seed: int = 0,
     conv_grad_tol: float = 1e-4,
-    margin_frac: float = 0.9,
     control=None,
     collect=None,
 ) -> ConditionReport:
@@ -212,7 +213,7 @@ def check_condition2(
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
     rng = substream(seed, "cond2")
-    samples = band_samples(f, Z, a, b, rng, n_samples, margin_frac=margin_frac)
+    samples = band_samples(f, Z, a, b, rng, n_samples)
     witnesses = {
         "band": [float(a), float(b)],
         "n_requested": int(n_samples),

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomial import Polynomial, PolynomialSystem
+from .polynomial import Polynomial, PolynomialSystem, _points
 
 __all__ = [
     "SingularSpace",
@@ -88,7 +88,7 @@ class SingularSpace:
         x is one point, giving a float, or an (N, n) block, giving one norm
         per row, each equal to the one-point result for that row.
         """
-        x = np.asarray(x, dtype=float)
+        x = _points(x, self.ambient_dim)
         X = np.atleast_2d(x)
         res = row_norms(self.constraints.evaluate(X)) if len(self.constraints) else np.zeros(len(X))
         return float(res[0]) if x.ndim == 1 else res
@@ -98,7 +98,7 @@ class SingularSpace:
 
         x is one point, giving a bool, or an (N, n) block, giving one flag per row.
         """
-        x = np.asarray(x, dtype=float)
+        x = _points(x, self.ambient_dim)
         lo, hi = np.array(self.box).T
         inside = ((x >= lo + margin) & (x <= hi - margin)).all(axis=-1)
         return bool(inside) if x.ndim == 1 else inside
@@ -109,8 +109,7 @@ class SingularSpace:
         x is one point, giving a bool, or an (N, n) block, giving one flag per row.
         """
         tol = self.member_tol if tol is None else tol
-        member = (self.residual(x) <= tol) & self.inside_box(x)
-        return bool(member) if np.ndim(x) == 1 else member
+        return (self.residual(x) <= tol) & self.inside_box(x)
 
     # -- tangent structure ----------------------------------------------
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseflow.cli import load_problem, problem_objects
+import stage_retracting_advance
+from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.flow import (
     INCONCLUSIVE_TERMINATIONS,
     ArcBudget,
     Converged,
     ReachLevel,
     StepControl,
+    _Field,
     arc_length,
     check_level_target,
     integrate,
@@ -19,6 +21,7 @@ from morseflow.flow import (
     trajectory_csv_text,
 )
 from morseflow.polynomial import PolynomialSystem, parse_polynomial
+from morseflow.sampling import band_samples, substream
 from morseflow.space import SingularSpace
 
 
@@ -419,3 +422,55 @@ def test_step_limit_ends_each_member_on_its_own_count(saddle):
                                stops=[Converged(1e-8)], control=StepControl(max_steps=3))
     assert [t.termination for t in flows] == ["step_limit", "converged", "step_limit"]
     assert [t.n_accepted + t.n_rejected for t in flows] == [3, 0, 3]
+
+
+# -- the projection-method step: stages off Z, only the endpoint retracted --
+
+
+def named_problem(name):
+    spec = load_problem(PROBLEMS / f"{name}.json") if name.endswith("-lift") else builtin_problem(name)
+    return problem_objects(spec)
+
+
+def band_starts(f, Z, count):
+    """count band points of Z, flowing alternately down and up to a level 0.5 away."""
+    X = np.array(band_samples(f, Z, -0.6, 0.6, substream(3, "reference-step"), count))
+    assert len(X) == count
+    directions = ["descend", "ascend"] * (count // 2)
+    levels = [v - 0.5 if d == "descend" else v + 0.5 for v, d in zip(f.evaluate(X), directions)]
+    return X, directions, levels
+
+
+@pytest.mark.parametrize("name", ["cone", "cone-lift", "planes-lift"])
+def test_endpoint_retraction_ends_each_member_as_stage_retraction_did(name, monkeypatch):
+    # the largest endpoint gap to the reference is 1.6e-9 (cone); the planes
+    # keep their flows on the coordinate axes, where both agree bit for bit
+    f, Z = named_problem(name)
+    X, directions, levels = band_starts(f, Z, 24)
+    flows = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
+    monkeypatch.setattr(_Field, "advance", stage_retracting_advance.advance)
+    reference = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
+    for traj, ref in zip(flows, reference):
+        assert traj.termination == ref.termination
+        assert np.linalg.norm(traj.endpoint - ref.endpoint) <= 1e-8
+        assert Z.is_member(traj.y).all() and (Z.residual(traj.y) <= Z.retract_tol).all()
+    assert "reach_level" in {t.termination for t in flows}
+
+
+@pytest.mark.parametrize("name, calls", [("saddle", 0), ("cone", 1), ("cone-lift", 1), ("planes-lift", 1)])
+def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, calls, monkeypatch):
+    f, Z = named_problem(name)
+    X, directions, _ = band_starts(f, Z, 6)
+    rows = []
+    retract_batch = SingularSpace.retract_batch
+
+    def counted(self, Y, *args, **kwargs):
+        rows.append(len(Y))
+        return retract_batch(self, Y, *args, **kwargs)
+
+    monkeypatch.setattr(SingularSpace, "retract_batch", counted)
+    fld = _Field(f, Z)
+    sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
+    y_new, _, ok = fld.advance(X, sign[:, None] * fld.projected_grad(X)[0], np.full(6, 0.05), sign)
+    assert rows == [6] * calls
+    assert ok.all() and Z.is_member(y_new).all()

@@ -81,9 +81,13 @@ class TestResidualAndMembership:
     def test_point_outside_box_rejected(self, planes2):
         assert not planes2.is_member([3.0, 0.0], tol=1e-9)
 
-    def test_dimension_mismatch(self, planes2):
-        with pytest.raises(ValueError):
-            planes2.residual([1.0, 0.0, 0.0])
+    def test_dimension_mismatch(self, planes2, free_plane):
+        # one point and a block, with and without constraints: the error names both dimensions
+        for Z in (planes2, free_plane):
+            for x in ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+                for check in (Z.residual, Z.inside_box, Z.is_member):
+                    with pytest.raises(ValueError, match=r"shape \((3,|2, 3)\), expected \(2,\) or \(N, 2\)"):
+                        check(x)
 
 
 class TestBlockMembership:

@@ -458,3 +458,78 @@ class TestUnsettledCriticalPoints:
         frag = report.condition_reports["cond4"]
         assert frag["verdict"] == "inconclusive"
         assert "[2]" in frag["witnesses"]["error"]
+
+
+class TestStageIsolation:
+    """A stage that raises, or depends on one that did, leaves a record and no verdict."""
+
+    @staticmethod
+    def _skipped(condition, reason):
+        return {"condition": condition, "verdict": "inconclusive",
+                "witnesses": {"error": reason}, "modulus_table": None}
+
+    @staticmethod
+    def _broken_search(monkeypatch):
+        import morseflow.cli as cli
+
+        def broken(f, Z, **kw):
+            raise RuntimeError("critical search diverged")
+
+        monkeypatch.setattr(cli, "find_critical_points", broken)
+
+    def test_failed_critical_stage_skips_its_dependents(self, monkeypatch):
+        self._broken_search(monkeypatch)
+        report = run_experiment(builtin_problem("saddle"),
+                                stages=("critical", "loja", "cond1", "cond4"))
+        assert report.stage_errors == {
+            "critical": "RuntimeError('critical search diverged')",
+            "loja": "dependency 'critical' failed",
+        }
+        assert report.critical_points == [] and report.lojasiewicz_fits == []
+        assert report.condition_reports == {
+            "cond1": self._skipped(1, "dependency 'critical' failed"),
+            "cond4": self._skipped(4, "dependency 'critical' failed"),
+        }
+        assert report.verdicts() == ["inconclusive", "inconclusive"]
+
+    def test_fit_failure_is_isolated_per_point(self, monkeypatch):
+        import morseflow.cli as cli
+
+        real = cli.estimate_fit
+
+        def flaky(f, Z, cp, radius, **kw):
+            if abs(cp.location[0]) < 0.5:  # the maximum at 0
+                raise ValueError("cloud left the box")
+            return real(f, Z, cp, radius, **kw)
+
+        monkeypatch.setattr(cli, "estimate_fit", flaky)
+        doc = dict(BUILTIN["quartic"], objective="x^4 - 2*x^2")
+        report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja"))
+        assert [cp["kind"] for cp in report.critical_points] == ["minimum", "minimum", "maximum"]
+        assert sorted(report.stage_errors) == ["loja[2]"]
+        assert "cloud left the box" in report.stage_errors["loja[2]"]
+        assert [fit["point_index"] for fit in report.lojasiewicz_fits] == [0, 1]
+        assert all("theta" in fit for fit in report.lojasiewicz_fits)
+
+    def test_slice_failure_is_isolated_per_point(self, monkeypatch):
+        import morseflow.cli as cli
+
+        real = cli.unstable_slice
+
+        def flaky(f, Z, cp, level, **kw):
+            if cp.location[0] > 0.5:  # the maximum at 1
+                raise RuntimeError("slice probe left the box")
+            return real(f, Z, cp, level, **kw)
+
+        monkeypatch.setattr(cli, "unstable_slice", flaky)
+        doc = dict(BUILTIN["quartic"], objective="2*x^2 - x^4")
+        report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
+        # points sorted by value: the well at 0, then the maxima at -1 and 1
+        assert [cp["kind"] for cp in report.critical_points] == ["minimum", "maximum", "maximum"]
+        assert report.stage_errors == {}
+        frag = report.condition_reports["cond4"]
+        first, second = frag["witnesses"]["per_point"]
+        assert first["point_index"] == 1 and first["verdict"] == "pass"
+        assert second == {**self._skipped(4, "RuntimeError('slice probe left the box')"),
+                          "point_index": 2}
+        assert frag["verdict"] == "inconclusive"

@@ -17,7 +17,7 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +38,10 @@ from .space import RetractionError, SingularSpace
 
 log = logging.getLogger(__name__)
 
-STAGES = ("critical", "loja", "cond1", "cond2", "cond4")
-STAGE_DEPS = {
-    "critical": (),
-    "loja": ("critical",),
-    "cond1": ("critical",),
-    "cond2": ("critical",),
-    "cond4": ("critical", "loja"),
-}
 SAFETY = 0.5
+# the corollary needs these conditions together
+COROLLARY = ("cond1", "cond2", "cond4")
+WORST_FIRST = ("fail", "inconclusive", "pass")
 KNOWN_TOLERANCES = {"band", "cond4_eps", "fit_radius", "conv_grad_tol", "grid_density"}
 
 
@@ -133,8 +128,7 @@ def spec_from_mapping(data) -> ProblemSpec:
     for key in ("name", "variables", "objective", "box"):
         if key not in data:
             raise ValidationError(f"missing required field '{key}'")
-    unknown = set(data) - {"name", "variables", "objective", "constraints", "box",
-                           "proper_on_box", "tolerances", "seed"}
+    unknown = set(data) - {fd.name for fd in fields(ProblemSpec)}
     if unknown:
         raise ValidationError(f"unknown field(s) {sorted(unknown)}")
     if not isinstance(data["name"], str):
@@ -272,38 +266,24 @@ class ExperimentReport:
     corollary_verdict: str
     stage_errors: dict
     trajectory_manifest: list
+    # compare=False keeps the trajectories out of the payload
     trajectories: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_payload(self) -> dict:
-        return {
-            "problem": self.problem,
-            "stages": list(self.stages),
-            "critical_points": self.critical_points,
-            "lojasiewicz_fits": self.lojasiewicz_fits,
-            "condition_reports": self.condition_reports,
-            "corollary_verdict": self.corollary_verdict,
-            "stage_errors": self.stage_errors,
-            "trajectory_manifest": self.trajectory_manifest,
-        }
+        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.compare}
 
     @classmethod
     def from_payload(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            problem=data["problem"],
-            stages=list(data["stages"]),
-            critical_points=data["critical_points"],
-            lojasiewicz_fits=data["lojasiewicz_fits"],
-            condition_reports=data["condition_reports"],
-            corollary_verdict=data["corollary_verdict"],
-            stage_errors=data["stage_errors"],
-            trajectory_manifest=data["trajectory_manifest"],
-        )
+        return cls(**{fd.name: data[fd.name] for fd in fields(cls) if fd.compare})
+
+    @property
+    def corollary_ran(self) -> bool:
+        """The corollary has a verdict only when every condition it needs ran."""
+        return all(k in self.condition_reports for k in COROLLARY)
 
     def verdicts(self) -> list:
         out = [rep["verdict"] for rep in self.condition_reports.values()]
-        if all(f"cond{k}" in self.condition_reports for k in (1, 2, 4)):
-            out.append(self.corollary_verdict)
-        return out
+        return out + [self.corollary_verdict] if self.corollary_ran else out
 
 
 def load_report(path) -> ExperimentReport:
@@ -316,162 +296,98 @@ class _TrajectoryKeeper:
 
     def __init__(self):
         self.kept = {}
-        self.manifest = []
 
     def __call__(self, tag: str, traj):
         family = tag.rsplit("/", 1)[0] if tag.count("/") >= 2 else tag
-        if any(k.startswith(family) for k in self.kept):
-            return
-        self.kept[tag] = traj
-        self.manifest.append(
-            {
-                "tag": tag,
-                "direction": traj.direction,
-                "termination": traj.termination,
-                "n_samples": int(traj.n_samples),
-            }
-        )
+        if not any(k.startswith(family) for k in self.kept):
+            self.kept[tag] = traj
 
 
-def _stage_skip_report(condition: int, reason: str) -> dict:
+@dataclass
+class _Run:
+    """What the stages of one run share: the problem, the report and the points found."""
+
+    spec: ProblemSpec
+    f: Polynomial
+    Z: SingularSpace
+    report: ExperimentReport
+    keeper: _TrajectoryKeeper
+    cps: list
+    fits: dict
+
+
+def _worst(verdicts) -> str:
+    return min(verdicts, key=WORST_FIRST.index)
+
+
+def _skipped(condition: int, reason: str) -> dict:
     return ConditionReport(condition, "inconclusive", {"error": reason}).to_payload()
 
 
-def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
-    """Run the requested stages against one problem and assemble the report.
+def _isolated(errors: dict, key: str, call):
+    """call(), or None once its error is recorded in errors[key].
 
-    Stage errors are isolated: a failing stage records an inconclusive
-    fragment and the remaining stages still run.  The final verdict passes
-    only when the three condition checks pass and the problem asserts
-    proper_on_box.  An unknown stage, a stage without its dependencies or
-    an empty stage list raises :class:`ValidationError`.
+    One stage, or one point of a stage, must not abort the run.
     """
-    stages = tuple(stages)
-    for s in stages:
-        if s not in STAGES:
-            raise ValidationError(f"unknown stage '{s}'; choose from {','.join(STAGES)}")
-        missing = [d for d in STAGE_DEPS[s] if d not in stages]
-        if missing:
-            raise ValidationError(f"stage '{s}' requires {','.join(missing)}")
-    if not stages:
-        raise ValidationError("no stages requested")
-    ordered = [s for s in STAGES if s in stages]
-
-    f, Z = problem_objects(spec)
-    tol = spec.tolerances
-    keeper = _TrajectoryKeeper()
-    report = ExperimentReport(
-        problem=spec.to_payload(),
-        stages=ordered,
-        critical_points=[],
-        lojasiewicz_fits=[],
-        condition_reports={},
-        corollary_verdict="inconclusive",
-        stage_errors={},
-        trajectory_manifest=[],
-    )
-
-    cps: list[CriticalPoint] = []
-    if "critical" in stages:
-        try:
-            cps = find_critical_points(f, Z, grid_density=tol.get("grid_density"))
-            cps = [replace(cp, kind=_classify_isolated(f, Z, cp, i, spec.seed, report.stage_errors))
-                   for i, cp in enumerate(cps)]
-            report.critical_points = [cp.to_payload() for cp in cps]
-        except Exception as e:  # noqa: BLE001 - stage isolation is the contract
-            log.exception("critical stage failed")
-            report.stage_errors["critical"] = repr(e)
-            cps = []
-
-    critical_ok = "critical" in stages and "critical" not in report.stage_errors
-
-    fits: dict[int, object] = {}
-    if "loja" in stages:
-        if not critical_ok:
-            report.stage_errors.setdefault("loja", "dependency 'critical' failed")
-        else:
-            for i, cp in enumerate(cps):
-                radius = float(tol.get("fit_radius", min(default_delta(Z, cp, cps), 0.5)))
-                try:
-                    fit = estimate_fit(f, Z, cp, radius, seed=spec.seed)
-                    fits[i] = fit
-                    entry = fit.to_payload()
-                    entry["point_index"] = i
-                    report.lojasiewicz_fits.append(entry)
-                except FitError as e:
-                    report.lojasiewicz_fits.append(
-                        {
-                            "point_index": i,
-                            "error": str(e),
-                            "measured_slope": e.measured_slope,
-                        }
-                    )
-                except Exception as e:  # noqa: BLE001
-                    log.exception("fit failed at point %d", i)
-                    report.stage_errors[f"loja[{i}]"] = repr(e)
-
-    if "cond1" in stages:
-        if not critical_ok:
-            report.condition_reports["cond1"] = _stage_skip_report(1, "dependency 'critical' failed")
-        else:
-            try:
-                report.condition_reports["cond1"] = check_condition1(cps).to_payload()
-            except Exception as e:  # noqa: BLE001
-                log.exception("condition 1 failed")
-                report.condition_reports["cond1"] = _stage_skip_report(1, repr(e))
-
-    if "cond2" in stages:
-        band = tuple(tol.get("band", (-1.0, 1.0)))
-        try:
-            near = [v for v in (cp.value for cp in cps) if min(abs(v - band[0]), abs(v - band[1])) <= 1e-8]
-            if near:
-                report.condition_reports["cond2"] = _stage_skip_report(
-                    2, f"band endpoint touches critical value(s) {near}")
-            else:
-                report.condition_reports["cond2"] = check_condition2(
-                    f, Z, band[0], band[1],
-                    n_samples=200,
-                    seed=spec.seed,
-                    conv_grad_tol=float(tol.get("conv_grad_tol", 1e-4)),
-                    collect=keeper,
-                ).to_payload()
-        except Exception as e:  # noqa: BLE001
-            log.exception("condition 2 failed")
-            report.condition_reports["cond2"] = _stage_skip_report(2, repr(e))
-
-    if "cond4" in stages:
-        if not critical_ok:
-            report.condition_reports["cond4"] = _stage_skip_report(4, "dependency 'critical' failed")
-        else:
-            report.condition_reports["cond4"] = _run_cond4(f, Z, spec, cps, fits, keeper)
-
-    report.trajectory_manifest = keeper.manifest
-    report.trajectories = keeper.kept
-
-    conds = report.condition_reports
-    if all(f"cond{k}" in conds for k in (1, 2, 4)):
-        verdicts = [conds[f"cond{k}"]["verdict"] for k in (1, 2, 4)]
-        if "fail" in verdicts:
-            report.corollary_verdict = "fail"
-        elif "inconclusive" in verdicts or not spec.proper_on_box:
-            report.corollary_verdict = "inconclusive"
-        else:
-            report.corollary_verdict = "pass"
-    return report
-
-
-def _classify_isolated(f, Z, cp, i, seed, stage_errors) -> str:
-    """classify, with a failure recorded under classify[i] and the point left unresolved."""
     try:
-        return classify(f, Z, cp, seed=seed)
-    except Exception as e:  # noqa: BLE001 - one point must not abort the stage
-        log.exception("classification failed at point %d", i)
-        stage_errors[f"classify[{i}]"] = repr(e)
-        return "unresolved"
+        return call()
+    except Exception as e:  # noqa: BLE001 - stage isolation is the contract
+        log.exception("%s failed", key)
+        errors[key] = repr(e)
+        return None
 
 
-def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
-    tol = spec.tolerances
+# Each stage runner reads the stage functions as module globals when it runs,
+# so that a tracer or a test can replace them on this module.
+
+def _run_critical(run: _Run) -> None:
+    f, Z, seed = run.f, run.Z, run.spec.seed
+    cps = find_critical_points(f, Z, grid_density=run.spec.tolerances.get("grid_density"))
+    cps = [replace(cp, kind=_isolated(run.report.stage_errors, f"classify[{i}]",
+                                      lambda: classify(f, Z, cp, seed=seed)) or "unresolved")
+           for i, cp in enumerate(cps)]
+    run.report.critical_points = [cp.to_payload() for cp in cps]
+    run.cps = cps
+
+
+def _run_loja(run: _Run) -> None:
+    for i, cp in enumerate(run.cps):
+        entry = _isolated(run.report.stage_errors, f"loja[{i}]", lambda: _fit_entry(run, i, cp))
+        if entry is not None:
+            run.report.lojasiewicz_fits.append(entry)
+
+
+def _fit_entry(run: _Run, i: int, cp: CriticalPoint) -> dict:
+    """The fit of point i, or the slope that a rejected fit measured."""
+    radius = float(run.spec.tolerances.get("fit_radius", min(default_delta(run.Z, cp, run.cps), 0.5)))
+    try:
+        run.fits[i] = estimate_fit(run.f, run.Z, cp, radius, seed=run.spec.seed)
+    except FitError as e:
+        return {"point_index": i, "error": str(e), "measured_slope": e.measured_slope}
+    return {**run.fits[i].to_payload(), "point_index": i}
+
+
+def _run_cond1(run: _Run) -> dict:
+    return check_condition1(run.cps).to_payload()
+
+
+def _run_cond2(run: _Run) -> dict:
+    tol = run.spec.tolerances
+    band = tuple(tol.get("band", (-1.0, 1.0)))
+    near = [v for v in (cp.value for cp in run.cps) if min(abs(v - band[0]), abs(v - band[1])) <= 1e-8]
+    if near:
+        return _skipped(2, f"band endpoint touches critical value(s) {near}")
+    return check_condition2(
+        run.f, run.Z, band[0], band[1],
+        n_samples=200,
+        seed=run.spec.seed,
+        conv_grad_tol=float(tol.get("conv_grad_tol", 1e-4)),
+        collect=run.keeper,
+    ).to_payload()
+
+
+def _run_cond4(run: _Run) -> dict:
+    cps = run.cps
     targets = [(i, cp) for i, cp in enumerate(cps) if cp.kind in ("saddle", "maximum")]
     # a point of unknown kind may be a saddle whose landing check never ran
     unsettled = [i for i, cp in enumerate(cps) if cp.kind in ("unresolved", "degenerate")]
@@ -479,30 +395,100 @@ def _run_cond4(f, Z, spec, cps, fits, keeper) -> dict:
         return ConditionReport(
             4, "pass", {"warning": "no non-minimal critical points; vacuously satisfied"}).to_payload()
     gap = check_condition1(cps).witnesses["min_gap"]
+    errors = {}
     per_point = []
-    table = None
     for i, cp in targets:
-        try:
-            eps, eps_note = _pick_eps(fits.get(i), gap, tol)
-            slc = unstable_slice(f, Z, cp, cp.value - eps, seed=spec.seed)
-            frag = check_condition4(f, Z, cp, eps, slc, seed=spec.seed, collect=keeper)
-            entry = frag.to_payload()
-            entry["point_index"] = i
-            entry["witnesses"]["eps_source"] = eps_note
-            entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
-            per_point.append(entry)
-            if table is None:
-                table = frag.modulus_table
-        except Exception as e:  # noqa: BLE001
-            log.exception("condition 4 failed at point %d", i)
-            per_point.append({**_stage_skip_report(4, repr(e)), "point_index": i})
-    order = {"fail": 0, "inconclusive": 1, "pass": 2}
+        key = f"cond4[{i}]"
+        entry = _isolated(errors, key, lambda: _cond4_entry(run, i, cp, gap))
+        per_point.append({**_skipped(4, errors[key]), "point_index": i} if key in errors else entry)
+    table = next((p["modulus_table"] for p in per_point if p["modulus_table"] is not None), None)
     verdicts = [p["verdict"] for p in per_point] + (["inconclusive"] if unsettled else [])
     witnesses = {"per_point": per_point}
     if unsettled:
         witnesses["error"] = (f"critical point(s) {unsettled} are unresolved or degenerate, "
                               "so condition 4 was not checked there")
-    return ConditionReport(4, min(verdicts, key=order.get), witnesses, table).to_payload()
+    return ConditionReport(4, _worst(verdicts), witnesses, table).to_payload()
+
+
+def _cond4_entry(run: _Run, i: int, cp: CriticalPoint, gap: float) -> dict:
+    """The condition 4 fragment of target point i, with its level offset and slice."""
+    seed = run.spec.seed
+    eps, eps_note = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
+    slc = unstable_slice(run.f, run.Z, cp, cp.value - eps, seed=seed)
+    entry = check_condition4(run.f, run.Z, cp, eps, slc, seed=seed, collect=run.keeper).to_payload()
+    entry["point_index"] = i
+    entry["witnesses"]["eps_source"] = eps_note
+    entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
+    return entry
+
+
+# stage -> (the stages it needs, its runner); the order is the run order.
+# A condition's runner returns its report fragment.
+STAGES = {
+    "critical": ((), _run_critical),
+    "loja": (("critical",), _run_loja),
+    "cond1": (("critical",), _run_cond1),
+    "cond2": (("critical",), _run_cond2),
+    "cond4": (("critical", "loja"), _run_cond4),
+}
+
+
+def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
+    """Run the requested stages against one problem and assemble the report.
+
+    Stages run in table order.  A stage that raises, or that needs a stage
+    that did, records why: a condition as an inconclusive fragment whose
+    witnesses carry the error, any other stage under ``stage_errors``; the
+    remaining stages still run.  The final verdict passes only when the
+    three condition checks pass and the problem asserts proper_on_box.  An
+    unknown stage, a stage without its dependencies or an empty stage list
+    raises :class:`ValidationError`.
+    """
+    stages = tuple(stages)
+    for s in stages:
+        if s not in STAGES:
+            raise ValidationError(f"unknown stage '{s}'; choose from {','.join(STAGES)}")
+        missing = [d for d in STAGES[s][0] if d not in stages]
+        if missing:
+            raise ValidationError(f"stage '{s}' requires {','.join(missing)}")
+    if not stages:
+        raise ValidationError("no stages requested")
+
+    f, Z = problem_objects(spec)
+    report = ExperimentReport(
+        problem=spec.to_payload(),
+        stages=[s for s in STAGES if s in stages],
+        critical_points=[],
+        lojasiewicz_fits=[],
+        condition_reports={},
+        corollary_verdict="inconclusive",
+        stage_errors={},
+        trajectory_manifest=[],
+    )
+    run = _Run(spec, f, Z, report, _TrajectoryKeeper(), [], {})
+    failed = {}  # stage -> why it did not finish
+    for name in report.stages:
+        deps, runner = STAGES[name]
+        broken = [d for d in deps if d in failed]
+        if broken:
+            failed[name] = f"dependency '{broken[0]}' failed"
+        out = None if broken else _isolated(failed, name, lambda: runner(run))
+        if name.startswith("cond"):
+            report.condition_reports[name] = (
+                _skipped(int(name[4:]), failed[name]) if name in failed else out)
+        elif name in failed:
+            report.stage_errors[name] = failed[name]
+
+    report.trajectories = run.keeper.kept
+    report.trajectory_manifest = [
+        {"tag": tag, "direction": t.direction, "termination": t.termination,
+         "n_samples": int(t.n_samples)}
+        for tag, t in report.trajectories.items()]
+    if report.corollary_ran:
+        # an f not asserted proper on the box leaves the corollary undecided
+        report.corollary_verdict = _worst([report.condition_reports[k]["verdict"] for k in COROLLARY]
+                                          + ([] if spec.proper_on_box else ["inconclusive"]))
+    return report
 
 
 def _pick_eps(fit, gap, tolerances):
@@ -592,20 +578,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage progress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run experiment stages on a problem file")
+    stage_opts = _Parser(add_help=False)
+    stage_opts.add_argument("--stages", default=",".join(STAGES),
+                            help=f"comma-separated subset of {','.join(STAGES)}")
+    stage_opts.add_argument("--out", default=None, help="output directory (default: print report)")
+    stage_opts.add_argument("--format", choices=("json", "csv-bundle"), default="json")
+    stage_opts.add_argument("--seed", type=int, default=None, help="override the problem seed")
+    run = sub.add_parser("run", parents=[stage_opts], help="run experiment stages on a problem file")
     run.add_argument("--problem", required=True, help="path to a JSON problem file")
-    run.add_argument("--stages", default=",".join(STAGES),
-                     help=f"comma-separated subset of {','.join(STAGES)}")
-    run.add_argument("--out", default=None, help="output directory (default: print report)")
-    run.add_argument("--format", choices=("json", "csv-bundle"), default="json")
-    run.add_argument("--seed", type=int, default=None, help="override the problem seed")
-
-    bench = sub.add_parser("bench", help="run a built-in benchmark")
+    bench = sub.add_parser("bench", parents=[stage_opts], help="run a built-in benchmark")
     bench.add_argument("name", choices=sorted(BUILTIN))
-    bench.add_argument("--stages", default=",".join(STAGES))
-    bench.add_argument("--out", default=None)
-    bench.add_argument("--format", choices=("json", "csv-bundle"), default="json")
-    bench.add_argument("--seed", type=int, default=None)
 
     flow_p = sub.add_parser("flow", help="integrate one flow line and emit its CSV")
     flow_p.add_argument("--problem", required=True)
@@ -628,12 +610,8 @@ def _cmd_run(spec: ProblemSpec, args) -> int:
             print(path)
     else:
         print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
-    verdicts = report.verdicts()
-    if "fail" in verdicts:
-        return 1
-    if "inconclusive" in verdicts:
-        return 2
-    return 0
+    # a run without verdicts (critical and loja only) exits 0
+    return {"fail": 1, "inconclusive": 2, "pass": 0}[_worst(report.verdicts() + ["pass"])]
 
 
 def _cmd_flow(args) -> int:
@@ -674,13 +652,10 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        if args.command == "run":
-            return _cmd_run(load_problem(args.problem), args)
-        if args.command == "bench":
-            return _cmd_run(builtin_problem(args.name), args)
         if args.command == "flow":
             return _cmd_flow(args)
-        raise ValidationError(f"unknown command {args.command!r}")
+        spec = load_problem(args.problem) if args.command == "run" else builtin_problem(args.name)
+        return _cmd_run(spec, args)
     except ValidationError as e:
         print(f"morseflow: {e}", file=sys.stderr)
         return 3

@@ -73,7 +73,7 @@ class UnstableSlice:
     points: list
 
 
-def level_map(f, Z: SingularSpace, a: float, b: float, sources, control=None) -> LevelSetMap:
+def level_map(f, Z: SingularSpace, a: float, b: float, sources) -> LevelSetMap:
     """Transport points of f^{-1}(a) to f^{-1}(b) along the flow.
 
     Direction follows the sign of b - a.  Captured trajectories (converged
@@ -88,7 +88,7 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources, control=None) ->
         return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
     direction = "ascend" if b > a else "descend"
     check_level_target(f, S, b, direction)
-    flows = integrate_ensemble(f, Z, S, direction, b, [Converged(1e-8)], control)
+    flows = integrate_ensemble(f, Z, S, direction, b, [Converged(1e-8)])
     pairs = [
         LevelPair(
             source=tuple(float(v) for v in s),
@@ -102,7 +102,7 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources, control=None) ->
     return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
 
 
-def roundtrip_error(f, Z: SingularSpace, a: float, b: float, sources, control=None) -> float:
+def roundtrip_error(f, Z: SingularSpace, a: float, b: float, sources) -> float:
     """Max displacement after transporting a -> b -> a, over non-captured sources.
 
     Small values witness invertibility of the transport; meaningful only
@@ -111,13 +111,13 @@ def roundtrip_error(f, Z: SingularSpace, a: float, b: float, sources, control=No
     """
     if a == b:
         return 0.0
-    fwd = level_map(f, Z, a, b, sources, control=control)
+    fwd = level_map(f, Z, a, b, sources)
     worst = 0.0
     live = [(np.asarray(p.source), np.asarray(p.image)) for p in fwd.pairs
             if not p.captured and p.termination == "reach_level"]
     if not live:
         return 0.0
-    back = level_map(f, Z, b, a, [img for _, img in live], control=control)
+    back = level_map(f, Z, b, a, [img for _, img in live])
     for (src, _), pair in zip(live, back.pairs):
         if pair.captured or pair.termination != "reach_level":
             continue
@@ -131,7 +131,6 @@ def unstable_slice(
     cp: CriticalPoint,
     level: float,
     seed: int = 0,
-    control=None,
 ) -> UnstableSlice:
     """Sample the downward-leaving flow of a critical point on a lower level.
 
@@ -156,14 +155,14 @@ def unstable_slice(
         )
 
     check_level_target(f, starts, level, "descend")
-    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)], control)
+    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)])
     landings = [traj.endpoint for traj in flows if traj.termination == "reach_level"]
     if not landings:
         raise RuntimeError(f"no probe flow reached level {level}; slice is empty")
 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     check_level_target(f, reps, cp.value, "ascend")
-    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)], control)
+    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)])
     dists = [float(np.linalg.norm(up.endpoint - center)) for up in ups]
     # ride the flow into the fixed point: the level is reached a touch away
     # from it whenever the approach is asymptotic
@@ -172,7 +171,6 @@ def unstable_slice(
         polish = integrate_ensemble(
             f, Z, [ups[i].endpoint for i in rides], "ascend",
             stops=[Converged(1e-8), ArcBudget([max(10.0 * dists[i], 1e-6) for i in rides])],
-            control=control,
         )
         for i, traj in zip(rides, polish):
             dists[i] = min(dists[i], float(np.linalg.norm(traj.endpoint - center)))
@@ -199,7 +197,6 @@ def check_condition2(
     n_samples: int = 200,
     seed: int = 0,
     conv_grad_tol: float = 1e-4,
-    control=None,
     collect=None,
 ) -> ConditionReport:
     """Compactness of the flow over the band (a, b).
@@ -233,7 +230,7 @@ def check_condition2(
     # direction is recorded in full for collect
     flows = integrate_ensemble(
         f, Z, np.repeat(samples, 2, axis=0), ["descend", "ascend"] * len(samples),
-        [a, b] * len(samples), [Converged(conv_grad_tol)], control,
+        [a, b] * len(samples), [Converged(conv_grad_tol)],
         record=collect is not None and np.arange(2 * len(samples)) < 2,
     )
     for traj in flows:
@@ -269,7 +266,6 @@ def check_condition4(
     radii=(0.1, 0.03, 0.01, 0.003),
     n_per_radius: int = 40,
     seed: int = 0,
-    control=None,
     collect=None,
 ) -> ConditionReport:
     """Landing modulus: flows from shrinking balls land ever closer to the slice.
@@ -319,7 +315,7 @@ def check_condition4(
     check_level_target(f, starts, target, "descend")
     # the first flow of each radius is recorded in full for collect
     flows = integrate_ensemble(
-        f, Z, starts, "descend", target, [Converged(1e-8)], control,
+        f, Z, starts, "descend", target, [Converged(1e-8)],
         record=np.isin(np.arange(len(starts)), firsts) & (collect is not None),
     )
     degenerate = False

@@ -188,7 +188,6 @@ def verify_flow_estimates(
     eps: float,
     starts,
     check_slack: float = CHECK_SLACK,
-    control=None,
 ) -> dict:
     """Descend each start by eps below the critical level and check the estimates.
 
@@ -229,7 +228,7 @@ def verify_flow_estimates(
     arc_pass = 0
 
     check_level_target(f, starts, target, "descend")
-    for traj in integrate_ensemble(f, Z, starts, "descend", target, [Converged(1e-8)], control, record=True):
+    for traj in integrate_ensemble(f, Z, starts, "descend", target, [Converged(1e-8)], record=True):
         if traj.termination not in ("reach_level", "converged"):
             n_inconclusive += 1
             continue

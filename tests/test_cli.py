@@ -492,6 +492,17 @@ class TestStageIsolation:
         }
         assert report.verdicts() == ["inconclusive", "inconclusive"]
 
+    def test_condition2_respects_a_failed_critical_stage(self, monkeypatch, tmp_path):
+        # without critical values the band cannot be checked against them,
+        # so condition 2 must not run its flows and pass
+        self._broken_search(monkeypatch)
+        rc = main(["bench", "saddle", "--stages", "critical,cond2", "--out", str(tmp_path)])
+        report = load_report(tmp_path / "report.json")
+        assert report.condition_reports == {
+            "cond2": self._skipped(2, "dependency 'critical' failed")}
+        assert report.trajectory_manifest == []
+        assert rc == 2
+
     def test_fit_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli
 
@@ -533,3 +544,19 @@ class TestStageIsolation:
         assert second == {**self._skipped(4, "RuntimeError('slice probe left the box')"),
                           "point_index": 2}
         assert frag["verdict"] == "inconclusive"
+
+    def test_a_condition_stage_that_raises_is_inconclusive(self, monkeypatch):
+        # condition 4 also reads the isolation gap, so both stages fail alone
+        import morseflow.cli as cli
+
+        def broken(cps):
+            raise RuntimeError("gap undefined")
+
+        monkeypatch.setattr(cli, "check_condition1", broken)
+        report = run_experiment(builtin_problem("saddle"))
+        skipped = self._skipped(1, "RuntimeError('gap undefined')")
+        assert report.condition_reports["cond1"] == skipped
+        assert report.condition_reports["cond4"] == {**skipped, "condition": 4}
+        assert report.condition_reports["cond2"]["verdict"] == "pass"
+        assert report.stage_errors == {}
+        assert report.corollary_verdict == "inconclusive"

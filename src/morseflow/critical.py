@@ -21,7 +21,7 @@ import numpy as np
 from .flow import ArcBudget, Converged, StepControl, TimeBudget, integrate_ensemble
 from .polynomial import Polynomial, PolynomialSystem, gradient
 from .sampling import _dedupe, ring_probes, substream
-from .space import SingularSpace, min_norm_steps, row_norms, row_sums
+from .space import SingularSpace, line_search, min_norm_steps, norms, row_norms
 
 log = logging.getLogger(__name__)
 
@@ -42,8 +42,6 @@ DEFAULT_GRID_DENSITY = 7
 MAX_GRID_SEEDS = 100_000
 # the critical search steps at most this many seeds at a time, which bounds its working arrays
 REFINE_POOL = 256
-# the 30 step lengths of a line search, taken in rounds of these sizes
-LINE_SEARCH_ROUNDS = (1, 5, 8, 16)
 
 KINDS = ("minimum", "maximum", "saddle", "degenerate", "unresolved")
 
@@ -108,10 +106,6 @@ def _grid_seeds(Z: SingularSpace, grid_density: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _norms(A: np.ndarray) -> np.ndarray:
-    return np.sqrt(row_sums(A * A))
-
-
 def _lstsq_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     # eps * max(m, n): the default singular-value cut of numpy's least-squares solver
     return min_norm_steps(J, R, np.finfo(float).eps * max(J.shape[1:]))
@@ -132,7 +126,7 @@ def _central_differences(resid, X: np.ndarray) -> np.ndarray:
     return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
 
 
-def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=None):
+def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=np.inf):
     """Damped least-squares Newton on every row of X0.
 
     Returns the refined rows, their residuals and a mask of the rows that
@@ -148,13 +142,14 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
     The rows step in a pool of at most REFINE_POOL, which bounds every
     working array.  Each iteration tops the pool up from the unstarted rows
     in order, takes one Jacobian and one least-squares solve over the whole
-    pool, then line-searches the phase-one rows and tests the full step of
-    the polishing ones; a row leaves the pool the moment it is done.  Rows
+    pool, then line-searches the phase-one rows (:func:`space.line_search`,
+    from a step capped at max_step_len) and tests the full step of the
+    polishing ones; a row leaves the pool the moment it is done.  Rows
     never interact: a row's result does not depend on the rows refined with
     it, or on the pool width.
     """
     X = np.array(X0, dtype=float)
-    N, n = X.shape
+    N = len(X)
     R, rn, ok = None, np.zeros(N), np.zeros(N, dtype=bool)
     # per row: steps taken in its phase, steps that kept over half the residual, in phase two
     used, stall, polish = np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
@@ -177,7 +172,7 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
             r = resid(X[new])
             if R is None:
                 R = np.zeros((N, r.shape[1]))
-            R[new], rn[new] = r, _norms(r)
+            R[new], rn[new] = r, norms(r)
             ok[new] = np.isfinite(rn[new])
             pool = np.concatenate([pool, settle(new)])
         if not pool.size:
@@ -189,33 +184,16 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
         ok[pool[~moving & ~polish[pool]]] = False
 
         one = np.flatnonzero(moving & ~polish[pool])
-        rows, x1, s1 = pool[one], x[one], step[one]
-        t = np.ones(len(rows))
-        if max_step_len is not None:
-            sn = _norms(s1)
-            long = sn > max_step_len
-            t[long] = max_step_len / sn[long]
-        # each row takes the first of its steps t, t/2, ..., t/2^29 whose
-        # residual is finite and lower; the halvings are tried in rounds of
-        # several at once, which picks the same step in fewer calls
-        todo, tried = np.arange(len(rows)), 0
-        for width in LINE_SEARCH_ROUNDS:
-            if not todo.size:
-                break
-            T = t[todo, None] * 0.5 ** np.arange(tried, tried + width)
-            xn = x1[todo, None, :] + T[:, :, None] * s1[todo, None, :]
-            r_new = resid(xn.reshape(-1, n)).reshape(len(todo), width, -1)
-            rn_new = _norms(r_new)
-            down = np.isfinite(rn_new) & (rn_new < rn[rows[todo], None])
-            found, k = down.any(axis=1), down.argmax(axis=1)
-            hit, k = rows[todo[found]], k[found]
-            xn, r_new, rn_new = xn[found, k], r_new[found, k], rn_new[found, k]
+        if one.size:
+            rows, s1 = pool[one], step[one]
+            sn = norms(s1)
+            t = np.divide(max_step_len, sn, out=np.ones(len(sn)), where=sn > max_step_len)
+            down, xn, r_new, rn_new = line_search(resid, x[one], s1, rn[rows], t)
+            hit = rows[down]
             # a local minimum of the residual above tol is a dead seed, not a root
             stall[hit] = np.where(rn_new > 0.5 * rn[hit], stall[hit] + 1, 0)
             X[hit], R[hit], rn[hit] = xn, r_new, rn_new
-            todo, tried = todo[~found], tried + width
-        ok[rows[todo]] = False
-        ok[rows[stall[rows] >= 6]] = False
+            ok[rows[~down | (stall[rows] >= 6)]] = False
 
         # polish: the full step, kept unless the residual rises above tol;
         # a rise or a negligible step ends the polish
@@ -223,11 +201,11 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
         if two.size:
             rows, xn, s2 = pool[two], x[two] + step[two], step[two]
             r_new = resid(xn)
-            rn_new = _norms(r_new)
+            rn_new = norms(r_new)
             kept = np.isfinite(rn_new) & (rn_new <= np.maximum(rn[rows], tol))
             rows, xn, s2, moving[two] = rows[kept], xn[kept], s2[kept], kept
             X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
-            moving[two[kept]] = _norms(s2) >= 1e-14 * (1.0 + _norms(xn))
+            moving[two[kept]] = norms(s2) >= 1e-14 * (1.0 + norms(xn))
         used[pool] += 1
         pool = settle(pool[moving])
 
@@ -300,7 +278,7 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     seeds = _grid_seeds(Z, grid_density)
     starts, retracted = Z.retract_batch(seeds)
     X, R, ok = _refine(_smooth_residual(f, Z), starts[retracted], REFINE_TOL, max_step_len=max_len)
-    gn = _norms(R[:, len(Z.constraints):])
+    gn = norms(R[:, len(Z.constraints):])
     hits = np.flatnonzero(ok & (gn < CRIT_TOL))
     hits = hits[Z.is_member(X[hits])]
     found = list(zip(X[hits], gn[hits]))
@@ -415,21 +393,25 @@ def classify(
     return "degenerate"
 
 
-def check_condition1(cps, gap_tol: float = GAP_TOL, value_merge_tol: float = VALUE_MERGE_TOL) -> ConditionReport:
-    """Isolated critical values: clustered values must sit more than gap_tol apart.
-
-    Accepts CriticalPoint instances or bare values.
-    """
-    values = sorted(float(getattr(cp, "value", cp)) for cp in cps)
+def _merged_values(values, value_merge_tol: float) -> tuple[list[float], float]:
+    """The means of the sorted values grouped within value_merge_tol of the one before, and the smallest gap between means."""
     merged: list[list[float]] = []
-    for v in values:
+    for v in sorted(values):
         if merged and v - merged[-1][-1] <= value_merge_tol:
             merged[-1].append(v)
         else:
             merged.append([v])
     centers = [float(np.mean(group)) for group in merged]
-    gaps = [b - a for a, b in zip(centers, centers[1:])]
-    min_gap = min(gaps) if gaps else float("inf")
+    return centers, min((b - a for a, b in zip(centers, centers[1:])), default=float("inf"))
+
+
+def check_condition1(cps, gap_tol: float = GAP_TOL, value_merge_tol: float = VALUE_MERGE_TOL) -> ConditionReport:
+    """Isolated critical values: clustered values must sit more than gap_tol apart.
+
+    Accepts CriticalPoint instances or bare values.
+    """
+    values = [float(getattr(cp, "value", cp)) for cp in cps]
+    centers, min_gap = _merged_values(values, value_merge_tol)
     verdict = "pass" if min_gap > gap_tol else "fail"
     witnesses = {
         "values": centers,

@@ -214,18 +214,9 @@ def verify_flow_estimates(
     if near.size:
         raise ValueError(f"start {near[0]} coincides with the critical point; zero-length flow")
 
-    n_captured = 0
-    n_inconclusive = 0
-    i_pass = i_total = 0
-    i_worst = np.inf
-    ii_traj_pass = 0
-    ii_total_traj = 0
-    ii_worst = 0.0
-    iii_pass = 0
-    iii_worst = 0.0
+    n_captured = n_inconclusive = i_pass = i_total = ii_traj_pass = ii_total_traj = iii_pass = arc_pass = 0
+    i_worst, ii_worst, iii_worst, arc_worst = np.inf, 0.0, 0.0, 0.0
     arc_bound = length_bound(fit, eps)
-    arc_worst = 0.0
-    arc_pass = 0
 
     check_level_target(f, starts, target, "descend")
     for traj in integrate_ensemble(f, Z, starts, "descend", target, [Converged(1e-8)], record=True):
@@ -303,7 +294,8 @@ def verify_flow_estimates(
             "bound": float(arc_bound),
             "n_pass": arc_pass,
             "worst_ratio": float(arc_worst),
-            "all_within": arc_pass == ii_total_traj,
+            # with no trajectory checked there is nothing to be within
+            "all_within": ii_total_traj > 0 and arc_pass == ii_total_traj,
         },
     }
 

@@ -32,6 +32,8 @@ __all__ = [
 # cap on the one-sided Jacobi sweeps of orthogonal_rows; a few rows
 # converge in a handful
 JACOBI_SWEEPS = 30
+# the 25 step lengths t, t/2, ..., t/2^24 of a line search, tried in rounds of these sizes
+LINE_SEARCH_ROUNDS = (1, 5, 8, 11)
 EPS = np.finfo(float).eps
 
 
@@ -171,11 +173,11 @@ class SingularSpace:
         """Pull every row of X back onto Z by damped Gauss-Newton on g.
 
         Each step is the minimum-norm least-squares solution of
-        ``Dg(x) d = g(x)`` with the rank cut at ``rank_tol``, from the
-        orthogonalised rows of :func:`orthogonal_rows`, halved per row until
-        that row's residual decreases.
+        ``Dg(x) d = -g(x)`` with the rank cut at ``rank_tol``, from the
+        orthogonalised rows of :func:`orthogonal_rows`, shortened per row by
+        :func:`line_search` until that row's residual decreases.
         A row stops when its residual is at most ``retract_tol``, and fails
-        when no halving decreases it or ``max_iter`` steps do not get it
+        when no length decreases it or ``max_iter`` steps do not get it
         there.  Returns the points and a mask of the rows that succeeded;
         a failed row holds its last iterate.  Rows do not interact.
         """
@@ -183,32 +185,17 @@ class SingularSpace:
         if not len(self.constraints):
             return X, np.ones(len(X), dtype=bool)
         G = self.constraints.evaluate(X)
-        res = np.sqrt(row_sums(G * G))
+        res = norms(G)
         alive = np.ones(len(X), dtype=bool)
         for _ in range(max_iter):
             rows = (alive & (res > self.retract_tol)).nonzero()[0]
             if not rows.size:
                 break
-            x, r = X[rows], res[rows]
-            D = self._min_norm_steps(self.constraints.jacobian_at(x), G[rows])
-            # every row still searching has halved equally often, so one
-            # step length serves them all
-            lam = 1.0
-            for _ in range(25):
-                x_new = x - lam * D
-                g_new = self.constraints.evaluate(x_new)
-                r_new = np.sqrt(row_sums(g_new * g_new))
-                down = r_new < r
-                if down.all():
-                    X[rows], G[rows], res[rows] = x_new, g_new, r_new
-                    rows = rows[:0]
-                    break
-                hit = rows[down]
-                X[hit], G[hit], res[hit] = x_new[down], g_new[down], r_new[down]
-                up = ~down
-                rows, x, D, r = rows[up], x[up], D[up], r[up]
-                lam *= 0.5
-            alive[rows] = False
+            x = X[rows]
+            D = self._min_norm_steps(self.constraints.jacobian_at(x), -G[rows])
+            down, *new = line_search(self.constraints.evaluate, x, D, res[rows], np.ones(len(rows)))
+            X[rows[down]], G[rows[down]], res[rows[down]] = new
+            alive[rows[~down]] = False
         return X, alive & (res <= self.retract_tol)
 
     def _min_norm_steps(self, J: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -238,6 +225,42 @@ def min_norm_steps(J: np.ndarray, R: np.ndarray, rank_tol: float) -> np.ndarray:
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     coef = row_sums(U[:, :, :k].transpose(0, 2, 1) * R[:, None, :]) * inv
     return row_sums(Vt[:, :k].transpose(0, 2, 1) * coef[:, None, :])
+
+
+def line_search(resid, X: np.ndarray, D: np.ndarray, rn: np.ndarray, t: np.ndarray):
+    """Per row, the first of the points ``X + t D / 2^k``, k = 0 ... 24, whose residual is finite and below rn.
+
+    resid maps an (N, n) block to its rows' residuals.  The full step goes
+    first, on every row; the rows that refuse it try the halvings in the
+    remaining rounds of ``LINE_SEARCH_ROUNDS``, one resid call per round.
+    Returns the mask of the rows that found a point and, for those rows,
+    the point, its residual and the residual's norm.  Rows do not interact.
+    """
+    xn = X + t[:, None] * D
+    R = resid(xn)
+    RN = norms(R)
+    hit = RN < rn  # a NaN or infinite norm is below nothing
+    if hit.all():
+        return hit, xn, R, RN
+    todo, tried = (~hit).nonzero()[0], 1
+    for width in LINE_SEARCH_ROUNDS[1:]:
+        T = t[todo, None] * 0.5 ** np.arange(tried, tried + width)
+        x = X[todo, None, :] + T[:, :, None] * D[todo, None, :]
+        r = resid(x.reshape(-1, X.shape[1])).reshape(len(todo), width, -1)
+        rn_new = norms(r)
+        down = rn_new < rn[todo, None]
+        found, k = down.any(axis=1), down.argmax(axis=1)
+        rows, k = todo[found], k[found]
+        hit[rows], xn[rows], R[rows], RN[rows] = True, x[found, k], r[found, k], rn_new[found, k]
+        todo, tried = todo[~found], tried + width
+        if not todo.size:
+            break
+    return hit, xn[hit], R[hit], RN[hit]
+
+
+def norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of A, summed by :func:`row_sums`."""
+    return np.sqrt(row_sums(A * A))
 
 
 def row_norms(A: np.ndarray) -> np.ndarray:

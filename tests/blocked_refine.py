@@ -7,7 +7,8 @@ for bit; tests/test_critical.py checks that on the full default grids.
 
 import numpy as np
 
-from morseflow.critical import LINE_SEARCH_ROUNDS, _central_differences, _lstsq_steps, _norms
+from morseflow.critical import _central_differences, _lstsq_steps
+from morseflow.space import LINE_SEARCH_ROUNDS, norms as _norms
 
 BLOCK = 64
 

@@ -546,13 +546,15 @@ class TestStageIsolation:
         assert frag["verdict"] == "inconclusive"
 
     def test_a_condition_stage_that_raises_is_inconclusive(self, monkeypatch):
-        # condition 4 also reads the isolation gap, so both stages fail alone
+        # condition 4 also reads the isolation gap, through the value merge
+        # of condition 1, so with both broken both stages fail alone
         import morseflow.cli as cli
 
-        def broken(cps):
+        def broken(*args):
             raise RuntimeError("gap undefined")
 
         monkeypatch.setattr(cli, "check_condition1", broken)
+        monkeypatch.setattr(cli, "_merged_values", broken)
         report = run_experiment(builtin_problem("saddle"))
         skipped = self._skipped(1, "RuntimeError('gap undefined')")
         assert report.condition_reports["cond1"] == skipped
@@ -560,3 +562,20 @@ class TestStageIsolation:
         assert report.condition_reports["cond2"]["verdict"] == "pass"
         assert report.stage_errors == {}
         assert report.corollary_verdict == "inconclusive"
+
+    def test_condition4_does_not_run_condition1(self, monkeypatch):
+        # condition 4 reads the isolation gap from the value merge alone, so
+        # the cond1 stage is the only check_condition1 call of a full run
+        import morseflow.cli as cli
+
+        calls = []
+        real = cli.check_condition1
+
+        def counted(cps, *args, **kw):
+            calls.append(len(cps))
+            return real(cps, *args, **kw)
+
+        monkeypatch.setattr(cli, "check_condition1", counted)
+        report = run_experiment(builtin_problem("cone"))
+        assert report.condition_reports["cond4"]["witnesses"]["per_point"]
+        assert calls == [1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import blocked_refine
-from morseflow import critical
+from morseflow import critical, space
 from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.sampling import ring_probes, substream
 from morseflow.critical import (
@@ -266,7 +266,7 @@ class TestBatchedRefinement:
             critical._refine(traced(resid, "resid"), X0, 1e-12,
                              jac=jac and traced(jac, "jac"), max_step_len=2.0 * Z.box_diameter)
         assert max(seen["jac"]) == width
-        assert max(seen["resid"]) <= width * max(critical.LINE_SEARCH_ROUNDS)
+        assert max(seen["resid"]) <= width * max(space.LINE_SEARCH_ROUNDS)
         assert max(seen["differences"]) == 2 * n * width
 
     def test_non_finite_row_fails_alone(self):

@@ -188,6 +188,14 @@ class TestVerifyFlowEstimates:
         with pytest.raises(ValueError):
             verify_flow_estimates(f, Z, origin_cp(), fit, 0.01, [(0.1, 0.0)])
 
+    def test_no_checked_trajectory_is_not_all_within(self, saddle):
+        # an empty block descends nothing, so the arc bound is unchecked
+        f, Z = saddle
+        fit = make_fit(0.5, 2.0, delta=0.5)
+        report = verify_flow_estimates(f, Z, origin_cp(), fit, 0.01, np.zeros((0, 2)))
+        assert report["check_ii"]["n_trajectories"] == 0
+        assert report["total_arc"]["all_within"] is False
+
     def test_start_at_critical_point_refused(self, saddle):
         f, Z = saddle
         fit = make_fit(0.5, 2.0, delta=0.5)

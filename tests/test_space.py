@@ -5,14 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import halving_retraction
 from morseflow import space
 from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.polynomial import PolynomialSystem, gradient, parse_polynomial
 from morseflow.space import (
     SingularSpace,
+    line_search,
     min_norm_steps,
+    norms,
     orthogonal_rows,
     project_to_level_set,
+    row_norms,
     row_sums,
 )
 
@@ -21,6 +25,10 @@ LEVEL_PROBLEMS = {
     "cone": problem_objects(builtin_problem("cone")),
     "planes": problem_objects(builtin_problem("planes")),
     "planes-lift": problem_objects(load_problem(PROBLEMS / "planes-lift.json")),
+}
+RETRACT_SPACES = {
+    **{name: Z for name, (_, Z) in LEVEL_PROBLEMS.items()},
+    "cone-lift": problem_objects(load_problem(PROBLEMS / "cone-lift.json"))[1],
 }
 
 
@@ -326,6 +334,88 @@ class TestProjectToLevelSet:
         f, Z = LEVEL_PROBLEMS[name]
         points, ok = project_to_level_set(f, Z, np.zeros((0, Z.ambient_dim)), 0.0)
         assert points.shape == (0, Z.ambient_dim) and ok.shape == (0,)
+
+
+def walled_identity(P):
+    """The residual P itself, NaN beyond radius 4: its norm is the distance to the origin."""
+    return np.where(row_norms(P)[:, None] > 4.0, np.nan, P)
+
+
+# a row x with step -c x lands at |1 - c / 2^k| |x| after k halvings, so
+# c = 1.5 * 2^k descends first after exactly k of them; from |x| >= 0.5,
+# c >= 12 starts beyond the NaN wall, and c <= 0 never descends
+HALVINGS = (0, 1, 2, 5, 11, 24)
+NEVER = (1.5 * 2.0**25, 1.5 * 2.0**30, 0.0, -1.0)
+
+
+@st.composite
+def search_blocks(draw):
+    """(X, D, whether each row descends): a row of every kind, shuffled, and more drawn."""
+    cs = [1.5 * 2.0**k for k in HALVINGS] + list(NEVER)
+    cs += draw(st.lists(st.sampled_from(cs), max_size=8))
+    cs = draw(st.permutations(cs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(len(cs), 3))
+    X *= rng.uniform(0.5, 1.0, size=(len(cs), 1)) / row_norms(X)[:, None]
+    c = np.array(cs)
+    return X, -c[:, None] * X, (c > 0.0) & (c <= 1.5 * 2.0 ** max(HALVINGS))
+
+
+class TestLineSearch:
+    """``line_search`` against the one-length-at-a-time loop of the old ``retract_batch``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_blocks())
+    def test_picks_what_the_halving_loop_picked(self, block):
+        X, D, descends = block
+        rn = norms(walled_identity(X))
+        hit, P, R, RN = line_search(walled_identity, X, D, rn, np.ones(len(X)))
+        found, P_ref, R_ref, RN_ref = halving_retraction.halving_search(walled_identity, X, -D, rn)
+        assert np.array_equal(hit, found) and np.array_equal(hit, descends)
+        assert np.array_equal(P, P_ref[found])
+        assert np.array_equal(R, R_ref[found])
+        assert np.array_equal(RN, RN_ref[found])
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0])
+    def test_drawn_rows_reach_the_nan_wall_and_the_last_length(self, radius):
+        # at either end of the drawn radii: c = 1.5 * 2^5 starts beyond the
+        # wall and descends after 5 halvings, 1.5 * 2^24 descends only at the
+        # last of the 25 lengths, and 1.5 * 2^25 at none of them
+        X = np.array([[radius, 0.0, 0.0]] * 3)
+        c = np.array([1.5 * 2.0**5, 1.5 * 2.0**24, 1.5 * 2.0**25])
+        P = X[:, None, :] - (c[:, None] * 0.5 ** np.arange(25))[:, :, None] * X[:, None, :]
+        down = norms(walled_identity(P.reshape(-1, 3))).reshape(3, 25) < radius
+        assert np.isnan(walled_identity(P[0, :1])).all()
+        assert np.flatnonzero(down[0])[0] == 5 and np.flatnonzero(down[1]).tolist() == [24]
+        assert not down[2].any()
+
+    def test_full_steps_take_one_resid_call(self):
+        calls = []
+
+        def counted(P):
+            calls.append(len(P))
+            return walled_identity(P)
+
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 3))
+        hit, P, _, _ = line_search(counted, X, -0.5 * X, norms(X), np.ones(16))
+        assert hit.all() and np.array_equal(P, 0.5 * X)
+        assert calls == [16]
+        # a row that needs 10 halvings tries them in rounds of 5 and 8
+        calls.clear()
+        D = -0.5 * X
+        D[3] = -1.5 * 2.0**10 * X[3]
+        hit, _, _, _ = line_search(counted, X, D, norms(X), np.ones(16))
+        assert hit.all() and calls == [16, 5, 8]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(RETRACT_SPACES)), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.003, 0.3, 1.5, 20.0]), st.integers(1, 12))
+    def test_retraction_matches_the_halving_retraction(self, name, seed, radius, n_rows):
+        Z = RETRACT_SPACES[name]
+        X = radius * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_rows, Z.ambient_dim))
+        points, ok = Z.retract_batch(X)
+        ref, ok_ref = halving_retraction.retract_batch(Z, X)
+        assert np.array_equal(points, ref, equal_nan=True) and np.array_equal(ok, ok_ref)
 
 
 class FixedJacobian:

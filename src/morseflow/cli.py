@@ -24,7 +24,6 @@ import numpy as np
 
 from .critical import (
     MAX_GRID_SEEDS,
-    VALUE_MERGE_TOL,
     ConditionReport,
     CriticalPoint,
     _merged_values,
@@ -396,7 +395,7 @@ def _run_cond4(run: _Run) -> dict:
     if not targets and not unsettled:
         return ConditionReport(
             4, "pass", {"warning": "no non-minimal critical points; vacuously satisfied"}).to_payload()
-    gap = _merged_values([cp.value for cp in cps], VALUE_MERGE_TOL)[1]
+    gap = _merged_values([cp.value for cp in cps])[1]
     errors = {}
     per_point = []
     for i, cp in targets:

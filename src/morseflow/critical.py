@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import ArcBudget, Converged, StepControl, TimeBudget, integrate_ensemble
+from .flow import ArcBudget, Converged, integrate_ensemble
 from .polynomial import Polynomial, PolynomialSystem, gradient
 from .sampling import _dedupe, ring_probes, substream
 from .space import SingularSpace, line_search, min_norm_steps, norms, row_norms
@@ -27,8 +27,11 @@ log = logging.getLogger(__name__)
 
 CRIT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
-# the residual each critical-search seed is refined below
+# the residual each critical-search seed is refined below, in at most
+# REFINE_ITER steps, then polished by at most POLISH_ITER full steps
 REFINE_TOL = 1e-12
+REFINE_ITER = 80
+POLISH_ITER = 40
 # a rank-collapse point is fixed when its probe flows stay within
 # 2 * FIXED_RHO over an arc of 10 * FIXED_RHO
 FIXED_RHO = 1e-4
@@ -126,14 +129,15 @@ def _central_differences(resid, X: np.ndarray) -> np.ndarray:
     return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
 
 
-def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=np.inf):
+def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     """Damped least-squares Newton on every row of X0.
 
     Returns the refined rows, their residuals and a mask of the rows that
     converged; a failed row holds its last accepted iterate.
 
-    Phase one drives a row's residual below tol; phase two keeps stepping at
-    full length until the step itself is negligible, which pins down the
+    Phase one drives a row's residual below tol in at most REFINE_ITER
+    steps; phase two keeps stepping at full length, at most POLISH_ITER
+    times, until the step itself is negligible, which pins down the
     location even where the residual landscape is extremely flat (x^4
     near 0 reaches residual 1e-12 while still 1e-4 away from the root).
     resid (and jac, else central differences) map an (N, n) block to its
@@ -143,7 +147,8 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
     working array.  Each iteration tops the pool up from the unstarted rows
     in order, takes one Jacobian and one least-squares solve over the whole
     pool, then line-searches the phase-one rows (:func:`space.line_search`,
-    from a step capped at max_step_len) and tests the full step of the
+    from a step capped at max_step_len; a row whose step is exactly zero
+    cannot descend and fails without a search) and tests the full step of the
     polishing ones; a row leaves the pool the moment it is done.  Rows
     never interact: a row's result does not depend on the rows refined with
     it, or on the pool width.
@@ -157,11 +162,11 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
     def settle(rows):
         """The rows still to step; a phase-one row below tol or out of steps polishes or fails."""
         rows = rows[ok[rows]]
-        done = rows[~polish[rows] & ((rn[rows] < tol) | (used[rows] >= max_iter))]
+        done = rows[~polish[rows] & ((rn[rows] < tol) | (used[rows] >= REFINE_ITER))]
         ok[done] = rn[done] < tol
         polish[done], used[done] = True, 0
         rows = rows[ok[rows]]
-        return rows[~polish[rows] | (used[rows] < polish_iter)]
+        return rows[~polish[rows] | (used[rows] < POLISH_ITER)]
 
     pool, queued = np.zeros(0, dtype=int), 0
     while True:
@@ -184,6 +189,9 @@ def _refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=
         ok[pool[~moving & ~polish[pool]]] = False
 
         one = np.flatnonzero(moving & ~polish[pool])
+        zero = ~step[one].any(axis=1)
+        ok[pool[one[zero]]] = False
+        one = one[~zero]
         if one.size:
             rows, s1 = pool[one], step[one]
             sn = norms(s1)
@@ -225,8 +233,8 @@ def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray):
         Z,
         [p, p],
         directions=("descend", "ascend"),
-        stops=[Converged(1e-8), ArcBudget(10.0 * FIXED_RHO), TimeBudget(1e4)],
-        control=StepControl(max_step=FIXED_RHO / 4.0),
+        stops=[Converged(1e-8), ArcBudget(10.0 * FIXED_RHO)],
+        max_step=FIXED_RHO / 4.0,
         record=True,
     )
     for traj in probes:
@@ -360,7 +368,7 @@ def classify(
     center = cp.point()
     rng = substream(seed, "classify")
     n_extra = max(0, N_PROBES - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, PROBE_RADIUS, rng, n_random=n_extra, require_in_box=False)
+    probes = ring_probes(Z, center, PROBE_RADIUS, rng, n_random=n_extra)
     # a stratum of dimension k offers 2k axis probes; the ambient dimension
     # would ask a lifted problem for probes its stratum cannot have
     local_dim = Z.ambient_dim - Z.effective_rank(center)
@@ -393,11 +401,11 @@ def classify(
     return "degenerate"
 
 
-def _merged_values(values, value_merge_tol: float) -> tuple[list[float], float]:
-    """The means of the sorted values grouped within value_merge_tol of the one before, and the smallest gap between means."""
+def _merged_values(values) -> tuple[list[float], float]:
+    """The means of the sorted values grouped within VALUE_MERGE_TOL of the one before, and the smallest gap between means."""
     merged: list[list[float]] = []
     for v in sorted(values):
-        if merged and v - merged[-1][-1] <= value_merge_tol:
+        if merged and v - merged[-1][-1] <= VALUE_MERGE_TOL:
             merged[-1].append(v)
         else:
             merged.append([v])
@@ -405,14 +413,14 @@ def _merged_values(values, value_merge_tol: float) -> tuple[list[float], float]:
     return centers, min((b - a for a, b in zip(centers, centers[1:])), default=float("inf"))
 
 
-def check_condition1(cps, gap_tol: float = GAP_TOL, value_merge_tol: float = VALUE_MERGE_TOL) -> ConditionReport:
-    """Isolated critical values: clustered values must sit more than gap_tol apart.
+def check_condition1(cps) -> ConditionReport:
+    """Isolated critical values: values merged within VALUE_MERGE_TOL must sit more than GAP_TOL apart.
 
     Accepts CriticalPoint instances or bare values.
     """
     values = [float(getattr(cp, "value", cp)) for cp in cps]
-    centers, min_gap = _merged_values(values, value_merge_tol)
-    verdict = "pass" if min_gap > gap_tol else "fail"
+    centers, min_gap = _merged_values(values)
+    verdict = "pass" if min_gap > GAP_TOL else "fail"
     witnesses = {
         "values": centers,
         "min_gap": min_gap,

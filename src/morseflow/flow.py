@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +47,6 @@ __all__ = [
     "ReachLevel",
     "Converged",
     "ArcBudget",
-    "TimeBudget",
-    "StepControl",
     "FlowTrajectory",
     "integrate",
     "integrate_ensemble",
@@ -82,12 +80,7 @@ class ArcBudget:
     limit: float | Sequence[float]
 
 
-@dataclass(frozen=True)
-class TimeBudget:
-    limit: float
-
-
-StopCriterion = ReachLevel | Converged | ArcBudget | TimeBudget
+StopCriterion = ReachLevel | Converged | ArcBudget
 
 # Terminations that decide nothing: the flow neither reached a level nor
 # demonstrably converged nor left the region.  landing_failed: the flow
@@ -103,19 +96,14 @@ INCONCLUSIVE_TERMINATIONS = frozenset(
 ATOL = 1e-9
 RTOL = 1e-9
 SAFETY = 0.9
-# the time and arc budgets when the stops give none
+# every flow stops at TIME_BUDGET in time, and at ARC_BUDGET in arc length
+# unless an ArcBudget sets its own
 TIME_BUDGET = 1e6
 ARC_BUDGET = 1e3
+# a member ends with step_limit after this many attempted steps
+MAX_STEPS = 200_000
 # Converged fires after this many accepted steps in a row below its grad_tol
 CONV_CONSECUTIVE = 3
-
-
-@dataclass
-class StepControl:
-    max_step: float | None = None  # default: 0.1 * box diameter
-    initial_step: float | None = None  # default: max_step / 64
-    min_step: float | None = None  # default: 1e-12 * max_step
-    max_steps: int = 200_000
 
 
 @dataclass
@@ -128,7 +116,6 @@ class FlowTrajectory:
     grad_norm: np.ndarray
     arc: np.ndarray
     termination: str
-    rank_transitions: int = 0
     n_accepted: int = 0
     n_rejected: int = 0
 
@@ -170,17 +157,6 @@ def _combine(weights, K):
             term = w * k
             total = term if total is None else total + term
     return total
-
-
-def _resolve_control(Z: SingularSpace, control: StepControl | None) -> StepControl:
-    ctrl = StepControl() if control is None else replace(control)
-    if ctrl.max_step is None:
-        ctrl.max_step = 0.1 * Z.box_diameter
-    if ctrl.initial_step is None:
-        ctrl.initial_step = ctrl.max_step / 64.0
-    if ctrl.min_step is None:
-        ctrl.min_step = 1e-12 * ctrl.max_step
-    return ctrl
 
 
 class _Field:
@@ -229,7 +205,7 @@ class _Members:
     """
 
     FIELDS = ("idx", "sign", "c", "record", "y", "fy", "g", "gn", "k1", "h", "t", "arc",
-              "rank", "conv_run", "n_steps", "n_accepted", "n_rejected", "transitions")
+              "rank", "conv_run", "n_steps", "n_accepted", "n_rejected")
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -247,10 +223,9 @@ class _Members:
 
 
 def _shared_stops(stops):
-    """(Converged or None, arc budget, time budget) from the shared stop criteria."""
+    """(Converged or None, arc budget) from the shared stop criteria."""
     conv = None
     arc_budget = ARC_BUDGET
-    time_budget = TIME_BUDGET
     for s in stops:
         if isinstance(s, ReachLevel):
             raise ValueError("ReachLevel targets are per member; pass them as levels")
@@ -258,11 +233,9 @@ def _shared_stops(stops):
             conv = s
         elif isinstance(s, ArcBudget):
             arc_budget = s.limit
-        elif isinstance(s, TimeBudget):
-            time_budget = s.limit
         else:
             raise TypeError(f"unknown stop criterion {s!r}")
-    return conv, arc_budget, time_budget
+    return conv, arc_budget
 
 
 def _per_member(value, n: int, name: str) -> list:
@@ -279,7 +252,7 @@ def integrate_ensemble(
     directions: str | Sequence[str] = "descend",
     levels: float | Sequence[float | None] | None = None,
     stops: Sequence[StopCriterion] = (),
-    control: StepControl | None = None,
+    max_step: float | None = None,
     record: bool | Sequence[bool] = False,
 ) -> list[FlowTrajectory]:
     """Integrate the projected gradient flow from every row of X0 at once.
@@ -288,12 +261,14 @@ def integrate_ensemble(
     ``levels[i]`` is not None, stops on crossing that level (a per-member
     :class:`ReachLevel`).  A single direction or level applies to every
     member.  ``stops`` holds the shared criteria (:class:`Converged`,
-    :class:`ArcBudget`, :class:`TimeBudget`); time and arc budgets default
-    to generous values so every member terminates, and an
-    :class:`ArcBudget` may give one limit per member.  Box containment is
-    always enforced.  Every step-control and stop rule applies to each
-    member on its own, so member i ends exactly as ``integrate`` from
-    ``X0[i]`` does, bit for bit.
+    :class:`ArcBudget`); an :class:`ArcBudget` may give one limit per
+    member.  Every member also stops at TIME_BUDGET, ARC_BUDGET (unless an
+    :class:`ArcBudget` is given) and MAX_STEPS, so it terminates; box
+    containment is always enforced.  Steps are at most ``max_step`` long
+    (default: 0.1 * the box diameter); the first is max_step / 64, and a
+    retry shorter than 1e-12 * max_step ends the member.  Every
+    step-control and stop rule applies to each member on its own, so
+    member i ends exactly as ``integrate`` from ``X0[i]`` does, bit for bit.
 
     Members in ``record`` (one flag, or one per member) keep every accepted
     sample; the others keep their start and end samples only.  Invalid
@@ -310,8 +285,10 @@ def integrate_ensemble(
             raise ValueError(f"direction must be 'descend' or 'ascend', got {d!r}")
     levels = _per_member(levels, N, "levels")
     record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
-    ctrl = _resolve_control(Z, control)
-    conv, arc_budget, time_budget = _shared_stops(stops)
+    if max_step is None:
+        max_step = 0.1 * Z.box_diameter
+    min_step = 1e-12 * max_step
+    conv, arc_budget = _shared_stops(stops)
     arc_budget = np.array(_per_member(arc_budget, N, "ArcBudget.limit"), dtype=float)
     fld = _Field(f, Z)
 
@@ -340,10 +317,10 @@ def integrate_ensemble(
         raise ValueError(f"target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
     act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, g=g, gn=gn,
-                   rank=rank, k1=np.zeros_like(Y), h=np.full(N, min(ctrl.initial_step, ctrl.max_step)),
+                   rank=rank, k1=np.zeros_like(Y), h=np.full(N, max_step / 64.0),
                    t=np.zeros(N), arc=np.zeros(N),
                    **{name: np.zeros(N, dtype=int)
-                      for name in ("conv_run", "n_steps", "n_accepted", "n_rejected", "transitions")})
+                      for name in ("conv_run", "n_steps", "n_accepted", "n_rejected")})
     history = {int(i): [(0.0, Y[i].copy(), fy[i], gn[i], 0.0)] for i in np.flatnonzero(record)}
     out: list[FlowTrajectory | None] = [None] * N
 
@@ -360,7 +337,7 @@ def integrate_ensemble(
             out[i] = FlowTrajectory(
                 direction=directions[i], variables=tuple(f.variables),
                 t=np.array(ts), y=np.array(ys), f=np.array(fs), grad_norm=np.array(gns),
-                arc=np.array(arcs), termination=term, rank_transitions=int(done.transitions[r]),
+                arc=np.array(arcs), termination=term,
                 n_accepted=int(done.n_accepted[r]), n_rejected=int(done.n_rejected[r]),
             )
 
@@ -379,7 +356,7 @@ def integrate_ensemble(
              "converged", "arc_budget", "time_budget")
     crossings: list[_Members] = []
     while len(act):
-        over = act.n_steps >= ctrl.max_steps
+        over = act.n_steps >= MAX_STEPS
         if over.any():
             finish(act.select(over), "step_limit")
             act = act.select(~over)
@@ -394,11 +371,11 @@ def integrate_ensemble(
         g_new, rank_new = fld.projected_grad(y_new)
         # do not step across a rank transition of Dg at full length;
         # resolve it with smaller steps
-        halve = ok & ~rejected & (rank_new != act.rank) & (h > 1e-6 * ctrl.max_step)
+        halve = ok & ~rejected & (rank_new != act.rank) & (h > 1e-6 * max_step)
         shrink = np.fmax(0.1, SAFETY * np.where(rejected, err, 1.0) ** -0.2)  # NaN: 0.1
         h_retry = np.where(rejected, h * shrink, 0.5 * h)
-        code[~ok & (h_retry < ctrl.min_step)] = TERMS.index("retraction_failed")
-        code[rejected & (h_retry < ctrl.min_step)] = TERMS.index("step_underflow")
+        code[~ok & (h_retry < min_step)] = TERMS.index("retraction_failed")
+        code[rejected & (h_retry < min_step)] = TERMS.index("step_underflow")
         act.n_rejected += ~ok | rejected | halve
 
         step = ok & ~rejected & ~halve
@@ -410,7 +387,6 @@ def integrate_ensemble(
         step &= ~cross & ~outside
 
         gn_new = np.sqrt(row_sums(g_new * g_new))
-        act.transitions += step & (rank_new != act.rank)
         act.rank = np.where(step, rank_new, act.rank)
         act.t = np.where(step, act.t + h, act.t)
         act.arc = np.where(step, act.arc + h * 0.5 * (act.gn + gn_new), act.arc)
@@ -421,12 +397,12 @@ def integrate_ensemble(
         act.n_accepted += step
         keep_samples(act, np.flatnonzero(step & act.record))
         # the first stop that fires wins: set the others first
-        code[step & (act.t >= time_budget)] = TERMS.index("time_budget")
+        code[step & (act.t >= TIME_BUDGET)] = TERMS.index("time_budget")
         code[step & (act.arc >= arc_budget[act.idx])] = TERMS.index("arc_budget")
         if conv is not None:
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
             code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
-        h_next = np.minimum(ctrl.max_step, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
+        h_next = np.minimum(max_step, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
         act.h = np.where(step, h_next, np.where(cross, h, h_retry))
 
         if code.any():
@@ -498,13 +474,12 @@ def integrate(
     x0: Sequence[float] | np.ndarray,
     direction: str = "descend",
     stops: Sequence[StopCriterion] = (),
-    control: StepControl | None = None,
 ) -> FlowTrajectory:
     """Integrate the projected gradient flow from one point of Z.
 
-    ``stops`` may hold at most one :class:`ReachLevel`; a :class:`TimeBudget`
-    and an :class:`ArcBudget` are added with generous defaults when absent, so
-    the integration always terminates.  Box containment is always enforced:
+    ``stops`` may hold at most one :class:`ReachLevel`; the time, arc and
+    step budgets of :func:`integrate_ensemble` apply, so the integration
+    always terminates.  Box containment is always enforced:
     a step that would leave the box ends the trajectory at the last interior
     sample with termination ``left_box``.  Every recorded sample lies on Z.
     This is :func:`integrate_ensemble` on one member, with every sample kept.
@@ -515,7 +490,7 @@ def integrate(
     shared = [s for s in stops if not isinstance(s, ReachLevel)]
     level = reach[0].c if reach else None
     x0 = np.asarray(x0, dtype=float)
-    return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, control, record=True)[0]
+    return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, record=True)[0]
 
 
 def check_level_target(f: Polynomial, X, c: float, direction: str) -> None:

@@ -32,6 +32,8 @@ MONOTONE_SLACK = 0.1
 SLICE_N_POINTS = 24
 SLICE_PROBE_RADIUS = 1e-3
 CURVATURE_MARGIN = 0.5
+# condition 4 draws up to this many ball probes at each radius
+N_PER_RADIUS = 40
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def unstable_slice(
     center = cp.point()
     rng = substream(seed, "unstable-slice")
     n_extra = max(0, SLICE_N_POINTS - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, SLICE_PROBE_RADIUS, rng, n_random=n_extra, require_in_box=False)
+    probes = ring_probes(Z, center, SLICE_PROBE_RADIUS, rng, n_random=n_extra)
     probes = np.reshape(probes, (-1, Z.ambient_dim))
     starts = probes[f.evaluate(probes) < cp.value - CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2]
     if not len(starts):
@@ -205,7 +207,8 @@ def check_condition2(
     directions, either reach the band edge or converge (with the limit
     still in the band).  Callers are responsible for choosing a and b away
     from critical values.  Budget or box exits leave the dichotomy
-    undecided and make the verdict inconclusive.
+    undecided and make the verdict inconclusive, and so does a band in
+    which the sampler finds no point of Z.
     """
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
@@ -222,9 +225,9 @@ def check_condition2(
         "terminations": {},
     }
     if not samples:
-        witnesses["warning"] = "band misses Z inside the box; vacuous pass"
+        witnesses["reason"] = "no point of Z found in the band; rejection sampling cannot show the band misses Z"
         log.warning("condition 2 on (%g, %g): no samples found", a, b)
-        return ConditionReport(condition=2, verdict="pass", witnesses=witnesses)
+        return ConditionReport(condition=2, verdict="inconclusive", witnesses=witnesses)
 
     # each sample flows down to a, then up to b; the first flow of each
     # direction is recorded in full for collect
@@ -264,17 +267,16 @@ def check_condition4(
     eps: float,
     slice_: UnstableSlice,
     radii=(0.1, 0.03, 0.01, 0.003),
-    n_per_radius: int = 40,
     seed: int = 0,
     collect=None,
 ) -> ConditionReport:
     """Landing modulus: flows from shrinking balls land ever closer to the slice.
 
-    For each radius r, on-Z probes within r of the critical point are
-    descended to the slice level; d(r) is the worst distance from a
-    landing to the nearest slice point.  Probes captured by the critical
-    level itself (converged at value >= cp.value - eps/2) are the
-    stable-set exclusion and are counted, not scored.  Verdict passes when
+    For each radius r, up to N_PER_RADIUS on-Z probes within r of the
+    critical point are descended to the slice level; d(r) is the worst
+    distance from a landing to the nearest slice point.  Probes captured by
+    the critical level itself (converged at value >= cp.value - eps/2) are
+    the stable-set exclusion and are counted, not scored.  Verdict passes when
     d is non-increasing within MONOTONE_SLACK and the smallest radius lands
     inside the tube of radius TUBE_RHO.
     """
@@ -300,7 +302,7 @@ def check_condition4(
         "n_inconclusive": 0,
         "n_projected": 0,
     }
-    probes = [np.reshape(ball_probes(Z, center, r, substream(seed, f"cond4-radius-{idx}"), n_per_radius),
+    probes = [np.reshape(ball_probes(Z, center, r, substream(seed, f"cond4-radius-{idx}"), N_PER_RADIUS),
                          (-1, Z.ambient_dim)) for idx, r in enumerate(radii)]
     firsts = np.cumsum([0] + [len(p) for p in probes])
     starts = np.concatenate(probes)

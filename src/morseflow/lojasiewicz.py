@@ -22,10 +22,13 @@ from .space import SingularSpace, row_norms, row_sums
 
 log = logging.getLogger(__name__)
 
+# verify_flow_estimates and the holdout test forgive relative shortfalls up to CHECK_SLACK
 CHECK_SLACK = 0.05
 THETA_MIN = 0.05
 THETA_MAX = 0.95
 N_BINS = 30
+# estimate_fit draws FIT_SAMPLES cloud points and needs MIN_SAMPLES usable ones
+FIT_SAMPLES = 400
 MIN_SAMPLES = 100
 
 
@@ -83,10 +86,9 @@ def estimate_fit(
     Z: SingularSpace,
     cp: CriticalPoint,
     radius: float,
-    n_samples: int = 400,
     seed: int = 0,
 ) -> LojasiewiczFit:
-    """Fit the envelope exponent and constant from a sampled cloud.
+    """Fit the envelope exponent and constant from a cloud of FIT_SAMPLES draws.
 
     The inequality is a lower bound, so an ordinary regression through the
     cloud would overestimate C and corrupt theta.  Instead: bin u =
@@ -95,7 +97,7 @@ def estimate_fit(
     intercept until every sample clears the line.  theta = 1 - slope.
     """
     rng = substream(seed, "loja-fit")
-    u, v, c = _sample_cloud(f, Z, cp, radius, n_samples, rng)
+    u, v, c = _sample_cloud(f, Z, cp, radius, FIT_SAMPLES, rng)
     if u.size < MIN_SAMPLES:
         raise FitError(f"only {u.size} usable on-Z samples (need {MIN_SAMPLES}); "
                        "radius too small or stratum too thin")
@@ -134,7 +136,7 @@ def estimate_fit(
     slack = float(np.max(np.maximum(0.0, fitted - actual) / actual))
 
     hold_rng = substream(seed, "loja-holdout")
-    hu, hv, _ = _sample_cloud(f, Z, cp, radius, max(200, n_samples // 2), hold_rng)
+    hu, hv, _ = _sample_cloud(f, Z, cp, radius, max(200, FIT_SAMPLES // 2), hold_rng)
     if hu.size:
         h_fit = constant * np.exp((1.0 - theta) * hu)
         h_act = np.exp(hv)
@@ -187,12 +189,11 @@ def verify_flow_estimates(
     fit: LojasiewiczFit,
     eps: float,
     starts,
-    check_slack: float = CHECK_SLACK,
 ) -> dict:
     """Descend each start by eps below the critical level and check the estimates.
 
-    (i)   d/dt (c - f)^theta >= C*theta*grad_norm*(1 - slack) at interior samples;
-    (ii)  arc(t) <= (c - f(y_t))^theta / (C*theta) * (1 + slack) at every sample;
+    (i)   d/dt (c - f)^theta >= C*theta*grad_norm*(1 - CHECK_SLACK) at interior samples;
+    (ii)  arc(t) <= (c - f(y_t))^theta / (C*theta) * (1 + CHECK_SLACK) at every sample;
     (iii) the endpoint stays within delta of the critical point.
 
     Captured trajectories (converged before the target level) are excluded
@@ -232,7 +233,7 @@ def verify_flow_estimates(
             lhs = (w[k + 1] - w[k - 1]) / dt
             rhs = C * theta * traj.grad_norm[k]
             i_total += 1
-            if lhs >= rhs * (1.0 - check_slack):
+            if lhs >= rhs * (1.0 - CHECK_SLACK):
                 i_pass += 1
             if rhs > 0:
                 i_worst = min(i_worst, lhs / rhs)
@@ -252,14 +253,14 @@ def verify_flow_estimates(
                 continue
             ratio = traj.arc[k] / bounds[k]
             ii_worst = max(ii_worst, ratio)
-            if ratio > 1.0 + check_slack:
+            if ratio > 1.0 + CHECK_SLACK:
                 ok = False
         if ok:
             ii_traj_pass += 1
 
         total = float(traj.total_arc)
         arc_worst = max(arc_worst, total / arc_bound if arc_bound > 0 else np.inf)
-        if total < arc_bound * (1.0 + check_slack):
+        if total < arc_bound * (1.0 + CHECK_SLACK):
             arc_pass += 1
 
         dist = float(np.linalg.norm(traj.endpoint - center))

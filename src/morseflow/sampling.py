@@ -13,6 +13,13 @@ import numpy as np
 
 from .space import SingularSpace, row_norms
 
+# ball_probes draws at most BALL_OVERSAMPLE * count + 64 candidates
+BALL_OVERSAMPLE = 8
+# band_samples draws from the box shrunk about its centre by BAND_MARGIN;
+# < 1 keeps samples away from the box walls, where flows would leave the
+# box at once and say nothing about the band
+BAND_MARGIN = 0.9
+
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Independent generator for a named stage, derived from the root seed."""
@@ -87,9 +94,8 @@ def ring_probes(
     radius: float,
     rng: np.random.Generator | None = None,
     n_random: int = 0,
-    require_in_box: bool = True,
 ):
-    """Points of Z at distance ~radius from center.
+    """Points of Z at distance ~radius from center, inside the box or not.
 
     Sends probe directions out, retracts, rescales back to the target
     distance and retracts once more.  Directions the retraction collapses
@@ -104,8 +110,7 @@ def ring_probes(
     P, ok = Z.retract_batch(center + (radius / dist[far])[:, None] * (P[far] - center))
     P = P[ok]
     dist = row_norms(P - center)
-    keep = (0.5 * radius <= dist) & (dist <= 1.5 * radius) & (Z.inside_box(P) | (not require_in_box))
-    return _dedupe(P[keep], 1e-6 * radius)
+    return _dedupe(P[(0.5 * radius <= dist) & (dist <= 1.5 * radius)], 1e-6 * radius)
 
 
 def ball_probes(
@@ -114,7 +119,6 @@ def ball_probes(
     radius: float,
     rng: np.random.Generator,
     count: int,
-    oversample: int = 8,
 ):
     """Up to count points of Z inside the closed radius-ball around center.
 
@@ -139,7 +143,7 @@ def ball_probes(
         dist = row_norms(P - center)
         return (1e-6 * radius < dist) & (dist <= radius) & Z.inside_box(P)
 
-    return _rejection_sample(Z, count, oversample * count + 64, draw, keep)
+    return _rejection_sample(Z, count, BALL_OVERSAMPLE * count + 64, draw, keep)
 
 
 def gaussian_cloud(
@@ -163,18 +167,14 @@ def gaussian_cloud(
 
 
 def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generator,
-                 count: int, margin_frac: float = 0.9, max_draws: int | None = None):
-    """Points of Z in the margin-shrunk box with f strictly inside (a, b).
-
-    margin_frac < 1 keeps samples away from the box walls; flows from wall
-    points would leave the box immediately and say nothing about the band.
-    """
+                 count: int, max_draws: int | None = None):
+    """Points of Z in the box shrunk by BAND_MARGIN with f strictly inside (a, b)."""
     if max_draws is None:
         max_draws = 200 * count + 500
     lows = np.array([lo for lo, _ in Z.box])
     highs = np.array([hi for _, hi in Z.box])
     mid = 0.5 * (lows + highs)
-    half = 0.5 * (highs - lows) * margin_frac
+    half = 0.5 * (highs - lows) * BAND_MARGIN
 
     def keep(P):
         val = f.evaluate(P)

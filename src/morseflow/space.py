@@ -155,14 +155,14 @@ class SingularSpace:
 
     # -- retraction ------------------------------------------------------
 
-    def retract(self, x: Sequence[float] | np.ndarray, max_iter: int = 50) -> np.ndarray:
+    def retract(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
         """Pull x back onto Z: :meth:`retract_batch` on one point.
 
         Raises :class:`RetractionError` when the residual is not below
         ``retract_tol``.
         """
         x = np.array(x, dtype=float)
-        points, ok = self.retract_batch(x[None, :], max_iter)
+        points, ok = self.retract_batch(x[None, :])
         if not ok[0]:
             raise RetractionError(
                 f"residual {self.residual(points[0]):.3e} > {self.retract_tol:.1e} "

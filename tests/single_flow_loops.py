@@ -27,27 +27,27 @@ def level_points(f, Z, c, seed, count=8):
     return Q[ok][:count]
 
 
-def to_level(f, Z, x0, c, direction, control=None):
+def to_level(f, Z, x0, c, direction):
     """One flow to the level c: the deleted ``descend_to_level`` / ``ascend_to_level``."""
-    return integrate(f, Z, x0, direction, [ReachLevel(float(c)), Converged(1e-8)], control)
+    return integrate(f, Z, x0, direction, [ReachLevel(float(c)), Converged(1e-8)])
 
 
 def unstable_slice_points(f, Z, cp, level, n_points=24, probe_radius=1e-3, seed=0,
-                          curvature_margin=0.5, control=None):
+                          curvature_margin=0.5):
     """The slice points, and the endpoint of each polish flow in landing order."""
     center = cp.point()
     rng = substream(seed, "unstable-slice")
     n_extra = max(0, n_points - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra, require_in_box=False)
+    probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra)
     cutoff = cp.value - curvature_margin * probe_radius**2
     starts = [p for p in probes if float(f.evaluate(p)) < cutoff]
-    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)], control)
+    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)])
     landings = [traj.endpoint for traj in flows if traj.termination == "reach_level"]
     reps = []
     for q in landings:
         if all(np.linalg.norm(q - r) > SLICE_CLUSTER_TOL for r in reps):
             reps.append(q)
-    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)], control)
+    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)])
     validated, polished = [], []
     for rep, up in zip(reps, ups):
         if up.termination not in ("reach_level", "converged"):
@@ -57,7 +57,6 @@ def unstable_slice_points(f, Z, cp, level, n_points=24, probe_radius=1e-3, seed=
             polish = integrate(
                 f, Z, up.endpoint, direction="ascend",
                 stops=[Converged(1e-8), ArcBudget(max(10.0 * dist, 1e-6))],
-                control=control,
             )
             polished.append(polish.endpoint)
             dist = min(dist, float(np.linalg.norm(polish.endpoint - center)))
@@ -67,14 +66,14 @@ def unstable_slice_points(f, Z, cp, level, n_points=24, probe_radius=1e-3, seed=
     return validated, polished
 
 
-def level_map(f, Z, a, b, sources, control=None):
+def level_map(f, Z, a, b, sources):
     pairs = []
     for s in sources:
         s = np.asarray(s, dtype=float)
         if b == a:
             pairs.append(LevelPair(tuple(s), tuple(s), 0.0, False, "identity"))
             continue
-        traj = to_level(f, Z, s, b, "ascend" if b > a else "descend", control)
+        traj = to_level(f, Z, s, b, "ascend" if b > a else "descend")
         pairs.append(
             LevelPair(
                 source=tuple(float(v) for v in s),
@@ -87,7 +86,7 @@ def level_map(f, Z, a, b, sources, control=None):
     return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
 
 
-def verify_flow_estimates(f, Z, cp, fit, eps, starts, check_slack=0.05, control=None):
+def verify_flow_estimates(f, Z, cp, fit, eps, starts, check_slack=0.05):
     c = fit.critical_value
     target = c - eps
     theta, C = fit.theta, fit.constant_C
@@ -109,7 +108,7 @@ def verify_flow_estimates(f, Z, cp, fit, eps, starts, check_slack=0.05, control=
     arc_pass = 0
 
     for s in starts:
-        traj = to_level(f, Z, s, target, "descend", control)
+        traj = to_level(f, Z, s, target, "descend")
         if traj.termination not in ("reach_level", "converged"):
             n_inconclusive += 1
             continue

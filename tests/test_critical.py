@@ -131,18 +131,21 @@ class TestCondition1:
         assert report.verdict == "pass"
         assert report.witnesses["min_gap"] == float("inf")
 
-    def test_two_separated_values_pass(self):
-        report = check_condition1([0.0, 1.0], gap_tol=0.1)
+    def test_two_separated_values_pass(self, monkeypatch):
+        monkeypatch.setattr(critical, "GAP_TOL", 0.1)
+        report = check_condition1([0.0, 1.0])
         assert report.verdict == "pass"
         assert report.witnesses["min_gap"] == 1.0
 
-    def test_nearby_values_merge_to_one(self):
-        report = check_condition1([0.0, 1e-9], value_merge_tol=1e-6)
+    def test_nearby_values_merge_to_one(self, monkeypatch):
+        monkeypatch.setattr(critical, "VALUE_MERGE_TOL", 1e-6)
+        report = check_condition1([0.0, 1e-9])
         assert report.verdict == "pass"
         assert report.witnesses["n_values"] == 1
 
-    def test_close_but_distinct_values_fail(self):
-        report = check_condition1([0.0, 5e-5], gap_tol=1e-4)
+    def test_close_but_distinct_values_fail(self, monkeypatch):
+        monkeypatch.setattr(critical, "GAP_TOL", 1e-4)
+        report = check_condition1([0.0, 5e-5])
         assert report.verdict == "fail"
         assert report.witnesses["min_gap"] == pytest.approx(5e-5)
 
@@ -285,27 +288,44 @@ class TestBatchedRefinement:
     def test_stalled_seed_fails(self):
         # x^2 + 1 has no root: from 2 the residual falls 5 -> 1.5625, then
         # six steps each keep more than half of it, and the seed dies on the
-        # stall rule at step 7, long before max_iter
+        # stall rule at step 7, long before REFINE_ITER
         calls = []
 
         def jac(X):
             calls.append(len(X))
             return 2.0 * X[:, :, None]
 
-        _, _, good = critical._refine(lambda X: X * X + 1.0, [[2.0]], 1e-12, jac=jac, max_iter=80)
+        _, _, good = critical._refine(lambda X: X * X + 1.0, [[2.0]], 1e-12, jac=jac)
         assert not good[0]
         assert len(calls) == 7
 
-    def test_max_step_len_caps_the_first_step(self):
+    def test_max_step_len_caps_the_first_step(self, monkeypatch):
         def resid(X):
             return X - 100.0
 
-        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian,
-                                      max_iter=1, polish_iter=0, max_step_len=1.0)
+        monkeypatch.setattr(critical, "REFINE_ITER", 1)
+        monkeypatch.setattr(critical, "POLISH_ITER", 0)
+        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian, max_step_len=1.0)
         assert X[0, 0] == 1.0 and not good[0]
-        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian,
-                                      max_iter=1, polish_iter=0)
+        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian)
         assert X[0, 0] == 100.0 and good[0]
+
+    def test_zero_steps_fail_before_the_line_search(self, cone, monkeypatch):
+        # 21 smooth-pass rows of the cone grid solve to a step of exactly
+        # zero, which cannot lower their residual: they fail unsearched
+        f, Z = cone
+        searched, zero = [], []
+
+        def counting(resid, X, D, rn, t):
+            searched.append(len(D))
+            zero.append(int((~D.any(axis=1)).sum()))
+            return line_search(resid, X, D, rn, t)
+
+        line_search = critical.line_search
+        monkeypatch.setattr(critical, "line_search", counting)
+        cps = find_critical_points(f, Z)
+        assert sum(searched) > 0 and sum(zero) == 0
+        assert len(cps) == 1 and np.linalg.norm(cps[0].point()) <= CLUSTER_TOL
 
     # the critical points the one-seed-at-a-time search found
     @pytest.mark.parametrize("name, locations, values", [

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stage_retracting_advance
+from morseflow import flow
 from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.flow import (
     INCONCLUSIVE_TERMINATIONS,
     ArcBudget,
     Converged,
     ReachLevel,
-    StepControl,
     _Field,
     arc_length,
     check_level_target,
@@ -203,8 +203,7 @@ class TestCsv:
 
 def test_step_control_max_step_is_honoured(saddle):
     f, Z = saddle
-    ctrl = StepControl(max_step=1e-3)
-    traj = integrate(f, Z, [1.0, 0.0], "descend", [ArcBudget(0.1)], control=ctrl)
+    traj, = integrate_ensemble(f, Z, [[1.0, 0.0]], "descend", stops=[ArcBudget(0.1)], max_step=1e-3, record=True)
     assert np.max(np.diff(traj.t)) <= 1e-3 * (1.0 + 1e-12)
 
 
@@ -220,12 +219,13 @@ def test_unlandable_level_is_landing_failed():
 
 
 def test_overflowing_step_is_rejected_not_recorded():
-    # from (1, 1) a step of length 1e100 overflows, and its error is NaN
+    # from (1, 1) every step from the first, 1e100 / 64, down to the
+    # smallest, 1e-12 * 1e100, overflows, and its error is NaN
     f = parse_polynomial("x^4 + y^4", ["x", "y"])
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
-    ctrl = StepControl(max_step=1e100, initial_step=1e100, min_step=1e90)
     with np.errstate(all="ignore"):
-        traj = integrate(f, Z, [1.0, 1.0], "descend", [ArcBudget(10.0)], control=ctrl)
+        traj, = integrate_ensemble(f, Z, [[1.0, 1.0]], "descend", stops=[ArcBudget(10.0)], max_step=1e100,
+                                   record=True)
     assert np.isfinite(traj.y).all() and np.isfinite(traj.f).all()
     assert np.isfinite(traj.grad_norm).all() and np.isfinite(traj.arc).all()
     assert traj.termination in ("step_underflow", "left_box")
@@ -416,10 +416,11 @@ def test_recorded_members_keep_the_flow_invariants(starts):
             assert abs(traj.final_f - level) <= Z.level_tol
 
 
-def test_step_limit_ends_each_member_on_its_own_count(saddle):
+def test_step_limit_ends_each_member_on_its_own_count(saddle, monkeypatch):
     f, Z = saddle
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     flows = integrate_ensemble(f, Z, [[1.0, 0.3], [0.0, 0.0], [0.9, 0.5]], "descend",
-                               stops=[Converged(1e-8)], control=StepControl(max_steps=3))
+                               stops=[Converged(1e-8)])
     assert [t.termination for t in flows] == ["step_limit", "converged", "step_limit"]
     assert [t.n_accepted + t.n_rejected for t in flows] == [3, 0, 3]
 

@@ -164,10 +164,11 @@ class TestCondition2:
         assert report.witnesses["n_samples"] > 0
 
     def test_band_missing_the_surface_is_vacuous(self, saddle):
+        # the sampler cannot show that the band misses Z, so no sample is no verdict
         f, Z = saddle
         report = check_condition2(f, Z, 10.0, 11.0, n_samples=40, seed=0)
-        assert report.verdict == "pass"
-        assert "warning" in report.witnesses
+        assert report.verdict == "inconclusive"
+        assert "no point of Z" in report.witnesses["reason"]
         assert report.witnesses["n_samples"] == 0
 
     def test_exiting_flows_are_inconclusive_not_fail(self):
@@ -195,37 +196,37 @@ class TestCondition2:
 
 
 class TestCondition4:
-    def test_saddle_modulus_shrinks(self, saddle):
+    def test_saddle_modulus_shrinks(self, saddle, monkeypatch):
         f, Z = saddle
         cp = origin_cp()
         slc = unstable_slice(f, Z, cp, -0.01, seed=0)
-        report = check_condition4(f, Z, cp, 0.01, slc, radii=(0.1, 0.03),
-                                  n_per_radius=12, seed=0)
+        monkeypatch.setattr(levelmap, "N_PER_RADIUS", 12)
+        report = check_condition4(f, Z, cp, 0.01, slc, radii=(0.1, 0.03), seed=0)
         assert report.verdict == "pass"
         rows = report.modulus_table
         assert [r for r, *_ in rows] == [0.1, 0.03]
         assert rows[1][1] <= rows[0][1] * 1.1 + 1e-8
         assert report.witnesses["d_final"] < 0.05
 
-    def test_payload_schema(self, saddle):
+    def test_payload_schema(self, saddle, monkeypatch):
         f, Z = saddle
         cp = origin_cp()
         slc = unstable_slice(f, Z, cp, -0.01, seed=0)
-        payload = check_condition4(f, Z, cp, 0.01, slc, radii=(0.05, 0.02),
-                                   n_per_radius=8, seed=0).to_payload()
+        monkeypatch.setattr(levelmap, "N_PER_RADIUS", 8)
+        payload = check_condition4(f, Z, cp, 0.01, slc, radii=(0.05, 0.02), seed=0).to_payload()
         assert payload["condition"] == 4
         assert set(payload) == {"condition", "verdict", "witnesses", "modulus_table"}
         for row in payload["modulus_table"]:
             assert len(row) == 4
 
-    def test_huge_radius_spanning_other_basins_fails(self, saddle):
+    def test_huge_radius_spanning_other_basins_fails(self, saddle, monkeypatch):
         # a ball this size reaches probes whose landings sit far from the
         # downhill branch, so the tube criterion cannot hold
         f, Z = saddle
         cp = origin_cp()
         slc = unstable_slice(f, Z, cp, -0.01, seed=0)
-        report = check_condition4(f, Z, cp, 0.01, slc, radii=(1.9,),
-                                  n_per_radius=12, seed=0)
+        monkeypatch.setattr(levelmap, "N_PER_RADIUS", 12)
+        report = check_condition4(f, Z, cp, 0.01, slc, radii=(1.9,), seed=0)
         assert report.verdict == "fail"
         assert report.modulus_table[0][1] > 0.05
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import single_flow_loops
+from morseflow import lojasiewicz
 from morseflow.critical import CLUSTER_TOL, CriticalPoint
 from morseflow.flow import Converged, ReachLevel, integrate
 from morseflow.lojasiewicz import (
@@ -87,10 +88,11 @@ class TestEstimateFit:
             estimate_fit(f, Z, cp, radius=0.5, seed=0)
         assert err.value.measured_slope is not None
 
-    def test_too_few_samples_refused(self):
+    def test_too_few_samples_refused(self, monkeypatch):
         f, Z, cp = bowl()
+        monkeypatch.setattr(lojasiewicz, "FIT_SAMPLES", 50)
         with pytest.raises(FitError):
-            estimate_fit(f, Z, cp, radius=0.5, n_samples=50, seed=0)
+            estimate_fit(f, Z, cp, radius=0.5, seed=0)
 
     def test_same_seed_reproduces(self):
         f, Z, cp = bowl()

@@ -7,7 +7,9 @@ critical values stay separated.
 Two search passes are needed because criticality has two faces here: on a
 smooth stratum the projected gradient vanishes, while at a rank-collapse
 point of the constraints the projected gradient can be useless and the
-honest test is dynamic (the flow cannot leave the point).
+honest test is dynamic (the flow cannot leave the point).  The second pass
+solves {g = 0, Dg = 0} and is skipped, exactly, when one of its entries is a
+non-zero constant (a linear constraint's gradient): that system has no root.
 """
 
 from __future__ import annotations
@@ -264,6 +266,15 @@ def _singular_system(Z: SingularSpace) -> PolynomialSystem:
     return PolynomialSystem(Z.constraints.variables, entries)
 
 
+def _constant_entry(system: PolynomialSystem) -> Optional[int]:
+    """The index of the first component of system that is a non-zero constant, else None.
+
+    A system with such a component has no root anywhere.  The zero polynomial
+    has no terms (_canonical drops zero coefficients), so it never counts.
+    """
+    return next((i for i, p in enumerate(system) if len(p.terms) == 1 and not any(p.terms[0].exponents)), None)
+
+
 def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | None = None) -> list[CriticalPoint]:
     """Locate and deduplicate the fixed points of the flow inside the box.
 
@@ -271,10 +282,13 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     Newton on {g = 0, projected gradient = 0}, to below REFINE_TOL.  A
     second pass hunts points where all constraint gradients vanish; those
     failing the first-order test are kept only when probe flows show the
-    point is numerically fixed.  Each pass refines all its seeds in one
-    :func:`_refine` call.  Non-convergent seeds are discarded (counts
-    logged), and the points found are clustered within CLUSTER_TOL.  The
-    grid density defaults to :func:`default_grid_density` of the dimension.
+    point is numerically fixed.  That pass is skipped, exactly, when its
+    system has a non-zero constant entry (:func:`_constant_entry`) and so no
+    root; no pass targets a rank drop of Dg that a linear row survives.  Each
+    pass refines all its seeds in one :func:`_refine` call.  Non-convergent
+    seeds are discarded (counts logged), and the points found are clustered
+    within CLUSTER_TOL.  The grid density defaults to
+    :func:`default_grid_density` of the dimension.
     """
     if grid_density is None:
         grid_density = default_grid_density(Z.ambient_dim)
@@ -292,8 +306,14 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     found = list(zip(X[hits], gn[hits]))
     log.info("smooth pass: %d/%d seeds refined to critical points", len(found), len(seeds))
 
-    if len(Z.constraints):
-        system = _singular_system(Z)
+    system = _singular_system(Z)
+    k = _constant_entry(system)
+    if k is not None:
+        g, names = Z.constraints.components, system.variables
+        i, j = divmod(k - len(g), len(names))
+        entry = f"constraint {g[k]}" if k < len(g) else f"d({g[i]})/d{names[j]} = {system.components[k]}"
+        log.info("singular pass skipped: %s is a non-zero constant, so {g = 0, Dg = 0} has no root", entry)
+    elif len(Z.constraints):
         X, _, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=max_len)
         X = X[ok]
         sing_hits = _dedupe(X[Z.is_member(X)], CLUSTER_TOL)

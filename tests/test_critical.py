@@ -7,6 +7,7 @@ import pytest
 import blocked_refine
 from morseflow import critical, space
 from morseflow.cli import builtin_problem, load_problem, problem_objects
+from morseflow.polynomial import Polynomial, PolynomialSystem, parse_polynomial
 from morseflow.sampling import ring_probes, substream
 from morseflow.critical import (
     CLUSTER_TOL,
@@ -345,3 +346,87 @@ class TestBatchedRefinement:
         for cp, loc, value in zip(cps, locations, values):
             assert np.linalg.norm(cp.point() - np.array(loc)) <= CLUSTER_TOL
             assert abs(cp.value - value) <= 1e-8
+
+
+def named_problem(name):
+    if name in ("cone-lift", "planes-lift"):
+        return problem_objects(load_problem(PROBLEMS / f"{name}.json"))
+    return problem_objects(builtin_problem(name))
+
+
+def singular_system(constraints, variables=("x", "y", "z", "w")):
+    return critical._singular_system(space.SingularSpace(
+        len(variables), PolynomialSystem(variables, [parse_polynomial(c, variables) for c in constraints]),
+        [(-1, 1)] * len(variables)))
+
+
+class TestSingularPassSkip:
+    # the singular pass solves {g = 0, Dg = 0}; a linear constraint puts a
+    # non-zero constant in Dg, so that system has no root and the pass is skipped
+    @pytest.mark.parametrize("name, constant", [
+        ("cone-lift", "d(w)/dw = 1"), ("planes-lift", "d(z)/dz = 1"), ("cone", None), ("planes", None),
+    ])
+    def test_refine_runs_once_per_pass_that_can_find_a_point(self, name, constant, monkeypatch, caplog):
+        f, Z = named_problem(name)
+        seeds = []
+
+        def counting(resid, X0, *args, **kw):
+            seeds.append(len(X0))
+            return refine(resid, X0, *args, **kw)
+
+        refine = critical._refine
+        monkeypatch.setattr(critical, "_refine", counting)
+        with caplog.at_level("INFO", logger="morseflow.critical"):
+            find_critical_points(f, Z)
+        singular = [r.getMessage() for r in caplog.records if r.getMessage().startswith("singular pass")]
+        if constant:
+            assert len(seeds) == 1
+            assert singular == [f"singular pass skipped: {constant} is a non-zero constant, "
+                                "so {g = 0, Dg = 0} has no root"]
+        else:
+            # the singular pass still refines the whole raw grid, 343 seeds on the cone
+            grid = critical.default_grid_density(Z.ambient_dim) ** Z.ambient_dim
+            assert seeds[1:] == [grid]
+            assert singular == [f"singular pass: {grid}/{grid} seeds refined to 1 rank-collapse points"]
+
+    @pytest.mark.parametrize("name", ["cone-lift", "planes-lift"])
+    def test_skip_changes_no_point(self, name, monkeypatch):
+        f, Z = named_problem(name)
+        skipped = find_critical_points(f, Z)
+        monkeypatch.setattr(critical, "_constant_entry", lambda system: None)
+        searched = find_critical_points(f, Z)
+        assert len(skipped) == 1
+        assert [dataclasses.asdict(cp) for cp in skipped] == [dataclasses.asdict(cp) for cp in searched]
+
+    @pytest.mark.parametrize("constraints", [["0.6*x + 0.8*w"], ["x^2 + y^2 - z^2", "0.6*x + 0.8*w"]])
+    def test_an_oblique_linear_constraint_skips(self, constraints):
+        system = singular_system(constraints)
+        k = critical._constant_entry(system)
+        assert k is not None
+        # d(0.6*x + 0.8*w)/dx, the first derivative of the linear constraint
+        assert system.components[k].evaluate([0.3, -0.2, 0.7, 0.1]) == 0.6
+
+    def test_a_system_with_a_constant_component_skips(self):
+        names = ("x", "y")
+        system = PolynomialSystem(names, [parse_polynomial("x*y", names), Polynomial.constant(names, -2.5)])
+        assert critical._constant_entry(system) == 1
+
+    @pytest.mark.parametrize("constraints, variables", [
+        (["x*y"], ("x", "y")),
+        (["x^2 + y^2 - z^2"], ("x", "y", "z")),
+        (["x^2"], ("x",)),
+        ([], ("x", "y")),
+    ])
+    def test_a_system_that_can_have_a_root_does_not_skip(self, constraints, variables):
+        assert critical._constant_entry(singular_system(constraints, variables)) is None
+
+    def test_a_zero_derivative_is_not_a_non_zero_constant(self):
+        _, Z = named_problem("cone-lift")
+        system = critical._singular_system(Z)
+        names = Z.constraints.variables
+        # entries: g1, g2, then dg1/dx ... dg1/dw, dg2/dx ... dg2/dw
+        dw = [system.components[2 + len(names) + j] for j in range(len(names))]
+        assert [len(p.terms) for p in dw] == [0, 0, 0, 1]
+        assert critical._constant_entry(system) == 2 + 2 * len(names) - 1
+        assert critical._constant_entry(PolynomialSystem(names, dw[:3])) is None
+        assert critical._constant_entry(PolynomialSystem(names, [Polynomial.zero(names)])) is None

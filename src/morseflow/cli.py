@@ -174,8 +174,8 @@ def spec_from_mapping(data) -> ProblemSpec:
     _check_tolerances(tolerances, len(variables))
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("field 'seed' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"field 'seed' must be a non-negative integer, got {seed!r}")
 
     return ProblemSpec(
         name=data["name"],
@@ -380,7 +380,6 @@ def _run_cond2(run: _Run) -> dict:
         return _skipped(2, f"band endpoint touches critical value(s) {near}")
     return check_condition2(
         run.f, run.Z, band[0], band[1],
-        n_samples=200,
         seed=run.spec.seed,
         conv_grad_tol=float(tol.get("conv_grad_tol", 1e-4)),
         collect=run.keeper,
@@ -603,6 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(spec: ProblemSpec, args) -> int:
     stages = [s.strip() for s in args.stages.split(",") if s.strip()]
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
         spec = replace(spec, seed=args.seed)
     report = run_experiment(spec, stages)
     if args.out is not None:
@@ -625,6 +626,10 @@ def _cmd_flow(args) -> int:
     if coords.size != len(spec.variables):
         raise ValidationError(
             f"--from gave {coords.size} coordinates for {len(spec.variables)} variables")
+    if not Z.inside_box(coords):
+        raise ValidationError(f"--from {args.start!r} is not a finite point inside the box {list(spec.box)}")
+    if args.stop_level is not None and not math.isfinite(args.stop_level):
+        raise ValidationError(f"--stop-level must be a finite number, got {args.stop_level}")
     try:
         start = Z.retract(coords)
     except RetractionError as e:

@@ -50,7 +50,6 @@ __all__ = [
     "FlowTrajectory",
     "integrate",
     "integrate_ensemble",
-    "arc_length",
     "trajectory_csv_text",
     "INCONCLUSIVE_TERMINATIONS",
 ]
@@ -70,14 +69,14 @@ class ReachLevel:
 class Converged:
     """Stop when the projected gradient norm stays below grad_tol."""
 
-    grad_tol: float = 1e-8
+    grad_tol: float
 
 
 @dataclass(frozen=True)
 class ArcBudget:
-    """Stop when the arc length reaches limit: one value, or one per ensemble member."""
+    """Stop when the arc length reaches limit."""
 
-    limit: float | Sequence[float]
+    limit: float
 
 
 StopCriterion = ReachLevel | Converged | ArcBudget
@@ -116,8 +115,8 @@ class FlowTrajectory:
     grad_norm: np.ndarray
     arc: np.ndarray
     termination: str
-    n_accepted: int = 0
-    n_rejected: int = 0
+    n_accepted: int
+    n_rejected: int
 
     @property
     def n_samples(self) -> int:
@@ -261,14 +260,14 @@ def integrate_ensemble(
     ``levels[i]`` is not None, stops on crossing that level (a per-member
     :class:`ReachLevel`).  A single direction or level applies to every
     member.  ``stops`` holds the shared criteria (:class:`Converged`,
-    :class:`ArcBudget`); an :class:`ArcBudget` may give one limit per
-    member.  Every member also stops at TIME_BUDGET, ARC_BUDGET (unless an
-    :class:`ArcBudget` is given) and MAX_STEPS, so it terminates; box
-    containment is always enforced.  Steps are at most ``max_step`` long
-    (default: 0.1 * the box diameter); the first is max_step / 64, and a
-    retry shorter than 1e-12 * max_step ends the member.  Every
-    step-control and stop rule applies to each member on its own, so
-    member i ends exactly as ``integrate`` from ``X0[i]`` does, bit for bit.
+    :class:`ArcBudget`).  Every member also stops at TIME_BUDGET,
+    ARC_BUDGET (unless an :class:`ArcBudget` is given) and MAX_STEPS, so it
+    terminates; box containment is always enforced.  Steps are at most
+    ``max_step`` long (default: 0.1 * the box diameter); the first is
+    max_step / 64, and a retry shorter than 1e-12 * max_step ends the
+    member.  Every step-control and stop rule applies to each member on its
+    own, so member i ends exactly as ``integrate`` from ``X0[i]`` does, bit
+    for bit.
 
     Members in ``record`` (one flag, or one per member) keep every accepted
     sample; the others keep their start and end samples only.  Invalid
@@ -289,7 +288,6 @@ def integrate_ensemble(
         max_step = 0.1 * Z.box_diameter
     min_step = 1e-12 * max_step
     conv, arc_budget = _shared_stops(stops)
-    arc_budget = np.array(_per_member(arc_budget, N, "ArcBudget.limit"), dtype=float)
     fld = _Field(f, Z)
 
     res = Z.residual(X0)
@@ -398,7 +396,7 @@ def integrate_ensemble(
         keep_samples(act, np.flatnonzero(step & act.record))
         # the first stop that fires wins: set the others first
         code[step & (act.t >= TIME_BUDGET)] = TERMS.index("time_budget")
-        code[step & (act.arc >= arc_budget[act.idx])] = TERMS.index("arc_budget")
+        code[step & (act.arc >= arc_budget)] = TERMS.index("arc_budget")
         if conv is not None:
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
             code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
@@ -519,15 +517,6 @@ def check_on_level(f: Polynomial, Z: SingularSpace, X, c: float, what: str) -> N
         if off_z[i]:
             raise ValueError(f"{what} {i} is not on Z (residual {Z.residual(X[i]):.3g})")
         raise ValueError(f"{what} {i} is not on the level {c}")
-
-
-def arc_length(traj: FlowTrajectory, up_to_t: float | None = None) -> float:
-    """Cumulative arc length ``∫ ||grad f|| dt`` up to a time (default: total)."""
-    if up_to_t is None:
-        return traj.total_arc
-    if up_to_t < 0 or up_to_t > traj.t[-1] + 1e-12:
-        raise ValueError(f"time {up_to_t} outside trajectory range [0, {traj.t[-1]}]")
-    return float(np.interp(up_to_t, traj.t, traj.arc))
 
 
 # -- serialization -----------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import (ArcBudget, Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, check_on_level,
-                   integrate_ensemble)
+from .flow import Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, check_on_level, integrate_ensemble
 from .sampling import _dedupe, ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
@@ -32,7 +31,9 @@ MONOTONE_SLACK = 0.1
 SLICE_N_POINTS = 24
 SLICE_PROBE_RADIUS = 1e-3
 CURVATURE_MARGIN = 0.5
-# condition 4 draws up to this many ball probes at each radius
+# condition 2 draws up to this many band samples; condition 4 up to
+# N_PER_RADIUS ball probes at each radius
+COND2_SAMPLES = 200
 N_PER_RADIUS = 40
 
 
@@ -165,22 +166,12 @@ def unstable_slice(
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     check_level_target(f, reps, cp.value, "ascend")
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)])
-    dists = [float(np.linalg.norm(up.endpoint - center)) for up in ups]
-    # ride the flow into the fixed point: the level is reached a touch away
-    # from it whenever the approach is asymptotic
-    rides = [i for i, up in enumerate(ups) if dists[i] > SLICE_CLUSTER_TOL and up.termination == "reach_level"]
-    if rides:
-        polish = integrate_ensemble(
-            f, Z, [ups[i].endpoint for i in rides], "ascend",
-            stops=[Converged(1e-8), ArcBudget([max(10.0 * dists[i], 1e-6) for i in rides])],
-        )
-        for i, traj in zip(rides, polish):
-            dists[i] = min(dists[i], float(np.linalg.norm(traj.endpoint - center)))
     validated = []
-    for rep, up, dist in zip(reps, ups, dists):
+    for rep, up in zip(reps, ups):
         if up.termination not in ("reach_level", "converged"):
             log.warning("slice landing %s failed to flow back (%s)", rep, up.termination)
             continue
+        dist = float(np.linalg.norm(up.endpoint - center))
         if dist <= SLICE_CLUSTER_TOL:
             validated.append(tuple(float(v) for v in rep))
         else:
@@ -196,27 +187,27 @@ def check_condition2(
     Z: SingularSpace,
     a: float,
     b: float,
-    n_samples: int = 200,
     seed: int = 0,
     conv_grad_tol: float = 1e-4,
     collect=None,
 ) -> ConditionReport:
     """Compactness of the flow over the band (a, b).
 
-    Every sampled point of Z with value inside the band must, in both flow
-    directions, either reach the band edge or converge (with the limit
-    still in the band).  Callers are responsible for choosing a and b away
-    from critical values.  Budget or box exits leave the dichotomy
-    undecided and make the verdict inconclusive, and so does a band in
-    which the sampler finds no point of Z.
+    Every sampled point of Z with value inside the band (up to
+    COND2_SAMPLES of them) must, in both flow directions, either reach the
+    band edge or converge (with the limit still in the band).  Callers are
+    responsible for choosing a and b away from critical values.  Budget or
+    box exits leave the dichotomy undecided and make the verdict
+    inconclusive, and so does a band in which the sampler finds no point
+    of Z.
     """
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
     rng = substream(seed, "cond2")
-    samples = band_samples(f, Z, a, b, rng, n_samples)
+    samples = band_samples(f, Z, a, b, rng, COND2_SAMPLES)
     witnesses = {
         "band": [float(a), float(b)],
-        "n_requested": int(n_samples),
+        "n_requested": COND2_SAMPLES,
         "n_samples": len(samples),
         "n_reach": 0,
         "n_converged": 0,

@@ -132,7 +132,7 @@ class Polynomial:
     variables: tuple[str, ...]
     terms: tuple[Monomial, ...]
 
-    def __init__(self, variables: Sequence[str], terms: Iterable[Monomial] = ()):
+    def __init__(self, variables: Sequence[str], terms: Iterable[Monomial]):
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "terms", _canonical(self.variables, terms))
 
@@ -274,7 +274,7 @@ class PolynomialSystem:
     variables: tuple[str, ...]
     components: tuple[Polynomial, ...]
 
-    def __init__(self, variables: Sequence[str], components: Iterable[Polynomial] = ()):
+    def __init__(self, variables: Sequence[str], components: Iterable[Polynomial]):
         variables = tuple(variables)
         components = tuple(components)
         for p in components:

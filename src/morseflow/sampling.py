@@ -152,25 +152,25 @@ def gaussian_cloud(
     radius: float,
     rng: np.random.Generator,
     count: int,
-    max_draws: int | None = None,
 ):
-    """Rejection sampler: ambient Gaussian around center, retract, keep in-ball hits."""
+    """Rejection sampler: ambient Gaussian around center, retract, keep in-ball hits.
+
+    Draws at most 40 * count + 200 candidates.
+    """
     center = np.asarray(center, dtype=float)
     n = center.size
-    if max_draws is None:
-        max_draws = 40 * count + 200
     return _rejection_sample(
-        Z, count, max_draws,
+        Z, count, 40 * count + 200,
         lambda k: center + (0.5 * radius) * rng.normal(size=(k, n)),
         lambda P: row_norms(P - center) <= radius,
     )
 
 
-def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generator,
-                 count: int, max_draws: int | None = None):
-    """Points of Z in the box shrunk by BAND_MARGIN with f strictly inside (a, b)."""
-    if max_draws is None:
-        max_draws = 200 * count + 500
+def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generator, count: int):
+    """Up to count points of Z in the box shrunk by BAND_MARGIN with f strictly inside (a, b).
+
+    Draws at most 200 * count + 500 candidates.
+    """
     lows = np.array([lo for lo, _ in Z.box])
     highs = np.array([hi for _, hi in Z.box])
     mid = 0.5 * (lows + highs)
@@ -181,4 +181,4 @@ def band_samples(f, Z: SingularSpace, a: float, b: float, rng: np.random.Generat
         return (np.abs(P - mid) <= half + 1e-12).all(axis=1) & (a < val) & (val < b)
 
     return _rejection_sample(
-        Z, count, max_draws, lambda k: mid + half * rng.uniform(-1.0, 1.0, size=(k, Z.ambient_dim)), keep)
+        Z, count, 200 * count + 500, lambda k: mid + half * rng.uniform(-1.0, 1.0, size=(k, Z.ambient_dim)), keep)

@@ -3,14 +3,15 @@
 The working space is ``Z = {x : g(x) = 0}`` for a (possibly empty) polynomial
 system ``g``, intersected with an axis-aligned box.  Nothing here assumes Z is
 smooth: the tangent space at a point is the numerical null space of the
-constraint Jacobian, with the effective rank cut at ``rank_tol`` relative to
+constraint Jacobian, with the effective rank cut at ``RANK_TOL`` relative to
 the largest singular value.  Where the rank drops the null space simply grows;
 callers that care about rank transitions can ask for the rank directly.
 
-Membership is residual-based (``||g(x)|| <= tol`` and x inside the box), and
-points are put back on Z by Gauss-Newton least-squares steps.  Projection and
-retraction share one kernel, :func:`orthogonal_rows`, which orthogonalises the
-rows of every Jacobian of a batch by one-sided Jacobi rotations.
+Membership is residual-based (``||g(x)|| <= MEMBER_TOL`` and x inside the
+box), and points are put back on Z by Gauss-Newton least-squares steps.
+Projection and retraction share one kernel, :func:`orthogonal_rows`, which
+orthogonalises the rows of every Jacobian of a batch by one-sided Jacobi
+rotations.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ __all__ = [
     "project_to_level_set",
 ]
 
+# singular values of Dg at or below RANK_TOL times the largest are cut
+RANK_TOL = 1e-8
+# a point is on Z when its residual is at most MEMBER_TOL
+MEMBER_TOL = 1e-8
 # cap on the one-sided Jacobi sweeps of orthogonal_rows; a few rows
 # converge in a handful
 JACOBI_SWEEPS = 30
@@ -50,17 +55,16 @@ class SingularSpace:
     ambient_dim : dimension n of the ambient space.
     constraints : polynomial system g (may be empty, giving Z = R^n in the box).
     box : per-coordinate (lo, hi) bounds; the numerical working region.
-    rank_tol : relative singular-value cutoff for the effective rank of Dg.
-    member_tol : residual tolerance used by ``is_member``.
     retract_tol : target residual for ``retract``.
     level_tol : target residual for ``project_to_level_set`` and level landings.
+
+    The rank cut of Dg and the membership residual are the module constants
+    ``RANK_TOL`` and ``MEMBER_TOL``, the same for every space.
     """
 
     ambient_dim: int
     constraints: PolynomialSystem
     box: tuple[tuple[float, float], ...]
-    rank_tol: float = 1e-8
-    member_tol: float = 1e-8
     retract_tol: float = 1e-10
     level_tol: float = 1e-10
 
@@ -95,28 +99,27 @@ class SingularSpace:
         res = row_norms(self.constraints.evaluate(X)) if len(self.constraints) else np.zeros(len(X))
         return float(res[0]) if x.ndim == 1 else res
 
-    def inside_box(self, x: Sequence[float] | np.ndarray, margin: float = 0.0) -> bool | np.ndarray:
-        """Whether every coordinate lies in its interval, shrunk by margin; NaN lies in none.
+    def inside_box(self, x: Sequence[float] | np.ndarray) -> bool | np.ndarray:
+        """Whether every coordinate lies in its closed interval; NaN lies in none.
 
         x is one point, giving a bool, or an (N, n) block, giving one flag per row.
         """
         x = _points(x, self.ambient_dim)
         lo, hi = np.array(self.box).T
-        inside = ((x >= lo + margin) & (x <= hi - margin)).all(axis=-1)
+        inside = ((x >= lo) & (x <= hi)).all(axis=-1)
         return bool(inside) if x.ndim == 1 else inside
 
-    def is_member(self, x: Sequence[float] | np.ndarray, tol: float | None = None) -> bool | np.ndarray:
-        """Whether the residual is at most tol (default member_tol) inside the box; NaN is never a member.
+    def is_member(self, x: Sequence[float] | np.ndarray) -> bool | np.ndarray:
+        """Whether the residual is at most MEMBER_TOL inside the box; NaN is never a member.
 
         x is one point, giving a bool, or an (N, n) block, giving one flag per row.
         """
-        tol = self.member_tol if tol is None else tol
-        return (self.residual(x) <= tol) & self.inside_box(x)
+        return (self.residual(x) <= MEMBER_TOL) & self.inside_box(x)
 
     # -- tangent structure ----------------------------------------------
 
     def effective_rank(self, x: Sequence[float] | np.ndarray) -> int:
-        """Rank of Dg(x) with singular values at or below rank_tol * sigma_max dropped."""
+        """Rank of Dg(x) with singular values at or below RANK_TOL * sigma_max dropped."""
         x = np.asarray(x, dtype=float)
         return int(self.tangent_project_batch(x[None, :], np.zeros_like(x)[None, :])[1][0])
 
@@ -137,7 +140,7 @@ class SingularSpace:
 
         The projection removes the components along the orthogonalised rows
         of Dg (:func:`orthogonal_rows`), so singular values at or below
-        ``rank_tol`` times the largest are cut; also returns the effective
+        ``RANK_TOL`` times the largest are cut; also returns the effective
         rank of Dg at each row.  Row i of the result depends on row i of the
         input only, bit for bit, whatever the batch around it.
         """
@@ -145,7 +148,7 @@ class SingularSpace:
         V = np.asarray(V, dtype=float)
         if not len(self.constraints):
             return V.copy(), np.zeros(len(X), dtype=int)
-        B, s2, _ = orthogonal_rows(self.constraints.jacobian_at(X), self.rank_tol)
+        B, s2, _ = orthogonal_rows(self.constraints.jacobian_at(X), RANK_TOL)
         P, rank = V, 0
         for b, s in zip(B, s2):
             kept = s != 0.0
@@ -173,7 +176,7 @@ class SingularSpace:
         """Pull every row of X back onto Z by damped Gauss-Newton on g.
 
         Each step is the minimum-norm least-squares solution of
-        ``Dg(x) d = -g(x)`` with the rank cut at ``rank_tol``, from the
+        ``Dg(x) d = -g(x)`` with the rank cut at ``RANK_TOL``, from the
         orthogonalised rows of :func:`orthogonal_rows`, shortened per row by
         :func:`line_search` until that row's residual decreases.
         A row stops when its residual is at most ``retract_tol``, and fails
@@ -201,9 +204,9 @@ class SingularSpace:
     def _min_norm_steps(self, J: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Minimum-norm solutions of ``J[i] d = R[i]`` for stacked J, shape (N, m, n).
 
-        The rank is cut at ``rank_tol``, as in :meth:`tangent_project_batch`.
+        The rank is cut at ``RANK_TOL``, as in :meth:`tangent_project_batch`.
         """
-        B, s2, W = orthogonal_rows(J, self.rank_tol, R)
+        B, s2, W = orthogonal_rows(J, RANK_TOL, R)
         D = None
         for b, s, w in zip(B, s2, W):
             step = b * np.divide(w, s, out=np.zeros(len(s)), where=s != 0.0)[:, None]
@@ -384,7 +387,7 @@ def project_to_level_set(
     ``g(x) = 0, f(x) - c = 0`` with target residual ``level_tol``.  Returns
     the points and a mask of the rows that succeeded: each of those reached
     the joint residual inside the box, so it has ``|f - c| <= level_tol``
-    and, as ``level_tol <= member_tol``, satisfies ``is_member``.  A failed
+    and, as ``level_tol <= MEMBER_TOL``, satisfies ``is_member``.  A failed
     row holds its last iterate.  Rows do not interact.
     """
     joint = replace(

@@ -28,3 +28,8 @@ def cone():
 @pytest.fixture(scope="session")
 def planes_lift():
     return problem_objects(load_problem(Path(__file__).resolve().parent / "problems" / "planes-lift.json"))
+
+
+@pytest.fixture(scope="session")
+def cone_lift():
+    return problem_objects(load_problem(Path(__file__).resolve().parent / "problems" / "cone-lift.json"))

@@ -146,7 +146,7 @@ def test_criterion_6_flow_compactness(saddle, quartic, planes, cone):
     with criterion(6, "every band flow exits or converges on all four benchmarks"):
         for name, (f, Z) in benchmarks.items():
             band = builtin_problem(name).tolerances["band"]
-            report = check_condition2(f, Z, band[0], band[1], n_samples=200, seed=0)
+            report = check_condition2(f, Z, band[0], band[1], seed=0)
             assert report.verdict == "pass", f"{name}: {report.verdict}"
             assert report.witnesses["n_inconclusive"] == 0, name
             assert report.witnesses["n_samples"] > 0, name

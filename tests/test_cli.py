@@ -131,6 +131,13 @@ class TestLoadProblem:
         with pytest.raises(ValidationError, match="seed"):
             spec_from_mapping({**BUILTIN["saddle"], "seed": "0"})
 
+    def test_seed_must_not_be_negative(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="'seed' must be a non-negative integer, got -1"):
+            spec_from_mapping({**BUILTIN["saddle"], "seed": -1})
+        path = write_problem(tmp_path, seed=-1)
+        assert main(["run", "--problem", str(path), "--stages", "critical,cond1"]) == 3
+        assert "'seed'" in capsys.readouterr().err
+
 
 class TestRunExperiment:
     def test_stage_dependency_enforced(self):
@@ -293,6 +300,30 @@ class TestMainExitCodes:
         path = write_problem(tmp_path)
         assert main(["flow", "--problem", str(path), "--from", "a,b"]) == 3
         assert main(["flow", "--problem", str(path), "--from", "1.0"]) == 3
+
+    def test_negative_seed_override_is_a_usage_error(self, capsys):
+        assert main(["bench", "saddle", "--seed", "-1", "--stages", "critical,cond1"]) == 3
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start", ["nan,0.0", "0.5,inf", "-inf,0.5", "3.0,0.0", "0.0,-2.5"])
+    def test_flow_start_off_the_box_is_a_usage_error(self, tmp_path, capsys, start):
+        path = write_problem(tmp_path)
+        assert main(["flow", "--problem", str(path), f"--from={start}"]) == 3
+        assert "--from" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_flow_non_finite_stop_level_is_a_usage_error(self, tmp_path, capsys, level):
+        path = write_problem(tmp_path)
+        assert main(["flow", "--problem", str(path), "--from", "1.0,0.0", f"--stop-level={level}"]) == 3
+        assert "--stop-level" in capsys.readouterr().err
+
+    def test_flow_on_the_lifted_cone_reaches_its_level(self, tmp_path):
+        out = tmp_path / "flow.csv"
+        rc = main(["flow", "--problem", str(PROBLEMS / "cone-lift.json"), "--from", "0.5,0,0.5,0",
+                   "--stop-level", "0.1", "--out", str(out)])
+        assert rc == 0
+        last = [float(v) for v in out.read_text().splitlines()[-1].split(",")]
+        assert last[5] == pytest.approx(0.1, abs=1e-9)
 
 
 def test_console_subprocess_smoke(tmp_path):

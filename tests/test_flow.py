@@ -14,7 +14,6 @@ from morseflow.flow import (
     Converged,
     ReachLevel,
     _Field,
-    arc_length,
     check_level_target,
     integrate,
     integrate_ensemble,
@@ -175,7 +174,7 @@ class TestArcLength:
     def test_zero_at_start(self, saddle):
         f, Z = saddle
         traj = integrate(f, Z, [1.0, 0.0], "descend", [Converged(1e-8)])
-        assert arc_length(traj, 0.0) == 0.0
+        assert traj.t[0] == 0.0 and traj.arc[0] == 0.0
 
     def test_line_flow_total_equals_displacement(self):
         f, Z = r1_square()
@@ -185,9 +184,9 @@ class TestArcLength:
     def test_monotone_in_time(self, saddle):
         f, Z = saddle
         traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(-0.5)])
-        ts = np.linspace(traj.t[0], traj.t[-1], 17)
-        vals = [arc_length(traj, t) for t in ts]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+        assert traj.n_samples > 2
+        assert (np.diff(traj.t) > 0).all() and (np.diff(traj.arc) > 0).all()
+        assert traj.total_arc == traj.arc[-1]
 
 
 class TestCsv:
@@ -243,13 +242,11 @@ def test_nan_coordinate_is_outside_the_box():
 def test_box_test_of_a_block_matches_each_point():
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-1.0, 1.0)))
     rows = np.array([[0.0, 0.0], [1.95, 0.0], [0.0, -1.0], [-2.0 - 1e-10, 0.5], [np.nan, 0.0]])
-    for margin in (0.0, 0.1, -1e-9):
-        block = Z.inside_box(rows, margin=margin)
-        assert block.dtype == bool and block.shape == (5,)
-        assert block.tolist() == [Z.inside_box(x, margin=margin) for x in rows]
-        assert all(type(Z.inside_box(x, margin=margin)) is bool for x in rows)
-    assert Z.inside_box(rows, margin=0.1).tolist() == [True, False, False, False, False]
-    assert Z.inside_box(rows, margin=-1e-9).tolist() == [True, True, True, True, False]
+    block = Z.inside_box(rows)
+    assert block.dtype == bool and block.shape == (5,)
+    assert block.tolist() == [Z.inside_box(x) for x in rows]
+    assert all(type(Z.inside_box(x)) is bool for x in rows)
+    assert block.tolist() == [True, True, True, False, False]
 
 
 def test_level_target_check_names_the_first_wrong_row(saddle):
@@ -290,17 +287,20 @@ def ensemble_case(name, quartic, cone, planes_lift):
 @pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift"])
 def test_ensemble_member_is_bit_identical_to_integrate(name, quartic, cone, planes_lift):
     f, Z, starts, directions, levels = ensemble_case(name, quartic, cone, planes_lift)
-    stops = [Converged(1e-3), ArcBudget(5.0)]
-    flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record=True)
-    for x0, direction, level, traj in zip(starts, directions, levels, flows):
-        reach = [] if level is None else [ReachLevel(level)]
-        one = integrate(f, Z, x0, direction, stops + reach)
-        assert traj.termination == one.termination
-        assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
-        assert one.n_accepted == one.n_samples - 1
-        for column in ("t", "y", "f", "grad_norm", "arc"):
-            assert np.array_equal(getattr(traj, column), getattr(one, column))
-    assert {t.termination for t in flows} >= {"reach_level"}
+    ends = {}
+    for limit in (5.0, 0.01):  # the tight arc budget ends members that the loose one lets land
+        stops = [Converged(1e-3), ArcBudget(limit)]
+        flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record=True)
+        for x0, direction, level, traj in zip(starts, directions, levels, flows):
+            reach = [] if level is None else [ReachLevel(level)]
+            one = integrate(f, Z, x0, direction, stops + reach)
+            assert traj.termination == one.termination
+            assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
+            assert one.n_accepted == one.n_samples - 1
+            for column in ("t", "y", "f", "grad_norm", "arc"):
+                assert np.array_equal(getattr(traj, column), getattr(one, column))
+        ends[limit] = {t.termination for t in flows}
+    assert "reach_level" in ends[5.0] and "arc_budget" in ends[0.01]
 
 
 def test_unrecorded_member_keeps_start_and_end(saddle):
@@ -315,30 +315,6 @@ def test_unrecorded_member_keeps_start_and_end(saddle):
     for column in ("t", "y", "f", "grad_norm", "arc"):
         kept = getattr(again, column)
         assert np.array_equal(getattr(bare, column), kept[[0, -1]])
-
-
-@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift"])
-def test_per_member_arc_budget_is_bit_identical_to_integrate(name, quartic, cone, planes_lift):
-    f, Z, starts, directions, levels = ensemble_case(name, quartic, cone, planes_lift)
-    limits = [0.01, 0.05, 0.2, 1e-3]
-    flows = integrate_ensemble(f, Z, starts, directions, levels, [Converged(1e-3), ArcBudget(limits)],
-                               record=True)
-    for x0, direction, level, limit, traj in zip(starts, directions, levels, limits, flows):
-        reach = [] if level is None else [ReachLevel(level)]
-        one = integrate(f, Z, x0, direction, [Converged(1e-3), ArcBudget(limit)] + reach)
-        assert traj.termination == one.termination
-        assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
-        for column in ("t", "y", "f", "grad_norm", "arc"):
-            assert np.array_equal(getattr(traj, column), getattr(one, column))
-    assert "arc_budget" in {t.termination for t in flows}
-
-
-def test_arc_budget_of_the_wrong_length_is_rejected(saddle):
-    f, Z = saddle
-    starts = [[1.0, 0.3], [0.9, 0.5]]
-    for limits in ([0.1], [0.1, 0.2, 0.3]):
-        with pytest.raises(ValueError, match="ArcBudget.limit"):
-            integrate_ensemble(f, Z, starts, "descend", stops=[ArcBudget(limits)])
 
 
 def test_start_off_z_is_named_by_its_row(cone):

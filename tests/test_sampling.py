@@ -167,6 +167,22 @@ def same_points(got, ref):
     return len(got) == len(ref) and all(np.array_equal(p, q) for p, q in zip(got, ref))
 
 
+def cap_draws(monkeypatch, max_draws):
+    """Make the shared rejection sampler stop at max_draws (None: the sampler's own cap).
+
+    Returns the list of caps the sampler was called with.
+    """
+    caps = []
+    real = sampling._rejection_sample
+
+    def capped(Z, count, own_cap, draw, keep):
+        caps.append(own_cap)
+        return real(Z, count, own_cap if max_draws is None else max_draws, draw, keep)
+
+    monkeypatch.setattr(sampling, "_rejection_sample", capped)
+    return caps
+
+
 PLANES_LIFT = Path(__file__).resolve().parent / "problems" / "planes-lift.json"
 
 
@@ -180,20 +196,24 @@ def problem(request, cone):
 class TestBatchedSamplersMatchOneAtATime:
     # each case: (kwargs, whether the run must stop on its draw cap)
     @pytest.mark.parametrize("count, max_draws, capped", [(40, None, False), (400, 150, True)])
-    def test_gaussian_cloud(self, problem, count, max_draws, capped):
+    def test_gaussian_cloud(self, problem, count, max_draws, capped, monkeypatch):
         _, Z = problem
         center = np.zeros(Z.ambient_dim)
-        got = gaussian_cloud(Z, center, 0.3, substream(3, "g"), count, max_draws)
+        caps = cap_draws(monkeypatch, max_draws)
+        got = gaussian_cloud(Z, center, 0.3, substream(3, "g"), count)
         ref = gaussian_cloud_reference(Z, center, 0.3, substream(3, "g"), count, max_draws)
+        assert caps == [40 * count + 200]
         assert same_points(got, ref)
         assert (len(got) < count) == capped
 
     @pytest.mark.parametrize("band, count, max_draws, capped",
                              [((-0.8, 0.8), 40, None, False), ((0.3, 0.31), 60, 300, True)])
-    def test_band_samples(self, problem, band, count, max_draws, capped):
+    def test_band_samples(self, problem, band, count, max_draws, capped, monkeypatch):
         f, Z = problem
-        got = band_samples(f, Z, *band, substream(4, "b"), count, max_draws=max_draws)
+        caps = cap_draws(monkeypatch, max_draws)
+        got = band_samples(f, Z, *band, substream(4, "b"), count)
         ref = band_samples_reference(f, Z, *band, substream(4, "b"), count, max_draws=max_draws)
+        assert caps == [200 * count + 500]
         assert same_points(got, ref)
         assert (len(got) < count) == capped
 

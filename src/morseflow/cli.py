@@ -638,6 +638,10 @@ def _cmd_flow(args) -> int:
     direction = "descend" if args.direction == "down" else "ascend"
     stops = [Converged(1e-8)]
     if args.stop_level is not None:
+        f0 = float(f.evaluate(start))
+        if (f0 - args.stop_level if direction == "descend" else args.stop_level - f0) < -Z.level_tol:
+            raise ValidationError(f"--stop-level {args.stop_level} is {'above' if direction == 'descend' else 'below'} "
+                                  f"f = {f0} at the start, so a {direction}ing flow cannot reach it")
         stops.append(ReachLevel(args.stop_level))
     traj = integrate(f, Z, start, direction=direction, stops=stops)
     text = trajectory_csv_text(traj)

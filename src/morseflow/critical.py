@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import ArcBudget, Converged, integrate_ensemble
+from .flow import ArcBudget, Capture, Converged, integrate_ensemble
 from .polynomial import Polynomial, PolynomialSystem, gradient
 from .sampling import _dedupe, ring_probes, substream
 from .space import SingularSpace, line_search, min_norm_steps, norms, row_norms
@@ -361,7 +361,8 @@ def _saddle_witnesses(f, Z, cp, below_probe) -> bool:
     center = cp.point()
     down, up = integrate_ensemble(
         f, Z, [below_probe, below_probe], directions=("descend", "ascend"), levels=(None, cp.value),
-        stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0))], record=(True, False),
+        stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)), Capture(cp.location, PROBE_RADIUS)],
+        record=(True, False),
     )
     max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))
     end_dist = float(np.linalg.norm(up.endpoint - center))
@@ -379,7 +380,9 @@ def classify(
 
     minimum / maximum when every probe lies beyond probe_tol on one side,
     saddle when both sides are populated and the two witness flows confirm
-    it, degenerate when the probes cannot separate the values at all.
+    it (the up-flow from the lowest probe is captured within PROBE_RADIUS
+    of the point, so a flow that runs into a singular point ends there),
+    degenerate when the probes cannot separate the values at all.
     probe_tol adapts to the observed spread, so flat quartic bowls and
     steep cones are judged by the same rule.
     """

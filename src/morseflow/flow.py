@@ -18,12 +18,13 @@ row on its own: a row whose error test or endpoint retraction fails retries
 with a smaller step while the others move on.  A member terminates on the
 first stop criterion that fires for it and leaves the ensemble, the others
 keeping their order; a time and an arc-length budget are always active so
-every member terminates.  Level crossings leave the ensemble too, and are
-landed afterwards (to ``level_tol`` in f) by one batched bisection of each
-crossing step's length, each bisection point a retracted step endpoint; a
-crossing that no bisection point lands ends with ``landing_failed``.  Rows
-never interact, so a member's trajectory is the same bit for bit in any
-ensemble.
+every member terminates.  A :class:`Capture` ends a member at its point when
+a step runs into it, before any crossing test.  Level crossings leave the
+ensemble too, and are landed afterwards (to ``level_tol`` in f) by one
+batched regula falsi over each crossing step's length, each trial point a
+retracted step endpoint; a crossing that no trial point lands ends with
+``landing_failed``.  Rows never interact, so a member's trajectory is the
+same bit for bit in any ensemble.
 
 :func:`integrate` is the ensemble of one, with every sample kept.  In a larger
 ensemble only the members marked in ``record`` keep every accepted sample;
@@ -47,6 +48,7 @@ __all__ = [
     "ReachLevel",
     "Converged",
     "ArcBudget",
+    "Capture",
     "FlowTrajectory",
     "integrate",
     "integrate_ensemble",
@@ -79,11 +81,20 @@ class ArcBudget:
     limit: float
 
 
-StopCriterion = ReachLevel | Converged | ArcBudget
+@dataclass(frozen=True)
+class Capture:
+    """Stop at point when a step's chord passes within radius of it and f(point) lies between the step's f values."""
+
+    point: tuple[float, ...]
+    radius: float
+
+
+StopCriterion = ReachLevel | Converged | ArcBudget | Capture
 
 # Terminations that decide nothing: the flow neither reached a level nor
 # demonstrably converged nor left the region.  landing_failed: the flow
-# crossed its ReachLevel target but no bisection point lies within level_tol.
+# crossed its ReachLevel target but no re-taken step of the landing ends
+# within level_tol of it.
 INCONCLUSIVE_TERMINATIONS = frozenset(
     {"arc_budget", "time_budget", "step_underflow", "retraction_failed", "step_limit",
      "landing_failed"}
@@ -200,10 +211,11 @@ class _Members:
 
     ``idx`` is the member's index in the ensemble; ``c`` is its ReachLevel
     target (NaN when it has none, so every crossing test on it is false);
-    ``k1`` is the first stage of the step being attempted.
+    ``k1`` is the first stage of the step being attempted and ``f_end`` is f
+    at that step's endpoint.
     """
 
-    FIELDS = ("idx", "sign", "c", "record", "y", "fy", "g", "gn", "k1", "h", "t", "arc",
+    FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "k1", "h", "t", "arc",
               "rank", "conv_run", "n_steps", "n_accepted", "n_rejected")
 
     def __init__(self, **arrays):
@@ -222,8 +234,8 @@ class _Members:
 
 
 def _shared_stops(stops):
-    """(Converged or None, arc budget) from the shared stop criteria."""
-    conv = None
+    """(Converged or None, arc budget, Capture or None) from the shared stop criteria."""
+    conv = cap = None
     arc_budget = ARC_BUDGET
     for s in stops:
         if isinstance(s, ReachLevel):
@@ -232,9 +244,11 @@ def _shared_stops(stops):
             conv = s
         elif isinstance(s, ArcBudget):
             arc_budget = s.limit
+        elif isinstance(s, Capture):
+            cap = s
         else:
             raise TypeError(f"unknown stop criterion {s!r}")
-    return conv, arc_budget
+    return conv, arc_budget, cap
 
 
 def _per_member(value, n: int, name: str) -> list:
@@ -260,7 +274,7 @@ def integrate_ensemble(
     ``levels[i]`` is not None, stops on crossing that level (a per-member
     :class:`ReachLevel`).  A single direction or level applies to every
     member.  ``stops`` holds the shared criteria (:class:`Converged`,
-    :class:`ArcBudget`).  Every member also stops at TIME_BUDGET,
+    :class:`ArcBudget`, :class:`Capture`).  Every member also stops at TIME_BUDGET,
     ARC_BUDGET (unless an :class:`ArcBudget` is given) and MAX_STEPS, so it
     terminates; box containment is always enforced.  Steps are at most
     ``max_step`` long (default: 0.1 * the box diameter); the first is
@@ -287,8 +301,11 @@ def integrate_ensemble(
     if max_step is None:
         max_step = 0.1 * Z.box_diameter
     min_step = 1e-12 * max_step
-    conv, arc_budget = _shared_stops(stops)
+    conv, arc_budget, cap = _shared_stops(stops)
     fld = _Field(f, Z)
+    if cap is not None:
+        p = np.array(cap.point, dtype=float)[None, :]
+        f_p, g_p = f.evaluate(p), fld.projected_grad(p)[0]
 
     res = Z.residual(X0)
     bad = np.flatnonzero(~Z.is_member(X0))
@@ -314,7 +331,7 @@ def integrate_ensemble(
         i = wrong[0]
         raise ValueError(f"target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
-    act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, g=g, gn=gn,
+    act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, f_end=fy, g=g, gn=gn,
                    rank=rank, k1=np.zeros_like(Y), h=np.full(N, max_step / 64.0),
                    t=np.zeros(N), arc=np.zeros(N),
                    **{name: np.zeros(N, dtype=int)
@@ -378,7 +395,16 @@ def integrate_ensemble(
 
         step = ok & ~rejected & ~halve
         f_new = f.evaluate(y_new)
-        cross = step & ((act.fy - act.c) * (f_new - act.c) <= 0.0)
+        captured = np.zeros(len(act), dtype=bool)
+        if cap is not None:
+            # the point of the chord [y, y_new] nearest p, then f(p) between the step's ends
+            d = y_new - act.y
+            u = np.clip(row_sums((p - act.y) * d) / np.maximum(row_sums(d * d), 1e-300), 0.0, 1.0)
+            near = row_sums((act.y + u[:, None] * d - p) ** 2) <= cap.radius**2
+            captured = step & near & ((act.fy - f_p) * (f_new - f_p) <= 0.0)
+            y_new[captured], f_new[captured], g_new[captured] = p, f_p, g_p
+        act.f_end = f_new
+        cross = step & ~captured & ((act.fy - act.c) * (f_new - act.c) <= 0.0)
         code[cross] = TERMS.index("land")
         outside = step & ~cross & ~Z.inside_box(y_new)
         code[outside] = TERMS.index("left_box")
@@ -400,6 +426,7 @@ def integrate_ensemble(
         if conv is not None:
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
             code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
+        code[captured] = TERMS.index("converged")
         h_next = np.minimum(max_step, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
         act.h = np.where(step, h_next, np.where(cross, h, h_retry))
 
@@ -418,16 +445,22 @@ def integrate_ensemble(
 
 
 def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
-    """Land every crossing member on its level by bisecting its crossing step.
+    """Land every crossing member on its level by regula falsi over its crossing step.
 
-    Member i re-takes its crossing step with lengths bisected in
-    [0, h_i] until the endpoint has |f - c_i| <= level_tol; f at the step's
-    start is taken from the stepping state.  A member that no bisection
-    point lands ends with ``landing_failed``.
+    Member i re-takes its crossing step with lengths in [0, h_i] chosen by
+    the Illinois regula falsi (Dowell & Jarratt, BIT 1971) on f - c_i, until
+    the endpoint has |f - c_i| <= level_tol.  f at the two ends of the step
+    is known from stepping.  A secant point that is not finite or not
+    strictly inside the bracket is replaced by the midpoint, and a failed
+    retraction moves the upper end down with f there unknown.  A member that
+    90 rounds do not land, or whose bracket holds no double strictly
+    inside, ends with ``landing_failed``.
     """
     Z = fld.Z
     k = len(cr)
     lo, hi = np.zeros(k), cr.h.copy()
+    f_lo, f_hi = cr.fy - cr.c, cr.f_end - cr.c
+    moved = np.zeros(k)  # the end that moved last: -1 lo, 1 hi, 0 neither
     searching = np.ones(k, dtype=bool)
     landed = np.zeros(k, dtype=bool)
     y_land, h_land, f_land = np.zeros_like(cr.y), np.zeros(k), np.zeros(k)
@@ -435,20 +468,26 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
         s = np.flatnonzero(searching)
         if not s.size:
             break
-        mid = 0.5 * (lo[s] + hi[s])
-        y_mid, _, ok = fld.advance(cr.y[s], cr.k1[s], mid, cr.sign[s])
-        hi[s[~ok]] = mid[~ok]
-        s, mid, y_mid = s[ok], mid[ok], y_mid[ok]
-        f_mid = fld.f.evaluate(y_mid)
-        hit = np.abs(f_mid - cr.c[s]) <= Z.level_tol
-        y_land[s[hit]], h_land[s[hit]], f_land[s[hit]] = y_mid[hit], mid[hit], f_mid[hit]
+        # f_lo is never 0 and f_hi is 0, NaN or of the other sign, so this divides by no 0
+        m = lo[s] - f_lo[s] * (hi[s] - lo[s]) / (f_hi[s] - f_lo[s])
+        m = np.where((lo[s] < m) & (m < hi[s]), m, 0.5 * (lo[s] + hi[s]))
+        y_m, _, ok = fld.advance(cr.y[s], cr.k1[s], m, cr.sign[s])
+        hi[s[~ok]], f_hi[s[~ok]], moved[s[~ok]] = m[~ok], np.nan, 0.0
+        s, m, y_m = s[ok], m[ok], y_m[ok]
+        f_m = fld.f.evaluate(y_m)
+        hit = np.abs(f_m - cr.c[s]) <= Z.level_tol
+        y_land[s[hit]], h_land[s[hit]], f_land[s[hit]] = y_m[hit], m[hit], f_m[hit]
         landed[s[hit]] = True
         searching[s[hit]] = False
-        s, mid, f_mid = s[~hit], mid[~hit], f_mid[~hit]
-        same_side = (f_mid - cr.c[s] > 0) == (cr.fy[s] - cr.c[s] > 0)
-        lo[s[same_side]] = mid[same_side]
-        hi[s[~same_side]] = mid[~same_side]
-        searching[s[hi[s] - lo[s] <= 1e-16 * cr.h[s]]] = False
+        s, m, d = s[~hit], m[~hit], f_m[~hit] - cr.c[s[~hit]]
+        low = (d > 0) == (f_lo[s] > 0)
+        # Illinois: an end kept twice in a row has its f halved
+        f_hi[s[low & (moved[s] < 0)]] *= 0.5
+        f_lo[s[~low & (moved[s] > 0)]] *= 0.5
+        lo[s[low]], f_lo[s[low]] = m[low], d[low]
+        hi[s[~low]], f_hi[s[~low]] = m[~low], d[~low]
+        moved[s] = np.where(low, -1.0, 1.0)
+        searching[s[np.nextafter(lo[s], hi[s]) >= hi[s]]] = False
 
     finish(cr.select(~landed), "landing_failed")
     cr = cr.select(landed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, check_on_level, integrate_ensemble
+from .flow import Capture, Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, check_on_level, integrate_ensemble
 from .sampling import _dedupe, ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
@@ -141,7 +141,10 @@ def unstable_slice(
     descended to the level; landings are clustered, and each cluster
     representative must be validated by flowing back up to the critical
     point (an unstable-set point, flowed backward, returns to where it
-    came from).  Minima are refused: nothing leaves them downward.
+    came from).  A back-flow that runs into the point within
+    SLICE_CLUSTER_TOL is captured there (:class:`Capture`), as at a cone's
+    vertex, where f jumps along the step.  Minima are refused: nothing
+    leaves them downward.
     """
     if level >= cp.value:
         raise ValueError(f"slice level {level} is not below the critical value {cp.value}")
@@ -165,7 +168,8 @@ def unstable_slice(
 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     check_level_target(f, reps, cp.value, "ascend")
-    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)])
+    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value,
+                             [Converged(1e-8), Capture(cp.location, SLICE_CLUSTER_TOL)])
     validated = []
     for rep, up in zip(reps, ups):
         if up.termination not in ("reach_level", "converged"):

@@ -317,6 +317,15 @@ class TestMainExitCodes:
         assert main(["flow", "--problem", str(path), "--from", "1.0,0.0", f"--stop-level={level}"]) == 3
         assert "--stop-level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("direction, level, side", [("down", "0.9", "above"), ("up", "0.1", "below")])
+    def test_flow_stop_level_behind_the_start_is_a_usage_error(self, capsys, direction, level, side):
+        rc = main(["flow", "--problem", str(PROBLEMS / "cone-lift.json"), "--from", "0.5,0,0.5,0",
+                   "--direction", direction, "--stop-level", level])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"--stop-level {level} is {side} f = 0.5 at the start" in err
+        assert "Traceback" not in err
+
     def test_flow_on_the_lifted_cone_reaches_its_level(self, tmp_path):
         out = tmp_path / "flow.csv"
         rc = main(["flow", "--problem", str(PROBLEMS / "cone-lift.json"), "--from", "0.5,0,0.5,0",

@@ -94,10 +94,8 @@ class TestClassify:
         (cp,) = find_critical_points(f, Z)
         assert classify(f, Z, cp) == "saddle"
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: at the lifted cone's exact vertex the saddle witness's up-flow ends "
-        "landing_failed, so the kind is unresolved; the search's vertex at -7.45e-9 escapes it"))
     def test_lifted_cone_vertex_at_the_origin_is_a_saddle(self, cone_lift):
+        # the witness up-flow runs into the vertex and is captured there
         f, Z = cone_lift
         assert classify(f, Z, CriticalPoint(location=(0.0,) * 4, value=0.0, grad_norm=0.0)) == "saddle"
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bisection_landing
 import stage_retracting_advance
 from morseflow import flow
 from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.flow import (
     INCONCLUSIVE_TERMINATIONS,
     ArcBudget,
+    Capture,
     Converged,
     ReachLevel,
     _Field,
@@ -207,7 +209,7 @@ def test_step_control_max_step_is_honoured(saddle):
 
 
 def test_unlandable_level_is_landing_failed():
-    # no bisection point can lie within 1e-300 of the target, so the
+    # no landing point can lie within 1e-300 of the target, so the
     # crossing must not be reported as reach_level
     f = parse_polynomial("x^2 - y^2", ["x", "y"])
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)),
@@ -215,6 +217,26 @@ def test_unlandable_level_is_landing_failed():
     traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(0.1)])
     assert traj.termination == "landing_failed"
     assert traj.final_f > 0.1
+
+
+def test_unlandable_landing_stops_when_its_bracket_holds_no_double(monkeypatch):
+    # the landing brackets the crossing in the upper half of the step, where
+    # a tolerance of 1e-16 * h is below one ulp; the bracket itself runs out
+    f = parse_polynomial("x^2 - y^2", ["x", "y"])
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)),
+                      level_tol=1e-300)
+    calls = []
+    advance = _Field.advance
+
+    def counted(self, *args):
+        calls.append(1)
+        return advance(self, *args)
+
+    monkeypatch.setattr(_Field, "advance", counted)
+    traj = integrate(f, Z, [1.0, 0.5], "descend", [ReachLevel(0.5)])
+    assert traj.termination == "landing_failed"
+    # a bisection of a double runs out within 64 rounds; the cap is 90
+    assert len(calls) < 64
 
 
 def test_overflowing_step_is_rejected_not_recorded():
@@ -301,6 +323,53 @@ def test_ensemble_member_is_bit_identical_to_integrate(name, quartic, cone, plan
                 assert np.array_equal(getattr(traj, column), getattr(one, column))
         ends[limit] = {t.termination for t in flows}
     assert "reach_level" in ends[5.0] and "arc_budget" in ends[0.01]
+
+
+class TestCapture:
+    ORIGIN = (0.0, 0.0, 0.0)
+
+    def test_flow_through_the_point_ends_converged_there(self, cone):
+        # without the capture this flow runs through the vertex onto the other nappe
+        f, Z = cone
+        free = integrate(f, Z, [0.5, 0.0, 0.5], "descend", [Converged(1e-8)])
+        assert free.final_f < -0.1
+        traj = integrate(f, Z, [0.5, 0.0, 0.5], "descend", [Converged(1e-8), Capture(self.ORIGIN, 1e-5)])
+        assert traj.termination == "converged"
+        assert np.array_equal(traj.endpoint, self.ORIGIN) and traj.final_f == 0.0
+        assert traj.n_accepted == traj.n_samples - 1
+
+    def test_back_flow_to_the_level_of_the_point_is_captured_not_landed(self, cone):
+        f, Z = cone
+        traj = integrate(f, Z, [-0.1, 0.0, 0.1], "ascend",
+                         [ReachLevel(0.0), Converged(1e-8), Capture(self.ORIGIN, 1e-5)])
+        assert traj.termination == "converged"
+        assert np.array_equal(traj.endpoint, self.ORIGIN)
+
+    def test_descent_that_starts_below_the_point_is_never_captured(self, cone):
+        # the chord of the first step passes within the radius, but f(point)
+        # lies above both of its f values
+        f, Z = cone
+        stops = [Converged(1e-8), ArcBudget(5.0)]
+        free = integrate(f, Z, [-0.01, 0.0, 0.01], "descend", stops)
+        traj = integrate(f, Z, [-0.01, 0.0, 0.01], "descend", stops + [Capture(self.ORIGIN, 1.0)])
+        assert traj.termination == free.termination == "left_box"
+        for column in ("t", "y", "f", "grad_norm", "arc"):
+            assert np.array_equal(getattr(traj, column), getattr(free, column))
+
+    def test_ensemble_member_with_a_capture_is_bit_identical_to_integrate(self, cone):
+        f, Z = cone
+        starts = np.array([[0.5, 0.0, 0.5], [-0.1, 0.0, 0.1], Z.retract([0.3, -0.2, 0.4]), [-0.01, 0.0, 0.01]])
+        directions = ["descend", "ascend", "descend", "descend"]
+        levels = [None, 0.0, 0.1, None]
+        stops = [Converged(1e-8), Capture(self.ORIGIN, 1e-5)]
+        flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record=True)
+        for x0, direction, level, traj in zip(starts, directions, levels, flows):
+            one = integrate(f, Z, x0, direction, stops + ([] if level is None else [ReachLevel(level)]))
+            assert traj.termination == one.termination
+            assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
+            for column in ("t", "y", "f", "grad_norm", "arc"):
+                assert np.array_equal(getattr(traj, column), getattr(one, column))
+        assert [t.termination for t in flows] == ["converged", "converged", "reach_level", "left_box"]
 
 
 def test_unrecorded_member_keeps_start_and_end(saddle):
@@ -451,3 +520,39 @@ def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, calls, mo
     y_new, _, ok = fld.advance(X, sign[:, None] * fld.projected_grad(X)[0], np.full(6, 0.05), sign)
     assert rows == [6] * calls
     assert ok.all() and Z.is_member(y_new).all()
+
+
+# -- the landing: regula falsi against tests/bisection_landing.py --------
+
+
+@pytest.mark.parametrize("name", ["saddle", "quartic", "cone", "planes-lift"])
+def test_landing_lands_every_row_the_bisection_lands_in_few_rounds(name, monkeypatch):
+    f, Z = named_problem(name)
+    X, directions, levels = band_starts(f, Z, 24)
+    rounds, landing = [], [False]
+    advance, land = _Field.advance, flow._land
+
+    def counted_advance(self, *args):
+        if landing[0]:
+            rounds[-1] += 1
+        return advance(self, *args)
+
+    def counted_land(*args):
+        rounds.append(0)
+        landing[0] = True
+        land(*args)
+        landing[0] = False
+
+    monkeypatch.setattr(_Field, "advance", counted_advance)
+    monkeypatch.setattr(flow, "_land", counted_land)
+    # the quartic's descents below its minimum converge, slowly, at 1e-8
+    stops = [Converged(1e-4)]
+    flows = integrate_ensemble(f, Z, X, directions, levels, stops)
+    monkeypatch.setattr(flow, "_land", bisection_landing.land)
+    reference = integrate_ensemble(f, Z, X, directions, levels, stops)
+    assert [t.termination for t in flows] == [t.termination for t in reference]
+    assert "reach_level" in {t.termination for t in reference}
+    for traj, level in zip(flows, levels):
+        if traj.termination == "reach_level":
+            assert abs(traj.final_f - level) <= Z.level_tol
+    assert rounds and max(rounds) <= 6

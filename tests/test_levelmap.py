@@ -96,6 +96,17 @@ class TestUnstableSlice:
         assert np.allclose(got[0], (-0.1, 0.0, -0.1), atol=1e-6)
         assert np.allclose(got[1], (-0.1, 0.0, 0.1), atol=1e-6)
 
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_nudged_cone_slice_still_validates_both_rays(self, cone, k, monkeypatch):
+        # a back-flow runs into the vertex, where f jumps along the step; a
+        # capture stop ends it there whatever the last bits of its start
+        f, Z = cone
+        real = levelmap._dedupe
+        monkeypatch.setattr(levelmap, "_dedupe", lambda pts, tol: [r * (1.0 + k * 1e-12) for r in real(pts, tol)])
+        got = unstable_slice(f, Z, origin_cp(dim=3), -0.1, seed=0).points
+        assert len(got) == 2
+        assert np.allclose(got, [(-0.1, 0.0, -0.1), (-0.1, 0.0, 0.1)], atol=1e-6)
+
     def test_minimum_refused(self, quartic):
         f, Z = quartic
         cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
@@ -122,8 +133,8 @@ class TestMatchesTheSingleFlowLoops:
     @pytest.fixture(scope="class")
     def lifted_vertex(self, cone_lift):
         # the vertex as the critical search returns it, a few 1e-9 off the
-        # origin: at the exact origin the lift's axis landings end
-        # landing_failed on the way back (ROADMAP item 3)
+        # origin: at the exact origin the reference's back-flows, which have
+        # no capture stop, end landing_failed
         cp, = find_critical_points(*cone_lift)
         return cp
 

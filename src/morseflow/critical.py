@@ -5,11 +5,12 @@ them from probe values plus witness flows, and checks that distinct
 critical values stay separated.
 
 Two search passes are needed because criticality has two faces here: on a
-smooth stratum the projected gradient vanishes, while at a rank-collapse
-point of the constraints the projected gradient can be useless and the
-honest test is dynamic (the flow cannot leave the point).  The second pass
-solves {g = 0, Dg = 0} and is skipped, exactly, when one of its entries is a
-non-zero constant (a linear constraint's gradient): that system has no root.
+smooth stratum the projected gradient vanishes, while a point of Z where
+every constraint gradient vanishes is singular, and so critical, whatever
+the projected gradient does there.  The second pass solves {g = 0, Dg = 0}
+and accepts every root it converges to on Z; it is skipped, exactly, when
+one of its entries is a non-zero constant (a linear constraint's gradient):
+that system has no root.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ CLUSTER_TOL = 1e-6
 REFINE_TOL = 1e-12
 REFINE_ITER = 80
 POLISH_ITER = 40
-# a rank-collapse point is fixed when its probe flows stay within
-# 2 * FIXED_RHO over an arc of 10 * FIXED_RHO
-FIXED_RHO = 1e-4
 # classify probes a ring of radius PROBE_RADIUS with this many directions (the axes first)
 N_PROBES = 24
 PROBE_RADIUS = 0.01
@@ -55,9 +53,9 @@ KINDS = ("minimum", "maximum", "saddle", "degenerate", "unresolved")
 class CriticalPoint:
     """A fixed point of the flow on Z.
 
-    grad_norm is the residual of criticality: the projected-gradient norm
-    at the location or, for dynamically validated singular points, the
-    smallest projected-gradient norm observed along the stagnation probes.
+    grad_norm is the residual of criticality: the norm of the projected
+    gradient at the location for a smooth-pass point, and the norm of
+    {g, Dg} there for a rank-collapse point of the singular pass.
     """
 
     location: tuple[float, ...]
@@ -220,32 +218,6 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
         pool = settle(pool[moving])
 
 
-def _numerically_fixed(f: Polynomial, Z: SingularSpace, p: np.ndarray):
-    """Dynamic criticality test at a rank-collapse point of the constraints.
-
-    Accepted as fixed when flows probed both ways stay inside the
-    2 * FIXED_RHO ball over an arc budget of 10 * FIXED_RHO.  Returns
-    (fixed, residual) where residual is the smallest projected-gradient
-    norm seen along the probes; a genuinely fixed point exhibits ~0 there even when the raw
-    ambient gradient does not vanish.
-    """
-    p = np.asarray(p, dtype=float)
-    probes = integrate_ensemble(
-        f,
-        Z,
-        [p, p],
-        directions=("descend", "ascend"),
-        stops=[Converged(1e-8), ArcBudget(10.0 * FIXED_RHO)],
-        max_step=FIXED_RHO / 4.0,
-        record=True,
-    )
-    for traj in probes:
-        disp = float(np.max(np.linalg.norm(traj.y - p[None, :], axis=1)))
-        if disp > 2.0 * FIXED_RHO:
-            return False, np.inf
-    return True, min(float(np.min(traj.grad_norm)) for traj in probes)
-
-
 def _smooth_residual(f: Polynomial, Z: SingularSpace):
     """The map from an (N, n) block to its rows' {g, projected gradient of f}."""
     grad_sys = gradient(f)
@@ -280,11 +252,12 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
 
     Grid seeds are retracted to Z and refined by damped least-squares
     Newton on {g = 0, projected gradient = 0}, to below REFINE_TOL.  A
-    second pass hunts points where all constraint gradients vanish; those
-    failing the first-order test are kept only when probe flows show the
-    point is numerically fixed.  That pass is skipped, exactly, when its
-    system has a non-zero constant entry (:func:`_constant_entry`) and so no
-    root; no pass targets a rank drop of Dg that a linear row survives.  Each
+    second pass solves {g = 0, Dg = 0}, to below REFINE_TOL, and accepts
+    every root it reaches on Z: a point where all constraint gradients
+    vanish is singular, so critical, and its residual is the norm of {g, Dg}
+    there.  That pass is skipped, exactly, when its system has a non-zero
+    constant entry (:func:`_constant_entry`) and so no root; no pass
+    targets a rank drop of Dg that a linear row survives.  Each
     pass refines all its seeds in one :func:`_refine` call.  Non-convergent
     seeds are discarded (counts logged), and the points found are clustered
     within CLUSTER_TOL.  The grid density defaults to
@@ -294,7 +267,6 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
         grid_density = default_grid_density(Z.ambient_dim)
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
-    grad_sys = gradient(f)
     max_len = 2.0 * Z.box_diameter
 
     seeds = _grid_seeds(Z, grid_density)
@@ -314,21 +286,12 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
         entry = f"constraint {g[k]}" if k < len(g) else f"d({g[i]})/d{names[j]} = {system.components[k]}"
         log.info("singular pass skipped: %s is a non-zero constant, so {g = 0, Dg = 0} has no root", entry)
     elif len(Z.constraints):
-        X, _, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=max_len)
-        X = X[ok]
-        sing_hits = _dedupe(X[Z.is_member(X)], CLUSTER_TOL)
+        X, R, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=max_len)
+        hits = np.flatnonzero(ok)
+        hits = hits[Z.is_member(X[hits])]
         log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
-                 int(ok.sum()), len(seeds), len(sing_hits))
-        for x in sing_hits:
-            gn = float(np.linalg.norm(Z.tangent_project(x, grad_sys.evaluate(x))))
-            if gn < CRIT_TOL:
-                found.append((x, gn))
-                continue
-            fixed, gn_dyn = _numerically_fixed(f, Z, x)
-            if fixed and gn_dyn < CRIT_TOL:
-                found.append((x, gn_dyn))
-            else:
-                log.info("singular point %s rejected: flow escapes (residual %g)", x, gn_dyn)
+                 int(ok.sum()), len(seeds), len(_dedupe(X[hits], CLUSTER_TOL)))
+        found += zip(X[hits], norms(R[hits]))
     if not found:
         return []
 

@@ -211,11 +211,12 @@ class _Members:
 
     ``idx`` is the member's index in the ensemble; ``c`` is its ReachLevel
     target (NaN when it has none, so every crossing test on it is false);
-    ``k1`` is the first stage of the step being attempted and ``f_end`` is f
-    at that step's endpoint.
+    ``f_end`` is f at the endpoint of the step being attempted; ``g`` stays
+    the field at the step's start until the step is accepted, so a crossing
+    member's first stage is ``sign * g``.
     """
 
-    FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "k1", "h", "t", "arc",
+    FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "h", "t", "arc",
               "rank", "conv_run", "n_steps", "n_accepted", "n_rejected")
 
     def __init__(self, **arrays):
@@ -265,7 +266,6 @@ def integrate_ensemble(
     directions: str | Sequence[str] = "descend",
     levels: float | Sequence[float | None] | None = None,
     stops: Sequence[StopCriterion] = (),
-    max_step: float | None = None,
     record: bool | Sequence[bool] = False,
 ) -> list[FlowTrajectory]:
     """Integrate the projected gradient flow from every row of X0 at once.
@@ -277,11 +277,10 @@ def integrate_ensemble(
     :class:`ArcBudget`, :class:`Capture`).  Every member also stops at TIME_BUDGET,
     ARC_BUDGET (unless an :class:`ArcBudget` is given) and MAX_STEPS, so it
     terminates; box containment is always enforced.  Steps are at most
-    ``max_step`` long (default: 0.1 * the box diameter); the first is
-    max_step / 64, and a retry shorter than 1e-12 * max_step ends the
-    member.  Every step-control and stop rule applies to each member on its
-    own, so member i ends exactly as ``integrate`` from ``X0[i]`` does, bit
-    for bit.
+    max_step = 0.1 * the box diameter long; the first is max_step / 64, and
+    a retry shorter than 1e-12 * max_step ends the member.  Every
+    step-control and stop rule applies to each member on its own, so member
+    i ends exactly as ``integrate`` from ``X0[i]`` does, bit for bit.
 
     Members in ``record`` (one flag, or one per member) keep every accepted
     sample; the others keep their start and end samples only.  Invalid
@@ -298,8 +297,7 @@ def integrate_ensemble(
             raise ValueError(f"direction must be 'descend' or 'ascend', got {d!r}")
     levels = _per_member(levels, N, "levels")
     record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
-    if max_step is None:
-        max_step = 0.1 * Z.box_diameter
+    max_step = 0.1 * Z.box_diameter
     min_step = 1e-12 * max_step
     conv, arc_budget, cap = _shared_stops(stops)
     fld = _Field(f, Z)
@@ -332,7 +330,7 @@ def integrate_ensemble(
         raise ValueError(f"target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
     act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, f_end=fy, g=g, gn=gn,
-                   rank=rank, k1=np.zeros_like(Y), h=np.full(N, max_step / 64.0),
+                   rank=rank, h=np.full(N, max_step / 64.0),
                    t=np.zeros(N), arc=np.zeros(N),
                    **{name: np.zeros(N, dtype=int)
                       for name in ("conv_run", "n_steps", "n_accepted", "n_rejected")})
@@ -377,8 +375,7 @@ def integrate_ensemble(
             act = act.select(~over)
             continue
         act.n_steps += 1
-        act.k1 = act.sign[:, None] * act.g
-        y_new, err, ok = fld.advance(act.y, act.k1, act.h, act.sign)
+        y_new, err, ok = fld.advance(act.y, act.sign[:, None] * act.g, act.h, act.sign)
         h = act.h
         code = np.zeros(len(act), dtype=int)
 
@@ -471,7 +468,7 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
         # f_lo is never 0 and f_hi is 0, NaN or of the other sign, so this divides by no 0
         m = lo[s] - f_lo[s] * (hi[s] - lo[s]) / (f_hi[s] - f_lo[s])
         m = np.where((lo[s] < m) & (m < hi[s]), m, 0.5 * (lo[s] + hi[s]))
-        y_m, _, ok = fld.advance(cr.y[s], cr.k1[s], m, cr.sign[s])
+        y_m, _, ok = fld.advance(cr.y[s], cr.sign[s, None] * cr.g[s], m, cr.sign[s])
         hi[s[~ok]], f_hi[s[~ok]], moved[s[~ok]] = m[~ok], np.nan, 0.0
         s, m, y_m = s[ok], m[ok], y_m[ok]
         f_m = fld.f.evaluate(y_m)

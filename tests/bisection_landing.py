@@ -25,7 +25,7 @@ def land(fld, cr, finish, keep_samples):
         if not s.size:
             break
         mid = 0.5 * (lo[s] + hi[s])
-        y_mid, _, ok = fld.advance(cr.y[s], cr.k1[s], mid, cr.sign[s])
+        y_mid, _, ok = fld.advance(cr.y[s], cr.sign[s, None] * cr.g[s], mid, cr.sign[s])
         hi[s[~ok]] = mid[~ok]
         s, mid, y_mid = s[ok], mid[ok], y_mid[ok]
         f_mid = fld.f.evaluate(y_mid)

@@ -6,7 +6,7 @@ import pytest
 
 import blocked_refine
 from morseflow import critical, space
-from morseflow.cli import builtin_problem, load_problem, problem_objects
+from morseflow.cli import BUILTIN, builtin_problem, load_problem, problem_objects, spec_from_mapping
 from morseflow.polynomial import Polynomial, PolynomialSystem, parse_polynomial
 from morseflow.sampling import ring_probes, substream
 from morseflow.critical import (
@@ -435,3 +435,41 @@ class TestSingularPassSkip:
         assert critical._constant_entry(system) == 2 + 2 * len(names) - 1
         assert critical._constant_entry(PolynomialSystem(names, dw[:3])) is None
         assert critical._constant_entry(PolynomialSystem(names, [Polynomial.zero(names)])) is None
+
+
+# singular points that only a {g = 0, Dg = 0} root reaches: the cone with its
+# box shifted off the vertex, the cone under f = 0.6x + 0.8y (whose smooth
+# pass stops 4.5e-7 short of the vertex, off Z by 2e-13) and a cusp
+SINGULAR_ONLY = {
+    "shifted cone": {**BUILTIN["cone"], "box": [[-2, 2], [-2.1, 2], [-2, 2.2]]},
+    "rotated cone": {**BUILTIN["cone"], "objective": "0.6*x + 0.8*y"},
+    "shifted cusp": {**BUILTIN["cone"], "name": "cusp", "variables": ["x", "y"], "objective": "x",
+                     "constraints": ["y^2 - x^3"], "box": [[-2, 2.1], [-1.9, 2]]},
+}
+
+
+class TestSingularOnlyPoints:
+    @pytest.mark.parametrize("name", SINGULAR_ONLY)
+    def test_the_singular_pass_accepts_the_point_without_a_flow(self, name, monkeypatch):
+        f, Z = problem_objects(spec_from_mapping(SINGULAR_ONLY[name]))
+
+        def no_flow(*args, **kw):
+            raise AssertionError("the critical search started a flow")
+
+        monkeypatch.setattr(critical, "integrate_ensemble", no_flow)
+        cps = find_critical_points(f, Z)
+        assert len(cps) == 1
+        assert np.linalg.norm(cps[0].point()) <= CLUSTER_TOL
+        assert abs(cps[0].value) <= 1e-8
+        assert cps[0].grad_norm < CRIT_TOL
+
+    def test_the_rotated_cone_vertex_is_the_singular_root(self):
+        f, Z = problem_objects(spec_from_mapping(SINGULAR_ONLY["rotated cone"]))
+        cp, = find_critical_points(f, Z)
+        assert cp.location == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["shifted cone", "shifted cusp"])
+    def test_the_smooth_pass_alone_misses_the_point(self, name, monkeypatch):
+        f, Z = problem_objects(spec_from_mapping(SINGULAR_ONLY[name]))
+        monkeypatch.setattr(critical, "_constant_entry", lambda system: 0)
+        assert all(np.linalg.norm(cp.point()) > CLUSTER_TOL for cp in find_critical_points(f, Z))

@@ -202,10 +202,13 @@ class TestCsv:
         assert first == [0.0, 1.0, 0.5, 0.75, pytest.approx(np.sqrt(5.0)), 0.0]
 
 
-def test_step_control_max_step_is_honoured(saddle):
-    f, Z = saddle
-    traj, = integrate_ensemble(f, Z, [[1.0, 0.0]], "descend", stops=[ArcBudget(0.1)], max_step=1e-3, record=True)
-    assert np.max(np.diff(traj.t)) <= 1e-3 * (1.0 + 1e-12)
+def test_step_control_max_step_is_honoured():
+    # steps are capped at 0.1 * the box diameter; a linear f has no step
+    # error, so its steps grow to the cap before the flow leaves the box
+    f = parse_polynomial("x", ["x", "y"])
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
+    traj = integrate(f, Z, [1.9, 0.0], "descend")
+    assert np.max(np.diff(traj.t)) == pytest.approx(0.1 * Z.box_diameter, rel=1e-12)
 
 
 def test_unlandable_level_is_landing_failed():
@@ -240,13 +243,13 @@ def test_unlandable_landing_stops_when_its_bracket_holds_no_double(monkeypatch):
 
 
 def test_overflowing_step_is_rejected_not_recorded():
-    # from (1, 1) every step from the first, 1e100 / 64, down to the
-    # smallest, 1e-12 * 1e100, overflows, and its error is NaN
+    # a box of half-width 1e100 caps steps near 2.8e100: from (1, 1) every
+    # step from the first, cap / 64, down to the smallest, 1e-12 * cap,
+    # overflows, and its error is NaN
     f = parse_polynomial("x^4 + y^4", ["x", "y"])
-    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-1e100, 1e100), (-1e100, 1e100)))
     with np.errstate(all="ignore"):
-        traj, = integrate_ensemble(f, Z, [[1.0, 1.0]], "descend", stops=[ArcBudget(10.0)], max_step=1e100,
-                                   record=True)
+        traj = integrate(f, Z, [1.0, 1.0], "descend", stops=[ArcBudget(10.0)])
     assert np.isfinite(traj.y).all() and np.isfinite(traj.f).all()
     assert np.isfinite(traj.grad_norm).all() and np.isfinite(traj.arc).all()
     assert traj.termination in ("step_underflow", "left_box")

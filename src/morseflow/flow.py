@@ -14,7 +14,9 @@ level target, step size, time, arc length, rank of Dg and counters.  Every
 stage evaluates and projects the field at all live rows in one batched call,
 and one more call retracts the endpoints.  Stepping uses the Cash-Karp embedded
 Runge-Kutta 4(5) pair with standard proportional step control, applied to each
-row on its own: a row whose error test or endpoint retraction fails retries
+row on its own, and a cap on each step's length in space (not its duration,
+which grows where the gradient is small): a row whose error test or endpoint
+retraction fails retries
 with a smaller step while the others move on.  A member terminates on the
 first stop criterion that fires for it and leaves the ensemble, the others
 keeping their order; a time and an arc-length budget are always active so
@@ -276,9 +278,11 @@ def integrate_ensemble(
     member.  ``stops`` holds the shared criteria (:class:`Converged`,
     :class:`ArcBudget`, :class:`Capture`).  Every member also stops at TIME_BUDGET,
     ARC_BUDGET (unless an :class:`ArcBudget` is given) and MAX_STEPS, so it
-    terminates; box containment is always enforced.  Steps are at most
-    max_step = 0.1 * the box diameter long; the first is max_step / 64, and
-    a retry shorter than 1e-12 * max_step ends the member.  Every
+    terminates; box containment is always enforced.  A step is at most
+    max_step = 0.1 * the box diameter long in space: its duration h is
+    capped so that h * |grad_Z f| at its start is at most max_step.  The
+    first step's duration is max_step / 64, and a retry shorter in time
+    than 1e-12 * max_step ends the member.  Every
     step-control and stop rule applies to each member on its own, so member
     i ends exactly as ``integrate`` from ``X0[i]`` does, bit for bit.
 
@@ -424,7 +428,9 @@ def integrate_ensemble(
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
             code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
         code[captured] = TERMS.index("converged")
-        h_next = np.minimum(max_step, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
+        # the next step is at most max_step long in space, h * |grad| at its start
+        cap_h = np.divide(max_step, gn_new, out=np.full_like(gn_new, np.inf), where=gn_new > 0)
+        h_next = np.minimum(cap_h, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
         act.h = np.where(step, h_next, np.where(cross, h, h_retry))
 
         if code.any():

@@ -202,13 +202,29 @@ class TestCsv:
         assert first == [0.0, 1.0, 0.5, 0.75, pytest.approx(np.sqrt(5.0)), 0.0]
 
 
-def test_step_control_max_step_is_honoured():
-    # steps are capped at 0.1 * the box diameter; a linear f has no step
-    # error, so its steps grow to the cap before the flow leaves the box
-    f = parse_polynomial("x", ["x", "y"])
+@pytest.mark.parametrize("objective", ["x", "0.01*x", "10*x"])
+def test_step_control_max_step_is_honoured(objective):
+    # steps are at most 0.1 * the box diameter long in space, whatever |grad f|;
+    # a linear f has no step error, so its steps grow to the cap before the
+    # flow leaves the box
+    f = parse_polynomial(objective, ["x", "y"])
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
     traj = integrate(f, Z, [1.9, 0.0], "descend")
-    assert np.max(np.diff(traj.t)) == pytest.approx(0.1 * Z.box_diameter, rel=1e-12)
+    chords = np.linalg.norm(np.diff(traj.y, axis=0), axis=1)
+    max_step = 0.1 * Z.box_diameter
+    assert np.all(chords <= max_step * (1 + 1e-12))
+    assert np.max(chords) >= 0.99 * max_step
+
+
+def test_quartic_ascent_meets_its_exact_hitting_time():
+    # x' = 4x^3 from x0 reaches x^4 = 1 at t = (1/x0^2 - 1)/8; where the
+    # gradient is small, the length cap lets the steps run long in time
+    f, Z = r1_quartic()
+    x0 = 0.034
+    traj = integrate(f, Z, [x0], "ascend", [ReachLevel(1.0)])
+    assert traj.termination == "reach_level"
+    assert traj.t[-1] == pytest.approx((1 / x0**2 - 1) / 8, rel=1e-6)
+    assert traj.n_accepted < 100
 
 
 def test_unlandable_level_is_landing_failed():

@@ -217,6 +217,25 @@ class TestCondition2:
         with pytest.raises(ValueError):
             check_condition2(f, Z, 1.0, -1.0, seed=0)
 
+    def test_quartic_band_steps_are_capped_in_length_not_time(self, quartic, monkeypatch):
+        # near the degenerate minimum |grad f| = 4|x|^3 is tiny, so steps capped
+        # in time rather than in length would number about 100,000
+        f, Z = quartic
+        ensembles = []
+        real = levelmap.integrate_ensemble
+
+        def spy(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        (flows,) = ensembles
+        assert report.verdict == "pass"
+        assert report.witnesses["terminations"] == {"converged": 204, "reach_level": 196}
+        assert sum(t.n_accepted for t in flows) <= 20_000
+        assert max(t.n_accepted + t.n_rejected for t in flows) <= 150
+
 
 class TestCondition4:
     def test_saddle_modulus_shrinks(self, saddle, monkeypatch):

@@ -293,14 +293,16 @@ def load_report(path) -> ExperimentReport:
 
 
 class _TrajectoryKeeper:
-    """Retains the first trajectory seen for each tag family."""
+    """Retains the first trajectory seen for each tag family (``cond4/r=0.1`` for ``cond4/r=0.1/converged``)."""
 
     def __init__(self):
         self.kept = {}
+        self.families = set()
 
     def __call__(self, tag: str, traj):
         family = tag.rsplit("/", 1)[0] if tag.count("/") >= 2 else tag
-        if not any(k.startswith(family) for k in self.kept):
+        if family not in self.families:
+            self.families.add(family)
             self.kept[tag] = traj
 
 

@@ -10,7 +10,7 @@ Numerical Integration*, IV.4.  The stages are not retracted.
 
 One integrator steps an ensemble: :func:`integrate_ensemble` advances N flows
 together as the rows of an ``(N, n)`` array, each with its own direction,
-level target, step size, time, arc length, rank of Dg and counters.  Every
+level target, step size, time, arc length and counters.  Every
 stage evaluates and projects the field at all live rows in one batched call,
 and one more call retracts the endpoints.  Stepping uses the Cash-Karp embedded
 Runge-Kutta 4(5) pair with standard proportional step control, applied to each
@@ -112,7 +112,7 @@ SAFETY = 0.9
 # unless an ArcBudget sets its own
 TIME_BUDGET = 1e6
 ARC_BUDGET = 1e3
-# a member ends with step_limit after this many attempted steps
+# a member ends with step_limit after this many steps, accepted or rejected
 MAX_STEPS = 200_000
 # Converged fires after this many accepted steps in a row below its grad_tol
 CONV_CONSECUTIVE = 3
@@ -180,9 +180,9 @@ class _Field:
         self.grad_sys = gradient(f)
         self.constrained = len(Z.constraints) > 0
 
-    def projected_grad(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Projected gradient at each row, and the effective rank of Dg there."""
-        return self.Z.tangent_project_batch(Y, self.grad_sys.evaluate(Y))
+    def projected_grad(self, Y: np.ndarray) -> np.ndarray:
+        """Projected gradient at each row."""
+        return self.Z.tangent_project_batch(Y, self.grad_sys.evaluate(Y))[0]
 
     def advance(self, Y0, K1, H, sign):
         """One Cash-Karp step of length H[i] from each row Y0[i].
@@ -197,7 +197,7 @@ class _Field:
         h = H[:, None]
         K = [K1]
         for i in range(1, 6):
-            K.append(sign[:, None] * self.projected_grad(Y0 + h * _combine(_CK_A[i], K))[0])
+            K.append(sign[:, None] * self.projected_grad(Y0 + h * _combine(_CK_A[i], K)))
         y5 = Y0 + h * _combine(_CK_B5, K)
         y4 = Y0 + h * _combine(_CK_B4, K)
         y_new, ok = y5, np.ones(len(Y0), dtype=bool)
@@ -219,7 +219,7 @@ class _Members:
     """
 
     FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "h", "t", "arc",
-              "rank", "conv_run", "n_steps", "n_accepted", "n_rejected")
+              "conv_run", "n_accepted", "n_rejected")
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -307,7 +307,7 @@ def integrate_ensemble(
     fld = _Field(f, Z)
     if cap is not None:
         p = np.array(cap.point, dtype=float)[None, :]
-        f_p, g_p = f.evaluate(p), fld.projected_grad(p)[0]
+        f_p, g_p = f.evaluate(p), fld.projected_grad(p)
 
     res = Z.residual(X0)
     bad = np.flatnonzero(~Z.is_member(X0))
@@ -325,7 +325,7 @@ def integrate_ensemble(
     sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
     c = np.array([np.nan if lv is None else float(lv) for lv in levels])
     fy = f.evaluate(Y)
-    g, rank = fld.projected_grad(Y)
+    g = fld.projected_grad(Y)
     gn = np.sqrt(row_sums(g * g))
     gap = np.where(sign < 0, fy - c, c - fy)
     wrong = np.flatnonzero(gap < -Z.level_tol)
@@ -334,10 +334,8 @@ def integrate_ensemble(
         raise ValueError(f"target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
     act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, f_end=fy, g=g, gn=gn,
-                   rank=rank, h=np.full(N, max_step / 64.0),
-                   t=np.zeros(N), arc=np.zeros(N),
-                   **{name: np.zeros(N, dtype=int)
-                      for name in ("conv_run", "n_steps", "n_accepted", "n_rejected")})
+                   h=np.full(N, max_step / 64.0), t=np.zeros(N), arc=np.zeros(N),
+                   **{name: np.zeros(N, dtype=int) for name in ("conv_run", "n_accepted", "n_rejected")})
     history = {int(i): [(0.0, Y[i].copy(), fy[i], gn[i], 0.0)] for i in np.flatnonzero(record)}
     out: list[FlowTrajectory | None] = [None] * N
 
@@ -373,28 +371,24 @@ def integrate_ensemble(
              "converged", "arc_budget", "time_budget")
     crossings: list[_Members] = []
     while len(act):
-        over = act.n_steps >= MAX_STEPS
+        over = act.n_accepted + act.n_rejected >= MAX_STEPS
         if over.any():
             finish(act.select(over), "step_limit")
             act = act.select(~over)
             continue
-        act.n_steps += 1
         y_new, err, ok = fld.advance(act.y, act.sign[:, None] * act.g, act.h, act.sign)
         h = act.h
         code = np.zeros(len(act), dtype=int)
 
         rejected = ok & ~(err <= 1.0)  # a NaN error is a rejection
-        g_new, rank_new = fld.projected_grad(y_new)
-        # do not step across a rank transition of Dg at full length;
-        # resolve it with smaller steps
-        halve = ok & ~rejected & (rank_new != act.rank) & (h > 1e-6 * max_step)
+        g_new = fld.projected_grad(y_new)
         shrink = np.fmax(0.1, SAFETY * np.where(rejected, err, 1.0) ** -0.2)  # NaN: 0.1
         h_retry = np.where(rejected, h * shrink, 0.5 * h)
         code[~ok & (h_retry < min_step)] = TERMS.index("retraction_failed")
         code[rejected & (h_retry < min_step)] = TERMS.index("step_underflow")
-        act.n_rejected += ~ok | rejected | halve
+        act.n_rejected += ~ok | rejected
 
-        step = ok & ~rejected & ~halve
+        step = ok & ~rejected
         f_new = f.evaluate(y_new)
         captured = np.zeros(len(act), dtype=bool)
         if cap is not None:
@@ -412,7 +406,6 @@ def integrate_ensemble(
         step &= ~cross & ~outside
 
         gn_new = np.sqrt(row_sums(g_new * g_new))
-        act.rank = np.where(step, rank_new, act.rank)
         act.t = np.where(step, act.t + h, act.t)
         act.arc = np.where(step, act.arc + h * 0.5 * (act.gn + gn_new), act.arc)
         act.y = np.where(step[:, None], y_new, act.y)
@@ -498,7 +491,7 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
     inside = Z.inside_box(y_land)
     finish(cr.select(~inside), "left_box")
     cr, y_land, h_land, f_land = cr.select(inside), y_land[inside], h_land[inside], f_land[inside]
-    g_land = fld.projected_grad(y_land)[0]
+    g_land = fld.projected_grad(y_land)
     gn_land = np.sqrt(row_sums(g_land * g_land))
     cr.arc = cr.arc + h_land * 0.5 * (cr.gn + gn_land)
     cr.t = cr.t + h_land

@@ -5,7 +5,7 @@ system ``g``, intersected with an axis-aligned box.  Nothing here assumes Z is
 smooth: the tangent space at a point is the numerical null space of the
 constraint Jacobian, with the effective rank cut at ``RANK_TOL`` relative to
 the largest singular value.  Where the rank drops the null space simply grows;
-callers that care about rank transitions can ask for the rank directly.
+only ``effective_rank`` (``classify``'s probe count) reads the rank itself.
 
 Membership is residual-based (``||g(x)|| <= MEMBER_TOL`` and x inside the
 box), and points are put back on Z by Gauss-Newton least-squares steps.

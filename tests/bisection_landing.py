@@ -45,7 +45,7 @@ def land(fld, cr, finish, keep_samples):
     inside = Z.inside_box(y_land)
     finish(cr.select(~inside), "left_box")
     cr, y_land, h_land, f_land = cr.select(inside), y_land[inside], h_land[inside], f_land[inside]
-    g_land = fld.projected_grad(y_land)[0]
+    g_land = fld.projected_grad(y_land)
     gn_land = np.sqrt(row_sums(g_land * g_land))
     cr.arc = cr.arc + h_land * 0.5 * (cr.gn + gn_land)
     cr.t = cr.t + h_land

@@ -27,7 +27,7 @@ def advance(self, Y0, K1, H, sign):
             if not ok_p.all():
                 ok &= ok_p
                 P[~ok] = np.nan
-        K.append(sign[:, None] * self.projected_grad(P)[0])
+        K.append(sign[:, None] * self.projected_grad(P))
     y5 = Y0 + h * _combine(_CK_B5, K)
     y4 = Y0 + h * _combine(_CK_B4, K)
     y_new = y5

@@ -18,6 +18,7 @@ from morseflow.cli import (
     problem_objects,
     run_experiment,
     spec_from_mapping,
+    _TrajectoryKeeper,
 )
 from morseflow.critical import DEFAULT_GRID_DENSITY, MAX_GRID_SEEDS, default_grid_density
 
@@ -243,6 +244,18 @@ class TestEmission:
     def test_unknown_format(self, saddle_full_report, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit_report(saddle_full_report, format="xml", out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("tags", [
+    ["cond4/r=0.15/reach_level", "cond4/r=0.1/reach_level", "cond4/r=0.1/converged"],
+    ["cond4/r=0.1/reach_level", "cond4/r=0.15/reach_level", "cond4/r=0.15/converged"],
+])
+def test_keeper_keeps_one_trajectory_per_family_in_either_order(tags):
+    # the family cond4/r=0.1 is a prefix of cond4/r=0.15, not the same family
+    keeper = _TrajectoryKeeper()
+    for i, tag in enumerate(tags):
+        keeper(tag, i)
+    assert keeper.kept == {tags[0]: 0, tags[1]: 1}
 
 
 class TestMainExitCodes:

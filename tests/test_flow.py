@@ -489,6 +489,31 @@ def test_step_limit_ends_each_member_on_its_own_count(saddle, monkeypatch):
     assert [t.n_accepted + t.n_rejected for t in flows] == [3, 0, 3]
 
 
+def test_step_limit_counts_rejected_attempts(monkeypatch):
+    # the saddle above rejects no step; the quartic ascent from 0.034 rejects
+    # 27 of its first 60 attempts, and the cap counts those too
+    f, Z = named_problem("quartic")
+    monkeypatch.setattr(flow, "MAX_STEPS", 60)
+    flows = integrate_ensemble(f, Z, [[0.034], [0.5]], "ascend", levels=1.0)
+    assert [t.termination for t in flows] == ["step_limit", "reach_level"]
+    assert [(t.n_accepted, t.n_rejected) for t in flows] == [(33, 27), (17, 0)]
+
+
+@pytest.mark.parametrize("x0", [0.1, 0.003, -0.05])
+def test_stable_descent_into_a_rank_drop_rejects_no_step(x0):
+    # on {xy = 0, z = 0} the xy row (y, x, 0) falls below RANK_TOL beside the
+    # unit z row as the flow reaches the saddle, so the rank of Dg drops from
+    # 2 to 1 there; the projected field is smooth along the x axis, so the
+    # step control has nothing to retry
+    f, Z = named_problem("planes-lift")
+    traj = integrate(f, Z, [x0, 0.0, 0.0], "descend", [Converged(1e-8)])
+    assert traj.termination == "converged"
+    assert Z.is_member(traj.y).all()
+    assert np.all(np.diff(traj.f) <= Z.level_tol)
+    assert traj.n_rejected == 0
+    assert traj.n_accepted <= 50
+
+
 # -- the projection-method step: stages off Z, only the endpoint retracted --
 
 
@@ -536,7 +561,7 @@ def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, calls, mo
     monkeypatch.setattr(SingularSpace, "retract_batch", counted)
     fld = _Field(f, Z)
     sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
-    y_new, _, ok = fld.advance(X, sign[:, None] * fld.projected_grad(X)[0], np.full(6, 0.05), sign)
+    y_new, _, ok = fld.advance(X, sign[:, None] * fld.projected_grad(X), np.full(6, 0.05), sign)
     assert rows == [6] * calls
     assert ok.all() and Z.is_member(y_new).all()
 

@@ -32,7 +32,7 @@ from .critical import (
     find_critical_points,
 )
 from .flow import Converged, ReachLevel, integrate, trajectory_csv_text
-from .levelmap import check_condition2, check_condition4, unstable_slice
+from .levelmap import COND2_CONV_TOL, check_condition2, check_condition4, unstable_slice
 from .lojasiewicz import FitError, choose_epsilon, default_delta, estimate_fit
 from .polynomial import ParseError, Polynomial, PolynomialSystem, parse_polynomial
 from .space import RetractionError, SingularSpace
@@ -383,7 +383,7 @@ def _run_cond2(run: _Run) -> dict:
     return check_condition2(
         run.f, run.Z, band[0], band[1],
         seed=run.spec.seed,
-        conv_grad_tol=float(tol.get("conv_grad_tol", 1e-4)),
+        conv_grad_tol=float(tol.get("conv_grad_tol", COND2_CONV_TOL)),
         collect=run.keeper,
     ).to_payload()
 

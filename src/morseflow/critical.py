@@ -35,7 +35,8 @@ CLUSTER_TOL = 1e-6
 REFINE_TOL = 1e-12
 REFINE_ITER = 80
 POLISH_ITER = 40
-# classify probes a ring of radius PROBE_RADIUS with this many directions (the axes first)
+# classify probes a ring of radius PROBE_RADIUS along unit_directions with N_PROBES - 2n random
+# ones: 24, 28, 44 and 64 directions for n = 1 to 4, before retraction drops any
 N_PROBES = 24
 PROBE_RADIUS = 0.01
 VALUE_MERGE_TOL = 1e-8
@@ -339,7 +340,7 @@ def classify(
     cp: CriticalPoint,
     seed: int = 0,
 ) -> str:
-    """Classify a critical point from f-values on a retracted ring of N_PROBES probes at PROBE_RADIUS.
+    """Classify a critical point from f-values on a retracted probe ring of radius PROBE_RADIUS (see N_PROBES).
 
     minimum / maximum when every probe lies beyond probe_tol on one side,
     saddle when both sides are populated and the two witness flows confirm

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomial import Polynomial, gradient
-from .space import RetractionError, SingularSpace, row_sums
+from .space import RetractionError, SingularSpace, norms, row_sums
 
 __all__ = [
     "ReachLevel",
@@ -178,7 +178,6 @@ class _Field:
         self.f = f
         self.Z = Z
         self.grad_sys = gradient(f)
-        self.constrained = len(Z.constraints) > 0
 
     def projected_grad(self, Y: np.ndarray) -> np.ndarray:
         """Projected gradient at each row."""
@@ -200,10 +199,8 @@ class _Field:
             K.append(sign[:, None] * self.projected_grad(Y0 + h * _combine(_CK_A[i], K)))
         y5 = Y0 + h * _combine(_CK_B5, K)
         y4 = Y0 + h * _combine(_CK_B4, K)
-        y_new, ok = y5, np.ones(len(Y0), dtype=bool)
-        if self.constrained:
-            y_new, ok = self.Z.retract_batch(y5)
-            y_new[~ok] = np.nan
+        y_new, ok = self.Z.retract_batch(y5)
+        y_new[~ok] = np.nan
         scale = ATOL + RTOL * np.maximum(np.abs(Y0), np.abs(y_new))
         return y_new, np.sqrt(row_sums(((y5 - y4) / scale) ** 2) / Y0.shape[1]), ok
 
@@ -288,8 +285,10 @@ def integrate_ensemble(
 
     Members in ``record`` (one flag, or one per member) keep every accepted
     sample; the others keep their start and end samples only.  Invalid
-    input (a direction, a start off Z, a target on the wrong side) raises
-    before any member steps.  Returns one trajectory per member, in order.
+    input (a direction, a start off Z, a target beyond level_tol on the
+    wrong side) raises before any member steps, naming the member; a start
+    within level_tol of its target ends ``reach_level`` at once.  Returns
+    one trajectory per member, in order.
     """
     X0 = np.array(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != Z.ambient_dim:
@@ -326,12 +325,12 @@ def integrate_ensemble(
     c = np.array([np.nan if lv is None else float(lv) for lv in levels])
     fy = f.evaluate(Y)
     g = fld.projected_grad(Y)
-    gn = np.sqrt(row_sums(g * g))
+    gn = norms(g)
     gap = np.where(sign < 0, fy - c, c - fy)
-    wrong = np.flatnonzero(gap < -Z.level_tol)
+    wrong = np.flatnonzero(~(gap >= -Z.level_tol) & np.array([lv is not None for lv in levels], dtype=bool))
     if wrong.size:
         i = wrong[0]
-        raise ValueError(f"target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
+        raise ValueError(f"member {i}: target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
     act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, f_end=fy, g=g, gn=gn,
                    h=np.full(N, max_step / 64.0), t=np.zeros(N), arc=np.zeros(N),
@@ -405,7 +404,7 @@ def integrate_ensemble(
         code[outside] = TERMS.index("left_box")
         step &= ~cross & ~outside
 
-        gn_new = np.sqrt(row_sums(g_new * g_new))
+        gn_new = norms(g_new)
         act.t = np.where(step, act.t + h, act.t)
         act.arc = np.where(step, act.arc + h * 0.5 * (act.gn + gn_new), act.arc)
         act.y = np.where(step[:, None], y_new, act.y)
@@ -492,7 +491,7 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
     finish(cr.select(~inside), "left_box")
     cr, y_land, h_land, f_land = cr.select(inside), y_land[inside], h_land[inside], f_land[inside]
     g_land = fld.projected_grad(y_land)
-    gn_land = np.sqrt(row_sums(g_land * g_land))
+    gn_land = norms(g_land)
     cr.arc = cr.arc + h_land * 0.5 * (cr.gn + gn_land)
     cr.t = cr.t + h_land
     cr.y, cr.fy, cr.gn = y_land, f_land, gn_land
@@ -524,20 +523,6 @@ def integrate(
     level = reach[0].c if reach else None
     x0 = np.asarray(x0, dtype=float)
     return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, record=True)[0]
-
-
-def check_level_target(f: Polynomial, X, c: float, direction: str) -> None:
-    """Raise ValueError unless the level c lies strictly beyond f in the flow direction at every row of X.
-
-    X has shape (N, n); f is evaluated once over the block, and the error
-    names the first row on the wrong side.
-    """
-    fx = f.evaluate(np.asarray(X, dtype=float))
-    below = direction == "descend"
-    wrong = np.flatnonzero(~(c < fx) if below else ~(c > fx))
-    if wrong.size:
-        i = wrong[0]
-        raise ValueError(f"{direction} target {c} is not {'below' if below else 'above'} f(x) = {fx[i]} at row {i}")
 
 
 def check_on_level(f: Polynomial, Z: SingularSpace, X, c: float, what: str) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import Capture, Converged, INCONCLUSIVE_TERMINATIONS, check_level_target, check_on_level, integrate_ensemble
+from .flow import Capture, Converged, INCONCLUSIVE_TERMINATIONS, check_on_level, integrate_ensemble
 from .sampling import _dedupe, ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
@@ -26,8 +26,8 @@ SLICE_CLUSTER_TOL = 10.0 * CLUSTER_TOL
 # slice and each landing distance exceeds the one before by at most MONOTONE_SLACK
 TUBE_RHO = 0.05
 MONOTONE_SLACK = 0.1
-# the unstable slice descends from SLICE_N_POINTS ring probes of radius
-# SLICE_PROBE_RADIUS that lie CURVATURE_MARGIN * radius**2 below the critical value
+# the unstable slice descends from the ring probes of radius SLICE_PROBE_RADIUS (unit_directions
+# with SLICE_N_POINTS - 2n random ones) that lie CURVATURE_MARGIN * radius**2 below the critical value
 SLICE_N_POINTS = 24
 SLICE_PROBE_RADIUS = 1e-3
 CURVATURE_MARGIN = 0.5
@@ -35,6 +35,8 @@ CURVATURE_MARGIN = 0.5
 # N_PER_RADIUS ball probes at each radius
 COND2_SAMPLES = 200
 N_PER_RADIUS = 40
+# a condition-2 flow converges once its projected gradient stays below this
+COND2_CONV_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources) -> LevelSetMap:
         pairs = [LevelPair(tuple(s), tuple(s), 0.0, False, "identity") for s in S]
         return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
     direction = "ascend" if b > a else "descend"
-    check_level_target(f, S, b, direction)
     flows = integrate_ensemble(f, Z, S, direction, b, [Converged(1e-8)])
     pairs = [
         LevelPair(
@@ -144,10 +145,9 @@ def unstable_slice(
     came from).  A back-flow that runs into the point within
     SLICE_CLUSTER_TOL is captured there (:class:`Capture`), as at a cone's
     vertex, where f jumps along the step.  Minima are refused: nothing
-    leaves them downward.
+    leaves them downward.  A level not below every probe start is refused
+    by the target check of :func:`integrate_ensemble`.
     """
-    if level >= cp.value:
-        raise ValueError(f"slice level {level} is not below the critical value {cp.value}")
     center = cp.point()
     rng = substream(seed, "unstable-slice")
     n_extra = max(0, SLICE_N_POINTS - 2 * Z.ambient_dim)
@@ -160,14 +160,12 @@ def unstable_slice(
             "the critical point is a minimum (or the radius is too small)"
         )
 
-    check_level_target(f, starts, level, "descend")
     flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)])
     landings = [traj.endpoint for traj in flows if traj.termination == "reach_level"]
     if not landings:
         raise RuntimeError(f"no probe flow reached level {level}; slice is empty")
 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
-    check_level_target(f, reps, cp.value, "ascend")
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value,
                              [Converged(1e-8), Capture(cp.location, SLICE_CLUSTER_TOL)])
     validated = []
@@ -192,7 +190,7 @@ def check_condition2(
     a: float,
     b: float,
     seed: int = 0,
-    conv_grad_tol: float = 1e-4,
+    conv_grad_tol: float = COND2_CONV_TOL,
     collect=None,
 ) -> ConditionReport:
     """Compactness of the flow over the band (a, b).
@@ -309,7 +307,6 @@ def check_condition4(
     starts[use] = Q[use]
     witnesses["n_projected"] = int(use.sum())
 
-    check_level_target(f, starts, target, "descend")
     # the first flow of each radius is recorded in full for collect
     flows = integrate_ensemble(
         f, Z, starts, "descend", target, [Converged(1e-8)],

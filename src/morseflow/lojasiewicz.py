@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, CriticalPoint
-from .flow import Converged, check_level_target, check_on_level, integrate_ensemble
+from .flow import Converged, check_on_level, integrate_ensemble
 from .polynomial import gradient
 from .sampling import gaussian_cloud, substream
 from .space import SingularSpace, row_norms, row_sums
@@ -155,19 +155,20 @@ def estimate_fit(
     )
 
 
-def choose_epsilon(fit: LojasiewiczFit, safety: float, nearest_gap: float | None = None) -> float:
+def choose_epsilon(fit: LojasiewiczFit, safety: float, nearest_gap: float) -> float:
     """Level offset licensed by the fit: eps = safety * (C*theta*delta/2)^(1/theta).
 
     Guarantees length_bound(fit, eps) = safety^theta * delta/2 < delta/2
-    for safety < 1.  Optionally validated against the spacing to the next
-    critical value (no other critical value may sit inside the offset).
+    for safety < 1.  Validated against nearest_gap, the spacing to the next
+    critical value (no other critical value may sit inside the offset; inf
+    when there is none).
     """
     if not (0.0 <= safety <= 1.0):
         raise ValueError(f"safety must lie in [0, 1], got {safety}")
     if not (0.0 < fit.theta <= 1.0):
         raise ValueError(f"exponent {fit.theta} outside (0, 1]")
     eps = safety * (fit.constant_C * fit.theta * fit.radius_delta / 2.0) ** (1.0 / fit.theta)
-    if nearest_gap is not None and eps > nearest_gap:
+    if eps > nearest_gap:
         raise ValueError(
             f"eps {eps:.6g} exceeds the spacing {nearest_gap:.6g} to the nearest "
             "other critical value; shrink delta"
@@ -219,7 +220,6 @@ def verify_flow_estimates(
     i_worst, ii_worst, iii_worst, arc_worst = np.inf, 0.0, 0.0, 0.0
     arc_bound = length_bound(fit, eps)
 
-    check_level_target(f, starts, target, "descend")
     for traj in integrate_ensemble(f, Z, starts, "descend", target, [Converged(1e-8)], record=True):
         if traj.termination not in ("reach_level", "converged"):
             n_inconclusive += 1

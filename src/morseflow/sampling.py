@@ -27,8 +27,9 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
 
 
-def unit_directions(dim: int, rng: np.random.Generator | None = None, n_random: int = 0) -> np.ndarray:
-    """Probe directions: axes, coordinate-pair diagonals, full diagonals, then random.
+def unit_directions(dim: int, rng: np.random.Generator, n_random: int = 0) -> np.ndarray:
+    """Probe directions: the 2 * dim axes, the 4 diagonals of each coordinate
+    pair, the 2**dim corners when 3 <= dim <= 6, then n_random random ones.
 
     The deterministic head of the list keeps probe-based classification
     reproducible even when a retraction swallows most random directions
@@ -51,7 +52,7 @@ def unit_directions(dim: int, rng: np.random.Generator | None = None, n_random: 
         for bits in range(2**dim):
             v = np.array([1.0 if (bits >> k) & 1 == 0 else -1.0 for k in range(dim)])
             dirs.append(v / np.sqrt(dim))
-    if n_random > 0 and rng is not None:
+    if n_random > 0:
         extra = rng.normal(size=(n_random, dim))
         norms = np.linalg.norm(extra, axis=1)
         for row, nr in zip(extra, norms):
@@ -92,7 +93,7 @@ def ring_probes(
     Z: SingularSpace,
     center,
     radius: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     n_random: int = 0,
 ):
     """Points of Z at distance ~radius from center, inside the box or not.

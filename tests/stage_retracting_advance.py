@@ -21,19 +21,15 @@ def advance(self, Y0, K1, H, sign):
     h = H[:, None]
     K = [K1]
     for i in range(1, 6):
-        P = Y0 + h * _combine(_CK_A[i], K)
-        if self.constrained:
-            P, ok_p = self.Z.retract_batch(P)
-            if not ok_p.all():
-                ok &= ok_p
-                P[~ok] = np.nan
+        P, ok_p = self.Z.retract_batch(Y0 + h * _combine(_CK_A[i], K))
+        if not ok_p.all():
+            ok &= ok_p
+            P[~ok] = np.nan
         K.append(sign[:, None] * self.projected_grad(P))
     y5 = Y0 + h * _combine(_CK_B5, K)
     y4 = Y0 + h * _combine(_CK_B4, K)
-    y_new = y5
-    if self.constrained:
-        y_new, ok_y = self.Z.retract_batch(y5)
-        ok &= ok_y
-        y_new[~ok] = np.nan
+    y_new, ok_y = self.Z.retract_batch(y5)
+    ok &= ok_y
+    y_new[~ok] = np.nan
     scale = ATOL + RTOL * np.maximum(np.abs(Y0), np.abs(y_new))
     return y_new, np.sqrt(row_sums(((y5 - y4) / scale) ** 2) / Y0.shape[1]), ok

@@ -47,7 +47,7 @@ def saddle_fit(saddle):
 @pytest.fixture(scope="module")
 def saddle_verify(saddle, saddle_fit):
     f, Z = saddle
-    eps = choose_epsilon(saddle_fit, safety=0.5)
+    eps = choose_epsilon(saddle_fit, safety=0.5, nearest_gap=float("inf"))
     rays = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     starts = []
     for i, d in enumerate(np.linspace(0.005, 0.245, 50)):

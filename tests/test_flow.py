@@ -16,7 +16,6 @@ from morseflow.flow import (
     Converged,
     ReachLevel,
     _Field,
-    check_level_target,
     integrate,
     integrate_ensemble,
     trajectory_csv_text,
@@ -290,16 +289,39 @@ def test_box_test_of_a_block_matches_each_point():
     assert block.tolist() == [True, True, True, False, False]
 
 
-def test_level_target_check_names_the_first_wrong_row(saddle):
-    f, _ = saddle
+def test_ensemble_names_the_first_member_on_the_wrong_side(saddle):
+    f, Z = saddle
     rows = np.array([[1.0, 0.0], [1.0, 0.3], [1.0, 0.5], [0.0, 1.0]])  # f = 1, 0.91, 0.75, -1
-    check_level_target(f, rows[:3], 0.5, "descend")
-    with pytest.raises(ValueError, match="at row 2$"):
-        check_level_target(f, rows, 0.8, "descend")
-    with pytest.raises(ValueError, match="at row 0$"):
-        check_level_target(f, rows, 0.8, "ascend")
-    with pytest.raises(ValueError, match="not above .* at row 1$"):
-        check_level_target(f, rows[[3, 0]], 0.95, "ascend")
+    flows = integrate_ensemble(f, Z, rows[:3], "descend", 0.5)
+    assert {t.termination for t in flows} == {"reach_level"}
+    with pytest.raises(ValueError, match=r"^member 2: target level 0\.8 is on the wrong side of f\(x0\) = 0\.75 for descend$"):
+        integrate_ensemble(f, Z, rows, "descend", 0.8)
+    with pytest.raises(ValueError, match=r"^member 0: target level 0\.8 .* for ascend$"):
+        integrate_ensemble(f, Z, rows, "ascend", 0.8)
+    with pytest.raises(ValueError, match="^member 1: "):
+        integrate_ensemble(f, Z, rows[[3, 0]], "ascend", 0.95)
+    # per member: member 1 ascends from 0.91 to 0.5; a member with no level is never on the wrong side
+    with pytest.raises(ValueError, match="^member 1: .* for ascend$"):
+        integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, 0.5])
+    flows = integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, None], [ArcBudget(1.0)])
+    assert flows[0].termination == "reach_level" and flows[1].final_f > 0.91
+    # a NaN level is a target that no flow can reach, not a missing one
+    with pytest.raises(ValueError, match="^member 0: target level nan"):
+        integrate_ensemble(f, Z, rows[:1], "descend", float("nan"))
+
+
+@pytest.mark.parametrize("direction", ["descend", "ascend"])
+@pytest.mark.parametrize("offset", [-0.5, 0.0, 0.5])
+def test_a_start_within_level_tol_of_its_target_ends_at_once(saddle, direction, offset):
+    f, Z = saddle
+    level = 1.0 + offset * Z.level_tol  # f(1, 0) = 1, on either side of it by half the tolerance
+    (traj,) = integrate_ensemble(f, Z, [[1.0, 0.0]], direction, level)
+    assert traj.termination == "reach_level"
+    assert (traj.n_samples, traj.n_accepted, traj.n_rejected) == (1, 0, 0)
+    assert traj.final_f == 1.0
+    beyond = 1.0 + (3.0 if direction == "descend" else -3.0) * Z.level_tol
+    with pytest.raises(ValueError, match="^member 0: .* wrong side"):
+        integrate_ensemble(f, Z, [[1.0, 0.0]], direction, beyond)
 
 
 # -- the ensemble integrator ---------------------------------------------
@@ -547,23 +569,36 @@ def test_endpoint_retraction_ends_each_member_as_stage_retraction_did(name, monk
     assert "reach_level" in {t.termination for t in flows}
 
 
-@pytest.mark.parametrize("name, calls", [("saddle", 0), ("cone", 1), ("cone-lift", 1), ("planes-lift", 1)])
-def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, calls, monkeypatch):
+@pytest.mark.parametrize("name, constrained", [("saddle", 0), ("cone", 1), ("cone-lift", 1), ("planes-lift", 1)])
+def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, constrained, monkeypatch):
+    # a step makes one retract_batch call over all rows; on R^n that call
+    # returns the endpoints bit for bit and never evaluates g
     f, Z = named_problem(name)
     X, directions, _ = band_starts(f, Z, 6)
-    rows = []
-    retract_batch = SingularSpace.retract_batch
+    calls, g_rows = [], []
+    retract_batch, evaluate = SingularSpace.retract_batch, PolynomialSystem.evaluate
 
     def counted(self, Y, *args, **kwargs):
-        rows.append(len(Y))
-        return retract_batch(self, Y, *args, **kwargs)
+        out = retract_batch(self, Y, *args, **kwargs)
+        calls.append((Y.copy(), out[0].copy()))
+        return out
+
+    def counted_g(self, Y):
+        if self is Z.constraints:
+            g_rows.append(len(Y))
+        return evaluate(self, Y)
 
     monkeypatch.setattr(SingularSpace, "retract_batch", counted)
+    monkeypatch.setattr(PolynomialSystem, "evaluate", counted_g)
     fld = _Field(f, Z)
     sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
     y_new, _, ok = fld.advance(X, sign[:, None] * fld.projected_grad(X), np.full(6, 0.05), sign)
-    assert rows == [6] * calls
+    assert [len(y) for y, _ in calls] == [6]
     assert ok.all() and Z.is_member(y_new).all()
+    (y5, out), = calls
+    assert bool(constrained) == (len(Z.constraints) > 0) == bool(g_rows)
+    if not constrained:
+        assert out.tobytes() == y5.tobytes() == y_new.tobytes()
 
 
 # -- the landing: regula falsi against tests/bisection_landing.py --------

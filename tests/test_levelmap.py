@@ -115,8 +115,15 @@ class TestUnstableSlice:
 
     def test_level_must_be_below_value(self, saddle):
         f, Z = saddle
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="wrong side"):
             unstable_slice(f, Z, origin_cp(), 0.5, seed=0)
+
+    def test_level_above_every_start_is_refused_by_the_ensemble(self, saddle):
+        # every start lies at least CURVATURE_MARGIN * radius**2 = 5e-7 below
+        # the critical value, so a level of -1e-9 is above all of them
+        f, Z = saddle
+        with pytest.raises(ValueError, match=r"^member 0: target level -1e-09 is on the wrong side .* for descend$"):
+            unstable_slice(f, Z, origin_cp(), -1e-9, seed=0)
 
 
 class TestMatchesTheSingleFlowLoops:

@@ -103,21 +103,21 @@ class TestEstimateFit:
 
 class TestChooseEpsilon:
     def test_worked_example(self):
-        eps = choose_epsilon(make_fit(0.5, 2.0, delta=0.2), safety=1.0)
+        eps = choose_epsilon(make_fit(0.5, 2.0, delta=0.2), safety=1.0, nearest_gap=float("inf"))
         assert eps == pytest.approx(0.01)
         # the induced arc bound is exactly half the validity radius
         assert length_bound(make_fit(0.5, 2.0), eps) == pytest.approx(0.1)
 
     def test_zero_safety_degenerates(self):
-        assert choose_epsilon(make_fit(0.5, 2.0), safety=0.0) == 0.0
+        assert choose_epsilon(make_fit(0.5, 2.0), safety=0.0, nearest_gap=float("inf")) == 0.0
 
     def test_linear_case(self):
         fit = make_fit(1.0, 2.0, delta=0.2)
-        assert choose_epsilon(fit, safety=0.5) == pytest.approx(0.5 * 2.0 * 0.1)
+        assert choose_epsilon(fit, safety=0.5, nearest_gap=float("inf")) == pytest.approx(0.5 * 2.0 * 0.1)
 
     def test_safety_out_of_range(self):
         with pytest.raises(ValueError):
-            choose_epsilon(make_fit(0.5, 2.0), safety=1.5)
+            choose_epsilon(make_fit(0.5, 2.0), safety=1.5, nearest_gap=float("inf"))
 
     def test_gap_guard(self):
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ def saddle_report(saddle):
     f, Z = saddle
     cp = origin_cp()
     fit = estimate_fit(f, Z, cp, radius=0.5, seed=0)
-    eps = choose_epsilon(fit, safety=0.5)
+    eps = choose_epsilon(fit, safety=0.5, nearest_gap=float("inf"))
     dists = np.linspace(0.01, 0.24, 10)
     starts = [(d / np.sqrt(2), d / np.sqrt(2)) for d in dists]
     report = verify_flow_estimates(f, Z, cp, fit, eps, starts)

@@ -36,7 +36,7 @@ class TestSubstream:
 
 class TestUnitDirections:
     def test_axes_always_present(self):
-        dirs = unit_directions(2)
+        dirs = unit_directions(2, np.random.default_rng(0))
         rows = {tuple(np.round(d, 12)) for d in dirs}
         assert (1.0, 0.0) in rows and (-1.0, 0.0) in rows
         assert (0.0, 1.0) in rows and (0.0, -1.0) in rows
@@ -45,6 +45,11 @@ class TestUnitDirections:
         rng = np.random.default_rng(0)
         dirs = unit_directions(3, rng=rng, n_random=10)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim, count", [(1, 24), (2, 28), (3, 44), (4, 64)])
+    def test_a_ring_of_24_asks_for_the_documented_count(self, dim, count):
+        # classify and the unstable slice add 24 - 2n random directions to the fixed ones
+        assert len(unit_directions(dim, np.random.default_rng(0), max(0, 24 - 2 * dim))) == count
 
 
 class TestProbes:

@@ -362,8 +362,9 @@ def _run_loja(run: _Run) -> None:
 
 def _fit_entry(run: _Run, i: int, cp: CriticalPoint) -> dict:
     """The fit of point i, or the slope that a rejected fit measured."""
-    radius = float(run.spec.tolerances.get("fit_radius", min(default_delta(run.Z, cp, run.cps), 0.5)))
+    tol = run.spec.tolerances
     try:
+        radius = float(tol["fit_radius"]) if "fit_radius" in tol else min(default_delta(run.Z, cp, run.cps), 0.5)
         run.fits[i] = estimate_fit(run.f, run.Z, cp, radius, seed=run.spec.seed)
     except FitError as e:
         return {"point_index": i, "error": str(e), "measured_slope": e.measured_slope}

@@ -130,11 +130,25 @@ def _central_differences(resid, X: np.ndarray) -> np.ndarray:
     return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each bit-distinct row of X, and each row's index among those rows.
+
+    Rows are keyed on their bits, not on float equality, which would merge
+    0.0 with -0.0.
+    """
+    _, first, copy = np.unique(X.view(np.int64), axis=0, return_index=True, return_inverse=True)
+    # the inverse's shape differs across numpy 2.x releases
+    return first, copy.ravel()
+
+
 def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     """Damped least-squares Newton on every row of X0.
 
     Returns the refined rows, their residuals and a mask of the rows that
-    converged; a failed row holds its last accepted iterate.
+    converged; a failed row holds its last accepted iterate.  Rows never
+    interact: a row's result does not depend on the rows refined with it,
+    or on the pool width.  So each bit-distinct row (:func:`_distinct_rows`)
+    is refined once, and its result is copied to every row with its bits.
 
     Phase one drives a row's residual below tol in at most REFINE_ITER
     steps; phase two keeps stepping at full length, at most POLISH_ITER
@@ -145,16 +159,17 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     rows' residuals (and Jacobians).
 
     The rows step in a pool of at most REFINE_POOL, which bounds every
-    working array.  Each iteration tops the pool up from the unstarted rows
-    in order, takes one Jacobian and one least-squares solve over the whole
-    pool, then line-searches the phase-one rows (:func:`space.line_search`,
-    from a step capped at max_step_len; a row whose step is exactly zero
-    cannot descend and fails without a search) and tests the full step of the
-    polishing ones; a row leaves the pool the moment it is done.  Rows
-    never interact: a row's result does not depend on the rows refined with
-    it, or on the pool width.
+    working array.  Each iteration tops the pool up from the unstarted
+    distinct rows, in the order of their sorted bits, takes one Jacobian
+    and one least-squares solve over the whole pool, then line-searches the
+    phase-one rows (:func:`space.line_search`, from a step capped at
+    max_step_len; a row whose step is exactly zero cannot descend and fails
+    without a search) and tests the full step of the polishing ones; a row
+    leaves the pool the moment it is done.
     """
-    X = np.array(X0, dtype=float)
+    X0 = np.array(X0, dtype=float)
+    first, copy = _distinct_rows(X0)
+    X = X0[first]
     N = len(X)
     R, rn, ok = None, np.zeros(N), np.zeros(N, dtype=bool)
     # per row: steps taken in its phase, steps that kept over half the residual, in phase two
@@ -182,7 +197,7 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
             ok[new] = np.isfinite(rn[new])
             pool = np.concatenate([pool, settle(new)])
         if not pool.size:
-            return X, R, ok
+            return X[copy], R[copy], ok[copy]
         x = X[pool]
         step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[pool])
         moving = np.isfinite(step).all(axis=1)
@@ -259,7 +274,8 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     there.  That pass is skipped, exactly, when its system has a non-zero
     constant entry (:func:`_constant_entry`) and so no root; no pass
     targets a rank drop of Dg that a linear row survives.  Each
-    pass refines all its seeds in one :func:`_refine` call.  Non-convergent
+    pass refines all its seeds in one :func:`_refine` call, which refines
+    each bit-distinct start once.  Non-convergent
     seeds are discarded (counts logged), and the points found are clustered
     within CLUSTER_TOL.  The grid density defaults to
     :func:`default_grid_density` of the dimension.
@@ -272,12 +288,14 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
 
     seeds = _grid_seeds(Z, grid_density)
     starts, retracted = Z.retract_batch(seeds)
-    X, R, ok = _refine(_smooth_residual(f, Z), starts[retracted], REFINE_TOL, max_step_len=max_len)
+    starts = starts[retracted]
+    X, R, ok = _refine(_smooth_residual(f, Z), starts, REFINE_TOL, max_step_len=max_len)
     gn = norms(R[:, len(Z.constraints):])
     hits = np.flatnonzero(ok & (gn < CRIT_TOL))
     hits = hits[Z.is_member(X[hits])]
     found = list(zip(X[hits], gn[hits]))
-    log.info("smooth pass: %d/%d seeds refined to critical points", len(found), len(seeds))
+    log.info("smooth pass: %d/%d seeds (%d distinct starts) refined to critical points",
+             len(found), len(seeds), len(_distinct_rows(starts)[0]))
 
     system = _singular_system(Z)
     k = _constant_entry(system)
@@ -342,6 +360,8 @@ def classify(
 ) -> str:
     """Classify a critical point from f-values on a retracted probe ring of radius PROBE_RADIUS (see N_PROBES).
 
+    Probes outside the box are dropped; too few left gives "unresolved".
+
     minimum / maximum when every probe lies beyond probe_tol on one side,
     saddle when both sides are populated and the two witness flows confirm
     it (the up-flow from the lowest probe is captured within PROBE_RADIUS
@@ -355,18 +375,19 @@ def classify(
     center = cp.point()
     rng = substream(seed, "classify")
     n_extra = max(0, N_PROBES - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, PROBE_RADIUS, rng, n_random=n_extra)
+    probes = np.array(ring_probes(Z, center, PROBE_RADIUS, rng, n_random=n_extra)).reshape(-1, Z.ambient_dim)
+    # a point on a box face has probes beyond it, where no witness flow may start
+    probes = probes[Z.inside_box(probes)]
     # a stratum of dimension k offers 2k axis probes; the ambient dimension
     # would ask a lifted problem for probes its stratum cannot have
     local_dim = Z.ambient_dim - Z.effective_rank(center)
     min_probes = max(2, min(2 * local_dim, 6))
     if len(probes) < min_probes:
         log.warning(
-            "only %d on-Z probes at radius %g around %s; classification unresolved",
+            "only %d on-Z probes inside the box at radius %g around %s; classification unresolved",
             len(probes), PROBE_RADIUS, cp.location,
         )
         return "unresolved"
-    probes = np.array(probes)
     values = f.evaluate(probes)
     dv = values - cp.value
     scale = float(np.max(np.abs(dv)))

@@ -303,8 +303,13 @@ def verify_flow_estimates(
 
 def default_delta(Z: SingularSpace, cp: CriticalPoint, others=()) -> float:
     """Validity radius: half the spacing to the nearest other critical point,
-    capped by the distance from the point to the box walls."""
+    capped by the distance from the point to the box walls.
+
+    Raises FitError at a point on a box face, where that cap is 0.
+    """
     delta = min(min(c - lo, hi - c) for c, (lo, hi) in zip(cp.location, Z.box))
+    if delta <= 0.0:
+        raise FitError(f"delta = 0: the point {cp.location} lies on a box face, so no ball around it fits in the box")
     p = cp.point()
     for other in others:
         d = float(np.linalg.norm(other.point() - p))

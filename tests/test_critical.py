@@ -6,7 +6,14 @@ import pytest
 
 import blocked_refine
 from morseflow import critical, space
-from morseflow.cli import BUILTIN, builtin_problem, load_problem, problem_objects, spec_from_mapping
+from morseflow.cli import (
+    BUILTIN,
+    builtin_problem,
+    load_problem,
+    problem_objects,
+    run_experiment,
+    spec_from_mapping,
+)
 from morseflow.polynomial import Polynomial, PolynomialSystem, parse_polynomial
 from morseflow.sampling import ring_probes, substream
 from morseflow.critical import (
@@ -291,6 +298,46 @@ class TestBatchedRefinement:
             Xi, _, _ = critical._refine(resid, X0[i:i + 1], 1e-12)
             assert Xi[0, 0] == X[i, 0]
 
+    def test_copies_of_a_row_are_refined_once(self, cone):
+        # the singular pass of the cone from a 3-grid: 27 bit-distinct seeds
+        _, Z = cone
+        system = critical._singular_system(Z)
+        A = critical._grid_seeds(Z, 3)
+        kw = dict(jac=system.jacobian_at, max_step_len=2.0 * Z.box_diameter)
+
+        def refine(X0):
+            blocks = []
+
+            def resid(X):
+                blocks.append(np.array(X))
+                return system.evaluate(X)
+
+            return critical._refine(resid, X0, 1e-12, **kw), blocks
+
+        (X, R, good), seen = refine(np.vstack([A, A, A]))
+        _, alone = refine(A)
+        # the first call holds each row of A once, and no later call
+        # repeats work for a copy
+        assert sorted(map(tuple, seen[0])) == sorted(map(tuple, A))
+        np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(alone))
+        for i in range(len(X)):
+            (Xi, Ri, good_i), _ = refine(A[i % len(A)][None])
+            np.testing.assert_array_equal(X[i], Xi[0])
+            np.testing.assert_array_equal(R[i], Ri[0])
+            assert good[i] == good_i[0]
+
+    def test_signed_zeros_are_distinct_rows(self):
+        # 0.0 == -0.0 as floats, but the residual tells them apart
+        X, _, good = critical._refine(lambda X: X - np.copysign(0.5, X), [[0.0], [-0.0]], 1e-12,
+                                      jac=line_jacobian)
+        assert good.all()
+        assert X[:, 0].tolist() == [0.5, -0.5]
+
+    def test_an_empty_block_keeps_its_width(self, cone):
+        f, Z = cone
+        X, R, good = critical._refine(critical._smooth_residual(f, Z), np.zeros((0, 3)), 1e-12)
+        assert X.shape == (0, 3) and R.shape == (0, 4) and good.shape == (0,)
+
     def test_stalled_seed_fails(self):
         # x^2 + 1 has no root: from 2 the residual falls 5 -> 1.5625, then
         # six steps each keep more than half of it, and the seed dies on the
@@ -473,3 +520,60 @@ class TestSingularOnlyPoints:
         f, Z = problem_objects(spec_from_mapping(SINGULAR_ONLY[name]))
         monkeypatch.setattr(critical, "_constant_entry", lambda system: 0)
         assert all(np.linalg.norm(cp.point()) > CLUSTER_TOL for cp in find_critical_points(f, Z))
+
+
+class TestLiftedSearch:
+    def test_the_six_variable_cone_lift_refines_each_distinct_start_once(self, monkeypatch, caplog):
+        # w = v = u = 0 pins three coordinates, so the 6**6 grid retracts to
+        # 216 distinct starts; the points found are not asserted
+        doc = {**BUILTIN["cone"], "variables": ["x", "y", "z", "w", "v", "u"],
+               "constraints": ["x^2 + y^2 - z^2", "w", "v", "u"],
+               "box": [[-2, 2], [-2, 2], [-2, 2], [-1, 1], [-1, 1], [-1, 1]]}
+        f, Z = problem_objects(spec_from_mapping(doc))
+        calls = []
+
+        def traced(f, Z):
+            resid = smooth_residual(f, Z)
+            return lambda X: calls.append(len(X)) or resid(X)
+
+        smooth_residual = critical._smooth_residual
+        monkeypatch.setattr(critical, "_smooth_residual", traced)
+        with caplog.at_level("INFO", logger="morseflow.critical"):
+            find_critical_points(f, Z)
+        smooth, = [r.getMessage() for r in caplog.records if r.getMessage().startswith("smooth pass")]
+        assert "/46656 seeds (216 distinct starts) refined" in smooth
+        # the pool starts from every distinct start at once
+        assert calls[0] == 216
+
+
+# f = y on the line {x^2 = 0}: the search finds points on the box faces y = -1 and y = 1
+BOX_FACE = {**BUILTIN["planes"], "name": "box-face", "objective": "y", "constraints": ["x^2"],
+            "box": [[-1, 1], [-1, 1]]}
+
+
+class TestBoxFacePoints:
+    def test_classify_drops_the_probes_outside_the_box(self):
+        # the probe at (0, -1.01) once became a saddle witness's start, which
+        # the ensemble refused; every probe left in the box lies above
+        f, Z = problem_objects(spec_from_mapping(BOX_FACE))
+        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
+        assert classify(f, Z, cp) == "minimum"
+
+    def test_too_few_probes_in_the_box_leave_the_point_unresolved(self, monkeypatch, caplog):
+        f, Z = problem_objects(spec_from_mapping(BOX_FACE))
+        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
+        # the two axis probes along the line only: one lies below y = -1
+        monkeypatch.setattr(critical, "ring_probes", lambda *a, **kw: [np.array([0.0, -0.99]),
+                                                                      np.array([0.0, -1.01])])
+        with caplog.at_level("WARNING", logger="morseflow.critical"):
+            assert classify(f, Z, cp) == "unresolved"
+        assert "only 1 on-Z probes inside the box" in caplog.text
+
+    def test_the_stages_record_no_error(self):
+        report = run_experiment(spec_from_mapping(BOX_FACE), stages=("critical", "loja"))
+        assert report.stage_errors == {}
+        face = [i for i, cp in enumerate(report.critical_points) if abs(cp["location"][1]) == 1.0]
+        assert len(face) == 2
+        errors = {fit["point_index"]: fit.get("error", "") for fit in report.lojasiewicz_fits}
+        for i in face:
+            assert "delta = 0" in errors[i] and "lies on a box face" in errors[i]

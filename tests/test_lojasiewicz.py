@@ -239,3 +239,10 @@ class TestDefaultDelta:
         _, Z = saddle
         cp = origin_cp()
         assert default_delta(Z, cp, [cp]) == 2.0
+
+    def test_a_point_on_a_box_face_names_the_cause(self):
+        Z = SingularSpace(2, PolynomialSystem(("x", "y"), [parse_polynomial("x^2", ("x", "y"))]),
+                          [(-1, 1), (-1, 1)])
+        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
+        with pytest.raises(FitError, match=r"delta = 0: the point \(0\.0, -1\.0\) lies on a box face"):
+            default_delta(Z, cp)

@@ -46,6 +46,11 @@ DEFAULT_GRID_DENSITY = 7
 MAX_GRID_SEEDS = 100_000
 # the critical search steps at most this many seeds at a time, which bounds its working arrays
 REFINE_POOL = 256
+# with an exact Jacobian, a row whose last two ratios of undamped step lengths
+# agree within SCHRODER_AGREE (relative), at a ratio below SCHRODER_MAX_RATIO,
+# converges linearly to a multiple root, and its next step is lengthened
+SCHRODER_AGREE = 0.1
+SCHRODER_MAX_RATIO = 0.95
 
 KINDS = ("minimum", "maximum", "saddle", "degenerate", "unresolved")
 
@@ -153,19 +158,33 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     Phase one drives a row's residual below tol in at most REFINE_ITER
     steps; phase two keeps stepping at full length, at most POLISH_ITER
     times, until the step itself is negligible, which pins down the
-    location even where the residual landscape is extremely flat (x^4
-    near 0 reaches residual 1e-12 while still 1e-4 away from the root).
-    resid (and jac, else central differences) map an (N, n) block to its
-    rows' residuals (and Jacobians).
+    location even where the residual landscape is extremely flat (4x^3,
+    the gradient of x^4, is below 1e-12 while still 6e-5 away from the
+    root).  resid (and jac, else central differences) map an (N, n) block
+    to its rows' residuals (and Jacobians).
+
+    At a root of multiplicity m, Newton converges only linearly, each step
+    (m - 1) / m times the one before, so plain steps would polish that
+    4x^3 root only by 2/3 a step.  Given jac, a row keeps the length of
+    its last undamped step (a phase-one step accepted at its first,
+    uncapped trial length, or a kept polish step) and its ratio rho to the
+    one before; a damped step clears both.  When the next step's ratio
+    agrees with rho within SCHRODER_AGREE and lies below
+    SCHRODER_MAX_RATIO, that step is scaled by 1 / (1 - ratio), the sum of
+    the remaining geometric series (Schroeder's step).  The rule needs an
+    exact Jacobian: the h^2 error of central differences corrupts the
+    ratios (their Jacobian of 4x^3 is 12x^2 + 4h^2, so below |x| ~ h each
+    step shrinks to about x^3 / h^2), and without jac it is off.
 
     The rows step in a pool of at most REFINE_POOL, which bounds every
     working array.  Each iteration tops the pool up from the unstarted
     distinct rows, in the order of their sorted bits, takes one Jacobian
     and one least-squares solve over the whole pool, then line-searches the
-    phase-one rows (:func:`space.line_search`, from a step capped at
-    max_step_len; a row whose step is exactly zero cannot descend and fails
-    without a search) and tests the full step of the polishing ones; a row
-    leaves the pool the moment it is done.
+    phase-one rows (:func:`space.line_search`, whose first trial length is
+    the step's scale, capped at max_step_len; a row whose step is exactly
+    zero cannot descend and fails without a search) and tests the scaled
+    step of the polishing ones, then their plain step if the scaled one is
+    refused; a row leaves the pool the moment it is done.
     """
     X0 = np.array(X0, dtype=float)
     first, copy = _distinct_rows(X0)
@@ -174,6 +193,8 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     R, rn, ok = None, np.zeros(N), np.zeros(N, dtype=bool)
     # per row: steps taken in its phase, steps that kept over half the residual, in phase two
     used, stall, polish = np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
+    # per row: the length of its last undamped step, and that length's ratio to the one before
+    last, rho = np.full(N, np.nan), np.full(N, np.nan)
 
     def settle(rows):
         """The rows still to step; a phase-one row below tol or out of steps polishes or fails."""
@@ -183,6 +204,17 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
         polish[done], used[done] = True, 0
         rows = rows[ok[rows]]
         return rows[~polish[rows] | (used[rows] < POLISH_ITER)]
+
+    def undamped(rows, sn, ratio, kept):
+        """Record the step lengths of the rows that stepped undamped, and clear the others'."""
+        last[rows], rho[rows] = np.where(kept, sn, np.nan), np.where(kept, ratio, np.nan)
+
+    def full_step(x, s, rn_old):
+        """x + s, its residuals and their norms, and the mask to keep: a finite norm at most max(rn_old, tol)."""
+        xn = x + s
+        r_new = resid(xn)
+        rn_new = norms(r_new)
+        return xn, r_new, rn_new, np.isfinite(rn_new) & (rn_new <= np.maximum(rn_old, tol))
 
     pool, queued = np.zeros(0, dtype=int), 0
     while True:
@@ -203,30 +235,42 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
         moving = np.isfinite(step).all(axis=1)
         # a non-finite step fails a phase-one row and ends a polishing one
         ok[pool[~moving & ~polish[pool]]] = False
+        sn = norms(step)
+        ratio = sn / last[pool]
+        agree = np.abs(ratio - rho[pool]) <= SCHRODER_AGREE * rho[pool]
+        fire = agree & (ratio < SCHRODER_MAX_RATIO) & (jac is not None)
+        scale = 1.0 / (1.0 - np.where(fire, ratio, 0.0))
 
         one = np.flatnonzero(moving & ~polish[pool])
         zero = ~step[one].any(axis=1)
         ok[pool[one[zero]]] = False
         one = one[~zero]
         if one.size:
-            rows, s1 = pool[one], step[one]
-            sn = norms(s1)
-            t = np.divide(max_step_len, sn, out=np.ones(len(sn)), where=sn > max_step_len)
-            down, xn, r_new, rn_new = line_search(resid, x[one], s1, rn[rows], t)
+            rows = pool[one]
+            t = np.divide(max_step_len, sn[one], out=scale[one], where=scale[one] * sn[one] > max_step_len)
+            down, xn, r_new, rn_new = line_search(resid, x[one], step[one], rn[rows], t)
             hit = rows[down]
             # a local minimum of the residual above tol is a dead seed, not a root
             stall[hit] = np.where(rn_new > 0.5 * rn[hit], stall[hit] + 1, 0)
             X[hit], R[hit], rn[hit] = xn, r_new, rn_new
             ok[rows[~down | (stall[rows] >= 6)]] = False
+            # the first trial point is the one line_search forms, so equal bits mean it was accepted
+            d = one[down]
+            full = (t[down] == scale[d]) & (xn == x[d] + t[down, None] * step[d]).all(axis=1)
+            undamped(hit, sn[d], ratio[d], full)
 
-        # polish: the full step, kept unless the residual rises above tol;
-        # a rise or a negligible step ends the polish
+        # polish: the scaled step, else the plain one, kept unless the
+        # residual rises above tol; a rise or a negligible step ends the polish
         two = np.flatnonzero(moving & polish[pool])
         if two.size:
-            rows, xn, s2 = pool[two], x[two] + step[two], step[two]
-            r_new = resid(xn)
-            rn_new = norms(r_new)
-            kept = np.isfinite(rn_new) & (rn_new <= np.maximum(rn[rows], tol))
+            rows, s2 = pool[two], scale[two, None] * step[two]
+            xn, r_new, rn_new, kept = full_step(x[two], s2, rn[rows])
+            retry = np.flatnonzero(~kept & fire[two])
+            if retry.size:
+                s2[retry] = step[two[retry]]
+                xn[retry], r_new[retry], rn_new[retry], kept[retry] = full_step(x[two[retry]], s2[retry],
+                                                                                rn[rows[retry]])
+            undamped(rows, sn[two], ratio[two], kept)
             rows, xn, s2, moving[two] = rows[kept], xn[kept], s2[kept], kept
             X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
             moving[two[kept]] = norms(s2) >= 1e-14 * (1.0 + norms(xn))
@@ -267,16 +311,19 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     """Locate and deduplicate the fixed points of the flow inside the box.
 
     Grid seeds are retracted to Z and refined by damped least-squares
-    Newton on {g = 0, projected gradient = 0}, to below REFINE_TOL.  A
+    Newton on {g = 0, projected gradient = 0}, to below REFINE_TOL; on R^n
+    that residual is grad f, and the pass has its exact Jacobian, the
+    Hessian, so :func:`_refine` scales its steps at a multiple root.  With
+    constraints it takes central differences, which keep that rule off.  A
     second pass solves {g = 0, Dg = 0}, to below REFINE_TOL, and accepts
     every root it reaches on Z: a point where all constraint gradients
     vanish is singular, so critical, and its residual is the norm of {g, Dg}
     there.  That pass is skipped, exactly, when its system has a non-zero
     constant entry (:func:`_constant_entry`) and so no root; no pass
-    targets a rank drop of Dg that a linear row survives.  Each
-    pass refines all its seeds in one :func:`_refine` call, which refines
-    each bit-distinct start once.  Non-convergent
-    seeds are discarded (counts logged), and the points found are clustered
+    targets a rank drop of Dg that a linear row survives.  Each pass
+    refines all its seeds in one :func:`_refine` call, which refines each
+    bit-distinct start once.  Non-convergent seeds are discarded (counted
+    and logged only when INFO is on), and the points found are clustered
     within CLUSTER_TOL.  The grid density defaults to
     :func:`default_grid_density` of the dimension.
     """
@@ -289,13 +336,18 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     seeds = _grid_seeds(Z, grid_density)
     starts, retracted = Z.retract_batch(seeds)
     starts = starts[retracted]
-    X, R, ok = _refine(_smooth_residual(f, Z), starts, REFINE_TOL, max_step_len=max_len)
+    # on R^n the smooth residual is grad f, whose exact Jacobian is the Hessian
+    hessian = None if len(Z.constraints) else gradient(f).jacobian_at
+    X, R, ok = _refine(_smooth_residual(f, Z), starts, REFINE_TOL, jac=hessian, max_step_len=max_len)
     gn = norms(R[:, len(Z.constraints):])
     hits = np.flatnonzero(ok & (gn < CRIT_TOL))
     hits = hits[Z.is_member(X[hits])]
     found = list(zip(X[hits], gn[hits]))
-    log.info("smooth pass: %d/%d seeds (%d distinct starts) refined to critical points",
-             len(found), len(seeds), len(_distinct_rows(starts)[0]))
+    # the log lines count what the search does not need, so they are built only when shown
+    verbose = log.isEnabledFor(logging.INFO)
+    if verbose:
+        log.info("smooth pass: %d/%d seeds (%d distinct starts) refined to critical points",
+                 len(found), len(seeds), len(_distinct_rows(starts)[0]))
 
     system = _singular_system(Z)
     k = _constant_entry(system)
@@ -308,8 +360,9 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
         X, R, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=max_len)
         hits = np.flatnonzero(ok)
         hits = hits[Z.is_member(X[hits])]
-        log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
-                 int(ok.sum()), len(seeds), len(_dedupe(X[hits], CLUSTER_TOL)))
+        if verbose:
+            log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
+                     int(ok.sum()), len(seeds), len(_dedupe(X[hits], CLUSTER_TOL)))
         found += zip(X[hits], norms(R[hits]))
     if not found:
         return []

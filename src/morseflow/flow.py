@@ -116,6 +116,8 @@ ARC_BUDGET = 1e3
 MAX_STEPS = 200_000
 # Converged fires after this many accepted steps in a row below its grad_tol
 CONV_CONSECUTIVE = 3
+# a step is at most MAX_STEP_FRACTION times the box diameter long in space
+MAX_STEP_FRACTION = 0.1
 
 
 @dataclass
@@ -276,10 +278,10 @@ def integrate_ensemble(
     :class:`ArcBudget`, :class:`Capture`).  Every member also stops at TIME_BUDGET,
     ARC_BUDGET (unless an :class:`ArcBudget` is given) and MAX_STEPS, so it
     terminates; box containment is always enforced.  A step is at most
-    max_step = 0.1 * the box diameter long in space: its duration h is
-    capped so that h * |grad_Z f| at its start is at most max_step.  The
-    first step's duration is max_step / 64, and a retry shorter in time
-    than 1e-12 * max_step ends the member.  Every
+    max_step = MAX_STEP_FRACTION * the box diameter long in space: its
+    duration h is capped so that h * |grad_Z f| at its start is at most
+    max_step.  The first step's duration is max_step / 64, and a retry
+    shorter in time than 1e-12 * max_step ends the member.  Every
     step-control and stop rule applies to each member on its own, so member
     i ends exactly as ``integrate`` from ``X0[i]`` does, bit for bit.
 
@@ -300,7 +302,7 @@ def integrate_ensemble(
             raise ValueError(f"direction must be 'descend' or 'ascend', got {d!r}")
     levels = _per_member(levels, N, "levels")
     record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
-    max_step = 0.1 * Z.box_diameter
+    max_step = MAX_STEP_FRACTION * Z.box_diameter
     min_step = 1e-12 * max_step
     conv, arc_budget, cap = _shared_stops(stops)
     fld = _Field(f, Z)

@@ -62,11 +62,16 @@ def unit_directions(dim: int, rng: np.random.Generator, n_random: int = 0) -> np
 
 
 def _dedupe(points, tol: float):
-    """Greedy clustering: keep each point more than tol from every point kept before it."""
-    kept = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
-            kept.append(p)
+    """Greedy clustering: keep each point more than tol from every point kept before it.
+
+    The first remaining point is kept, and every remaining point not more
+    than tol from it (a NaN distance included) is dropped, until none
+    remain.  :func:`row_norms` is ``np.linalg.norm`` per row, bit for bit.
+    """
+    rest, kept = np.asarray(points, dtype=float), []
+    while len(rest):
+        kept.append(rest[0])
+        rest = rest[1:][row_norms(rest[1:] - rest[0]) > tol]
     return kept
 
 

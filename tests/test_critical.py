@@ -14,7 +14,7 @@ from morseflow.cli import (
     run_experiment,
     spec_from_mapping,
 )
-from morseflow.polynomial import Polynomial, PolynomialSystem, parse_polynomial
+from morseflow.polynomial import Polynomial, PolynomialSystem, gradient, parse_polynomial
 from morseflow.sampling import ring_probes, substream
 from morseflow.critical import (
     CLUSTER_TOL,
@@ -218,18 +218,23 @@ def line_jacobian(X):
 
 
 class TestBatchedRefinement:
-    @pytest.mark.parametrize("name", ["cone", "planes-lift", "cone-singular"])
-    def test_each_row_matches_refining_it_alone(self, name, cone, monkeypatch):
-        f, Z = planes_lift() if name == "planes-lift" else cone
+    @pytest.mark.parametrize("name", ["cone", "planes-lift", "cone-singular", "quartic"])
+    def test_each_row_matches_refining_it_alone(self, name, cone, quartic, monkeypatch):
+        f, Z = planes_lift() if name == "planes-lift" else quartic if name == "quartic" else cone
         if name == "cone-singular":
             system = critical._singular_system(Z)
             resid, jac, X0 = system.evaluate, system.jacobian_at, critical._grid_seeds(Z, 3)
         else:
-            starts, ok = Z.retract_batch(critical._grid_seeds(Z, 3))
-            resid, jac, X0 = critical._smooth_residual(f, Z), None, starts[ok]
+            # on R^n the smooth pass has the exact Hessian, and the 7 quartic
+            # seeds take scaled steps at the root of multiplicity 3
+            starts, ok = Z.retract_batch(critical._grid_seeds(Z, 7 if name == "quartic" else 3))
+            jac = gradient(f).jacobian_at if name == "quartic" else None
+            resid, X0 = critical._smooth_residual(f, Z), starts[ok]
         kw = dict(jac=jac, max_step_len=2.0 * Z.box_diameter)
         X, _, good = critical._refine(resid, X0, 1e-12, **kw)
         assert good.any()
+        if name == "quartic":
+            assert good.all() and np.abs(X).max() <= 1e-12
         for i in range(len(X0)):
             Xi, _, good_i = critical._refine(resid, X0[i:i + 1], 1e-12, **kw)
             assert good_i[0] == good[i]
@@ -284,6 +289,58 @@ class TestBatchedRefinement:
         assert max(seen["jac"]) == width
         assert max(seen["resid"]) <= width * max(space.LINE_SEARCH_ROUNDS)
         assert max(seen["differences"]) == 2 * n * width
+
+    def test_the_quartic_smooth_pass_takes_a_few_steps(self, quartic, monkeypatch):
+        # 4x^3 has a triple root: plain Newton shrinks each step by 2/3, and
+        # below |x| ~ 1e-7 a central-difference Jacobian stalls it further
+        f, Z = quartic
+        solves, passes = [], []
+        lstsq, refine = critical._lstsq_steps, critical._refine
+        monkeypatch.setattr(critical, "_lstsq_steps", lambda J, R: solves.append(len(J)) or lstsq(J, R))
+        monkeypatch.setattr(critical, "_refine", lambda *a, **kw: passes.append(refine(*a, **kw)) or passes[-1])
+        cp, = find_critical_points(f, Z)
+        (X, _, good), = passes
+        assert len(X) == 7 and good.all()
+        assert np.abs(X).max() <= 1e-12 and cp.cluster_radius <= 1e-12
+        assert len(solves) <= 6
+
+    @pytest.mark.parametrize("x0", [3.0, -2.0, 1.5])
+    def test_a_triple_root_with_its_exact_jacobian_takes_a_few_steps(self, x0):
+        calls = []
+
+        def jac(X):
+            calls.append(len(X))
+            return 3.0 * ((X - 1.0) ** 2)[:, :, None]
+
+        X, _, good = critical._refine(lambda X: (X - 1.0) ** 3, [[x0]], 1e-12, jac=jac)
+        assert good[0] and abs(X[0, 0] - 1.0) <= 1e-14
+        assert len(calls) <= 6
+
+    def test_without_a_jacobian_no_step_is_scaled(self):
+        # central differences: the triple root is refined as the fixed-block
+        # loop, which has no scaled step, refines it
+        def resid(X):
+            return (X - 1.0) ** 3
+
+        X0 = np.array([[3.0], [-2.0], [1.5]])
+        for a, b in zip(critical._refine(resid, X0, 1e-12), blocked_refine.refine(resid, X0, 1e-12)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_a_refused_scaled_polish_step_falls_back_to_the_plain_one(self):
+        # x^2 above a wall at x = 0.1, polished from x = 1 (residual below
+        # tol = 10): steps of 1/2, 1/4, then the scaled step to 0 hits the
+        # wall, and the plain step to 0.125 is kept in the same iteration;
+        # the polish ends where it ends without the scaled step
+        def resid(X):
+            return np.where(X < 0.1, 100.0, X * X)
+
+        def jac(X):
+            return 2.0 * X[:, :, None]
+
+        got = critical._refine(resid, [[1.0]], 10.0, jac=jac)
+        assert got[0][0, 0] == 0.125 and got[2][0]
+        for a, b in zip(got, blocked_refine.refine(resid, [[1.0]], 10.0, jac=jac)):
+            np.testing.assert_array_equal(a, b)
 
     def test_non_finite_row_fails_alone(self):
         # root at x = 0.5; the residual is NaN beyond x = 5
@@ -440,6 +497,19 @@ class TestSingularPassSkip:
             grid = critical.default_grid_density(Z.ambient_dim) ** Z.ambient_dim
             assert seeds[1:] == [grid]
             assert singular == [f"singular pass: {grid}/{grid} seeds refined to 1 rank-collapse points"]
+
+    @pytest.mark.parametrize("level, calls", [("INFO", 2), ("WARNING", 1)])
+    def test_the_log_counts_are_built_only_under_info(self, level, calls, cone, monkeypatch, caplog):
+        # the singular-pass line clusters the rank-collapse points; the
+        # search itself clusters once, over every point found
+        f, Z = cone
+        seen = []
+        dedupe = critical._dedupe
+        monkeypatch.setattr(critical, "_dedupe", lambda P, tol: seen.append(len(P)) or dedupe(P, tol))
+        with caplog.at_level(level, logger="morseflow.critical"):
+            cps = find_critical_points(f, Z)
+        assert len(cps) == 1 and len(seen) == calls
+        assert (seen[0] == 343) == (level == "INFO")
 
     @pytest.mark.parametrize("name", ["cone-lift", "planes-lift"])
     def test_skip_changes_no_point(self, name, monkeypatch):

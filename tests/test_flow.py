@@ -215,6 +215,19 @@ def test_step_control_max_step_is_honoured(objective):
     assert np.max(chords) >= 0.99 * max_step
 
 
+@pytest.mark.parametrize("fraction", [0.05, 0.2])
+def test_the_step_cap_is_max_step_fraction_of_the_box(fraction, monkeypatch):
+    # a resolution study halves or doubles the cap by patching the module constant
+    monkeypatch.setattr(flow, "MAX_STEP_FRACTION", fraction)
+    f = parse_polynomial("x", ["x", "y"])
+    Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
+    traj = integrate(f, Z, [1.9, 0.0], "descend")
+    chords = np.linalg.norm(np.diff(traj.y, axis=0), axis=1)
+    max_step = fraction * Z.box_diameter
+    assert np.all(chords <= max_step * (1 + 1e-12))
+    assert np.max(chords) >= 0.99 * max_step
+
+
 def test_quartic_ascent_meets_its_exact_hitting_time():
     # x' = 4x^3 from x0 reaches x^4 = 1 at t = (1/x0^2 - 1)/8; where the
     # gradient is small, the length cap lets the steps run long in time

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import greedy_dedupe
 from morseflow import sampling
 from morseflow.cli import load_problem, problem_objects
 from morseflow.sampling import (
@@ -32,6 +33,37 @@ class TestSubstream:
         a = substream(1, "stage").uniform(size=5)
         b = substream(2, "stage").uniform(size=5)
         assert not np.array_equal(a, b)
+
+
+class TestDedupe:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_greedy_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        # clumps around a few centres, with exact copies and near misses of the tolerance
+        centres = rng.uniform(-1, 1, size=(6, 3))
+        P = centres[rng.integers(0, 6, size=200)] + rng.normal(scale=0.05, size=(200, 3))
+        P[::7] = P[1::7][:len(P[::7])]
+        for tol in (0.0, 0.02, 0.1, 0.5):
+            got, ref = _dedupe(P, tol), greedy_dedupe.dedupe(P, tol)
+            assert len(got) == len(ref)
+            np.testing.assert_array_equal(np.reshape(got, (-1, 3)), np.reshape(ref, (-1, 3)))
+
+    def test_an_empty_list_keeps_nothing(self):
+        assert _dedupe([], 1e-6) == [] == greedy_dedupe.dedupe([], 1e-6)
+        assert _dedupe(np.zeros((0, 2)), 1e-6) == []
+
+    def test_a_nan_first_point_swallows_the_rest(self):
+        # every distance to NaN is NaN, which is not > tol
+        P = np.array([[np.nan, 0.0], [1.0, 0.0], [np.nan, 1.0], [5.0, 5.0]])
+        got, ref = _dedupe(P, 1e-6), greedy_dedupe.dedupe(P, 1e-6)
+        assert len(got) == len(ref) == 1
+        np.testing.assert_array_equal(got[0], ref[0])
+
+    def test_a_later_nan_point_is_dropped(self):
+        P = np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 0.0]])
+        got, ref = _dedupe(P, 1e-6), greedy_dedupe.dedupe(P, 1e-6)
+        np.testing.assert_array_equal(got, ref)
+        assert len(got) == 2
 
 
 class TestUnitDirections:

@@ -279,12 +279,12 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
 
 
 def _smooth_residual(f: Polynomial, Z: SingularSpace):
-    """The map from an (N, n) block to its rows' {g, projected gradient of f}."""
-    grad_sys = gradient(f)
+    """The map from an (N, n) block to its rows' {g, projected gradient of f}; on R^n, the gradient alone."""
+    grad_sys, m = gradient(f), len(Z.constraints)
 
     def resid(X):
         P = Z.tangent_project_batch(X, grad_sys.evaluate(X))[0]
-        return np.concatenate([Z.constraints.evaluate(X), P], axis=1)
+        return np.concatenate([Z.constraints.evaluate(X), P], axis=1) if m else P
 
     return resid
 

@@ -18,11 +18,15 @@ row on its own, and a cap on each step's length in space (not its duration,
 which grows where the gradient is small): a row whose error test or endpoint
 retraction fails retries
 with a smaller step while the others move on.  A member terminates on the
-first stop criterion that fires for it and leaves the ensemble, the others
-keeping their order; a time and an arc-length budget are always active so
-every member terminates.  A :class:`Capture` ends a member at its point when
-a step runs into it, before any crossing test.  Level crossings leave the
-ensemble too, and are landed afterwards (to ``level_tol`` in f) by one
+first stop criterion that fires for it; a time and an arc-length budget are
+always active so every member terminates.  A member that ends keeps its row,
+marked with its termination and its state frozen, and costs no more field
+work: the field is evaluated and retracted at the live rows only, gathered
+by one index array.  Once at least half the rows have ended, the ended
+members are finished in one batch and the state is compacted to the live
+rows.  A :class:`Capture` ends a member at its point when a step runs into
+it, before any crossing test.  Level crossings are queued at the
+compactions, and are landed afterwards (to ``level_tol`` in f) by one
 batched regula falsi over each crossing step's length, each trial point a
 retracted step endpoint; a crossing that no trial point lands ends with
 ``landing_failed``.  Rows never interact, so a member's trajectory is the
@@ -214,7 +218,10 @@ class _Members:
     target (NaN when it has none, so every crossing test on it is false);
     ``f_end`` is f at the endpoint of the step being attempted; ``g`` stays
     the field at the step's start until the step is accepted, so a crossing
-    member's first stage is ``sign * g``.
+    member's first stage is ``sign * g``.  A member that ends keeps its row,
+    with every field frozen (a crossing's ``h`` and ``f_end`` are those of
+    its crossing step), until :meth:`select` compacts the state to the live
+    rows.
     """
 
     FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "h", "t", "arc",
@@ -334,63 +341,86 @@ def integrate_ensemble(
         i = wrong[0]
         raise ValueError(f"member {i}: target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
-    act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y, fy=fy, f_end=fy, g=g, gn=gn,
-                   h=np.full(N, max_step / 64.0), t=np.zeros(N), arc=np.zeros(N),
+    # the state keeps copies: finish reads the start samples from Y, fy and gn
+    act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y.copy(), fy=fy.copy(),
+                   f_end=fy.copy(), g=g, gn=gn.copy(), h=np.full(N, max_step / 64.0), t=np.zeros(N),
+                   arc=np.zeros(N),
                    **{name: np.zeros(N, dtype=int) for name in ("conv_run", "n_accepted", "n_rejected")})
     history = {int(i): [(0.0, Y[i].copy(), fy[i], gn[i], 0.0)] for i in np.flatnonzero(record)}
     out: list[FlowTrajectory | None] = [None] * N
+    variables = tuple(f.variables)
 
     def finish(done: _Members, term: str) -> None:
-        for r in range(len(done)):
-            i = int(done.idx[r])
+        # each column's start and end samples of every member, stacked; an
+        # unrecorded member's columns are slices of these, of length 1 when it
+        # accepted no step
+        i0 = done.idx
+        zeros = np.zeros(len(done))
+        stacked = [np.stack(pair, axis=1) for pair in ((zeros, done.t), (Y[i0], done.y), (fy[i0], done.fy),
+                                                       (gn[i0], done.gn), (zeros, done.arc))]
+        for r, (i, n_acc, n_rej) in enumerate(zip(i0.tolist(), done.n_accepted.tolist(),
+                                                  done.n_rejected.tolist())):
             if i in history:
-                samples = history.pop(i)
+                columns = [np.array(col) for col in zip(*history.pop(i))]
             else:
-                samples = [(0.0, Y[i], fy[i], gn[i], 0.0)]
-                if done.n_accepted[r]:
-                    samples.append((done.t[r], done.y[r], done.fy[r], done.gn[r], done.arc[r]))
-            ts, ys, fs, gns, arcs = zip(*samples)
-            out[i] = FlowTrajectory(
-                direction=directions[i], variables=tuple(f.variables),
-                t=np.array(ts), y=np.array(ys), f=np.array(fs), grad_norm=np.array(gns),
-                arc=np.array(arcs), termination=term,
-                n_accepted=int(done.n_accepted[r]), n_rejected=int(done.n_rejected[r]),
-            )
+                columns = [col[r, :2 if n_acc else 1] for col in stacked]
+            # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
+            out[i] = FlowTrajectory(directions[i], variables, *columns, term, n_acc, n_rej)
 
     def keep_samples(ms: _Members, rows: np.ndarray) -> None:
         for r in rows:
             history[int(ms.idx[r])].append((ms.t[r], ms.y[r].copy(), ms.fy[r], ms.gn[r], ms.arc[r]))
 
-    # immediate stops at the start point
-    at_level = np.abs(fy - c) <= Z.level_tol
-    finish(act.select(at_level), "reach_level")
-    at_rest = ~at_level & (gn < conv.grad_tol) if conv is not None else np.zeros(N, dtype=bool)
-    finish(act.select(at_rest), "converged")
-    act = act.select(~at_level & ~at_rest)
-
     TERMS = ("", "land", "retraction_failed", "step_underflow", "left_box",
-             "converged", "arc_budget", "time_budget")
+             "converged", "arc_budget", "time_budget", "step_limit", "reach_level")
+    # a member's code is 0 while it steps; one that ends keeps its code, and
+    # its row keeps its frozen state, until the state is compacted
+    code = np.zeros(N, dtype=int)
+    # immediate stops at the start point
+    code[np.abs(fy - c) <= Z.level_tol] = TERMS.index("reach_level")
+    if conv is not None:
+        code[(code == 0) & (gn < conv.grad_tol)] = TERMS.index("converged")
     crossings: list[_Members] = []
-    while len(act):
-        over = act.n_accepted + act.n_rejected >= MAX_STEPS
-        if over.any():
-            finish(act.select(over), "step_limit")
-            act = act.select(~over)
-            continue
-        y_new, err, ok = fld.advance(act.y, act.sign[:, None] * act.g, act.h, act.sign)
+    attempts = 0  # every live member attempts one step per iteration
+    while True:
+        if attempts == MAX_STEPS:
+            code[code == 0] = TERMS.index("step_limit")
+        live = code == 0
+        n_live = np.count_nonzero(live)
+        if 2 * n_live <= len(act):
+            # at least half the rows have ended: finish them, queue the crossings, keep the rest
+            for k in np.unique(code[~live]):
+                ended = act.select(code == k)
+                if TERMS[k] == "land":
+                    crossings.append(ended)
+                else:
+                    finish(ended, TERMS[k])
+            if not n_live:
+                break
+            act, code, live = act.select(live), code[live], np.ones(n_live, dtype=bool)
+        attempts += 1
+        # the field is evaluated at the live rows only; an ended row keeps its values
+        rows = np.flatnonzero(live)
+        sign = act.sign[rows]
+        y_new, g_new, err, ok = act.y.copy(), act.g.copy(), np.zeros(len(act)), np.zeros(len(act), dtype=bool)
+        y_live, err[rows], ok[rows] = fld.advance(act.y[rows], sign[:, None] * act.g[rows], act.h[rows], sign)
+        y_new[rows] = y_live
+        g_new[rows] = fld.projected_grad(y_live)
+        act.f_end[rows] = f.evaluate(y_live)
+        f_new = act.f_end
         h = act.h
-        code = np.zeros(len(act), dtype=int)
 
+        failed = live & ~ok
         rejected = ok & ~(err <= 1.0)  # a NaN error is a rejection
-        g_new = fld.projected_grad(y_new)
-        shrink = np.fmax(0.1, SAFETY * np.where(rejected, err, 1.0) ** -0.2)  # NaN: 0.1
-        h_retry = np.where(rejected, h * shrink, 0.5 * h)
-        code[~ok & (h_retry < min_step)] = TERMS.index("retraction_failed")
+        # the proportional step factor SAFETY * err ** -0.2; the 1e-300 guards err = 0
+        # and leaves a rejected row's err (> 1 or NaN) as it is
+        factor = SAFETY * (err + 1e-300) ** -0.2
+        h_retry = np.where(rejected, h * np.fmax(0.1, factor), 0.5 * h)  # NaN: 0.1
+        code[failed & (h_retry < min_step)] = TERMS.index("retraction_failed")
         code[rejected & (h_retry < min_step)] = TERMS.index("step_underflow")
-        act.n_rejected += ~ok | rejected
+        act.n_rejected += failed | rejected
 
         step = ok & ~rejected
-        f_new = f.evaluate(y_new)
         captured = np.zeros(len(act), dtype=bool)
         if cap is not None:
             # the point of the chord [y, y_new] nearest p, then f(p) between the step's ends
@@ -399,7 +429,6 @@ def integrate_ensemble(
             near = row_sums((act.y + u[:, None] * d - p) ** 2) <= cap.radius**2
             captured = step & near & ((act.fy - f_p) * (f_new - f_p) <= 0.0)
             y_new[captured], f_new[captured], g_new[captured] = p, f_p, g_p
-        act.f_end = f_new
         cross = step & ~captured & ((act.fy - act.c) * (f_new - act.c) <= 0.0)
         code[cross] = TERMS.index("land")
         outside = step & ~cross & ~Z.inside_box(y_new)
@@ -422,19 +451,11 @@ def integrate_ensemble(
             act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
             code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
         code[captured] = TERMS.index("converged")
-        # the next step is at most max_step long in space, h * |grad| at its start
+        # the next step is at most max_step long in space, h * |grad| at its start;
+        # a crossing member keeps the h of its crossing step for the landing
         cap_h = np.divide(max_step, gn_new, out=np.full_like(gn_new, np.inf), where=gn_new > 0)
-        h_next = np.minimum(cap_h, h * np.minimum(5.0, np.maximum(0.2, SAFETY * (err + 1e-300) ** -0.2)))
-        act.h = np.where(step, h_next, np.where(cross, h, h_retry))
-
-        if code.any():
-            for k in np.unique(code[code > 0]):
-                ended = act.select(code == k)
-                if TERMS[k] == "land":
-                    crossings.append(ended)
-                else:
-                    finish(ended, TERMS[k])
-            act = act.select(code == 0)
+        h_next = np.minimum(cap_h, h * np.minimum(5.0, np.maximum(0.2, factor)))
+        act.h = np.where(step, h_next, np.where(failed | rejected, h_retry, h))
 
     if crossings:
         _land(fld, _Members.concat(crossings), finish, keep_samples)

@@ -86,6 +86,13 @@ class SingularSpace:
         spans = np.array([hi - lo for lo, hi in self.box])
         return float(np.linalg.norm(spans))
 
+    @cached_property
+    def _box_bounds(self) -> np.ndarray:
+        """The box as a read-only (2, n) array: its lower bounds, then its upper bounds."""
+        bounds = np.array(self.box).T
+        bounds.setflags(write=False)
+        return bounds
+
     # -- membership ----------------------------------------------------
 
     def residual(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
@@ -105,7 +112,7 @@ class SingularSpace:
         x is one point, giving a bool, or an (N, n) block, giving one flag per row.
         """
         x = _points(x, self.ambient_dim)
-        lo, hi = np.array(self.box).T
+        lo, hi = self._box_bounds
         inside = ((x >= lo) & (x <= hi)).all(axis=-1)
         return bool(inside) if x.ndim == 1 else inside
 

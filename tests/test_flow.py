@@ -379,6 +379,63 @@ def test_ensemble_member_is_bit_identical_to_integrate(name, quartic, cone, plan
     assert "reach_level" in ends[5.0] and "arc_budget" in ends[0.01]
 
 
+def ending_case(name, quartic, cone, planes_lift):
+    """(f, Z, points, stops, max_steps) for 14 points, each flowing down and up, with no level and to one 0.2 away.
+
+    With MAX_STEPS at max_steps, the 56 members end reach_level, converged,
+    left_box, arc_budget and step_limit, at many different iterations.
+    """
+    if name == "quartic":
+        f, Z = quartic
+        points = np.linspace(-1.3, 1.3, 14)[:, None]
+        return f, Z, points, [Converged(1e-3), ArcBudget(0.8)], 50
+    if name == "cone":  # the members on the line x = z, y = 0 are captured at the vertex
+        f, Z = cone
+        r = np.linspace(0.2, 1.4, 7)
+        points = np.array([[v, 0.0, v] for v in r] + [Z.retract([v, 0.3 * v, 1.1 * v]) for v in r])
+        return f, Z, points, [Converged(1e-8), ArcBudget(3.0), Capture((0.0, 0.0, 0.0), 1e-2)], 40
+    f, Z = planes_lift
+    r = np.linspace(0.05, 1.5, 7)
+    points = np.array([[v, 0.0, 0.0] for v in r] + [[0.0, -v, 0.0] for v in r])
+    return f, Z, points, [Converged(1e-8), ArcBudget(1.2)], 65
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift"])
+def test_members_ending_at_different_iterations_each_match_integrate(name, quartic, cone, planes_lift,
+                                                                     monkeypatch):
+    f, Z, points, stops, max_steps = ending_case(name, quartic, cone, planes_lift)
+    monkeypatch.setattr(flow, "MAX_STEPS", max_steps)
+    starts = np.repeat(points, 4, axis=0)
+    directions = ["descend", "descend", "ascend", "ascend"] * len(points)
+    levels = [lv for v in f.evaluate(points) for lv in (None, v - 0.2, None, v + 0.2)]
+    record = np.arange(len(starts)) % 5 == 0
+    flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record)
+    attempts = {}
+    for x0, direction, level, recorded, traj in zip(starts, directions, levels, record, flows):
+        one = integrate(f, Z, x0, direction, stops + ([] if level is None else [ReachLevel(level)]))
+        assert traj.termination == one.termination
+        assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
+        kept = slice(None) if recorded else [0, -1] if one.n_accepted else [0]
+        for column in ("t", "y", "f", "grad_norm", "arc"):
+            assert np.array_equal(getattr(traj, column), getattr(one, column)[kept])
+        attempts.setdefault(traj.termination, set()).add(traj.n_accepted + traj.n_rejected)
+    for term in ("reach_level", "converged", "left_box", "arc_budget", "step_limit"):
+        assert term in attempts
+    assert attempts["step_limit"] == {max_steps}
+    assert len(set().union(*attempts.values())) >= 10
+
+    # the same members in another order end the same, bit for bit
+    order = np.random.default_rng(7).permutation(len(starts))
+    shuffled = integrate_ensemble(f, Z, starts[order], [directions[i] for i in order],
+                                  [levels[i] for i in order], stops, record[order])
+    for i, traj in zip(order, shuffled):
+        assert (traj.termination, traj.n_accepted, traj.n_rejected) == \
+            (flows[i].termination, flows[i].n_accepted, flows[i].n_rejected)
+        for column in ("t", "y", "f", "grad_norm", "arc"):
+            assert np.array_equal(getattr(traj, column), getattr(flows[i], column))
+
+
 class TestCapture:
     ORIGIN = (0.0, 0.0, 0.0)
 

@@ -164,6 +164,9 @@ def spec_from_mapping(data) -> ProblemSpec:
     for i, pair in enumerate(box):
         if not _is_interval(pair):
             raise ValidationError(f"field 'box[{i}]' must be two finite numbers lo < hi, got {pair!r}")
+    # finite bounds can still span more than the largest float, and the grid and box diameter with them
+    if not math.isfinite(math.hypot(*(float(hi) - float(lo) for lo, hi in box))):
+        raise ValidationError("field 'box' must have a finite diameter, but its spans overflow a float")
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):

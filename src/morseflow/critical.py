@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import ArcBudget, Capture, Converged, integrate_ensemble
-from .polynomial import Polynomial, PolynomialSystem, gradient
+from .polynomial import Polynomial, PolynomialSystem, gradient, jacobian
 from .sampling import _dedupe, ring_probes, substream
 from .space import SingularSpace, line_search, min_norm_steps, norms, row_norms
 
@@ -176,21 +176,25 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     ratios (their Jacobian of 4x^3 is 12x^2 + 4h^2, so below |x| ~ h each
     step shrinks to about x^3 / h^2), and without jac it is off.
 
-    The rows step in a pool of at most REFINE_POOL, which bounds every
-    working array.  Each iteration tops the pool up from the unstarted
-    distinct rows, in the order of their sorted bits, takes one Jacobian
-    and one least-squares solve over the whole pool, then line-searches the
-    phase-one rows (:func:`space.line_search`, whose first trial length is
-    the step's scale, capped at max_step_len; a row whose step is exactly
-    zero cannot descend and fails without a search) and tests the scaled
-    step of the polishing ones, then their plain step if the scaled one is
-    refused; a row leaves the pool the moment it is done.
+    Each distinct row's residual is taken once, in blocks of REFINE_POOL
+    rows; the rows still to step wait in one queue, in sorted-bit order.
+    Each iteration steps the pool, the queue's first REFINE_POOL rows,
+    which bounds every working array: one Jacobian and one least-squares
+    solve over the pool, then a line search of the phase-one rows
+    (:func:`space.line_search`, whose first trial length is the step's
+    scale, capped at max_step_len; a row whose step is exactly zero cannot
+    descend and fails without a search) and a test of the polishing ones'
+    scaled step, then of their plain step if the scaled one is refused.  A
+    row leaves the queue once done; the rest of the pool returns to its front.
     """
     X0 = np.array(X0, dtype=float)
     first, copy = _distinct_rows(X0)
     X = X0[first]
     N = len(X)
-    R, rn, ok = None, np.zeros(N), np.zeros(N, dtype=bool)
+    # an empty X still makes one (empty) residual call, so R has its width
+    R = np.concatenate([resid(X[i:i + REFINE_POOL]) for i in range(0, max(N, 1), REFINE_POOL)])
+    rn = norms(R)
+    ok = np.isfinite(rn)
     # per row: steps taken in its phase, steps that kept over half the residual, in phase two
     used, stall, polish = np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
     # per row: the length of its last undamped step, and that length's ratio to the one before
@@ -216,20 +220,9 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
         rn_new = norms(r_new)
         return xn, r_new, rn_new, np.isfinite(rn_new) & (rn_new <= np.maximum(rn_old, tol))
 
-    pool, queued = np.zeros(0, dtype=int), 0
-    while True:
-        # no rows still make one (empty) residual call, so R has its width
-        while R is None or (queued < N and len(pool) < REFINE_POOL):
-            new = np.arange(queued, min(N, queued + REFINE_POOL - len(pool)))
-            queued += len(new)
-            r = resid(X[new])
-            if R is None:
-                R = np.zeros((N, r.shape[1]))
-            R[new], rn[new] = r, norms(r)
-            ok[new] = np.isfinite(rn[new])
-            pool = np.concatenate([pool, settle(new)])
-        if not pool.size:
-            return X[copy], R[copy], ok[copy]
+    live = settle(np.arange(N))
+    while live.size:
+        pool = live[:REFINE_POOL]
         x = X[pool]
         step = _lstsq_steps(jac(x) if jac else _central_differences(resid, x), -R[pool])
         moving = np.isfinite(step).all(axis=1)
@@ -275,7 +268,8 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
             X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
             moving[two[kept]] = norms(s2) >= 1e-14 * (1.0 + norms(xn))
         used[pool] += 1
-        pool = settle(pool[moving])
+        live = np.concatenate([settle(pool[moving]), live[REFINE_POOL:]])
+    return X[copy], R[copy], ok[copy]
 
 
 def _smooth_residual(f: Polynomial, Z: SingularSpace):
@@ -291,11 +285,8 @@ def _smooth_residual(f: Polynomial, Z: SingularSpace):
 
 def _singular_system(Z: SingularSpace) -> PolynomialSystem:
     # roots of this system are the points where every constraint gradient vanishes
-    entries = list(Z.constraints.components)
-    for comp in Z.constraints.components:
-        for var in Z.constraints.variables:
-            entries.append(comp.derivative(var))
-    return PolynomialSystem(Z.constraints.variables, entries)
+    g = Z.constraints
+    return PolynomialSystem(g.variables, (*g, *[d for row in jacobian(g) for d in row]))
 
 
 def _constant_entry(system: PolynomialSystem) -> Optional[int]:

@@ -1,12 +1,13 @@
-"""Print the sha256 of the twelve all-stage reports, one ``name-seed sha256`` line each.
+"""Print the sha256 of the sixteen all-stage reports, one ``name-seed sha256`` line each.
 
 The reports are those of the built-in saddle, quartic, planes and cone
-(``morseflow bench <name>``) and of ``tests/problems/cone-lift.json`` and
-``tests/problems/planes-lift.json`` (``morseflow run --problem``), at seeds
-0 and 1.  Each runs in a fresh interpreter, and the hash is taken over
-exactly the bytes the command prints, so a refactor that must keep every
-report can compare this output before and after, and two runs under
-different ``PYTHONHASHSEED`` values must print the same lines.
+(``morseflow bench <name>``) and of the lifted problems
+``tests/problems/cone-lift.json``, ``planes-lift.json``, ``cone-graph.json``
+and ``saddle-graph.json`` (``morseflow run --problem``), at seeds 0 and 1.
+Each runs in a fresh interpreter, and the hash is taken over exactly the
+bytes the command prints, so a refactor that must keep every report can
+compare this output before and after, and two runs under different
+``PYTHONHASHSEED`` values must print the same lines.
 
 Run ``python3 tests/report_hashes.py``.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAIN = "import sys; from morseflow.cli import main; sys.exit(main(sys.argv[1:]))"
 BUILTINS = ("saddle", "quartic", "planes", "cone")
-PROBLEM_FILES = ("cone-lift", "planes-lift")
+PROBLEM_FILES = ("cone-lift", "planes-lift", "cone-graph", "saddle-graph")
 
 
 def commands(seed: int):

@@ -432,6 +432,20 @@ class TestToleranceValidation:
             load_problem(path)
         assert main(["run", "--problem", str(path)]) == 3
 
+    @pytest.mark.parametrize("doc", [
+        # hi - lo overflows, so every grid seed but 1e308 was NaN or inf,
+        # and the run found no critical point and passed cond1 and cond4
+        {"variables": ["x"], "objective": "x^4", "box": [[-1e308, 1e308]]},
+        # each span is finite, but the box diameter is not
+        {"variables": ["x", "y"], "objective": "x^2 - y^2", "box": [[0, 1.5e308], [0, 1.5e308]]},
+    ], ids=["span", "diameter"])
+    def test_overflowing_box_diameter_is_a_usage_error(self, tmp_path, capsys, doc):
+        with pytest.raises(ValidationError, match="'box' must have a finite diameter"):
+            spec_from_mapping({**BUILTIN["saddle"], **doc})
+        path = write_problem(tmp_path, **doc)
+        assert main(["run", "--problem", str(path)]) == 3
+        assert "'box'" in capsys.readouterr().err
+
     def test_float_and_integer_box_bounds_load(self):
         spec = spec_from_mapping({**BUILTIN["saddle"], "box": [[-2, 2.5], (-1.5, 2)]})
         assert spec.box == ((-2.0, 2.5), (-1.5, 2.0))
@@ -465,31 +479,37 @@ class TestUnsettledCriticalPoints:
         assert report.corollary_verdict != "pass"
         assert rc == 2
 
-    def test_lifted_planes_match_planes(self):
-        # pinning a new variable by a linear constraint changes no
-        # critical value, kind or verdict
-        flat = run_experiment(builtin_problem("planes"))
-        lifted = run_experiment(load_problem(PROBLEMS / "planes-lift.json"))
-        assert [cp["kind"] for cp in lifted.critical_points] == \
-            [cp["kind"] for cp in flat.critical_points]
+    @staticmethod
+    def _lift_kinds(builtin, lift):
+        """The kinds of the lifted problem, once its values, verdicts and corollary match the built-in's."""
+        flat = run_experiment(builtin_problem(builtin))
+        lifted = run_experiment(load_problem(PROBLEMS / f"{lift}.json"))
+        kinds = [cp["kind"] for cp in lifted.critical_points]
+        assert kinds == [cp["kind"] for cp in flat.critical_points]
         assert [cp["value"] for cp in lifted.critical_points] == \
             pytest.approx([cp["value"] for cp in flat.critical_points], abs=1e-8)
         assert lifted.verdicts() == flat.verdicts()
         assert lifted.corollary_verdict == flat.corollary_verdict == "pass"
         assert lifted.stage_errors == flat.stage_errors == {}
+        return kinds
+
+    def test_lifted_planes_match_planes(self):
+        # pinning a new variable by a linear constraint changes no
+        # critical value, kind or verdict
+        self._lift_kinds("planes", "planes-lift")
 
     def test_lifted_cone_matches_cone(self):
         # the same lift on a singular Z: the vertex, now on a stratum of
         # two constraints, keeps its value, its kind and every verdict
-        flat = run_experiment(builtin_problem("cone"))
-        lifted = run_experiment(load_problem(PROBLEMS / "cone-lift.json"))
-        assert [cp["kind"] for cp in lifted.critical_points] == \
-            [cp["kind"] for cp in flat.critical_points] == ["saddle"]
-        assert [cp["value"] for cp in lifted.critical_points] == \
-            pytest.approx([cp["value"] for cp in flat.critical_points], abs=1e-8)
-        assert lifted.verdicts() == flat.verdicts()
-        assert lifted.corollary_verdict == flat.corollary_verdict == "pass"
-        assert lifted.stage_errors == flat.stage_errors == {}
+        assert self._lift_kinds("cone", "cone-lift") == ["saddle"]
+
+    def test_graph_lifted_cone_matches_cone(self):
+        # Z with two non-linear rows: the cone on the graph w = x*y
+        assert self._lift_kinds("cone", "cone-graph") == ["saddle"]
+
+    def test_graph_lifted_saddle_matches_saddle(self):
+        # the graph w = x^2 + y^2 changes the flow's metric, but no critical point
+        assert self._lift_kinds("saddle", "saddle-graph") == ["saddle"]
 
     def test_classify_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli

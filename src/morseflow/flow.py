@@ -9,28 +9,28 @@ in the ambient space and only its result is retracted onto Z, to
 Numerical Integration*, IV.4.  The stages are not retracted.
 
 One integrator steps an ensemble: :func:`integrate_ensemble` advances N flows
-together as the rows of an ``(N, n)`` array, each with its own direction,
-level target, step size, time, arc length and counters.  Every
-stage evaluates and projects the field at all live rows in one batched call,
-and one more call retracts the endpoints.  Stepping uses the Cash-Karp embedded
-Runge-Kutta 4(5) pair with standard proportional step control, applied to each
-row on its own, and a cap on each step's length in space (not its duration,
-which grows where the gradient is small): a row whose error test or endpoint
-retraction fails retries
-with a smaller step while the others move on.  A member terminates on the
-first stop criterion that fires for it; a time and an arc-length budget are
-always active so every member terminates.  A member that ends keeps its row,
-marked with its termination and its state frozen, and costs no more field
-work: the field is evaluated and retracted at the live rows only, gathered
-by one index array.  Once at least half the rows have ended, the ended
-members are finished in one batch and the state is compacted to the live
-rows.  A :class:`Capture` ends a member at its point when a step runs into
-it, before any crossing test.  Level crossings are queued at the
-compactions, and are landed afterwards (to ``level_tol`` in f) by one
-batched regula falsi over each crossing step's length, each trial point a
+together as the rows of an ``(N, n)`` array, each with its own direction, level
+target, step size, time, arc length and counters.  Every stage evaluates and
+projects the field at all live rows in one batched call, and one more call
+retracts the endpoints.  Stepping uses the Cash-Karp embedded Runge-Kutta 4(5)
+pair with proportional step control, applied to each row on its own, whose
+safety factor drops from 0.9 to 0.8 once the row's error test has failed
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.4), and a cap on each step's
+length in space (not its duration, which grows where the gradient is small): a
+row whose error test or endpoint retraction fails retries with a smaller step
+while the others move on.  A member terminates on the first stop criterion that
+fires for it; a time and an arc-length budget are always active so every member
+terminates.  A member that ends keeps its row, marked with its termination and
+its state frozen, and costs no more field work: the field is evaluated and
+retracted at the live rows only, gathered by one index array.  Once at least
+half the rows have ended, the ended members are finished in one batch and the
+state is compacted to the live rows.  A :class:`Capture` ends a member at its
+point when a step runs into it, before any crossing test.  Level crossings are
+queued at the compactions, and are landed afterwards (to ``level_tol`` in f) by
+one batched regula falsi over each crossing step's length, each trial point a
 retracted step endpoint; a crossing that no trial point lands ends with
-``landing_failed``.  Rows never interact, so a member's trajectory is the
-same bit for bit in any ensemble.
+``landing_failed``.  Rows never interact, so a member's trajectory is the same
+bit for bit in any ensemble.
 
 :func:`integrate` is the ensemble of one, with every sample kept.  In a larger
 ensemble only the members marked in ``record`` keep every accepted sample;
@@ -112,6 +112,9 @@ INCONCLUSIVE_TERMINATIONS = frozenset(
 ATOL = 1e-9
 RTOL = 1e-9
 SAFETY = 0.9
+# once its error test has failed, a member grows its steps by this in place of SAFETY:
+# where the error outgrows the h^5 model (x' = 4x^3), 0.9 fails about every second step
+SAFETY_AFTER_REJECTION = 0.8
 # every flow stops at TIME_BUDGET in time, and at ARC_BUDGET in arc length
 # unless an ArcBudget sets its own
 TIME_BUDGET = 1e6
@@ -218,14 +221,15 @@ class _Members:
     target (NaN when it has none, so every crossing test on it is false);
     ``f_end`` is f at the endpoint of the step being attempted; ``g`` stays
     the field at the step's start until the step is accepted, so a crossing
-    member's first stage is ``sign * g``.  A member that ends keeps its row,
-    with every field frozen (a crossing's ``h`` and ``f_end`` are those of
-    its crossing step), until :meth:`select` compacts the state to the live
-    rows.
+    member's first stage is ``sign * g``; ``was_rejected`` is set once its
+    error test fails, and its steps then grow by SAFETY_AFTER_REJECTION.  A
+    member that ends keeps its row, with every field frozen (a crossing's
+    ``h`` and ``f_end`` are those of its crossing step), until :meth:`select`
+    compacts the state to the live rows.
     """
 
     FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "h", "t", "arc",
-              "conv_run", "n_accepted", "n_rejected")
+              "conv_run", "n_accepted", "n_rejected", "was_rejected")
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -344,7 +348,7 @@ def integrate_ensemble(
     # the state keeps copies: finish reads the start samples from Y, fy and gn
     act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y.copy(), fy=fy.copy(),
                    f_end=fy.copy(), g=g, gn=gn.copy(), h=np.full(N, max_step / 64.0), t=np.zeros(N),
-                   arc=np.zeros(N),
+                   arc=np.zeros(N), was_rejected=np.zeros(N, dtype=bool),
                    **{name: np.zeros(N, dtype=int) for name in ("conv_run", "n_accepted", "n_rejected")})
     history = {int(i): [(0.0, Y[i].copy(), fy[i], gn[i], 0.0)] for i in np.flatnonzero(record)}
     out: list[FlowTrajectory | None] = [None] * N
@@ -412,9 +416,11 @@ def integrate_ensemble(
 
         failed = live & ~ok
         rejected = ok & ~(err <= 1.0)  # a NaN error is a rejection
-        # the proportional step factor SAFETY * err ** -0.2; the 1e-300 guards err = 0
-        # and leaves a rejected row's err (> 1 or NaN) as it is
-        factor = SAFETY * (err + 1e-300) ** -0.2
+        # the proportional step factor SAFETY * err ** -0.2, with SAFETY_AFTER_REJECTION for the
+        # growth of a member whose error test failed before (a retry keeps SAFETY); the 1e-300
+        # guards err = 0 and leaves a rejected row's err (> 1 or NaN) as it is
+        factor = np.where(act.was_rejected & ~rejected, SAFETY_AFTER_REJECTION, SAFETY) * (err + 1e-300) ** -0.2
+        act.was_rejected |= rejected
         h_retry = np.where(rejected, h * np.fmax(0.1, factor), 0.5 * h)  # NaN: 0.1
         code[failed & (h_retry < min_step)] = TERMS.index("retraction_failed")
         code[rejected & (h_retry < min_step)] = TERMS.index("step_underflow")

@@ -215,6 +215,8 @@ def check_condition2(
         "n_converged": 0,
         "n_inconclusive": 0,
         "n_violations": 0,
+        "n_accepted_steps": 0,
+        "n_rejected_steps": 0,
         "terminations": {},
     }
     if not samples:
@@ -234,6 +236,8 @@ def check_condition2(
         if collect is not None:
             collect(f"cond2/{traj.direction}/{term}", traj)
         witnesses["terminations"][term] = witnesses["terminations"].get(term, 0) + 1
+        witnesses["n_accepted_steps"] += traj.n_accepted
+        witnesses["n_rejected_steps"] += traj.n_rejected
         if term == "reach_level":
             witnesses["n_reach"] += 1
         elif term == "converged":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import blocked_refine
-from morseflow import critical, space
+from morseflow import critical, flow, space
 from morseflow.cli import (
     BUILTIN,
     builtin_problem,
@@ -614,6 +614,18 @@ class TestLiftedSearch:
         assert "/46656 seeds (216 distinct starts) refined" in smooth
         # the pool starts from every distinct start at once
         assert calls[0] == 216
+
+
+def test_steep_saddle_is_classified_within_a_few_thousand_steps(monkeypatch):
+    # the up-flow witness of 6(x^2 - y^2) settles near y = 1e-9, where the
+    # error test's ATOL floor holds |grad f| near Converged's 1e-8; growing by
+    # SAFETY after each rejection kept it from converging in 5,000 attempts
+    # (614 of them rejected), and SAFETY_AFTER_REJECTION converges in 38
+    doc = {**BUILTIN["saddle"], "name": "steep-saddle", "objective": "6*x^2 - 6*y^2"}
+    f, Z = problem_objects(spec_from_mapping(doc))
+    monkeypatch.setattr(flow, "MAX_STEPS", 5_000)
+    cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0)
+    assert classify(f, Z, cp) == "saddle"
 
 
 # f = y on the line {x^2 = 0}: the search finds points on the box faces y = -1 and y = 1

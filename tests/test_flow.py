@@ -583,12 +583,53 @@ def test_step_limit_ends_each_member_on_its_own_count(saddle, monkeypatch):
 
 def test_step_limit_counts_rejected_attempts(monkeypatch):
     # the saddle above rejects no step; the quartic ascent from 0.034 rejects
-    # 27 of its first 60 attempts, and the cap counts those too
+    # 1 of its first 60 attempts, and the cap counts it too
     f, Z = named_problem("quartic")
     monkeypatch.setattr(flow, "MAX_STEPS", 60)
     flows = integrate_ensemble(f, Z, [[0.034], [0.5]], "ascend", levels=1.0)
     assert [t.termination for t in flows] == ["step_limit", "reach_level"]
-    assert [(t.n_accepted, t.n_rejected) for t in flows] == [(33, 27), (17, 0)]
+    assert [(t.n_accepted, t.n_rejected) for t in flows] == [(59, 1), (17, 0)]
+    assert flows[0].n_rejected > 0
+
+
+# -- step growth after a rejection: SAFETY_AFTER_REJECTION ---------------
+
+
+def quartic_ascent():
+    f, Z = named_problem("quartic")
+    return integrate(f, Z, [0.034], "ascend", [ReachLevel(1.0)])
+
+
+def test_quartic_ascent_stops_cycling_between_accepted_and_rejected_steps():
+    # along x' = 4x^3 the error grows faster than the h^5 model, so growing
+    # by SAFETY = 0.9 after a rejection failed about every second step
+    # (70 accepted and 46 rejected); the smaller growth factor fails once
+    traj = quartic_ascent()
+    assert traj.termination == "reach_level"
+    assert traj.n_rejected <= 5
+    assert traj.n_accepted + traj.n_rejected <= 80
+
+
+def test_after_rejection_growth_leaves_rejection_free_flows_bit_for_bit(monkeypatch):
+    # a member that never fails its error test steps by SAFETY alone, so
+    # giving the after-rejection rule the same factor changes none of its
+    # bits; the quartic ascent, which fails once, then cycles as before
+    f, Z = named_problem("saddle")
+    X, directions, levels = band_starts(f, Z, 24)
+    flows = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
+    ascent = quartic_ascent()
+    assert not any(t.n_rejected for t in flows)
+    monkeypatch.setattr(flow, "SAFETY_AFTER_REJECTION", flow.SAFETY)
+    same = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
+    for traj, other in zip(flows, same):
+        assert traj.termination == other.termination
+        assert (traj.n_accepted, traj.n_rejected) == (other.n_accepted, other.n_rejected)
+        for a, b in zip((traj.t, traj.y, traj.f, traj.grad_norm, traj.arc),
+                        (other.t, other.y, other.f, other.grad_norm, other.arc)):
+            assert a.tobytes() == b.tobytes()
+    cycling = quartic_ascent()
+    assert (cycling.n_accepted, cycling.n_rejected) == (70, 46)
+    assert cycling.y.tobytes() != ascent.y.tobytes()
 
 
 @pytest.mark.parametrize("x0", [0.1, 0.003, -0.05])

@@ -243,6 +243,26 @@ class TestCondition2:
         assert sum(t.n_accepted for t in flows) <= 20_000
         assert max(t.n_accepted + t.n_rejected for t in flows) <= 150
 
+    def test_quartic_band_rejects_few_steps_and_reports_its_step_counts(self, quartic, monkeypatch):
+        # a member grows its steps by SAFETY_AFTER_REJECTION once its error
+        # test has failed, so the ascents no longer cycle between accepted and
+        # rejected steps (1,386 rejections and 117 attempts by SAFETY alone)
+        f, Z = quartic
+        ensembles = []
+        real = levelmap.integrate_ensemble
+
+        def spy(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        (flows,) = ensembles
+        w = report.witnesses
+        assert w["n_accepted_steps"] == sum(t.n_accepted for t in flows)
+        assert w["n_rejected_steps"] == sum(t.n_rejected for t in flows) <= 200
+        assert max(t.n_accepted + t.n_rejected for t in flows) <= 80
+
 
 class TestCondition4:
     def test_saddle_modulus_shrinks(self, saddle, monkeypatch):

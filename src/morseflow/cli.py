@@ -394,6 +394,8 @@ def _run_cond2(run: _Run) -> dict:
 
 def _run_cond4(run: _Run) -> dict:
     cps = run.cps
+    if not cps:
+        return _skipped(4, check_condition1(cps).witnesses["reason"])
     targets = [(i, cp) for i, cp in enumerate(cps) if cp.kind in ("saddle", "maximum")]
     # a point of unknown kind may be a saddle whose landing check never ran
     unsettled = [i for i, cp in enumerate(cps) if cp.kind in ("unresolved", "degenerate")]

@@ -468,7 +468,8 @@ def _merged_values(values) -> tuple[list[float], float]:
 def check_condition1(cps) -> ConditionReport:
     """Isolated critical values: values merged within VALUE_MERGE_TOL must sit more than GAP_TOL apart.
 
-    Accepts CriticalPoint instances or bare values.
+    Accepts CriticalPoint instances or bare values.  No value at all is
+    inconclusive: an empty search does not show that f has no critical point.
     """
     values = [float(getattr(cp, "value", cp)) for cp in cps]
     centers, min_gap = _merged_values(values)
@@ -480,5 +481,7 @@ def check_condition1(cps) -> ConditionReport:
         "n_values": len(centers),
     }
     if not values:
-        witnesses["warning"] = "no critical points supplied; vacuously isolated"
+        verdict = "inconclusive"
+        witnesses["reason"] = ("no critical point was found; the search does not show "
+                               "that none exists")
     return ConditionReport(condition=1, verdict=verdict, witnesses=witnesses)

@@ -20,17 +20,16 @@ length in space (not its duration, which grows where the gradient is small): a
 row whose error test or endpoint retraction fails retries with a smaller step
 while the others move on.  A member terminates on the first stop criterion that
 fires for it; a time and an arc-length budget are always active so every member
-terminates.  A member that ends keeps its row, marked with its termination and
-its state frozen, and costs no more field work: the field is evaluated and
-retracted at the live rows only, gathered by one index array.  Once at least
-half the rows have ended, the ended members are finished in one batch and the
-state is compacted to the live rows.  A :class:`Capture` ends a member at its
-point when a step runs into it, before any crossing test.  Level crossings are
-queued at the compactions, and are landed afterwards (to ``level_tol`` in f) by
-one batched regula falsi over each crossing step's length, each trial point a
-retracted step endpoint; a crossing that no trial point lands ends with
-``landing_failed``.  Rows never interact, so a member's trajectory is the same
-bit for bit in any ensemble.
+terminates.  Row i of every state array is member i for the whole run: a
+member that ends keeps its row, marked with its termination and its state
+frozen, and costs no more field work, as the field is evaluated and retracted
+at the live rows only, gathered by one index array.  A :class:`Capture` ends a
+member at its point when a step runs into it, before any crossing test.  Once
+every member has ended, the level crossings are landed (to ``level_tol`` in f)
+by one batched regula falsi over each crossing step's length, each trial point
+a retracted step endpoint; a crossing that no trial point lands ends with
+``landing_failed``.  Then every trajectory is built.  Rows never interact, so a
+member's trajectory is the same bit for bit in any ensemble.
 
 :func:`integrate` is the ensemble of one, with every sample kept.  In a larger
 ensemble only the members marked in ``record`` keep every accepted sample;
@@ -214,38 +213,6 @@ class _Field:
         return y_new, np.sqrt(row_sums(((y5 - y4) / scale) ** 2) / Y0.shape[1]), ok
 
 
-class _Members:
-    """Stepping state of a set of ensemble members, one array row per member.
-
-    ``idx`` is the member's index in the ensemble; ``c`` is its ReachLevel
-    target (NaN when it has none, so every crossing test on it is false);
-    ``f_end`` is f at the endpoint of the step being attempted; ``g`` stays
-    the field at the step's start until the step is accepted, so a crossing
-    member's first stage is ``sign * g``; ``was_rejected`` is set once its
-    error test fails, and its steps then grow by SAFETY_AFTER_REJECTION.  A
-    member that ends keeps its row, with every field frozen (a crossing's
-    ``h`` and ``f_end`` are those of its crossing step), until :meth:`select`
-    compacts the state to the live rows.
-    """
-
-    FIELDS = ("idx", "sign", "c", "record", "y", "fy", "f_end", "g", "gn", "h", "t", "arc",
-              "conv_run", "n_accepted", "n_rejected", "was_rejected")
-
-    def __init__(self, **arrays):
-        self.__dict__.update(arrays)
-
-    def __len__(self) -> int:
-        return len(self.idx)
-
-    def select(self, rows) -> "_Members":
-        return _Members(**{name: getattr(self, name)[rows] for name in self.FIELDS})
-
-    @staticmethod
-    def concat(parts: list["_Members"]) -> "_Members":
-        return _Members(**{name: np.concatenate([getattr(p, name) for p in parts])
-                           for name in _Members.FIELDS})
-
-
 def _shared_stops(stops):
     """(Converged or None, arc budget, Capture or None) from the shared stop criteria."""
     conv = cap = None
@@ -295,6 +262,10 @@ def integrate_ensemble(
     shorter in time than 1e-12 * max_step ends the member.  Every
     step-control and stop rule applies to each member on its own, so member
     i ends exactly as ``integrate`` from ``X0[i]`` does, bit for bit.
+    Member i keeps row i of the state for the whole run.  Once every member
+    has ended, the crossing steps are landed by :func:`_land`, and a crossing
+    ends ``reach_level`` at its landing, ``left_box`` when the landing lies
+    outside the box, or ``landing_failed``.
 
     Members in ``record`` (one flag, or one per member) keep every accepted
     sample; the others keep their start and end samples only.  Invalid
@@ -345,149 +316,156 @@ def integrate_ensemble(
         i = wrong[0]
         raise ValueError(f"member {i}: target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
-    # the state keeps copies: finish reads the start samples from Y, fy and gn
-    act = _Members(idx=np.arange(N), sign=sign, c=c, record=record, y=Y.copy(), fy=fy.copy(),
-                   f_end=fy.copy(), g=g, gn=gn.copy(), h=np.full(N, max_step / 64.0), t=np.zeros(N),
-                   arc=np.zeros(N), was_rejected=np.zeros(N, dtype=bool),
-                   **{name: np.zeros(N, dtype=int) for name in ("conv_run", "n_accepted", "n_rejected")})
+    # The stepping state, one entry per member, never re-indexed: c is a
+    # member's ReachLevel target (NaN when it has none, so every crossing test
+    # on it is false); f_end is f at the endpoint of the step being attempted;
+    # g stays the field at the step's start until the step is accepted, so a
+    # crossing member's first stage is sign * g; was_rejected is set once its
+    # error test fails, and its steps then grow by SAFETY_AFTER_REJECTION.  A
+    # member that ends keeps its entries frozen until the ensemble ends (a
+    # crossing's h and f_end are those of its crossing step).  The start
+    # samples Y, f0 and gn0 are kept apart, as the landing writes into the state.
+    y, f0, gn0, f_end = Y.copy(), fy.copy(), gn.copy(), fy.copy()
+    h, t, arc = np.full(N, max_step / 64.0), np.zeros(N), np.zeros(N)
+    conv_run, n_accepted, n_rejected = (np.zeros(N, dtype=int) for _ in range(3))
+    was_rejected = np.zeros(N, dtype=bool)
     history = {int(i): [(0.0, Y[i].copy(), fy[i], gn[i], 0.0)] for i in np.flatnonzero(record)}
-    out: list[FlowTrajectory | None] = [None] * N
-    variables = tuple(f.variables)
 
-    def finish(done: _Members, term: str) -> None:
-        # each column's start and end samples of every member, stacked; an
-        # unrecorded member's columns are slices of these, of length 1 when it
-        # accepted no step
-        i0 = done.idx
-        zeros = np.zeros(len(done))
-        stacked = [np.stack(pair, axis=1) for pair in ((zeros, done.t), (Y[i0], done.y), (fy[i0], done.fy),
-                                                       (gn[i0], done.gn), (zeros, done.arc))]
-        for r, (i, n_acc, n_rej) in enumerate(zip(i0.tolist(), done.n_accepted.tolist(),
-                                                  done.n_rejected.tolist())):
-            if i in history:
-                columns = [np.array(col) for col in zip(*history.pop(i))]
-            else:
-                columns = [col[r, :2 if n_acc else 1] for col in stacked]
-            # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
-            out[i] = FlowTrajectory(directions[i], variables, *columns, term, n_acc, n_rej)
+    def keep_samples(rows: np.ndarray) -> None:
+        for i in rows:
+            history[int(i)].append((t[i], y[i].copy(), fy[i], gn[i], arc[i]))
 
-    def keep_samples(ms: _Members, rows: np.ndarray) -> None:
-        for r in rows:
-            history[int(ms.idx[r])].append((ms.t[r], ms.y[r].copy(), ms.fy[r], ms.gn[r], ms.arc[r]))
-
-    TERMS = ("", "land", "retraction_failed", "step_underflow", "left_box",
-             "converged", "arc_budget", "time_budget", "step_limit", "reach_level")
-    # a member's code is 0 while it steps; one that ends keeps its code, and
-    # its row keeps its frozen state, until the state is compacted
+    TERMS = ("", "land", "retraction_failed", "step_underflow", "left_box", "converged",
+             "arc_budget", "time_budget", "step_limit", "reach_level", "landing_failed")
+    # a member's code is 0 while it steps; one that ends keeps its code
     code = np.zeros(N, dtype=int)
     # immediate stops at the start point
     code[np.abs(fy - c) <= Z.level_tol] = TERMS.index("reach_level")
     if conv is not None:
         code[(code == 0) & (gn < conv.grad_tol)] = TERMS.index("converged")
-    crossings: list[_Members] = []
     attempts = 0  # every live member attempts one step per iteration
     while True:
         if attempts == MAX_STEPS:
             code[code == 0] = TERMS.index("step_limit")
         live = code == 0
-        n_live = np.count_nonzero(live)
-        if 2 * n_live <= len(act):
-            # at least half the rows have ended: finish them, queue the crossings, keep the rest
-            for k in np.unique(code[~live]):
-                ended = act.select(code == k)
-                if TERMS[k] == "land":
-                    crossings.append(ended)
-                else:
-                    finish(ended, TERMS[k])
-            if not n_live:
-                break
-            act, code, live = act.select(live), code[live], np.ones(n_live, dtype=bool)
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
         attempts += 1
         # the field is evaluated at the live rows only; an ended row keeps its values
-        rows = np.flatnonzero(live)
-        sign = act.sign[rows]
-        y_new, g_new, err, ok = act.y.copy(), act.g.copy(), np.zeros(len(act)), np.zeros(len(act), dtype=bool)
-        y_live, err[rows], ok[rows] = fld.advance(act.y[rows], sign[:, None] * act.g[rows], act.h[rows], sign)
+        s = sign[rows]
+        y_new, g_new, err, ok = y.copy(), g.copy(), np.zeros(N), np.zeros(N, dtype=bool)
+        y_live, err[rows], ok[rows] = fld.advance(y[rows], s[:, None] * g[rows], h[rows], s)
         y_new[rows] = y_live
         g_new[rows] = fld.projected_grad(y_live)
-        act.f_end[rows] = f.evaluate(y_live)
-        f_new = act.f_end
-        h = act.h
+        f_end[rows] = f.evaluate(y_live)
+        f_new = f_end
 
         failed = live & ~ok
         rejected = ok & ~(err <= 1.0)  # a NaN error is a rejection
         # the proportional step factor SAFETY * err ** -0.2, with SAFETY_AFTER_REJECTION for the
         # growth of a member whose error test failed before (a retry keeps SAFETY); the 1e-300
         # guards err = 0 and leaves a rejected row's err (> 1 or NaN) as it is
-        factor = np.where(act.was_rejected & ~rejected, SAFETY_AFTER_REJECTION, SAFETY) * (err + 1e-300) ** -0.2
-        act.was_rejected |= rejected
+        factor = np.where(was_rejected & ~rejected, SAFETY_AFTER_REJECTION, SAFETY) * (err + 1e-300) ** -0.2
+        was_rejected |= rejected
         h_retry = np.where(rejected, h * np.fmax(0.1, factor), 0.5 * h)  # NaN: 0.1
         code[failed & (h_retry < min_step)] = TERMS.index("retraction_failed")
         code[rejected & (h_retry < min_step)] = TERMS.index("step_underflow")
-        act.n_rejected += failed | rejected
+        n_rejected += failed | rejected
 
         step = ok & ~rejected
-        captured = np.zeros(len(act), dtype=bool)
+        captured = np.zeros(N, dtype=bool)
         if cap is not None:
             # the point of the chord [y, y_new] nearest p, then f(p) between the step's ends
-            d = y_new - act.y
-            u = np.clip(row_sums((p - act.y) * d) / np.maximum(row_sums(d * d), 1e-300), 0.0, 1.0)
-            near = row_sums((act.y + u[:, None] * d - p) ** 2) <= cap.radius**2
-            captured = step & near & ((act.fy - f_p) * (f_new - f_p) <= 0.0)
+            d = y_new - y
+            u = np.clip(row_sums((p - y) * d) / np.maximum(row_sums(d * d), 1e-300), 0.0, 1.0)
+            near = row_sums((y + u[:, None] * d - p) ** 2) <= cap.radius**2
+            captured = step & near & ((fy - f_p) * (f_new - f_p) <= 0.0)
             y_new[captured], f_new[captured], g_new[captured] = p, f_p, g_p
-        cross = step & ~captured & ((act.fy - act.c) * (f_new - act.c) <= 0.0)
+        cross = step & ~captured & ((fy - c) * (f_new - c) <= 0.0)
         code[cross] = TERMS.index("land")
         outside = step & ~cross & ~Z.inside_box(y_new)
         code[outside] = TERMS.index("left_box")
         step &= ~cross & ~outside
 
         gn_new = norms(g_new)
-        act.t = np.where(step, act.t + h, act.t)
-        act.arc = np.where(step, act.arc + h * 0.5 * (act.gn + gn_new), act.arc)
-        act.y = np.where(step[:, None], y_new, act.y)
-        act.g = np.where(step[:, None], g_new, act.g)
-        act.fy = np.where(step, f_new, act.fy)
-        act.gn = np.where(step, gn_new, act.gn)
-        act.n_accepted += step
-        keep_samples(act, np.flatnonzero(step & act.record))
+        t = np.where(step, t + h, t)
+        arc = np.where(step, arc + h * 0.5 * (gn + gn_new), arc)
+        y = np.where(step[:, None], y_new, y)
+        g = np.where(step[:, None], g_new, g)
+        fy = np.where(step, f_new, fy)
+        gn = np.where(step, gn_new, gn)
+        n_accepted += step
+        keep_samples(np.flatnonzero(step & record))
         # the first stop that fires wins: set the others first
-        code[step & (act.t >= TIME_BUDGET)] = TERMS.index("time_budget")
-        code[step & (act.arc >= arc_budget)] = TERMS.index("arc_budget")
+        code[step & (t >= TIME_BUDGET)] = TERMS.index("time_budget")
+        code[step & (arc >= arc_budget)] = TERMS.index("arc_budget")
         if conv is not None:
-            act.conv_run = np.where(step, np.where(gn_new < conv.grad_tol, act.conv_run + 1, 0), act.conv_run)
-            code[step & (act.conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
+            conv_run = np.where(step, np.where(gn_new < conv.grad_tol, conv_run + 1, 0), conv_run)
+            code[step & (conv_run >= CONV_CONSECUTIVE)] = TERMS.index("converged")
         code[captured] = TERMS.index("converged")
         # the next step is at most max_step long in space, h * |grad| at its start;
         # a crossing member keeps the h of its crossing step for the landing
         cap_h = np.divide(max_step, gn_new, out=np.full_like(gn_new, np.inf), where=gn_new > 0)
         h_next = np.minimum(cap_h, h * np.minimum(5.0, np.maximum(0.2, factor)))
-        act.h = np.where(step, h_next, np.where(failed | rejected, h_retry, h))
+        h = np.where(step, h_next, np.where(failed | rejected, h_retry, h))
 
-    if crossings:
-        _land(fld, _Members.concat(crossings), finish, keep_samples)
+    # every crossing ends landing_failed, left_box, or reach_level with its landing as a last sample
+    rows = np.flatnonzero(code == TERMS.index("land"))
+    if rows.size:
+        landed, y_land, h_land, f_land = _land(fld, y[rows], g[rows], sign[rows], c[rows], h[rows],
+                                               fy[rows], f_end[rows])
+        inside = Z.inside_box(y_land)
+        code[rows] = np.where(landed, np.where(inside, TERMS.index("reach_level"), TERMS.index("left_box")),
+                              TERMS.index("landing_failed"))
+        hit = landed & inside
+        rows, y_land, h_land, f_land = rows[hit], y_land[hit], h_land[hit], f_land[hit]
+        gn_land = norms(fld.projected_grad(y_land))
+        arc[rows] += h_land * 0.5 * (gn[rows] + gn_land)
+        t[rows] += h_land
+        y[rows], fy[rows], gn[rows] = y_land, f_land, gn_land
+        n_accepted[rows] += 1
+        keep_samples(rows[record[rows]])
+
+    # each column's start and end samples of every member, stacked; an
+    # unrecorded member's columns are slices of these, of length 1 when it
+    # accepted no step
+    zeros, variables = np.zeros(N), tuple(f.variables)
+    stacked = [np.stack(pair, axis=1) for pair in ((zeros, t), (Y, y), (f0, fy), (gn0, gn), (zeros, arc))]
+    out = []
+    for i, (k, n_acc, n_rej) in enumerate(zip(code.tolist(), n_accepted.tolist(), n_rejected.tolist())):
+        if i in history:
+            columns = [np.array(col) for col in zip(*history[i])]
+        else:
+            columns = [col[i, :2 if n_acc else 1] for col in stacked]
+        # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
+        out.append(FlowTrajectory(directions[i], variables, *columns, TERMS[k], n_acc, n_rej))
     return out
 
 
-def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
-    """Land every crossing member on its level by regula falsi over its crossing step.
+def _land(fld: _Field, y, g, sign, c, h, f_start, f_end):
+    """Find where each crossing step meets its level, by regula falsi over the step's length.
 
-    Member i re-takes its crossing step with lengths in [0, h_i] chosen by
-    the Illinois regula falsi (Dowell & Jarratt, BIT 1971) on f - c_i, until
-    the endpoint has |f - c_i| <= level_tol.  f at the two ends of the step
-    is known from stepping.  A secant point that is not finite or not
-    strictly inside the bracket is replaced by the midpoint, and a failed
-    retraction moves the upper end down with f there unknown.  A member that
-    90 rounds do not land, or whose bracket holds no double strictly
-    inside, ends with ``landing_failed``.
+    Row i re-takes the step of length h[i] from y[i], whose first stage is
+    ``sign[i] * g[i]``, with lengths in [0, h[i]] chosen by the Illinois
+    regula falsi (Dowell & Jarratt, BIT 1971) on f - c[i], until the
+    endpoint has |f - c[i]| <= level_tol.  f at the two ends of the step,
+    f_start[i] and f_end[i], is known from stepping.  A secant point that is
+    not finite or not strictly inside the bracket is replaced by the
+    midpoint, and a failed retraction moves the upper end down with f there
+    unknown.  A row that 90 rounds do not land, or whose bracket holds no
+    double strictly inside, has not landed.  Returns ``(landed, y_land,
+    h_land, f_land)``: a mask of the rows that landed and, at those rows,
+    the landing point, the length of the step to it and f there.
     """
     Z = fld.Z
-    k = len(cr)
-    lo, hi = np.zeros(k), cr.h.copy()
-    f_lo, f_hi = cr.fy - cr.c, cr.f_end - cr.c
+    k = len(y)
+    lo, hi = np.zeros(k), h.copy()
+    f_lo, f_hi = f_start - c, f_end - c
     moved = np.zeros(k)  # the end that moved last: -1 lo, 1 hi, 0 neither
     searching = np.ones(k, dtype=bool)
     landed = np.zeros(k, dtype=bool)
-    y_land, h_land, f_land = np.zeros_like(cr.y), np.zeros(k), np.zeros(k)
+    y_land, h_land, f_land = np.zeros_like(y), np.zeros(k), np.zeros(k)
     for _ in range(90):
         s = np.flatnonzero(searching)
         if not s.size:
@@ -495,15 +473,15 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
         # f_lo is never 0 and f_hi is 0, NaN or of the other sign, so this divides by no 0
         m = lo[s] - f_lo[s] * (hi[s] - lo[s]) / (f_hi[s] - f_lo[s])
         m = np.where((lo[s] < m) & (m < hi[s]), m, 0.5 * (lo[s] + hi[s]))
-        y_m, _, ok = fld.advance(cr.y[s], cr.sign[s, None] * cr.g[s], m, cr.sign[s])
+        y_m, _, ok = fld.advance(y[s], sign[s, None] * g[s], m, sign[s])
         hi[s[~ok]], f_hi[s[~ok]], moved[s[~ok]] = m[~ok], np.nan, 0.0
         s, m, y_m = s[ok], m[ok], y_m[ok]
         f_m = fld.f.evaluate(y_m)
-        hit = np.abs(f_m - cr.c[s]) <= Z.level_tol
+        hit = np.abs(f_m - c[s]) <= Z.level_tol
         y_land[s[hit]], h_land[s[hit]], f_land[s[hit]] = y_m[hit], m[hit], f_m[hit]
         landed[s[hit]] = True
         searching[s[hit]] = False
-        s, m, d = s[~hit], m[~hit], f_m[~hit] - cr.c[s[~hit]]
+        s, m, d = s[~hit], m[~hit], f_m[~hit] - c[s[~hit]]
         low = (d > 0) == (f_lo[s] > 0)
         # Illinois: an end kept twice in a row has its f halved
         f_hi[s[low & (moved[s] < 0)]] *= 0.5
@@ -512,21 +490,7 @@ def _land(fld: _Field, cr: _Members, finish, keep_samples) -> None:
         hi[s[~low]], f_hi[s[~low]] = m[~low], d[~low]
         moved[s] = np.where(low, -1.0, 1.0)
         searching[s[np.nextafter(lo[s], hi[s]) >= hi[s]]] = False
-
-    finish(cr.select(~landed), "landing_failed")
-    cr = cr.select(landed)
-    y_land, h_land, f_land = y_land[landed], h_land[landed], f_land[landed]
-    inside = Z.inside_box(y_land)
-    finish(cr.select(~inside), "left_box")
-    cr, y_land, h_land, f_land = cr.select(inside), y_land[inside], h_land[inside], f_land[inside]
-    g_land = fld.projected_grad(y_land)
-    gn_land = norms(g_land)
-    cr.arc = cr.arc + h_land * 0.5 * (cr.gn + gn_land)
-    cr.t = cr.t + h_land
-    cr.y, cr.fy, cr.gn = y_land, f_land, gn_land
-    cr.n_accepted = cr.n_accepted + 1
-    keep_samples(cr, np.flatnonzero(cr.record))
-    finish(cr, "reach_level")
+    return landed, y_land, h_land, f_land
 
 
 def integrate(

@@ -479,6 +479,26 @@ class TestUnsettledCriticalPoints:
         assert report.corollary_verdict != "pass"
         assert rc == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"tolerances": {"band": [-0.8, 0.8], "cond4_eps": 0.01, "grid_density": 6}},
+        {"box": [[-2, 2], [-2.1, 2], [-2, 2.2], [-1, 1]]},
+        {"variables": ["x", "y", "z", "w", "v", "u"], "constraints": ["x^2 + y^2 - z^2", "w", "v", "u"],
+         "box": [[-2, 2], [-2, 2], [-2, 2], [-1, 1], [-1, 1], [-1, 1]]},
+    ], ids=["density-6", "shifted-box", "six-variables"])
+    def test_lifted_cone_whose_vertex_is_missed_is_not_a_vacuous_pass(self, tmp_path, edit):
+        # the critical search misses the vertex of these lifted cones; an empty
+        # search must not let conditions 1 and 4, or the corollary, pass
+        doc = {**json.loads((PROBLEMS / "cone-lift.json").read_text()), **edit}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--problem", str(path), "--out", str(tmp_path)]) == 2
+        report = load_report(tmp_path / "report.json")
+        assert report.critical_points == []
+        cond1, cond4 = report.condition_reports["cond1"], report.condition_reports["cond4"]
+        assert cond1["verdict"] == cond4["verdict"] == report.corollary_verdict == "inconclusive"
+        assert "no critical point was found" in cond1["witnesses"]["reason"]
+        assert cond4["witnesses"]["error"] == cond1["witnesses"]["reason"]
+
     @staticmethod
     def _lift_kinds(builtin, lift):
         """The kinds of the lifted problem, once its values, verdicts and corollary match the built-in's."""

@@ -144,6 +144,12 @@ class TestCondition1:
         assert report.verdict == "pass"
         assert report.witnesses["min_gap"] == float("inf")
 
+    def test_no_value_is_inconclusive(self):
+        # an empty search does not show that f has no critical point
+        report = check_condition1([])
+        assert report.verdict == "inconclusive"
+        assert "no critical point was found" in report.witnesses["reason"]
+
     def test_two_separated_values_pass(self, monkeypatch):
         monkeypatch.setattr(critical, "GAP_TOL", 0.1)
         report = check_condition1([0.0, 1.0])

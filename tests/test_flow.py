@@ -394,6 +394,11 @@ def ending_case(name, quartic, cone, planes_lift):
         r = np.linspace(0.2, 1.4, 7)
         points = np.array([[v, 0.0, v] for v in r] + [Z.retract([v, 0.3 * v, 1.1 * v]) for v in r])
         return f, Z, points, [Converged(1e-8), ArcBudget(3.0), Capture((0.0, 0.0, 0.0), 1e-2)], 40
+    if name == "long-tail":  # the stiff descent from (0.3, 0.03) steps on long after every other member ends
+        f = parse_polynomial("x^4 + 500*y^2", ["x", "y"])
+        Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-1.5, 1.5), (-1.5, 1.5)))
+        points = np.array([[v, 0.0] for v in np.linspace(-1.3, 1.3, 13)] + [[0.3, 0.03]])
+        return f, Z, points, [Converged(1e-3), ArcBudget(0.8)], 700
     f, Z = planes_lift
     r = np.linspace(0.05, 1.5, 7)
     points = np.array([[v, 0.0, 0.0] for v in r] + [[0.0, -v, 0.0] for v in r])
@@ -401,7 +406,7 @@ def ending_case(name, quartic, cone, planes_lift):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift"])
+@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift", "long-tail"])
 def test_members_ending_at_different_iterations_each_match_integrate(name, quartic, cone, planes_lift,
                                                                      monkeypatch):
     f, Z, points, stops, max_steps = ending_case(name, quartic, cone, planes_lift)
@@ -424,6 +429,10 @@ def test_members_ending_at_different_iterations_each_match_integrate(name, quart
         assert term in attempts
     assert attempts["step_limit"] == {max_steps}
     assert len(set().union(*attempts.values())) >= 10
+    if name == "long-tail":
+        # every other member, the crossings among them, ends 500 attempts before the stiff descent
+        longest, runner_up = sorted(t.n_accepted + t.n_rejected for t in flows)[:-3:-1]
+        assert longest == max_steps and longest - runner_up >= 500
 
     # the same members in another order end the same, bit for bit
     order = np.random.default_rng(7).permutation(len(starts))
@@ -730,8 +739,9 @@ def test_landing_lands_every_row_the_bisection_lands_in_few_rounds(name, monkeyp
     def counted_land(*args):
         rounds.append(0)
         landing[0] = True
-        land(*args)
+        result = land(*args)
         landing[0] = False
+        return result
 
     monkeypatch.setattr(_Field, "advance", counted_advance)
     monkeypatch.setattr(flow, "_land", counted_land)

@@ -15,8 +15,12 @@ import csv
 import json
 import logging
 import math
+import os
+import pickle
 import re
 import sys
+import threading
+import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,6 +37,7 @@ from .critical import (
 )
 from .flow import Converged, ReachLevel, integrate, trajectory_csv_text
 from .levelmap import COND2_CONV_TOL, check_condition2, check_condition4, unstable_slice
+from .levelmap import check_condition2 as _imported_check_condition2
 from .lojasiewicz import FitError, choose_epsilon, default_delta, estimate_fit
 from .polynomial import ParseError, Polynomial, PolynomialSystem, parse_polynomial
 from .space import RetractionError, SingularSpace
@@ -344,7 +349,9 @@ def _isolated(errors: dict, key: str, call):
 
 
 # Each stage runner reads the stage functions as module globals when it runs,
-# so that a tracer or a test can replace them on this module.
+# so that a tracer or a test can replace them on this module and see their
+# calls.  Calls made in a forked child are not seen, so cond2 runs beside
+# cond4 only while check_condition2 is the function imported here.
 
 def _run_critical(run: _Run) -> None:
     f, Z, seed = run.f, run.Z, run.spec.seed
@@ -441,6 +448,74 @@ STAGES = {
 }
 
 
+def _log_stage(name: str, ran: str, seconds, error) -> None:
+    log.info(json.dumps(dict(stage=name, ran=ran, seconds=seconds and round(seconds, 4), error=error)))
+
+
+class _RecordList(logging.Handler):
+    """Keeps log records picklable, as ``logging.handlers.QueueHandler`` would, without
+    importing that module: it imports socket, which took 7 ms in each child."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args = self.format(record), None
+        record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+def _fork_cond2(run: _Run, runner):
+    """Fork a child that runs cond2 and pipes back what it made; returns its pid and the pipe.
+
+    Returns None, and cond2 runs in this process, when no child can be started.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    status = 1
+    try:  # the child leaves only through os._exit, never into its caller's code
+        os.close(r)
+        records, top = _RecordList(), logging.getLogger(__package__)
+        top.handlers, top.propagate = [records], False
+        t0, errors = time.perf_counter(), {}
+        out = _isolated(errors, "cond2", lambda: runner(run))
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump((out, errors.get("cond2"), list(run.keeper.kept.items()), records.records,
+                         time.perf_counter() - t0), fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_cond2(run: _Run, data: bytes, status: int, failed: dict) -> dict:
+    """The forked cond2's fragment; its trajectories and log records join this process's."""
+    if status == 0 and data:
+        out, error, kept, records, seconds = pickle.loads(data)
+    else:
+        out, kept, records, seconds = None, [], [], None
+        error = f"condition 2 worker exited with status {status} before sending its result"
+    # the child's copy of what was kept before the fork, then cond2's, then cond4's
+    items, run.keeper = list(run.keeper.kept.items()), _TrajectoryKeeper()
+    for tag, traj in kept + items:
+        run.keeper(tag, traj)
+    for r in records:
+        logging.getLogger(r.name).handle(r)
+    _log_stage("cond2", "child", seconds, error)
+    if error is None:
+        return out
+    failed["cond2"] = error
+    return _skipped(2, error)
+
+
 def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     """Run the requested stages against one problem and assemble the report.
 
@@ -451,6 +526,10 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     three condition checks pass and the problem asserts proper_on_box.  An
     unknown stage, a stage without its dependencies or an empty stage list
     raises :class:`ValidationError`.
+
+    cond2 may run in a forked child beside cond4 (the rule is in the stage
+    loop): the report is the same bytes, the child's log records follow
+    cond4's, and no child outlives the call.  Each stage logs a JSON line.
     """
     stages = tuple(stages)
     for s in stages:
@@ -475,17 +554,45 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
     )
     run = _Run(spec, f, Z, report, _TrajectoryKeeper(), [], {})
     failed = {}  # stage -> why it did not finish
-    for name in report.stages:
-        deps, runner = STAGES[name]
-        broken = [d for d in deps if d in failed]
-        if broken:
-            failed[name] = f"dependency '{broken[0]}' failed"
-        out = None if broken else _isolated(failed, name, lambda: runner(run))
-        if name.startswith("cond"):
-            report.condition_reports[name] = (
-                _skipped(int(name[4:]), failed[name]) if name in failed else out)
-        elif name in failed:
-            report.stage_errors[name] = failed[name]
+    child = data = None  # cond2 forked beside cond4: its pid and pipe, and what it sent
+    try:
+        for name in report.stages:
+            deps, runner = STAGES[name]
+            broken = [d for d in deps if d in failed]
+            if broken:
+                failed[name] = f"dependency '{broken[0]}' failed"
+            # cond2 forks only on Linux (fork is its default start method), onto a
+            # second CPU, with no thread to copy holding a lock, with the imported
+            # check_condition2 (a replaced one sees its call), and when cond4 runs flows
+            elif (name == "cond2" and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+                    and threading.active_count() == 1
+                    and check_condition2 is _imported_check_condition2
+                    and "cond4" in report.stages
+                    and not any(d in failed for d in STAGES["cond4"][0])
+                    and any(cp.kind in ("saddle", "maximum") for cp in run.cps)
+                    and (child := _fork_cond2(run, runner)) is not None):
+                report.condition_reports[name] = None  # its slot, filled at the join
+                continue
+            t0 = time.perf_counter()
+            out = None if broken else _isolated(failed, name, lambda: runner(run))
+            _log_stage(name, "process", time.perf_counter() - t0, failed.get(name))
+            if name.startswith("cond"):
+                report.condition_reports[name] = (
+                    _skipped(int(name[4:]), failed[name]) if name in failed else out)
+            elif name in failed:
+                report.stage_errors[name] = failed[name]
+        if child is not None:
+            data = child[1].read()
+    finally:
+        if child is not None:
+            if data is None:  # unwinding from an exception
+                import signal  # here only: importing it costs every other run 0.15 MB
+
+                os.kill(child[0], signal.SIGKILL)
+            child[1].close()
+            status = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+    if child is not None:
+        report.condition_reports["cond2"] = _join_cond2(run, data, status, failed)
 
     report.trajectories = run.keeper.kept
     report.trajectory_manifest = [

@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -672,3 +674,190 @@ class TestStageIsolation:
         report = run_experiment(builtin_problem("cone"))
         assert report.condition_reports["cond4"]["witnesses"]["per_point"]
         assert calls == [1]
+
+
+class TestCondition2BesideCondition4:
+    """cond2 runs in a forked child beside cond4 and changes no byte of the report."""
+
+    PLANES_LIFT = Path(__file__).parent / "problems" / "planes-lift.json"
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks = []
+        real = os.fork
+
+        def counted():
+            pid = real()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @staticmethod
+    def _one_cpu(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @staticmethod
+    def _stage_lines(caplog):
+        return [json.loads(r.getMessage()) for r in caplog.records if r.getMessage().startswith('{"stage"')]
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("problem", ["cone", "saddle", "planes-lift"])
+    def test_forked_run_is_byte_identical_to_the_in_process_run(self, monkeypatch, problem):
+        from dataclasses import fields
+
+        spec = load_problem(self.PLANES_LIFT) if problem == "planes-lift" else builtin_problem(problem)
+        forks = self._count_forks(monkeypatch)
+        forked = run_experiment(spec)
+        assert len(forks) == 1
+        self._one_cpu(monkeypatch)
+        alone = run_experiment(spec)
+        assert len(forks) == 1
+        assert forked.to_payload() == alone.to_payload()
+        assert list(forked.trajectories) == list(alone.trajectories)
+        for tag, traj in forked.trajectories.items():
+            for fd in fields(traj):
+                a, b = getattr(traj, fd.name), getattr(alone.trajectories[tag], fd.name)
+                if isinstance(a, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (tag, fd.name)
+                else:
+                    assert a == b, (tag, fd.name)
+        self._assert_no_child_left()
+
+    def test_only_a_run_that_overlaps_cond2_with_cond4_flows_forks(self, monkeypatch):
+        forks = self._count_forks(monkeypatch)
+        run_experiment(builtin_problem("quartic"))  # only a minimum: cond4 runs no flow
+        run_experiment(builtin_problem("cone"), stages=("critical", "cond2"))
+        assert forks == []
+
+    def test_one_cpu_keeps_cond2_in_process(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="morseflow")
+        forks = self._count_forks(monkeypatch)
+        self._one_cpu(monkeypatch)
+        run_experiment(builtin_problem("cone"))
+        assert forks == []
+        lines = self._stage_lines(caplog)
+        assert [(line["stage"], line["ran"]) for line in lines] == [
+            (s, "process") for s in ("critical", "loja", "cond1", "cond2", "cond4")]
+
+    def test_a_failed_fork_runs_cond2_in_process(self, monkeypatch, caplog):
+        import errno
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        caplog.set_level(logging.INFO, logger="morseflow")
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = run_experiment(builtin_problem("cone"))
+        assert [(line["stage"], line["ran"]) for line in self._stage_lines(caplog)][3] == ("cond2", "process")
+        self._one_cpu(monkeypatch)
+        assert report.to_payload() == run_experiment(builtin_problem("cone")).to_payload()
+
+    def test_a_second_thread_keeps_cond2_in_process(self, monkeypatch):
+        import threading
+
+        forks = self._count_forks(monkeypatch)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            run_experiment(builtin_problem("cone"))
+        finally:
+            done.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
+
+    def test_a_replaced_check_condition2_sees_its_call(self, monkeypatch):
+        import morseflow.cli as cli
+
+        calls = []
+        real = cli.check_condition2
+
+        def spy(*args, **kw):
+            calls.append(args[2:4])
+            return real(*args, **kw)
+
+        forks = self._count_forks(monkeypatch)
+        monkeypatch.setattr(cli, "check_condition2", spy)
+        report = run_experiment(builtin_problem("cone"))
+        assert forks == [] and calls == [(-0.8, 0.8)]
+        assert report.condition_reports["cond2"]["verdict"] == "pass"
+
+    def test_the_child_logs_one_stage_line_after_cond4s(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="morseflow")
+        run_experiment(builtin_problem("cone"))
+        lines = self._stage_lines(caplog)
+        assert [(line["stage"], line["ran"]) for line in lines] == [
+            ("critical", "process"), ("loja", "process"), ("cond1", "process"),
+            ("cond4", "process"), ("cond2", "child")]
+        assert all(line["error"] is None and line["seconds"] >= 0 for line in lines)
+
+    def test_a_child_error_gives_the_in_process_fragment(self, monkeypatch, caplog):
+        from morseflow import levelmap
+
+        caplog.set_level(logging.INFO, logger="morseflow")
+
+        def exploded(*args, **kw):
+            raise RuntimeError("band exploded")
+
+        monkeypatch.setattr(levelmap, "band_samples", exploded)
+        forks = self._count_forks(monkeypatch)
+        forked = run_experiment(builtin_problem("cone"))
+        assert len(forks) == 1
+        messages = [r.getMessage() for r in caplog.records]
+        failures = [i for i, r in enumerate(caplog.records)
+                    if r.levelname == "ERROR" and messages[i].startswith("cond2 failed")]
+        assert len(failures) == 1 and "band exploded" in messages[failures[0]]
+        # the child's records are re-emitted after cond4 has logged its stage line
+        assert failures[0] > next(i for i, m in enumerate(messages) if m.startswith('{"stage": "cond4"'))
+        self._one_cpu(monkeypatch)
+        alone = run_experiment(builtin_problem("cone"))
+        assert forked.condition_reports["cond2"] == alone.condition_reports["cond2"] == {
+            "condition": 2, "verdict": "inconclusive",
+            "witnesses": {"error": "RuntimeError('band exploded')"}, "modulus_table": None}
+        assert forked.condition_reports["cond4"]["verdict"] == "pass"
+        assert forked.to_payload() == alone.to_payload()
+        self._assert_no_child_left()
+
+    def test_a_child_that_dies_leaves_cond2_inconclusive(self, monkeypatch, caplog):
+        from morseflow import levelmap
+
+        parent = os.getpid()
+
+        def dies(*args, **kw):
+            if os.getpid() == parent:  # never end the test process itself
+                raise AssertionError("cond2 ran in the test process")
+            os._exit(3)
+
+        caplog.set_level(logging.INFO, logger="morseflow")
+        monkeypatch.setattr(levelmap, "band_samples", dies)
+        report = run_experiment(builtin_problem("cone"))
+        reason = "condition 2 worker exited with status 3 before sending its result"
+        assert report.condition_reports["cond2"] == {
+            "condition": 2, "verdict": "inconclusive", "witnesses": {"error": reason}, "modulus_table": None}
+        assert report.condition_reports["cond4"]["verdict"] == "pass"
+        assert list(report.condition_reports) == ["cond1", "cond2", "cond4"]
+        assert report.corollary_verdict == "inconclusive"
+        assert self._stage_lines(caplog)[-1] == {"stage": "cond2", "ran": "child", "seconds": None, "error": reason}
+        self._assert_no_child_left()
+
+    def test_a_parent_that_raises_stops_and_reaps_the_child(self, monkeypatch):
+        import morseflow.cli as cli
+
+        class Stop(BaseException):
+            pass
+
+        def stopped(*args, **kw):
+            raise Stop
+
+        monkeypatch.setattr(cli, "check_condition4", stopped)  # raised past _isolated, in this process
+        forks = self._count_forks(monkeypatch)
+        with pytest.raises(Stop):
+            run_experiment(builtin_problem("cone"))
+        assert len(forks) == 1
+        self._assert_no_child_left()

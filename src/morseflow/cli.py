@@ -791,4 +791,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as a script this module would be a second copy of itself; exit as for a usage error
+    print("morseflow: run `morseflow ...` or `python -m morseflow ...`, not `python -m morseflow.cli`",
+          file=sys.stderr)
+    sys.exit(3)

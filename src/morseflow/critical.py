@@ -35,9 +35,7 @@ CLUSTER_TOL = 1e-6
 REFINE_TOL = 1e-12
 REFINE_ITER = 80
 POLISH_ITER = 40
-# classify probes a ring of radius PROBE_RADIUS along unit_directions with N_PROBES - 2n random
-# ones: 24, 28, 44 and 64 directions for n = 1 to 4, before retraction drops any
-N_PROBES = 24
+# classify probes a ring of radius PROBE_RADIUS (see sampling.RING_PROBES)
 PROBE_RADIUS = 0.01
 VALUE_MERGE_TOL = 1e-8
 GAP_TOL = 1e-4
@@ -51,8 +49,6 @@ REFINE_POOL = 256
 # converges linearly to a multiple root, and its next step is lengthened
 SCHRODER_AGREE = 0.1
 SCHRODER_MAX_RATIO = 0.95
-
-KINDS = ("minimum", "maximum", "saddle", "degenerate", "unresolved")
 
 
 @dataclass(frozen=True)
@@ -402,7 +398,7 @@ def classify(
     cp: CriticalPoint,
     seed: int = 0,
 ) -> str:
-    """Classify a critical point from f-values on a retracted probe ring of radius PROBE_RADIUS (see N_PROBES).
+    """Classify a critical point from f-values on a retracted probe ring of radius PROBE_RADIUS.
 
     Probes outside the box are dropped; too few left gives "unresolved".
 
@@ -418,8 +414,7 @@ def classify(
         raise ValueError("classify expects a validated critical point")
     center = cp.point()
     rng = substream(seed, "classify")
-    n_extra = max(0, N_PROBES - 2 * Z.ambient_dim)
-    probes = np.array(ring_probes(Z, center, PROBE_RADIUS, rng, n_random=n_extra)).reshape(-1, Z.ambient_dim)
+    probes = np.array(ring_probes(Z, center, PROBE_RADIUS, rng)).reshape(-1, Z.ambient_dim)
     # a point on a box face has probes beyond it, where no witness flow may start
     probes = probes[Z.inside_box(probes)]
     # a stratum of dimension k offers 2k axis probes; the ambient dimension

@@ -26,9 +26,8 @@ SLICE_CLUSTER_TOL = 10.0 * CLUSTER_TOL
 # slice and each landing distance exceeds the one before by at most MONOTONE_SLACK
 TUBE_RHO = 0.05
 MONOTONE_SLACK = 0.1
-# the unstable slice descends from the ring probes of radius SLICE_PROBE_RADIUS (unit_directions
-# with SLICE_N_POINTS - 2n random ones) that lie CURVATURE_MARGIN * radius**2 below the critical value
-SLICE_N_POINTS = 24
+# the unstable slice descends from the ring probes of radius SLICE_PROBE_RADIUS (see
+# sampling.RING_PROBES) that lie CURVATURE_MARGIN * radius**2 below the critical value
 SLICE_PROBE_RADIUS = 1e-3
 CURVATURE_MARGIN = 0.5
 # condition 2 draws up to this many band samples; condition 4 up to
@@ -150,8 +149,7 @@ def unstable_slice(
     """
     center = cp.point()
     rng = substream(seed, "unstable-slice")
-    n_extra = max(0, SLICE_N_POINTS - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, SLICE_PROBE_RADIUS, rng, n_random=n_extra)
+    probes = ring_probes(Z, center, SLICE_PROBE_RADIUS, rng)
     probes = np.reshape(probes, (-1, Z.ambient_dim))
     starts = probes[f.evaluate(probes) < cp.value - CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2]
     if not len(starts):

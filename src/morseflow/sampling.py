@@ -13,6 +13,9 @@ import numpy as np
 
 from .space import SingularSpace, row_norms
 
+# ring_probes sends RING_PROBES - 2n random directions after the fixed ones of
+# unit_directions: 24, 28, 44 and 64 directions for n = 1 to 4, before retraction drops any
+RING_PROBES = 24
 # ball_probes draws at most BALL_OVERSAMPLE * count + 64 candidates
 BALL_OVERSAMPLE = 8
 # band_samples draws from the box shrunk about its centre by BAND_MARGIN;
@@ -94,21 +97,16 @@ def _rejection_sample(Z: SingularSpace, count: int, max_draws: int, draw, keep):
     return out
 
 
-def ring_probes(
-    Z: SingularSpace,
-    center,
-    radius: float,
-    rng: np.random.Generator,
-    n_random: int = 0,
-):
+def ring_probes(Z: SingularSpace, center, radius: float, rng: np.random.Generator):
     """Points of Z at distance ~radius from center, inside the box or not.
 
-    Sends probe directions out, retracts, rescales back to the target
-    distance and retracts once more.  Directions the retraction collapses
+    Sends the probe directions of RING_PROBES out, retracts, rescales back
+    to the target distance and retracts once more.  Directions the retraction collapses
     toward the center (normal directions at a singular point) are dropped,
     so the survivors genuinely chart the local strata.
     """
     center = np.asarray(center, dtype=float)
+    n_random = max(0, RING_PROBES - 2 * center.size)
     P, ok = Z.retract_batch(center + radius * unit_directions(center.size, rng, n_random))
     P = P[ok]
     dist = row_norms(P - center)

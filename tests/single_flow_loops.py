@@ -32,13 +32,11 @@ def to_level(f, Z, x0, c, direction):
     return integrate(f, Z, x0, direction, [ReachLevel(float(c)), Converged(1e-8)])
 
 
-def unstable_slice_points(f, Z, cp, level, n_points=24, probe_radius=1e-3, seed=0,
-                          curvature_margin=0.5):
+def unstable_slice_points(f, Z, cp, level, probe_radius=1e-3, seed=0, curvature_margin=0.5):
     """The slice points, and the endpoint of each polish flow in landing order."""
     center = cp.point()
     rng = substream(seed, "unstable-slice")
-    n_extra = max(0, n_points - 2 * Z.ambient_dim)
-    probes = ring_probes(Z, center, probe_radius, rng, n_random=n_extra)
+    probes = ring_probes(Z, center, probe_radius, rng)
     cutoff = cp.value - curvature_margin * probe_radius**2
     starts = [p for p in probes if float(f.evaluate(p)) < cutoff]
     flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)])

@@ -352,16 +352,37 @@ class TestMainExitCodes:
 
 def test_console_subprocess_smoke(tmp_path):
     run = subprocess.run(
-        [sys.executable, "-m", "morseflow.cli", "bench", "saddle",
+        [sys.executable, "-m", "morseflow", "bench", "saddle",
          "--stages", "critical,cond1", "--out", str(tmp_path)],
         capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "report.json").exists()
 
-    usage = subprocess.run([sys.executable, "-m", "morseflow.cli"],
+    usage = subprocess.run([sys.executable, "-m", "morseflow"],
                            capture_output=True, text=True)
     assert usage.returncode == 3
+
+
+def test_the_cli_module_run_as_a_script_points_at_the_package():
+    # a second copy of cli would run the command; exit 0 would read as all-pass
+    run = subprocess.run([sys.executable, "-m", "morseflow.cli", "bench", "saddle"],
+                         capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert "python -m morseflow ..." in run.stderr
+
+
+def test_the_package_entry_runs_the_package_cli_under_strict_warnings():
+    # stage lines come from the package's own cli, so a forked stage's records reach its handler
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "morseflow", "-v",
+         "bench", "quartic", "--stages", "critical"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    stage_lines = [line for line in run.stderr.splitlines() if '"stage": ' in line]
+    assert stage_lines and all(line.startswith("INFO morseflow.cli: ") for line in stage_lines)
 
 
 PROBLEMS = Path(__file__).resolve().parent / "problems"

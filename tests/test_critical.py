@@ -125,7 +125,7 @@ class TestClassify:
         # classify evaluates its probe ring in one batched call
         f, Z = problem_objects(builtin_problem(name))
         (cp,) = find_critical_points(f, Z)
-        probes = np.array(ring_probes(Z, cp.point(), 0.01, substream(0, "classify"), n_random=24))
+        probes = np.array(ring_probes(Z, cp.point(), 0.01, substream(0, "classify")))
         assert len(probes) > 1
         np.testing.assert_array_equal(f.evaluate(probes), [f.evaluate(p) for p in probes])
 

@@ -80,14 +80,15 @@ class TestUnitDirections:
 
     @pytest.mark.parametrize("dim, count", [(1, 24), (2, 28), (3, 44), (4, 64)])
     def test_a_ring_of_24_asks_for_the_documented_count(self, dim, count):
-        # classify and the unstable slice add 24 - 2n random directions to the fixed ones
-        assert len(unit_directions(dim, np.random.default_rng(0), max(0, 24 - 2 * dim))) == count
+        # ring_probes adds RING_PROBES - 2n random directions to the fixed ones
+        n_random = max(0, sampling.RING_PROBES - 2 * dim)
+        assert len(unit_directions(dim, np.random.default_rng(0), n_random)) == count
 
 
 class TestProbes:
     def test_ring_probes_sit_near_the_radius(self, cone):
         _, Z = cone
-        pts = ring_probes(Z, np.zeros(3), 0.1, rng=substream(0, "t"), n_random=8)
+        pts = ring_probes(Z, np.zeros(3), 0.1, rng=substream(0, "t"))
         assert len(pts) > 0
         for p in pts:
             assert Z.is_member(p)
@@ -112,10 +113,10 @@ class TestProbes:
 
 # One-at-a-time references: each candidate is drawn and retracted on its own.
 
-def ring_probes_reference(Z, center, radius, rng=None, n_random=0):
+def ring_probes_reference(Z, center, radius, rng):
     center = np.asarray(center, dtype=float)
     out = []
-    for d in unit_directions(center.size, rng, n_random):
+    for d in unit_directions(center.size, rng, max(0, sampling.RING_PROBES - 2 * center.size)):
         try:
             p = Z.retract(center + radius * d)
         except RetractionError:
@@ -269,6 +270,6 @@ class TestBatchedSamplersMatchOneAtATime:
         center = np.zeros(Z.ambient_dim)
         center[0] = 1.99  # the ring pokes out of the box
         center = Z.retract(center)
-        got = ring_probes(Z, center, 0.05, substream(6, "r"), 12)
-        ref = ring_probes_reference(Z, center, 0.05, substream(6, "r"), 12)
+        got = ring_probes(Z, center, 0.05, substream(6, "r"))
+        ref = ring_probes_reference(Z, center, 0.05, substream(6, "r"))
         assert len(got) > 0 and same_points(got, ref)

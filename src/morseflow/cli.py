@@ -273,6 +273,7 @@ class ExperimentReport:
     lojasiewicz_fits: list
     condition_reports: dict
     corollary_verdict: str
+    corollary_premises: dict
     stage_errors: dict
     trajectory_manifest: list
     # compare=False keeps the trajectories out of the payload
@@ -332,7 +333,29 @@ def _worst(verdicts) -> str:
 
 
 def _skipped(condition: int, reason: str) -> dict:
-    return ConditionReport(condition, "inconclusive", {"error": reason}).to_payload()
+    return ConditionReport(condition, "inconclusive", {"reason": reason}).to_payload()
+
+
+def _premise(status: str, reason: str) -> dict:
+    return {"status": status, "reason": reason}
+
+
+def _judged(condition: int, premises: dict, frag: dict | None) -> dict:
+    """The one rule that withholds a pass: a verdict short of a fail that rests on a failed premise is
+    inconclusive, and witnesses.reason names the first failed premise where the check gave no reason.
+    frag is the check's fragment, or None when a failed premise kept the check from running."""
+    frag = {**(frag or ConditionReport(condition, "inconclusive", {}).to_payload()), "premises": premises}
+    failed = next((k for k, p in premises.items() if p["status"] == "failed"), None)
+    if failed is not None and frag["verdict"] != "fail":
+        frag["verdict"] = "inconclusive"
+        frag["witnesses"].setdefault("reason", f"premise {failed} failed: {premises[failed]['reason']}")
+    return frag
+
+
+def _search_complete(cps) -> dict:
+    if not cps:
+        return _premise("failed", "the critical search found no point")
+    return _premise("unchecked", f"the search found {len(cps)} point(s); nothing checks that it missed none")
 
 
 def _isolated(errors: dict, key: str, call):
@@ -382,33 +405,34 @@ def _fit_entry(run: _Run, i: int, cp: CriticalPoint) -> dict:
 
 
 def _run_cond1(run: _Run) -> dict:
-    return check_condition1(run.cps).to_payload()
+    return _judged(1, {"search_complete": _search_complete(run.cps)}, check_condition1(run.cps).to_payload())
 
 
 def _run_cond2(run: _Run) -> dict:
     tol = run.spec.tolerances
     band = tuple(tol.get("band", (-1.0, 1.0)))
     near = [v for v in (cp.value for cp in run.cps) if min(abs(v - band[0]), abs(v - band[1])) <= 1e-8]
-    if near:
-        return _skipped(2, f"band endpoint touches critical value(s) {near}")
-    return check_condition2(
+    premises = {"band_clear": _premise("failed", f"band endpoint touches critical value(s) {near}") if near
+                else _premise("checked", "no critical value found lies within 1e-08 of a band endpoint")}
+    return _judged(2, premises, None if near else check_condition2(
         run.f, run.Z, band[0], band[1],
         seed=run.spec.seed,
         conv_grad_tol=float(tol.get("conv_grad_tol", COND2_CONV_TOL)),
         collect=run.keeper,
-    ).to_payload()
+    ).to_payload())
 
 
 def _run_cond4(run: _Run) -> dict:
     cps = run.cps
-    if not cps:
-        return _skipped(4, check_condition1(cps).witnesses["reason"])
     targets = [(i, cp) for i, cp in enumerate(cps) if cp.kind in ("saddle", "maximum")]
     # a point of unknown kind may be a saddle whose landing check never ran
     unsettled = [i for i, cp in enumerate(cps) if cp.kind in ("unresolved", "degenerate")]
-    if not targets and not unsettled:
-        return ConditionReport(
-            4, "pass", {"warning": "no non-minimal critical points; vacuously satisfied"}).to_payload()
+    premises = {"search_complete": _search_complete(cps), "kinds_settled": (
+        _premise("failed", f"point(s) {unsettled} are unresolved or degenerate; condition 4 was not checked there")
+        if unsettled else _premise("checked", "every critical point found is a minimum, saddle or maximum"))}
+    if not targets and not unsettled:  # after an empty search there is nothing to check
+        vacuous = ConditionReport(4, "pass", {"warning": "no non-minimal critical points; vacuously satisfied"})
+        return _judged(4, premises, vacuous.to_payload() if cps else None)
     gap = _merged_values([cp.value for cp in cps])[1]
     errors = {}
     per_point = []
@@ -417,24 +441,21 @@ def _run_cond4(run: _Run) -> dict:
         entry = _isolated(errors, key, lambda: _cond4_entry(run, i, cp, gap))
         per_point.append({**_skipped(4, errors[key]), "point_index": i} if key in errors else entry)
     table = next((p["modulus_table"] for p in per_point if p["modulus_table"] is not None), None)
-    verdicts = [p["verdict"] for p in per_point] + (["inconclusive"] if unsettled else [])
-    witnesses = {"per_point": per_point}
-    if unsettled:
-        witnesses["error"] = (f"critical point(s) {unsettled} are unresolved or degenerate, "
-                              "so condition 4 was not checked there")
-    return ConditionReport(4, _worst(verdicts), witnesses, table).to_payload()
+    # no target at all is a pass over them, which the unsettled points withhold
+    verdict = _worst([p["verdict"] for p in per_point] + ["pass"])
+    return _judged(4, premises, ConditionReport(4, verdict, {"per_point": per_point}, table).to_payload())
 
 
 def _cond4_entry(run: _Run, i: int, cp: CriticalPoint, gap: float) -> dict:
     """The condition 4 fragment of target point i, with its level offset and slice."""
     seed = run.spec.seed
-    eps, eps_note = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
-    slc = unstable_slice(run.f, run.Z, cp, cp.value - eps, seed=seed)
-    entry = check_condition4(run.f, run.Z, cp, eps, slc, seed=seed, collect=run.keeper).to_payload()
-    entry["point_index"] = i
-    entry["witnesses"]["eps_source"] = eps_note
-    entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
-    return entry
+    eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
+    entry = None
+    if eps is not None:
+        slc = unstable_slice(run.f, run.Z, cp, cp.value - eps, seed=seed)
+        entry = check_condition4(run.f, run.Z, cp, eps, slc, seed=seed, collect=run.keeper).to_payload()
+        entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
+    return {**_judged(4, {"eps_licensed": premise}, entry), "point_index": i}
 
 
 # stage -> (the stages it needs, its runner); the order is the run order.
@@ -521,9 +542,9 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
 
     Stages run in table order.  A stage that raises, or that needs a stage
     that did, records why: a condition as an inconclusive fragment whose
-    witnesses carry the error, any other stage under ``stage_errors``; the
-    remaining stages still run.  The final verdict passes only when the
-    three condition checks pass and the problem asserts proper_on_box.  An
+    witnesses.reason is the error, any other stage under ``stage_errors``;
+    the remaining stages still run.  The final verdict passes only when the
+    three conditions pass and no premise in corollary_premises failed.  An
     unknown stage, a stage without its dependencies or an empty stage list
     raises :class:`ValidationError`.
 
@@ -549,6 +570,7 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
         lojasiewicz_fits=[],
         condition_reports={},
         corollary_verdict="inconclusive",
+        corollary_premises={},
         stage_errors={},
         trajectory_manifest=[],
     )
@@ -600,26 +622,29 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
          "n_samples": int(t.n_samples)}
         for tag, t in report.trajectories.items()]
     if report.corollary_ran:
-        # an f not asserted proper on the box leaves the corollary undecided
-        report.corollary_verdict = _worst([report.condition_reports[k]["verdict"] for k in COROLLARY]
-                                          + ([] if spec.proper_on_box else ["inconclusive"]))
+        # the corollary rests on its conditions' premises and on f being proper on the box
+        frags = [report.condition_reports[k] for k in COROLLARY]
+        report.corollary_premises = {k: p for frag in frags for k, p in frag.get("premises", {}).items()}
+        report.corollary_premises["proper"] = (_premise("asserted", "the problem asserts proper_on_box")
+                                               if spec.proper_on_box else _premise("failed", "proper_on_box is false"))
+        report.corollary_verdict = _judged(0, report.corollary_premises, {
+            "verdict": _worst([frag["verdict"] for frag in frags]), "witnesses": {}})["verdict"]
     return report
 
 
 def _pick_eps(fit, gap, tolerances):
-    """Level offset for the landing check: the fitted recipe when it exists,
-    else the per-problem override."""
+    """Level offset for the landing check and its eps_licensed premise: the fitted
+    recipe when it exists, else the per-problem override, else no offset."""
     knob = tolerances.get("cond4_eps")
+    why = "no fit available"
     if fit is not None:
         try:
-            return choose_epsilon(fit, SAFETY, nearest_gap=gap), "lojasiewicz fit"
+            return choose_epsilon(fit, SAFETY, nearest_gap=gap), _premise("unchecked", "lojasiewicz fit")
         except ValueError as e:
-            if knob is not None:
-                return float(knob), f"fit rejected ({e}); problem override"
-            raise
+            why = f"fit rejected ({e})"
     if knob is not None:
-        return float(knob), "no fit available; problem override"
-    raise RuntimeError("no usable level offset: fit failed and no cond4_eps override given")
+        return float(knob), _premise("asserted", f"{why}; problem override")
+    return None, _premise("failed", f"no usable level offset: {why} and no cond4_eps override given")
 
 
 def _sanitize(tag: str) -> str:
@@ -656,7 +681,7 @@ def emit_report(report: ExperimentReport, format: str = "json", out_dir=".") -> 
                 for cp in report.critical_points])]
     if report.lojasiewicz_fits:
         cols = ["point_index", "theta", "C", "delta", "critical_value",
-                "n_samples", "envelope_slack", "holdout_pass_fraction", "error"]
+                "n_samples", "holdout_pass_fraction", "error"]
         tables.append(("lojasiewicz_fits.csv", cols,
                        [[str(entry.get(c, "")) for c in cols] for entry in report.lojasiewicz_fits]))
     cond4 = report.condition_reports.get("cond4")

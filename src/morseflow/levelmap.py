@@ -198,8 +198,8 @@ def check_condition2(
     band edge or converge (with the limit still in the band).  Callers are
     responsible for choosing a and b away from critical values.  Budget or
     box exits leave the dichotomy undecided and make the verdict
-    inconclusive, and so does a band in which the sampler finds no point
-    of Z.
+    inconclusive (witnesses.reason counts them), and so does a band in
+    which the sampler finds no point of Z.
     """
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
@@ -250,6 +250,7 @@ def check_condition2(
         verdict = "fail"
     elif witnesses["n_inconclusive"]:
         verdict = "inconclusive"
+        witnesses["reason"] = f"{witnesses['n_inconclusive']} flows ended undecided; terminations {witnesses['terminations']}"
     else:
         verdict = "pass"
     return ConditionReport(condition=2, verdict=verdict, witnesses=witnesses)
@@ -273,7 +274,8 @@ def check_condition4(
     the critical level itself (converged at value >= cp.value - eps/2) are
     the stable-set exclusion and are counted, not scored.  Verdict passes when
     d is non-increasing within MONOTONE_SLACK and the smallest radius lands
-    inside the tube of radius TUBE_RHO.
+    inside the tube of radius TUBE_RHO; a radius that lands no probe makes it
+    inconclusive, and witnesses.reason names it.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
@@ -314,7 +316,6 @@ def check_condition4(
         f, Z, starts, "descend", target, [Converged(1e-8)],
         record=np.isin(np.arange(len(starts)), firsts) & (collect is not None),
     )
-    degenerate = False
     for idx, r in enumerate(radii):
         n_landed = n_captured = 0
         worst = 0.0
@@ -333,13 +334,14 @@ def check_condition4(
             else:
                 witnesses["n_inconclusive"] += 1
         if n_landed == 0:
-            degenerate = True
             log.warning("radius %g: no probe landed (captured %d of %d)", r, n_captured,
                         firsts[idx + 1] - firsts[idx])
         table.append([float(r), float(worst), int(n_landed), int(n_captured)])
 
-    if degenerate:
+    unlanded = [row[0] for row in table if row[2] == 0]
+    if unlanded:
         verdict = "inconclusive"
+        witnesses["reason"] = f"no probe landed at radius {unlanded}"
     else:
         ds = [row[1] for row in table]
         # absolute floor: when flows collapse onto the slice exactly, the

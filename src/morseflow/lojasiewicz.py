@@ -45,10 +45,9 @@ class LojasiewiczFit:
     """Fitted envelope: grad_norm >= constant_C * |critical_value - f|^(1-theta).
 
     Valid on the ball of radius_delta around the critical point it was
-    fitted at.  envelope_slack is the largest relative violation of the
-    inequality over the fitting samples (0 once the constant is lowered to
-    clear every sample); holdout_pass_fraction is measured on a fresh
-    draw.
+    fitted at, and it holds at every fitting sample, since the constant is
+    lowered until each one clears it; holdout_pass_fraction is measured on a
+    fresh draw.
     """
 
     theta: float
@@ -56,7 +55,6 @@ class LojasiewiczFit:
     radius_delta: float
     critical_value: float
     n_samples: int
-    envelope_slack: float
     holdout_pass_fraction: float
 
     def to_payload(self) -> dict:
@@ -66,7 +64,6 @@ class LojasiewiczFit:
             "delta": float(self.radius_delta),
             "critical_value": float(self.critical_value),
             "n_samples": int(self.n_samples),
-            "envelope_slack": float(self.envelope_slack),
             "holdout_pass_fraction": float(self.holdout_pass_fraction),
         }
 
@@ -131,10 +128,6 @@ def estimate_fit(
     shift = max(0.0, float(violation))
     constant = float(np.exp(intercept - shift))
 
-    fitted = constant * np.exp((1.0 - theta) * u)
-    actual = np.exp(v)
-    slack = float(np.max(np.maximum(0.0, fitted - actual) / actual))
-
     hold_rng = substream(seed, "loja-holdout")
     hu, hv, _ = _sample_cloud(f, Z, cp, radius, max(200, FIT_SAMPLES // 2), hold_rng)
     if hu.size:
@@ -150,7 +143,6 @@ def estimate_fit(
         radius_delta=float(radius),
         critical_value=c,
         n_samples=int(u.size),
-        envelope_slack=slack,
         holdout_pass_fraction=frac,
     )
 

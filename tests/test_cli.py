@@ -498,7 +498,9 @@ class TestUnsettledCriticalPoints:
         frag = report.condition_reports["cond4"]
         assert "unresolved" in kinds
         assert frag["verdict"] == "inconclusive"
-        assert str([kinds.index("unresolved")]) in frag["witnesses"]["error"]
+        assert str([kinds.index("unresolved")]) in frag["witnesses"]["reason"]
+        assert "kinds_settled" in frag["witnesses"]["reason"]
+        assert frag["premises"]["kinds_settled"]["status"] == "failed"
         assert report.corollary_verdict != "pass"
         assert rc == 2
 
@@ -520,7 +522,9 @@ class TestUnsettledCriticalPoints:
         cond1, cond4 = report.condition_reports["cond1"], report.condition_reports["cond4"]
         assert cond1["verdict"] == cond4["verdict"] == report.corollary_verdict == "inconclusive"
         assert "no critical point was found" in cond1["witnesses"]["reason"]
-        assert cond4["witnesses"]["error"] == cond1["witnesses"]["reason"]
+        assert cond1["premises"]["search_complete"] == cond4["premises"]["search_complete"]
+        assert cond4["premises"]["search_complete"]["status"] == "failed"
+        assert cond4["witnesses"]["reason"].startswith("premise search_complete failed: ")
 
     @staticmethod
     def _lift_kinds(builtin, lift):
@@ -573,7 +577,94 @@ class TestUnsettledCriticalPoints:
         assert "probe outside the box" in report.stage_errors["classify[2]"]
         frag = report.condition_reports["cond4"]
         assert frag["verdict"] == "inconclusive"
-        assert "[2]" in frag["witnesses"]["error"]
+        assert "[2]" in frag["witnesses"]["reason"]
+
+
+class TestPremises:
+    """Each verdict names the premises it rests on; a failed premise withholds a pass."""
+
+    @staticmethod
+    def _statuses(premises):
+        return {name: p["status"] for name, p in premises.items()}
+
+    def test_every_pass_names_its_premises(self, saddle_full_report):
+        reports = saddle_full_report.condition_reports
+        assert self._statuses(reports["cond1"]["premises"]) == {"search_complete": "unchecked"}
+        assert self._statuses(reports["cond2"]["premises"]) == {"band_clear": "checked"}
+        assert self._statuses(reports["cond4"]["premises"]) == {"search_complete": "unchecked", "kinds_settled": "checked"}
+        (entry,) = reports["cond4"]["witnesses"]["per_point"]
+        assert entry["premises"] == {"eps_licensed": {"status": "unchecked", "reason": "lojasiewicz fit"}}
+        assert self._statuses(saddle_full_report.corollary_premises) == {
+            "search_complete": "unchecked", "band_clear": "checked", "kinds_settled": "checked", "proper": "asserted"}
+        assert [rep["verdict"] for rep in reports.values()] == ["pass"] * 3
+        assert not any("reason" in rep["witnesses"] for rep in reports.values())
+
+    def test_a_band_that_touches_a_critical_value_is_not_checked(self):
+        doc = dict(BUILTIN["saddle"], tolerances={"band": [0, 1]})
+        report = run_experiment(spec_from_mapping(doc), stages=("critical", "cond2"))
+        frag = report.condition_reports["cond2"]
+        assert frag["verdict"] == "inconclusive"
+        assert frag["premises"]["band_clear"]["status"] == "failed"
+        assert frag["witnesses"] == {"reason": "premise band_clear failed: band endpoint touches critical value(s) [0.0]"}
+        assert report.trajectory_manifest == []
+
+    def test_an_f_not_asserted_proper_leaves_the_corollary_undecided(self, saddle_full_report):
+        report = run_experiment(spec_from_mapping(dict(BUILTIN["saddle"], proper_on_box=False)))
+        assert report.condition_reports == saddle_full_report.condition_reports
+        assert report.corollary_premises["proper"] == {"status": "failed", "reason": "proper_on_box is false"}
+        assert report.corollary_verdict == "inconclusive"
+
+    def test_a_point_without_a_level_offset_is_not_checked(self, monkeypatch):
+        # the cone has no fit, so without cond4_eps nothing licenses an offset
+        import morseflow.cli as cli
+
+        slices = []
+        monkeypatch.setattr(cli, "unstable_slice", lambda *args, **kw: slices.append(args))
+        doc = dict(BUILTIN["cone"], tolerances={"band": [-0.8, 0.8]})
+        report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
+        frag = report.condition_reports["cond4"]
+        (entry,) = frag["witnesses"]["per_point"]
+        reason = "no usable level offset: no fit available and no cond4_eps override given"
+        assert entry["premises"] == {"eps_licensed": {"status": "failed", "reason": reason}}
+        assert entry["witnesses"] == {"reason": f"premise eps_licensed failed: {reason}"}
+        assert entry["verdict"] == frag["verdict"] == "inconclusive"
+        assert slices == []
+
+    @pytest.mark.parametrize("fit, gap, tolerances, eps, status, reason", [
+        (True, 1.0, {}, 0.005, "unchecked", "lojasiewicz fit"),
+        (True, 1e-3, {"cond4_eps": 0.01}, 0.01, "asserted",
+         "fit rejected (eps 0.005 exceeds the spacing 0.001 to the nearest other critical value; "
+         "shrink delta); problem override"),
+        (True, 1e-3, {}, None, "failed", "no usable level offset: fit rejected (eps 0.005 exceeds the spacing "
+         "0.001 to the nearest other critical value; shrink delta) and no cond4_eps override given"),
+        (False, 1.0, {"cond4_eps": 0.01}, 0.01, "asserted", "no fit available; problem override"),
+        (False, 1.0, {}, None, "failed", "no usable level offset: no fit available and no cond4_eps override given"),
+    ], ids=["fit", "fit-rejected-override", "fit-rejected", "override", "neither"])
+    def test_the_level_offset_and_its_premise(self, fit, gap, tolerances, eps, status, reason):
+        from morseflow.cli import _pick_eps
+        from morseflow.lojasiewicz import LojasiewiczFit
+
+        # eps = 0.5 * (C * theta * delta / 2)^(1 / theta) = 0.005
+        fit = LojasiewiczFit(theta=0.5, constant_C=2.0, radius_delta=0.2, critical_value=0.0,
+                             n_samples=400, holdout_pass_fraction=1.0) if fit else None
+        got, premise = _pick_eps(fit, gap, tolerances)
+        assert got == pytest.approx(eps) if eps is not None else got is None
+        assert premise == {"status": status, "reason": reason}
+
+    def test_the_cone_paraboloid_passes_rest_on_an_unchecked_search(self):
+        report = run_experiment(load_problem(PROBLEMS / "cone-paraboloid.json"))
+        frags = [report.condition_reports[k] for k in ("cond1", "cond4")]
+        assert [frag["verdict"] for frag in frags] + [report.corollary_verdict] == ["pass"] * 3
+        for premises in [frag["premises"] for frag in frags] + [report.corollary_premises]:
+            assert premises["search_complete"]["status"] == "unchecked"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 17 PR a and 2: the grid search misses the "
+                                           "paraboloid's minimum (0.2, 0, 0) and nothing checks the search")
+    def test_the_cone_paraboloid_finds_both_points_or_does_not_pass(self):
+        report = run_experiment(load_problem(PROBLEMS / "cone-paraboloid.json"))
+        values = sorted(cp["value"] for cp in report.critical_points)
+        both = len(values) == 2 and values == pytest.approx([0.0, 0.2], abs=1e-6)
+        assert both or "pass" not in report.verdicts(), "both points found (values 0 and 0.2), or no pass"
 
 
 class TestStageIsolation:
@@ -582,7 +673,7 @@ class TestStageIsolation:
     @staticmethod
     def _skipped(condition, reason):
         return {"condition": condition, "verdict": "inconclusive",
-                "witnesses": {"error": reason}, "modulus_table": None}
+                "witnesses": {"reason": reason}, "modulus_table": None}
 
     @staticmethod
     def _broken_search(monkeypatch):
@@ -840,7 +931,7 @@ class TestCondition2BesideCondition4:
         alone = run_experiment(builtin_problem("cone"))
         assert forked.condition_reports["cond2"] == alone.condition_reports["cond2"] == {
             "condition": 2, "verdict": "inconclusive",
-            "witnesses": {"error": "RuntimeError('band exploded')"}, "modulus_table": None}
+            "witnesses": {"reason": "RuntimeError('band exploded')"}, "modulus_table": None}
         assert forked.condition_reports["cond4"]["verdict"] == "pass"
         assert forked.to_payload() == alone.to_payload()
         self._assert_no_child_left()
@@ -860,7 +951,7 @@ class TestCondition2BesideCondition4:
         report = run_experiment(builtin_problem("cone"))
         reason = "condition 2 worker exited with status 3 before sending its result"
         assert report.condition_reports["cond2"] == {
-            "condition": 2, "verdict": "inconclusive", "witnesses": {"error": reason}, "modulus_table": None}
+            "condition": 2, "verdict": "inconclusive", "witnesses": {"reason": reason}, "modulus_table": None}
         assert report.condition_reports["cond4"]["verdict"] == "pass"
         assert list(report.condition_reports) == ["cond1", "cond2", "cond4"]
         assert report.corollary_verdict == "inconclusive"

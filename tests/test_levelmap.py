@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import single_flow_loops
-from morseflow import levelmap
+from morseflow import flow, levelmap
 from morseflow.critical import CriticalPoint, find_critical_points
 from morseflow.levelmap import (
     SLICE_CLUSTER_TOL,
@@ -190,6 +190,7 @@ class TestCondition2:
         assert report.witnesses["n_inconclusive"] == 0
         assert report.witnesses["n_violations"] == 0
         assert 0 < report.witnesses["n_samples"] <= report.witnesses["n_requested"] == 60
+        assert "reason" not in report.witnesses
 
     def test_band_missing_the_surface_is_vacuous(self, saddle, monkeypatch):
         # the sampler cannot show that the band misses Z, so no sample is no verdict
@@ -210,6 +211,18 @@ class TestCondition2:
         report = check_condition2(f, Z, -1.0, 1.0, seed=0)
         assert report.verdict == "inconclusive"
         assert report.witnesses["terminations"].get("left_box", 0) > 0
+
+    def test_undecided_flows_are_counted_in_the_reason(self, saddle, monkeypatch):
+        # flows cut off by the step cap decide nothing; the reason gives their
+        # count and how every flow ended
+        f, Z = saddle
+        monkeypatch.setattr(levelmap, "COND2_SAMPLES", 20)
+        monkeypatch.setattr(flow, "MAX_STEPS", 3)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        w = report.witnesses
+        assert report.verdict == "inconclusive"
+        assert w["n_inconclusive"] == w["terminations"]["step_limit"] > 0
+        assert w["reason"] == f"{w['n_inconclusive']} flows ended undecided; terminations {w['terminations']}"
 
     def test_collect_hook_sees_trajectories(self, saddle, monkeypatch):
         f, Z = saddle
@@ -287,6 +300,22 @@ class TestCondition4:
         assert set(payload) == {"condition", "verdict", "witnesses", "modulus_table"}
         for row in payload["modulus_table"]:
             assert len(row) == 4
+
+    def test_a_radius_that_lands_no_probe_is_named(self, saddle, monkeypatch):
+        f, Z = saddle
+        cp = origin_cp()
+        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
+        monkeypatch.setattr(levelmap, "N_PER_RADIUS", 8)
+        real = levelmap.ball_probes
+
+        def none_at_003(Z, center, radius, rng, count):
+            return [] if radius == 0.03 else real(Z, center, radius, rng, count)
+
+        monkeypatch.setattr(levelmap, "ball_probes", none_at_003)
+        report = check_condition4(f, Z, cp, 0.01, slc, radii=(0.1, 0.03), seed=0)
+        assert report.verdict == "inconclusive"
+        assert [row[2] > 0 for row in report.modulus_table] == [True, False]
+        assert report.witnesses["reason"] == "no probe landed at radius [0.03]"
 
     def test_huge_radius_spanning_other_basins_fails(self, saddle, monkeypatch):
         # a ball this size reaches probes whose landings sit far from the

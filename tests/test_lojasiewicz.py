@@ -15,6 +15,7 @@ from morseflow.lojasiewicz import (
     verify_flow_estimates,
 )
 from morseflow.polynomial import PolynomialSystem, parse_polynomial
+from morseflow.sampling import substream
 from morseflow.space import SingularSpace
 
 
@@ -36,7 +37,6 @@ def make_fit(theta, C, delta=0.2, value=0.0):
         radius_delta=delta,
         critical_value=value,
         n_samples=400,
-        envelope_slack=0.0,
         holdout_pass_fraction=1.0,
     )
 
@@ -67,7 +67,11 @@ class TestEstimateFit:
     def test_envelope_clears_every_sample(self):
         f, Z, cp = bowl()
         fit = estimate_fit(f, Z, cp, radius=0.5, seed=4)
-        assert fit.envelope_slack < 0.05
+        # the same cloud the fit drew: C * |c - f|^(1-theta) <= |grad f| at each sample,
+        # up to the rounding of exp and log
+        u, v, _ = lojasiewicz._sample_cloud(f, Z, cp, 0.5, lojasiewicz.FIT_SAMPLES, substream(4, "loja-fit"))
+        assert u.size == fit.n_samples
+        assert np.all(fit.constant_C * np.exp((1.0 - fit.theta) * u) <= np.exp(v) * (1.0 + 1e-12))
         assert fit.holdout_pass_fraction >= 0.95
         assert fit.n_samples >= 100
 
@@ -76,7 +80,7 @@ class TestEstimateFit:
         payload = estimate_fit(f, Z, cp, radius=0.5, seed=0).to_payload()
         assert set(payload) == {
             "theta", "C", "delta", "critical_value",
-            "n_samples", "envelope_slack", "holdout_pass_fraction",
+            "n_samples", "holdout_pass_fraction",
         }
 
     def test_cone_has_no_power_law_envelope(self, cone):

@@ -36,7 +36,7 @@ from .critical import (
     find_critical_points,
 )
 from .flow import Converged, ReachLevel, integrate, trajectory_csv_text
-from .levelmap import COND2_CONV_TOL, check_condition2, check_condition4, unstable_slice
+from .levelmap import check_condition2, check_condition4, unstable_slice
 from .levelmap import check_condition2 as _imported_check_condition2
 from .lojasiewicz import FitError, choose_epsilon, default_delta, estimate_fit
 from .polynomial import ParseError, Polynomial, PolynomialSystem, parse_polynomial
@@ -48,7 +48,7 @@ SAFETY = 0.5
 # the corollary needs these conditions together
 COROLLARY = ("cond1", "cond2", "cond4")
 WORST_FIRST = ("fail", "inconclusive", "pass")
-KNOWN_TOLERANCES = {"band", "cond4_eps", "fit_radius", "conv_grad_tol", "grid_density"}
+KNOWN_TOLERANCES = {"band", "cond4_eps", "grid_density"}
 
 
 class ValidationError(ValueError):
@@ -224,9 +224,8 @@ def _is_interval(v) -> bool:
 def _check_tolerances(tol: dict, n_vars: int) -> None:
     if "band" in tol and not _is_interval(tol["band"]):
         raise ValidationError(f"tolerance 'band' must be two finite numbers lo < hi, got {tol['band']!r}")
-    for key in ("cond4_eps", "fit_radius", "conv_grad_tol"):
-        if key in tol and not (_is_number(tol[key]) and tol[key] > 0):
-            raise ValidationError(f"tolerance '{key}' must be a finite number > 0, got {tol[key]!r}")
+    if "cond4_eps" in tol and not (_is_number(tol["cond4_eps"]) and tol["cond4_eps"] > 0):
+        raise ValidationError(f"tolerance 'cond4_eps' must be a finite number > 0, got {tol['cond4_eps']!r}")
     if "grid_density" in tol:
         d = tol["grid_density"]
         if not isinstance(d, int) or isinstance(d, bool) or d < 2:
@@ -395,9 +394,8 @@ def _run_loja(run: _Run) -> None:
 
 def _fit_entry(run: _Run, i: int, cp: CriticalPoint) -> dict:
     """The fit of point i, or the slope that a rejected fit measured."""
-    tol = run.spec.tolerances
     try:
-        radius = float(tol["fit_radius"]) if "fit_radius" in tol else min(default_delta(run.Z, cp, run.cps), 0.5)
+        radius = min(default_delta(run.Z, cp, run.cps), 0.5)
         run.fits[i] = estimate_fit(run.f, run.Z, cp, radius, seed=run.spec.seed)
     except FitError as e:
         return {"point_index": i, "error": str(e), "measured_slope": e.measured_slope}
@@ -409,17 +407,12 @@ def _run_cond1(run: _Run) -> dict:
 
 
 def _run_cond2(run: _Run) -> dict:
-    tol = run.spec.tolerances
-    band = tuple(tol.get("band", (-1.0, 1.0)))
+    band = tuple(run.spec.tolerances.get("band", (-1.0, 1.0)))
     near = [v for v in (cp.value for cp in run.cps) if min(abs(v - band[0]), abs(v - band[1])) <= 1e-8]
     premises = {"band_clear": _premise("failed", f"band endpoint touches critical value(s) {near}") if near
                 else _premise("checked", "no critical value found lies within 1e-08 of a band endpoint")}
     return _judged(2, premises, None if near else check_condition2(
-        run.f, run.Z, band[0], band[1],
-        seed=run.spec.seed,
-        conv_grad_tol=float(tol.get("conv_grad_tol", COND2_CONV_TOL)),
-        collect=run.keeper,
-    ).to_payload())
+        run.f, run.Z, band[0], band[1], seed=run.spec.seed, collect=run.keeper).to_payload())
 
 
 def _run_cond4(run: _Run) -> dict:

@@ -49,18 +49,6 @@ import numpy as np
 from .polynomial import Polynomial, gradient
 from .space import RetractionError, SingularSpace, norms, row_sums
 
-__all__ = [
-    "ReachLevel",
-    "Converged",
-    "ArcBudget",
-    "Capture",
-    "FlowTrajectory",
-    "integrate",
-    "integrate_ensemble",
-    "trajectory_csv_text",
-    "INCONCLUSIVE_TERMINATIONS",
-]
-
 
 # -- stop criteria -----------------------------------------------------
 
@@ -129,7 +117,6 @@ MAX_STEP_FRACTION = 0.1
 @dataclass
 class FlowTrajectory:
     direction: str
-    variables: tuple[str, ...]
     t: np.ndarray
     y: np.ndarray
     f: np.ndarray
@@ -430,7 +417,7 @@ def integrate_ensemble(
     # each column's start and end samples of every member, stacked; an
     # unrecorded member's columns are slices of these, of length 1 when it
     # accepted no step
-    zeros, variables = np.zeros(N), tuple(f.variables)
+    zeros = np.zeros(N)
     stacked = [np.stack(pair, axis=1) for pair in ((zeros, t), (Y, y), (f0, fy), (gn0, gn), (zeros, arc))]
     out = []
     for i, (k, n_acc, n_rej) in enumerate(zip(code.tolist(), n_accepted.tolist(), n_rejected.tolist())):
@@ -439,7 +426,7 @@ def integrate_ensemble(
         else:
             columns = [col[i, :2 if n_acc else 1] for col in stacked]
         # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
-        out.append(FlowTrajectory(directions[i], variables, *columns, TERMS[k], n_acc, n_rej))
+        out.append(FlowTrajectory(directions[i], *columns, TERMS[k], n_acc, n_rej))
     return out
 
 

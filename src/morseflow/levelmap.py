@@ -188,7 +188,6 @@ def check_condition2(
     a: float,
     b: float,
     seed: int = 0,
-    conv_grad_tol: float = COND2_CONV_TOL,
     collect=None,
 ) -> ConditionReport:
     """Compactness of the flow over the band (a, b).
@@ -226,7 +225,7 @@ def check_condition2(
     # direction is recorded in full for collect
     flows = integrate_ensemble(
         f, Z, np.repeat(samples, 2, axis=0), ["descend", "ascend"] * len(samples),
-        [a, b] * len(samples), [Converged(conv_grad_tol)],
+        [a, b] * len(samples), [Converged(COND2_CONV_TOL)],
         record=collect is not None and np.arange(2 * len(samples)) < 2,
     )
     for traj in flows:

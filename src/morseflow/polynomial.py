@@ -33,16 +33,6 @@ import numpy as np
 
 Exponents = tuple[int, ...]
 
-__all__ = [
-    "Monomial",
-    "Polynomial",
-    "PolynomialSystem",
-    "ParseError",
-    "parse_polynomial",
-    "gradient",
-    "jacobian",
-]
-
 
 @dataclass(frozen=True)
 class Monomial:

@@ -24,12 +24,6 @@ import numpy as np
 
 from .polynomial import Polynomial, PolynomialSystem, _points
 
-__all__ = [
-    "SingularSpace",
-    "RetractionError",
-    "project_to_level_set",
-]
-
 # singular values of Dg at or below RANK_TOL times the largest are cut
 RANK_TOL = 1e-8
 # a point is on Z when its residual is at most MEMBER_TOL

@@ -398,13 +398,16 @@ class TestToleranceValidation:
         {"grid_density": 1},
         {"grid_density": 7.5},
         {"cond4_eps": -1},
-        {"fit_radius": 0},
-        {"conv_grad_tol": float("nan")},
-        {"conv_grad_tol": True},
     ], ids=repr)
     def test_bad_tolerance_is_a_usage_error(self, tmp_path, tolerances):
         path = write_problem(tmp_path, tolerances=tolerances)
         assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+
+    @pytest.mark.parametrize("key", ["fit_radius", "conv_grad_tol"])
+    def test_a_retired_tolerance_is_an_unknown_key(self, tmp_path, capsys, key):
+        path = write_problem(tmp_path, tolerances={"band": [-1, 1], key: 0.1})
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+        assert f"field 'tolerances' has unknown key(s) ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [
         ("objective", "1e400*x^2 + y"),

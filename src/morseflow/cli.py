@@ -409,8 +409,9 @@ def _run_cond1(run: _Run) -> dict:
 def _run_cond2(run: _Run) -> dict:
     band = tuple(run.spec.tolerances.get("band", (-1.0, 1.0)))
     near = [v for v in (cp.value for cp in run.cps) if min(abs(v - band[0]), abs(v - band[1])) <= 1e-8]
-    premises = {"band_clear": _premise("failed", f"band endpoint touches critical value(s) {near}") if near
-                else _premise("checked", "no critical value found lies within 1e-08 of a band endpoint")}
+    premises = {"search_complete": _search_complete(run.cps), "band_clear": (
+        _premise("failed", f"band endpoint touches critical value(s) {near}") if near
+        else _premise("checked", "no critical value found lies within 1e-08 of a band endpoint"))}
     return _judged(2, premises, None if near else check_condition2(
         run.f, run.Z, band[0], band[1], seed=run.spec.seed, collect=run.keeper).to_payload())
 
@@ -543,7 +544,9 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
 
     cond2 may run in a forked child beside cond4 (the rule is in the stage
     loop): the report is the same bytes, the child's log records follow
-    cond4's, and no child outlives the call.  Each stage logs a JSON line.
+    cond4's, and no child outlives the call.  Each stage logs a JSON line, and
+    so does the corollary once it has run: its verdict and every premise it
+    rests on that is not checked.
     """
     stages = tuple(stages)
     for s in stages:
@@ -622,6 +625,8 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
                                                if spec.proper_on_box else _premise("failed", "proper_on_box is false"))
         report.corollary_verdict = _judged(0, report.corollary_premises, {
             "verdict": _worst([frag["verdict"] for frag in frags]), "witnesses": {}})["verdict"]
+        log.info(json.dumps({"corollary": report.corollary_verdict, "assumes": {
+            k: p["status"] for k, p in report.corollary_premises.items() if p["status"] != "checked"}}))
     return report
 
 

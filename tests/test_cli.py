@@ -515,19 +515,23 @@ class TestUnsettledCriticalPoints:
     ], ids=["density-6", "shifted-box", "six-variables"])
     def test_lifted_cone_whose_vertex_is_missed_is_not_a_vacuous_pass(self, tmp_path, edit):
         # the critical search misses the vertex of these lifted cones; an empty
-        # search must not let conditions 1 and 4, or the corollary, pass
+        # search must not let any condition, or the corollary, pass
         doc = {**json.loads((PROBLEMS / "cone-lift.json").read_text()), **edit}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--problem", str(path), "--out", str(tmp_path)]) == 2
         report = load_report(tmp_path / "report.json")
         assert report.critical_points == []
-        cond1, cond4 = report.condition_reports["cond1"], report.condition_reports["cond4"]
-        assert cond1["verdict"] == cond4["verdict"] == report.corollary_verdict == "inconclusive"
+        cond1, cond2, cond4 = (report.condition_reports[k] for k in ("cond1", "cond2", "cond4"))
+        assert cond1["verdict"] == cond2["verdict"] == cond4["verdict"] == report.corollary_verdict == "inconclusive"
         assert "no critical point was found" in cond1["witnesses"]["reason"]
-        assert cond1["premises"]["search_complete"] == cond4["premises"]["search_complete"]
+        assert cond1["premises"]["search_complete"] == cond2["premises"]["search_complete"] \
+            == cond4["premises"]["search_complete"]
         assert cond4["premises"]["search_complete"]["status"] == "failed"
-        assert cond4["witnesses"]["reason"].startswith("premise search_complete failed: ")
+        # condition 2's check still runs; the failed premise withholds its pass
+        assert cond2["witnesses"]["n_samples"] > 0
+        for frag in (cond2, cond4):
+            assert frag["witnesses"]["reason"].startswith("premise search_complete failed: ")
 
     @staticmethod
     def _lift_kinds(builtin, lift):
@@ -593,7 +597,7 @@ class TestPremises:
     def test_every_pass_names_its_premises(self, saddle_full_report):
         reports = saddle_full_report.condition_reports
         assert self._statuses(reports["cond1"]["premises"]) == {"search_complete": "unchecked"}
-        assert self._statuses(reports["cond2"]["premises"]) == {"band_clear": "checked"}
+        assert self._statuses(reports["cond2"]["premises"]) == {"search_complete": "unchecked", "band_clear": "checked"}
         assert self._statuses(reports["cond4"]["premises"]) == {"search_complete": "unchecked", "kinds_settled": "checked"}
         (entry,) = reports["cond4"]["witnesses"]["per_point"]
         assert entry["premises"] == {"eps_licensed": {"status": "unchecked", "reason": "lojasiewicz fit"}}
@@ -601,6 +605,13 @@ class TestPremises:
             "search_complete": "unchecked", "band_clear": "checked", "kinds_settled": "checked", "proper": "asserted"}
         assert [rep["verdict"] for rep in reports.values()] == ["pass"] * 3
         assert not any("reason" in rep["witnesses"] for rep in reports.values())
+
+    def test_the_verbose_line_names_what_the_corollary_assumes(self, caplog):
+        caplog.set_level(logging.INFO, logger="morseflow")
+        report = run_experiment(builtin_problem("saddle"))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith('{"corollary"')]
+        assert lines == ['{"corollary": "pass", "assumes": {"search_complete": "unchecked", "proper": "asserted"}}']
+        assert "assumes" not in json.dumps(report.to_payload())
 
     def test_a_band_that_touches_a_critical_value_is_not_checked(self):
         doc = dict(BUILTIN["saddle"], tolerances={"band": [0, 1]})

@@ -633,7 +633,7 @@ class TestPremises:
         import morseflow.cli as cli
 
         slices = []
-        monkeypatch.setattr(cli, "unstable_slice", lambda *args, **kw: slices.append(args))
+        monkeypatch.setattr(cli, "slice_starts", lambda *args, **kw: slices.append(args))
         doc = dict(BUILTIN["cone"], tolerances={"band": [-0.8, 0.8]})
         report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
         frag = report.condition_reports["cond4"]
@@ -643,6 +643,24 @@ class TestPremises:
         assert entry["witnesses"] == {"reason": f"premise eps_licensed failed: {reason}"}
         assert entry["verdict"] == frag["verdict"] == "inconclusive"
         assert slices == []
+        # the seam is the one the pipeline calls: with an override the slice starts are drawn
+        run_experiment(builtin_problem("cone"), stages=("critical", "loja", "cond4"))
+        assert len(slices) == 1
+
+    def test_a_level_offset_below_the_slice_start_drop_is_inconclusive(self):
+        # the slice starts lie at least CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2 = 5e-7 below the
+        # vertex, so a level 1e-9 below it lies above every start: no flow runs for that point
+        doc = dict(BUILTIN["cone"], tolerances={"band": [-0.8, 0.8], "cond4_eps": 1e-9})
+        report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
+        frag = report.condition_reports["cond4"]
+        (entry,) = frag["witnesses"]["per_point"]
+        assert entry["premises"] == {"eps_licensed": {"status": "asserted",
+                                                      "reason": "no fit available; problem override"}}
+        assert entry["witnesses"] == {"eps": 1e-9, "reason": (
+            "eps 1e-09 is below 5e-07 = CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2, the least drop of a slice "
+            "start below the critical value, so the slice level lies above every start")}
+        assert entry["verdict"] == frag["verdict"] == "inconclusive"
+        assert report.trajectory_manifest == [] and report.stage_errors == {}
 
     @pytest.mark.parametrize("fit, gap, tolerances, eps, status, reason", [
         (True, 1.0, {}, 0.005, "unchecked", "lojasiewicz fit"),
@@ -746,14 +764,14 @@ class TestStageIsolation:
     def test_slice_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli
 
-        real = cli.unstable_slice
+        real = cli.slice_starts
 
-        def flaky(f, Z, cp, level, **kw):
+        def flaky(f, Z, cp, level, *args):
             if cp.location[0] > 0.5:  # the maximum at 1
                 raise RuntimeError("slice probe left the box")
-            return real(f, Z, cp, level, **kw)
+            return real(f, Z, cp, level, *args)
 
-        monkeypatch.setattr(cli, "unstable_slice", flaky)
+        monkeypatch.setattr(cli, "slice_starts", flaky)
         doc = dict(BUILTIN["quartic"], objective="2*x^2 - x^4")
         report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
         # points sorted by value: the well at 0, then the maxima at -1 and 1
@@ -805,8 +823,6 @@ class TestStageIsolation:
 class TestCondition2BesideCondition4:
     """cond2 runs in a forked child beside cond4 and changes no byte of the report."""
 
-    PLANES_LIFT = Path(__file__).parent / "problems" / "planes-lift.json"
-
     @staticmethod
     def _count_forks(monkeypatch):
         forks = []
@@ -833,11 +849,12 @@ class TestCondition2BesideCondition4:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("problem", ["cone", "saddle", "planes-lift"])
+    @pytest.mark.parametrize("problem", ["cone", "saddle", "planes-lift", "wells"])
     def test_forked_run_is_byte_identical_to_the_in_process_run(self, monkeypatch, problem):
         from dataclasses import fields
 
-        spec = load_problem(self.PLANES_LIFT) if problem == "planes-lift" else builtin_problem(problem)
+        spec = (load_problem(PROBLEMS / f"{problem}.json") if problem in ("planes-lift", "wells")
+                else builtin_problem(problem))
         forks = self._count_forks(monkeypatch)
         forked = run_experiment(spec)
         assert len(forks) == 1
@@ -972,6 +989,26 @@ class TestCondition2BesideCondition4:
         assert self._stage_lines(caplog)[-1] == {"stage": "cond2", "ran": "child", "seconds": None, "error": reason}
         self._assert_no_child_left()
 
+    def test_a_loja_that_raises_after_the_fork_still_joins_the_child(self, monkeypatch):
+        import morseflow.cli as cli
+
+        def broken(run):
+            raise RuntimeError("fit diverged")
+
+        # cond2 forks once critical has run, so a loja that fails later cannot keep it in process
+        monkeypatch.setitem(cli.STAGES, "loja", (("critical",), broken))
+        forks = self._count_forks(monkeypatch)
+        forked = run_experiment(builtin_problem("cone"))
+        assert len(forks) == 1
+        self._assert_no_child_left()
+        assert forked.stage_errors == {"loja": "RuntimeError('fit diverged')"}
+        assert forked.condition_reports["cond4"]["witnesses"] == {"reason": "dependency 'loja' failed"}
+        assert forked.condition_reports["cond2"]["verdict"] == "pass"
+        self._one_cpu(monkeypatch)
+        alone = run_experiment(builtin_problem("cone"))
+        assert len(forks) == 1
+        assert forked.to_payload() == alone.to_payload()
+
     def test_a_parent_that_raises_stops_and_reaps_the_child(self, monkeypatch):
         import morseflow.cli as cli
 
@@ -981,9 +1018,98 @@ class TestCondition2BesideCondition4:
         def stopped(*args, **kw):
             raise Stop
 
-        monkeypatch.setattr(cli, "check_condition4", stopped)  # raised past _isolated, in this process
+        monkeypatch.setattr(cli, "landing_modulus", stopped)  # raised past _isolated, in this process
         forks = self._count_forks(monkeypatch)
         with pytest.raises(Stop):
             run_experiment(builtin_problem("cone"))
         assert len(forks) == 1
         self._assert_no_child_left()
+
+
+@pytest.fixture(scope="module")
+def wells_cond4():
+    """The wells' condition 4 (20 points, 14 of them targets) and the run it saw."""
+    import morseflow.cli as cli
+
+    seen = []
+    deps, real = cli.STAGES["cond4"]
+    mp = pytest.MonkeyPatch()
+    mp.setitem(cli.STAGES, "cond4", (deps, lambda run: seen.append(run) or real(run)))
+    try:
+        report = run_experiment(load_problem(PROBLEMS / "wells.json"), ("critical", "loja", "cond4"))
+    finally:
+        mp.undo()
+    return report, seen[0]
+
+
+class TestCondition4Waves:
+    """Condition 4 steps every target's flows in two ensembles, and each target's fragment is its own."""
+
+    STAGES = ("critical", "loja", "cond4")
+
+    def test_merged_cond4_equals_cond4_one_target_at_a_time(self, wells_cond4):
+        from dataclasses import fields
+
+        from morseflow.cli import _isolated, _judged, _pick_eps, _skipped
+        from morseflow.critical import _merged_values
+        from morseflow.levelmap import check_condition4, unstable_slice
+
+        report, run = wells_cond4
+        f, Z, seed = run.f, run.Z, run.spec.seed
+        gap = _merged_values([cp.value for cp in run.cps])[1]
+        keeper, errors, want = _TrajectoryKeeper(), {}, []
+        for i, cp in enumerate(run.cps):
+            if cp.kind not in ("saddle", "maximum"):
+                continue
+
+            def alone():  # point i's slice and landing check, each in its own ensembles
+                eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
+                slc = unstable_slice(f, Z, cp, cp.value - eps, seed=seed)
+                entry = check_condition4(f, Z, cp, eps, slc, seed=seed, collect=keeper).to_payload()
+                entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
+                return _judged(4, {"eps_licensed": premise}, entry)
+
+            entry = _isolated(errors, i, alone)
+            want.append({**(_skipped(4, errors[i]) if entry is None else entry), "point_index": i})
+        got = report.condition_reports["cond4"]["witnesses"]["per_point"]
+        assert len(got) == len(want) == 14
+        assert {p["verdict"] for p in got} == {"pass", "fail", "inconclusive"}
+        for g, w in zip(got, want):
+            assert g == w
+        assert list(report.trajectories) == list(keeper.kept)
+        for tag, traj in keeper.kept.items():
+            for fd in fields(traj):
+                a, b = getattr(report.trajectories[tag], fd.name), getattr(traj, fd.name)
+                assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, (tag, fd.name)
+
+    @pytest.mark.parametrize("seam", ["slice_starts", "back_flow_starts", "slice_points", "landing_modulus"])
+    def test_a_target_that_raises_leaves_the_other_fragments_unchanged(self, monkeypatch, wells_cond4, seam):
+        import morseflow.cli as cli
+
+        before = wells_cond4[0].condition_reports["cond4"]["witnesses"]["per_point"]
+        victim = next(p["point_index"] for p in before if p["verdict"] == "pass")
+        location = tuple(wells_cond4[0].critical_points[victim]["location"])
+        real = getattr(cli, seam)
+
+        def flaky(*args):
+            cp = next(a for a in args if hasattr(a, "location"))
+            if cp.location == location:
+                raise RuntimeError("slice probe left the box")
+            return real(*args)
+
+        monkeypatch.setattr(cli, seam, flaky)
+        after = run_experiment(load_problem(PROBLEMS / "wells.json"), self.STAGES)
+        after = after.condition_reports["cond4"]["witnesses"]["per_point"]
+        assert [p for p in after if p["point_index"] != victim] == [p for p in before if p["point_index"] != victim]
+        assert len(after) == 14
+        assert next(p for p in after if p["point_index"] == victim) == {
+            "condition": 4, "verdict": "inconclusive", "modulus_table": None, "point_index": victim,
+            "witnesses": {"reason": "RuntimeError('slice probe left the box')"}}
+
+    def test_each_wave_logs_its_targets_members_and_iterations(self, caplog):
+        caplog.set_level(logging.INFO, logger="morseflow")
+        run_experiment(load_problem(PROBLEMS / "wells.json"), self.STAGES)
+        waves = [json.loads(r.getMessage()) for r in caplog.records if r.getMessage().startswith('{"cond4_wave"')]
+        # 6 of the 14 targets end before wave 1: no ring probe lies 5e-7 below them
+        assert [(w["cond4_wave"], w["targets"], w["of"]) for w in waves] == [(1, 8, 14), (2, 8, 14)]
+        assert all(w["members"] > w["iterations"] > 0 for w in waves)

@@ -36,8 +36,7 @@ from .critical import (
     find_critical_points,
 )
 from .flow import Converged, ReachLevel, integrate, trajectory_csv_text
-from .levelmap import (COND4_RADII, SLICE_START_DROP, back_flow_starts, check_condition2, flow_blocks,
-                       landing_modulus, probe_starts, slice_points, slice_starts)
+from .levelmap import check_condition2, check_condition4
 from .levelmap import check_condition2 as _imported_check_condition2
 from .lojasiewicz import FitError, choose_epsilon, default_delta, estimate_fit
 from .polynomial import ParseError, Polynomial, PolynomialSystem, parse_polynomial
@@ -429,83 +428,25 @@ def _run_cond4(run: _Run) -> dict:
         vacuous = ConditionReport(4, "pass", {"warning": "no non-minimal critical points; vacuously satisfied"})
         return _judged(4, premises, vacuous.to_payload() if cps else None)
     gap = _merged_values([cp.value for cp in cps])[1]
-    # Every target's flows run in two waves, each one ensemble.  Each step of a
-    # target is isolated: one that raises ends that target with its error and
-    # no other, and a target's starts are checked before they join a wave.
-    errors, entries, planned = {}, {}, {}
+    errors = {}
+    per_point = []
     for i, cp in targets:
-        plan = _isolated(errors, f"cond4[{i}]", lambda: _cond4_starts(run, i, cp, gap))
-        if isinstance(plan, dict):
-            entries[i] = plan
-        elif plan is not None:
-            planned[i] = (cp, *plan)
-    # wave 1: every slice descent and probe flow, each to its own point's cp.value - eps
-    blocks = {}
-    for i, (cp, eps, _, starts, (_, points, firsts, _)) in planned.items():
-        level = cp.value - eps
-        # the first flow of each radius is recorded in full for the keeper
-        record = np.isin(np.arange(len(points)), firsts)
-        blocks[i] = [(starts, level, None, False), (points, level, None, record)]
-    wave1 = _cond4_wave(run, 1, "descend", blocks, len(targets))
-    # wave 2: every slice back-flow, each captured at its own point
-    blocks = {}
-    for i, (cp, eps, *_) in planned.items():
-        descents = wave1[i][0]
-        reps = _isolated(errors, f"cond4[{i}]", lambda: back_flow_starts(run.f, run.Z, cp, cp.value - eps, descents))
-        if reps is not None:
-            blocks[i] = [(reps, cp.value, cp.location, False)]
-    wave2 = _cond4_wave(run, 2, "ascend", blocks, len(targets))
-    for i, (ups,) in wave2.items():
-        cp, eps, premise, _, probes = planned[i]
-        reps = blocks[i][0][0]
-        entry = _isolated(errors, f"cond4[{i}]", lambda: _cond4_entry(run, cp, eps, probes, reps, ups, wave1[i][1]))
-        if entry is not None:
-            entries[i] = _judged(4, {"eps_licensed": premise}, entry)
-    per_point = [{**entries[i], "point_index": i} if i in entries else
-                 {**_skipped(4, errors[f"cond4[{i}]"]), "point_index": i} for i, _ in targets]
+        key = f"cond4[{i}]"
+        entry = _isolated(errors, key, lambda: _cond4_entry(run, i, cp, gap))
+        per_point.append({**_skipped(4, errors[key]), "point_index": i} if key in errors else entry)
     table = next((p["modulus_table"] for p in per_point if p["modulus_table"] is not None), None)
     # no target at all is a pass over them, which the unsettled points withhold
     verdict = _worst([p["verdict"] for p in per_point] + ["pass"])
     return _judged(4, premises, ConditionReport(4, verdict, {"per_point": per_point}, table).to_payload())
 
 
-def _cond4_starts(run: _Run, i: int, cp: CriticalPoint, gap: float):
-    """Target point i's level offset eps, its eps_licensed premise and the starts of its slice and probe flows;
-    or its fragment, when no offset is licensed or the offset puts the slice level above every slice start."""
+def _cond4_entry(run: _Run, i: int, cp: CriticalPoint, gap: float) -> dict:
+    """The condition 4 fragment of target point i, with its level offset and slice."""
     eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
-    if eps is None:
-        return _judged(4, {"eps_licensed": premise}, None)
-    if eps < SLICE_START_DROP:
-        reason = (f"eps {eps:g} is below {SLICE_START_DROP:g} = CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2, the least "
-                  "drop of a slice start below the critical value, so the slice level lies above every start")
-        return _judged(4, {"eps_licensed": premise}, ConditionReport(4, "inconclusive", {"eps": eps, "reason": reason})
-                       .to_payload())
-    seed = run.spec.seed
-    return (eps, premise, slice_starts(run.f, run.Z, cp, cp.value - eps, seed),
-            probe_starts(run.f, run.Z, cp, eps, COND4_RADII, seed))
-
-
-def _cond4_wave(run: _Run, number: int, direction: str, blocks: dict, n_targets: int) -> dict:
-    """One ensemble of every target's blocks (:func:`flow_blocks`); returns each target's trajectories, block by block.
-
-    Logs the wave: the targets in it, of all n_targets, its members and its iterations.
-    """
-    flows = flow_blocks(run.f, run.Z, direction, [b for bs in blocks.values() for b in bs])
-    members = [t for block in flows for t in block]
-    log.info(json.dumps({"cond4_wave": number, "targets": len(blocks), "of": n_targets, "members": len(members),
-                         "iterations": max((t.n_attempts for t in members), default=0)}))
-    out, k = {}, 0
-    for i, bs in blocks.items():
-        out[i], k = flows[k:k + len(bs)], k + len(bs)
-    return out
-
-
-def _cond4_entry(run: _Run, cp: CriticalPoint, eps: float, probes, reps, ups, flows) -> dict:
-    """The condition 4 check of one target from its waves' flows, with its slice."""
-    slc = slice_points(cp, cp.value - eps, reps, ups)
-    entry = landing_modulus(cp, eps, slc, probes, flows, run.keeper).to_payload()
-    entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
-    return entry
+    entry = None
+    if eps is not None:  # check_condition4 builds the slice, its descents among the probe flows
+        entry = check_condition4(run.f, run.Z, cp, eps, None, seed=run.spec.seed, collect=run.keeper).to_payload()
+    return {**_judged(4, {"eps_licensed": premise}, entry), "point_index": i}
 
 
 # stage -> (the stages it needs, its runner); the order is the run order.

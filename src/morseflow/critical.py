@@ -379,12 +379,11 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
 
 
 def _saddle_witnesses(f, Z, cp, below_probe) -> bool:
-    """Both saddle witnesses: the down-flow escapes, the back-flow returns, captured at the point."""
+    """Both saddle witnesses: the down-flow escapes, the back-flow returns."""
     center = cp.point()
     down, up = integrate_ensemble(
         f, Z, [below_probe, below_probe], directions=("descend", "ascend"), levels=(None, cp.value),
-        stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)),
-               Capture(np.stack([np.full_like(center, np.nan), center]), PROBE_RADIUS)],
+        stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)), Capture(cp.location, PROBE_RADIUS)],
         record=(True, False),
     )
     max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))

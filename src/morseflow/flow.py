@@ -24,7 +24,7 @@ terminates.  Row i of every state array is member i for the whole run: a
 member that ends keeps its row, marked with its termination and its state
 frozen, and costs no more field work, as the field is evaluated and retracted
 at the live rows only, gathered by one index array.  A :class:`Capture` ends a
-member at its own point when a step runs into it, before any crossing test.  Once
+member at its point when a step runs into it, before any crossing test.  Once
 every member has ended, the level crossings are landed (to ``level_tol`` in f)
 by one batched regula falsi over each crossing step's length, each trial point
 a retracted step endpoint; a crossing that no trial point lands ends with
@@ -76,12 +76,9 @@ class ArcBudget:
 
 @dataclass(frozen=True)
 class Capture:
-    """Stop at point when a step's chord passes within radius of it and f(point) lies between the step's f values.
+    """Stop at point when a step's chord passes within radius of it and f(point) lies between the step's f values."""
 
-    point is one point for every member, or one row per member; a row of NaN gives that member no capture.
-    """
-
-    point: tuple[float, ...] | np.ndarray
+    point: tuple[float, ...]
     radius: float
 
 
@@ -145,15 +142,6 @@ class FlowTrajectory:
     def total_arc(self) -> float:
         return float(self.arc[-1])
 
-    @property
-    def n_attempts(self) -> int:
-        """Steps attempted, one per iteration of its ensemble while it was live.
-
-        A step that crossed the level counts as accepted only when it landed,
-        and one that left the box counts as neither.
-        """
-        return self.n_accepted + self.n_rejected + (self.termination in ("left_box", "landing_failed"))
-
 
 # Cash-Karp 4(5) coefficients; zero weights are left out of the sums.
 _CK_A = (
@@ -213,7 +201,7 @@ class _Field:
 
 
 def _shared_stops(stops):
-    """(Converged or None, arc budget, Capture or None) from the stop criteria besides the levels."""
+    """(Converged or None, arc budget, Capture or None) from the shared stop criteria."""
     conv = cap = None
     arc_budget = ARC_BUDGET
     for s in stops:
@@ -237,55 +225,6 @@ def _per_member(value, n: int, name: str) -> list:
     return items
 
 
-def check_starts(
-    f: Polynomial,
-    Z: SingularSpace,
-    X0: Sequence[Sequence[float]] | np.ndarray,
-    directions: str | Sequence[str],
-    levels: float | Sequence[float | None] | None,
-):
-    """Check the starts of an ensemble and put them on Z, as :func:`integrate_ensemble` does before any member steps.
-
-    A single direction or level applies to every member.  Raises, naming the
-    first bad member, on a direction that is not 'descend' or 'ascend', a start
-    off Z or one that does not retract, and a target beyond level_tol on the
-    wrong side of the start.  Rows do not interact, so starts that pass here
-    pass as any block of a larger ensemble.  Returns X0 as an (N, n) array, the
-    directions one per member, the level targets as an array (NaN where a
-    member has none), the starts on Z (a start within retract_tol of Z is
-    kept as given) and f there.
-    """
-    X0 = np.array(X0, dtype=float)
-    if X0.ndim != 2 or X0.shape[1] != Z.ambient_dim:
-        raise ValueError(f"start points have shape {X0.shape}, expected (N, {Z.ambient_dim})")
-    N = len(X0)
-    directions = _per_member(directions, N, "directions")
-    for d in directions:
-        if d not in ("descend", "ascend"):
-            raise ValueError(f"direction must be 'descend' or 'ascend', got {d!r}")
-    levels = _per_member(levels, N, "levels")
-    res = Z.residual(X0)
-    bad = np.flatnonzero(~Z.is_member(X0))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"start point {i} at {X0[i].tolist()} is not on Z (residual {res[i]:.3e} or outside box)")
-    Y = X0.copy()
-    off = res > Z.retract_tol
-    if off.any():
-        Y[off], ok = Z.retract_batch(X0[off])
-        if not ok.all():
-            i = np.flatnonzero(off)[np.flatnonzero(~ok)[0]]
-            raise RetractionError(f"start point {i} at {X0[i].tolist()} does not retract onto Z")
-    fy = f.evaluate(Y)
-    c = np.array([np.nan if lv is None else float(lv) for lv in levels])
-    gap = np.where([d == "descend" for d in directions], fy - c, c - fy)
-    wrong = np.flatnonzero(~(gap >= -Z.level_tol) & np.array([lv is not None for lv in levels], dtype=bool))
-    if wrong.size:
-        i = wrong[0]
-        raise ValueError(f"member {i}: target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
-    return X0, directions, c, Y, fy
-
-
 def integrate_ensemble(
     f: Polynomial,
     Z: SingularSpace,
@@ -300,11 +239,10 @@ def integrate_ensemble(
     Member i starts at ``X0[i]``, flows in ``directions[i]`` and, when
     ``levels[i]`` is not None, stops on crossing that level (a per-member
     :class:`ReachLevel`).  A single direction or level applies to every
-    member.  ``stops`` holds the other criteria (:class:`Converged`,
-    :class:`ArcBudget`, and :class:`Capture`, whose point may differ per
-    member).  Every member also stops at TIME_BUDGET, ARC_BUDGET (unless an
-    :class:`ArcBudget` is given) and MAX_STEPS, so it terminates; box
-    containment is always enforced.  A step is at most
+    member.  ``stops`` holds the shared criteria (:class:`Converged`,
+    :class:`ArcBudget`, :class:`Capture`).  Every member also stops at TIME_BUDGET,
+    ARC_BUDGET (unless an :class:`ArcBudget` is given) and MAX_STEPS, so it
+    terminates; box containment is always enforced.  A step is at most
     max_step = MAX_STEP_FRACTION * the box diameter long in space: its
     duration h is capped so that h * |grad_Z f| at its start is at most
     max_step.  The first step's duration is max_step / 64, and a retry
@@ -319,28 +257,51 @@ def integrate_ensemble(
     Members in ``record`` (one flag, or one per member) keep every accepted
     sample; the others keep their start and end samples only.  Invalid
     input (a direction, a start off Z, a target beyond level_tol on the
-    wrong side) raises before any member steps, naming the member
-    (:func:`check_starts`); a start within level_tol of its target ends
-    ``reach_level`` at once.  Returns one trajectory per member, in order.
+    wrong side) raises before any member steps, naming the member; a start
+    within level_tol of its target ends ``reach_level`` at once.  Returns
+    one trajectory per member, in order.
     """
-    X0, directions, c, Y, fy = check_starts(f, Z, X0, directions, levels)
+    X0 = np.array(X0, dtype=float)
+    if X0.ndim != 2 or X0.shape[1] != Z.ambient_dim:
+        raise ValueError(f"start points have shape {X0.shape}, expected (N, {Z.ambient_dim})")
     N = len(X0)
+    directions = _per_member(directions, N, "directions")
+    for d in directions:
+        if d not in ("descend", "ascend"):
+            raise ValueError(f"direction must be 'descend' or 'ascend', got {d!r}")
+    levels = _per_member(levels, N, "levels")
     record = np.broadcast_to(np.asarray(record, dtype=bool), (N,)).copy()
     max_step = MAX_STEP_FRACTION * Z.box_diameter
     min_step = 1e-12 * max_step
     conv, arc_budget, cap = _shared_stops(stops)
     fld = _Field(f, Z)
     if cap is not None:
-        # f and the field at each member's capture point; NaN where it has none
-        P = np.broadcast_to(np.asarray(cap.point, dtype=float), X0.shape)
-        caught = np.flatnonzero(~np.isnan(P).any(axis=1))
-        f_p, g_p = np.full(N, np.nan), np.full(X0.shape, np.nan)
-        if caught.size:
-            f_p[caught], g_p[caught] = f.evaluate(P[caught]), fld.projected_grad(P[caught])
+        p = np.array(cap.point, dtype=float)[None, :]
+        f_p, g_p = f.evaluate(p), fld.projected_grad(p)
+
+    res = Z.residual(X0)
+    bad = np.flatnonzero(~Z.is_member(X0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"start point {i} at {X0[i].tolist()} is not on Z (residual {res[i]:.3e} or outside box)")
+    Y = X0.copy()
+    off = res > Z.retract_tol
+    if off.any():
+        Y[off], ok = Z.retract_batch(X0[off])
+        if not ok.all():
+            i = np.flatnonzero(off)[np.flatnonzero(~ok)[0]]
+            raise RetractionError(f"start point {i} at {X0[i].tolist()} does not retract onto Z")
 
     sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
+    c = np.array([np.nan if lv is None else float(lv) for lv in levels])
+    fy = f.evaluate(Y)
     g = fld.projected_grad(Y)
     gn = norms(g)
+    gap = np.where(sign < 0, fy - c, c - fy)
+    wrong = np.flatnonzero(~(gap >= -Z.level_tol) & np.array([lv is not None for lv in levels], dtype=bool))
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"member {i}: target level {c[i]} is on the wrong side of f(x0) = {fy[i]} for {directions[i]}")
 
     # The stepping state, one entry per member, never re-indexed: c is a
     # member's ReachLevel target (NaN when it has none, so every crossing test
@@ -402,13 +363,12 @@ def integrate_ensemble(
         step = ok & ~rejected
         captured = np.zeros(N, dtype=bool)
         if cap is not None:
-            # the point of the chord [y, y_new] nearest p, then f(p) between the step's ends;
-            # every test on a NaN row of P is false
+            # the point of the chord [y, y_new] nearest p, then f(p) between the step's ends
             d = y_new - y
-            u = np.clip(row_sums((P - y) * d) / np.maximum(row_sums(d * d), 1e-300), 0.0, 1.0)
-            near = row_sums((y + u[:, None] * d - P) ** 2) <= cap.radius**2
+            u = np.clip(row_sums((p - y) * d) / np.maximum(row_sums(d * d), 1e-300), 0.0, 1.0)
+            near = row_sums((y + u[:, None] * d - p) ** 2) <= cap.radius**2
             captured = step & near & ((fy - f_p) * (f_new - f_p) <= 0.0)
-            y_new[captured], f_new[captured], g_new[captured] = P[captured], f_p[captured], g_p[captured]
+            y_new[captured], f_new[captured], g_new[captured] = p, f_p, g_p
         cross = step & ~captured & ((fy - c) * (f_new - c) <= 0.0)
         code[cross] = TERMS.index("land")
         outside = step & ~cross & ~Z.inside_box(y_new)

@@ -4,10 +4,7 @@ The flow carries one level set of f onto another; between critical values
 that transport is invertible, and approaching a critical level it
 degenerates exactly on the stable set.  This module realizes the
 transport map, samples unstable-set slices, and runs the compactness and
-landing-modulus checks against them.  The slice and the landing-modulus
-check each split into helpers that draw the starts, flow them
-(:func:`flow_blocks`) and score the flows, so that a caller can step the
-flows of many critical points in one ensemble.
+landing-modulus checks against them.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import Capture, Converged, INCONCLUSIVE_TERMINATIONS, check_on_level, check_starts, integrate_ensemble
+from .flow import Capture, Converged, INCONCLUSIVE_TERMINATIONS, check_on_level, integrate_ensemble
 from .sampling import _dedupe, ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
@@ -35,10 +32,9 @@ SLICE_PROBE_RADIUS = 1e-3
 CURVATURE_MARGIN = 0.5
 SLICE_START_DROP = CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2
 # condition 2 draws up to this many band samples; condition 4 up to
-# N_PER_RADIUS ball probes at each of COND4_RADII
+# N_PER_RADIUS ball probes at each radius
 COND2_SAMPLES = 200
 N_PER_RADIUS = 40
-COND4_RADII = (0.1, 0.03, 0.01, 0.003)
 # a condition-2 flow converges once its projected gradient stays below this
 COND2_CONV_TOL = 1e-4
 
@@ -148,26 +144,16 @@ def unstable_slice(
     point (an unstable-set point, flowed backward, returns to where it
     came from).  A back-flow that runs into the point within
     SLICE_CLUSTER_TOL is captured there (:class:`Capture`), as at a cone's
-    vertex, where f jumps along the step.  A minimum, or a level not below
-    every start, is refused before any flow.  This composes the slice's
-    helpers for one point: :func:`slice_starts`, :func:`flow_blocks`,
-    :func:`back_flow_starts`, :func:`flow_blocks` again and
-    :func:`slice_points`.
+    vertex, where f jumps along the step.  Minima are refused: nothing
+    leaves them downward.  A level not below every probe start is refused
+    by the target check of :func:`integrate_ensemble`.
     """
-    (descents,) = flow_blocks(f, Z, "descend", [(slice_starts(f, Z, cp, level, seed), level, None, False)])
-    reps = back_flow_starts(f, Z, cp, level, descents)
-    (ups,) = flow_blocks(f, Z, "ascend", [(reps, cp.value, cp.location, False)])
-    return slice_points(cp, level, reps, ups)
+    descents = integrate_ensemble(f, Z, _slice_starts(f, Z, cp, seed), "descend", level, [Converged(1e-8)])
+    return _slice_from(f, Z, cp, level, descents)
 
 
-def slice_starts(f, Z: SingularSpace, cp: CriticalPoint, level: float, seed: int) -> np.ndarray:
-    """The starts of the slice: the ring probes of radius SLICE_PROBE_RADIUS around cp that lie
-    SLICE_START_DROP below its value.
-
-    Minima are refused: nothing leaves them downward.  The starts are checked
-    for their descent to level (:func:`check_starts`), so a level not below
-    every start is refused here, before any flow.
-    """
+def _slice_starts(f, Z: SingularSpace, cp: CriticalPoint, seed: int) -> np.ndarray:
+    """The ring probes of radius SLICE_PROBE_RADIUS that lie SLICE_START_DROP below the critical value."""
     rng = substream(seed, "unstable-slice")
     probes = np.reshape(ring_probes(Z, cp.point(), SLICE_PROBE_RADIUS, rng), (-1, Z.ambient_dim))
     starts = probes[f.evaluate(probes) < cp.value - SLICE_START_DROP]
@@ -176,24 +162,19 @@ def slice_starts(f, Z: SingularSpace, cp: CriticalPoint, level: float, seed: int
             f"no descending directions at radius {SLICE_PROBE_RADIUS}; "
             "the critical point is a minimum (or the radius is too small)"
         )
-    check_starts(f, Z, starts, "descend", level)
     return starts
 
 
-def back_flow_starts(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) -> list:
-    """The slice's candidates: one landing of the descents from :func:`slice_starts` per
-    SLICE_CLUSTER_TOL cluster, checked for its back-flow up to the critical value."""
+def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) -> UnstableSlice:
+    """The slice validated from the descents of :func:`_slice_starts` to level (see :func:`unstable_slice`)."""
+    center = cp.point()
     landings = [traj.endpoint for traj in descents if traj.termination == "reach_level"]
     if not landings:
         raise RuntimeError(f"no probe flow reached level {level}; slice is empty")
+
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
-    check_starts(f, Z, reps, "ascend", cp.value)
-    return reps
-
-
-def slice_points(cp: CriticalPoint, level: float, reps, ups) -> UnstableSlice:
-    """The slice: each candidate whose back-flow ends within SLICE_CLUSTER_TOL of the critical point."""
-    center = cp.point()
+    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value,
+                             [Converged(1e-8), Capture(cp.location, SLICE_CLUSTER_TOL)])
     validated = []
     for rep, up in zip(reps, ups):
         if up.termination not in ("reach_level", "converged"):
@@ -208,33 +189,6 @@ def slice_points(cp: CriticalPoint, level: float, reps, ups) -> UnstableSlice:
         raise RuntimeError("no slice landing survived back-flow validation")
     validated.sort()
     return UnstableSlice(critical_point=cp, level=float(level), points=validated)
-
-
-def flow_blocks(f, Z: SingularSpace, direction: str, blocks) -> list:
-    """Flow every block of starts in one ensemble; returns each block's trajectories, in order.
-
-    A block is ``(starts, level, capture, record)``: its members flow in
-    direction until they cross level or ``Converged(1e-8)`` fires, and, when
-    capture is a point, until a step runs into it (:class:`Capture`, radius
-    SLICE_CLUSTER_TOL); record is one flag or one per member, as in
-    :func:`integrate_ensemble`.  Members never interact, so a block's
-    trajectories are those of an ensemble of that block alone, bit for bit.
-    """
-    sizes = [len(b[0]) for b in blocks]
-    if not sum(sizes):
-        return [[] for _ in blocks]
-    X0 = np.concatenate([np.reshape(np.asarray(b[0], dtype=float), (-1, Z.ambient_dim)) for b in blocks])
-    levels = np.repeat([float(b[1]) for b in blocks], sizes)
-    record = np.concatenate([np.broadcast_to(b[3], (n,)) for b, n in zip(blocks, sizes)])
-    stops = [Converged(1e-8)]
-    if any(b[2] is not None for b in blocks):
-        no_point = np.full(Z.ambient_dim, np.nan)
-        points = [np.broadcast_to(no_point if b[2] is None else np.asarray(b[2], dtype=float), (n, Z.ambient_dim))
-                  for b, n in zip(blocks, sizes)]
-        stops.append(Capture(np.concatenate(points), SLICE_CLUSTER_TOL))
-    flows = integrate_ensemble(f, Z, X0, direction, levels, stops, record)
-    ends = np.cumsum(sizes)
-    return [flows[e - n:e] for e, n in zip(ends, sizes)]
 
 
 def check_condition2(
@@ -315,8 +269,8 @@ def check_condition4(
     Z: SingularSpace,
     cp: CriticalPoint,
     eps: float,
-    slice_: UnstableSlice,
-    radii=COND4_RADII,
+    slice_: UnstableSlice | None,
+    radii=(0.1, 0.03, 0.01, 0.003),
     seed: int = 0,
     collect=None,
 ) -> ConditionReport:
@@ -329,54 +283,52 @@ def check_condition4(
     the stable-set exclusion and are counted, not scored.  Verdict passes when
     d is non-increasing within MONOTONE_SLACK and the smallest radius lands
     inside the tube of radius TUBE_RHO; a radius that lands no probe makes it
-    inconclusive, and witnesses.reason names it.  This composes
-    :func:`probe_starts`, :func:`flow_blocks` and :func:`landing_modulus`
-    for one point.
-    """
-    if abs(slice_.level - (cp.value - eps)) > 1e-9:
-        raise ValueError(f"slice level {slice_.level} does not match cp.value - eps = {cp.value - eps}")
-    probes = probe_starts(f, Z, cp, eps, radii, seed)
-    _, starts, firsts, _ = probes
-    # the first flow of each radius is recorded in full for collect
-    record = np.isin(np.arange(len(starts)), firsts) & (collect is not None)
-    (flows,) = flow_blocks(f, Z, "descend", [(starts, cp.value - eps, None, record)])
-    return landing_modulus(cp, eps, slice_, probes, flows, collect)
+    inconclusive, and witnesses.reason names it.
 
-
-def probe_starts(f, Z: SingularSpace, cp: CriticalPoint, eps: float, radii, seed: int) -> tuple:
-    """Up to N_PER_RADIUS on-Z probes within each radius of a non-minimal critical point.
-
-    The proof walks a sequence on the critical level itself; a probe is moved
-    there (:func:`project_to_level_set`) where the level set is nondegenerate,
-    and is kept raw otherwise.  The starts are checked for their descent to
-    cp.value - eps (:func:`check_starts`).  Returns ``(radii, starts, firsts,
-    n_projected)``: rows ``firsts[k]`` to ``firsts[k + 1]`` of the starts are
-    radius k's, and n_projected were moved.
+    slice_ is the unstable slice at cp.value - eps, or None to build it here
+    (as :func:`unstable_slice` does), its descents in one ensemble with the
+    probe flows, each member's trajectory the same as in an ensemble of its
+    own; witnesses.slice_points then lists it.  An eps below SLICE_START_DROP
+    puts that level above every slice start, and the verdict is inconclusive.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly decreasing, got {tuple(radii)}")
+    target = cp.value - eps
+    built = slice_ is None
+    if not built and abs(slice_.level - target) > 1e-9:
+        raise ValueError(f"slice level {slice_.level} does not match cp.value - eps = {target}")
+    if built and eps < SLICE_START_DROP:
+        reason = (f"eps {eps:g} is below {SLICE_START_DROP:g} = CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2, the least "
+                  "drop of a slice start below the critical value, so the slice level lies above every start")
+        return ConditionReport(condition=4, verdict="inconclusive", witnesses={"eps": float(eps), "reason": reason})
+    capture_level = cp.value - eps / 2.0
     center = cp.point()
+    ring = _slice_starts(f, Z, cp, seed) if built else np.empty((0, Z.ambient_dim))
     probes = [np.reshape(ball_probes(Z, center, r, substream(seed, f"cond4-radius-{idx}"), N_PER_RADIUS),
                          (-1, Z.ambient_dim)) for idx, r in enumerate(radii)]
     firsts = np.cumsum([0] + [len(p) for p in probes])
     starts = np.concatenate(probes)
+    # the proof walks a sequence on the critical level itself; cover that
+    # variant where the level set is nondegenerate, else keep the raw probe
     Q, ok = project_to_level_set(f, Z, starts, cp.value)
     qd = np.linalg.norm(Q - center, axis=1)
     use = ok & (CLUSTER_TOL < qd) & (qd <= 2.0 * np.repeat(radii, np.diff(firsts)))
     starts[use] = Q[use]
-    check_starts(f, Z, starts, "descend", cp.value - eps)
-    return tuple(radii), starts, firsts, int(use.sum())
 
-
-def landing_modulus(cp: CriticalPoint, eps: float, slice_: UnstableSlice, probes: tuple, flows,
-                    collect) -> ConditionReport:
-    """Condition 4's verdict from the descents of :func:`probe_starts`' probes (see :func:`check_condition4`)."""
-    radii, _, firsts, n_projected = probes
-    target = cp.value - eps
-    capture_level = cp.value - eps / 2.0
+    # a slice built here descends from the ring ahead of the probes; the
+    # first flow of each radius is recorded in full for collect
+    n = len(ring)
+    flows = integrate_ensemble(
+        f, Z, np.concatenate([ring, starts]), "descend", target, [Converged(1e-8)],
+        record=np.isin(np.arange(n + len(starts)), n + firsts) & (collect is not None),
+    )
+    if built:
+        slice_ = _slice_from(f, Z, cp, target, flows[:n])
+    flows = flows[n:]
     slice_pts = np.asarray(slice_.points, dtype=float)
+
     table = []
     witnesses = {
         "eps": float(eps),
@@ -386,7 +338,7 @@ def landing_modulus(cp: CriticalPoint, eps: float, slice_: UnstableSlice, probes
         "slice_size": len(slice_.points),
         "n_other_converged": 0,
         "n_inconclusive": 0,
-        "n_projected": n_projected,
+        "n_projected": int(use.sum()),
     }
     for idx, r in enumerate(radii):
         n_landed = n_captured = 0
@@ -422,4 +374,6 @@ def landing_modulus(cp: CriticalPoint, eps: float, slice_: UnstableSlice, probes
         verdict = "pass" if monotone and ds[-1] < TUBE_RHO else "fail"
         witnesses["d_final"] = ds[-1]
         witnesses["monotone_within_slack"] = bool(monotone)
+    if built:
+        witnesses["slice_points"] = [list(p) for p in slice_.points]
     return ConditionReport(condition=4, verdict=verdict, witnesses=witnesses, modulus_table=table)

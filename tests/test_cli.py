@@ -632,8 +632,8 @@ class TestPremises:
         # the cone has no fit, so without cond4_eps nothing licenses an offset
         import morseflow.cli as cli
 
-        slices = []
-        monkeypatch.setattr(cli, "slice_starts", lambda *args, **kw: slices.append(args))
+        checks = []
+        monkeypatch.setattr(cli, "check_condition4", lambda *args, **kw: checks.append(args))
         doc = dict(BUILTIN["cone"], tolerances={"band": [-0.8, 0.8]})
         report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
         frag = report.condition_reports["cond4"]
@@ -642,10 +642,10 @@ class TestPremises:
         assert entry["premises"] == {"eps_licensed": {"status": "failed", "reason": reason}}
         assert entry["witnesses"] == {"reason": f"premise eps_licensed failed: {reason}"}
         assert entry["verdict"] == frag["verdict"] == "inconclusive"
-        assert slices == []
-        # the seam is the one the pipeline calls: with an override the slice starts are drawn
+        assert checks == []
+        # the seam is the one the pipeline calls: with an override the point is checked
         run_experiment(builtin_problem("cone"), stages=("critical", "loja", "cond4"))
-        assert len(slices) == 1
+        assert len(checks) == 1
 
     def test_a_level_offset_below_the_slice_start_drop_is_inconclusive(self):
         # the slice starts lie at least CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2 = 5e-7 below the
@@ -762,16 +762,16 @@ class TestStageIsolation:
         assert all("theta" in fit for fit in report.lojasiewicz_fits)
 
     def test_slice_failure_is_isolated_per_point(self, monkeypatch):
-        import morseflow.cli as cli
+        import morseflow.levelmap as levelmap
 
-        real = cli.slice_starts
+        real = levelmap._slice_from
 
         def flaky(f, Z, cp, level, *args):
             if cp.location[0] > 0.5:  # the maximum at 1
                 raise RuntimeError("slice probe left the box")
             return real(f, Z, cp, level, *args)
 
-        monkeypatch.setattr(cli, "slice_starts", flaky)
+        monkeypatch.setattr(levelmap, "_slice_from", flaky)
         doc = dict(BUILTIN["quartic"], objective="2*x^2 - x^4")
         report = run_experiment(spec_from_mapping(doc), stages=("critical", "loja", "cond4"))
         # points sorted by value: the well at 0, then the maxima at -1 and 1
@@ -1018,7 +1018,7 @@ class TestCondition2BesideCondition4:
         def stopped(*args, **kw):
             raise Stop
 
-        monkeypatch.setattr(cli, "landing_modulus", stopped)  # raised past _isolated, in this process
+        monkeypatch.setattr(cli, "check_condition4", stopped)  # raised past _isolated, in this process
         forks = self._count_forks(monkeypatch)
         with pytest.raises(Stop):
             run_experiment(builtin_problem("cone"))
@@ -1042,12 +1042,10 @@ def wells_cond4():
     return report, seen[0]
 
 
-class TestCondition4Waves:
-    """Condition 4 steps every target's flows in two ensembles, and each target's fragment is its own."""
+class TestCondition4Targets:
+    """Condition 4 builds each target's slice in the ensemble of its probe flows, and each fragment is its own."""
 
-    STAGES = ("critical", "loja", "cond4")
-
-    def test_merged_cond4_equals_cond4_one_target_at_a_time(self, wells_cond4):
+    def test_cond4_equals_the_slice_and_the_landing_check_run_apart(self, wells_cond4):
         from dataclasses import fields
 
         from morseflow.cli import _isolated, _judged, _pick_eps, _skipped
@@ -1062,14 +1060,14 @@ class TestCondition4Waves:
             if cp.kind not in ("saddle", "maximum"):
                 continue
 
-            def alone():  # point i's slice and landing check, each in its own ensembles
+            def apart():  # point i's slice and landing check, each in its own ensembles
                 eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
                 slc = unstable_slice(f, Z, cp, cp.value - eps, seed=seed)
                 entry = check_condition4(f, Z, cp, eps, slc, seed=seed, collect=keeper).to_payload()
                 entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
                 return _judged(4, {"eps_licensed": premise}, entry)
 
-            entry = _isolated(errors, i, alone)
+            entry = _isolated(errors, i, apart)
             want.append({**(_skipped(4, errors[i]) if entry is None else entry), "point_index": i})
         got = report.condition_reports["cond4"]["witnesses"]["per_point"]
         assert len(got) == len(want) == 14
@@ -1082,34 +1080,24 @@ class TestCondition4Waves:
                 a, b = getattr(report.trajectories[tag], fd.name), getattr(traj, fd.name)
                 assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, (tag, fd.name)
 
-    @pytest.mark.parametrize("seam", ["slice_starts", "back_flow_starts", "slice_points", "landing_modulus"])
-    def test_a_target_that_raises_leaves_the_other_fragments_unchanged(self, monkeypatch, wells_cond4, seam):
-        import morseflow.cli as cli
+    def test_a_target_whose_slice_raises_leaves_the_other_fragments_unchanged(self, monkeypatch, wells_cond4):
+        import morseflow.levelmap as levelmap
 
         before = wells_cond4[0].condition_reports["cond4"]["witnesses"]["per_point"]
         victim = next(p["point_index"] for p in before if p["verdict"] == "pass")
         location = tuple(wells_cond4[0].critical_points[victim]["location"])
-        real = getattr(cli, seam)
+        real = levelmap._slice_from
 
-        def flaky(*args):
-            cp = next(a for a in args if hasattr(a, "location"))
+        def flaky(f, Z, cp, *args):
             if cp.location == location:
                 raise RuntimeError("slice probe left the box")
-            return real(*args)
+            return real(f, Z, cp, *args)
 
-        monkeypatch.setattr(cli, seam, flaky)
-        after = run_experiment(load_problem(PROBLEMS / "wells.json"), self.STAGES)
+        monkeypatch.setattr(levelmap, "_slice_from", flaky)
+        after = run_experiment(load_problem(PROBLEMS / "wells.json"), ("critical", "loja", "cond4"))
         after = after.condition_reports["cond4"]["witnesses"]["per_point"]
         assert [p for p in after if p["point_index"] != victim] == [p for p in before if p["point_index"] != victim]
         assert len(after) == 14
         assert next(p for p in after if p["point_index"] == victim) == {
             "condition": 4, "verdict": "inconclusive", "modulus_table": None, "point_index": victim,
             "witnesses": {"reason": "RuntimeError('slice probe left the box')"}}
-
-    def test_each_wave_logs_its_targets_members_and_iterations(self, caplog):
-        caplog.set_level(logging.INFO, logger="morseflow")
-        run_experiment(load_problem(PROBLEMS / "wells.json"), self.STAGES)
-        waves = [json.loads(r.getMessage()) for r in caplog.records if r.getMessage().startswith('{"cond4_wave"')]
-        # 6 of the 14 targets end before wave 1: no ring probe lies 5e-7 below them
-        assert [(w["cond4_wave"], w["targets"], w["of"]) for w in waves] == [(1, 8, 14), (2, 8, 14)]
-        assert all(w["members"] > w["iterations"] > 0 for w in waves)

@@ -491,29 +491,6 @@ class TestCapture:
                 assert np.array_equal(getattr(traj, column), getattr(one, column))
         assert [t.termination for t in flows] == ["converged", "converged", "reach_level", "left_box"]
 
-    def test_mixed_ensemble_of_capture_points_is_bit_identical_to_integrate(self, cone):
-        # each member has its own capture point, or none (a row of NaN)
-        f, Z = cone
-        on_ray, none = (0.3, 0.0, 0.3), (np.nan,) * 3
-        starts = np.array([[0.5, 0.0, 0.5]] * 3 + [[-0.1, 0.0, 0.1]] * 2 + [Z.retract([0.3, -0.2, 0.4])])
-        directions = ["descend"] * 3 + ["ascend"] * 2 + ["descend"]
-        levels = [None, None, None, 0.0, 0.0, 0.1]
-        points = [self.ORIGIN, on_ray, none, self.ORIGIN, none, on_ray]
-        flows = integrate_ensemble(f, Z, starts, directions, levels,
-                                   [Converged(1e-8), Capture(np.array(points), 1e-5)], record=True)
-        for x0, direction, level, point, traj in zip(starts, directions, levels, points, flows):
-            stops = [Converged(1e-8)] + ([] if np.isnan(point).any() else [Capture(point, 1e-5)])
-            one = integrate(f, Z, x0, direction, stops + ([] if level is None else [ReachLevel(level)]))
-            assert traj.termination == one.termination
-            assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
-            for column in ("t", "y", "f", "grad_norm", "arc"):
-                assert np.array_equal(getattr(traj, column), getattr(one, column))
-        assert [t.termination for t in flows] == ["converged", "converged", "left_box", "converged",
-                                                  "reach_level", "reach_level"]
-        # the first descent is caught at the vertex, the second on the ray above it, the third runs through
-        assert np.array_equal(flows[0].endpoint, self.ORIGIN) and np.array_equal(flows[1].endpoint, on_ray)
-        assert flows[2].final_f < -0.1 and np.array_equal(flows[3].endpoint, self.ORIGIN)
-
 
 def test_unrecorded_member_keeps_start_and_end(saddle):
     f, Z = saddle

@@ -461,7 +461,8 @@ STAGES = {
 
 
 def _log_stage(name: str, ran: str, seconds, error) -> None:
-    log.info(json.dumps(dict(stage=name, ran=ran, seconds=seconds and round(seconds, 4), error=error)))
+    if log.isEnabledFor(logging.INFO):  # the line is encoded only when shown
+        log.info(json.dumps(dict(stage=name, ran=ran, seconds=seconds and round(seconds, 4), error=error)))
 
 
 class _RecordList(logging.Handler):
@@ -625,8 +626,9 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
                                                if spec.proper_on_box else _premise("failed", "proper_on_box is false"))
         report.corollary_verdict = _judged(0, report.corollary_premises, {
             "verdict": _worst([frag["verdict"] for frag in frags]), "witnesses": {}})["verdict"]
-        log.info(json.dumps({"corollary": report.corollary_verdict, "assumes": {
-            k: p["status"] for k, p in report.corollary_premises.items() if p["status"] != "checked"}}))
+        if log.isEnabledFor(logging.INFO):
+            log.info(json.dumps({"corollary": report.corollary_verdict, "assumes": {
+                k: p["status"] for k, p in report.corollary_premises.items() if p["status"] != "checked"}}))
     return report
 
 

@@ -9,6 +9,7 @@ import bisection_landing
 import stage_retracting_advance
 from morseflow import flow
 from morseflow.cli import builtin_problem, load_problem, problem_objects
+from morseflow.critical import PROBE_RADIUS
 from morseflow.flow import (
     INCONCLUSIVE_TERMINATIONS,
     ArcBudget,
@@ -20,6 +21,7 @@ from morseflow.flow import (
     integrate_ensemble,
     trajectory_csv_text,
 )
+from morseflow.levelmap import check_condition2
 from morseflow.polynomial import PolynomialSystem, parse_polynomial
 from morseflow.sampling import band_samples, substream
 from morseflow.space import SingularSpace
@@ -689,19 +691,47 @@ def test_endpoint_retraction_ends_each_member_as_stage_retraction_did(name, monk
     assert "reach_level" in {t.termination for t in flows}
 
 
+class SpaceLayerField(_Field):
+    """The field with every projection and retraction called, as on a constrained Z."""
+
+    def __init__(self, f, Z):
+        super().__init__(f, Z)
+        self.constrained, self.projected_grad = True, self._projected_grad
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_flows(flows, reference):
+    assert len(flows) == len(reference)
+    for traj, ref in zip(flows, reference):
+        assert (traj.direction, traj.termination, traj.n_accepted, traj.n_rejected) == \
+            (ref.direction, ref.termination, ref.n_accepted, ref.n_rejected)
+        for column in ("t", "y", "f", "grad_norm", "arc"):
+            assert same_bits(getattr(traj, column), getattr(ref, column))
+
+
 @pytest.mark.parametrize("name, constrained", [("saddle", 0), ("cone", 1), ("cone-lift", 1), ("planes-lift", 1)])
 def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, constrained, monkeypatch):
-    # a step makes one retract_batch call over all rows; on R^n that call
-    # returns the endpoints bit for bit and never evaluates g
+    # on a constrained Z a step makes one retract_batch call over all rows; on
+    # R^n it calls neither retract_batch nor tangent_project_batch, evaluates
+    # no g, and takes the step the space layer's identities take, bit for bit
     f, Z = named_problem(name)
     X, directions, _ = band_starts(f, Z, 6)
-    calls, g_rows = [], []
-    retract_batch, evaluate = SingularSpace.retract_batch, PolynomialSystem.evaluate
+    calls, projections, g_rows = [], [], []
+    retract_batch, project = SingularSpace.retract_batch, SingularSpace.tangent_project_batch
+    evaluate = PolynomialSystem.evaluate
 
     def counted(self, Y, *args, **kwargs):
         out = retract_batch(self, Y, *args, **kwargs)
         calls.append((Y.copy(), out[0].copy()))
         return out
+
+    def counted_project(self, Y, V):
+        projections.append(len(Y))
+        return project(self, Y, V)
 
     def counted_g(self, Y):
         if self is Z.constraints:
@@ -709,16 +739,62 @@ def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, constrain
         return evaluate(self, Y)
 
     monkeypatch.setattr(SingularSpace, "retract_batch", counted)
+    monkeypatch.setattr(SingularSpace, "tangent_project_batch", counted_project)
     monkeypatch.setattr(PolynomialSystem, "evaluate", counted_g)
     fld = _Field(f, Z)
     sign = np.array([-1.0 if d == "descend" else 1.0 for d in directions])
-    y_new, _, ok = fld.advance(X, sign[:, None] * fld.projected_grad(X), np.full(6, 0.05), sign)
-    assert [len(y) for y, _ in calls] == [6]
+    K1 = sign[:, None] * fld.projected_grad(X)
+    step = fld.advance(X, K1, np.full(6, 0.05), sign)
+    y_new, _, ok = step
     assert ok.all() and Z.is_member(y_new).all()
-    (y5, out), = calls
     assert bool(constrained) == (len(Z.constraints) > 0) == bool(g_rows)
-    if not constrained:
-        assert out.tobytes() == y5.tobytes() == y_new.tobytes()
+    if constrained:
+        assert [len(y) for y, _ in calls] == [6]
+        assert projections == [6] * 6
+        return
+    assert calls == [] and projections == []
+    forced = SpaceLayerField(f, Z)
+    K1_forced = sign[:, None] * forced.projected_grad(X)
+    forced_step = forced.advance(X, K1_forced, np.full(6, 0.05), sign)
+    assert [len(y) for y, _ in calls] == [6] and projections == [6] * 6 and not g_rows
+    (y5, out), = calls
+    assert same_bits(out, y5) and same_bits(K1, K1_forced)
+    for ours, theirs in zip(step, forced_step):
+        assert same_bits(ours, theirs)
+
+
+def condition2_flows(f, Z):
+    flows = []
+    check_condition2(f, Z, -1.0, 1.0, seed=0, collect=lambda tag, traj: flows.append(traj))
+    return flows
+
+
+def test_rn_ensembles_equal_the_ensembles_through_the_space_layer(quartic, saddle, monkeypatch):
+    # condition 2's 400 band flows on the quartic and the saddle, two of them
+    # recorded as the pipeline keeps them; then classify's saddle witnesses, a
+    # recorded descent and a captured back-flow from each of six probes below
+    # the saddle of x^2 - y^2
+    angles = np.pi / 2 + np.array([-0.6, 0.0, 0.6, np.pi - 0.6, np.pi, np.pi + 0.6])
+    probes = PROBE_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    witnesses = dict(X0=np.repeat(probes, 2, axis=0), directions=["descend", "ascend"] * 6,
+                     levels=[None, 0.0] * 6, record=[True, False] * 6,
+                     stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)),
+                            Capture((0.0, 0.0), PROBE_RADIUS)])
+
+    def ensembles():
+        flows = [condition2_flows(*quartic), condition2_flows(*saddle)]
+        return flows + [integrate_ensemble(*saddle, **witnesses)]
+
+    assert not len(quartic[1].constraints) and not len(saddle[1].constraints)
+    assert (saddle[0].evaluate(probes) < 0.0).all()
+    flows = ensembles()
+    assert [len(ens) for ens in flows] == [400, 400, 12]
+    assert "converged" in {t.termination for t in flows[0]} and "reach_level" in {t.termination for t in flows[1]}
+    assert all(t.termination == "converged" and not t.endpoint.any() for t in flows[2][1::2])
+    assert all(t.n_samples > 2 for t in flows[2][::2])
+    monkeypatch.setattr(flow, "_Field", SpaceLayerField)
+    for ours, forced in zip(flows, ensembles()):
+        assert_same_flows(ours, forced)
 
 
 # -- the landing: regula falsi against tests/bisection_landing.py --------

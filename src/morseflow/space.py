@@ -300,23 +300,26 @@ def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None)
     over the pairs run until no pair turns, at most ``JACOBI_SWEEPS``.  A
     single row is never rotated.
 
-    Returns three lists of m arrays: the rows b_i, each (N, n); their
-    squared norms, each (N,), set to 0 where ``sigma_i <= rank_tol *
-    sigma_max`` (the row is cut); and, when R (N, m) is given, the entries
-    of ``Q R``, each (N,), else None.  J and R are not written to.  Each
-    stack entry is rotated on its own, bit for bit.  A matrix with a
-    non-finite entry (or squared row norms that overflow) is never
-    rotated, and its squared norms are not finite: with two or more rows
-    all of them are NaN.
+    Returns three arrays: the rows B, shape (m, N, n), with B[i] the rows
+    b_i; their squared norms, shape (m, N), set to 0 where ``sigma_i <=
+    rank_tol * sigma_max`` (the row is cut); and, when R (N, m) is given,
+    the entries of ``Q R``, shape (m, N), else None.  One row's B is a view
+    of J; with two or more rows B is a transposed copy of J, so each B[i]
+    is C-contiguous: numpy multiplies a strided (N, n) view ``J[:, i]`` 3
+    to 7 times slower.  J and R are not written to.  Each stack entry is
+    rotated on its own, bit for bit.  A matrix with a non-finite entry (or
+    squared row norms that overflow) is never rotated, and its squared
+    norms are not finite: with two or more rows all of them are NaN.
     """
     m = J.shape[1]
     if m == 1:
-        # one row is orthogonal already and is its own largest: nothing to turn or cut
+        # one row is orthogonal already and is its own largest: nothing to turn or
+        # cut; its norms are summed on the 2-D view, which costs less than the 3-D one
         b = J[:, 0]
-        return [b], [row_sums(b * b)], None if R is None else [R[:, 0]]
-    B = [J[:, i] for i in range(m)]
-    W = None if R is None else [R[:, i] for i in range(m)]
-    s2 = [row_sums(b * b) for b in B]
+        return b[None], row_sums(b * b)[None], None if R is None else R.T
+    B = J.transpose(1, 0, 2).copy()
+    W = None if R is None else R.T.copy()
+    s2 = row_sums(B * B)
     tol = J.shape[2] * EPS
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for _ in range(JACOBI_SWEEPS):
@@ -326,7 +329,7 @@ def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None)
             k = (np.abs(gamma) > tol * np.sqrt(s2[i]) * np.sqrt(s2[j])).nonzero()[0]
             # a row within n * eps of the other's norm is rounding noise,
             # which the rank cut drops; turning it only stirs the noise
-            si, sj = s2[i][k], s2[j][k]
+            si, sj = s2[i, k], s2[j, k]
             live = np.minimum(si, sj) > (tol * tol) * np.maximum(si, sj)
             if not live.any():
                 continue
@@ -337,27 +340,19 @@ def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None)
             t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = c * t
-            _rotate(B, i, j, k, c[:, None], s[:, None])
+            bi, bj = B[i, k], B[j, k]
+            B[i, k], B[j, k] = c[:, None] * bi - s[:, None] * bj, s[:, None] * bi + c[:, None] * bj
             if W is not None:
-                _rotate(W, i, j, k, c, s)
+                wi, wj = W[i, k], W[j, k]
+                W[i, k], W[j, k] = c * wi - s * wj, s * wi + c * wj
             for r in (i, j):
-                s2[r][k] = row_sums(B[r][k] ** 2)
+                s2[r, k] = row_sums(B[r, k] ** 2)
         if not turned:
             break
-    s2max = s2[0]
-    for s in s2[1:]:
-        s2max = np.maximum(s2max, s)
+    s2max = s2.max(axis=0)
     cut = (rank_tol * rank_tol) * s2max
     nan = 0.0 * s2max  # 0 where the matrix is finite, NaN where it is not
-    return B, [np.where(s > cut, s, nan) for s in s2], W
-
-
-def _rotate(A: list, i: int, j: int, k: np.ndarray, c, s) -> None:
-    """Rotate entries i and j of the list A at the stack entries k, into new arrays."""
-    ai, aj = A[i][k], A[j][k]
-    A[i], A[j] = A[i].copy(), A[j].copy()
-    A[i][k] = c * ai - s * aj
-    A[j][k] = s * ai + c * aj
+    return B, np.where(s2 > cut, s2, nan), W
 
 
 def _rank_cut_svd(J: np.ndarray, rank_tol: float):

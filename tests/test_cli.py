@@ -565,6 +565,22 @@ class TestUnsettledCriticalPoints:
         # the graph w = x^2 + y^2 changes the flow's metric, but no critical point
         assert self._lift_kinds("saddle", "saddle-graph") == ["saddle"]
 
+    def test_three_row_graph_lifted_cone_keeps_the_cones_kinds_and_verdicts(self):
+        # Z with three rows that are not orthogonal, so the Jacobi sweeps turn
+        # all three pairs: the kinds, every verdict and the corollary stay the cone's
+        flat = run_experiment(builtin_problem("cone"))
+        lifted = run_experiment(load_problem(PROBLEMS / "cone-graph3.json"))
+        assert [cp["kind"] for cp in lifted.critical_points] == [cp["kind"] for cp in flat.critical_points] \
+            == ["saddle"]
+        assert lifted.verdicts() == flat.verdicts()
+        assert lifted.corollary_verdict == flat.corollary_verdict == "pass"
+        assert lifted.stage_errors == flat.stage_errors == {}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2's smooth-pass defect: the three-row lift reports "
+                                           "the vertex at -1.078e-7, where the cone reports 0")
+    def test_three_row_graph_lifted_cone_matches_cone(self):
+        assert self._lift_kinds("cone", "cone-graph3") == ["saddle"]
+
     def test_classify_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import halving_retraction
+import strided_rows
 from morseflow import space
 from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.polynomial import PolynomialSystem, gradient, parse_polynomial
@@ -476,7 +477,7 @@ def jacobian_stacks(draw, m, sigmas=KEPT + CUT, size=(1, 6)):
         elif kind == "parallel" and m > 1:
             A[draw(st.integers(1, m - 1))] = draw(st.sampled_from([2.0, -0.5, 3.0])) * A[0]
         stack.append(A)
-    return np.array(stack)
+    return np.array(stack).reshape(N, m, n)
 
 
 def separated(A, lo=10 * 1e-8, hi=1e-8 / 10):
@@ -487,6 +488,15 @@ def separated(A, lo=10 * 1e-8, hi=1e-8 / 10):
     """
     s = np.linalg.svd(A, compute_uv=False)
     return bool(np.all((s >= lo * s[0]) | (s <= hi * s[0])))
+
+
+# the retraction's spaces with m = 1 ... 4 rows; the graph lifts' rows are not orthogonal, so pairs turn
+KERNEL_SPACES = {
+    **RETRACT_SPACES,
+    **{name: problem_objects(load_problem(PROBLEMS / f"{name}.json"))[1] for name in ("cone-graph", "cone-graph3")},
+    "cone-graph4": make_space(["x^2 + y^2 - z^2", "w - x*y", "v - x - w", "u - v*y"], ["x", "y", "z", "w", "v", "u"],
+                              [(-2, 2)] * 3 + [(-4.5, 4.5), (-7, 7), (-14, 14)]),
+}
 
 
 class TestOrthogonalRows:
@@ -562,7 +572,51 @@ class TestOrthogonalRows:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(space, "JACOBI_SWEEPS", space.JACOBI_SWEEPS // 4)
             B_short, s2_short, _ = orthogonal_rows(J, 1e-8)
-        assert all(np.array_equal(a, b) for a, b in zip(B + s2, B_short + s2_short))
+        assert np.array_equal(B, B_short) and np.array_equal(s2, s2_short)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: jacobian_stacks(m, size=(0, 6))), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_contiguous_rows_give_the_strided_kernels_bits(self, J, seed, bad):
+        rng = np.random.default_rng(seed)
+        V, R = rng.normal(size=(len(J), J.shape[2])), rng.normal(size=J.shape[:2])
+        if bad is not None and len(J):
+            J[rng.integers(len(J)), rng.integers(J.shape[1]), rng.integers(J.shape[2])] = bad
+        J0, R0 = J.copy(), R.copy()
+        B, s2, W = orthogonal_rows(J, 1e-8, R)
+        assert np.array_equal(J, J0, equal_nan=True) and np.array_equal(R, R0)
+        assert B.shape == (J.shape[1], *J.shape[::2]) and s2.shape == W.shape == R.T.shape
+        if J.shape[1] > 1:
+            assert all(b.flags.c_contiguous for b in B)
+        for got, ref in zip((B, s2, W), strided_rows.orthogonal_rows(J0, 1e-8, R0)):
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, ref, strict=True))
+        P, rank = project(J, V)
+        D = step(J, R)
+        assert np.array_equal(J, J0, equal_nan=True) and np.array_equal(R, R0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space, "orthogonal_rows", strided_rows.orthogonal_rows)
+            P_ref, rank_ref = project(J, V)
+            D_ref = step(J, R)
+        assert np.array_equal(P, P_ref, equal_nan=True) and np.array_equal(rank, rank_ref)
+        assert np.array_equal(D, D_ref, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KERNEL_SPACES)), st.integers(0, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, np.nan, np.inf]))
+    def test_contiguous_rows_retract_to_the_strided_kernels_bits(self, name, N, seed, bad):
+        Z = KERNEL_SPACES[name]
+        rng = np.random.default_rng(seed)
+        lo, hi = Z._box_bounds
+        X = rng.uniform(lo, hi, size=(N, Z.ambient_dim)) * rng.choice([0.1, 0.5, 1.0], size=(N, 1))
+        if bad is not None and N:
+            X[rng.integers(N), rng.integers(Z.ambient_dim)] = bad
+        got = Z.retract_batch(X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space, "orthogonal_rows", strided_rows.orthogonal_rows)
+            ref = Z.retract_batch(X)
+        assert np.array_equal(got[0], ref[0], equal_nan=True) and np.array_equal(got[1], ref[1])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)

@@ -123,10 +123,9 @@ def _central_differences(resid, X: np.ndarray) -> np.ndarray:
     """
     N, n = X.shape
     H = 1e-7 * np.maximum(1.0, np.abs(X))
-    P = np.repeat(X[None], 2 * n, axis=0)
-    for j in range(n):
-        P[2 * j, :, j] += H[:, j]
-        P[2 * j + 1, :, j] -= H[:, j]
+    P, j = np.repeat(X[None], 2 * n, axis=0), np.arange(n)
+    P[2 * j, :, j] += H.T
+    P[2 * j + 1, :, j] -= H.T
     D = resid(P.reshape(2 * n * N, n)).reshape(n, 2, N, -1)
     return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
 
@@ -134,12 +133,16 @@ def _central_differences(resid, X: np.ndarray) -> np.ndarray:
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first index of each bit-distinct row of X, and each row's index among those rows.
 
-    Rows are keyed on their bits, not on float equality, which would merge
-    0.0 with -0.0.
+    Rows are keyed on their bits by one lexsort, not on float equality,
+    which would merge 0.0 with -0.0; first is in ``np.unique(axis=0)``'s order.
     """
-    _, first, copy = np.unique(X.view(np.int64), axis=0, return_index=True, return_inverse=True)
-    # the inverse's shape differs across numpy 2.x releases
-    return first, copy.ravel()
+    order = np.lexsort(X.view(np.int64).T[::-1])
+    K = X.view(np.int64)[order]
+    head = np.ones(len(K), dtype=bool)
+    head[1:] = (K[1:] != K[:-1]).any(axis=1)
+    copy = np.empty(len(K), dtype=np.intp)
+    copy[order] = np.cumsum(head) - 1
+    return order[head], copy
 
 
 def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
@@ -148,8 +151,9 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     Returns the refined rows, their residuals and a mask of the rows that
     converged; a failed row holds its last accepted iterate.  Rows never
     interact: a row's result does not depend on the rows refined with it,
-    or on the pool width.  So each bit-distinct row (:func:`_distinct_rows`)
-    is refined once, and its result is copied to every row with its bits.
+    or on the pool width.  So each bit-distinct row (:func:`_distinct_rows`,
+    one lexsort of the rows' int64 bits) is refined once, and its result is
+    copied to every row with its bits.
 
     Phase one drives a row's residual below tol in at most REFINE_ITER
     steps; phase two keeps stepping at full length, at most POLISH_ITER
@@ -170,7 +174,9 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     the remaining geometric series (Schroeder's step).  The rule needs an
     exact Jacobian: the h^2 error of central differences corrupts the
     ratios (their Jacobian of 4x^3 is 12x^2 + 4h^2, so below |x| ~ h each
-    step shrinks to about x^3 / h^2), and without jac it is off.
+    step shrinks to about x^3 / h^2), and without jac it is off and costs
+    nothing: no ratio, scale or retry is formed, and a polish step is the
+    plain step.
 
     Each distinct row's residual is taken once, in blocks of REFINE_POOL
     rows; the rows still to step wait in one queue, in sorted-bit order.
@@ -205,10 +211,6 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
         rows = rows[ok[rows]]
         return rows[~polish[rows] | (used[rows] < POLISH_ITER)]
 
-    def undamped(rows, sn, ratio, kept):
-        """Record the step lengths of the rows that stepped undamped, and clear the others'."""
-        last[rows], rho[rows] = np.where(kept, sn, np.nan), np.where(kept, ratio, np.nan)
-
     def full_step(x, s, rn_old):
         """x + s, its residuals and their norms, and the mask to keep: a finite norm at most max(rn_old, tol)."""
         xn = x + s
@@ -224,11 +226,11 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
         moving = np.isfinite(step).all(axis=1)
         # a non-finite step fails a phase-one row and ends a polishing one
         ok[pool[~moving & ~polish[pool]]] = False
-        sn = norms(step)
-        ratio = sn / last[pool]
-        agree = np.abs(ratio - rho[pool]) <= SCHRODER_AGREE * rho[pool]
-        fire = agree & (ratio < SCHRODER_MAX_RATIO) & (jac is not None)
-        scale = 1.0 / (1.0 - np.where(fire, ratio, 0.0))
+        sn, scale = norms(step), np.ones(len(pool))
+        if jac:
+            ratio = sn / last[pool]
+            fire = (np.abs(ratio - rho[pool]) <= SCHRODER_AGREE * rho[pool]) & (ratio < SCHRODER_MAX_RATIO)
+            scale = 1.0 / (1.0 - np.where(fire, ratio, 0.0))
 
         one = np.flatnonzero(moving & ~polish[pool])
         zero = ~step[one].any(axis=1)
@@ -243,23 +245,25 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
             stall[hit] = np.where(rn_new > 0.5 * rn[hit], stall[hit] + 1, 0)
             X[hit], R[hit], rn[hit] = xn, r_new, rn_new
             ok[rows[~down | (stall[rows] >= 6)]] = False
-            # the first trial point is the one line_search forms, so equal bits mean it was accepted
-            d = one[down]
-            full = (t[down] == scale[d]) & (xn == x[d] + t[down, None] * step[d]).all(axis=1)
-            undamped(hit, sn[d], ratio[d], full)
+            if jac:
+                # the first trial point is the one line_search forms, so equal bits mean it was accepted
+                d = one[down]
+                full = (t[down] == scale[d]) & (xn == x[d] + t[down, None] * step[d]).all(axis=1)
+                last[hit], rho[hit] = np.where(full, sn[d], np.nan), np.where(full, ratio[d], np.nan)
 
         # polish: the scaled step, else the plain one, kept unless the
         # residual rises above tol; a rise or a negligible step ends the polish
         two = np.flatnonzero(moving & polish[pool])
         if two.size:
-            rows, s2 = pool[two], scale[two, None] * step[two]
+            rows, s2 = pool[two], scale[two, None] * step[two] if jac else step[two]
             xn, r_new, rn_new, kept = full_step(x[two], s2, rn[rows])
-            retry = np.flatnonzero(~kept & fire[two])
-            if retry.size:
-                s2[retry] = step[two[retry]]
-                xn[retry], r_new[retry], rn_new[retry], kept[retry] = full_step(x[two[retry]], s2[retry],
-                                                                                rn[rows[retry]])
-            undamped(rows, sn[two], ratio[two], kept)
+            if jac:
+                retry = np.flatnonzero(~kept & fire[two])
+                if retry.size:
+                    s2[retry] = step[two[retry]]
+                    xn[retry], r_new[retry], rn_new[retry], kept[retry] = full_step(x[two[retry]], s2[retry],
+                                                                                    rn[rows[retry]])
+                last[rows], rho[rows] = np.where(kept, sn[two], np.nan), np.where(kept, ratio[two], np.nan)
             rows, xn, s2, moving[two] = rows[kept], xn[kept], s2[kept], kept
             X[rows], R[rows], rn[rows] = xn, r_new[kept], rn_new[kept]
             moving[two[kept]] = norms(s2) >= 1e-14 * (1.0 + norms(xn))

@@ -175,16 +175,19 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value,
                              [Converged(1e-8), Capture(cp.location, SLICE_CLUSTER_TOL)])
-    validated = []
+    # dropped landings are routine (back-flows ending 1e-3 off the point), so one INFO line per slice, not per landing
+    validated, dropped, farthest = [], {}, 0.0
     for rep, up in zip(reps, ups):
-        if up.termination not in ("reach_level", "converged"):
-            log.warning("slice landing %s failed to flow back (%s)", rep, up.termination)
-            continue
-        dist = float(np.linalg.norm(up.endpoint - center))
-        if dist <= SLICE_CLUSTER_TOL:
-            validated.append(tuple(float(v) for v in rep))
+        why = up.termination
+        if why in ("reach_level", "converged"):
+            dist = float(np.linalg.norm(up.endpoint - center))
+            farthest, why = max(farthest, dist), "too_far" if dist > SLICE_CLUSTER_TOL else None
+        if why:
+            dropped[why] = dropped.get(why, 0) + 1
         else:
-            log.warning("slice landing %s flows back %.3g away from the critical point", rep, dist)
+            validated.append(tuple(float(v) for v in rep))
+    log.info("slice at level %g: %d of %d landings kept, dropped %s; farthest back-flow end %.3g from the point",
+             level, len(validated), len(reps), dropped, farthest)
     if not validated:
         raise RuntimeError("no slice landing survived back-flow validation")
     validated.sort()

@@ -327,6 +327,8 @@ def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None)
         for i, j in pairs:
             gamma = row_sums(B[i] * B[j])
             k = (np.abs(gamma) > tol * np.sqrt(s2[i]) * np.sqrt(s2[j])).nonzero()[0]
+            if not k.size:
+                continue
             # a row within n * eps of the other's norm is rounding noise,
             # which the rank cut drops; turning it only stirs the noise
             si, sj = s2[i, k], s2[j, k]

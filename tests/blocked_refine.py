@@ -1,16 +1,29 @@
 """Reference copy of the critical search's Gauss-Newton as it ran in fixed blocks.
 
-Every seed block of BLOCK rows iterated until its slowest row was done.
-The pool in ``critical._refine`` must return the same X, R and mask, bit
-for bit; tests/test_critical.py checks that on the full default grids.
+Every seed block of BLOCK rows iterated until its slowest row was done,
+and its central differences displaced one column at a time.  The pool in
+``critical._refine`` must return the same X, R and mask, bit for bit;
+tests/test_critical.py checks that on the full default grids, and checks
+``critical._central_differences`` against the copy here.
 """
 
 import numpy as np
 
-from morseflow.critical import _central_differences, _lstsq_steps
+from morseflow.critical import _lstsq_steps
 from morseflow.space import LINE_SEARCH_ROUNDS, norms as _norms
 
 BLOCK = 64
+
+
+def _central_differences(resid, X):
+    N, n = X.shape
+    H = 1e-7 * np.maximum(1.0, np.abs(X))
+    P = np.repeat(X[None], 2 * n, axis=0)
+    for j in range(n):
+        P[2 * j, :, j] += H[:, j]
+        P[2 * j + 1, :, j] -= H[:, j]
+    D = resid(P.reshape(2 * n * N, n)).reshape(n, 2, N, -1)
+    return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
 
 
 def refine(resid, X0, tol, jac=None, max_iter=80, polish_iter=40, max_step_len=None):

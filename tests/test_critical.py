@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blocked_refine
 from morseflow import critical, flow, space
@@ -461,6 +463,67 @@ class TestBatchedRefinement:
         for cp, loc, value in zip(cps, locations, values):
             assert np.linalg.norm(cp.point() - np.array(loc)) <= CLUSTER_TOL
             assert abs(cp.value - value) <= 1e-8
+
+
+# row entries whose bits a float comparison would mix up: signed zeros, infinities,
+# the smallest subnormal, and NaNs with different payloads and signs
+BIT_VALUES = np.concatenate([
+    [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 5e-324],
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001]).view(float),
+])
+
+
+@st.composite
+def bit_blocks(draw, max_rows=16):
+    # entries are drawn by index, so each NaN keeps its payload
+    n = draw(st.integers(1, 3))
+    idx = draw(st.lists(st.lists(st.integers(0, len(BIT_VALUES) - 1), min_size=n, max_size=n), max_size=max_rows))
+    return BIT_VALUES[np.array(idx, dtype=int).reshape(-1, n)]
+
+
+def bits(A):
+    return np.ascontiguousarray(A).view(np.int64)
+
+
+class TestRefineKernels:
+    """The row key and the central differences against the code they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_blocks())
+    def test_distinct_rows_match_the_unique_reference(self, X0):
+        first, copy = critical._distinct_rows(X0)
+        _, ref_first, ref_copy = np.unique(X0.view(np.int64), axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(first, ref_first) and np.array_equal(copy, ref_copy.ravel())
+        assert np.array_equal(bits(X0[first]), bits(X0[ref_first]))
+        assert np.array_equal(bits(X0[first][copy]), bits(X0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_differences_match_the_per_column_loop(self, n, N, seed, nan_row):
+        # h = 1e-7 * max(1, |x|), so entries beyond 1 in size, and signed zeros, are drawn
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(N, n)) * rng.choice([0.01, 1.0, 40.0], size=(N, n))
+        X[rng.random((N, n)) < 0.2] = rng.choice([0.0, -0.0])
+        if nan_row and N:
+            X[rng.integers(N)] = np.nan
+        blocks = []
+
+        def resid(P):
+            blocks.append(P.copy())
+            return np.stack([P.prod(axis=1) + P[:, 0] ** 3, np.sin(P).sum(axis=1)], axis=1)
+
+        def outcome(differences):
+            try:
+                return bits(differences(resid, X.copy()))
+            except ValueError as e:  # an empty block has no width to reshape by
+                return repr(e)
+
+        got, ref = outcome(critical._central_differences), outcome(blocked_refine._central_differences)
+        assert type(got) is type(ref) and np.array_equal(got, ref)
+        assert len(blocks) == 2 and np.array_equal(bits(blocks[0]), bits(blocks[1]))
+        if N:
+            assert got.shape == (N, 2, n)
 
 
 def named_problem(name):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,38 @@ class TestUnstableSlice:
         assert len(got) == 2
         assert np.allclose(got[0], (-0.1, 0.0, -0.1), atol=1e-6)
         assert np.allclose(got[1], (-0.1, 0.0, 0.1), atol=1e-6)
+
+    def test_one_info_line_counts_the_dropped_landings(self, cone, caplog, monkeypatch):
+        # at level -0.01 eight of the cone's ten landings flow back about 1e-3
+        # from the vertex; one more is made to leave the box on its way back
+        f, Z = cone
+        real = levelmap.integrate_ensemble
+
+        def spy(*args, **kwargs):
+            flows = real(*args, **kwargs)
+            if args[3] == "ascend":
+                flows[0] = dataclasses.replace(flows[0], termination="left_box")
+            return flows
+
+        monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
+        with caplog.at_level("INFO", logger="morseflow.levelmap"):
+            slc = unstable_slice(f, Z, origin_cp(dim=3), -0.01, seed=0)
+        line, = [r for r in caplog.records if r.name == "morseflow.levelmap"]
+        assert line.levelname == "INFO"
+        kept = len(slc.points)
+        assert line.getMessage() == (f"slice at level -0.01: {kept} of 10 landings kept, dropped "
+                                     f"{{'left_box': 1, 'too_far': {9 - kept}}}; farthest back-flow end 0.000995 "
+                                     "from the point")
+
+    def test_a_slice_with_no_landing_left_logs_its_line_and_raises(self, cone, caplog, monkeypatch):
+        # a capture and a validation radius of 1e-300: no back-flow ends close enough
+        f, Z = cone
+        monkeypatch.setattr(levelmap, "SLICE_CLUSTER_TOL", 1e-300)
+        with caplog.at_level("INFO", logger="morseflow.levelmap"), \
+                pytest.raises(RuntimeError, match="no slice landing survived back-flow validation"):
+            unstable_slice(f, Z, origin_cp(dim=3), -0.01, seed=0)
+        line, = [r.getMessage() for r in caplog.records if r.name == "morseflow.levelmap"]
+        assert line.startswith("slice at level -0.01: 0 of ")
 
     @pytest.mark.parametrize("k", range(-6, 7))
     def test_nudged_cone_slice_still_validates_both_rays(self, cone, k, monkeypatch):

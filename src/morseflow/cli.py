@@ -44,7 +44,6 @@ from .space import RetractionError, SingularSpace
 
 log = logging.getLogger(__name__)
 
-SAFETY = 0.5
 # the corollary needs these conditions together
 COROLLARY = ("cond1", "cond2", "cond4")
 WORST_FIRST = ("fail", "inconclusive", "pass")
@@ -444,8 +443,8 @@ def _cond4_entry(run: _Run, i: int, cp: CriticalPoint, gap: float) -> dict:
     """The condition 4 fragment of target point i, with its level offset and slice."""
     eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
     entry = None
-    if eps is not None:  # check_condition4 builds the slice, its descents among the probe flows
-        entry = check_condition4(run.f, run.Z, cp, eps, None, seed=run.spec.seed, collect=run.keeper).to_payload()
+    if eps is not None:
+        entry = check_condition4(run.f, run.Z, cp, eps, seed=run.spec.seed, collect=run.keeper).to_payload()
     return {**_judged(4, {"eps_licensed": premise}, entry), "point_index": i}
 
 
@@ -639,7 +638,7 @@ def _pick_eps(fit, gap, tolerances):
     why = "no fit available"
     if fit is not None:
         try:
-            return choose_epsilon(fit, SAFETY, nearest_gap=gap), _premise("unchecked", "lojasiewicz fit")
+            return choose_epsilon(fit, nearest_gap=gap), _premise("unchecked", "lojasiewicz fit")
         except ValueError as e:
             why = f"fit rejected ({e})"
     if knob is not None:

@@ -32,9 +32,10 @@ SLICE_PROBE_RADIUS = 1e-3
 CURVATURE_MARGIN = 0.5
 SLICE_START_DROP = CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2
 # condition 2 draws up to this many band samples; condition 4 up to
-# N_PER_RADIUS ball probes at each radius
+# N_PER_RADIUS ball probes at each of the strictly decreasing RADII
 COND2_SAMPLES = 200
 N_PER_RADIUS = 40
+RADII = (0.1, 0.03, 0.01, 0.003)
 # a condition-2 flow converges once its projected gradient stays below this
 COND2_CONV_TOL = 1e-4
 
@@ -69,12 +70,14 @@ class LevelSetMap:
         return sum(1 for p in self.pairs if p.termination in INCONCLUSIVE_TERMINATIONS)
 
 
+class EmptySlice(ValueError):
+    """An empty unstable slice: no ring probe starts below the critical value, or no landing is validated."""
+
+
 @dataclass
 class UnstableSlice:
     """Validated landings of flows leaving a critical point, on one level."""
 
-    critical_point: CriticalPoint
-    level: float
     points: list
 
 
@@ -144,9 +147,10 @@ def unstable_slice(
     point (an unstable-set point, flowed backward, returns to where it
     came from).  A back-flow that runs into the point within
     SLICE_CLUSTER_TOL is captured there (:class:`Capture`), as at a cone's
-    vertex, where f jumps along the step.  Minima are refused: nothing
-    leaves them downward.  A level not below every probe start is refused
-    by the target check of :func:`integrate_ensemble`.
+    vertex, where f jumps along the step.  An empty slice raises
+    :class:`EmptySlice`, and so does a minimum: nothing leaves it downward.
+    A level not below every probe start is refused by the target check of
+    :func:`integrate_ensemble`.
     """
     descents = integrate_ensemble(f, Z, _slice_starts(f, Z, cp, seed), "descend", level, [Converged(1e-8)])
     return _slice_from(f, Z, cp, level, descents)
@@ -158,10 +162,8 @@ def _slice_starts(f, Z: SingularSpace, cp: CriticalPoint, seed: int) -> np.ndarr
     probes = np.reshape(ring_probes(Z, cp.point(), SLICE_PROBE_RADIUS, rng), (-1, Z.ambient_dim))
     starts = probes[f.evaluate(probes) < cp.value - SLICE_START_DROP]
     if not len(starts):
-        raise ValueError(
-            f"no descending directions at radius {SLICE_PROBE_RADIUS}; "
-            "the critical point is a minimum (or the radius is too small)"
-        )
+        raise EmptySlice(f"no ring probe at radius {SLICE_PROBE_RADIUS:g} lies {SLICE_START_DROP:g} below the "
+                         "critical value; the point is a minimum, or the radius is too small")
     return starts
 
 
@@ -170,7 +172,7 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
     center = cp.point()
     landings = [traj.endpoint for traj in descents if traj.termination == "reach_level"]
     if not landings:
-        raise RuntimeError(f"no probe flow reached level {level}; slice is empty")
+        raise EmptySlice(f"no probe flow reached level {level:g}; slice is empty")
 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value,
@@ -186,12 +188,13 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
             dropped[why] = dropped.get(why, 0) + 1
         else:
             validated.append(tuple(float(v) for v in rep))
-    log.info("slice at level %g: %d of %d landings kept, dropped %s; farthest back-flow end %.3g from the point",
-             level, len(validated), len(reps), dropped, farthest)
+    kept = (f"{len(validated)} of {len(reps)} landings kept, dropped {dropped}; "
+            f"farthest back-flow end {farthest:.3g} from the point")
+    log.info("slice at level %g: %s", level, kept)
     if not validated:
-        raise RuntimeError("no slice landing survived back-flow validation")
+        raise EmptySlice(f"no slice landing survived back-flow validation at level {level:g}: {kept}")
     validated.sort()
-    return UnstableSlice(critical_point=cp, level=float(level), points=validated)
+    return UnstableSlice(points=validated)
 
 
 def check_condition2(
@@ -272,15 +275,13 @@ def check_condition4(
     Z: SingularSpace,
     cp: CriticalPoint,
     eps: float,
-    slice_: UnstableSlice | None,
-    radii=(0.1, 0.03, 0.01, 0.003),
     seed: int = 0,
     collect=None,
 ) -> ConditionReport:
     """Landing modulus: flows from shrinking balls land ever closer to the slice.
 
-    For each radius r, up to N_PER_RADIUS on-Z probes within r of the
-    critical point are descended to the slice level; d(r) is the worst
+    For each radius r in RADII, up to N_PER_RADIUS on-Z probes within r of
+    the critical point are descended to the slice level; d(r) is the worst
     distance from a landing to the nearest slice point.  Probes captured by
     the critical level itself (converged at value >= cp.value - eps/2) are
     the stable-set exclusion and are counted, not scored.  Verdict passes when
@@ -288,47 +289,46 @@ def check_condition4(
     inside the tube of radius TUBE_RHO; a radius that lands no probe makes it
     inconclusive, and witnesses.reason names it.
 
-    slice_ is the unstable slice at cp.value - eps, or None to build it here
-    (as :func:`unstable_slice` does), its descents in one ensemble with the
-    probe flows, each member's trajectory the same as in an ensemble of its
-    own; witnesses.slice_points then lists it.  An eps below SLICE_START_DROP
-    puts that level above every slice start, and the verdict is inconclusive.
+    The slice at cp.value - eps is :func:`unstable_slice`'s, its descents in
+    the probes' ensemble; witnesses.slice_points lists it.  An empty slice,
+    or an eps below SLICE_START_DROP (a slice level above every start),
+    makes the verdict inconclusive, and witnesses.reason says why.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError(f"radii must be strictly decreasing, got {tuple(radii)}")
     target = cp.value - eps
-    built = slice_ is None
-    if not built and abs(slice_.level - target) > 1e-9:
-        raise ValueError(f"slice level {slice_.level} does not match cp.value - eps = {target}")
-    if built and eps < SLICE_START_DROP:
+    if eps < SLICE_START_DROP:
         reason = (f"eps {eps:g} is below {SLICE_START_DROP:g} = CURVATURE_MARGIN * SLICE_PROBE_RADIUS**2, the least "
                   "drop of a slice start below the critical value, so the slice level lies above every start")
         return ConditionReport(condition=4, verdict="inconclusive", witnesses={"eps": float(eps), "reason": reason})
+    try:
+        ring = _slice_starts(f, Z, cp, seed)
+    except EmptySlice as e:
+        return ConditionReport(condition=4, verdict="inconclusive", witnesses={"eps": float(eps), "reason": str(e)})
     capture_level = cp.value - eps / 2.0
     center = cp.point()
-    ring = _slice_starts(f, Z, cp, seed) if built else np.empty((0, Z.ambient_dim))
     probes = [np.reshape(ball_probes(Z, center, r, substream(seed, f"cond4-radius-{idx}"), N_PER_RADIUS),
-                         (-1, Z.ambient_dim)) for idx, r in enumerate(radii)]
+                         (-1, Z.ambient_dim)) for idx, r in enumerate(RADII)]
     firsts = np.cumsum([0] + [len(p) for p in probes])
     starts = np.concatenate(probes)
     # the proof walks a sequence on the critical level itself; cover that
     # variant where the level set is nondegenerate, else keep the raw probe
     Q, ok = project_to_level_set(f, Z, starts, cp.value)
     qd = np.linalg.norm(Q - center, axis=1)
-    use = ok & (CLUSTER_TOL < qd) & (qd <= 2.0 * np.repeat(radii, np.diff(firsts)))
+    use = ok & (CLUSTER_TOL < qd) & (qd <= 2.0 * np.repeat(RADII, np.diff(firsts)))
     starts[use] = Q[use]
 
-    # a slice built here descends from the ring ahead of the probes; the
-    # first flow of each radius is recorded in full for collect
+    # the slice descends from the ring ahead of the probes; the first flow
+    # of each radius is recorded in full for collect
     n = len(ring)
     flows = integrate_ensemble(
         f, Z, np.concatenate([ring, starts]), "descend", target, [Converged(1e-8)],
         record=np.isin(np.arange(n + len(starts)), n + firsts) & (collect is not None),
     )
-    if built:
+    try:
         slice_ = _slice_from(f, Z, cp, target, flows[:n])
+    except EmptySlice as e:
+        return ConditionReport(condition=4, verdict="inconclusive", witnesses={"eps": float(eps), "reason": str(e)})
     flows = flows[n:]
     slice_pts = np.asarray(slice_.points, dtype=float)
 
@@ -343,7 +343,7 @@ def check_condition4(
         "n_inconclusive": 0,
         "n_projected": int(use.sum()),
     }
-    for idx, r in enumerate(radii):
+    for idx, r in enumerate(RADII):
         n_landed = n_captured = 0
         worst = 0.0
         for traj in flows[firsts[idx]:firsts[idx + 1]]:
@@ -377,6 +377,6 @@ def check_condition4(
         verdict = "pass" if monotone and ds[-1] < TUBE_RHO else "fail"
         witnesses["d_final"] = ds[-1]
         witnesses["monotone_within_slack"] = bool(monotone)
-    if built:
-        witnesses["slice_points"] = [list(p) for p in slice_.points]
+    witnesses["slice_points"] = [list(p) for p in slice_.points]
     return ConditionReport(condition=4, verdict=verdict, witnesses=witnesses, modulus_table=table)
+

@@ -30,6 +30,8 @@ N_BINS = 30
 # estimate_fit draws FIT_SAMPLES cloud points and needs MIN_SAMPLES usable ones
 FIT_SAMPLES = 400
 MIN_SAMPLES = 100
+# choose_epsilon takes this fraction of the offset the fit licenses, so the arc bound stays below delta/2
+SAFETY = 0.5
 
 
 class FitError(RuntimeError):
@@ -147,19 +149,17 @@ def estimate_fit(
     )
 
 
-def choose_epsilon(fit: LojasiewiczFit, safety: float, nearest_gap: float) -> float:
-    """Level offset licensed by the fit: eps = safety * (C*theta*delta/2)^(1/theta).
+def choose_epsilon(fit: LojasiewiczFit, nearest_gap: float) -> float:
+    """Level offset licensed by the fit: eps = SAFETY * (C*theta*delta/2)^(1/theta).
 
-    Guarantees length_bound(fit, eps) = safety^theta * delta/2 < delta/2
-    for safety < 1.  Validated against nearest_gap, the spacing to the next
-    critical value (no other critical value may sit inside the offset; inf
-    when there is none).
+    Guarantees length_bound(fit, eps) = SAFETY^theta * delta/2 < delta/2.
+    Validated against nearest_gap, the spacing to the next critical value
+    (no other critical value may sit inside the offset; inf when there is
+    none).
     """
-    if not (0.0 <= safety <= 1.0):
-        raise ValueError(f"safety must lie in [0, 1], got {safety}")
     if not (0.0 < fit.theta <= 1.0):
         raise ValueError(f"exponent {fit.theta} outside (0, 1]")
-    eps = safety * (fit.constant_C * fit.theta * fit.radius_delta / 2.0) ** (1.0 / fit.theta)
+    eps = SAFETY * (fit.constant_C * fit.theta * fit.radius_delta / 2.0) ** (1.0 / fit.theta)
     if eps > nearest_gap:
         raise ValueError(
             f"eps {eps:.6g} exceeds the spacing {nearest_gap:.6g} to the nearest "
@@ -293,7 +293,7 @@ def verify_flow_estimates(
     }
 
 
-def default_delta(Z: SingularSpace, cp: CriticalPoint, others=()) -> float:
+def default_delta(Z: SingularSpace, cp: CriticalPoint, others) -> float:
     """Validity radius: half the spacing to the nearest other critical point,
     capped by the distance from the point to the box walls.
 

@@ -30,7 +30,7 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
 
 
-def unit_directions(dim: int, rng: np.random.Generator, n_random: int = 0) -> np.ndarray:
+def unit_directions(dim: int, rng: np.random.Generator, n_random: int) -> np.ndarray:
     """Probe directions: the 2 * dim axes, the 4 diagonals of each coordinate
     pair, the 2**dim corners when 3 <= dim <= 6, then n_random random ones.
 

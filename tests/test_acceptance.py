@@ -47,7 +47,7 @@ def saddle_fit(saddle):
 @pytest.fixture(scope="module")
 def saddle_verify(saddle, saddle_fit):
     f, Z = saddle
-    eps = choose_epsilon(saddle_fit, safety=0.5, nearest_gap=float("inf"))
+    eps = choose_epsilon(saddle_fit, nearest_gap=float("inf"))
     rays = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     starts = []
     for i, d in enumerate(np.linspace(0.005, 0.245, 50)):
@@ -114,28 +114,26 @@ def test_criterion_4_level_map_homeomorphism(saddle):
 
 
 def test_criterion_5_landing_modulus(saddle, cone):
-    radii = (0.1, 0.03, 0.01, 0.003)
     with criterion(5, "landing modulus shrinks on saddle and cone; landings match the invariant"):
         f, Z = saddle
         cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
         landed = []
         report = check_condition4(
-            f, Z, cp, 0.01, slc, radii=radii, seed=0,
+            f, Z, cp, 0.01, seed=0,
             collect=lambda tag, traj: landed.append(traj) if traj.termination == "reach_level" else None,
         )
         assert report.verdict == "pass"
+        assert [row[0] for row in report.modulus_table] == [0.1, 0.03, 0.01, 0.003]
         assert report.witnesses["monotone_within_slack"]
         assert report.witnesses["d_final"] < 0.05
+        assert report.witnesses["slice_points"] == [list(p) for p in unstable_slice(f, Z, cp, -0.01, seed=0).points]
         assert landed
         for traj in landed:
             s, e = traj.y[0], traj.endpoint
             assert abs(s[0] * s[1] - e[0] * e[1]) <= 1e-4, "conserved product drifted"
 
         fc, Zc = cone
-        cpc = origin_cp(dim=3)
-        slc_c = unstable_slice(fc, Zc, cpc, -0.01, seed=0)
-        report_c = check_condition4(fc, Zc, cpc, 0.01, slc_c, radii=radii, seed=0)
+        report_c = check_condition4(fc, Zc, origin_cp(dim=3), 0.01, seed=0)
         assert report_c.verdict == "pass"
         assert report_c.witnesses["monotone_within_slack"]
         assert report_c.witnesses["d_final"] < 0.05

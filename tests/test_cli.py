@@ -1061,35 +1061,35 @@ def wells_cond4():
 class TestCondition4Targets:
     """Condition 4 builds each target's slice in the ensemble of its probe flows, and each fragment is its own."""
 
-    def test_cond4_equals_the_slice_and_the_landing_check_run_apart(self, wells_cond4):
+    def test_cond4_slice_equals_the_slice_built_in_its_own_ensemble(self, wells_cond4):
         from dataclasses import fields
 
-        from morseflow.cli import _isolated, _judged, _pick_eps, _skipped
+        from morseflow.cli import _judged, _pick_eps
         from morseflow.critical import _merged_values
-        from morseflow.levelmap import check_condition4, unstable_slice
+        from morseflow.levelmap import EmptySlice, check_condition4, unstable_slice
 
         report, run = wells_cond4
         f, Z, seed = run.f, run.Z, run.spec.seed
         gap = _merged_values([cp.value for cp in run.cps])[1]
-        keeper, errors, want = _TrajectoryKeeper(), {}, []
-        for i, cp in enumerate(run.cps):
-            if cp.kind not in ("saddle", "maximum"):
-                continue
-
-            def apart():  # point i's slice and landing check, each in its own ensembles
-                eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
-                slc = unstable_slice(f, Z, cp, cp.value - eps, seed=seed)
-                entry = check_condition4(f, Z, cp, eps, slc, seed=seed, collect=keeper).to_payload()
-                entry["witnesses"]["slice_points"] = [list(p) for p in slc.points]
-                return _judged(4, {"eps_licensed": premise}, entry)
-
-            entry = _isolated(errors, i, apart)
-            want.append({**(_skipped(4, errors[i]) if entry is None else entry), "point_index": i})
         got = report.condition_reports["cond4"]["witnesses"]["per_point"]
-        assert len(got) == len(want) == 14
-        assert {p["verdict"] for p in got} == {"pass", "fail", "inconclusive"}
-        for g, w in zip(got, want):
-            assert g == w
+        targets = [(i, cp) for i, cp in enumerate(run.cps) if cp.kind in ("saddle", "maximum")]
+        assert [g["point_index"] for g in got] == [i for i, _ in targets] and len(got) == 14
+        assert {g["verdict"] for g in got} == {"pass", "fail", "inconclusive"}
+        keeper, n_empty = _TrajectoryKeeper(), 0
+        for g, (i, cp) in zip(got, targets):
+            eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
+            entry = check_condition4(f, Z, cp, eps, seed=seed, collect=keeper).to_payload()
+            assert g == {**_judged(4, {"eps_licensed": premise}, entry), "point_index": i}
+            # point i's slice, its descents in an ensemble of their own
+            try:
+                slc = unstable_slice(f, Z, cp, cp.value - eps, seed=seed)
+            except EmptySlice as e:
+                n_empty += 1
+                assert g["verdict"] == "inconclusive" and g["modulus_table"] is None
+                assert g["witnesses"] == {"eps": eps, "reason": str(e)}
+                continue
+            assert g["witnesses"]["slice_points"] == [list(p) for p in slc.points]
+        assert n_empty == 8
         assert list(report.trajectories) == list(keeper.kept)
         for tag, traj in keeper.kept.items():
             for fd in fields(traj):

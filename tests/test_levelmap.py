@@ -125,7 +125,7 @@ class TestUnstableSlice:
         f, Z = cone
         monkeypatch.setattr(levelmap, "SLICE_CLUSTER_TOL", 1e-300)
         with caplog.at_level("INFO", logger="morseflow.levelmap"), \
-                pytest.raises(RuntimeError, match="no slice landing survived back-flow validation"):
+                pytest.raises(levelmap.EmptySlice, match="no slice landing survived back-flow validation"):
             unstable_slice(f, Z, origin_cp(dim=3), -0.01, seed=0)
         line, = [r.getMessage() for r in caplog.records if r.name == "morseflow.levelmap"]
         assert line.startswith("slice at level -0.01: 0 of ")
@@ -144,7 +144,7 @@ class TestUnstableSlice:
     def test_minimum_refused(self, quartic):
         f, Z = quartic
         cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
-        with pytest.raises(ValueError):
+        with pytest.raises(levelmap.EmptySlice, match="^no ring probe at radius 0.001 lies 5e-07 below"):
             unstable_slice(f, Z, cp, -0.01, seed=0)
 
     def test_level_must_be_below_value(self, saddle):
@@ -315,21 +315,22 @@ class TestCondition4:
     def test_saddle_modulus_shrinks(self, saddle, monkeypatch):
         f, Z = saddle
         cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 12)
-        report = check_condition4(f, Z, cp, 0.01, slc, radii=(0.1, 0.03), seed=0)
+        monkeypatch.setattr(levelmap, "RADII", (0.1, 0.03))
+        report = check_condition4(f, Z, cp, 0.01, seed=0)
         assert report.verdict == "pass"
         rows = report.modulus_table
         assert [r for r, *_ in rows] == [0.1, 0.03]
         assert rows[1][1] <= rows[0][1] * 1.1 + 1e-8
         assert report.witnesses["d_final"] < 0.05
+        assert report.witnesses["slice_points"] == [list(p) for p in unstable_slice(f, Z, cp, -0.01, seed=0).points]
 
     def test_payload_schema(self, saddle, monkeypatch):
         f, Z = saddle
         cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 8)
-        payload = check_condition4(f, Z, cp, 0.01, slc, radii=(0.05, 0.02), seed=0).to_payload()
+        monkeypatch.setattr(levelmap, "RADII", (0.05, 0.02))
+        payload = check_condition4(f, Z, cp, 0.01, seed=0).to_payload()
         assert payload["condition"] == 4
         assert set(payload) == {"condition", "verdict", "witnesses", "modulus_table"}
         for row in payload["modulus_table"]:
@@ -338,15 +339,15 @@ class TestCondition4:
     def test_a_radius_that_lands_no_probe_is_named(self, saddle, monkeypatch):
         f, Z = saddle
         cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 8)
+        monkeypatch.setattr(levelmap, "RADII", (0.1, 0.03))
         real = levelmap.ball_probes
 
         def none_at_003(Z, center, radius, rng, count):
             return [] if radius == 0.03 else real(Z, center, radius, rng, count)
 
         monkeypatch.setattr(levelmap, "ball_probes", none_at_003)
-        report = check_condition4(f, Z, cp, 0.01, slc, radii=(0.1, 0.03), seed=0)
+        report = check_condition4(f, Z, cp, 0.01, seed=0)
         assert report.verdict == "inconclusive"
         assert [row[2] > 0 for row in report.modulus_table] == [True, False]
         assert report.witnesses["reason"] == "no probe landed at radius [0.03]"
@@ -356,29 +357,41 @@ class TestCondition4:
         # downhill branch, so the tube criterion cannot hold
         f, Z = saddle
         cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 12)
-        report = check_condition4(f, Z, cp, 0.01, slc, radii=(1.9,), seed=0)
+        monkeypatch.setattr(levelmap, "RADII", (1.9,))
+        report = check_condition4(f, Z, cp, 0.01, seed=0)
         assert report.verdict == "fail"
         assert report.modulus_table[0][1] > 0.05
 
-    def test_radii_must_decrease(self, saddle):
-        f, Z = saddle
-        cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
-        with pytest.raises(ValueError):
-            check_condition4(f, Z, cp, 0.01, slc, radii=(0.01, 0.1), seed=0)
+    def test_a_slice_with_no_landing_left_is_inconclusive(self, cone, caplog, monkeypatch):
+        # a capture and a validation radius of 1e-300: no back-flow ends close
+        # enough, so the slice is empty and the reason counts what was dropped
+        f, Z = cone
+        monkeypatch.setattr(levelmap, "SLICE_CLUSTER_TOL", 1e-300)
+        with caplog.at_level("INFO", logger="morseflow.levelmap"):
+            report = check_condition4(f, Z, origin_cp(dim=3), 0.01, seed=0)
+        line, = [r.getMessage() for r in caplog.records if r.name == "morseflow.levelmap"]
+        assert line.startswith("slice at level -0.01: 0 of ") and "dropped {" in line
+        assert report.verdict == "inconclusive" and report.modulus_table is None
+        assert report.witnesses == {"eps": 0.01, "reason": line.replace(
+            "slice at level -0.01:", "no slice landing survived back-flow validation at level -0.01:")}
 
-    def test_slice_level_must_match_eps(self, saddle):
-        f, Z = saddle
-        cp = origin_cp()
-        slc = unstable_slice(f, Z, cp, -0.01, seed=0)
-        with pytest.raises(ValueError):
-            check_condition4(f, Z, cp, 0.02, slc, radii=(0.1, 0.03), seed=0)
+    def test_a_point_with_no_ring_probe_below_it_is_inconclusive(self, quartic):
+        # the quartic's origin is a minimum that a wrong kind sends here: no ring probe lies below it
+        f, Z = quartic
+        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="saddle")
+        report = check_condition4(f, Z, cp, 0.01, seed=0)
+        assert report.verdict == "inconclusive"
+        assert report.witnesses == {"eps": 0.01, "reason": (
+            "no ring probe at radius 0.001 lies 5e-07 below the critical value; "
+            "the point is a minimum, or the radius is too small")}
+
+    def test_the_radii_strictly_decrease(self):
+        # the modulus table reads d(r) as r shrinks, and the monotone test compares neighbours
+        assert all(r2 < r1 for r1, r2 in zip(levelmap.RADII, levelmap.RADII[1:]))
 
     def test_minimum_refused(self, quartic):
         f, Z = quartic
         cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
-        slice_stub = type("S", (), {"level": -0.01, "points": [(0.0,)]})()
         with pytest.raises(ValueError):
-            check_condition4(f, Z, cp, 0.01, slice_stub, radii=(0.1, 0.03), seed=0)
+            check_condition4(f, Z, cp, 0.01, seed=0)

@@ -106,26 +106,29 @@ class TestEstimateFit:
 
 
 class TestChooseEpsilon:
-    def test_worked_example(self):
-        eps = choose_epsilon(make_fit(0.5, 2.0, delta=0.2), safety=1.0, nearest_gap=float("inf"))
+    def test_worked_example(self, monkeypatch):
+        monkeypatch.setattr(lojasiewicz, "SAFETY", 1.0)
+        eps = choose_epsilon(make_fit(0.5, 2.0, delta=0.2), nearest_gap=float("inf"))
         assert eps == pytest.approx(0.01)
         # the induced arc bound is exactly half the validity radius
         assert length_bound(make_fit(0.5, 2.0), eps) == pytest.approx(0.1)
 
-    def test_zero_safety_degenerates(self):
-        assert choose_epsilon(make_fit(0.5, 2.0), safety=0.0, nearest_gap=float("inf")) == 0.0
+    def test_zero_safety_degenerates(self, monkeypatch):
+        monkeypatch.setattr(lojasiewicz, "SAFETY", 0.0)
+        assert choose_epsilon(make_fit(0.5, 2.0), nearest_gap=float("inf")) == 0.0
 
     def test_linear_case(self):
         fit = make_fit(1.0, 2.0, delta=0.2)
-        assert choose_epsilon(fit, safety=0.5, nearest_gap=float("inf")) == pytest.approx(0.5 * 2.0 * 0.1)
-
-    def test_safety_out_of_range(self):
-        with pytest.raises(ValueError):
-            choose_epsilon(make_fit(0.5, 2.0), safety=1.5, nearest_gap=float("inf"))
+        assert choose_epsilon(fit, nearest_gap=float("inf")) == pytest.approx(lojasiewicz.SAFETY * 2.0 * 0.1)
 
     def test_gap_guard(self):
         with pytest.raises(ValueError):
-            choose_epsilon(make_fit(0.5, 2.0, delta=0.2), safety=1.0, nearest_gap=1e-3)
+            choose_epsilon(make_fit(0.5, 2.0, delta=0.2), nearest_gap=1e-3)
+
+    def test_the_safety_keeps_the_arc_bound_below_half_delta(self):
+        fit = make_fit(0.5, 2.0, delta=0.2)
+        assert 0.0 < lojasiewicz.SAFETY < 1.0
+        assert length_bound(fit, choose_epsilon(fit, nearest_gap=float("inf"))) < fit.radius_delta / 2.0
 
 
 class TestLengthBound:
@@ -151,7 +154,7 @@ def saddle_report(saddle):
     f, Z = saddle
     cp = origin_cp()
     fit = estimate_fit(f, Z, cp, radius=0.5, seed=0)
-    eps = choose_epsilon(fit, safety=0.5, nearest_gap=float("inf"))
+    eps = choose_epsilon(fit, nearest_gap=float("inf"))
     dists = np.linspace(0.01, 0.24, 10)
     starts = [(d / np.sqrt(2), d / np.sqrt(2)) for d in dists]
     report = verify_flow_estimates(f, Z, cp, fit, eps, starts)
@@ -232,7 +235,7 @@ def test_batched_descents_match_the_single_flow_loop(name, level, eps, seed, sad
 class TestDefaultDelta:
     def test_wall_distance(self, saddle):
         _, Z = saddle
-        assert default_delta(Z, origin_cp()) == 2.0
+        assert default_delta(Z, origin_cp(), ()) == 2.0
 
     def test_capped_by_neighbour_spacing(self, saddle):
         _, Z = saddle
@@ -249,4 +252,4 @@ class TestDefaultDelta:
                           [(-1, 1), (-1, 1)])
         cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
         with pytest.raises(FitError, match=r"delta = 0: the point \(0\.0, -1\.0\) lies on a box face"):
-            default_delta(Z, cp)
+            default_delta(Z, cp, ())

@@ -19,6 +19,7 @@ def test_the_library_example_runs():
     assert scope["kind"] == "saddle"
     assert len(scope["slc"].points) == 2
     assert scope["report"].verdict == "pass"
+    assert scope["report"].witnesses["slice_points"] == [list(p) for p in scope["slc"].points]
     assert scope["traj"].termination == "reach_level"
 
 

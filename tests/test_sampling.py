@@ -68,7 +68,7 @@ class TestDedupe:
 
 class TestUnitDirections:
     def test_axes_always_present(self):
-        dirs = unit_directions(2, np.random.default_rng(0))
+        dirs = unit_directions(2, np.random.default_rng(0), 0)
         rows = {tuple(np.round(d, 12)) for d in dirs}
         assert (1.0, 0.0) in rows and (-1.0, 0.0) in rows
         assert (0.0, 1.0) in rows and (0.0, -1.0) in rows

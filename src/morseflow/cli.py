@@ -21,7 +21,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .critical import (
     classify,
     find_critical_points,
 )
-from .flow import Converged, ReachLevel, integrate, trajectory_csv_text
+from .flow import CONVERGED, ReachLevel, integrate, trajectory_csv_text
 from .levelmap import check_condition2, check_condition4
 from .levelmap import check_condition2 as _imported_check_condition2
 from .lojasiewicz import FitError, choose_epsilon, default_delta, estimate_fit
@@ -47,6 +47,8 @@ log = logging.getLogger(__name__)
 # the corollary needs these conditions together
 COROLLARY = ("cond1", "cond2", "cond4")
 WORST_FIRST = ("fail", "inconclusive", "pass")
+# condition 4 is checked at these kinds of critical point
+COND4_KINDS = ("saddle", "maximum")
 KNOWN_TOLERANCES = {"band", "cond4_eps", "grid_density"}
 
 
@@ -63,9 +65,9 @@ class ProblemSpec:
     objective: str
     constraints: tuple
     box: tuple
-    proper_on_box: bool = False
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
+    proper_on_box: bool
+    tolerances: dict
+    seed: int
 
     def to_payload(self) -> dict:
         return {
@@ -274,15 +276,11 @@ class ExperimentReport:
     corollary_premises: dict
     stage_errors: dict
     trajectory_manifest: list
-    # compare=False keeps the trajectories out of the payload
-    trajectories: dict = field(default_factory=dict, compare=False, repr=False)
+    # the retained trajectories, which the payload leaves out
+    trajectories: dict
 
     def to_payload(self) -> dict:
-        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.compare}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "ExperimentReport":
-        return cls(**{fd.name: data[fd.name] for fd in fields(cls) if fd.compare})
+        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.name != "trajectories"}
 
     @property
     def corollary_ran(self) -> bool:
@@ -292,11 +290,6 @@ class ExperimentReport:
     def verdicts(self) -> list:
         out = [rep["verdict"] for rep in self.condition_reports.values()]
         return out + [self.corollary_verdict] if self.corollary_ran else out
-
-
-def load_report(path) -> ExperimentReport:
-    with open(path) as fh:
-        return ExperimentReport.from_payload(json.load(fh))
 
 
 class _TrajectoryKeeper:
@@ -417,7 +410,7 @@ def _run_cond2(run: _Run) -> dict:
 
 def _run_cond4(run: _Run) -> dict:
     cps = run.cps
-    targets = [(i, cp) for i, cp in enumerate(cps) if cp.kind in ("saddle", "maximum")]
+    targets = [(i, cp) for i, cp in enumerate(cps) if cp.kind in COND4_KINDS]
     # a point of unknown kind may be a saddle whose landing check never ran
     unsettled = [i for i, cp in enumerate(cps) if cp.kind in ("unresolved", "degenerate")]
     premises = {"search_complete": _search_complete(cps), "kinds_settled": (
@@ -528,7 +521,7 @@ def _join_cond2(run: _Run, data: bytes, status: int, failed: dict) -> dict:
     return _skipped(2, error)
 
 
-def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
+def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
     """Run the requested stages against one problem and assemble the report.
 
     Stages run in table order.  A stage that raises, or that needs a stage
@@ -567,6 +560,7 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
         corollary_premises={},
         stage_errors={},
         trajectory_manifest=[],
+        trajectories={},
     )
     run = _Run(spec, f, Z, report, _TrajectoryKeeper(), [], {})
     failed = {}  # stage -> why it did not finish
@@ -597,7 +591,7 @@ def run_experiment(spec: ProblemSpec, stages=STAGES) -> ExperimentReport:
                     and threading.active_count() == 1
                     and check_condition2 is _imported_check_condition2
                     and "cond4" in report.stages
-                    and any(cp.kind in ("saddle", "maximum") for cp in run.cps)):
+                    and any(cp.kind in COND4_KINDS for cp in run.cps)):
                 child = _fork_cond2(run, STAGES["cond2"][1])
         if child is not None:
             data = child[1].read()
@@ -650,12 +644,11 @@ def _sanitize(tag: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.=-]+", "_", tag)
 
 
-def emit_report(report: ExperimentReport, format: str = "json", out_dir=".") -> list:
+def emit_report(report: ExperimentReport, format: str, out_dir) -> list:
     """Write the report; returns the sorted list of created files.
 
-    json: a single re-loadable document.  csv-bundle: the same document
-    plus summary tables and one CSV per retained trajectory (a freshly run
-    report carries them; a re-loaded one does not).
+    json: a single document.  csv-bundle: the same document plus summary
+    tables and one CSV per trajectory in ``report.trajectories``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -775,7 +768,7 @@ def _cmd_flow(args) -> int:
         print(f"morseflow: start point cannot be placed on Z: {e}", file=sys.stderr)
         return 4
     direction = "descend" if args.direction == "down" else "ascend"
-    stops = [Converged(1e-8)]
+    stops = [CONVERGED]
     if args.stop_level is not None:
         f0 = float(f.evaluate(start))
         if (f0 - args.stop_level if direction == "descend" else args.stop_level - f0) < -Z.level_tol:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import ArcBudget, Capture, Converged, integrate_ensemble
+from .flow import CONVERGED, ArcBudget, Capture, integrate_ensemble
 from .polynomial import Polynomial, PolynomialSystem, gradient, jacobian
 from .sampling import _dedupe, ring_probes, substream
 from .space import SingularSpace, line_search, min_norm_steps, norms, row_norms
@@ -63,8 +63,8 @@ class CriticalPoint:
     location: tuple[float, ...]
     value: float
     grad_norm: float
-    kind: str = "unresolved"
-    cluster_radius: float = 0.0
+    kind: str
+    cluster_radius: float
 
     def point(self) -> np.ndarray:
         return np.asarray(self.location, dtype=float)
@@ -145,7 +145,7 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[head], copy
 
 
-def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
+def _refine(resid, X0, tol, jac, max_step_len):
     """Damped least-squares Newton on every row of X0.
 
     Returns the refined rows, their residuals and a mask of the rows that
@@ -160,8 +160,8 @@ def _refine(resid, X0, tol, jac=None, max_step_len=np.inf):
     times, until the step itself is negligible, which pins down the
     location even where the residual landscape is extremely flat (4x^3,
     the gradient of x^4, is below 1e-12 while still 6e-5 away from the
-    root).  resid (and jac, else central differences) map an (N, n) block
-    to its rows' residuals (and Jacobians).
+    root).  resid (and jac, or central differences when jac is None) map
+    an (N, n) block to its rows' residuals (and Jacobians).
 
     At a root of multiplicity m, Newton converges only linearly, each step
     (m - 1) / m times the one before, so plain steps would polish that
@@ -298,7 +298,7 @@ def _constant_entry(system: PolynomialSystem) -> Optional[int]:
     return next((i for i, p in enumerate(system) if len(p.terms) == 1 and not any(p.terms[0].exponents)), None)
 
 
-def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | None = None) -> list[CriticalPoint]:
+def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | None) -> list[CriticalPoint]:
     """Locate and deduplicate the fixed points of the flow inside the box.
 
     Grid seeds are retracted to Z and refined by damped least-squares
@@ -315,7 +315,7 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
     refines all its seeds in one :func:`_refine` call, which refines each
     bit-distinct start once.  Non-convergent seeds are discarded (counted
     and logged only when INFO is on), and the points found are clustered
-    within CLUSTER_TOL.  The grid density defaults to
+    within CLUSTER_TOL.  A grid density of None is
     :func:`default_grid_density` of the dimension.
     """
     if grid_density is None:
@@ -387,7 +387,7 @@ def _saddle_witnesses(f, Z, cp, below_probe) -> bool:
     center = cp.point()
     down, up = integrate_ensemble(
         f, Z, [below_probe, below_probe], directions=("descend", "ascend"), levels=(None, cp.value),
-        stops=[Converged(1e-8), ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)), Capture(cp.location, PROBE_RADIUS)],
+        stops=[CONVERGED, ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)), Capture(cp.location, PROBE_RADIUS)],
         record=(True, False),
     )
     max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))
@@ -396,12 +396,7 @@ def _saddle_witnesses(f, Z, cp, below_probe) -> bool:
             and end_dist <= PROBE_RADIUS)
 
 
-def classify(
-    f: Polynomial,
-    Z: SingularSpace,
-    cp: CriticalPoint,
-    seed: int = 0,
-) -> str:
+def classify(f: Polynomial, Z: SingularSpace, cp: CriticalPoint, seed: int) -> str:
     """Classify a critical point from f-values on a retracted probe ring of radius PROBE_RADIUS.
 
     Probes outside the box are dropped; too few left gives "unresolved".
@@ -467,10 +462,10 @@ def _merged_values(values) -> tuple[list[float], float]:
 def check_condition1(cps) -> ConditionReport:
     """Isolated critical values: values merged within VALUE_MERGE_TOL must sit more than GAP_TOL apart.
 
-    Accepts CriticalPoint instances or bare values.  No value at all is
-    inconclusive: an empty search does not show that f has no critical point.
+    No value at all is inconclusive: an empty search does not show that f
+    has no critical point.
     """
-    values = [float(getattr(cp, "value", cp)) for cp in cps]
+    values = [cp.value for cp in cps]
     centers, min_gap = _merged_values(values)
     verdict = "pass" if min_gap > GAP_TOL else "fail"
     witnesses = {

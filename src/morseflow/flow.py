@@ -88,6 +88,10 @@ class Capture:
 
 StopCriterion = ReachLevel | Converged | ArcBudget | Capture
 
+# the convergence stop of classify's witnesses, the unstable slice, condition 4,
+# the level map, the verified flow estimates and ``morseflow flow``
+CONVERGED = Converged(1e-8)
+
 # Terminations that decide nothing: the flow neither reached a level nor
 # demonstrably converged nor left the region.  landing_failed: the flow
 # crossed its ReachLevel target but no re-taken step of the landing ends
@@ -243,9 +247,9 @@ def integrate_ensemble(
     f: Polynomial,
     Z: SingularSpace,
     X0: Sequence[Sequence[float]] | np.ndarray,
-    directions: str | Sequence[str] = "descend",
-    levels: float | Sequence[float | None] | None = None,
-    stops: Sequence[StopCriterion] = (),
+    directions: str | Sequence[str],
+    levels: float | Sequence[float | None] | None,
+    stops: Sequence[StopCriterion],
     record: bool | Sequence[bool] = False,
 ) -> list[FlowTrajectory]:
     """Integrate the projected gradient flow from every row of X0 at once.
@@ -501,8 +505,8 @@ def integrate(
     f: Polynomial,
     Z: SingularSpace,
     x0: Sequence[float] | np.ndarray,
-    direction: str = "descend",
-    stops: Sequence[StopCriterion] = (),
+    direction: str,
+    stops: Sequence[StopCriterion],
 ) -> FlowTrajectory:
     """Integrate the projected gradient flow from one point of Z.
 

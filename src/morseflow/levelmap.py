@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, ConditionReport, CriticalPoint
-from .flow import Capture, Converged, INCONCLUSIVE_TERMINATIONS, check_on_level, integrate_ensemble
+from .flow import CONVERGED, INCONCLUSIVE_TERMINATIONS, Capture, Converged, check_on_level, integrate_ensemble
 from .sampling import _dedupe, ball_probes, band_samples, ring_probes, substream
 from .space import SingularSpace, project_to_level_set
 
@@ -95,7 +95,7 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources) -> LevelSetMap:
         pairs = [LevelPair(tuple(s), tuple(s), 0.0, False, "identity") for s in S]
         return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
     direction = "ascend" if b > a else "descend"
-    flows = integrate_ensemble(f, Z, S, direction, b, [Converged(1e-8)])
+    flows = integrate_ensemble(f, Z, S, direction, b, [CONVERGED])
     pairs = [
         LevelPair(
             source=tuple(float(v) for v in s),
@@ -132,13 +132,7 @@ def roundtrip_error(f, Z: SingularSpace, a: float, b: float, sources) -> float:
     return worst
 
 
-def unstable_slice(
-    f,
-    Z: SingularSpace,
-    cp: CriticalPoint,
-    level: float,
-    seed: int = 0,
-) -> UnstableSlice:
+def unstable_slice(f, Z: SingularSpace, cp: CriticalPoint, level: float, seed: int) -> UnstableSlice:
     """Sample the downward-leaving flow of a critical point on a lower level.
 
     Probes on a small ring that sit genuinely below the critical value are
@@ -152,7 +146,7 @@ def unstable_slice(
     A level not below every probe start is refused by the target check of
     :func:`integrate_ensemble`.
     """
-    descents = integrate_ensemble(f, Z, _slice_starts(f, Z, cp, seed), "descend", level, [Converged(1e-8)])
+    descents = integrate_ensemble(f, Z, _slice_starts(f, Z, cp, seed), "descend", level, [CONVERGED])
     return _slice_from(f, Z, cp, level, descents)
 
 
@@ -176,7 +170,7 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
     ups = integrate_ensemble(f, Z, reps, "ascend", cp.value,
-                             [Converged(1e-8), Capture(cp.location, SLICE_CLUSTER_TOL)])
+                             [CONVERGED, Capture(cp.location, SLICE_CLUSTER_TOL)])
     # dropped landings are routine (back-flows ending 1e-3 off the point), so one INFO line per slice, not per landing
     validated, dropped, farthest = [], {}, 0.0
     for rep, up in zip(reps, ups):
@@ -197,14 +191,7 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
     return UnstableSlice(points=validated)
 
 
-def check_condition2(
-    f,
-    Z: SingularSpace,
-    a: float,
-    b: float,
-    seed: int = 0,
-    collect=None,
-) -> ConditionReport:
+def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect) -> ConditionReport:
     """Compactness of the flow over the band (a, b).
 
     Every sampled point of Z with value inside the band (up to
@@ -213,7 +200,8 @@ def check_condition2(
     responsible for choosing a and b away from critical values.  Budget or
     box exits leave the dichotomy undecided and make the verdict
     inconclusive (witnesses.reason counts them), and so does a band in
-    which the sampler finds no point of Z.
+    which the sampler finds no point of Z.  Unless it is None,
+    ``collect(tag, trajectory)`` sees every flow.
     """
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
@@ -270,14 +258,7 @@ def check_condition2(
     return ConditionReport(condition=2, verdict=verdict, witnesses=witnesses)
 
 
-def check_condition4(
-    f,
-    Z: SingularSpace,
-    cp: CriticalPoint,
-    eps: float,
-    seed: int = 0,
-    collect=None,
-) -> ConditionReport:
+def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: int, collect) -> ConditionReport:
     """Landing modulus: flows from shrinking balls land ever closer to the slice.
 
     For each radius r in RADII, up to N_PER_RADIUS on-Z probes within r of
@@ -292,7 +273,8 @@ def check_condition4(
     The slice at cp.value - eps is :func:`unstable_slice`'s, its descents in
     the probes' ensemble; witnesses.slice_points lists it.  An empty slice,
     or an eps below SLICE_START_DROP (a slice level above every start),
-    makes the verdict inconclusive, and witnesses.reason says why.
+    makes the verdict inconclusive, and witnesses.reason says why.  Unless
+    it is None, ``collect(tag, trajectory)`` sees every probe flow.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
@@ -322,7 +304,7 @@ def check_condition4(
     # of each radius is recorded in full for collect
     n = len(ring)
     flows = integrate_ensemble(
-        f, Z, np.concatenate([ring, starts]), "descend", target, [Converged(1e-8)],
+        f, Z, np.concatenate([ring, starts]), "descend", target, [CONVERGED],
         record=np.isin(np.arange(n + len(starts)), n + firsts) & (collect is not None),
     )
     try:

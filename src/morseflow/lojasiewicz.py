@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CLUSTER_TOL, CriticalPoint
-from .flow import Converged, check_on_level, integrate_ensemble
+from .flow import CONVERGED, check_on_level, integrate_ensemble
 from .polynomial import gradient
 from .sampling import gaussian_cloud, substream
 from .space import SingularSpace, row_norms, row_sums
@@ -80,13 +80,7 @@ def _sample_cloud(f, Z, cp, radius, n_samples, rng):
     return np.log(gap[keep]), np.log(gn[keep]), c
 
 
-def estimate_fit(
-    f,
-    Z: SingularSpace,
-    cp: CriticalPoint,
-    radius: float,
-    seed: int = 0,
-) -> LojasiewiczFit:
+def estimate_fit(f, Z: SingularSpace, cp: CriticalPoint, radius: float, seed: int) -> LojasiewiczFit:
     """Fit the envelope exponent and constant from a cloud of FIT_SAMPLES draws.
 
     The inequality is a lower bound, so an ordinary regression through the
@@ -212,7 +206,7 @@ def verify_flow_estimates(
     i_worst, ii_worst, iii_worst, arc_worst = np.inf, 0.0, 0.0, 0.0
     arc_bound = length_bound(fit, eps)
 
-    for traj in integrate_ensemble(f, Z, starts, "descend", target, [Converged(1e-8)], record=True):
+    for traj in integrate_ensemble(f, Z, starts, "descend", target, [CONVERGED], record=True):
         if traj.termination not in ("reach_level", "converged"):
             n_inconclusive += 1
             continue

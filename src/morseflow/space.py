@@ -31,6 +31,8 @@ MEMBER_TOL = 1e-8
 # cap on the one-sided Jacobi sweeps of orthogonal_rows; a few rows
 # converge in a handful
 JACOBI_SWEEPS = 30
+# retract_batch, and so project_to_level_set, takes at most this many Gauss-Newton steps
+GAUSS_NEWTON_ITER = 50
 # the 25 step lengths t, t/2, ..., t/2^24 of a line search, tried in rounds of these sizes
 LINE_SEARCH_ROUNDS = (1, 5, 8, 11)
 EPS = np.finfo(float).eps
@@ -173,7 +175,7 @@ class SingularSpace:
                 f"after retracting x = {x.tolist()}")
         return points[0]
 
-    def retract_batch(self, X: np.ndarray, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    def retract_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pull every row of X back onto Z by damped Gauss-Newton on g.
 
         Each step is the minimum-norm least-squares solution of
@@ -181,7 +183,7 @@ class SingularSpace:
         orthogonalised rows of :func:`orthogonal_rows`, shortened per row by
         :func:`line_search` until that row's residual decreases.
         A row stops when its residual is at most ``retract_tol``, and fails
-        when no length decreases it or ``max_iter`` steps do not get it
+        when no length decreases it or GAUSS_NEWTON_ITER steps do not get it
         there.  Returns the points and a mask of the rows that succeeded;
         a failed row holds its last iterate.  Rows do not interact.
         """
@@ -191,7 +193,7 @@ class SingularSpace:
         G = self.constraints.evaluate(X)
         res = norms(G)
         alive = np.ones(len(X), dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(GAUSS_NEWTON_ITER):
             rows = (alive & (res > self.retract_tol)).nonzero()[0]
             if not rows.size:
                 break
@@ -393,5 +395,5 @@ def project_to_level_set(
         constraints=PolynomialSystem(Z.constraints.variables, (*Z.constraints.components, f - float(c))),
         retract_tol=Z.level_tol,
     )
-    points, ok = joint.retract_batch(X, max_iter=60)
+    points, ok = joint.retract_batch(X)
     return points, ok & Z.inside_box(points)

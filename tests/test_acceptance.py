@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from morseflow.cli import builtin_problem, problem_objects, run_experiment, spec_from_mapping
+from morseflow.cli import STAGES, builtin_problem, problem_objects, run_experiment, spec_from_mapping
 from morseflow.critical import CriticalPoint, check_condition1, find_critical_points
 from morseflow.levelmap import check_condition2, check_condition4, level_map, roundtrip_error, unstable_slice
 from morseflow.lojasiewicz import choose_epsilon, estimate_fit, length_bound, verify_flow_estimates
@@ -28,7 +28,7 @@ def criterion(number, label):
 
 
 def origin_cp(dim=2, kind="saddle"):
-    return CriticalPoint(location=(0.0,) * dim, value=0.0, grad_norm=0.0, kind=kind)
+    return CriticalPoint(location=(0.0,) * dim, value=0.0, grad_norm=0.0, kind=kind, cluster_radius=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +59,14 @@ def saddle_verify(saddle, saddle_fit):
 
 @pytest.fixture(scope="module")
 def saddle_experiment():
-    return run_experiment(builtin_problem("saddle"))
+    return run_experiment(builtin_problem("saddle"), stages=STAGES)
 
 
 def test_criterion_1_lojasiewicz_recovery(bowl, quartic):
     f2, Z2 = bowl
     f4, Z4 = quartic
     min2 = origin_cp(kind="minimum")
-    min4 = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
+    min4 = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum", cluster_radius=0.0)
     with criterion(1, "exponent and constant recovered across 20 seeds"):
         for seed in range(20):
             fit = estimate_fit(f2, Z2, min2, radius=0.5, seed=seed)
@@ -133,7 +133,7 @@ def test_criterion_5_landing_modulus(saddle, cone):
             assert abs(s[0] * s[1] - e[0] * e[1]) <= 1e-4, "conserved product drifted"
 
         fc, Zc = cone
-        report_c = check_condition4(fc, Zc, origin_cp(dim=3), 0.01, seed=0)
+        report_c = check_condition4(fc, Zc, origin_cp(dim=3), 0.01, seed=0, collect=None)
         assert report_c.verdict == "pass"
         assert report_c.witnesses["monotone_within_slack"]
         assert report_c.witnesses["d_final"] < 0.05
@@ -144,7 +144,7 @@ def test_criterion_6_flow_compactness(saddle, quartic, planes, cone):
     with criterion(6, "every band flow exits or converges on all four benchmarks"):
         for name, (f, Z) in benchmarks.items():
             band = builtin_problem(name).tolerances["band"]
-            report = check_condition2(f, Z, band[0], band[1], seed=0)
+            report = check_condition2(f, Z, band[0], band[1], seed=0, collect=None)
             assert report.verdict == "pass", f"{name}: {report.verdict}"
             assert report.witnesses["n_inconclusive"] == 0, name
             assert report.witnesses["n_samples"] > 0, name
@@ -154,7 +154,7 @@ def test_criterion_7_isolated_critical_values(saddle, quartic, planes, cone):
     benchmarks = {"saddle": saddle, "quartic": quartic, "planes": planes, "cone": cone}
     with criterion(7, "each benchmark reports exactly the known critical values"):
         for name, (f, Z) in benchmarks.items():
-            cps = find_critical_points(f, Z)
+            cps = find_critical_points(f, Z, grid_density=None)
             report = check_condition1(cps)
             assert report.verdict == "pass", name
             values = report.witnesses["values"]
@@ -175,7 +175,7 @@ def test_criterion_8_corollary_pipeline(saddle_experiment):
                 "box": [[-0.9, 0.9], [-0.9, 0.9]],
             }
         )
-        degraded = run_experiment(shrunk)
+        degraded = run_experiment(shrunk, stages=STAGES)
         assert degraded.corollary_verdict == "inconclusive"
         terms = degraded.condition_reports["cond2"]["witnesses"]["terminations"]
         assert terms.get("left_box", 0) > 0
@@ -214,7 +214,7 @@ def test_criterion_9_numerical_hygiene(planes, cone, saddle_experiment):
                 pv = Z.tangent_project(x, v)
                 assert np.linalg.norm(Z.tangent_project(x, pv) - pv) < 1e-12
 
-        fresh = run_experiment(spec_from_mapping(saddle_experiment.problem))
+        fresh = run_experiment(spec_from_mapping(saddle_experiment.problem), stages=STAGES)
         first = json.dumps(saddle_experiment.to_payload(), indent=2, sort_keys=True)
         second = json.dumps(fresh.to_payload(), indent=2, sort_keys=True)
         assert first.encode() == second.encode()

@@ -11,11 +11,12 @@ import pytest
 
 from morseflow.cli import (
     BUILTIN,
+    STAGES,
+    ExperimentReport,
     ValidationError,
     builtin_problem,
     emit_report,
     load_problem,
-    load_report,
     main,
     problem_objects,
     run_experiment,
@@ -25,9 +26,14 @@ from morseflow.cli import (
 from morseflow.critical import DEFAULT_GRID_DENSITY, MAX_GRID_SEEDS, default_grid_density
 
 
+def load_report(path):
+    with open(path) as fh:
+        return ExperimentReport(**json.load(fh), trajectories={})
+
+
 @pytest.fixture(scope="module")
 def saddle_full_report():
-    return run_experiment(builtin_problem("saddle"))
+    return run_experiment(builtin_problem("saddle"), stages=STAGES)
 
 
 def write_problem(tmp_path, **overrides):
@@ -177,9 +183,9 @@ class TestRunExperiment:
 
     def test_determinism_of_all_stages_is_byte_level(self, saddle_full_report, tmp_path):
         # the flow stages run ensembles; their member order must not vary
-        again = run_experiment(builtin_problem("saddle"))
-        first = emit_report(saddle_full_report, out_dir=tmp_path / "a")[0]
-        second = emit_report(again, out_dir=tmp_path / "b")[0]
+        again = run_experiment(builtin_problem("saddle"), stages=STAGES)
+        first = emit_report(saddle_full_report, format="json", out_dir=tmp_path / "a")[0]
+        second = emit_report(again, format="json", out_dir=tmp_path / "b")[0]
         assert Path(first).read_text() == Path(second).read_text()
 
     def test_default_grid_density_respects_the_seed_limit(self, monkeypatch):
@@ -231,7 +237,8 @@ class TestEmission:
     def test_every_cone_table_row_has_the_header_length(self, tmp_path):
         # the cone's fit error names the interval "[0.05, 0.95]", a comma
         # that an unquoted row would split into an extra field
-        files = emit_report(run_experiment(builtin_problem("cone")), format="csv-bundle", out_dir=tmp_path)
+        report = run_experiment(builtin_problem("cone"), stages=STAGES)
+        files = emit_report(report, format="csv-bundle", out_dir=tmp_path)
         tables = [f for f in files if f.endswith(".csv")]
         assert any(f.endswith("lojasiewicz_fits.csv") for f in tables)
         errors = []
@@ -536,8 +543,8 @@ class TestUnsettledCriticalPoints:
     @staticmethod
     def _lift_kinds(builtin, lift):
         """The kinds of the lifted problem, once its values, verdicts and corollary match the built-in's."""
-        flat = run_experiment(builtin_problem(builtin))
-        lifted = run_experiment(load_problem(PROBLEMS / f"{lift}.json"))
+        flat = run_experiment(builtin_problem(builtin), stages=STAGES)
+        lifted = run_experiment(load_problem(PROBLEMS / f"{lift}.json"), stages=STAGES)
         kinds = [cp["kind"] for cp in lifted.critical_points]
         assert kinds == [cp["kind"] for cp in flat.critical_points]
         assert [cp["value"] for cp in lifted.critical_points] == \
@@ -568,8 +575,8 @@ class TestUnsettledCriticalPoints:
     def test_three_row_graph_lifted_cone_keeps_the_cones_kinds_and_verdicts(self):
         # Z with three rows that are not orthogonal, so the Jacobi sweeps turn
         # all three pairs: the kinds, every verdict and the corollary stay the cone's
-        flat = run_experiment(builtin_problem("cone"))
-        lifted = run_experiment(load_problem(PROBLEMS / "cone-graph3.json"))
+        flat = run_experiment(builtin_problem("cone"), stages=STAGES)
+        lifted = run_experiment(load_problem(PROBLEMS / "cone-graph3.json"), stages=STAGES)
         assert [cp["kind"] for cp in lifted.critical_points] == [cp["kind"] for cp in flat.critical_points] \
             == ["saddle"]
         assert lifted.verdicts() == flat.verdicts()
@@ -624,7 +631,7 @@ class TestPremises:
 
     def test_the_verbose_line_names_what_the_corollary_assumes(self, caplog):
         caplog.set_level(logging.INFO, logger="morseflow")
-        report = run_experiment(builtin_problem("saddle"))
+        report = run_experiment(builtin_problem("saddle"), stages=STAGES)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith('{"corollary"')]
         assert lines == ['{"corollary": "pass", "assumes": {"search_complete": "unchecked", "proper": "asserted"}}']
         assert "assumes" not in json.dumps(report.to_payload())
@@ -639,7 +646,7 @@ class TestPremises:
         assert report.trajectory_manifest == []
 
     def test_an_f_not_asserted_proper_leaves_the_corollary_undecided(self, saddle_full_report):
-        report = run_experiment(spec_from_mapping(dict(BUILTIN["saddle"], proper_on_box=False)))
+        report = run_experiment(spec_from_mapping(dict(BUILTIN["saddle"], proper_on_box=False)), stages=STAGES)
         assert report.condition_reports == saddle_full_report.condition_reports
         assert report.corollary_premises["proper"] == {"status": "failed", "reason": "proper_on_box is false"}
         assert report.corollary_verdict == "inconclusive"
@@ -700,7 +707,7 @@ class TestPremises:
         assert premise == {"status": status, "reason": reason}
 
     def test_the_cone_paraboloid_passes_rest_on_an_unchecked_search(self):
-        report = run_experiment(load_problem(PROBLEMS / "cone-paraboloid.json"))
+        report = run_experiment(load_problem(PROBLEMS / "cone-paraboloid.json"), stages=STAGES)
         frags = [report.condition_reports[k] for k in ("cond1", "cond4")]
         assert [frag["verdict"] for frag in frags] + [report.corollary_verdict] == ["pass"] * 3
         for premises in [frag["premises"] for frag in frags] + [report.corollary_premises]:
@@ -709,7 +716,7 @@ class TestPremises:
     @pytest.mark.xfail(strict=True, reason="ROADMAP items 17 PR a and 2: the grid search misses the "
                                            "paraboloid's minimum (0.2, 0, 0) and nothing checks the search")
     def test_the_cone_paraboloid_finds_both_points_or_does_not_pass(self):
-        report = run_experiment(load_problem(PROBLEMS / "cone-paraboloid.json"))
+        report = run_experiment(load_problem(PROBLEMS / "cone-paraboloid.json"), stages=STAGES)
         values = sorted(cp["value"] for cp in report.critical_points)
         both = len(values) == 2 and values == pytest.approx([0.0, 0.2], abs=1e-6)
         assert both or "pass" not in report.verdicts(), "both points found (values 0 and 0.2), or no pass"
@@ -810,7 +817,7 @@ class TestStageIsolation:
 
         monkeypatch.setattr(cli, "check_condition1", broken)
         monkeypatch.setattr(cli, "_merged_values", broken)
-        report = run_experiment(builtin_problem("saddle"))
+        report = run_experiment(builtin_problem("saddle"), stages=STAGES)
         skipped = self._skipped(1, "RuntimeError('gap undefined')")
         assert report.condition_reports["cond1"] == skipped
         assert report.condition_reports["cond4"] == {**skipped, "condition": 4}
@@ -831,7 +838,7 @@ class TestStageIsolation:
             return real(cps, *args, **kw)
 
         monkeypatch.setattr(cli, "check_condition1", counted)
-        report = run_experiment(builtin_problem("cone"))
+        report = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert report.condition_reports["cond4"]["witnesses"]["per_point"]
         assert calls == [1]
 
@@ -872,10 +879,10 @@ class TestCondition2BesideCondition4:
         spec = (load_problem(PROBLEMS / f"{problem}.json") if problem in ("planes-lift", "wells")
                 else builtin_problem(problem))
         forks = self._count_forks(monkeypatch)
-        forked = run_experiment(spec)
+        forked = run_experiment(spec, stages=STAGES)
         assert len(forks) == 1
         self._one_cpu(monkeypatch)
-        alone = run_experiment(spec)
+        alone = run_experiment(spec, stages=STAGES)
         assert len(forks) == 1
         assert forked.to_payload() == alone.to_payload()
         assert list(forked.trajectories) == list(alone.trajectories)
@@ -890,7 +897,7 @@ class TestCondition2BesideCondition4:
 
     def test_only_a_run_that_overlaps_cond2_with_cond4_flows_forks(self, monkeypatch):
         forks = self._count_forks(monkeypatch)
-        run_experiment(builtin_problem("quartic"))  # only a minimum: cond4 runs no flow
+        run_experiment(builtin_problem("quartic"), stages=STAGES)  # only a minimum: cond4 runs no flow
         run_experiment(builtin_problem("cone"), stages=("critical", "cond2"))
         assert forks == []
 
@@ -898,7 +905,7 @@ class TestCondition2BesideCondition4:
         caplog.set_level(logging.INFO, logger="morseflow")
         forks = self._count_forks(monkeypatch)
         self._one_cpu(monkeypatch)
-        run_experiment(builtin_problem("cone"))
+        run_experiment(builtin_problem("cone"), stages=STAGES)
         assert forks == []
         lines = self._stage_lines(caplog)
         assert [(line["stage"], line["ran"]) for line in lines] == [
@@ -911,10 +918,10 @@ class TestCondition2BesideCondition4:
 
         caplog.set_level(logging.INFO, logger="morseflow")
         monkeypatch.setattr(os, "fork", no_fork)
-        report = run_experiment(builtin_problem("cone"))
+        report = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert [(line["stage"], line["ran"]) for line in self._stage_lines(caplog)][3] == ("cond2", "process")
         self._one_cpu(monkeypatch)
-        assert report.to_payload() == run_experiment(builtin_problem("cone")).to_payload()
+        assert report.to_payload() == run_experiment(builtin_problem("cone"), stages=STAGES).to_payload()
 
     def test_a_second_thread_keeps_cond2_in_process(self, monkeypatch):
         import threading
@@ -924,7 +931,7 @@ class TestCondition2BesideCondition4:
         waiter = threading.Thread(target=done.wait)
         waiter.start()
         try:
-            run_experiment(builtin_problem("cone"))
+            run_experiment(builtin_problem("cone"), stages=STAGES)
         finally:
             done.set()
             waiter.join(timeout=10)
@@ -943,13 +950,13 @@ class TestCondition2BesideCondition4:
 
         forks = self._count_forks(monkeypatch)
         monkeypatch.setattr(cli, "check_condition2", spy)
-        report = run_experiment(builtin_problem("cone"))
+        report = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert forks == [] and calls == [(-0.8, 0.8)]
         assert report.condition_reports["cond2"]["verdict"] == "pass"
 
     def test_the_child_logs_one_stage_line_after_cond4s(self, monkeypatch, caplog):
         caplog.set_level(logging.INFO, logger="morseflow")
-        run_experiment(builtin_problem("cone"))
+        run_experiment(builtin_problem("cone"), stages=STAGES)
         lines = self._stage_lines(caplog)
         assert [(line["stage"], line["ran"]) for line in lines] == [
             ("critical", "process"), ("loja", "process"), ("cond1", "process"),
@@ -966,7 +973,7 @@ class TestCondition2BesideCondition4:
 
         monkeypatch.setattr(levelmap, "band_samples", exploded)
         forks = self._count_forks(monkeypatch)
-        forked = run_experiment(builtin_problem("cone"))
+        forked = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert len(forks) == 1
         messages = [r.getMessage() for r in caplog.records]
         failures = [i for i, r in enumerate(caplog.records)
@@ -975,7 +982,7 @@ class TestCondition2BesideCondition4:
         # the child's records are re-emitted after cond4 has logged its stage line
         assert failures[0] > next(i for i, m in enumerate(messages) if m.startswith('{"stage": "cond4"'))
         self._one_cpu(monkeypatch)
-        alone = run_experiment(builtin_problem("cone"))
+        alone = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert forked.condition_reports["cond2"] == alone.condition_reports["cond2"] == {
             "condition": 2, "verdict": "inconclusive",
             "witnesses": {"reason": "RuntimeError('band exploded')"}, "modulus_table": None}
@@ -995,7 +1002,7 @@ class TestCondition2BesideCondition4:
 
         caplog.set_level(logging.INFO, logger="morseflow")
         monkeypatch.setattr(levelmap, "band_samples", dies)
-        report = run_experiment(builtin_problem("cone"))
+        report = run_experiment(builtin_problem("cone"), stages=STAGES)
         reason = "condition 2 worker exited with status 3 before sending its result"
         assert report.condition_reports["cond2"] == {
             "condition": 2, "verdict": "inconclusive", "witnesses": {"reason": reason}, "modulus_table": None}
@@ -1014,14 +1021,14 @@ class TestCondition2BesideCondition4:
         # cond2 forks once critical has run, so a loja that fails later cannot keep it in process
         monkeypatch.setitem(cli.STAGES, "loja", (("critical",), broken))
         forks = self._count_forks(monkeypatch)
-        forked = run_experiment(builtin_problem("cone"))
+        forked = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert len(forks) == 1
         self._assert_no_child_left()
         assert forked.stage_errors == {"loja": "RuntimeError('fit diverged')"}
         assert forked.condition_reports["cond4"]["witnesses"] == {"reason": "dependency 'loja' failed"}
         assert forked.condition_reports["cond2"]["verdict"] == "pass"
         self._one_cpu(monkeypatch)
-        alone = run_experiment(builtin_problem("cone"))
+        alone = run_experiment(builtin_problem("cone"), stages=STAGES)
         assert len(forks) == 1
         assert forked.to_payload() == alone.to_payload()
 
@@ -1037,7 +1044,7 @@ class TestCondition2BesideCondition4:
         monkeypatch.setattr(cli, "check_condition4", stopped)  # raised past _isolated, in this process
         forks = self._count_forks(monkeypatch)
         with pytest.raises(Stop):
-            run_experiment(builtin_problem("cone"))
+            run_experiment(builtin_problem("cone"), stages=STAGES)
         assert len(forks) == 1
         self._assert_no_child_left()
 

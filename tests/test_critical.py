@@ -35,29 +35,29 @@ def locations(cps):
 class TestFindCriticalPoints:
     def test_saddle_has_only_the_origin(self, saddle):
         f, Z = saddle
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert len(cps) == 1
         assert np.linalg.norm(cps[0].point()) < 1e-6
         assert abs(cps[0].value) < 1e-8
 
     def test_quartic_flat_minimum_found(self, quartic):
         f, Z = quartic
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert locations(cps) == [(0.0,)]
 
     def test_planes_crossing_point(self, planes):
         f, Z = planes
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert locations(cps) == [(0.0, 0.0)]
 
     def test_cone_vertex_is_the_only_fixed_point(self, cone):
         f, Z = cone
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert locations(cps) == [(0.0, 0.0, 0.0)]
 
     def test_every_point_is_on_variety_with_tiny_gradient(self, cone, planes):
         for f, Z in (cone, planes):
-            for cp in find_critical_points(f, Z):
+            for cp in find_critical_points(f, Z, grid_density=None):
                 assert Z.is_member(cp.point())
                 assert cp.grad_norm < CRIT_TOL
 
@@ -85,48 +85,49 @@ class TestFindCriticalPoints:
 class TestClassify:
     def test_saddle_origin(self, saddle):
         f, Z = saddle
-        (cp,) = find_critical_points(f, Z)
-        assert classify(f, Z, cp) == "saddle"
+        (cp,) = find_critical_points(f, Z, grid_density=None)
+        assert classify(f, Z, cp, seed=0) == "saddle"
 
     def test_quartic_minimum(self, quartic):
         f, Z = quartic
-        (cp,) = find_critical_points(f, Z)
-        assert classify(f, Z, cp) == "minimum"
+        (cp,) = find_critical_points(f, Z, grid_density=None)
+        assert classify(f, Z, cp, seed=0) == "minimum"
 
     def test_cone_vertex_saddle(self, cone):
         f, Z = cone
-        (cp,) = find_critical_points(f, Z)
-        assert classify(f, Z, cp) == "saddle"
+        (cp,) = find_critical_points(f, Z, grid_density=None)
+        assert classify(f, Z, cp, seed=0) == "saddle"
 
     def test_planes_crossing_saddle(self, planes):
         f, Z = planes
-        (cp,) = find_critical_points(f, Z)
-        assert classify(f, Z, cp) == "saddle"
+        (cp,) = find_critical_points(f, Z, grid_density=None)
+        assert classify(f, Z, cp, seed=0) == "saddle"
 
     def test_lifted_cone_vertex_at_the_origin_is_a_saddle(self, cone_lift):
         # the witness up-flow runs into the vertex and is captured there
         f, Z = cone_lift
-        assert classify(f, Z, CriticalPoint(location=(0.0,) * 4, value=0.0, grad_norm=0.0)) == "saddle"
+        origin = CriticalPoint(location=(0.0,) * 4, value=0.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
+        assert classify(f, Z, origin, seed=0) == "saddle"
 
     def test_maximum_recognised(self, saddle):
         from morseflow.polynomial import parse_polynomial
 
         _, Z = saddle
         f = parse_polynomial("0 - x^2 - y^2", ["x", "y"])
-        cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0)
-        assert classify(f, Z, cp) == "maximum"
+        cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
+        assert classify(f, Z, cp, seed=0) == "maximum"
 
     def test_rejects_non_critical_input(self, saddle):
         f, Z = saddle
-        fake = CriticalPoint(location=(1.0, 0.0), value=1.0, grad_norm=2.0)
+        fake = CriticalPoint(location=(1.0, 0.0), value=1.0, grad_norm=2.0, kind="unresolved", cluster_radius=0.0)
         with pytest.raises(ValueError):
-            classify(f, Z, fake)
+            classify(f, Z, fake, seed=0)
 
     @pytest.mark.parametrize("name", ["saddle", "quartic", "planes", "cone"])
     def test_probe_values_are_the_pointwise_values(self, name):
         # classify evaluates its probe ring in one batched call
         f, Z = problem_objects(builtin_problem(name))
-        (cp,) = find_critical_points(f, Z)
+        (cp,) = find_critical_points(f, Z, grid_density=None)
         probes = np.array(ring_probes(Z, cp.point(), 0.01, substream(0, "classify")))
         assert len(probes) > 1
         np.testing.assert_array_equal(f.evaluate(probes), [f.evaluate(p) for p in probes])
@@ -136,13 +137,19 @@ class TestClassify:
 
         _, Z = saddle
         f = parse_polynomial("0", ["x", "y"])
-        cp = CriticalPoint(location=(0.3, 0.1), value=0.0, grad_norm=0.0)
-        assert classify(f, Z, cp) == "degenerate"
+        cp = CriticalPoint(location=(0.3, 0.1), value=0.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
+        assert classify(f, Z, cp, seed=0) == "degenerate"
+
+
+def points_at(*values):
+    """Critical points of the given values, one per unit of x."""
+    return [CriticalPoint(location=(float(i),), value=v, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
+            for i, v in enumerate(values)]
 
 
 class TestCondition1:
     def test_single_value_passes_with_infinite_gap(self):
-        report = check_condition1([0.0])
+        report = check_condition1(points_at(0.0))
         assert report.verdict == "pass"
         assert report.witnesses["min_gap"] == float("inf")
 
@@ -154,42 +161,37 @@ class TestCondition1:
 
     def test_two_separated_values_pass(self, monkeypatch):
         monkeypatch.setattr(critical, "GAP_TOL", 0.1)
-        report = check_condition1([0.0, 1.0])
+        report = check_condition1(points_at(0.0, 1.0))
         assert report.verdict == "pass"
         assert report.witnesses["min_gap"] == 1.0
 
     def test_nearby_values_merge_to_one(self, monkeypatch):
         monkeypatch.setattr(critical, "VALUE_MERGE_TOL", 1e-6)
-        report = check_condition1([0.0, 1e-9])
+        report = check_condition1(points_at(0.0, 1e-9))
         assert report.verdict == "pass"
         assert report.witnesses["n_values"] == 1
 
     def test_close_but_distinct_values_fail(self, monkeypatch):
         monkeypatch.setattr(critical, "GAP_TOL", 1e-4)
-        report = check_condition1([0.0, 5e-5])
+        report = check_condition1(points_at(0.0, 5e-5))
         assert report.verdict == "fail"
         assert report.witnesses["min_gap"] == pytest.approx(5e-5)
 
     def test_accepts_critical_point_objects(self, saddle):
         f, Z = saddle
-        report = check_condition1(find_critical_points(f, Z))
+        report = check_condition1(find_critical_points(f, Z, grid_density=None))
         assert report.verdict == "pass"
         assert report.witnesses["values"] == [pytest.approx(0.0, abs=1e-8)]
 
     def test_condition_number_in_payload(self):
-        payload = check_condition1([0.0]).to_payload()
+        payload = check_condition1(points_at(0.0)).to_payload()
         assert payload["condition"] == 1
         assert payload["verdict"] == "pass"
 
 
 class TestLevelSets:
     def test_values_grouped_by_merge_tolerance(self):
-        cps = [
-            CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0),
-            CriticalPoint(location=(1.0,), value=1e-9, grad_norm=0.0),
-            CriticalPoint(location=(2.0,), value=1.0, grad_norm=0.0),
-        ]
-        w = check_condition1(cps).witnesses
+        w = check_condition1(points_at(0.0, 1e-9, 1.0)).witnesses
         assert (w["n_points"], w["n_values"]) == (3, 2)
         assert w["values"][0] == pytest.approx(0.0, abs=1e-9)
         assert w["values"][1] == 1.0
@@ -197,7 +199,7 @@ class TestLevelSets:
 
 def test_critical_point_payload_and_replace(saddle):
     f, Z = saddle
-    (cp,) = find_critical_points(f, Z)
+    (cp,) = find_critical_points(f, Z, grid_density=None)
     payload = cp.to_payload()
     assert set(payload) == {"location", "value", "grad_norm", "kind", "cluster_radius"}
     relabelled = dataclasses.replace(cp, kind="saddle")
@@ -306,7 +308,7 @@ class TestBatchedRefinement:
         lstsq, refine = critical._lstsq_steps, critical._refine
         monkeypatch.setattr(critical, "_lstsq_steps", lambda J, R: solves.append(len(J)) or lstsq(J, R))
         monkeypatch.setattr(critical, "_refine", lambda *a, **kw: passes.append(refine(*a, **kw)) or passes[-1])
-        cp, = find_critical_points(f, Z)
+        cp, = find_critical_points(f, Z, grid_density=None)
         (X, _, good), = passes
         assert len(X) == 7 and good.all()
         assert np.abs(X).max() <= 1e-12 and cp.cluster_radius <= 1e-12
@@ -320,7 +322,7 @@ class TestBatchedRefinement:
             calls.append(len(X))
             return 3.0 * ((X - 1.0) ** 2)[:, :, None]
 
-        X, _, good = critical._refine(lambda X: (X - 1.0) ** 3, [[x0]], 1e-12, jac=jac)
+        X, _, good = critical._refine(lambda X: (X - 1.0) ** 3, [[x0]], 1e-12, jac=jac, max_step_len=np.inf)
         assert good[0] and abs(X[0, 0] - 1.0) <= 1e-14
         assert len(calls) <= 6
 
@@ -331,7 +333,8 @@ class TestBatchedRefinement:
             return (X - 1.0) ** 3
 
         X0 = np.array([[3.0], [-2.0], [1.5]])
-        for a, b in zip(critical._refine(resid, X0, 1e-12), blocked_refine.refine(resid, X0, 1e-12)):
+        got = critical._refine(resid, X0, 1e-12, jac=None, max_step_len=np.inf)
+        for a, b in zip(got, blocked_refine.refine(resid, X0, 1e-12)):
             np.testing.assert_array_equal(a, b)
 
     def test_a_refused_scaled_polish_step_falls_back_to_the_plain_one(self):
@@ -345,7 +348,7 @@ class TestBatchedRefinement:
         def jac(X):
             return 2.0 * X[:, :, None]
 
-        got = critical._refine(resid, [[1.0]], 10.0, jac=jac)
+        got = critical._refine(resid, [[1.0]], 10.0, jac=jac, max_step_len=np.inf)
         assert got[0][0, 0] == 0.125 and got[2][0]
         for a, b in zip(got, blocked_refine.refine(resid, [[1.0]], 10.0, jac=jac)):
             np.testing.assert_array_equal(a, b)
@@ -356,11 +359,11 @@ class TestBatchedRefinement:
             return np.where(X > 5.0, np.nan, X * X - 0.25)
 
         X0 = np.array([[1.0], [10.0], [2.0]])
-        X, _, good = critical._refine(resid, X0, 1e-12)
+        X, _, good = critical._refine(resid, X0, 1e-12, jac=None, max_step_len=np.inf)
         assert good.tolist() == [True, False, True]
         assert X[[0, 2], 0] == pytest.approx([0.5, 0.5], abs=1e-12)
         for i in (0, 2):
-            Xi, _, _ = critical._refine(resid, X0[i:i + 1], 1e-12)
+            Xi, _, _ = critical._refine(resid, X0[i:i + 1], 1e-12, jac=None, max_step_len=np.inf)
             assert Xi[0, 0] == X[i, 0]
 
     def test_copies_of_a_row_are_refined_once(self, cone):
@@ -394,13 +397,14 @@ class TestBatchedRefinement:
     def test_signed_zeros_are_distinct_rows(self):
         # 0.0 == -0.0 as floats, but the residual tells them apart
         X, _, good = critical._refine(lambda X: X - np.copysign(0.5, X), [[0.0], [-0.0]], 1e-12,
-                                      jac=line_jacobian)
+                                      jac=line_jacobian, max_step_len=np.inf)
         assert good.all()
         assert X[:, 0].tolist() == [0.5, -0.5]
 
     def test_an_empty_block_keeps_its_width(self, cone):
         f, Z = cone
-        X, R, good = critical._refine(critical._smooth_residual(f, Z), np.zeros((0, 3)), 1e-12)
+        X, R, good = critical._refine(critical._smooth_residual(f, Z), np.zeros((0, 3)), 1e-12,
+                                      jac=None, max_step_len=np.inf)
         assert X.shape == (0, 3) and R.shape == (0, 4) and good.shape == (0,)
 
     def test_stalled_seed_fails(self):
@@ -413,7 +417,7 @@ class TestBatchedRefinement:
             calls.append(len(X))
             return 2.0 * X[:, :, None]
 
-        _, _, good = critical._refine(lambda X: X * X + 1.0, [[2.0]], 1e-12, jac=jac)
+        _, _, good = critical._refine(lambda X: X * X + 1.0, [[2.0]], 1e-12, jac=jac, max_step_len=np.inf)
         assert not good[0]
         assert len(calls) == 7
 
@@ -425,7 +429,7 @@ class TestBatchedRefinement:
         monkeypatch.setattr(critical, "POLISH_ITER", 0)
         X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian, max_step_len=1.0)
         assert X[0, 0] == 1.0 and not good[0]
-        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian)
+        X, _, good = critical._refine(resid, [[0.0]], 1e-12, jac=line_jacobian, max_step_len=np.inf)
         assert X[0, 0] == 100.0 and good[0]
 
     def test_zero_steps_fail_before_the_line_search(self, cone, monkeypatch):
@@ -441,7 +445,7 @@ class TestBatchedRefinement:
 
         line_search = critical.line_search
         monkeypatch.setattr(critical, "line_search", counting)
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert sum(searched) > 0 and sum(zero) == 0
         assert len(cps) == 1 and np.linalg.norm(cps[0].point()) <= CLUSTER_TOL
 
@@ -458,7 +462,7 @@ class TestBatchedRefinement:
             f, Z = planes_lift()
         else:
             f, Z = problem_objects(builtin_problem(name))
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert len(cps) == len(locations)
         for cp, loc, value in zip(cps, locations, values):
             assert np.linalg.norm(cp.point() - np.array(loc)) <= CLUSTER_TOL
@@ -555,7 +559,7 @@ class TestSingularPassSkip:
         refine = critical._refine
         monkeypatch.setattr(critical, "_refine", counting)
         with caplog.at_level("INFO", logger="morseflow.critical"):
-            find_critical_points(f, Z)
+            find_critical_points(f, Z, grid_density=None)
         singular = [r.getMessage() for r in caplog.records if r.getMessage().startswith("singular pass")]
         if constant:
             assert len(seeds) == 1
@@ -576,16 +580,16 @@ class TestSingularPassSkip:
         dedupe = critical._dedupe
         monkeypatch.setattr(critical, "_dedupe", lambda P, tol: seen.append(len(P)) or dedupe(P, tol))
         with caplog.at_level(level, logger="morseflow.critical"):
-            cps = find_critical_points(f, Z)
+            cps = find_critical_points(f, Z, grid_density=None)
         assert len(cps) == 1 and len(seen) == calls
         assert (seen[0] == 343) == (level == "INFO")
 
     @pytest.mark.parametrize("name", ["cone-lift", "planes-lift"])
     def test_skip_changes_no_point(self, name, monkeypatch):
         f, Z = named_problem(name)
-        skipped = find_critical_points(f, Z)
+        skipped = find_critical_points(f, Z, grid_density=None)
         monkeypatch.setattr(critical, "_constant_entry", lambda system: None)
-        searched = find_critical_points(f, Z)
+        searched = find_critical_points(f, Z, grid_density=None)
         assert len(skipped) == 1
         assert [dataclasses.asdict(cp) for cp in skipped] == [dataclasses.asdict(cp) for cp in searched]
 
@@ -643,7 +647,7 @@ class TestSingularOnlyPoints:
             raise AssertionError("the critical search started a flow")
 
         monkeypatch.setattr(critical, "integrate_ensemble", no_flow)
-        cps = find_critical_points(f, Z)
+        cps = find_critical_points(f, Z, grid_density=None)
         assert len(cps) == 1
         assert np.linalg.norm(cps[0].point()) <= CLUSTER_TOL
         assert abs(cps[0].value) <= 1e-8
@@ -651,14 +655,14 @@ class TestSingularOnlyPoints:
 
     def test_the_rotated_cone_vertex_is_the_singular_root(self):
         f, Z = problem_objects(spec_from_mapping(SINGULAR_ONLY["rotated cone"]))
-        cp, = find_critical_points(f, Z)
+        cp, = find_critical_points(f, Z, grid_density=None)
         assert cp.location == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("name", ["shifted cone", "shifted cusp"])
     def test_the_smooth_pass_alone_misses_the_point(self, name, monkeypatch):
         f, Z = problem_objects(spec_from_mapping(SINGULAR_ONLY[name]))
         monkeypatch.setattr(critical, "_constant_entry", lambda system: 0)
-        assert all(np.linalg.norm(cp.point()) > CLUSTER_TOL for cp in find_critical_points(f, Z))
+        assert all(np.linalg.norm(cp.point()) > CLUSTER_TOL for cp in find_critical_points(f, Z, grid_density=None))
 
 
 class TestLiftedSearch:
@@ -678,7 +682,7 @@ class TestLiftedSearch:
         smooth_residual = critical._smooth_residual
         monkeypatch.setattr(critical, "_smooth_residual", traced)
         with caplog.at_level("INFO", logger="morseflow.critical"):
-            find_critical_points(f, Z)
+            find_critical_points(f, Z, grid_density=None)
         smooth, = [r.getMessage() for r in caplog.records if r.getMessage().startswith("smooth pass")]
         assert "/46656 seeds (216 distinct starts) refined" in smooth
         # the pool starts from every distinct start at once
@@ -693,8 +697,8 @@ def test_steep_saddle_is_classified_within_a_few_thousand_steps(monkeypatch):
     doc = {**BUILTIN["saddle"], "name": "steep-saddle", "objective": "6*x^2 - 6*y^2"}
     f, Z = problem_objects(spec_from_mapping(doc))
     monkeypatch.setattr(flow, "MAX_STEPS", 5_000)
-    cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0)
-    assert classify(f, Z, cp) == "saddle"
+    cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
+    assert classify(f, Z, cp, seed=0) == "saddle"
 
 
 # f = y on the line {x^2 = 0}: the search finds points on the box faces y = -1 and y = 1
@@ -707,17 +711,17 @@ class TestBoxFacePoints:
         # the probe at (0, -1.01) once became a saddle witness's start, which
         # the ensemble refused; every probe left in the box lies above
         f, Z = problem_objects(spec_from_mapping(BOX_FACE))
-        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
-        assert classify(f, Z, cp) == "minimum"
+        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
+        assert classify(f, Z, cp, seed=0) == "minimum"
 
     def test_too_few_probes_in_the_box_leave_the_point_unresolved(self, monkeypatch, caplog):
         f, Z = problem_objects(spec_from_mapping(BOX_FACE))
-        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
+        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
         # the two axis probes along the line only: one lies below y = -1
         monkeypatch.setattr(critical, "ring_probes", lambda *a, **kw: [np.array([0.0, -0.99]),
                                                                       np.array([0.0, -1.01])])
         with caplog.at_level("WARNING", logger="morseflow.critical"):
-            assert classify(f, Z, cp) == "unresolved"
+            assert classify(f, Z, cp, seed=0) == "unresolved"
         assert "only 1 on-Z probes inside the box" in caplog.text
 
     def test_the_stages_record_no_error(self):

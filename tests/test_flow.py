@@ -210,7 +210,7 @@ def test_step_control_max_step_is_honoured(objective):
     # flow leaves the box
     f = parse_polynomial(objective, ["x", "y"])
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
-    traj = integrate(f, Z, [1.9, 0.0], "descend")
+    traj = integrate(f, Z, [1.9, 0.0], "descend", stops=())
     chords = np.linalg.norm(np.diff(traj.y, axis=0), axis=1)
     max_step = 0.1 * Z.box_diameter
     assert np.all(chords <= max_step * (1 + 1e-12))
@@ -223,7 +223,7 @@ def test_the_step_cap_is_max_step_fraction_of_the_box(fraction, monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEP_FRACTION", fraction)
     f = parse_polynomial("x", ["x", "y"])
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-2.0, 2.0), (-2.0, 2.0)))
-    traj = integrate(f, Z, [1.9, 0.0], "descend")
+    traj = integrate(f, Z, [1.9, 0.0], "descend", stops=())
     chords = np.linalg.norm(np.diff(traj.y, axis=0), axis=1)
     max_step = fraction * Z.box_diameter
     assert np.all(chords <= max_step * (1 + 1e-12))
@@ -307,22 +307,22 @@ def test_box_test_of_a_block_matches_each_point():
 def test_ensemble_names_the_first_member_on_the_wrong_side(saddle):
     f, Z = saddle
     rows = np.array([[1.0, 0.0], [1.0, 0.3], [1.0, 0.5], [0.0, 1.0]])  # f = 1, 0.91, 0.75, -1
-    flows = integrate_ensemble(f, Z, rows[:3], "descend", 0.5)
+    flows = integrate_ensemble(f, Z, rows[:3], "descend", 0.5, stops=())
     assert {t.termination for t in flows} == {"reach_level"}
     with pytest.raises(ValueError, match=r"^member 2: target level 0\.8 is on the wrong side of f\(x0\) = 0\.75 for descend$"):
-        integrate_ensemble(f, Z, rows, "descend", 0.8)
+        integrate_ensemble(f, Z, rows, "descend", 0.8, stops=())
     with pytest.raises(ValueError, match=r"^member 0: target level 0\.8 .* for ascend$"):
-        integrate_ensemble(f, Z, rows, "ascend", 0.8)
+        integrate_ensemble(f, Z, rows, "ascend", 0.8, stops=())
     with pytest.raises(ValueError, match="^member 1: "):
-        integrate_ensemble(f, Z, rows[[3, 0]], "ascend", 0.95)
+        integrate_ensemble(f, Z, rows[[3, 0]], "ascend", 0.95, stops=())
     # per member: member 1 ascends from 0.91 to 0.5; a member with no level is never on the wrong side
     with pytest.raises(ValueError, match="^member 1: .* for ascend$"):
-        integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, 0.5])
+        integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, 0.5], stops=())
     flows = integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, None], [ArcBudget(1.0)])
     assert flows[0].termination == "reach_level" and flows[1].final_f > 0.91
     # a NaN level is a target that no flow can reach, not a missing one
     with pytest.raises(ValueError, match="^member 0: target level nan"):
-        integrate_ensemble(f, Z, rows[:1], "descend", float("nan"))
+        integrate_ensemble(f, Z, rows[:1], "descend", float("nan"), stops=())
 
 
 @pytest.mark.parametrize("direction", ["descend", "ascend"])
@@ -330,13 +330,13 @@ def test_ensemble_names_the_first_member_on_the_wrong_side(saddle):
 def test_a_start_within_level_tol_of_its_target_ends_at_once(saddle, direction, offset):
     f, Z = saddle
     level = 1.0 + offset * Z.level_tol  # f(1, 0) = 1, on either side of it by half the tolerance
-    (traj,) = integrate_ensemble(f, Z, [[1.0, 0.0]], direction, level)
+    (traj,) = integrate_ensemble(f, Z, [[1.0, 0.0]], direction, level, stops=())
     assert traj.termination == "reach_level"
     assert (traj.n_samples, traj.n_accepted, traj.n_rejected) == (1, 0, 0)
     assert traj.final_f == 1.0
     beyond = 1.0 + (3.0 if direction == "descend" else -3.0) * Z.level_tol
     with pytest.raises(ValueError, match="^member 0: .* wrong side"):
-        integrate_ensemble(f, Z, [[1.0, 0.0]], direction, beyond)
+        integrate_ensemble(f, Z, [[1.0, 0.0]], direction, beyond, stops=())
 
 
 # -- the ensemble integrator ---------------------------------------------
@@ -497,7 +497,7 @@ class TestCapture:
 def test_unrecorded_member_keeps_start_and_end(saddle):
     f, Z = saddle
     starts = np.array([[1.0, 0.3], [0.9, 0.5]])
-    full, bare = integrate_ensemble(f, Z, starts, "descend", -0.5, record=[True, False])
+    full, bare = integrate_ensemble(f, Z, starts, "descend", -0.5, (), record=[True, False])
     again = integrate(f, Z, starts[1], "descend", [ReachLevel(-0.5)])
     assert full.n_samples == full.n_accepted + 1 > 2
     assert bare.n_samples == 2
@@ -514,21 +514,21 @@ def test_start_off_z_is_named_by_its_row(cone):
     starts = np.insert(starts, 2, [0.5, 0.5, 0.5], axis=0)  # residual 0.25
     starts = np.vstack([starts, [[0.1, 0.0, 0.0]]])  # a second bad row; the first is named
     with pytest.raises(ValueError, match=r"start point 2 at \[0\.5, 0\.5, 0\.5\] is not on Z"):
-        integrate_ensemble(f, Z, starts, "descend")
+        integrate_ensemble(f, Z, starts, "descend", levels=None, stops=())
     starts[2] = [0.5, 0.5, 3.0]  # on no cone point, and outside the box
     with pytest.raises(ValueError, match="start point 2 at"):
-        integrate_ensemble(f, Z, starts, "descend")
+        integrate_ensemble(f, Z, starts, "descend", levels=None, stops=())
 
 
 def test_ensemble_validates_every_member_before_stepping(saddle):
     f, Z = saddle
     with pytest.raises(ValueError, match="wrong side"):
-        integrate_ensemble(f, Z, [[1.0, 0.3], [1.0, 0.0]], "descend", [-0.5, 2.0])
+        integrate_ensemble(f, Z, [[1.0, 0.3], [1.0, 0.0]], "descend", [-0.5, 2.0], stops=())
     with pytest.raises(ValueError, match="not on Z"):
-        integrate_ensemble(f, Z, [[1.0, 0.3], [5.0, 0.0]], "descend")
+        integrate_ensemble(f, Z, [[1.0, 0.3], [5.0, 0.0]], "descend", levels=None, stops=())
     with pytest.raises(ValueError, match="direction"):
-        integrate_ensemble(f, Z, [[1.0, 0.3]], ["sideways"])
-    assert integrate_ensemble(f, Z, np.zeros((0, 2))) == []
+        integrate_ensemble(f, Z, [[1.0, 0.3]], ["sideways"], levels=None, stops=())
+    assert integrate_ensemble(f, Z, np.zeros((0, 2)), directions="descend", levels=None, stops=()) == []
 
 
 coordinate = st.floats(-1.5, 1.5, allow_nan=False)
@@ -587,7 +587,7 @@ def test_step_limit_ends_each_member_on_its_own_count(saddle, monkeypatch):
     f, Z = saddle
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     flows = integrate_ensemble(f, Z, [[1.0, 0.3], [0.0, 0.0], [0.9, 0.5]], "descend",
-                               stops=[Converged(1e-8)])
+                               levels=None, stops=[Converged(1e-8)])
     assert [t.termination for t in flows] == ["step_limit", "converged", "step_limit"]
     assert [t.n_accepted + t.n_rejected for t in flows] == [3, 0, 3]
 
@@ -597,7 +597,7 @@ def test_step_limit_counts_rejected_attempts(monkeypatch):
     # 1 of its first 60 attempts, and the cap counts it too
     f, Z = named_problem("quartic")
     monkeypatch.setattr(flow, "MAX_STEPS", 60)
-    flows = integrate_ensemble(f, Z, [[0.034], [0.5]], "ascend", levels=1.0)
+    flows = integrate_ensemble(f, Z, [[0.034], [0.5]], "ascend", levels=1.0, stops=())
     assert [t.termination for t in flows] == ["step_limit", "reach_level"]
     assert [(t.n_accepted, t.n_rejected) for t in flows] == [(59, 1), (17, 0)]
     assert flows[0].n_rejected > 0

@@ -23,7 +23,7 @@ def on_saddle_level(x, level):
 
 
 def origin_cp(dim=2, kind="saddle"):
-    return CriticalPoint(location=(0.0,) * dim, value=0.0, grad_norm=0.0, kind=kind)
+    return CriticalPoint(location=(0.0,) * dim, value=0.0, grad_norm=0.0, kind=kind, cluster_radius=0.0)
 
 
 class TestLevelMap:
@@ -143,7 +143,7 @@ class TestUnstableSlice:
 
     def test_minimum_refused(self, quartic):
         f, Z = quartic
-        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
+        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum", cluster_radius=0.0)
         with pytest.raises(levelmap.EmptySlice, match="^no ring probe at radius 0.001 lies 5e-07 below"):
             unstable_slice(f, Z, cp, -0.01, seed=0)
 
@@ -176,7 +176,7 @@ class TestMatchesTheSingleFlowLoops:
         # the vertex as the critical search returns it, a few 1e-9 off the
         # origin: at the exact origin the reference's back-flows, which have
         # no capture stop, end landing_failed
-        cp, = find_critical_points(*cone_lift)
+        cp, = find_critical_points(*cone_lift, grid_density=None)
         return cp
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -219,7 +219,7 @@ class TestCondition2:
     def test_saddle_band_passes_clean(self, saddle, monkeypatch):
         f, Z = saddle
         monkeypatch.setattr(levelmap, "COND2_SAMPLES", 60)
-        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0, collect=None)
         assert report.verdict == "pass"
         assert report.witnesses["n_inconclusive"] == 0
         assert report.witnesses["n_violations"] == 0
@@ -230,7 +230,7 @@ class TestCondition2:
         # the sampler cannot show that the band misses Z, so no sample is no verdict
         f, Z = saddle
         monkeypatch.setattr(levelmap, "COND2_SAMPLES", 40)
-        report = check_condition2(f, Z, 10.0, 11.0, seed=0)
+        report = check_condition2(f, Z, 10.0, 11.0, seed=0, collect=None)
         assert report.verdict == "inconclusive"
         assert "no point of Z" in report.witnesses["reason"]
         assert report.witnesses["n_samples"] == 0
@@ -242,7 +242,7 @@ class TestCondition2:
         f = parse_polynomial("x^2 - y^2", ["x", "y"])
         Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-0.9, 0.9), (-0.9, 0.9)))
         monkeypatch.setattr(levelmap, "COND2_SAMPLES", 40)
-        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0, collect=None)
         assert report.verdict == "inconclusive"
         assert report.witnesses["terminations"].get("left_box", 0) > 0
 
@@ -252,7 +252,7 @@ class TestCondition2:
         f, Z = saddle
         monkeypatch.setattr(levelmap, "COND2_SAMPLES", 20)
         monkeypatch.setattr(flow, "MAX_STEPS", 3)
-        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0, collect=None)
         w = report.witnesses
         assert report.verdict == "inconclusive"
         assert w["n_inconclusive"] == w["terminations"]["step_limit"] > 0
@@ -269,7 +269,7 @@ class TestCondition2:
     def test_ordering_precondition(self, saddle):
         f, Z = saddle
         with pytest.raises(ValueError):
-            check_condition2(f, Z, 1.0, -1.0, seed=0)
+            check_condition2(f, Z, 1.0, -1.0, seed=0, collect=None)
 
     def test_quartic_band_steps_are_capped_in_length_not_time(self, quartic, monkeypatch):
         # near the degenerate minimum |grad f| = 4|x|^3 is tiny, so steps capped
@@ -283,7 +283,7 @@ class TestCondition2:
             return ensembles[-1]
 
         monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
-        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0, collect=None)
         (flows,) = ensembles
         assert report.verdict == "pass"
         assert report.witnesses["terminations"] == {"converged": 204, "reach_level": 196}
@@ -303,7 +303,7 @@ class TestCondition2:
             return ensembles[-1]
 
         monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
-        report = check_condition2(f, Z, -1.0, 1.0, seed=0)
+        report = check_condition2(f, Z, -1.0, 1.0, seed=0, collect=None)
         (flows,) = ensembles
         w = report.witnesses
         assert w["n_accepted_steps"] == sum(t.n_accepted for t in flows)
@@ -317,7 +317,7 @@ class TestCondition4:
         cp = origin_cp()
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 12)
         monkeypatch.setattr(levelmap, "RADII", (0.1, 0.03))
-        report = check_condition4(f, Z, cp, 0.01, seed=0)
+        report = check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
         assert report.verdict == "pass"
         rows = report.modulus_table
         assert [r for r, *_ in rows] == [0.1, 0.03]
@@ -330,7 +330,7 @@ class TestCondition4:
         cp = origin_cp()
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 8)
         monkeypatch.setattr(levelmap, "RADII", (0.05, 0.02))
-        payload = check_condition4(f, Z, cp, 0.01, seed=0).to_payload()
+        payload = check_condition4(f, Z, cp, 0.01, seed=0, collect=None).to_payload()
         assert payload["condition"] == 4
         assert set(payload) == {"condition", "verdict", "witnesses", "modulus_table"}
         for row in payload["modulus_table"]:
@@ -347,7 +347,7 @@ class TestCondition4:
             return [] if radius == 0.03 else real(Z, center, radius, rng, count)
 
         monkeypatch.setattr(levelmap, "ball_probes", none_at_003)
-        report = check_condition4(f, Z, cp, 0.01, seed=0)
+        report = check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
         assert report.verdict == "inconclusive"
         assert [row[2] > 0 for row in report.modulus_table] == [True, False]
         assert report.witnesses["reason"] == "no probe landed at radius [0.03]"
@@ -359,7 +359,7 @@ class TestCondition4:
         cp = origin_cp()
         monkeypatch.setattr(levelmap, "N_PER_RADIUS", 12)
         monkeypatch.setattr(levelmap, "RADII", (1.9,))
-        report = check_condition4(f, Z, cp, 0.01, seed=0)
+        report = check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
         assert report.verdict == "fail"
         assert report.modulus_table[0][1] > 0.05
 
@@ -369,7 +369,7 @@ class TestCondition4:
         f, Z = cone
         monkeypatch.setattr(levelmap, "SLICE_CLUSTER_TOL", 1e-300)
         with caplog.at_level("INFO", logger="morseflow.levelmap"):
-            report = check_condition4(f, Z, origin_cp(dim=3), 0.01, seed=0)
+            report = check_condition4(f, Z, origin_cp(dim=3), 0.01, seed=0, collect=None)
         line, = [r.getMessage() for r in caplog.records if r.name == "morseflow.levelmap"]
         assert line.startswith("slice at level -0.01: 0 of ") and "dropped {" in line
         assert report.verdict == "inconclusive" and report.modulus_table is None
@@ -379,8 +379,8 @@ class TestCondition4:
     def test_a_point_with_no_ring_probe_below_it_is_inconclusive(self, quartic):
         # the quartic's origin is a minimum that a wrong kind sends here: no ring probe lies below it
         f, Z = quartic
-        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="saddle")
-        report = check_condition4(f, Z, cp, 0.01, seed=0)
+        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="saddle", cluster_radius=0.0)
+        report = check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
         assert report.verdict == "inconclusive"
         assert report.witnesses == {"eps": 0.01, "reason": (
             "no ring probe at radius 0.001 lies 5e-07 below the critical value; "
@@ -392,6 +392,6 @@ class TestCondition4:
 
     def test_minimum_refused(self, quartic):
         f, Z = quartic
-        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
+        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum", cluster_radius=0.0)
         with pytest.raises(ValueError):
-            check_condition4(f, Z, cp, 0.01, seed=0)
+            check_condition4(f, Z, cp, 0.01, seed=0, collect=None)

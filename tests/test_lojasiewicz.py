@@ -22,12 +22,12 @@ from morseflow.space import SingularSpace
 def bowl():
     f = parse_polynomial("x^2 + y^2", ["x", "y"])
     Z = SingularSpace(2, PolynomialSystem(["x", "y"], ()), ((-1, 1), (-1, 1)))
-    cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0, kind="minimum")
+    cp = CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0, kind="minimum", cluster_radius=0.0)
     return f, Z, cp
 
 
 def origin_cp(kind="saddle"):
-    return CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0, kind=kind)
+    return CriticalPoint(location=(0.0, 0.0), value=0.0, grad_norm=0.0, kind=kind, cluster_radius=0.0)
 
 
 def make_fit(theta, C, delta=0.2, value=0.0):
@@ -54,7 +54,7 @@ class TestEstimateFit:
     def test_quartic_exponent(self, quartic):
         # |f'| = 4|x|^3 = 4|f|^(3/4), so theta = 1/4 and C = 4
         f, Z = quartic
-        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum")
+        cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum", cluster_radius=0.0)
         fit = estimate_fit(f, Z, cp, radius=0.5, seed=1)
         assert 0.20 <= fit.theta <= 0.30
         assert 3.0 <= fit.constant_C <= 5.0
@@ -87,7 +87,7 @@ class TestEstimateFit:
         # the projected gradient is bounded below near the vertex, so the
         # measured slope sits outside the exponent range; refusal, not clamp
         f, Z = cone
-        cp = CriticalPoint(location=(0.0, 0.0, 0.0), value=0.0, grad_norm=0.0, kind="saddle")
+        cp = CriticalPoint(location=(0.0, 0.0, 0.0), value=0.0, grad_norm=0.0, kind="saddle", cluster_radius=0.0)
         with pytest.raises(FitError) as err:
             estimate_fit(f, Z, cp, radius=0.5, seed=0)
         assert err.value.measured_slope is not None
@@ -222,7 +222,7 @@ class TestVerifyFlowEstimates:
 ])
 def test_batched_descents_match_the_single_flow_loop(name, level, eps, seed, saddle, cone, planes_lift):
     f, Z = {"saddle": saddle, "cone": cone, "planes-lift": planes_lift}[name]
-    cp = CriticalPoint(location=(0.0,) * Z.ambient_dim, value=level, grad_norm=0.0, kind="saddle")
+    cp = CriticalPoint(location=(0.0,) * Z.ambient_dim, value=level, grad_norm=0.0, kind="saddle", cluster_radius=0.0)
     fit = make_fit(0.5, 1.0, delta=0.3, value=level)
     starts = single_flow_loops.level_points(f, Z, level, seed)
     starts = starts[np.linalg.norm(starts, axis=1) > CLUSTER_TOL]
@@ -239,7 +239,7 @@ class TestDefaultDelta:
 
     def test_capped_by_neighbour_spacing(self, saddle):
         _, Z = saddle
-        other = CriticalPoint(location=(0.5, 0.0), value=0.25, grad_norm=0.0)
+        other = CriticalPoint(location=(0.5, 0.0), value=0.25, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
         assert default_delta(Z, origin_cp(), [other]) == 0.25
 
     def test_self_in_others_ignored(self, saddle):
@@ -250,6 +250,6 @@ class TestDefaultDelta:
     def test_a_point_on_a_box_face_names_the_cause(self):
         Z = SingularSpace(2, PolynomialSystem(("x", "y"), [parse_polynomial("x^2", ("x", "y"))]),
                           [(-1, 1), (-1, 1)])
-        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0)
+        cp = CriticalPoint(location=(0.0, -1.0), value=-1.0, grad_norm=0.0, kind="unresolved", cluster_radius=0.0)
         with pytest.raises(FitError, match=r"delta = 0: the point \(0\.0, -1\.0\) lies on a box face"):
             default_delta(Z, cp, ())

@@ -1,13 +1,21 @@
 import settable_values
 
-# a change that adds an option raises this bound in the same diff, and says why
-BOUND = 32
+# every settable value of the package, by module; a change that adds one adds
+# it here in the same diff, and says why.  Each has two values in use in src/,
+# or a reason: main.argv is None from the console entry; item 12 of the
+# ROADMAP derives retract_tol and level_tol per problem
+SETTABLE = {
+    "cli.py": ["main.argv"],
+    "critical.py": ["ConditionReport.modulus_table"],
+    "flow.py": ["integrate_ensemble.record"],
+    "lojasiewicz.py": ["__init__.measured_slope"],
+    "space.py": ["SingularSpace.retract_tol", "SingularSpace.level_tol", "orthogonal_rows.R"],
+}
 
 
-def test_settable_values_stay_within_the_bound():
+def test_the_settable_values_are_exactly_the_listed_ones():
     modules = settable_values.count_by_module()
-    total = sum(len(v) for v in modules.values())
-    assert total <= BOUND, {name: values for name, values in modules.items() if values}
+    assert {name: values for name, values in modules.items() if values} == SETTABLE
 
 
 def test_every_kind_of_default_is_counted():

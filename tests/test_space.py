@@ -234,7 +234,7 @@ def project_one(f, Z, x, c):
     return points[0]
 
 
-def scalar_level_projection(f, Z, x, c, max_iter=60):
+def scalar_level_projection(f, Z, x, c):
     """Reference: the one-point damped Gauss-Newton loop on (g, f - c) that
     the batched projection replaced, solving each step with lstsq."""
     x = np.array(x, dtype=float)
@@ -245,7 +245,7 @@ def scalar_level_projection(f, Z, x, c, max_iter=60):
 
     r = joint(x)
     res = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    for _ in range(space.GAUSS_NEWTON_ITER):
         if res <= Z.level_tol:
             return x
         J = np.vstack([Z.constraints.jacobian_at(x), grad_f.evaluate(x)[None, :]])

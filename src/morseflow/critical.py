@@ -119,14 +119,16 @@ def _lstsq_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _central_differences(resid, X: np.ndarray) -> np.ndarray:
     """Jacobians of resid at the rows of X, with h = 1e-7 * max(1, |x_j|) per row.
 
-    All 2n displaced copies of the block go through one resid call.
+    All 2n displaced copies of the block go through one resid call.  An
+    empty block gives a (0, k, n) array for a residual of width k.
     """
     N, n = X.shape
     H = 1e-7 * np.maximum(1.0, np.abs(X))
     P, j = np.repeat(X[None], 2 * n, axis=0), np.arange(n)
     P[2 * j, :, j] += H.T
     P[2 * j + 1, :, j] -= H.T
-    D = resid(P.reshape(2 * n * N, n)).reshape(n, 2, N, -1)
+    D = resid(P.reshape(2 * n * N, n))
+    D = D.reshape(n, 2, N, D.shape[1])  # the residual's width, which an empty block cannot infer
     return ((D[:, 0] - D[:, 1]) / (2.0 * H.T[:, :, None])).transpose(1, 2, 0)
 
 

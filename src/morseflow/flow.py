@@ -32,21 +32,25 @@ member at its point when a step runs into it, in place of any crossing.  Once
 every member has ended, the level crossings are landed (to ``level_tol`` in f)
 by one batched regula falsi over each crossing step's length, each trial point
 a retracted step endpoint; a crossing that no trial point lands ends with
-``landing_failed``.  Then every trajectory is built.  Rows never interact, so a
-member's trajectory is the same bit for bit in any ensemble.
+``landing_failed``.  Rows never interact, so a member's trajectory is the same
+bit for bit in any ensemble.
 
-:func:`integrate` is the ensemble of one, with every sample kept.  In a larger
-ensemble only the members marked in ``record`` keep every accepted sample;
-the rest keep their start and end samples, which bounds the memory of a
-condition check.  Every trajectory counts its accepted and rejected steps.
+The ensemble returns an :class:`Ensemble`: every member's end state as arrays
+(termination, step counts, endpoint, final f, arc length), and a read-only
+sequence of trajectories, each built when it is read.  :func:`integrate` is
+the ensemble of one, with every sample kept.  In a larger ensemble only the
+members marked in ``record`` keep every accepted sample; the rest keep their
+start and end samples, which bounds the memory of a condition check, and a
+check that reads only end states builds no trajectory.  Every trajectory
+counts its accepted and rejected steps.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -151,6 +155,40 @@ class FlowTrajectory:
         return float(self.arc[-1])
 
 
+class Ensemble(Sequence):
+    """The members of one :func:`integrate_ensemble` call, in order: a read-only sequence of trajectories.
+
+    Item i is member i's :class:`FlowTrajectory`, built each time it is
+    read: from its recorded samples, else from its start and end samples.
+    Every member's end state is also held as one array each, indexed by
+    member, under the trajectory's names: termination, n_accepted,
+    n_rejected, endpoint (N, n), final_f and total_arc.  A caller that reads
+    only end states builds no trajectory.
+    """
+
+    def __init__(self, directions, termination, n_accepted, n_rejected, endpoint, final_f, total_arc,
+                 stacked, history):
+        self.termination, self.n_accepted, self.n_rejected = termination, n_accepted, n_rejected
+        self.endpoint, self.final_f, self.total_arc = endpoint, final_f, total_arc
+        self._directions, self._stacked, self._history = directions, stacked, history
+
+    def __len__(self) -> int:
+        return len(self.termination)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        n_acc = int(self.n_accepted[i])
+        if i in self._history:
+            columns = [np.array(col) for col in zip(*self._history[i])]
+        else:
+            columns = [col[i] if n_acc else col[i, :1] for col in self._stacked]
+        # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
+        return FlowTrajectory(self._directions[i], *columns, str(self.termination[i]), n_acc,
+                              int(self.n_rejected[i]))
+
+
 # Cash-Karp 4(5) coefficients; zero weights are left out of the sums.
 _CK_A = (
     (),
@@ -251,7 +289,7 @@ def integrate_ensemble(
     levels: float | Sequence[float | None] | None,
     stops: Sequence[StopCriterion],
     record: bool | Sequence[bool] = False,
-) -> list[FlowTrajectory]:
+) -> Ensemble:
     """Integrate the projected gradient flow from every row of X0 at once.
 
     Member i starts at ``X0[i]``, flows in ``directions[i]`` and, when
@@ -277,7 +315,8 @@ def integrate_ensemble(
     input (a direction, a start off Z, a target beyond level_tol on the
     wrong side) raises before any member steps, naming the member; a start
     within level_tol of its target ends ``reach_level`` at once.  Returns
-    one trajectory per member, in order.
+    an :class:`Ensemble`: item i is member i's trajectory, built when it is
+    read, and its arrays hold every member's end state.
     """
     X0 = np.array(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != Z.ambient_dim:
@@ -439,16 +478,7 @@ def integrate_ensemble(
     # accepted no step
     zeros = np.zeros(N)
     stacked = [np.stack(pair, axis=1) for pair in ((zeros, t), (Y, y), (f0, fy), (gn0, gn), (zeros, arc))]
-    out = []
-    for i, (k, n_acc, n_rej, *ends) in enumerate(zip(code.tolist(), n_accepted.tolist(), n_rejected.tolist(),
-                                                       *stacked)):
-        if i in history:
-            columns = [np.array(col) for col in zip(*history[i])]
-        else:
-            columns = ends if n_acc else [col[:1] for col in ends]
-        # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
-        out.append(FlowTrajectory(directions[i], *columns, TERMS[k], n_acc, n_rej))
-    return out
+    return Ensemble(directions, np.array(TERMS)[code], n_accepted, n_rejected, y, fy, arc, stacked, history)
 
 
 def _land(fld: _Field, y, g, sign, c, h, f_start, f_end):

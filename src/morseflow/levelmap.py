@@ -200,8 +200,10 @@ def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect
     responsible for choosing a and b away from critical values.  Budget or
     box exits leave the dichotomy undecided and make the verdict
     inconclusive (witnesses.reason counts them), and so does a band in
-    which the sampler finds no point of Z.  Unless it is None,
-    ``collect(tag, trajectory)`` sees every flow.
+    which the sampler finds no point of Z.  The witnesses are read from
+    the ensemble's end-state arrays.  Unless it is None,
+    ``collect(tag, trajectory)`` sees only the first flow of each direction,
+    with every sample: the one flow per tag family a report keeps.
     """
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
@@ -231,22 +233,22 @@ def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect
         [a, b] * len(samples), [Converged(COND2_CONV_TOL)],
         record=collect is not None and np.arange(2 * len(samples)) < 2,
     )
-    for traj in flows:
-        term = traj.termination
-        if collect is not None:
-            collect(f"cond2/{traj.direction}/{term}", traj)
-        witnesses["terminations"][term] = witnesses["terminations"].get(term, 0) + 1
-        witnesses["n_accepted_steps"] += traj.n_accepted
-        witnesses["n_rejected_steps"] += traj.n_rejected
-        if term == "reach_level":
-            witnesses["n_reach"] += 1
-        elif term == "converged":
-            witnesses["n_converged"] += 1
-            limit_val = float(traj.final_f)
-            if not (a - Z.level_tol <= limit_val <= b + Z.level_tol):
-                witnesses["n_violations"] += 1
-        else:
-            witnesses["n_inconclusive"] += 1
+    if collect is not None:
+        for traj in flows[:2]:
+            collect(f"cond2/{traj.direction}/{traj.termination}", traj)
+    term = flows.termination
+    names, first, counts = np.unique(term, return_index=True, return_counts=True)
+    converged = term == "converged"
+    in_band = (a - Z.level_tol <= flows.final_f) & (flows.final_f <= b + Z.level_tol)
+    witnesses.update(
+        n_reach=int(np.count_nonzero(term == "reach_level")),
+        n_converged=int(np.count_nonzero(converged)),
+        n_violations=int(np.count_nonzero(converged & ~in_band)),
+        n_accepted_steps=int(flows.n_accepted.sum()),
+        n_rejected_steps=int(flows.n_rejected.sum()),
+        terminations={str(names[k]): int(counts[k]) for k in np.argsort(first)},
+    )
+    witnesses["n_inconclusive"] = len(flows) - witnesses["n_reach"] - witnesses["n_converged"]
 
     if witnesses["n_violations"]:
         verdict = "fail"
@@ -273,8 +275,11 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
     The slice at cp.value - eps is :func:`unstable_slice`'s, its descents in
     the probes' ensemble; witnesses.slice_points lists it.  An empty slice,
     or an eps below SLICE_START_DROP (a slice level above every start),
-    makes the verdict inconclusive, and witnesses.reason says why.  Unless
-    it is None, ``collect(tag, trajectory)`` sees every probe flow.
+    makes the verdict inconclusive, and witnesses.reason says why.  Each
+    radius is scored from the ensemble's end-state arrays.  Unless it is
+    None, ``collect(tag, trajectory)`` sees only the first probe flow of
+    each radius, with every sample: the one flow per tag family a report
+    keeps.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
@@ -311,7 +316,6 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
         slice_ = _slice_from(f, Z, cp, target, flows[:n])
     except EmptySlice as e:
         return ConditionReport(condition=4, verdict="inconclusive", witnesses={"eps": float(eps), "reason": str(e)})
-    flows = flows[n:]
     slice_pts = np.asarray(slice_.points, dtype=float)
 
     table = []
@@ -326,26 +330,22 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
         "n_projected": int(use.sum()),
     }
     for idx, r in enumerate(RADII):
-        n_landed = n_captured = 0
-        worst = 0.0
-        for traj in flows[firsts[idx]:firsts[idx + 1]]:
-            if collect is not None:
-                collect(f"cond4/r={r:g}/{traj.termination}", traj)
-            if traj.termination == "reach_level":
-                n_landed += 1
-                d_i = float(np.min(np.linalg.norm(slice_pts - traj.endpoint[None, :], axis=1)))
-                worst = max(worst, d_i)
-            elif traj.termination == "converged":
-                if float(traj.final_f) >= capture_level:
-                    n_captured += 1
-                else:
-                    witnesses["n_other_converged"] += 1
-            else:
-                witnesses["n_inconclusive"] += 1
+        lo, hi = n + int(firsts[idx]), n + int(firsts[idx + 1])
+        if collect is not None and lo < hi:
+            traj = flows[lo]
+            collect(f"cond4/r={r:g}/{traj.termination}", traj)
+        term = flows.termination[lo:hi]
+        landed = flows.endpoint[lo:hi][term == "reach_level"]
+        # each landing's distance to its nearest slice point, from one norm over every pair
+        d = np.min(np.linalg.norm(slice_pts[None, :, :] - landed[:, None, :], axis=2), axis=1)
+        converged = term == "converged"
+        captured = converged & (flows.final_f[lo:hi] >= capture_level)
+        n_landed, n_captured = len(landed), int(np.count_nonzero(captured))
+        witnesses["n_other_converged"] += int(np.count_nonzero(converged & ~captured))
+        witnesses["n_inconclusive"] += hi - lo - n_landed - int(np.count_nonzero(converged))
         if n_landed == 0:
-            log.warning("radius %g: no probe landed (captured %d of %d)", r, n_captured,
-                        firsts[idx + 1] - firsts[idx])
-        table.append([float(r), float(worst), int(n_landed), int(n_captured)])
+            log.warning("radius %g: no probe landed (captured %d of %d)", r, n_captured, hi - lo)
+        table.append([float(r), float(np.max(d, initial=0.0)), n_landed, n_captured])
 
     unlanded = [row[0] for row in table if row[2] == 0]
     if unlanded:

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from morseflow import levelmap
 from morseflow.cli import STAGES, builtin_problem, problem_objects, run_experiment, spec_from_mapping
 from morseflow.critical import CriticalPoint, check_condition1, find_critical_points
 from morseflow.levelmap import check_condition2, check_condition4, level_map, roundtrip_error, unstable_slice
@@ -113,15 +114,22 @@ def test_criterion_4_level_map_homeomorphism(saddle):
             assert np.linalg.norm(np.asarray(pair.image)) < 1e-6
 
 
-def test_criterion_5_landing_modulus(saddle, cone):
+def test_criterion_5_landing_modulus(saddle, cone, monkeypatch):
     with criterion(5, "landing modulus shrinks on saddle and cone; landings match the invariant"):
         f, Z = saddle
         cp = origin_cp()
-        landed = []
-        report = check_condition4(
-            f, Z, cp, 0.01, seed=0,
-            collect=lambda tag, traj: landed.append(traj) if traj.termination == "reach_level" else None,
-        )
+        ensembles, real = [], levelmap.integrate_ensemble
+
+        def spy(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
+        report = check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
+        monkeypatch.undo()
+        # the first ensemble descends the slice's ring probes, then the probes of every radius
+        probe_flows = ensembles[0][len(levelmap._slice_starts(f, Z, cp, 0)):]
+        landed = [traj for traj in probe_flows if traj.termination == "reach_level"]
         assert report.verdict == "pass"
         assert [row[0] for row in report.modulus_table] == [0.1, 0.03, 0.01, 0.003]
         assert report.witnesses["monotone_within_slack"]

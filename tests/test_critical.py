@@ -517,17 +517,12 @@ class TestRefineKernels:
             blocks.append(P.copy())
             return np.stack([P.prod(axis=1) + P[:, 0] ** 3, np.sin(P).sum(axis=1)], axis=1)
 
-        def outcome(differences):
-            try:
-                return bits(differences(resid, X.copy()))
-            except ValueError as e:  # an empty block has no width to reshape by
-                return repr(e)
-
-        got, ref = outcome(critical._central_differences), outcome(blocked_refine._central_differences)
-        assert type(got) is type(ref) and np.array_equal(got, ref)
-        assert len(blocks) == 2 and np.array_equal(bits(blocks[0]), bits(blocks[1]))
-        if N:
-            assert got.shape == (N, 2, n)
+        got = critical._central_differences(resid, X.copy())
+        assert got.shape == (N, 2, n)
+        if N:  # the reference cannot reshape an empty block, which has no width to infer
+            ref = blocked_refine._central_differences(resid, X.copy())
+            assert np.array_equal(bits(got), bits(ref))
+            assert len(blocks) == 2 and np.array_equal(bits(blocks[0]), bits(blocks[1]))
 
 
 def named_problem(name):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bisection_landing
 import stage_retracting_advance
-from morseflow import flow
+from morseflow import flow, levelmap
 from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.critical import PROBE_RADIUS
 from morseflow.flow import (
@@ -528,7 +528,7 @@ def test_ensemble_validates_every_member_before_stepping(saddle):
         integrate_ensemble(f, Z, [[1.0, 0.3], [5.0, 0.0]], "descend", levels=None, stops=())
     with pytest.raises(ValueError, match="direction"):
         integrate_ensemble(f, Z, [[1.0, 0.3]], ["sideways"], levels=None, stops=())
-    assert integrate_ensemble(f, Z, np.zeros((0, 2)), directions="descend", levels=None, stops=()) == []
+    assert len(integrate_ensemble(f, Z, np.zeros((0, 2)), directions="descend", levels=None, stops=())) == 0
 
 
 coordinate = st.floats(-1.5, 1.5, allow_nan=False)
@@ -662,8 +662,8 @@ def test_stable_descent_into_a_rank_drop_rejects_no_step(x0):
 
 
 def named_problem(name):
-    spec = load_problem(PROBLEMS / f"{name}.json") if name.endswith("-lift") else builtin_problem(name)
-    return problem_objects(spec)
+    path = PROBLEMS / f"{name}.json"
+    return problem_objects(load_problem(path) if path.exists() else builtin_problem(name))
 
 
 def band_starts(f, Z, count):
@@ -711,6 +711,31 @@ def assert_same_flows(flows, reference):
             (ref.direction, ref.termination, ref.n_accepted, ref.n_rejected)
         for column in ("t", "y", "f", "grad_norm", "arc"):
             assert same_bits(getattr(traj, column), getattr(ref, column))
+
+
+@pytest.mark.parametrize("name", ["quartic", "cone", "planes-lift", "wells"])
+def test_ensemble_arrays_equal_the_trajectories_it_builds(name):
+    # every third member is recorded; members 0 and 1, one recorded and one
+    # not, start on their levels and accept no step
+    f, Z = named_problem(name)
+    X, directions, levels = band_starts(f, Z, 24)
+    levels[:2] = f.evaluate(X[:2]).tolist()
+    record = np.arange(24) % 3 == 0
+    flows = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-4)], record)
+    trajs = list(flows)
+    assert len(flows) == len(trajs) == 24
+    assert flows.termination.tolist() == [t.termination for t in trajs]
+    for field in ("n_accepted", "n_rejected", "final_f", "total_arc"):
+        assert same_bits(getattr(flows, field), np.array([getattr(t, field) for t in trajs]))
+    assert same_bits(flows.endpoint, np.array([t.endpoint for t in trajs]))
+    assert [t.n_samples for t in trajs] == [n + 1 if r else min(n + 1, 2)
+                                            for n, r in zip(flows.n_accepted.tolist(), record)]
+    assert trajs[0].n_samples == trajs[1].n_samples == 1
+    # an item read twice, by index, negative index or slice, is built alike
+    assert_same_flows(trajs, list(flows))
+    assert_same_flows([flows[-1], *flows[1:3]], [trajs[-1], trajs[1], trajs[2]])
+    with pytest.raises(IndexError):
+        flows[24]
 
 
 @pytest.mark.parametrize("name, constrained", [("saddle", 0), ("cone", 1), ("cone-lift", 1), ("planes-lift", 1)])
@@ -764,8 +789,17 @@ def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, constrain
 
 
 def condition2_flows(f, Z):
-    flows = []
-    check_condition2(f, Z, -1.0, 1.0, seed=0, collect=lambda tag, traj: flows.append(traj))
+    """Condition 2's ensemble, with its first flow of each direction recorded for a collect hook."""
+    ensembles, real = [], levelmap.integrate_ensemble
+
+    def spy(*args, **kwargs):
+        ensembles.append(real(*args, **kwargs))
+        return ensembles[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levelmap, "integrate_ensemble", spy)
+        check_condition2(f, Z, -1.0, 1.0, seed=0, collect=lambda tag, traj: None)
+    (flows,) = ensembles
     return flows
 
 

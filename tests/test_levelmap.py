@@ -1,10 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import per_flow_tallies
 import single_flow_loops
 from morseflow import flow, levelmap
+from morseflow.cli import _TrajectoryKeeper, builtin_problem, load_problem, problem_objects
 from morseflow.critical import CriticalPoint, find_critical_points
 from morseflow.levelmap import (
     SLICE_CLUSTER_TOL,
@@ -15,6 +18,7 @@ from morseflow.levelmap import (
     unstable_slice,
 )
 from morseflow.flow import Converged, ReachLevel, integrate
+from test_flow import assert_same_flows
 
 
 def on_saddle_level(x, level):
@@ -105,7 +109,7 @@ class TestUnstableSlice:
         real = levelmap.integrate_ensemble
 
         def spy(*args, **kwargs):
-            flows = real(*args, **kwargs)
+            flows = list(real(*args, **kwargs))  # an ensemble is read-only; its trajectories are not
             if args[3] == "ascend":
                 flows[0] = dataclasses.replace(flows[0], termination="left_box")
             return flows
@@ -395,3 +399,97 @@ class TestCondition4:
         cp = CriticalPoint(location=(0.0,), value=0.0, grad_norm=0.0, kind="minimum", cluster_radius=0.0)
         with pytest.raises(ValueError):
             check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
+
+
+class TestMatchesThePerFlowTallies:
+    """Conditions 2 and 4 against the per-flow loops of tests/per_flow_tallies.py, on the same ensembles."""
+
+    @staticmethod
+    def problem(name):
+        path = Path(__file__).resolve().parent / "problems" / f"{name}.json"
+        spec = load_problem(path) if path.exists() else builtin_problem(name)
+        return spec, *problem_objects(spec)
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Each ensemble that levelmap integrates, with the record flags it was given, and the flows collect sees."""
+        calls, seen, real = [], [], levelmap.integrate_ensemble
+
+        def spy(*args, **kwargs):
+            calls.append((real(*args, **kwargs), kwargs.get("record", False)))
+            return calls[-1][0]
+
+        monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
+        keeper = _TrajectoryKeeper()
+
+        def collect(tag, traj):
+            seen.append(traj)
+            keeper(tag, traj)
+
+        return calls, seen, keeper, collect
+
+    @staticmethod
+    def assert_sees_the_recorded_flows(seen, flows, record):
+        # collect sees exactly the recorded flows, in order, each with every sample
+        assert_same_flows(seen, [flows[i] for i in np.flatnonzero(record)])
+        assert seen and all(t.n_samples == t.n_accepted + 1 for t in seen)
+
+    @pytest.fixture(scope="class")
+    def wells_points(self):
+        _, f, Z = self.problem("wells")
+        return find_critical_points(f, Z, grid_density=None)
+
+    # a step cap of 40 ends some flows step_limit beside reach_level and converged ones
+    @pytest.mark.parametrize("max_steps", [flow.MAX_STEPS, 40])
+    @pytest.mark.parametrize("name", ["saddle", "quartic", "cone", "planes-lift", "wells"])
+    def test_condition2_witnesses_equal_the_loop(self, name, max_steps, monkeypatch):
+        spec, f, Z = self.problem(name)
+        a, b = spec.tolerances.get("band", (-1.0, 1.0))
+        monkeypatch.setattr(flow, "MAX_STEPS", max_steps)
+        calls, seen, keeper, collect = self.watch(monkeypatch)
+        report = check_condition2(f, Z, a, b, seed=0, collect=collect)
+        ((flows, record),) = calls
+        reference = _TrajectoryKeeper()
+        want = per_flow_tallies.condition2_witnesses(list(flows), a, b, Z.level_tol, reference)
+        # repr compares the order of the termination histogram too
+        assert repr({k: report.witnesses[k] for k in want}) == repr(want)
+        assert list(keeper.kept) == list(reference.kept)
+        assert_same_flows(keeper.kept.values(), reference.kept.values())
+        self.assert_sees_the_recorded_flows(seen, flows, record)
+
+    # wells: a maximum that fails, one whose probes are partly captured by its
+    # level, and one whose probes partly converge at a lower minimum
+    @pytest.mark.parametrize("name, point, eps", [
+        ("saddle", (0.0, 0.0), 0.01),
+        ("cone", (0.0, 0.0, 0.0), 0.01),
+        ("planes-lift", (0.0, 0.0, 0.0), 0.01),
+        ("wells", 8, 0.01),
+        ("wells", 15, 0.3),
+        ("wells", 18, 0.7),
+    ])
+    def test_condition4_table_equals_the_loop(self, wells_points, name, point, eps, monkeypatch):
+        _, f, Z = self.problem(name)
+        if isinstance(point, int):
+            cp = dataclasses.replace(wells_points[point], kind="maximum")
+        else:
+            cp = CriticalPoint(location=point, value=0.0, grad_norm=0.0, kind="saddle", cluster_radius=0.0)
+        calls, seen, keeper, collect = self.watch(monkeypatch)
+        counts, ball_probes = [], levelmap.ball_probes
+
+        def counted(*args):
+            counts.append(len(np.reshape(ball_probes(*args), (-1, Z.ambient_dim))))
+            return ball_probes(*args)
+
+        monkeypatch.setattr(levelmap, "ball_probes", counted)
+        report = check_condition4(f, Z, cp, eps, seed=0, collect=collect)
+        flows, record = calls[0]  # the slice's ring descents, then every radius's probes
+        n = len(flows) - sum(counts)
+        reference = _TrajectoryKeeper()
+        table, want = per_flow_tallies.condition4_table(
+            flows[n:], np.cumsum([0] + counts), np.asarray(report.witnesses["slice_points"]),
+            report.witnesses["capture_level"], reference)
+        assert repr(report.modulus_table) == repr(table)
+        assert {k: report.witnesses[k] for k in want} == want
+        assert list(keeper.kept) == list(reference.kept)
+        assert_same_flows(keeper.kept.values(), reference.kept.values())
+        self.assert_sees_the_recorded_flows(seen, flows, record)

@@ -292,20 +292,6 @@ class ExperimentReport:
         return out + [self.corollary_verdict] if self.corollary_ran else out
 
 
-class _TrajectoryKeeper:
-    """Retains the first trajectory seen for each tag family (``cond4/r=0.1`` for ``cond4/r=0.1/converged``)."""
-
-    def __init__(self):
-        self.kept = {}
-        self.families = set()
-
-    def __call__(self, tag: str, traj):
-        family = tag.rsplit("/", 1)[0] if tag.count("/") >= 2 else tag
-        if family not in self.families:
-            self.families.add(family)
-            self.kept[tag] = traj
-
-
 @dataclass
 class _Run:
     """What the stages of one run share: the problem, the report and the points found."""
@@ -314,7 +300,8 @@ class _Run:
     f: Polynomial
     Z: SingularSpace
     report: ExperimentReport
-    keeper: _TrajectoryKeeper
+    # the conditions' kept trajectories, by family (``cond4/r=0.1``); the first of each wins
+    kept: dict
     cps: list
     fits: dict
 
@@ -405,7 +392,7 @@ def _run_cond2(run: _Run) -> dict:
         _premise("failed", f"band endpoint touches critical value(s) {near}") if near
         else _premise("checked", "no critical value found lies within 1e-08 of a band endpoint"))}
     return _judged(2, premises, None if near else check_condition2(
-        run.f, run.Z, band[0], band[1], seed=run.spec.seed, collect=run.keeper).to_payload())
+        run.f, run.Z, band[0], band[1], seed=run.spec.seed, collect=run.kept).to_payload())
 
 
 def _run_cond4(run: _Run) -> dict:
@@ -437,7 +424,7 @@ def _cond4_entry(run: _Run, i: int, cp: CriticalPoint, gap: float) -> dict:
     eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
     entry = None
     if eps is not None:
-        entry = check_condition4(run.f, run.Z, cp, eps, seed=run.spec.seed, collect=run.keeper).to_payload()
+        entry = check_condition4(run.f, run.Z, cp, eps, seed=run.spec.seed, collect=run.kept).to_payload()
     return {**_judged(4, {"eps_licensed": premise}, entry), "point_index": i}
 
 
@@ -494,7 +481,7 @@ def _fork_cond2(run: _Run, runner):
         t0, errors = time.perf_counter(), {}
         out = _isolated(errors, "cond2", lambda: runner(run))
         with os.fdopen(w, "wb") as fh:
-            pickle.dump((out, errors.get("cond2"), list(run.keeper.kept.items()), records.records,
+            pickle.dump((out, errors.get("cond2"), run.kept, records.records,
                          time.perf_counter() - t0), fh)
         status = 0
     finally:
@@ -506,12 +493,10 @@ def _join_cond2(run: _Run, data: bytes, status: int, failed: dict) -> dict:
     if status == 0 and data:
         out, error, kept, records, seconds = pickle.loads(data)
     else:
-        out, kept, records, seconds = None, [], [], None
+        out, kept, records, seconds = None, {}, [], None
         error = f"condition 2 worker exited with status {status} before sending its result"
     # the child's copy of what was kept before the fork, then cond2's, then cond4's
-    items, run.keeper = list(run.keeper.kept.items()), _TrajectoryKeeper()
-    for tag, traj in kept + items:
-        run.keeper(tag, traj)
+    run.kept = {**kept, **run.kept}
     for r in records:
         logging.getLogger(r.name).handle(r)
     _log_stage("cond2", "child", seconds, error)
@@ -562,7 +547,7 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
         trajectory_manifest=[],
         trajectories={},
     )
-    run = _Run(spec, f, Z, report, _TrajectoryKeeper(), [], {})
+    run = _Run(spec, f, Z, report, {}, [], {})
     failed = {}  # stage -> why it did not finish
     child = data = None  # cond2 forked after critical: its pid and pipe, and what it sent
     try:
@@ -606,7 +591,7 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
     if child is not None:
         report.condition_reports["cond2"] = _join_cond2(run, data, status, failed)
 
-    report.trajectories = run.keeper.kept
+    report.trajectories = {f"{family}/{t.termination}": t for family, t in run.kept.items()}
     report.trajectory_manifest = [
         {"tag": tag, "direction": t.direction, "termination": t.termination,
          "n_samples": int(t.n_samples)}

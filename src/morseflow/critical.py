@@ -387,14 +387,14 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
 def _saddle_witnesses(f, Z, cp, below_probe) -> bool:
     """Both saddle witnesses: the down-flow escapes, the back-flow returns."""
     center = cp.point()
-    down, up = integrate_ensemble(
+    flows = integrate_ensemble(
         f, Z, [below_probe, below_probe], directions=("descend", "ascend"), levels=(None, cp.value),
         stops=[CONVERGED, ArcBudget(max(50.0 * PROBE_RADIUS, 1.0)), Capture(cp.location, PROBE_RADIUS)],
         record=(True, False),
     )
-    max_dist = float(np.max(np.linalg.norm(down.y - center[None, :], axis=1)))
-    end_dist = float(np.linalg.norm(up.endpoint - center))
-    return (max_dist > 2.0 * PROBE_RADIUS and up.termination in ("reach_level", "converged")
+    max_dist = float(np.max(np.linalg.norm(flows.recorded[0].y - center[None, :], axis=1)))
+    end_dist = float(np.linalg.norm(flows.endpoint[1] - center))
+    return (max_dist > 2.0 * PROBE_RADIUS and flows.termination[1] in ("reach_level", "converged")
             and end_dist <= PROBE_RADIUS)
 
 

@@ -36,13 +36,11 @@ a retracted step endpoint; a crossing that no trial point lands ends with
 bit for bit in any ensemble.
 
 The ensemble returns an :class:`Ensemble`: every member's end state as arrays
-(termination, step counts, endpoint, final f, arc length), and a read-only
-sequence of trajectories, each built when it is read.  :func:`integrate` is
-the ensemble of one, with every sample kept.  In a larger ensemble only the
-members marked in ``record`` keep every accepted sample; the rest keep their
-start and end samples, which bounds the memory of a condition check, and a
-check that reads only end states builds no trajectory.  Every trajectory
-counts its accepted and rejected steps.
+(termination, step counts, endpoint, final f, arc length), and the
+trajectories of the members marked in ``record``, each with every accepted
+sample.  The other members keep no samples, which bounds the memory of a
+condition check.  :func:`integrate` is the ensemble of one, recorded.  Every
+trajectory counts its accepted and rejected steps.
 """
 
 from __future__ import annotations
@@ -155,38 +153,23 @@ class FlowTrajectory:
         return float(self.arc[-1])
 
 
-class Ensemble(Sequence):
-    """The members of one :func:`integrate_ensemble` call, in order: a read-only sequence of trajectories.
+@dataclass(frozen=True)
+class Ensemble:
+    """The members of one :func:`integrate_ensemble` call: their end states, and the trajectories recorded.
 
-    Item i is member i's :class:`FlowTrajectory`, built each time it is
-    read: from its recorded samples, else from its start and end samples.
-    Every member's end state is also held as one array each, indexed by
-    member, under the trajectory's names: termination, n_accepted,
-    n_rejected, endpoint (N, n), final_f and total_arc.  A caller that reads
-    only end states builds no trajectory.
+    Every member's end state is held as one array each, indexed by member,
+    under the trajectory's names: termination, n_accepted, n_rejected,
+    endpoint (N, n), final_f and total_arc.  ``recorded`` maps the index of
+    each member in ``record``, in member order, to its trajectory.
     """
 
-    def __init__(self, directions, termination, n_accepted, n_rejected, endpoint, final_f, total_arc,
-                 stacked, history):
-        self.termination, self.n_accepted, self.n_rejected = termination, n_accepted, n_rejected
-        self.endpoint, self.final_f, self.total_arc = endpoint, final_f, total_arc
-        self._directions, self._stacked, self._history = directions, stacked, history
-
-    def __len__(self) -> int:
-        return len(self.termination)
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        if isinstance(i, range):
-            return [self[k] for k in i]
-        n_acc = int(self.n_accepted[i])
-        if i in self._history:
-            columns = [np.array(col) for col in zip(*self._history[i])]
-        else:
-            columns = [col[i] if n_acc else col[i, :1] for col in self._stacked]
-        # the columns are in FlowTrajectory's field order: t, y, f, grad_norm, arc
-        return FlowTrajectory(self._directions[i], *columns, str(self.termination[i]), n_acc,
-                              int(self.n_rejected[i]))
+    termination: np.ndarray
+    n_accepted: np.ndarray
+    n_rejected: np.ndarray
+    endpoint: np.ndarray
+    final_f: np.ndarray
+    total_arc: np.ndarray
+    recorded: dict
 
 
 # Cash-Karp 4(5) coefficients; zero weights are left out of the sums.
@@ -311,12 +294,12 @@ def integrate_ensemble(
     outside the box, or ``landing_failed``.
 
     Members in ``record`` (one flag, or one per member) keep every accepted
-    sample; the others keep their start and end samples only.  Invalid
+    sample; the others keep none.  Invalid
     input (a direction, a start off Z, a target beyond level_tol on the
     wrong side) raises before any member steps, naming the member; a start
     within level_tol of its target ends ``reach_level`` at once.  Returns
-    an :class:`Ensemble`: item i is member i's trajectory, built when it is
-    read, and its arrays hold every member's end state.
+    an :class:`Ensemble`: its arrays hold every member's end state, and its
+    ``recorded`` the trajectories of the members in ``record``.
     """
     X0 = np.array(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != Z.ambient_dim:
@@ -367,9 +350,8 @@ def integrate_ensemble(
     # crossing member's first stage is sign * g; was_rejected is set once its
     # error test fails, and its steps then grow by SAFETY_AFTER_REJECTION.  A
     # member that ends keeps its entries frozen until the ensemble ends (a
-    # crossing's h and f_end are those of its crossing step).  The start
-    # samples Y, f0 and gn0 are kept apart, as the landing writes into the state.
-    y, f0, gn0, f_end = Y.copy(), fy.copy(), gn.copy(), fy.copy()
+    # crossing's h and f_end are those of its crossing step).
+    y, f_end = Y, fy.copy()
     h, t, arc = np.full(N, max_step / 64.0), np.zeros(N), np.zeros(N)
     conv_run, n_accepted, n_rejected = (np.zeros(N, dtype=int) for _ in range(3))
     was_rejected = np.zeros(N, dtype=bool)
@@ -473,12 +455,12 @@ def integrate_ensemble(
         n_accepted[rows] += 1
         keep_samples(rows[record[rows]])
 
-    # each column's start and end samples of every member, stacked; an
-    # unrecorded member's columns are rows of these, cut to length 1 when it
-    # accepted no step
-    zeros = np.zeros(N)
-    stacked = [np.stack(pair, axis=1) for pair in ((zeros, t), (Y, y), (f0, fy), (gn0, gn), (zeros, arc))]
-    return Ensemble(directions, np.array(TERMS)[code], n_accepted, n_rejected, y, fy, arc, stacked, history)
+    term = np.array(TERMS)[code]
+    # each sample is (t, y, f, grad_norm, arc), FlowTrajectory's field order
+    recorded = {i: FlowTrajectory(directions[i], *(np.array(col) for col in zip(*samples)), str(term[i]),
+                                  int(n_accepted[i]), int(n_rejected[i]))
+                for i, samples in history.items()}
+    return Ensemble(term, n_accepted, n_rejected, y, fy, arc, recorded)
 
 
 def _land(fld: _Field, y, g, sign, c, h, f_start, f_end):
@@ -553,7 +535,7 @@ def integrate(
     shared = [s for s in stops if not isinstance(s, ReachLevel)]
     level = reach[0].c if reach else None
     x0 = np.asarray(x0, dtype=float)
-    return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, record=True)[0]
+    return integrate_ensemble(f, Z, x0[None, :], direction, [level], shared, record=True).recorded[0]
 
 
 def check_on_level(f: Polynomial, Z: SingularSpace, X, c: float, what: str) -> None:

@@ -74,13 +74,6 @@ class EmptySlice(ValueError):
     """An empty unstable slice: no ring probe starts below the critical value, or no landing is validated."""
 
 
-@dataclass
-class UnstableSlice:
-    """Validated landings of flows leaving a critical point, on one level."""
-
-    points: list
-
-
 def level_map(f, Z: SingularSpace, a: float, b: float, sources) -> LevelSetMap:
     """Transport points of f^{-1}(a) to f^{-1}(b) along the flow.
 
@@ -99,12 +92,12 @@ def level_map(f, Z: SingularSpace, a: float, b: float, sources) -> LevelSetMap:
     pairs = [
         LevelPair(
             source=tuple(float(v) for v in s),
-            image=tuple(float(v) for v in traj.endpoint),
-            arc=float(traj.total_arc),
-            captured=traj.termination == "converged",
-            termination=traj.termination,
+            image=tuple(float(v) for v in end),
+            arc=float(arc),
+            captured=term == "converged",
+            termination=str(term),
         )
-        for s, traj in zip(S, flows)
+        for s, term, end, arc in zip(S, flows.termination, flows.endpoint, flows.total_arc)
     ]
     return LevelSetMap(level_from=float(a), level_to=float(b), pairs=pairs)
 
@@ -132,8 +125,8 @@ def roundtrip_error(f, Z: SingularSpace, a: float, b: float, sources) -> float:
     return worst
 
 
-def unstable_slice(f, Z: SingularSpace, cp: CriticalPoint, level: float, seed: int) -> UnstableSlice:
-    """Sample the downward-leaving flow of a critical point on a lower level.
+def unstable_slice(f, Z: SingularSpace, cp: CriticalPoint, level: float, seed: int) -> list:
+    """Sample the downward-leaving flow of a critical point on a lower level: the sorted slice points.
 
     Probes on a small ring that sit genuinely below the critical value are
     descended to the level; landings are clustered, and each cluster
@@ -147,7 +140,7 @@ def unstable_slice(f, Z: SingularSpace, cp: CriticalPoint, level: float, seed: i
     :func:`integrate_ensemble`.
     """
     descents = integrate_ensemble(f, Z, _slice_starts(f, Z, cp, seed), "descend", level, [CONVERGED])
-    return _slice_from(f, Z, cp, level, descents)
+    return _slice_from(f, Z, cp, level, descents.endpoint[descents.termination == "reach_level"])
 
 
 def _slice_starts(f, Z: SingularSpace, cp: CriticalPoint, seed: int) -> np.ndarray:
@@ -161,11 +154,11 @@ def _slice_starts(f, Z: SingularSpace, cp: CriticalPoint, seed: int) -> np.ndarr
     return starts
 
 
-def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) -> UnstableSlice:
-    """The slice validated from the descents of :func:`_slice_starts` to level (see :func:`unstable_slice`)."""
+def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, landings) -> list:
+    """The slice validated from the landings on level of the descents from :func:`_slice_starts`
+    (see :func:`unstable_slice`)."""
     center = cp.point()
-    landings = [traj.endpoint for traj in descents if traj.termination == "reach_level"]
-    if not landings:
+    if not len(landings):
         raise EmptySlice(f"no probe flow reached level {level:g}; slice is empty")
 
     reps = _dedupe(landings, SLICE_CLUSTER_TOL)
@@ -173,10 +166,10 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
                              [CONVERGED, Capture(cp.location, SLICE_CLUSTER_TOL)])
     # dropped landings are routine (back-flows ending 1e-3 off the point), so one INFO line per slice, not per landing
     validated, dropped, farthest = [], {}, 0.0
-    for rep, up in zip(reps, ups):
-        why = up.termination
+    for rep, why, end in zip(reps, ups.termination, ups.endpoint):
+        why = str(why)
         if why in ("reach_level", "converged"):
-            dist = float(np.linalg.norm(up.endpoint - center))
+            dist = float(np.linalg.norm(end - center))
             farthest, why = max(farthest, dist), "too_far" if dist > SLICE_CLUSTER_TOL else None
         if why:
             dropped[why] = dropped.get(why, 0) + 1
@@ -188,7 +181,7 @@ def _slice_from(f, Z: SingularSpace, cp: CriticalPoint, level: float, descents) 
     if not validated:
         raise EmptySlice(f"no slice landing survived back-flow validation at level {level:g}: {kept}")
     validated.sort()
-    return UnstableSlice(points=validated)
+    return validated
 
 
 def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect) -> ConditionReport:
@@ -201,9 +194,10 @@ def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect
     box exits leave the dichotomy undecided and make the verdict
     inconclusive (witnesses.reason counts them), and so does a band in
     which the sampler finds no point of Z.  The witnesses are read from
-    the ensemble's end-state arrays.  Unless it is None,
-    ``collect(tag, trajectory)`` sees only the first flow of each direction,
-    with every sample: the one flow per tag family a report keeps.
+    the ensemble's end-state arrays.  Unless it is None, ``collect`` is a
+    dict keyed by family, ``cond2/descend`` and ``cond2/ascend``: the first
+    flow of each direction is recorded, with every sample, and set under its
+    family unless the dict already holds one.
     """
     if not a < b:
         raise ValueError(f"band requires a < b, got ({a}, {b})")
@@ -227,15 +221,14 @@ def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect
         return ConditionReport(condition=2, verdict="inconclusive", witnesses=witnesses)
 
     # each sample flows down to a, then up to b; the first flow of each
-    # direction is recorded in full for collect
+    # direction is recorded in full for collect, and none without it
     flows = integrate_ensemble(
         f, Z, np.repeat(samples, 2, axis=0), ["descend", "ascend"] * len(samples),
         [a, b] * len(samples), [Converged(COND2_CONV_TOL)],
         record=collect is not None and np.arange(2 * len(samples)) < 2,
     )
-    if collect is not None:
-        for traj in flows[:2]:
-            collect(f"cond2/{traj.direction}/{traj.termination}", traj)
+    for traj in flows.recorded.values():
+        collect.setdefault(f"cond2/{traj.direction}", traj)
     term = flows.termination
     names, first, counts = np.unique(term, return_index=True, return_counts=True)
     converged = term == "converged"
@@ -248,7 +241,7 @@ def check_condition2(f, Z: SingularSpace, a: float, b: float, seed: int, collect
         n_rejected_steps=int(flows.n_rejected.sum()),
         terminations={str(names[k]): int(counts[k]) for k in np.argsort(first)},
     )
-    witnesses["n_inconclusive"] = len(flows) - witnesses["n_reach"] - witnesses["n_converged"]
+    witnesses["n_inconclusive"] = len(term) - witnesses["n_reach"] - witnesses["n_converged"]
 
     if witnesses["n_violations"]:
         verdict = "fail"
@@ -277,9 +270,9 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
     or an eps below SLICE_START_DROP (a slice level above every start),
     makes the verdict inconclusive, and witnesses.reason says why.  Each
     radius is scored from the ensemble's end-state arrays.  Unless it is
-    None, ``collect(tag, trajectory)`` sees only the first probe flow of
-    each radius, with every sample: the one flow per tag family a report
-    keeps.
+    None, ``collect`` is a dict keyed by family, ``cond4/r=<r>``: the first
+    probe flow of each radius is recorded, with every sample, and set under
+    its family unless the dict already holds one, as from an earlier point.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
@@ -313,10 +306,10 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
         record=np.isin(np.arange(n + len(starts)), n + firsts) & (collect is not None),
     )
     try:
-        slice_ = _slice_from(f, Z, cp, target, flows[:n])
+        slice_ = _slice_from(f, Z, cp, target, flows.endpoint[:n][flows.termination[:n] == "reach_level"])
     except EmptySlice as e:
         return ConditionReport(condition=4, verdict="inconclusive", witnesses={"eps": float(eps), "reason": str(e)})
-    slice_pts = np.asarray(slice_.points, dtype=float)
+    slice_pts = np.asarray(slice_, dtype=float)
 
     table = []
     witnesses = {
@@ -324,7 +317,7 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
         "level": float(target),
         "tube_rho": TUBE_RHO,
         "capture_level": float(capture_level),
-        "slice_size": len(slice_.points),
+        "slice_size": len(slice_),
         "n_other_converged": 0,
         "n_inconclusive": 0,
         "n_projected": int(use.sum()),
@@ -332,8 +325,7 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
     for idx, r in enumerate(RADII):
         lo, hi = n + int(firsts[idx]), n + int(firsts[idx + 1])
         if collect is not None and lo < hi:
-            traj = flows[lo]
-            collect(f"cond4/r={r:g}/{traj.termination}", traj)
+            collect.setdefault(f"cond4/r={r:g}", flows.recorded[lo])
         term = flows.termination[lo:hi]
         landed = flows.endpoint[lo:hi][term == "reach_level"]
         # each landing's distance to its nearest slice point, from one norm over every pair
@@ -359,6 +351,6 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
         verdict = "pass" if monotone and ds[-1] < TUBE_RHO else "fail"
         witnesses["d_final"] = ds[-1]
         witnesses["monotone_within_slack"] = bool(monotone)
-    witnesses["slice_points"] = [list(p) for p in slice_.points]
+    witnesses["slice_points"] = [list(p) for p in slice_]
     return ConditionReport(condition=4, verdict=verdict, witnesses=witnesses, modulus_table=table)
 

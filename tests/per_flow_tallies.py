@@ -1,12 +1,14 @@
 """Reference copies of the loops that tallied conditions 2 and 4 one flow at a time.
 
-``check_condition2`` and ``check_condition4`` walked every trajectory of their
-ensemble: each went to ``collect``, its termination, step counts and final f
-were counted, and each landing of condition 4 took its distance to the slice
-with its own norm.  The checks now count from the ensemble's end-state arrays
-and hand ``collect`` only the flows they record.  tests/test_levelmap.py
-checks that their witnesses and modulus tables equal these loops', and that a
-collect hook keeps the same trajectories, when both read the same ensemble.
+``check_condition2`` and ``check_condition4`` walked every flow of their
+ensemble: each was offered to ``collect``, a dict that keeps the first flow
+of each family, its termination, step counts and final f were counted, and
+each landing of condition 4 took its distance to the slice with its own norm.
+The checks now count from the ensemble's end-state arrays and offer
+``collect`` only the flows they record.  Each flow here is one object per
+member, with the trajectory's names for its end state.  tests/test_levelmap.py
+checks that the witnesses and modulus tables equal these loops', and that
+collect keeps the same trajectories, when both read the same ensemble.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ def condition2_witnesses(flows, a, b, level_tol, collect):
     for traj in flows:
         term = traj.termination
         if collect is not None:
-            collect(f"cond2/{traj.direction}/{term}", traj)
+            collect.setdefault(f"cond2/{traj.direction}", traj)
         witnesses["terminations"][term] = witnesses["terminations"].get(term, 0) + 1
         witnesses["n_accepted_steps"] += traj.n_accepted
         witnesses["n_rejected_steps"] += traj.n_rejected
@@ -49,7 +51,7 @@ def condition4_table(flows, firsts, slice_pts, capture_level, collect):
         worst = 0.0
         for traj in flows[firsts[idx]:firsts[idx + 1]]:
             if collect is not None:
-                collect(f"cond4/r={r:g}/{traj.termination}", traj)
+                collect.setdefault(f"cond4/r={r:g}", traj)
             if traj.termination == "reach_level":
                 n_landed += 1
                 d_i = float(np.min(np.linalg.norm(slice_pts - traj.endpoint[None, :], axis=1)))

@@ -39,13 +39,13 @@ def unstable_slice_points(f, Z, cp, level, probe_radius=1e-3, seed=0, curvature_
     probes = ring_probes(Z, center, probe_radius, rng)
     cutoff = cp.value - curvature_margin * probe_radius**2
     starts = [p for p in probes if float(f.evaluate(p)) < cutoff]
-    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)])
+    flows = integrate_ensemble(f, Z, starts, "descend", level, [Converged(1e-8)], record=True).recorded.values()
     landings = [traj.endpoint for traj in flows if traj.termination == "reach_level"]
     reps = []
     for q in landings:
         if all(np.linalg.norm(q - r) > SLICE_CLUSTER_TOL for r in reps):
             reps.append(q)
-    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)])
+    ups = integrate_ensemble(f, Z, reps, "ascend", cp.value, [Converged(1e-8)], record=True).recorded.values()
     validated, polished = [], []
     for rep, up in zip(reps, ups):
         if up.termination not in ("reach_level", "converged"):

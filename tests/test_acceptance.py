@@ -120,24 +120,25 @@ def test_criterion_5_landing_modulus(saddle, cone, monkeypatch):
         cp = origin_cp()
         ensembles, real = [], levelmap.integrate_ensemble
 
-        def spy(*args, **kwargs):
-            ensembles.append(real(*args, **kwargs))
-            return ensembles[-1]
+        def spy(f, Z, X0, *args, **kwargs):
+            ensembles.append((np.array(X0), real(f, Z, X0, *args, **kwargs)))
+            return ensembles[-1][1]
 
         monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
         report = check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
         monkeypatch.undo()
-        # the first ensemble descends the slice's ring probes, then the probes of every radius
-        probe_flows = ensembles[0][len(levelmap._slice_starts(f, Z, cp, 0)):]
-        landed = [traj for traj in probe_flows if traj.termination == "reach_level"]
+        # the first ensemble descends the slice's ring probes, then the probes of every radius;
+        # on R^2 no start is retracted, so each flow starts at its row of X0
+        starts, flows = ensembles[0]
+        n = len(levelmap._slice_starts(f, Z, cp, 0))
+        landed = flows.termination[n:] == "reach_level"
         assert report.verdict == "pass"
         assert [row[0] for row in report.modulus_table] == [0.1, 0.03, 0.01, 0.003]
         assert report.witnesses["monotone_within_slack"]
         assert report.witnesses["d_final"] < 0.05
-        assert report.witnesses["slice_points"] == [list(p) for p in unstable_slice(f, Z, cp, -0.01, seed=0).points]
-        assert landed
-        for traj in landed:
-            s, e = traj.y[0], traj.endpoint
+        assert report.witnesses["slice_points"] == [list(p) for p in unstable_slice(f, Z, cp, -0.01, seed=0)]
+        assert landed.any()
+        for s, e in zip(starts[n:][landed], flows.endpoint[n:][landed]):
             assert abs(s[0] * s[1] - e[0] * e[1]) <= 1e-4, "conserved product drifted"
 
         fc, Zc = cone

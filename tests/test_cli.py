@@ -21,7 +21,6 @@ from morseflow.cli import (
     problem_objects,
     run_experiment,
     spec_from_mapping,
-    _TrajectoryKeeper,
 )
 from morseflow.critical import DEFAULT_GRID_DENSITY, MAX_GRID_SEEDS, default_grid_density
 
@@ -255,16 +254,13 @@ class TestEmission:
             emit_report(saddle_full_report, format="xml", out_dir=tmp_path)
 
 
-@pytest.mark.parametrize("tags", [
-    ["cond4/r=0.15/reach_level", "cond4/r=0.1/reach_level", "cond4/r=0.1/converged"],
-    ["cond4/r=0.1/reach_level", "cond4/r=0.15/reach_level", "cond4/r=0.15/converged"],
-])
-def test_keeper_keeps_one_trajectory_per_family_in_either_order(tags):
-    # the family cond4/r=0.1 is a prefix of cond4/r=0.15, not the same family
-    keeper = _TrajectoryKeeper()
-    for i, tag in enumerate(tags):
-        keeper(tag, i)
-    assert keeper.kept == {tags[0]: 0, tags[1]: 1}
+def test_the_report_keeps_one_trajectory_per_family_tagged_with_its_termination(saddle_full_report):
+    report = saddle_full_report
+    families = [tag.rsplit("/", 1)[0] for tag in report.trajectories]
+    assert families == ["cond2/descend", "cond2/ascend", "cond4/r=0.1", "cond4/r=0.03", "cond4/r=0.01",
+                        "cond4/r=0.003"]
+    assert all(tag.rsplit("/", 1)[1] == traj.termination for tag, traj in report.trajectories.items())
+    assert [e["tag"] for e in report.trajectory_manifest] == list(report.trajectories)
 
 
 class TestMainExitCodes:
@@ -1082,10 +1078,10 @@ class TestCondition4Targets:
         targets = [(i, cp) for i, cp in enumerate(run.cps) if cp.kind in ("saddle", "maximum")]
         assert [g["point_index"] for g in got] == [i for i, _ in targets] and len(got) == 14
         assert {g["verdict"] for g in got} == {"pass", "fail", "inconclusive"}
-        keeper, n_empty = _TrajectoryKeeper(), 0
+        kept, n_empty = {}, 0
         for g, (i, cp) in zip(got, targets):
             eps, premise = _pick_eps(run.fits.get(i), gap, run.spec.tolerances)
-            entry = check_condition4(f, Z, cp, eps, seed=seed, collect=keeper).to_payload()
+            entry = check_condition4(f, Z, cp, eps, seed=seed, collect=kept).to_payload()
             assert g == {**_judged(4, {"eps_licensed": premise}, entry), "point_index": i}
             # point i's slice, its descents in an ensemble of their own
             try:
@@ -1095,10 +1091,11 @@ class TestCondition4Targets:
                 assert g["verdict"] == "inconclusive" and g["modulus_table"] is None
                 assert g["witnesses"] == {"eps": eps, "reason": str(e)}
                 continue
-            assert g["witnesses"]["slice_points"] == [list(p) for p in slc.points]
+            assert g["witnesses"]["slice_points"] == [list(p) for p in slc]
         assert n_empty == 8
-        assert list(report.trajectories) == list(keeper.kept)
-        for tag, traj in keeper.kept.items():
+        kept = {f"{family}/{traj.termination}": traj for family, traj in kept.items()}
+        assert list(report.trajectories) == list(kept)
+        for tag, traj in kept.items():
             for fd in fields(traj):
                 a, b = getattr(report.trajectories[tag], fd.name), getattr(traj, fd.name)
                 assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, (tag, fd.name)

@@ -308,7 +308,7 @@ def test_ensemble_names_the_first_member_on_the_wrong_side(saddle):
     f, Z = saddle
     rows = np.array([[1.0, 0.0], [1.0, 0.3], [1.0, 0.5], [0.0, 1.0]])  # f = 1, 0.91, 0.75, -1
     flows = integrate_ensemble(f, Z, rows[:3], "descend", 0.5, stops=())
-    assert {t.termination for t in flows} == {"reach_level"}
+    assert set(flows.termination.tolist()) == {"reach_level"}
     with pytest.raises(ValueError, match=r"^member 2: target level 0\.8 is on the wrong side of f\(x0\) = 0\.75 for descend$"):
         integrate_ensemble(f, Z, rows, "descend", 0.8, stops=())
     with pytest.raises(ValueError, match=r"^member 0: target level 0\.8 .* for ascend$"):
@@ -319,7 +319,7 @@ def test_ensemble_names_the_first_member_on_the_wrong_side(saddle):
     with pytest.raises(ValueError, match="^member 1: .* for ascend$"):
         integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, 0.5], stops=())
     flows = integrate_ensemble(f, Z, rows[:2], ["descend", "ascend"], [0.5, None], [ArcBudget(1.0)])
-    assert flows[0].termination == "reach_level" and flows[1].final_f > 0.91
+    assert flows.termination[0] == "reach_level" and flows.final_f[1] > 0.91
     # a NaN level is a target that no flow can reach, not a missing one
     with pytest.raises(ValueError, match="^member 0: target level nan"):
         integrate_ensemble(f, Z, rows[:1], "descend", float("nan"), stops=())
@@ -330,7 +330,7 @@ def test_ensemble_names_the_first_member_on_the_wrong_side(saddle):
 def test_a_start_within_level_tol_of_its_target_ends_at_once(saddle, direction, offset):
     f, Z = saddle
     level = 1.0 + offset * Z.level_tol  # f(1, 0) = 1, on either side of it by half the tolerance
-    (traj,) = integrate_ensemble(f, Z, [[1.0, 0.0]], direction, level, stops=())
+    traj = integrate_ensemble(f, Z, [[1.0, 0.0]], direction, level, stops=(), record=True).recorded[0]
     assert traj.termination == "reach_level"
     assert (traj.n_samples, traj.n_accepted, traj.n_rejected) == (1, 0, 0)
     assert traj.final_f == 1.0
@@ -369,7 +369,7 @@ def test_ensemble_member_is_bit_identical_to_integrate(name, quartic, cone, plan
     for limit in (5.0, 0.01):  # the tight arc budget ends members that the loose one lets land
         stops = [Converged(1e-3), ArcBudget(limit)]
         flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record=True)
-        for x0, direction, level, traj in zip(starts, directions, levels, flows):
+        for x0, direction, level, traj in zip(starts, directions, levels, flows.recorded.values()):
             reach = [] if level is None else [ReachLevel(level)]
             one = integrate(f, Z, x0, direction, stops + reach)
             assert traj.termination == one.termination
@@ -377,7 +377,7 @@ def test_ensemble_member_is_bit_identical_to_integrate(name, quartic, cone, plan
             assert one.n_accepted == one.n_samples - 1
             for column in ("t", "y", "f", "grad_norm", "arc"):
                 assert np.array_equal(getattr(traj, column), getattr(one, column))
-        ends[limit] = {t.termination for t in flows}
+        ends[limit] = set(flows.termination.tolist())
     assert "reach_level" in ends[5.0] and "arc_budget" in ends[0.01]
 
 
@@ -418,33 +418,37 @@ def test_members_ending_at_different_iterations_each_match_integrate(name, quart
     levels = [lv for v in f.evaluate(points) for lv in (None, v - 0.2, None, v + 0.2)]
     record = np.arange(len(starts)) % 5 == 0
     flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record)
+    assert list(flows.recorded) == np.flatnonzero(record).tolist()
     attempts = {}
-    for x0, direction, level, recorded, traj in zip(starts, directions, levels, record, flows):
+    for i, (x0, direction, level) in enumerate(zip(starts, directions, levels)):
         one = integrate(f, Z, x0, direction, stops + ([] if level is None else [ReachLevel(level)]))
-        assert traj.termination == one.termination
-        assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
-        kept = slice(None) if recorded else [0, -1] if one.n_accepted else [0]
-        for column in ("t", "y", "f", "grad_norm", "arc"):
-            assert np.array_equal(getattr(traj, column), getattr(one, column)[kept])
-        attempts.setdefault(traj.termination, set()).add(traj.n_accepted + traj.n_rejected)
+        assert flows.termination[i] == one.termination
+        assert (flows.n_accepted[i], flows.n_rejected[i]) == (one.n_accepted, one.n_rejected)
+        assert np.array_equal(flows.endpoint[i], one.endpoint)
+        assert (flows.final_f[i], flows.total_arc[i]) == (one.final_f, one.total_arc)
+        if record[i]:
+            for column in ("t", "y", "f", "grad_norm", "arc"):
+                assert np.array_equal(getattr(flows.recorded[i], column), getattr(one, column))
+        attempts.setdefault(one.termination, set()).add(one.n_accepted + one.n_rejected)
     for term in ("reach_level", "converged", "left_box", "arc_budget", "step_limit"):
         assert term in attempts
     assert attempts["step_limit"] == {max_steps}
     assert len(set().union(*attempts.values())) >= 10
     if name == "long-tail":
         # every other member, the crossings among them, ends 500 attempts before the stiff descent
-        longest, runner_up = sorted(t.n_accepted + t.n_rejected for t in flows)[:-3:-1]
+        longest, runner_up = sorted((flows.n_accepted + flows.n_rejected).tolist())[:-3:-1]
         assert longest == max_steps and longest - runner_up >= 500
 
     # the same members in another order end the same, bit for bit
     order = np.random.default_rng(7).permutation(len(starts))
     shuffled = integrate_ensemble(f, Z, starts[order], [directions[i] for i in order],
                                   [levels[i] for i in order], stops, record[order])
-    for i, traj in zip(order, shuffled):
-        assert (traj.termination, traj.n_accepted, traj.n_rejected) == \
-            (flows[i].termination, flows[i].n_accepted, flows[i].n_rejected)
+    assert shuffled.termination.tolist() == flows.termination[order].tolist()
+    for field in ("n_accepted", "n_rejected", "endpoint", "final_f", "total_arc"):
+        assert np.array_equal(getattr(shuffled, field), getattr(flows, field)[order])
+    for k, traj in shuffled.recorded.items():
         for column in ("t", "y", "f", "grad_norm", "arc"):
-            assert np.array_equal(getattr(traj, column), getattr(flows[i], column))
+            assert np.array_equal(getattr(traj, column), getattr(flows.recorded[order[k]], column))
 
 
 class TestCapture:
@@ -485,27 +489,26 @@ class TestCapture:
         levels = [None, 0.0, 0.1, None]
         stops = [Converged(1e-8), Capture(self.ORIGIN, 1e-5)]
         flows = integrate_ensemble(f, Z, starts, directions, levels, stops, record=True)
-        for x0, direction, level, traj in zip(starts, directions, levels, flows):
+        for x0, direction, level, traj in zip(starts, directions, levels, flows.recorded.values()):
             one = integrate(f, Z, x0, direction, stops + ([] if level is None else [ReachLevel(level)]))
             assert traj.termination == one.termination
             assert (traj.n_accepted, traj.n_rejected) == (one.n_accepted, one.n_rejected)
             for column in ("t", "y", "f", "grad_norm", "arc"):
                 assert np.array_equal(getattr(traj, column), getattr(one, column))
-        assert [t.termination for t in flows] == ["converged", "converged", "reach_level", "left_box"]
+        assert flows.termination.tolist() == ["converged", "converged", "reach_level", "left_box"]
 
 
-def test_unrecorded_member_keeps_start_and_end(saddle):
+def test_unrecorded_member_ends_as_integrate_does(saddle):
     f, Z = saddle
     starts = np.array([[1.0, 0.3], [0.9, 0.5]])
-    full, bare = integrate_ensemble(f, Z, starts, "descend", -0.5, (), record=[True, False])
+    flows = integrate_ensemble(f, Z, starts, "descend", -0.5, (), record=[True, False])
     again = integrate(f, Z, starts[1], "descend", [ReachLevel(-0.5)])
-    assert full.n_samples == full.n_accepted + 1 > 2
-    assert bare.n_samples == 2
-    assert bare.n_accepted == again.n_accepted
-    assert bare.termination == again.termination == "reach_level"
-    for column in ("t", "y", "f", "grad_norm", "arc"):
-        kept = getattr(again, column)
-        assert np.array_equal(getattr(bare, column), kept[[0, -1]])
+    assert list(flows.recorded) == [0]
+    assert flows.recorded[0].n_samples == flows.n_accepted[0] + 1 > 2
+    assert flows.termination[1] == again.termination == "reach_level"
+    assert (flows.n_accepted[1], flows.n_rejected[1]) == (again.n_accepted, again.n_rejected)
+    assert same_bits(flows.endpoint[1], again.endpoint)
+    assert same_bits(flows.final_f[1], again.f[-1]) and same_bits(flows.total_arc[1], again.arc[-1])
 
 
 def test_start_off_z_is_named_by_its_row(cone):
@@ -528,7 +531,9 @@ def test_ensemble_validates_every_member_before_stepping(saddle):
         integrate_ensemble(f, Z, [[1.0, 0.3], [5.0, 0.0]], "descend", levels=None, stops=())
     with pytest.raises(ValueError, match="direction"):
         integrate_ensemble(f, Z, [[1.0, 0.3]], ["sideways"], levels=None, stops=())
-    assert len(integrate_ensemble(f, Z, np.zeros((0, 2)), directions="descend", levels=None, stops=())) == 0
+    empty = integrate_ensemble(f, Z, np.zeros((0, 2)), directions="descend", levels=None, stops=(), record=True)
+    assert empty.termination.shape == empty.final_f.shape == (0,) and empty.endpoint.shape == (0, 2)
+    assert empty.recorded == {}
 
 
 coordinate = st.floats(-1.5, 1.5, allow_nan=False)
@@ -575,7 +580,7 @@ def test_recorded_members_keep_the_flow_invariants(starts):
     values = [float(f.evaluate(x)) for x in X0]
     levels = [v - 0.01 if d == "descend" else v + 0.01 for v, d in zip(values, directions)]
     flows = integrate_ensemble(f, Z, X0, directions, levels, [Converged(1e-8)], record=True)
-    for traj, direction, level in zip(flows, directions, levels):
+    for traj, direction, level in zip(flows.recorded.values(), directions, levels):
         steps = np.diff(traj.f) * (1.0 if direction == "descend" else -1.0)
         assert np.all(steps <= Z.level_tol)
         assert all(Z.is_member(y) for y in traj.y)
@@ -588,8 +593,8 @@ def test_step_limit_ends_each_member_on_its_own_count(saddle, monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     flows = integrate_ensemble(f, Z, [[1.0, 0.3], [0.0, 0.0], [0.9, 0.5]], "descend",
                                levels=None, stops=[Converged(1e-8)])
-    assert [t.termination for t in flows] == ["step_limit", "converged", "step_limit"]
-    assert [t.n_accepted + t.n_rejected for t in flows] == [3, 0, 3]
+    assert flows.termination.tolist() == ["step_limit", "converged", "step_limit"]
+    assert (flows.n_accepted + flows.n_rejected).tolist() == [3, 0, 3]
 
 
 def test_step_limit_counts_rejected_attempts(monkeypatch):
@@ -598,9 +603,9 @@ def test_step_limit_counts_rejected_attempts(monkeypatch):
     f, Z = named_problem("quartic")
     monkeypatch.setattr(flow, "MAX_STEPS", 60)
     flows = integrate_ensemble(f, Z, [[0.034], [0.5]], "ascend", levels=1.0, stops=())
-    assert [t.termination for t in flows] == ["step_limit", "reach_level"]
-    assert [(t.n_accepted, t.n_rejected) for t in flows] == [(59, 1), (17, 0)]
-    assert flows[0].n_rejected > 0
+    assert flows.termination.tolist() == ["step_limit", "reach_level"]
+    assert list(zip(flows.n_accepted.tolist(), flows.n_rejected.tolist())) == [(59, 1), (17, 0)]
+    assert flows.n_rejected[0] > 0
 
 
 # -- step growth after a rejection: SAFETY_AFTER_REJECTION ---------------
@@ -629,10 +634,10 @@ def test_after_rejection_growth_leaves_rejection_free_flows_bit_for_bit(monkeypa
     X, directions, levels = band_starts(f, Z, 24)
     flows = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
     ascent = quartic_ascent()
-    assert not any(t.n_rejected for t in flows)
+    assert not flows.n_rejected.any()
     monkeypatch.setattr(flow, "SAFETY_AFTER_REJECTION", flow.SAFETY)
     same = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
-    for traj, other in zip(flows, same):
+    for traj, other in zip(flows.recorded.values(), same.recorded.values()):
         assert traj.termination == other.termination
         assert (traj.n_accepted, traj.n_rejected) == (other.n_accepted, other.n_rejected)
         for a, b in zip((traj.t, traj.y, traj.f, traj.grad_norm, traj.arc),
@@ -684,11 +689,11 @@ def test_endpoint_retraction_ends_each_member_as_stage_retraction_did(name, monk
     flows = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
     monkeypatch.setattr(_Field, "advance", stage_retracting_advance.advance)
     reference = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-8)], record=True)
-    for traj, ref in zip(flows, reference):
+    for traj, ref in zip(flows.recorded.values(), reference.recorded.values()):
         assert traj.termination == ref.termination
         assert np.linalg.norm(traj.endpoint - ref.endpoint) <= 1e-8
         assert Z.is_member(traj.y).all() and (Z.residual(traj.y) <= Z.retract_tol).all()
-    assert "reach_level" in {t.termination for t in flows}
+    assert "reach_level" in flows.termination.tolist()
 
 
 class SpaceLayerField(_Field):
@@ -705,8 +710,12 @@ def same_bits(a, b) -> bool:
 
 
 def assert_same_flows(flows, reference):
-    assert len(flows) == len(reference)
-    for traj, ref in zip(flows, reference):
+    """Two ensembles end alike and record alike, bit for bit."""
+    assert flows.termination.tolist() == reference.termination.tolist()
+    for field in ("n_accepted", "n_rejected", "endpoint", "final_f", "total_arc"):
+        assert same_bits(getattr(flows, field), getattr(reference, field))
+    assert list(flows.recorded) == list(reference.recorded)
+    for traj, ref in zip(flows.recorded.values(), reference.recorded.values()):
         assert (traj.direction, traj.termination, traj.n_accepted, traj.n_rejected) == \
             (ref.direction, ref.termination, ref.n_accepted, ref.n_rejected)
         for column in ("t", "y", "f", "grad_norm", "arc"):
@@ -722,20 +731,23 @@ def test_ensemble_arrays_equal_the_trajectories_it_builds(name):
     levels[:2] = f.evaluate(X[:2]).tolist()
     record = np.arange(24) % 3 == 0
     flows = integrate_ensemble(f, Z, X, directions, levels, [Converged(1e-4)], record)
-    trajs = list(flows)
-    assert len(flows) == len(trajs) == 24
-    assert flows.termination.tolist() == [t.termination for t in trajs]
-    for field in ("n_accepted", "n_rejected", "final_f", "total_arc"):
-        assert same_bits(getattr(flows, field), np.array([getattr(t, field) for t in trajs]))
-    assert same_bits(flows.endpoint, np.array([t.endpoint for t in trajs]))
-    assert [t.n_samples for t in trajs] == [n + 1 if r else min(n + 1, 2)
-                                            for n, r in zip(flows.n_accepted.tolist(), record)]
-    assert trajs[0].n_samples == trajs[1].n_samples == 1
-    # an item read twice, by index, negative index or slice, is built alike
-    assert_same_flows(trajs, list(flows))
-    assert_same_flows([flows[-1], *flows[1:3]], [trajs[-1], trajs[1], trajs[2]])
-    with pytest.raises(IndexError):
-        flows[24]
+    assert flows.termination.shape == flows.n_accepted.shape == flows.total_arc.shape == (24,)
+    assert flows.endpoint.shape == (24, Z.ambient_dim)
+    # recorded holds the members in record, in member order, each with every accepted
+    # sample, its last one the arrays' row
+    assert list(flows.recorded) == np.flatnonzero(record).tolist()
+    for i, traj in flows.recorded.items():
+        assert type(traj.termination) is str and traj.termination == flows.termination[i]
+        assert traj.direction == directions[i]
+        assert (traj.n_accepted, traj.n_rejected) == (flows.n_accepted[i], flows.n_rejected[i])
+        assert traj.n_samples == flows.n_accepted[i] + 1
+        assert same_bits(traj.endpoint, flows.endpoint[i])
+        assert same_bits(traj.f[-1], flows.final_f[i]) and same_bits(traj.arc[-1], flows.total_arc[i])
+    assert flows.recorded[0].n_samples == 1 and flows.n_accepted[1] == 0
+    empty = integrate_ensemble(f, Z, X[:0], "descend", None, [Converged(1e-4)], record=True)
+    for field in ("termination", "n_accepted", "n_rejected", "final_f", "total_arc"):
+        assert getattr(empty, field).shape == (0,)
+    assert empty.endpoint.shape == (0, Z.ambient_dim) and empty.recorded == {}
 
 
 @pytest.mark.parametrize("name, constrained", [("saddle", 0), ("cone", 1), ("cone-lift", 1), ("planes-lift", 1)])
@@ -789,7 +801,7 @@ def test_a_step_retracts_once_on_a_constrained_z_and_never_on_rn(name, constrain
 
 
 def condition2_flows(f, Z):
-    """Condition 2's ensemble, with its first flow of each direction recorded for a collect hook."""
+    """Condition 2's ensemble, with its first flow of each direction recorded for a collect dict."""
     ensembles, real = [], levelmap.integrate_ensemble
 
     def spy(*args, **kwargs):
@@ -798,7 +810,7 @@ def condition2_flows(f, Z):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(levelmap, "integrate_ensemble", spy)
-        check_condition2(f, Z, -1.0, 1.0, seed=0, collect=lambda tag, traj: None)
+        check_condition2(f, Z, -1.0, 1.0, seed=0, collect={})
     (flows,) = ensembles
     return flows
 
@@ -822,10 +834,11 @@ def test_rn_ensembles_equal_the_ensembles_through_the_space_layer(quartic, saddl
     assert not len(quartic[1].constraints) and not len(saddle[1].constraints)
     assert (saddle[0].evaluate(probes) < 0.0).all()
     flows = ensembles()
-    assert [len(ens) for ens in flows] == [400, 400, 12]
-    assert "converged" in {t.termination for t in flows[0]} and "reach_level" in {t.termination for t in flows[1]}
-    assert all(t.termination == "converged" and not t.endpoint.any() for t in flows[2][1::2])
-    assert all(t.n_samples > 2 for t in flows[2][::2])
+    assert [len(ens.termination) for ens in flows] == [400, 400, 12]
+    assert "converged" in flows[0].termination.tolist() and "reach_level" in flows[1].termination.tolist()
+    assert (flows[2].termination[1::2] == "converged").all() and not flows[2].endpoint[1::2].any()
+    assert list(flows[2].recorded) == list(range(0, 12, 2))
+    assert all(t.n_samples > 2 for t in flows[2].recorded.values())
     monkeypatch.setattr(flow, "_Field", SpaceLayerField)
     for ours, forced in zip(flows, ensembles()):
         assert_same_flows(ours, forced)
@@ -860,9 +873,9 @@ def test_landing_lands_every_row_the_bisection_lands_in_few_rounds(name, monkeyp
     flows = integrate_ensemble(f, Z, X, directions, levels, stops)
     monkeypatch.setattr(flow, "_land", bisection_landing.land)
     reference = integrate_ensemble(f, Z, X, directions, levels, stops)
-    assert [t.termination for t in flows] == [t.termination for t in reference]
-    assert "reach_level" in {t.termination for t in reference}
-    for traj, level in zip(flows, levels):
-        if traj.termination == "reach_level":
-            assert abs(traj.final_f - level) <= Z.level_tol
+    assert flows.termination.tolist() == reference.termination.tolist()
+    assert "reach_level" in reference.termination.tolist()
+    for term, final_f, level in zip(flows.termination, flows.final_f, levels):
+        if term == "reach_level":
+            assert abs(final_f - level) <= Z.level_tol
     assert rounds and max(rounds) <= 6

@@ -1,5 +1,6 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import per_flow_tallies
 import single_flow_loops
 from morseflow import flow, levelmap
-from morseflow.cli import _TrajectoryKeeper, builtin_problem, load_problem, problem_objects
+from morseflow.cli import builtin_problem, load_problem, problem_objects
 from morseflow.critical import CriticalPoint, find_critical_points
 from morseflow.levelmap import (
     SLICE_CLUSTER_TOL,
@@ -18,7 +19,7 @@ from morseflow.levelmap import (
     unstable_slice,
 )
 from morseflow.flow import Converged, ReachLevel, integrate
-from test_flow import assert_same_flows
+from test_flow import same_bits
 
 
 def on_saddle_level(x, level):
@@ -81,7 +82,7 @@ class TestUnstableSlice:
     def test_saddle_slice_is_two_axis_points(self, saddle):
         f, Z = saddle
         slc = unstable_slice(f, Z, origin_cp(), -0.01, seed=0)
-        got = sorted(tuple(np.round(p, 8)) for p in slc.points)
+        got = sorted(tuple(np.round(p, 8)) for p in slc)
         assert len(got) == 2
         assert np.allclose(got[0], (0.0, -0.1), atol=1e-7)
         assert np.allclose(got[1], (0.0, 0.1), atol=1e-7)
@@ -89,7 +90,7 @@ class TestUnstableSlice:
     def test_slice_points_flow_back_to_the_fixed_point(self, saddle):
         f, Z = saddle
         slc = unstable_slice(f, Z, origin_cp(), -0.01, seed=0)
-        for p in slc.points:
+        for p in slc:
             traj = integrate(f, Z, np.asarray(p), "ascend", [ReachLevel(0.0), Converged(1e-8)])
             assert np.linalg.norm(traj.endpoint) < SLICE_CLUSTER_TOL
 
@@ -97,7 +98,7 @@ class TestUnstableSlice:
         f, Z = cone
         cp = origin_cp(dim=3)
         slc = unstable_slice(f, Z, cp, -0.1, seed=0)
-        got = sorted(tuple(np.round(p, 8)) for p in slc.points)
+        got = sorted(tuple(np.round(p, 8)) for p in slc)
         assert len(got) == 2
         assert np.allclose(got[0], (-0.1, 0.0, -0.1), atol=1e-6)
         assert np.allclose(got[1], (-0.1, 0.0, 0.1), atol=1e-6)
@@ -109,9 +110,11 @@ class TestUnstableSlice:
         real = levelmap.integrate_ensemble
 
         def spy(*args, **kwargs):
-            flows = list(real(*args, **kwargs))  # an ensemble is read-only; its trajectories are not
+            flows = real(*args, **kwargs)
             if args[3] == "ascend":
-                flows[0] = dataclasses.replace(flows[0], termination="left_box")
+                termination = flows.termination.copy()
+                termination[0] = "left_box"
+                flows = dataclasses.replace(flows, termination=termination)
             return flows
 
         monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
@@ -119,7 +122,7 @@ class TestUnstableSlice:
             slc = unstable_slice(f, Z, origin_cp(dim=3), -0.01, seed=0)
         line, = [r for r in caplog.records if r.name == "morseflow.levelmap"]
         assert line.levelname == "INFO"
-        kept = len(slc.points)
+        kept = len(slc)
         assert line.getMessage() == (f"slice at level -0.01: {kept} of 10 landings kept, dropped "
                                      f"{{'left_box': 1, 'too_far': {9 - kept}}}; farthest back-flow end 0.000995 "
                                      "from the point")
@@ -141,7 +144,7 @@ class TestUnstableSlice:
         f, Z = cone
         real = levelmap._dedupe
         monkeypatch.setattr(levelmap, "_dedupe", lambda pts, tol: [r * (1.0 + k * 1e-12) for r in real(pts, tol)])
-        got = unstable_slice(f, Z, origin_cp(dim=3), -0.1, seed=0).points
+        got = unstable_slice(f, Z, origin_cp(dim=3), -0.1, seed=0)
         assert len(got) == 2
         assert np.allclose(got, [(-0.1, 0.0, -0.1), (-0.1, 0.0, 0.1)], atol=1e-6)
 
@@ -198,7 +201,7 @@ class TestMatchesTheSingleFlowLoops:
             return calls[-1]
 
         monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
-        got = unstable_slice(f, Z, cp, -0.01, seed=seed).points
+        got = unstable_slice(f, Z, cp, -0.01, seed=seed)
         monkeypatch.undo()
         want, polished = single_flow_loops.unstable_slice_points(f, Z, cp, -0.01, seed=seed)
         assert len(calls) == 2
@@ -212,7 +215,7 @@ class TestMatchesTheSingleFlowLoops:
         # the slice points lie on the unstable set, so flowing them up to the
         # critical level is captured
         f, Z = problems[name]
-        slice_points = unstable_slice(f, Z, origin_cp(dim=Z.ambient_dim), -0.01, seed=seed).points
+        slice_points = unstable_slice(f, Z, origin_cp(dim=Z.ambient_dim), -0.01, seed=seed)
         sources = np.vstack([single_flow_loops.level_points(f, Z, -0.01, seed, count=3), slice_points])
         for b in (-0.005, 0.0, -0.02, -0.01):  # up, up into the critical level, down, identity
             got = level_map(f, Z, -0.01, b, sources)
@@ -264,11 +267,12 @@ class TestCondition2:
 
     def test_collect_hook_sees_trajectories(self, saddle, monkeypatch):
         f, Z = saddle
-        seen = []
+        kept = {}
         monkeypatch.setattr(levelmap, "COND2_SAMPLES", 20)
-        check_condition2(f, Z, -1.0, 1.0, seed=0, collect=lambda tag, traj: seen.append(tag))
-        assert seen
-        assert all(tag.startswith("cond2/") for tag in seen)
+        check_condition2(f, Z, -1.0, 1.0, seed=0, collect=kept)
+        assert list(kept) == ["cond2/descend", "cond2/ascend"]
+        assert [t.direction for t in kept.values()] == ["descend", "ascend"]
+        assert all(t.n_samples == t.n_accepted + 1 > 1 for t in kept.values())
 
     def test_ordering_precondition(self, saddle):
         f, Z = saddle
@@ -291,8 +295,8 @@ class TestCondition2:
         (flows,) = ensembles
         assert report.verdict == "pass"
         assert report.witnesses["terminations"] == {"converged": 204, "reach_level": 196}
-        assert sum(t.n_accepted for t in flows) <= 20_000
-        assert max(t.n_accepted + t.n_rejected for t in flows) <= 150
+        assert flows.n_accepted.sum() <= 20_000
+        assert (flows.n_accepted + flows.n_rejected).max() <= 150
 
     def test_quartic_band_rejects_few_steps_and_reports_its_step_counts(self, quartic, monkeypatch):
         # a member grows its steps by SAFETY_AFTER_REJECTION once its error
@@ -310,9 +314,9 @@ class TestCondition2:
         report = check_condition2(f, Z, -1.0, 1.0, seed=0, collect=None)
         (flows,) = ensembles
         w = report.witnesses
-        assert w["n_accepted_steps"] == sum(t.n_accepted for t in flows)
-        assert w["n_rejected_steps"] == sum(t.n_rejected for t in flows) <= 200
-        assert max(t.n_accepted + t.n_rejected for t in flows) <= 80
+        assert w["n_accepted_steps"] == flows.n_accepted.sum()
+        assert w["n_rejected_steps"] == flows.n_rejected.sum() <= 200
+        assert (flows.n_accepted + flows.n_rejected).max() <= 80
 
 
 class TestCondition4:
@@ -327,7 +331,7 @@ class TestCondition4:
         assert [r for r, *_ in rows] == [0.1, 0.03]
         assert rows[1][1] <= rows[0][1] * 1.1 + 1e-8
         assert report.witnesses["d_final"] < 0.05
-        assert report.witnesses["slice_points"] == [list(p) for p in unstable_slice(f, Z, cp, -0.01, seed=0).points]
+        assert report.witnesses["slice_points"] == [list(p) for p in unstable_slice(f, Z, cp, -0.01, seed=0)]
 
     def test_payload_schema(self, saddle, monkeypatch):
         f, Z = saddle
@@ -412,27 +416,32 @@ class TestMatchesThePerFlowTallies:
 
     @staticmethod
     def watch(monkeypatch):
-        """Each ensemble that levelmap integrates, with the record flags it was given, and the flows collect sees."""
-        calls, seen, real = [], [], levelmap.integrate_ensemble
+        """Each ensemble that levelmap integrates, with its directions and the record flags it was given."""
+        calls, real = [], levelmap.integrate_ensemble
 
         def spy(*args, **kwargs):
-            calls.append((real(*args, **kwargs), kwargs.get("record", False)))
+            calls.append((real(*args, **kwargs), args[3], kwargs.get("record", False)))
             return calls[-1][0]
 
         monkeypatch.setattr(levelmap, "integrate_ensemble", spy)
-        keeper = _TrajectoryKeeper()
-
-        def collect(tag, traj):
-            seen.append(traj)
-            keeper(tag, traj)
-
-        return calls, seen, keeper, collect
+        return calls
 
     @staticmethod
-    def assert_sees_the_recorded_flows(seen, flows, record):
-        # collect sees exactly the recorded flows, in order, each with every sample
-        assert_same_flows(seen, [flows[i] for i in np.flatnonzero(record)])
-        assert seen and all(t.n_samples == t.n_accepted + 1 for t in seen)
+    def members(flows, directions):
+        """Each member as one object: its recorded trajectory, else its end state from the arrays."""
+        directions = [directions] * len(flows.termination) if isinstance(directions, str) else directions
+        return [flows.recorded.get(i) or SimpleNamespace(
+            direction=d, termination=str(flows.termination[i]), n_accepted=int(flows.n_accepted[i]),
+            n_rejected=int(flows.n_rejected[i]), endpoint=flows.endpoint[i], final_f=float(flows.final_f[i]))
+            for i, d in enumerate(directions)]
+
+    @staticmethod
+    def assert_keeps_the_recorded_flows(kept, reference, flows, record):
+        # collect keeps exactly the recorded flows, in order, each with every sample, as the loop does
+        assert list(kept) == list(reference) and all(kept[k] is reference[k] for k in kept)
+        assert list(flows.recorded) == np.flatnonzero(record).tolist()
+        assert [id(t) for t in kept.values()] == [id(t) for t in flows.recorded.values()]
+        assert kept and all(t.n_samples == t.n_accepted + 1 for t in kept.values())
 
     @pytest.fixture(scope="class")
     def wells_points(self):
@@ -446,16 +455,13 @@ class TestMatchesThePerFlowTallies:
         spec, f, Z = self.problem(name)
         a, b = spec.tolerances.get("band", (-1.0, 1.0))
         monkeypatch.setattr(flow, "MAX_STEPS", max_steps)
-        calls, seen, keeper, collect = self.watch(monkeypatch)
-        report = check_condition2(f, Z, a, b, seed=0, collect=collect)
-        ((flows, record),) = calls
-        reference = _TrajectoryKeeper()
-        want = per_flow_tallies.condition2_witnesses(list(flows), a, b, Z.level_tol, reference)
+        calls, kept, reference = self.watch(monkeypatch), {}, {}
+        report = check_condition2(f, Z, a, b, seed=0, collect=kept)
+        ((flows, directions, record),) = calls
+        want = per_flow_tallies.condition2_witnesses(self.members(flows, directions), a, b, Z.level_tol, reference)
         # repr compares the order of the termination histogram too
         assert repr({k: report.witnesses[k] for k in want}) == repr(want)
-        assert list(keeper.kept) == list(reference.kept)
-        assert_same_flows(keeper.kept.values(), reference.kept.values())
-        self.assert_sees_the_recorded_flows(seen, flows, record)
+        self.assert_keeps_the_recorded_flows(kept, reference, flows, record)
 
     # wells: a maximum that fails, one whose probes are partly captured by its
     # level, and one whose probes partly converge at a lower minimum
@@ -473,7 +479,7 @@ class TestMatchesThePerFlowTallies:
             cp = dataclasses.replace(wells_points[point], kind="maximum")
         else:
             cp = CriticalPoint(location=point, value=0.0, grad_norm=0.0, kind="saddle", cluster_radius=0.0)
-        calls, seen, keeper, collect = self.watch(monkeypatch)
+        calls, kept, reference = self.watch(monkeypatch), {}, {}
         counts, ball_probes = [], levelmap.ball_probes
 
         def counted(*args):
@@ -481,15 +487,43 @@ class TestMatchesThePerFlowTallies:
             return ball_probes(*args)
 
         monkeypatch.setattr(levelmap, "ball_probes", counted)
-        report = check_condition4(f, Z, cp, eps, seed=0, collect=collect)
-        flows, record = calls[0]  # the slice's ring descents, then every radius's probes
-        n = len(flows) - sum(counts)
-        reference = _TrajectoryKeeper()
+        report = check_condition4(f, Z, cp, eps, seed=0, collect=kept)
+        flows, directions, record = calls[0]  # the slice's ring descents, then every radius's probes
+        n = len(flows.termination) - sum(counts)
         table, want = per_flow_tallies.condition4_table(
-            flows[n:], np.cumsum([0] + counts), np.asarray(report.witnesses["slice_points"]),
-            report.witnesses["capture_level"], reference)
+            self.members(flows, directions)[n:], np.cumsum([0] + counts),
+            np.asarray(report.witnesses["slice_points"]), report.witnesses["capture_level"], reference)
         assert repr(report.modulus_table) == repr(table)
         assert {k: report.witnesses[k] for k in want} == want
-        assert list(keeper.kept) == list(reference.kept)
-        assert_same_flows(keeper.kept.values(), reference.kept.values())
-        self.assert_sees_the_recorded_flows(seen, flows, record)
+        self.assert_keeps_the_recorded_flows(kept, reference, flows, record)
+
+    def test_one_dict_keeps_the_first_targets_flows(self, wells_points):
+        # condition 4 at two wells targets in turn, one dict passed to both: every family
+        # is the first target's, bit for bit, though the second recorded flows of its own
+        _, f, Z = self.problem("wells")
+        first, second = (dataclasses.replace(wells_points[i], kind="maximum") for i in (8, 15))
+        alone, other, kept = {}, {}, {}
+        check_condition4(f, Z, first, 0.01, seed=0, collect=alone)
+        check_condition4(f, Z, second, 0.3, seed=0, collect=other)
+        check_condition4(f, Z, first, 0.01, seed=0, collect=kept)
+        check_condition4(f, Z, second, 0.3, seed=0, collect=kept)
+        families = [f"cond4/r={r:g}" for r in levelmap.RADII]
+        assert list(kept) == list(alone) == list(other) == families
+        for family in families:
+            for column in ("t", "y", "f", "grad_norm", "arc"):
+                assert same_bits(getattr(kept[family], column), getattr(alone[family], column))
+            assert (kept[family].termination, kept[family].n_accepted, kept[family].n_rejected) == \
+                (alone[family].termination, alone[family].n_accepted, alone[family].n_rejected)
+            assert not same_bits(other[family].y, alone[family].y)
+
+    @pytest.mark.parametrize("name", ["cone", "wells"])
+    def test_no_collect_records_no_flow(self, wells_points, name, monkeypatch):
+        spec, f, Z = self.problem(name)
+        cp = (dataclasses.replace(wells_points[8], kind="maximum") if name == "wells"
+              else CriticalPoint(location=(0.0, 0.0, 0.0), value=0.0, grad_norm=0.0, kind="saddle",
+                                 cluster_radius=0.0))
+        calls = self.watch(monkeypatch)
+        check_condition2(f, Z, *spec.tolerances.get("band", (-1.0, 1.0)), seed=0, collect=None)
+        check_condition4(f, Z, cp, 0.01, seed=0, collect=None)
+        assert len(calls) == 3
+        assert all(flows.recorded == {} and not np.any(record) for flows, _, record in calls)

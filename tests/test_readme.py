@@ -17,9 +17,9 @@ def test_the_library_example_runs():
     scope = {}
     exec(compile(library_example(), str(README), "exec"), scope)
     assert scope["kind"] == "saddle"
-    assert len(scope["slc"].points) == 2
+    assert len(scope["slc"]) == 2
     assert scope["report"].verdict == "pass"
-    assert scope["report"].witnesses["slice_points"] == [list(p) for p in scope["slc"].points]
+    assert scope["report"].witnesses["slice_points"] == [list(p) for p in scope["slc"]]
     assert scope["traj"].termination == "reach_level"
 
 

@@ -305,6 +305,10 @@ class _Run:
     cps: list
     fits: dict
 
+    @property
+    def band(self) -> tuple:
+        return tuple(self.spec.tolerances.get("band", (-1.0, 1.0)))
+
 
 def _worst(verdicts) -> str:
     return min(verdicts, key=WORST_FIRST.index)
@@ -351,8 +355,10 @@ def _isolated(errors: dict, key: str, call):
 
 # Each stage runner reads the stage functions as module globals when it runs,
 # so that a tracer or a test can replace them on this module and see their
-# calls.  Calls made in a forked child are not seen, so cond2 runs beside
-# the other stages only while check_condition2 is the function imported here.
+# calls.  Calls made in a forked child are not seen, so cond2's flows run in
+# a child beside the other stages only while check_condition2 is the function
+# imported here.  Those flows read no critical point: only cond2's premises
+# do, and the parent judges them once the child has been joined.
 
 def _run_critical(run: _Run) -> None:
     f, Z, seed = run.f, run.Z, run.spec.seed
@@ -386,13 +392,22 @@ def _run_cond1(run: _Run) -> dict:
 
 
 def _run_cond2(run: _Run) -> dict:
-    band = tuple(run.spec.tolerances.get("band", (-1.0, 1.0)))
-    near = [v for v in (cp.value for cp in run.cps) if min(abs(v - band[0]), abs(v - band[1])) <= 1e-8]
-    premises = {"search_complete": _search_complete(run.cps), "band_clear": (
+    premises = _cond2_premises(run)
+    return _judged(2, premises, None if premises["band_clear"]["status"] == "failed" else _cond2_flows(run))
+
+
+def _cond2_flows(run: _Run) -> dict:
+    """Condition 2's check, unjudged: its flows read the band and no critical point."""
+    a, b = run.band
+    return check_condition2(run.f, run.Z, a, b, seed=run.spec.seed, collect=run.kept).to_payload()
+
+
+def _cond2_premises(run: _Run) -> dict:
+    a, b = run.band
+    near = [v for v in (cp.value for cp in run.cps) if min(abs(v - a), abs(v - b)) <= 1e-8]
+    return {"search_complete": _search_complete(run.cps), "band_clear": (
         _premise("failed", f"band endpoint touches critical value(s) {near}") if near
         else _premise("checked", "no critical value found lies within 1e-08 of a band endpoint"))}
-    return _judged(2, premises, None if near else check_condition2(
-        run.f, run.Z, band[0], band[1], seed=run.spec.seed, collect=run.kept).to_payload())
 
 
 def _run_cond4(run: _Run) -> dict:
@@ -458,8 +473,16 @@ class _RecordList(logging.Handler):
         self.records.append(record)
 
 
-def _fork_cond2(run: _Run, runner):
-    """Fork a child that runs cond2 and pipes back what it made; returns its pid and the pipe.
+def _may_fork_cond2(stages) -> bool:
+    """cond2 can run in a forked child: only on Linux (fork is its default start method), onto a
+    second CPU, with no thread to copy holding a lock, and with the imported check_condition2
+    (a replaced one sees its call)."""
+    return ("cond2" in stages and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1 and check_condition2 is _imported_check_condition2)
+
+
+def _fork_cond2(run: _Run):
+    """Fork a child that runs cond2's flows and pipes back what it made; returns its pid and the pipe.
 
     Returns None, and cond2 runs in this process, when no child can be started.
     """
@@ -479,7 +502,7 @@ def _fork_cond2(run: _Run, runner):
         records, top = _RecordList(), logging.getLogger(__package__)
         top.handlers, top.propagate = [records], False
         t0, errors = time.perf_counter(), {}
-        out = _isolated(errors, "cond2", lambda: runner(run))
+        out = _isolated(errors, "cond2", lambda: _cond2_flows(run))
         with os.fdopen(w, "wb") as fh:
             pickle.dump((out, errors.get("cond2"), run.kept, records.records,
                          time.perf_counter() - t0), fh)
@@ -488,20 +511,31 @@ def _fork_cond2(run: _Run, runner):
         os._exit(status)
 
 
+def _reap(child, sent: bool) -> int:
+    """Wait for the forked child, killed first unless it sent its result; returns its exit status."""
+    pid, pipe = child
+    if not sent:
+        import signal  # here only: importing it costs every other run 0.15 MB
+
+        os.kill(pid, signal.SIGKILL)
+    pipe.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def _join_cond2(run: _Run, data: bytes, status: int, failed: dict) -> dict:
-    """The forked cond2's fragment; its trajectories and log records join this process's."""
+    """The forked cond2's flows judged on their premises; their trajectories and log records join this process's."""
     if status == 0 and data:
         out, error, kept, records, seconds = pickle.loads(data)
     else:
         out, kept, records, seconds = None, {}, [], None
         error = f"condition 2 worker exited with status {status} before sending its result"
-    # the child's copy of what was kept before the fork, then cond2's, then cond4's
+    # no stage before cond2 keeps a trajectory, so the child's families (cond2's) come first, then cond4's
     run.kept = {**kept, **run.kept}
     for r in records:
         logging.getLogger(r.name).handle(r)
     _log_stage("cond2", "child", seconds, error)
     if error is None:
-        return out
+        return _judged(2, _cond2_premises(run), out)
     failed["cond2"] = error
     return _skipped(2, error)
 
@@ -517,12 +551,16 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
     unknown stage, a stage without its dependencies or an empty stage list
     raises :class:`ValidationError`.
 
-    cond2 may run in a forked child, forked once critical has run, beside
-    loja, cond1 and cond4 (the rule is in the stage loop): the report is the
-    same bytes, the child's log records follow cond4's, and no child outlives
-    the call.  Each stage logs a JSON line, and
-    so does the corollary once it has run: its verdict and every premise it
-    rests on that is not checked.
+    cond2's flows may run in a forked child beside the other stages: on a
+    constrained Z it is forked before critical, on R^n after critical and
+    only when cond4 has a saddle or a maximum to check (the rule is in the
+    stage loop).  A child whose flows the run will not use, after a failed
+    critical or when a band end touches a critical value, is killed at
+    once.  The parent judges cond2's premises at the join: the report is
+    the same bytes, the child's log records follow cond4's, and no child
+    outlives the call.  Each stage logs a JSON line, and so does the
+    corollary once it has run: its verdict and every premise it rests on
+    that is not checked.
     """
     stages = tuple(stages)
     for s in stages:
@@ -549,8 +587,11 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
     )
     run = _Run(spec, f, Z, report, {}, [], {})
     failed = {}  # stage -> why it did not finish
-    child = data = None  # cond2 forked after critical: its pid and pipe, and what it sent
+    child = data = None  # cond2's forked child: its pid and pipe, and what it sent
     try:
+        # a constrained Z's critical search outlasts a fork, so cond2's flows start before it
+        if len(Z.constraints) and _may_fork_cond2(report.stages):
+            child = _fork_cond2(run)
         for name in report.stages:
             deps, runner = STAGES[name]
             broken = [d for d in deps if d in failed]
@@ -567,27 +608,22 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
                     _skipped(int(name[4:]), failed[name]) if name in failed else out)
             elif name in failed:
                 report.stage_errors[name] = failed[name]
-            # cond2 forks once the critical points are known: only on Linux (fork is its
-            # default start method), onto a second CPU, with no thread to copy holding a
-            # lock, with the imported check_condition2 (a replaced one sees its call), and
-            # when cond4 runs flows
-            if (name == "critical" and "cond2" in report.stages
-                    and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
-                    and threading.active_count() == 1
-                    and check_condition2 is _imported_check_condition2
-                    and "cond4" in report.stages
-                    and any(cp.kind in COND4_KINDS for cp in run.cps)):
-                child = _fork_cond2(run, STAGES["cond2"][1])
+            if name != "critical":
+                continue
+            # cond2 runs its flows only after a critical search whose values no band end touches
+            flows = "critical" not in failed and _cond2_premises(run)["band_clear"]["status"] != "failed"
+            if child is not None and not flows:
+                _reap(child, False)  # stop the flows the run will not use; cond2 runs here without them
+                child = None
+            # on R^n the fork pays only beside cond4's flows, so it waits for a target to check
+            elif (flows and not len(Z.constraints) and "cond4" in report.stages
+                    and _may_fork_cond2(report.stages) and any(cp.kind in COND4_KINDS for cp in run.cps)):
+                child = _fork_cond2(run)
         if child is not None:
             data = child[1].read()
     finally:
         if child is not None:
-            if data is None:  # unwinding from an exception
-                import signal  # here only: importing it costs every other run 0.15 MB
-
-                os.kill(child[0], signal.SIGKILL)
-            child[1].close()
-            status = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+            status = _reap(child, data is not None)  # killed when unwinding from an exception
     if child is not None:
         report.condition_reports["cond2"] = _join_cond2(run, data, status, failed)
 

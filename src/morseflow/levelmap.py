@@ -271,8 +271,8 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
     makes the verdict inconclusive, and witnesses.reason says why.  Each
     radius is scored from the ensemble's end-state arrays.  Unless it is
     None, ``collect`` is a dict keyed by family, ``cond4/r=<r>``: the first
-    probe flow of each radius is recorded, with every sample, and set under
-    its family unless the dict already holds one, as from an earlier point.
+    probe flow of each radius whose family the dict lacks (an earlier point
+    may have set it) is recorded, with every sample, and set under it.
     """
     if cp.kind == "minimum":
         raise ValueError("landing modulus needs a non-minimal critical point")
@@ -299,12 +299,13 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
     starts[use] = Q[use]
 
     # the slice descends from the ring ahead of the probes; the first flow
-    # of each radius is recorded in full for collect
+    # of each radius whose family collect lacks is recorded in full for it
     n = len(ring)
-    flows = integrate_ensemble(
-        f, Z, np.concatenate([ring, starts]), "descend", target, [CONVERGED],
-        record=np.isin(np.arange(n + len(starts)), n + firsts) & (collect is not None),
-    )
+    record = np.zeros(n + len(starts), dtype=bool)
+    if collect is not None:
+        record[[n + firsts[idx] for idx, r in enumerate(RADII)
+                if firsts[idx] < firsts[idx + 1] and f"cond4/r={r:g}" not in collect]] = True
+    flows = integrate_ensemble(f, Z, np.concatenate([ring, starts]), "descend", target, [CONVERGED], record=record)
     try:
         slice_ = _slice_from(f, Z, cp, target, flows.endpoint[:n][flows.termination[:n] == "reach_level"])
     except EmptySlice as e:
@@ -324,8 +325,8 @@ def check_condition4(f, Z: SingularSpace, cp: CriticalPoint, eps: float, seed: i
     }
     for idx, r in enumerate(RADII):
         lo, hi = n + int(firsts[idx]), n + int(firsts[idx + 1])
-        if collect is not None and lo < hi:
-            collect.setdefault(f"cond4/r={r:g}", flows.recorded[lo])
+        if lo < hi and record[lo]:
+            collect[f"cond4/r={r:g}"] = flows.recorded[lo]
         term = flows.termination[lo:hi]
         landed = flows.endpoint[lo:hi][term == "reach_level"]
         # each landing's distance to its nearest slice point, from one norm over every pair

@@ -840,7 +840,7 @@ class TestStageIsolation:
 
 
 class TestCondition2BesideCondition4:
-    """cond2 runs in a forked child beside cond4 and changes no byte of the report."""
+    """cond2's flows run in a forked child beside the other stages and change no byte of the report."""
 
     @staticmethod
     def _count_forks(monkeypatch):
@@ -892,10 +892,90 @@ class TestCondition2BesideCondition4:
         self._assert_no_child_left()
 
     def test_only_a_run_that_overlaps_cond2_with_cond4_flows_forks(self, monkeypatch):
+        import morseflow.cli as cli
+
+        events, fork, search = [], os.fork, cli.find_critical_points
+
+        def forked():
+            pid = fork()
+            events.append("fork")  # in the child too, whose copy of the list is never read
+            return pid
+
+        def searched(*args, **kw):
+            events.append("critical")
+            return search(*args, **kw)
+
+        monkeypatch.setattr(os, "fork", forked)
+        monkeypatch.setattr(cli, "find_critical_points", searched)
+        cases = [
+            # Z = R^1 with only a minimum: cond4 runs no flow, so nothing is overlapped
+            (builtin_problem("quartic"), STAGES, ["critical"]),
+            # a constrained Z: cond2's flows start before the critical search, also without cond4
+            (builtin_problem("cone"), STAGES, ["fork", "critical"]),
+            (builtin_problem("cone"), ("critical", "cond2"), ["fork", "critical"]),
+            # Z = R^2: the fork waits for a saddle to check, and for a band that misses its value
+            (builtin_problem("saddle"), STAGES, ["critical", "fork"]),
+            (spec_from_mapping(dict(BUILTIN["saddle"], tolerances={"band": [0, 1]})), STAGES, ["critical"]),
+        ]
+        for spec, stages, order in cases:
+            events.clear()
+            report = run_experiment(spec, stages=stages)
+            assert events == order, (spec.name, stages)
+            self._assert_no_child_left()
+            with monkeypatch.context() as one_cpu:
+                self._one_cpu(one_cpu)
+                assert report.to_payload() == run_experiment(spec, stages=stages).to_payload()
+
+    def test_a_critical_that_raises_after_the_early_fork_reaps_the_child(self, monkeypatch, caplog):
+        import morseflow.cli as cli
+
+        def diverged(*args, **kw):
+            raise RuntimeError("search diverged")
+
+        caplog.set_level(logging.INFO, logger="morseflow")
+        monkeypatch.setattr(cli, "find_critical_points", diverged)
         forks = self._count_forks(monkeypatch)
-        run_experiment(builtin_problem("quartic"), stages=STAGES)  # only a minimum: cond4 runs no flow
-        run_experiment(builtin_problem("cone"), stages=("critical", "cond2"))
-        assert forks == []
+        forked = run_experiment(builtin_problem("cone"), stages=STAGES)
+        assert len(forks) == 1
+        self._assert_no_child_left()
+        reason = "dependency 'critical' failed"
+        assert forked.stage_errors == {"critical": "RuntimeError('search diverged')", "loja": reason}
+        assert forked.condition_reports["cond2"] == {
+            "condition": 2, "verdict": "inconclusive", "witnesses": {"reason": reason}, "modulus_table": None}
+        # the killed child sends nothing, so cond2's stage line is the process's
+        lines = {line["stage"]: line for line in self._stage_lines(caplog)}
+        assert (lines["cond2"]["ran"], lines["cond2"]["error"]) == ("process", reason)
+        self._one_cpu(monkeypatch)
+        alone = run_experiment(builtin_problem("cone"), stages=STAGES)
+        assert len(forks) == 1
+        assert forked.to_payload() == alone.to_payload() and forked.trajectories == alone.trajectories == {}
+
+    def test_a_band_end_on_a_critical_value_kills_the_child_at_once(self, monkeypatch):
+        import time
+
+        from morseflow import levelmap
+
+        parent = os.getpid()
+
+        def stalled(*args, **kw):
+            if os.getpid() == parent:  # the premise fails, so cond2 draws no sample in this process
+                raise AssertionError("cond2 sampled the band in the test process")
+            time.sleep(60)
+
+        monkeypatch.setattr(levelmap, "band_samples", stalled)
+        spec = spec_from_mapping(dict(BUILTIN["cone"], tolerances={"band": [0, 0.8], "cond4_eps": 0.01}))
+        forks = self._count_forks(monkeypatch)
+        t0 = time.perf_counter()
+        report = run_experiment(spec, stages=STAGES)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(forks) == 1
+        self._assert_no_child_left()
+        assert report.condition_reports["cond2"]["verdict"] == "inconclusive"
+        assert report.condition_reports["cond2"]["witnesses"] == {
+            "reason": "premise band_clear failed: band endpoint touches critical value(s) [0.0]"}
+        assert report.trajectories and not [tag for tag in report.trajectories if tag.startswith("cond2/")]
+        self._one_cpu(monkeypatch)
+        assert report.to_payload() == run_experiment(spec, stages=STAGES).to_payload()
 
     def test_one_cpu_keeps_cond2_in_process(self, monkeypatch, caplog):
         caplog.set_level(logging.INFO, logger="morseflow")
@@ -1014,7 +1094,7 @@ class TestCondition2BesideCondition4:
         def broken(run):
             raise RuntimeError("fit diverged")
 
-        # cond2 forks once critical has run, so a loja that fails later cannot keep it in process
+        # on the cone cond2 forks before critical, so a loja that fails later cannot keep it in process
         monkeypatch.setitem(cli.STAGES, "loja", (("critical",), broken))
         forks = self._count_forks(monkeypatch)
         forked = run_experiment(builtin_problem("cone"), stages=STAGES)

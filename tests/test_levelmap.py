@@ -497,16 +497,23 @@ class TestMatchesThePerFlowTallies:
         assert {k: report.witnesses[k] for k in want} == want
         self.assert_keeps_the_recorded_flows(kept, reference, flows, record)
 
-    def test_one_dict_keeps_the_first_targets_flows(self, wells_points):
+    def test_one_dict_keeps_the_first_targets_flows(self, wells_points, monkeypatch):
         # condition 4 at two wells targets in turn, one dict passed to both: every family
-        # is the first target's, bit for bit, though the second recorded flows of its own
+        # is the first target's, bit for bit, and the second records no flow, though on
+        # its own it records one per radius
         _, f, Z = self.problem("wells")
         first, second = (dataclasses.replace(wells_points[i], kind="maximum") for i in (8, 15))
         alone, other, kept = {}, {}, {}
+        calls = self.watch(monkeypatch)
         check_condition4(f, Z, first, 0.01, seed=0, collect=alone)
         check_condition4(f, Z, second, 0.3, seed=0, collect=other)
         check_condition4(f, Z, first, 0.01, seed=0, collect=kept)
+        n = len(calls)
         check_condition4(f, Z, second, 0.3, seed=0, collect=kept)
+        # each call's first ensemble is its ring descents and probes; the second is the slice's back-flows
+        assert len(calls) == n + 2 and [len(calls[i][0].recorded) for i in (0, 2, 4)] == [4, 4, 4]
+        probes, _, record = calls[n]
+        assert probes.recorded == {} and not np.any(record)
         families = [f"cond4/r={r:g}" for r in levelmap.RADII]
         assert list(kept) == list(alone) == list(other) == families
         for family in families:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -34,6 +35,8 @@ from .critical import (
     check_condition1,
     classify,
     find_critical_points,
+    search_seeds,
+    singular_roots,
 )
 from .flow import CONVERGED, ReachLevel, integrate, trajectory_csv_text
 from .levelmap import check_condition2, check_condition4
@@ -304,6 +307,8 @@ class _Run:
     kept: dict
     cps: list
     fits: dict
+    # the critical search's source of singular roots: None runs the pass in this process
+    singular: object
 
     @property
     def band(self) -> tuple:
@@ -358,11 +363,14 @@ def _isolated(errors: dict, key: str, call):
 # calls.  Calls made in a forked child are not seen, so cond2's flows run in
 # a child beside the other stages only while check_condition2 is the function
 # imported here.  Those flows read no critical point: only cond2's premises
-# do, and the parent judges them once the child has been joined.
+# do, and the parent judges them once the child has been joined.  On a
+# constrained Z with cond4 requested, that child first runs the critical
+# search's singular pass, which reads only Z and the seeds, and sends its
+# roots; the parent's search reads them after its smooth pass.
 
 def _run_critical(run: _Run) -> None:
     f, Z, seed = run.f, run.Z, run.spec.seed
-    cps = find_critical_points(f, Z, grid_density=run.spec.tolerances.get("grid_density"))
+    cps = find_critical_points(f, Z, grid_density=run.spec.tolerances.get("grid_density"), singular=run.singular)
     cps = [replace(cp, kind=_isolated(run.report.stage_errors, f"classify[{i}]",
                                       lambda: classify(f, Z, cp, seed=seed)) or "unresolved")
            for i, cp in enumerate(cps)]
@@ -481,10 +489,33 @@ def _may_fork_cond2(stages) -> bool:
             and threading.active_count() == 1 and check_condition2 is _imported_check_condition2)
 
 
-def _fork_cond2(run: _Run):
-    """Fork a child that runs cond2's flows and pipes back what it made; returns its pid and the pipe.
+class _Child:
+    """A forked cond2 child: its pid and the read end of its pipe.  lost is set once
+    the child has exited without sending the singular roots it was asked for."""
 
-    Returns None, and cond2 runs in this process, when no child can be started.
+    def __init__(self, pid: int, pipe):
+        self.pid, self.pipe, self.lost = pid, pipe, False
+
+    def singular_roots(self, Z: SingularSpace, seeds: np.ndarray):
+        """The roots the child's singular pass sent, its log records re-emitted here where the
+        one-CPU run logs them; the pass itself, run here, if the child exited before sending them."""
+        try:
+            _, roots, records = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            self.lost = True
+            return singular_roots(Z, seeds)
+        for r in records:
+            logging.getLogger(r.name).handle(r)
+        return roots
+
+
+def _fork_cond2(run: _Run, singular: bool):
+    """Fork a child that runs cond2's flows and pipes back what it made; returns a :class:`_Child`.
+
+    With singular, the child first runs the critical search's singular pass on
+    its own seeds, and pipes its roots and log records ahead of cond2's
+    result.  Each message is a pickle tagged "singular" or "cond2".  Returns
+    None, and cond2 runs in this process, when no child can be started.
     """
     r, w = os.pipe()
     try:
@@ -495,37 +526,50 @@ def _fork_cond2(run: _Run):
         return None
     if pid:
         os.close(w)
-        return pid, os.fdopen(r, "rb")
+        return _Child(pid, os.fdopen(r, "rb"))
     status = 1
     try:  # the child leaves only through os._exit, never into its caller's code
         os.close(r)
         records, top = _RecordList(), logging.getLogger(__package__)
         top.handlers, top.propagate = [records], False
-        t0, errors = time.perf_counter(), {}
-        out = _isolated(errors, "cond2", lambda: _cond2_flows(run))
         with os.fdopen(w, "wb") as fh:
-            pickle.dump((out, errors.get("cond2"), run.kept, records.records,
+            if singular:
+                roots = singular_roots(run.Z, search_seeds(run.Z, run.spec.tolerances.get("grid_density")))
+                fh.write(pickle.dumps(("singular", roots, records.records)))
+                fh.flush()
+                records.records = []
+            t0, errors = time.perf_counter(), {}
+            out = _isolated(errors, "cond2", lambda: _cond2_flows(run))
+            pickle.dump(("cond2", out, errors.get("cond2"), run.kept, records.records,
                          time.perf_counter() - t0), fh)
         status = 0
     finally:
         os._exit(status)
 
 
-def _reap(child, sent: bool) -> int:
+def _reap(child: _Child, sent: bool) -> int:
     """Wait for the forked child, killed first unless it sent its result; returns its exit status."""
-    pid, pipe = child
     if not sent:
         import signal  # here only: importing it costs every other run 0.15 MB
 
-        os.kill(pid, signal.SIGKILL)
-    pipe.close()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.kill(child.pid, signal.SIGKILL)
+    child.pipe.close()
+    return os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+
+
+def _messages(data: bytes) -> dict:
+    """The child's unread messages by tag: a search that never read the singular roots leaves them first."""
+    stream, out = io.BytesIO(data), {}
+    while stream.tell() < len(data):
+        tag, *body = pickle.load(stream)
+        out[tag] = body
+    return out
 
 
 def _join_cond2(run: _Run, data: bytes, status: int, failed: dict) -> dict:
     """The forked cond2's flows judged on their premises; their trajectories and log records join this process's."""
     if status == 0 and data:
-        out, error, kept, records, seconds = pickle.loads(data)
+        out, error, kept, records, seconds = _messages(data)["cond2"]
     else:
         out, kept, records, seconds = None, {}, [], None
         error = f"condition 2 worker exited with status {status} before sending its result"
@@ -554,13 +598,17 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
     cond2's flows may run in a forked child beside the other stages: on a
     constrained Z it is forked before critical, on R^n after critical and
     only when cond4 has a saddle or a maximum to check (the rule is in the
-    stage loop).  A child whose flows the run will not use, after a failed
-    critical or when a band end touches a critical value, is killed at
-    once.  The parent judges cond2's premises at the join: the report is
-    the same bytes, the child's log records follow cond4's, and no child
-    outlives the call.  Each stage logs a JSON line, and so does the
-    corollary once it has run: its verdict and every premise it rests on
-    that is not checked.
+    stage loop).  On a constrained Z with cond4 requested, the child first
+    runs the critical search's singular pass and sends its roots, which
+    this process's search reads after its smooth pass; a child that exits
+    before sending them is reaped, and the search and cond2 run here.  A
+    child whose flows the run will not use, after a failed critical or when
+    a band end touches a critical value, is killed at once.  The parent
+    judges cond2's premises at the join: the report is the same bytes, the
+    singular pass's log records come where the one-CPU run logs them, the
+    child's other records follow cond4's, and no child outlives the call.
+    Each stage logs a JSON line, and so does the corollary once it has run:
+    its verdict and every premise it rests on that is not checked.
     """
     stages = tuple(stages)
     for s in stages:
@@ -585,13 +633,16 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
         trajectory_manifest=[],
         trajectories={},
     )
-    run = _Run(spec, f, Z, report, {}, [], {})
+    run = _Run(spec, f, Z, report, {}, [], {}, None)
     failed = {}  # stage -> why it did not finish
-    child = data = None  # cond2's forked child: its pid and pipe, and what it sent
+    child = data = None  # cond2's forked child, and what it sent
     try:
-        # a constrained Z's critical search outlasts a fork, so cond2's flows start before it
+        # a constrained Z's critical search outlasts a fork, so cond2's flows start before it;
+        # beside cond4's flows the parent is the longer side, so the child takes the singular pass too
         if len(Z.constraints) and _may_fork_cond2(report.stages):
-            child = _fork_cond2(run)
+            child = _fork_cond2(run, "cond4" in report.stages)
+            if child is not None and "cond4" in report.stages:
+                run.singular = child.singular_roots
         for name in report.stages:
             deps, runner = STAGES[name]
             broken = [d for d in deps if d in failed]
@@ -612,15 +663,16 @@ def run_experiment(spec: ProblemSpec, stages) -> ExperimentReport:
                 continue
             # cond2 runs its flows only after a critical search whose values no band end touches
             flows = "critical" not in failed and _cond2_premises(run)["band_clear"]["status"] != "failed"
-            if child is not None and not flows:
-                _reap(child, False)  # stop the flows the run will not use; cond2 runs here without them
+            if child is not None and (child.lost or not flows):
+                # stop the flows the run will not use, or reap a child that died: cond2 runs here
+                _reap(child, False)
                 child = None
             # on R^n the fork pays only beside cond4's flows, so it waits for a target to check
             elif (flows and not len(Z.constraints) and "cond4" in report.stages
                     and _may_fork_cond2(report.stages) and any(cp.kind in COND4_KINDS for cp in run.cps)):
-                child = _fork_cond2(run)
+                child = _fork_cond2(run, False)
         if child is not None:
-            data = child[1].read()
+            data = child.pipe.read()
     finally:
         if child is not None:
             status = _reap(child, data is not None)  # killed when unwinding from an exception

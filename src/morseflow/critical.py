@@ -300,48 +300,29 @@ def _constant_entry(system: PolynomialSystem) -> Optional[int]:
     return next((i for i, p in enumerate(system) if len(p.terms) == 1 and not any(p.terms[0].exponents)), None)
 
 
-def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | None) -> list[CriticalPoint]:
-    """Locate and deduplicate the fixed points of the flow inside the box.
-
-    Grid seeds are retracted to Z and refined by damped least-squares
-    Newton on {g = 0, projected gradient = 0}, to below REFINE_TOL; on R^n
-    that residual is grad f, and the pass has its exact Jacobian, the
-    Hessian, so :func:`_refine` scales its steps at a multiple root.  With
-    constraints it takes central differences, which keep that rule off.  A
-    second pass solves {g = 0, Dg = 0}, to below REFINE_TOL, and accepts
-    every root it reaches on Z: a point where all constraint gradients
-    vanish is singular, so critical, and its residual is the norm of {g, Dg}
-    there.  That pass is skipped, exactly, when its system has a non-zero
-    constant entry (:func:`_constant_entry`) and so no root; no pass
-    targets a rank drop of Dg that a linear row survives.  Each pass
-    refines all its seeds in one :func:`_refine` call, which refines each
-    bit-distinct start once.  Non-convergent seeds are discarded (counted
-    and logged only when INFO is on), and the points found are clustered
-    within CLUSTER_TOL.  A grid density of None is
-    :func:`default_grid_density` of the dimension.
-    """
+def search_seeds(Z: SingularSpace, grid_density: int | None) -> np.ndarray:
+    """The critical search's grid seeds; a density of None is :func:`default_grid_density` of the dimension."""
     if grid_density is None:
         grid_density = default_grid_density(Z.ambient_dim)
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
-    max_len = 2.0 * Z.box_diameter
+    return _grid_seeds(Z, grid_density)
 
-    seeds = _grid_seeds(Z, grid_density)
-    starts, retracted = Z.retract_batch(seeds)
-    starts = starts[retracted]
-    # on R^n the smooth residual is grad f, whose exact Jacobian is the Hessian
-    hessian = None if len(Z.constraints) else gradient(f).jacobian_at
-    X, R, ok = _refine(_smooth_residual(f, Z), starts, REFINE_TOL, jac=hessian, max_step_len=max_len)
-    gn = norms(R[:, len(Z.constraints):])
-    hits = np.flatnonzero(ok & (gn < CRIT_TOL))
-    hits = hits[Z.is_member(X[hits])]
-    found = list(zip(X[hits], gn[hits]))
-    # the log lines count what the search does not need, so they are built only when shown
-    verbose = log.isEnabledFor(logging.INFO)
-    if verbose:
-        log.info("smooth pass: %d/%d seeds (%d distinct starts) refined to critical points",
-                 len(found), len(seeds), len(_distinct_rows(starts)[0]))
 
+def singular_roots(Z: SingularSpace, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular pass: the roots of {g = 0, Dg = 0} on Z refined from seeds, and the norm of {g, Dg} at each.
+
+    Refines every seed to below REFINE_TOL in one :func:`_refine` call, with
+    the system's exact Jacobian, and accepts every root it reaches on Z: a
+    point where all constraint gradients vanish is singular, so critical.
+    Skipped, exactly, when the system has a non-zero constant entry
+    (:func:`_constant_entry`) and so no root, and on R^n, where there is no
+    constraint; both give no root.  It reads only Z and the seeds, so it can
+    run in another process beside the smooth pass.
+    """
+    none = np.zeros((0, Z.ambient_dim)), np.zeros(0)
+    if not len(Z.constraints):
+        return none
     system = _singular_system(Z)
     k = _constant_entry(system)
     if k is not None:
@@ -349,14 +330,53 @@ def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | No
         i, j = divmod(k - len(g), len(names))
         entry = f"constraint {g[k]}" if k < len(g) else f"d({g[i]})/d{names[j]} = {system.components[k]}"
         log.info("singular pass skipped: %s is a non-zero constant, so {g = 0, Dg = 0} has no root", entry)
-    elif len(Z.constraints):
-        X, R, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=max_len)
-        hits = np.flatnonzero(ok)
-        hits = hits[Z.is_member(X[hits])]
-        if verbose:
-            log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
-                     int(ok.sum()), len(seeds), len(_dedupe(X[hits], CLUSTER_TOL)))
-        found += zip(X[hits], norms(R[hits]))
+        return none
+    X, R, ok = _refine(system.evaluate, seeds, REFINE_TOL, jac=system.jacobian_at, max_step_len=2.0 * Z.box_diameter)
+    hits = np.flatnonzero(ok)
+    hits = hits[Z.is_member(X[hits])]
+    if log.isEnabledFor(logging.INFO):  # the line counts what the search does not need
+        log.info("singular pass: %d/%d seeds refined to %d rank-collapse points",
+                 int(ok.sum()), len(seeds), len(_dedupe(X[hits], CLUSTER_TOL)))
+    return X[hits], norms(R[hits])
+
+
+def find_critical_points(f: Polynomial, Z: SingularSpace, grid_density: int | None,
+                         singular=None) -> list[CriticalPoint]:
+    """Locate and deduplicate the fixed points of the flow inside the box.
+
+    Grid seeds (:func:`search_seeds`) are retracted to Z and refined by
+    damped least-squares Newton on {g = 0, projected gradient = 0}, to below
+    REFINE_TOL; on R^n that residual is grad f, and the pass has its exact
+    Jacobian, the Hessian, so :func:`_refine` scales its steps at a multiple
+    root.  With constraints it takes central differences, which keep that
+    rule off.  The pass refines all its seeds in one :func:`_refine` call,
+    which refines each bit-distinct start once; non-convergent seeds are
+    discarded (counted and logged only when INFO is on).  The singular
+    pass's roots (:func:`singular_roots` of the raw seeds) join its points,
+    with the norm of {g, Dg} as their residual; no pass targets a rank drop
+    of Dg that a linear row survives.  The points found are clustered
+    within CLUSTER_TOL.
+
+    singular is the source of the singular roots, called with Z and the
+    seeds only after the smooth pass: None runs :func:`singular_roots` here;
+    the pipeline passes one that reads the roots a forked process found, so
+    this process never waits while it still has work.
+    """
+    seeds = search_seeds(Z, grid_density)
+    starts, retracted = Z.retract_batch(seeds)
+    starts = starts[retracted]
+    # on R^n the smooth residual is grad f, whose exact Jacobian is the Hessian
+    hessian = None if len(Z.constraints) else gradient(f).jacobian_at
+    X, R, ok = _refine(_smooth_residual(f, Z), starts, REFINE_TOL, jac=hessian, max_step_len=2.0 * Z.box_diameter)
+    gn = norms(R[:, len(Z.constraints):])
+    hits = np.flatnonzero(ok & (gn < CRIT_TOL))
+    hits = hits[Z.is_member(X[hits])]
+    found = list(zip(X[hits], gn[hits]))
+    # the log line counts what the search does not need, so it is built only when shown
+    if log.isEnabledFor(logging.INFO):
+        log.info("smooth pass: %d/%d seeds (%d distinct starts) refined to critical points",
+                 len(found), len(seeds), len(_distinct_rows(starts)[0]))
+    found += zip(*(singular or singular_roots)(Z, seeds))
     if not found:
         return []
 

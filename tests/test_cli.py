@@ -868,7 +868,7 @@ class TestCondition2BesideCondition4:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("problem", ["cone", "saddle", "planes-lift", "wells"])
+    @pytest.mark.parametrize("problem", ["cone", "saddle", "planes", "planes-lift", "wells"])
     def test_forked_run_is_byte_identical_to_the_in_process_run(self, monkeypatch, problem):
         from dataclasses import fields
 
@@ -894,7 +894,9 @@ class TestCondition2BesideCondition4:
     def test_only_a_run_that_overlaps_cond2_with_cond4_flows_forks(self, monkeypatch):
         import morseflow.cli as cli
 
-        events, fork, search = [], os.fork, cli.find_critical_points
+        from morseflow import critical
+
+        events, fork, search, refine = [], os.fork, cli.find_critical_points, critical._refine
 
         def forked():
             pid = fork()
@@ -905,17 +907,23 @@ class TestCondition2BesideCondition4:
             events.append("critical")
             return search(*args, **kw)
 
+        def refined(*args, **kw):
+            events.append("refine")  # a child's refinements are never seen here
+            return refine(*args, **kw)
+
         monkeypatch.setattr(os, "fork", forked)
         monkeypatch.setattr(cli, "find_critical_points", searched)
+        monkeypatch.setattr(critical, "_refine", refined)
         cases = [
             # Z = R^1 with only a minimum: cond4 runs no flow, so nothing is overlapped
-            (builtin_problem("quartic"), STAGES, ["critical"]),
-            # a constrained Z: cond2's flows start before the critical search, also without cond4
-            (builtin_problem("cone"), STAGES, ["fork", "critical"]),
-            (builtin_problem("cone"), ("critical", "cond2"), ["fork", "critical"]),
+            (builtin_problem("quartic"), STAGES, ["critical", "refine"]),
+            # a constrained Z: cond2's flows start before the critical search, also without cond4;
+            # beside cond4 the child runs the singular pass, so the parent refines only the smooth one
+            (builtin_problem("cone"), STAGES, ["fork", "critical", "refine"]),
+            (builtin_problem("cone"), ("critical", "cond2"), ["fork", "critical", "refine", "refine"]),
             # Z = R^2: the fork waits for a saddle to check, and for a band that misses its value
-            (builtin_problem("saddle"), STAGES, ["critical", "fork"]),
-            (spec_from_mapping(dict(BUILTIN["saddle"], tolerances={"band": [0, 1]})), STAGES, ["critical"]),
+            (builtin_problem("saddle"), STAGES, ["critical", "refine", "fork"]),
+            (spec_from_mapping(dict(BUILTIN["saddle"], tolerances={"band": [0, 1]})), STAGES, ["critical", "refine"]),
         ]
         for spec, stages, order in cases:
             events.clear()
@@ -925,6 +933,74 @@ class TestCondition2BesideCondition4:
             with monkeypatch.context() as one_cpu:
                 self._one_cpu(one_cpu)
                 assert report.to_payload() == run_experiment(spec, stages=stages).to_payload()
+
+    def test_the_forked_singular_pass_logs_where_the_one_cpu_run_does(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="morseflow")
+
+        def records():
+            out = []
+            for r in caplog.records:
+                message = r.getMessage()
+                if message.startswith('{"stage"'):
+                    line = json.loads(message)
+                    message = (line["stage"], line["error"])  # ran and seconds aside
+                out.append((r.name, r.levelname, message))
+            caplog.clear()
+            return out
+
+        run_experiment(builtin_problem("cone"), stages=STAGES)
+        forked = records()
+        self._one_cpu(monkeypatch)
+        run_experiment(builtin_problem("cone"), stages=STAGES)
+        alone = records()
+        assert ("morseflow.critical", "INFO", "singular pass: 343/343 seeds refined to 1 rank-collapse points") in alone
+        # the child's cond2 line comes at the join, after cond4's; every other record keeps its place
+        cond2 = ("morseflow.cli", "INFO", ("cond2", None))
+        assert forked[-2] == cond2 and cond2 in alone
+        assert forked[:-2] + forked[-1:] == [r for r in alone if r != cond2]
+
+    def test_a_child_that_exits_before_the_roots_leaves_the_search_and_cond2_here(self, monkeypatch, caplog):
+        import morseflow.cli as cli
+
+        parent, real = os.getpid(), cli.singular_roots
+
+        def dies(*args):
+            if os.getpid() != parent:  # the child exits before it sends the roots
+                os._exit(3)
+            return real(*args)
+
+        caplog.set_level(logging.INFO, logger="morseflow")
+        monkeypatch.setattr(cli, "singular_roots", dies)
+        forks = self._count_forks(monkeypatch)
+        forked = run_experiment(builtin_problem("cone"), stages=STAGES)
+        assert len(forks) == 1
+        self._assert_no_child_left()
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages.count("singular pass: 343/343 seeds refined to 1 rank-collapse points") == 1
+        assert [(line["stage"], line["ran"]) for line in self._stage_lines(caplog)] == [
+            (s, "process") for s in ("critical", "loja", "cond1", "cond2", "cond4")]
+        self._one_cpu(monkeypatch)
+        assert forked.to_payload() == run_experiment(builtin_problem("cone"), stages=STAGES).to_payload()
+
+    def test_a_search_that_never_reads_the_roots_still_joins_cond2(self, monkeypatch):
+        import morseflow.cli as cli
+
+        search = cli.find_critical_points
+
+        def own_pass(f, Z, grid_density, singular=None):
+            return search(f, Z, grid_density)
+
+        monkeypatch.setattr(cli, "find_critical_points", own_pass)
+        forks = self._count_forks(monkeypatch)
+        forked = run_experiment(builtin_problem("cone"), stages=STAGES)
+        assert len(forks) == 1
+        self._assert_no_child_left()
+        assert forked.condition_reports["cond2"]["verdict"] == "pass"
+        self._one_cpu(monkeypatch)
+        alone = run_experiment(builtin_problem("cone"), stages=STAGES)
+        assert len(forks) == 1
+        assert json.dumps(forked.to_payload(), sort_keys=True) == json.dumps(alone.to_payload(), sort_keys=True)
+        assert list(forked.trajectories) == list(alone.trajectories)
 
     def test_a_critical_that_raises_after_the_early_fork_reaps_the_child(self, monkeypatch, caplog):
         import morseflow.cli as cli

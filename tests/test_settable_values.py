@@ -3,10 +3,12 @@ import settable_values
 # every settable value of the package, by module; a change that adds one adds
 # it here in the same diff, and says why.  Each has two values in use in src/,
 # or a reason: main.argv is None from the console entry; item 12 of the
-# ROADMAP derives retract_tol and level_tol per problem
+# ROADMAP derives retract_tol and level_tol per problem; find_critical_points'
+# singular is None for a search that runs its own singular pass (every library
+# call, and the pipeline on one CPU), and a forked cond2 child's roots otherwise
 SETTABLE = {
     "cli.py": ["main.argv"],
-    "critical.py": ["ConditionReport.modulus_table"],
+    "critical.py": ["ConditionReport.modulus_table", "find_critical_points.singular"],
     "flow.py": ["integrate_ensemble.record"],
     "lojasiewicz.py": ["__init__.measured_slope"],
     "space.py": ["SingularSpace.retract_tol", "SingularSpace.level_tol", "orthogonal_rows.R"],

@@ -241,12 +241,14 @@ def _check_tolerances(tol: dict, n_vars: int) -> None:
 
 
 def load_problem(path) -> ProblemSpec:
-    """Read and validate a JSON problem file."""
-    text = Path(path).read_text()
+    """Read and validate a JSON problem file, its bytes decoded as JSON text is (UTF-8, -16 or -32)."""
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(text)
+        data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not JSON text: byte {e.start} is not valid {e.encoding}") from e
     return spec_from_mapping(data)
 
 
@@ -723,6 +725,8 @@ def emit_report(report: ExperimentReport, format: str, out_dir) -> list:
     json: a single document.  csv-bundle: the same document plus summary
     tables and one CSV per trajectory in ``report.trajectories``.
     """
+    if format not in ("json", "csv-bundle"):
+        raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv-bundle')")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     created = []
@@ -734,8 +738,6 @@ def emit_report(report: ExperimentReport, format: str, out_dir) -> list:
 
     if format == "json":
         return sorted(created)
-    if format != "csv-bundle":
-        raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv-bundle')")
 
     variables = report.problem["variables"]
     tables = [("critical_points.csv",

@@ -11,7 +11,8 @@ Membership is residual-based (``||g(x)|| <= MEMBER_TOL`` and x inside the
 box), and points are put back on Z by Gauss-Newton least-squares steps.
 Projection and retraction share one kernel, :func:`orthogonal_rows`, which
 orthogonalises the rows of every Jacobian of a batch by one-sided Jacobi
-rotations.
+rotations; it compares only the row pairs that :func:`rotating_pairs` derives
+from the variables each constraint uses.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ class SingularSpace:
         bounds.setflags(write=False)
         return bounds
 
+    @cached_property
+    def _row_pairs(self) -> list[tuple[int, int]]:
+        """The pairs of rows of Dg that a Jacobi sweep can turn, from the variables each constraint uses."""
+        return rotating_pairs([{i for t in p.terms for i, e in enumerate(t.exponents) if e} for p in self.constraints])
+
     # -- membership ----------------------------------------------------
 
     def residual(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
@@ -151,7 +157,7 @@ class SingularSpace:
         V = np.asarray(V, dtype=float)
         if not len(self.constraints):
             return V.copy(), np.zeros(len(X), dtype=int)
-        B, s2, _ = orthogonal_rows(self.constraints.jacobian_at(X), RANK_TOL)
+        B, s2, _ = orthogonal_rows(self.constraints.jacobian_at(X), RANK_TOL, self._row_pairs)
         P, rank = V, 0
         for b, s in zip(B, s2):
             kept = s != 0.0
@@ -209,7 +215,7 @@ class SingularSpace:
 
         The rank is cut at ``RANK_TOL``, as in :meth:`tangent_project_batch`.
         """
-        B, s2, W = orthogonal_rows(J, RANK_TOL, R)
+        B, s2, W = orthogonal_rows(J, RANK_TOL, self._row_pairs, R)
         D = None
         for b, s, w in zip(B, s2, W):
             step = b * np.divide(w, s, out=np.zeros(len(s)), where=s != 0.0)[:, None]
@@ -290,17 +296,38 @@ def row_sums(A: np.ndarray) -> np.ndarray:
     return total
 
 
-def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None):
+def rotating_pairs(supports: Sequence[set[int]]) -> list[tuple[int, int]]:
+    """The row pairs (i, j), i < j, that :func:`orthogonal_rows` can ever turn.
+
+    supports[i] holds the columns where row i of every Jacobian may be
+    non-zero; its other entries are exactly 0.0.  Rows that share a column
+    are joined, and a pair is kept when its rows lie in one connected
+    component of that graph.  A rotation mixes two rows of one component,
+    so every row stays 0.0 outside its component's columns; a pair from
+    two components then has a 0.0 factor in every product of its inner
+    product, which is ±0 or NaN and never passes the sweep's test.
+    """
+    label = list(range(len(supports)))
+    for i in range(len(supports)):
+        for j in range(i):
+            if supports[i] & supports[j]:
+                old = label[i]
+                label = [label[j] if lab == old else lab for lab in label]
+    return [(i, j) for i in range(len(label)) for j in range(i + 1, len(label)) if label[i] == label[j]]
+
+
+def orthogonal_rows(J: np.ndarray, rank_tol: float, pairs: Sequence[tuple[int, int]], R: np.ndarray | None = None):
     """Rotate the rows of every matrix of a stack J, shape (N, m, n), until they are orthogonal.
 
     One-sided (Hestenes) Jacobi: plane rotations, one orthogonal m x m
     matrix Q per stack entry, turn the rows of J into rows b_i of ``Q J``
     that are mutually orthogonal, so the b_i span the row space of J and
-    their norms are its singular values.  A pair of rows is rotated only
-    where it is not yet orthogonal (cosine above n * eps) and neither row
-    is rounding noise beside the other (norm ratio at most n * eps); sweeps
-    over the pairs run until no pair turns, at most ``JACOBI_SWEEPS``.  A
-    single row is never rotated.
+    their norms are its singular values.  Each sweep compares the row pairs
+    of ``pairs`` in their order (:func:`rotating_pairs` leaves out those
+    that can never turn).  A pair is rotated only where it is not yet
+    orthogonal (cosine above n * eps) and neither row is rounding noise
+    beside the other (norm ratio at most n * eps); sweeps run until no pair
+    turns, at most ``JACOBI_SWEEPS``.  A single row is never rotated.
 
     Returns three arrays: the rows B, shape (m, N, n), with B[i] the rows
     b_i; their squared norms, shape (m, N), set to 0 where ``sigma_i <=
@@ -323,7 +350,6 @@ def orthogonal_rows(J: np.ndarray, rank_tol: float, R: np.ndarray | None = None)
     W = None if R is None else R.T.copy()
     s2 = row_sums(B * B)
     tol = J.shape[2] * EPS
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for _ in range(JACOBI_SWEEPS):
         turned = False
         for i, j in pairs:

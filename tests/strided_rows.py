@@ -5,6 +5,9 @@ copied only when a rotation turns them, their squared norms and the
 rotated residuals.  ``space.orthogonal_rows`` keeps the rows as the
 contiguous blocks of one (m, N, n) array and must give the same bits;
 tests/test_space.py checks that through projection, steps and retraction.
+This copy sweeps every pair of rows whatever ``pairs`` holds, so the same
+checks show that leaving out the pairs ``space.rotating_pairs`` drops
+changes no bit.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import numpy as np
 from morseflow.space import EPS, JACOBI_SWEEPS, row_sums
 
 
-def orthogonal_rows(J, rank_tol, R=None):
+def orthogonal_rows(J, rank_tol, pairs, R=None):
     m = J.shape[1]
     if m == 1:
         b = J[:, 0]

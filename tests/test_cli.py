@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import logging
 import os
@@ -250,8 +251,10 @@ class TestEmission:
         assert any("," in e for e in errors)
 
     def test_unknown_format(self, saddle_full_report, tmp_path):
+        # the format is checked before anything is written
         with pytest.raises(ValueError, match="format"):
-            emit_report(saddle_full_report, format="xml", out_dir=tmp_path)
+            emit_report(saddle_full_report, format="xml", out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_the_report_keeps_one_trajectory_per_family_tagged_with_its_termination(saddle_full_report):
@@ -303,6 +306,14 @@ class TestMainExitCodes:
 
     def test_runtime_error_missing_file(self):
         assert main(["run", "--problem", "/nonexistent/p.json"]) == 4
+
+    def test_problem_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        doc = {**json.loads((PROBLEMS / "cone-lift.json").read_text()), "name": "c\xf4ne"}
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+        err = capsys.readouterr().err
+        assert err.strip() == f"morseflow: {path}: not JSON text: byte 11 is not valid utf-8"
 
     def test_flow_subcommand_writes_csv(self, tmp_path):
         path = write_problem(tmp_path)
@@ -536,11 +547,24 @@ class TestUnsettledCriticalPoints:
         for frag in (cond2, cond4):
             assert frag["witnesses"]["reason"].startswith("premise search_complete failed: ")
 
+    @pytest.fixture(scope="class")
+    def all_stage_report(self):
+        """The all-stage report of a built-in or a problem file, by name, run once for the class.
+
+        The reports are shared, so no test that monkeypatches a module may read them.
+        """
+
+        @functools.cache
+        def report(name):
+            spec = builtin_problem(name) if name in BUILTIN else load_problem(PROBLEMS / f"{name}.json")
+            return run_experiment(spec, stages=STAGES)
+
+        return report
+
     @staticmethod
-    def _lift_kinds(builtin, lift):
+    def _lift_kinds(all_stage_report, builtin, lift):
         """The kinds of the lifted problem, once its values, verdicts and corollary match the built-in's."""
-        flat = run_experiment(builtin_problem(builtin), stages=STAGES)
-        lifted = run_experiment(load_problem(PROBLEMS / f"{lift}.json"), stages=STAGES)
+        flat, lifted = all_stage_report(builtin), all_stage_report(lift)
         kinds = [cp["kind"] for cp in lifted.critical_points]
         assert kinds == [cp["kind"] for cp in flat.critical_points]
         assert [cp["value"] for cp in lifted.critical_points] == \
@@ -550,29 +574,28 @@ class TestUnsettledCriticalPoints:
         assert lifted.stage_errors == flat.stage_errors == {}
         return kinds
 
-    def test_lifted_planes_match_planes(self):
+    def test_lifted_planes_match_planes(self, all_stage_report):
         # pinning a new variable by a linear constraint changes no
         # critical value, kind or verdict
-        self._lift_kinds("planes", "planes-lift")
+        self._lift_kinds(all_stage_report, "planes", "planes-lift")
 
-    def test_lifted_cone_matches_cone(self):
+    def test_lifted_cone_matches_cone(self, all_stage_report):
         # the same lift on a singular Z: the vertex, now on a stratum of
         # two constraints, keeps its value, its kind and every verdict
-        assert self._lift_kinds("cone", "cone-lift") == ["saddle"]
+        assert self._lift_kinds(all_stage_report, "cone", "cone-lift") == ["saddle"]
 
-    def test_graph_lifted_cone_matches_cone(self):
+    def test_graph_lifted_cone_matches_cone(self, all_stage_report):
         # Z with two non-linear rows: the cone on the graph w = x*y
-        assert self._lift_kinds("cone", "cone-graph") == ["saddle"]
+        assert self._lift_kinds(all_stage_report, "cone", "cone-graph") == ["saddle"]
 
-    def test_graph_lifted_saddle_matches_saddle(self):
+    def test_graph_lifted_saddle_matches_saddle(self, all_stage_report):
         # the graph w = x^2 + y^2 changes the flow's metric, but no critical point
-        assert self._lift_kinds("saddle", "saddle-graph") == ["saddle"]
+        assert self._lift_kinds(all_stage_report, "saddle", "saddle-graph") == ["saddle"]
 
-    def test_three_row_graph_lifted_cone_keeps_the_cones_kinds_and_verdicts(self):
+    def test_three_row_graph_lifted_cone_keeps_the_cones_kinds_and_verdicts(self, all_stage_report):
         # Z with three rows that are not orthogonal, so the Jacobi sweeps turn
         # all three pairs: the kinds, every verdict and the corollary stay the cone's
-        flat = run_experiment(builtin_problem("cone"), stages=STAGES)
-        lifted = run_experiment(load_problem(PROBLEMS / "cone-graph3.json"), stages=STAGES)
+        flat, lifted = all_stage_report("cone"), all_stage_report("cone-graph3")
         assert [cp["kind"] for cp in lifted.critical_points] == [cp["kind"] for cp in flat.critical_points] \
             == ["saddle"]
         assert lifted.verdicts() == flat.verdicts()
@@ -581,8 +604,8 @@ class TestUnsettledCriticalPoints:
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2's smooth-pass defect: the three-row lift reports "
                                            "the vertex at -1.078e-7, where the cone reports 0")
-    def test_three_row_graph_lifted_cone_matches_cone(self):
-        assert self._lift_kinds("cone", "cone-graph3") == ["saddle"]
+    def test_three_row_graph_lifted_cone_matches_cone(self, all_stage_report):
+        assert self._lift_kinds(all_stage_report, "cone", "cone-graph3") == ["saddle"]
 
     def test_classify_failure_is_isolated_per_point(self, monkeypatch):
         import morseflow.cli as cli

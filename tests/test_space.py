@@ -9,7 +9,7 @@ import halving_retraction
 import strided_rows
 from morseflow import space
 from morseflow.cli import builtin_problem, load_problem, problem_objects
-from morseflow.polynomial import PolynomialSystem, gradient, parse_polynomial
+from morseflow.polynomial import Monomial, Polynomial, PolynomialSystem, gradient, parse_polynomial
 from morseflow.space import (
     SingularSpace,
     line_search,
@@ -17,6 +17,7 @@ from morseflow.space import (
     norms,
     orthogonal_rows,
     project_to_level_set,
+    rotating_pairs,
     row_norms,
     row_sums,
 )
@@ -421,7 +422,11 @@ class TestLineSearch:
 
 
 class FixedJacobian:
-    """Stands in for the constraint system: Dg is the given stack at every point."""
+    """Stands in for the constraint system: Dg is the given stack at every point.
+
+    Each row stands for a constraint that uses every variable, so the Jacobi
+    sweeps compare every pair of rows.
+    """
 
     def __init__(self, J):
         self.J = J
@@ -429,6 +434,10 @@ class FixedJacobian:
 
     def __len__(self):
         return self.J.shape[1]
+
+    def __iter__(self):
+        every_variable = Polynomial(self.variables, [Monomial(1.0, (1,) * len(self.variables))])
+        return iter([every_variable] * len(self))
 
     def jacobian_at(self, X):
         return self.J
@@ -444,6 +453,10 @@ def project(J, V):
 
 def step(J, R):
     return fixed_space(J)._min_norm_steps(J, R)
+
+
+def every_pair(m):
+    return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
 def svd_projection(A, v, rank_tol=1e-8):
@@ -568,10 +581,10 @@ class TestOrthogonalRows:
     @settings(max_examples=40, deadline=None)
     @given(jacobian_stacks(3, size=(1, 8)))
     def test_three_rows_converge_well_inside_the_sweep_cap(self, J):
-        B, s2, _ = orthogonal_rows(J, 1e-8)
+        B, s2, _ = orthogonal_rows(J, 1e-8, every_pair(3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(space, "JACOBI_SWEEPS", space.JACOBI_SWEEPS // 4)
-            B_short, s2_short, _ = orthogonal_rows(J, 1e-8)
+            B_short, s2_short, _ = orthogonal_rows(J, 1e-8, every_pair(3))
         assert np.array_equal(B, B_short) and np.array_equal(s2, s2_short)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -584,12 +597,12 @@ class TestOrthogonalRows:
         if bad is not None and len(J):
             J[rng.integers(len(J)), rng.integers(J.shape[1]), rng.integers(J.shape[2])] = bad
         J0, R0 = J.copy(), R.copy()
-        B, s2, W = orthogonal_rows(J, 1e-8, R)
+        B, s2, W = orthogonal_rows(J, 1e-8, every_pair(J.shape[1]), R)
         assert np.array_equal(J, J0, equal_nan=True) and np.array_equal(R, R0)
         assert B.shape == (J.shape[1], *J.shape[::2]) and s2.shape == W.shape == R.T.shape
         if J.shape[1] > 1:
             assert all(b.flags.c_contiguous for b in B)
-        for got, ref in zip((B, s2, W), strided_rows.orthogonal_rows(J0, 1e-8, R0)):
+        for got, ref in zip((B, s2, W), strided_rows.orthogonal_rows(J0, 1e-8, every_pair(J.shape[1]), R0)):
             assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, ref, strict=True))
         P, rank = project(J, V)
         D = step(J, R)
@@ -641,3 +654,75 @@ class TestOrthogonalRows:
         P, rank = project(J, V)
         assert np.array_equal(P, ref_p, equal_nan=True) and np.array_equal(rank, ref_rank)
         assert np.array_equal(step(J, R), ref_d, equal_nan=True)
+
+
+def stack_on(supports, rng, N):
+    """A stack (N, m, n) whose row i is normal noise on the columns supports[i] and exactly 0.0 elsewhere."""
+    mask = np.zeros((len(supports), 1 + max(max(s) for s in supports)), dtype=bool)
+    for i, s in enumerate(supports):
+        mask[i, sorted(s)] = True
+    return np.where(mask, rng.normal(size=(N, *mask.shape)) * 10.0 ** rng.integers(-3, 4, size=(N, 1, 1)), 0.0)
+
+
+@st.composite
+def supported_stacks(draw, supports=None):
+    """(supports, J, R): :func:`stack_on` the supports, with at most one non-finite entry inside them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if supports is None:
+        cols = st.sets(st.integers(0, draw(st.integers(2, 6)) - 1), min_size=1)
+        supports = draw(st.lists(cols, min_size=2, max_size=4))
+    J = stack_on(supports, rng, draw(st.integers(1, 8)))
+    bad = draw(st.sampled_from([None, np.nan, np.inf]))
+    if bad is not None:
+        i, j = np.argwhere(J[0] != 0.0)[rng.integers((J[0] != 0.0).sum())]
+        J[rng.integers(len(J)), i, j] = bad
+    return supports, J, rng.normal(size=J.shape[:2])
+
+
+def sweep_bits_match(J, R, pairs):
+    """Whether sweeping only ``pairs`` gives the B, s2 and W bits of sweeping every pair."""
+    got = orthogonal_rows(J, 1e-8, pairs, R)
+    ref = orthogonal_rows(J, 1e-8, every_pair(J.shape[1]), R)
+    return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, ref))
+
+
+# rows 0-1 and 1-2 share a variable, rows 0-2 do not
+CHAIN = [{0, 1}, {1, 2}, {2, 3}]
+
+
+class TestRotatingPairs:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(supported_stacks())
+    def test_the_derived_pairs_give_every_pairs_bits(self, stack):
+        supports, J, R = stack
+        assert sweep_bits_match(J, R, rotating_pairs(supports))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(supported_stacks(CHAIN))
+    def test_a_chain_keeps_the_pair_that_shares_no_variable(self, stack):
+        supports, J, R = stack
+        assert rotating_pairs(supports) == every_pair(3)
+        assert sweep_bits_match(J, R, rotating_pairs(supports))
+
+    def test_pairs_that_share_a_variable_miss_the_chains_rotations(self):
+        # rotating rows 0 and 1 gives row 0 row 1's variables, which row 2 shares
+        rng = np.random.default_rng(0)
+        J = stack_on(CHAIN, rng, 8)
+        R = rng.normal(size=J.shape[:2])
+        sharing = [(i, j) for i, j in every_pair(3) if CHAIN[i] & CHAIN[j]]
+        assert sharing == [(0, 1), (1, 2)]
+        assert not sweep_bits_match(J, R, sharing)
+
+    def test_components_join_rows_through_shared_variables(self):
+        assert rotating_pairs([{0}, {1}]) == []
+        assert rotating_pairs([{0, 1}, {2}, {1, 3}]) == [(0, 2)]
+        assert rotating_pairs([{0}, {1}, {2}, {0, 2}]) == [(0, 2), (0, 3), (2, 3)]
+        assert rotating_pairs([{3}]) == rotating_pairs([]) == []
+
+    @pytest.mark.parametrize("name, pairs", [
+        ("cone-lift", []), ("planes-lift", []), ("cone-graph", [(0, 1)]), ("cone-graph3", [(0, 1), (0, 2), (1, 2)]),
+    ])
+    def test_each_problem_files_pairs(self, name, pairs):
+        assert problem_objects(load_problem(PROBLEMS / f"{name}.json"))[1]._row_pairs == pairs

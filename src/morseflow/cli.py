@@ -34,6 +34,7 @@ from .critical import (
     _merged_values,
     check_condition1,
     classify,
+    default_grid_density,
     find_critical_points,
     search_seeds,
     singular_roots,
@@ -238,6 +239,11 @@ def _check_tolerances(tol: dict, n_vars: int) -> None:
             raise ValidationError(
                 f"tolerance 'grid_density' {d} asks for {d}^{n_vars} seeds, "
                 f"more than the limit of {MAX_GRID_SEEDS}")
+    else:
+        try:
+            default_grid_density(n_vars)
+        except ValueError as e:
+            raise ValidationError(str(e)) from None
 
 
 def load_problem(path) -> ProblemSpec:

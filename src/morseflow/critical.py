@@ -98,9 +98,15 @@ class ConditionReport:
 
 
 def default_grid_density(n_vars: int) -> int:
-    """The largest density up to DEFAULT_GRID_DENSITY whose grid has at most MAX_GRID_SEEDS seeds."""
+    """The largest density up to DEFAULT_GRID_DENSITY whose grid has at most MAX_GRID_SEEDS seeds.
+
+    Raises ValueError past 16 variables, where even density 2 has more.
+    """
+    if 2**n_vars > MAX_GRID_SEEDS:
+        raise ValueError(f"{n_vars} variables ask for at least 2^{n_vars} grid seeds, "
+                         f"more than the limit of {MAX_GRID_SEEDS}")
     d = DEFAULT_GRID_DENSITY
-    while d > 2 and d**n_vars > MAX_GRID_SEEDS:
+    while d**n_vars > MAX_GRID_SEEDS:
         d -= 1
     return d
 

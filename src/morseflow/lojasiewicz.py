@@ -80,6 +80,23 @@ def _sample_cloud(f, Z, cp, radius, n_samples, rng):
     return np.log(gap[keep]), np.log(gn[keep]), c
 
 
+def _quantile_edges(u):
+    """np.quantile(u, np.linspace(0, 1, N_BINS + 1)) bit for bit, from one sort.
+
+    numpy's default linear rule written out: the virtual index (n - 1) * q
+    sits between its floor and the next sample (the top edge is the largest
+    sample), and the value is numpy's two-sided lerp.  np.quantile itself
+    orders its indices through np.unique, which imports numpy.ma.
+    """
+    s = np.sort(u)
+    index = (s.size - 1) * np.linspace(0.0, 1.0, N_BINS + 1)
+    below = np.floor(index)
+    t = index - below
+    lo = below.astype(np.intp)
+    a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def estimate_fit(f, Z: SingularSpace, cp: CriticalPoint, radius: float, seed: int) -> LojasiewiczFit:
     """Fit the envelope exponent and constant from a cloud of FIT_SAMPLES draws.
 
@@ -95,7 +112,7 @@ def estimate_fit(f, Z: SingularSpace, cp: CriticalPoint, radius: float, seed: in
         raise FitError(f"only {u.size} usable on-Z samples (need {MIN_SAMPLES}); "
                        "radius too small or stratum too thin")
 
-    edges = np.quantile(u, np.linspace(0.0, 1.0, N_BINS + 1))
+    edges = _quantile_edges(u)
     mins_u, mins_v = [], []
     for k in range(N_BINS):
         if k < N_BINS - 1:

@@ -58,9 +58,9 @@ def saddle_verify(saddle, saddle_fit):
     return eps, report
 
 
-@pytest.fixture(scope="module")
-def saddle_experiment():
-    return run_experiment(builtin_problem("saddle"), stages=STAGES)
+@pytest.fixture
+def saddle_experiment(cached_report):
+    return cached_report(builtin_problem("saddle"))
 
 
 def test_criterion_1_lojasiewicz_recovery(bowl, quartic):

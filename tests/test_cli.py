@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import logging
 import os
@@ -31,9 +30,9 @@ def load_report(path):
         return ExperimentReport(**json.load(fh), trajectories={})
 
 
-@pytest.fixture(scope="module")
-def saddle_full_report():
-    return run_experiment(builtin_problem("saddle"), stages=STAGES)
+@pytest.fixture
+def saddle_full_report(cached_report):
+    return cached_report(builtin_problem("saddle"))
 
 
 def write_problem(tmp_path, **overrides):
@@ -234,10 +233,10 @@ class TestEmission:
         header = (tmp_path / "modulus_table.csv").read_text().splitlines()[0]
         assert header == "r,d,n_landed,n_captured"
 
-    def test_every_cone_table_row_has_the_header_length(self, tmp_path):
+    def test_every_cone_table_row_has_the_header_length(self, cached_report, tmp_path):
         # the cone's fit error names the interval "[0.05, 0.95]", a comma
         # that an unquoted row would split into an extra field
-        report = run_experiment(builtin_problem("cone"), stages=STAGES)
+        report = cached_report(builtin_problem("cone"))
         files = emit_report(report, format="csv-bundle", out_dir=tmp_path)
         tables = [f for f in files if f.endswith(".csv")]
         assert any(f.endswith("lojasiewicz_fits.csv") for f in tables)
@@ -399,6 +398,25 @@ def test_the_package_entry_runs_the_package_cli_under_strict_warnings():
     assert stage_lines and all(line.startswith("INFO morseflow.cli: ") for line in stage_lines)
 
 
+def test_no_all_stage_run_imports_numpy_ma():
+    # numpy.ma costs a fresh process about 10 ms and 1 MB; np.quantile pulls it in
+    # through np.unique.  A fresh interpreter, since other tests may have imported it
+    script = """
+import sys
+from pathlib import Path
+from morseflow.cli import STAGES, builtin_problem, load_problem, run_experiment
+specs = [builtin_problem(name) for name in ("saddle", "quartic", "planes", "cone")]
+specs.append(load_problem(Path(sys.argv[1])))
+for spec in specs:
+    run_experiment(spec, stages=STAGES)
+print(sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")))
+"""
+    run = subprocess.run([sys.executable, "-c", script, str(PROBLEMS / "cone-lift.json")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 PROBLEMS = Path(__file__).resolve().parent / "problems"
 
 
@@ -494,6 +512,30 @@ class TestToleranceValidation:
         doc = dict(BUILTIN["saddle"], tolerances={"grid_density": 316})
         assert spec_from_mapping(doc).tolerances["grid_density"] == 316
 
+    @staticmethod
+    def _squares(n_vars):
+        names = [f"x{i}" for i in range(n_vars)]
+        return {"variables": names, "objective": " + ".join(f"{v}^2" for v in names), "box": [[-1, 1]] * n_vars}
+
+    def test_a_default_grid_past_the_seed_limit_is_a_usage_error(self, tmp_path, capsys):
+        # density 2 is the coarsest grid, and at 17 variables it has 2^17 = 131,072 seeds
+        doc = self._squares(17)
+        with pytest.raises(ValidationError, match=rf"^17 variables .* limit of {MAX_GRID_SEEDS}$"):
+            spec_from_mapping({**BUILTIN["saddle"], **doc})
+        path = write_problem(tmp_path, **doc)
+        assert main(["run", "--problem", str(path), "--stages", "critical"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert "17 variables" in line and str(MAX_GRID_SEEDS) in line
+        with pytest.raises(ValueError, match="17 variables"):
+            default_grid_density(17)
+
+    def test_sixteen_variables_load_with_the_coarsest_default_grid(self):
+        spec = spec_from_mapping({**BUILTIN["saddle"], **self._squares(16)})
+        assert len(spec.variables) == 16 and "grid_density" not in spec.tolerances
+        assert default_grid_density(16) == 2 and 2**16 <= MAX_GRID_SEEDS
+
 
 class TestUnsettledCriticalPoints:
     def test_lifted_planes_condition4_is_not_a_vacuous_pass(self, tmp_path, monkeypatch):
@@ -547,19 +589,11 @@ class TestUnsettledCriticalPoints:
         for frag in (cond2, cond4):
             assert frag["witnesses"]["reason"].startswith("premise search_complete failed: ")
 
-    @pytest.fixture(scope="class")
-    def all_stage_report(self):
-        """The all-stage report of a built-in or a problem file, by name, run once for the class.
-
-        The reports are shared, so no test that monkeypatches a module may read them.
-        """
-
-        @functools.cache
-        def report(name):
-            spec = builtin_problem(name) if name in BUILTIN else load_problem(PROBLEMS / f"{name}.json")
-            return run_experiment(spec, stages=STAGES)
-
-        return report
+    @pytest.fixture
+    def all_stage_report(self, cached_report):
+        """The all-stage report of a built-in or a problem file, by name, from the session's cache."""
+        return lambda name: cached_report(builtin_problem(name) if name in BUILTIN
+                                          else load_problem(PROBLEMS / f"{name}.json"))
 
     @staticmethod
     def _lift_kinds(all_stage_report, builtin, lift):

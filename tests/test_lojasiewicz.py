@@ -105,6 +105,45 @@ class TestEstimateFit:
         assert a == b
 
 
+class TestQuantileEdges:
+    """The fit's bin edges are np.quantile's default linear rule, bit for bit.
+
+    The samples are logs of value gaps, so equal samples have equal bits
+    (log never returns -0.0); the cases keep that, since a sort and
+    np.quantile's partition may order a -0.0 and a 0.0 differently.
+    """
+
+    QUANTILES = np.linspace(0.0, 1.0, lojasiewicz.N_BINS + 1)
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(44)
+        for n in rng.integers(lojasiewicz.MIN_SAMPLES, lojasiewicz.FIT_SAMPLES + 1, size=40):
+            u = rng.normal(-8.0, 4.0, size=n)
+            yield u
+            yield np.round(u) + 0.0  # ties
+            yield np.sort(u)
+            yield np.sort(u)[::-1].copy()
+            run = u.copy()
+            run[rng.integers(n // 2):] = u[0]  # a constant run
+            yield run
+        yield np.full(lojasiewicz.MIN_SAMPLES, -3.5)
+        yield np.arange(lojasiewicz.FIT_SAMPLES, dtype=float)
+
+    def test_the_edges_are_np_quantiles_bits(self):
+        n_cases = 0
+        for u in self.cases():
+            assert lojasiewicz._quantile_edges(u).tobytes() == np.quantile(u, self.QUANTILES).tobytes()
+            n_cases += 1
+        assert n_cases == 202
+
+    def test_the_sample_is_left_as_it_was(self):
+        u = np.array([3.0, -1.0, 2.0, 0.5] * 30)
+        kept = u.copy()
+        lojasiewicz._quantile_edges(u)
+        assert u.tobytes() == kept.tobytes()
+
+
 class TestChooseEpsilon:
     def test_worked_example(self, monkeypatch):
         monkeypatch.setattr(lojasiewicz, "SAFETY", 1.0)
